@@ -54,6 +54,8 @@
 # --json with topology + rank_stats), plus the fleet-over-single-rank
 # "requests_per_second_ratio". In --quick mode the request count
 # shrinks with TPL_BENCH_ELEMENTS; the full run replays 1M requests.
+# The run FAILS when the ratio is below 4 (full) or at most 1
+# (--quick).
 #
 # Schema 6 adds a "tuner_sweep" object: the pimtune mixed-tenant demo
 # trace replayed three ways (as requested / best static config /
@@ -66,8 +68,10 @@
 # (sla_met) — the headline claim of the online tuner.
 set -u
 
+quick=0
 if [ "${1:-}" = "--quick" ]; then
     shift
+    quick=1
     export TPL_BENCH_ELEMENTS=512
 fi
 
@@ -225,6 +229,15 @@ if [ -x "$PIMSERVE" ]; then
         }' "$FLEET_JSON_TMP" "$RANK_JSON_TMP")
         fleet_sweep="{\"requests\": $fleet_reqs, \"fleet\": $(cat "$FLEET_JSON_TMP"), \"single_rank\": $(cat "$RANK_JSON_TMP"), \"requests_per_second_ratio\": $ratio}"
         echo "   fleet over single rank: ${ratio}x requests/s" >&2
+        # The scale-out is asserted, not just recorded: the full 1M
+        # replay must reach >= 4x; the --quick trace (16k requests)
+        # is too short to fill the fleet, so it only has to beat one
+        # rank.
+        if ! awk -v r="$ratio" -v q="$quick" \
+            'BEGIN { exit !(q ? r > 1 : r >= 4) }'; then
+            failures=$((failures + 1))
+            echo "   FAILED: fleet over single rank must be >= 4x (> 1x with --quick)" >&2
+        fi
     fi
     rm -f "$FLEET_JSON_TMP" "$RANK_JSON_TMP"
 else

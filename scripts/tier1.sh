@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure, build, run the full test suite.
 # With TPL_TIER1_TSAN=1, additionally build a ThreadSanitizer tree and
-# run the parallel-engine tests (thread pool + launchAll determinism)
+# run the parallel-engine tests (thread pool + launchAll determinism,
+# and the serve path's one shared evaluator read by every sim thread)
 # under TSan — the cheap way to catch data races the determinism test
 # alone cannot see.
 #
@@ -37,9 +38,10 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j
 if [ "${TPL_TIER1_TSAN:-0}" = "1" ]; then
     TSAN_DIR="${BUILD_DIR}-tsan"
     cmake -B "$TSAN_DIR" -S "$SRC_DIR" -DTPL_SANITIZE=thread
-    cmake --build "$TSAN_DIR" -j --target concurrency_test
+    cmake --build "$TSAN_DIR" -j --target concurrency_test \
+        shared_table_test
     ctest --test-dir "$TSAN_DIR" --output-on-failure \
-        -R 'ThreadPool|Determinism|Concurrency'
+        -R 'ThreadPool|Determinism|Concurrency|SharedTable'
 fi
 
 # With TPL_TIER1_SIMD=1, build the softfloat tier with the SIMD lane

@@ -149,8 +149,7 @@ alignUp8(uint32_t v)
 /** WRAM offset of @p p if [p, p+size) lies inside the scratchpad,
  * else -1 (a host buffer standing in for a tasklet's WRAM chunk). */
 int64_t
-wramOffsetOf(const std::vector<uint8_t>& wram, const void* p,
-             uint32_t size)
+wramOffsetOf(const ZeroedBank& wram, const void* p, uint32_t size)
 {
     auto base = reinterpret_cast<uintptr_t>(wram.data());
     auto ptr = reinterpret_cast<uintptr_t>(p);

@@ -235,6 +235,9 @@ struct LaunchStats
  * all 64 MiB of a modeled MRAM bank up front, which dominates host
  * time for sweeps that build one core per configuration point; with
  * the lazy bank only the pages a run actually uses ever fault in.
+ * WRAM uses it too: a 64-KB bank comes from the heap, where calloc
+ * still skips zeroing pages the heap has just grown by, so building a
+ * few thousand cores does not fault in their scratchpads up front.
  * Reads of never-written bytes still return 0, exactly like the
  * vector this replaces.
  */
@@ -365,7 +368,7 @@ class DpuCore
 
     CostModel model_;
     ZeroedBank mram_;
-    std::vector<uint8_t> wram_;
+    ZeroedBank wram_;
     uint32_t mramTop_ = 0;
     uint32_t wramTop_ = 0;
     uint64_t dmaEngineCycles_ = 0; ///< accumulated during a launch

@@ -32,7 +32,12 @@ BatchQueue::push(Request request)
         ev.table = request.table.label;
         journal_->record(ev);
     }
-    queue_.push_back(std::move(request));
+    ++depth_;
+    queuedElements_ += request.elements;
+    Lane& lane = lanes_[{request.table.hash, request.tenant}];
+    if (lane.empty())
+        heads_.emplace(id, &lane);
+    lane.push_back(std::move(request));
     cv_.notify_one();
     return id;
 }
@@ -63,17 +68,14 @@ size_t
 BatchQueue::depth() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return queue_.size();
+    return depth_;
 }
 
 uint64_t
 BatchQueue::queuedElements() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    uint64_t n = 0;
-    for (const Request& r : queue_)
-        n += r.elements;
-    return n;
+    return queuedElements_;
 }
 
 uint64_t
@@ -87,29 +89,30 @@ std::optional<Wave>
 BatchQueue::popWave(uint64_t maxElements)
 {
     std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [&] { return !queue_.empty() || closed_; });
-    if (queue_.empty())
+    cv_.wait(lock, [&] { return !heads_.empty() || closed_; });
+    if (heads_.empty())
         return std::nullopt;
+
+    // The lane holding the oldest queued request supplies the wave.
+    auto head = heads_.begin();
+    Lane& lane = *head->second;
+    heads_.erase(head);
 
     const uint64_t budget = std::max<uint64_t>(maxElements, 1);
     Wave wave;
-    wave.table = queue_.front().table;
-    wave.tenant = queue_.front().tenant;
+    wave.table = lane.front().table;
+    wave.tenant = lane.front().tenant;
 
-    // FIFO sweep: absorb every request matching the front request's
-    // table and tenant until the budget is spent. Zero-element
+    // FIFO sweep of the lane until the budget is spent. Zero-element
     // requests are closed for free; a request larger than the
-    // remaining budget is consumed partially and its spans advance
-    // in place.
+    // remaining budget is consumed partially and its spans advance in
+    // place. Every erase is at or next to the lane front: O(1).
     uint64_t taken = 0;
-    for (auto it = queue_.begin(); it != queue_.end();) {
-        if (!(it->table == wave.table) || it->tenant != wave.tenant) {
-            ++it;
-            continue;
-        }
+    for (auto it = lane.begin(); it != lane.end();) {
         if (it->elements == 0) {
             ++wave.requestsClosed;
-            it = queue_.erase(it);
+            --depth_;
+            it = lane.erase(it);
             continue;
         }
         if (taken == budget)
@@ -119,9 +122,11 @@ BatchQueue::popWave(uint64_t maxElements)
         wave.items.push_back({it->id, it->input, it->output, take,
                               it->arrivalSeconds, wholeTail});
         taken += take;
+        queuedElements_ -= take;
         if (wholeTail) {
             ++wave.requestsClosed;
-            it = queue_.erase(it);
+            --depth_;
+            it = lane.erase(it);
         } else {
             it->input += take;
             it->output += take;
@@ -129,6 +134,8 @@ BatchQueue::popWave(uint64_t maxElements)
             ++it;
         }
     }
+    if (!lane.empty())
+        heads_.emplace(lane.front().id, &lane);
     return wave;
 }
 

@@ -10,14 +10,20 @@
  * configuration); the single pipeline consumer pops waves.
  *
  * Coalescing is FIFO-fair: a wave adopts the table *and tenant* of
- * the oldest queued request and then sweeps the queue in order,
- * absorbing every request with the same key and tenant until the
- * element budget is reached (tenants have independent SLAs, so their
- * elements never mix in one wave; the default tenant 0 reproduces
- * the tenant-oblivious batching exactly).
+ * the oldest queued request and then absorbs, in arrival order, every
+ * request with the same key and tenant until the element budget is
+ * reached (tenants have independent SLAs, so their elements never mix
+ * in one wave; the default tenant 0 reproduces the tenant-oblivious
+ * batching exactly).
  * Requests larger than one wave are consumed incrementally — the
  * queue advances their spans in place, so a 10-wave request simply
  * yields ten consecutive waves without copying.
+ *
+ * Storage is one FIFO *lane* per (table hash, tenant) plus an ordered
+ * index of lane heads keyed by each lane's oldest request id. A pop
+ * takes the lowest-id head and sweeps only that lane, so its cost is
+ * O(log lanes + requests it touches) — independent of how many other
+ * requests are queued — and depth()/queuedElements() are counters.
  */
 
 #ifndef TPL_PIMSIM_SERVE_BATCH_QUEUE_H
@@ -26,9 +32,11 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace tpl {
@@ -144,10 +152,11 @@ class BatchQueue
 
     bool closed() const;
 
-    /** Requests currently queued (partially consumed ones count). */
+    /** Requests currently queued (partially consumed ones count).
+     * O(1). */
     size_t depth() const;
 
-    /** Elements currently queued. */
+    /** Elements currently queued. O(1). */
     uint64_t queuedElements() const;
 
     /** Total requests ever accepted by push(). */
@@ -161,9 +170,19 @@ class BatchQueue
     void setJournal(obs::Journal* journal);
 
   private:
+    /** Requests of one (table hash, tenant), oldest first. */
+    using Lane = std::deque<Request>;
+
     mutable std::mutex mutex_;
     std::condition_variable cv_;
-    std::deque<Request> queue_;
+    /** Lanes are kept once created (their number is bounded by the
+     * configurations in use), so the head index may point into them. */
+    std::map<std::pair<uint64_t, uint64_t>, Lane> lanes_;
+    /** Non-empty lanes keyed by the id of their front request; the
+     * first entry holds the oldest queued request. */
+    std::map<uint64_t, Lane*> heads_;
+    size_t depth_ = 0;
+    uint64_t queuedElements_ = 0;
     bool closed_ = false;
     uint64_t nextId_ = 1;
     uint64_t totalPushed_ = 0;

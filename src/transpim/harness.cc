@@ -180,20 +180,18 @@ runResilientMicrobench(Function f, const MethodSpec& spec,
     sim::PimSystem sys(opts.dpus);
     sys.setRetryPolicy(opts.policy);
 
-    // LutStore binds each attached table to one core, so every core
-    // gets its own evaluator (same spec => identical tables).
-    std::vector<FunctionEvaluator> evals(opts.dpus);
-    for (uint32_t i = 0; i < opts.dpus; ++i) {
-        try {
-            evals[i] = FunctionEvaluator::create(f, spec);
-            evals[i].attach(sys.dpu(i));
-        } catch (const UnsupportedCombination&) {
-            res.feasible = false;
-            return res;
-        } catch (const std::bad_alloc&) {
-            res.feasible = false;
-            return res;
-        }
+    // Tables are generated once and copied into every core.
+    FunctionEvaluator eval;
+    try {
+        eval = FunctionEvaluator::create(f, spec);
+        for (uint32_t i = 0; i < opts.dpus; ++i)
+            eval.attach(sys.dpu(i));
+    } catch (const UnsupportedCombination&) {
+        res.feasible = false;
+        return res;
+    } catch (const std::bad_alloc&) {
+        res.feasible = false;
+        return res;
     }
 
     if (opts.plan)
@@ -202,7 +200,7 @@ runResilientMicrobench(Function f, const MethodSpec& spec,
     res.run = sys.runSharded(
         inputs.data(), outputs.data(), opts.elements, sizeof(float),
         opts.tasklets, [&](const sim::ShardTask& t) -> sim::Kernel {
-            return makeStreamingKernel(evals[t.dpu], t, 256);
+            return makeStreamingKernel(eval, t, 256);
         });
 
     res.healthyDpus = sys.healthyDpus();

@@ -6,7 +6,12 @@
  * entries through LutStore. The store owns the authoritative host-side
  * copy generated at setup time; attach() places a copy into a simulated
  * DPU's scratchpad (WRAM) or DRAM bank (MRAM), after which reads charge
- * the corresponding access cost:
+ * the corresponding access cost. One host-side table may be attached to
+ * many cores (generate once, copy per core, as TransPimLib's setup
+ * does): every copy sits at the same address, and a read inside a
+ * kernel fetches from the *executing* tasklet's core, so each DPU sees
+ * its own copy — including any fault injected into it. Reads without a
+ * tasklet fall back to the core attached last.
  *
  *  - WRAM: one pipelined load plus address arithmetic.
  *  - MRAM: an 8-byte-aligned DMA transfer through the DPU's DMA model
@@ -98,25 +103,39 @@ class LutStore
     const std::vector<T>& host() const { return entries_; }
 
     /**
-     * Copy the table into @p core at its configured placement.
+     * Copy the table into @p core at its configured placement. One
+     * store may be attached to many cores, but every copy must land at
+     * the same address, since reads resolve one address on whichever
+     * core executes them (cores with identical allocation histories
+     * always agree).
      * @throws std::bad_alloc when the memory region cannot hold it.
+     * @throws std::logic_error when a later copy lands at a different
+     *         address than the first.
      */
     void
     attach(sim::DpuCore& core)
     {
-        core_ = &core;
+        uint32_t addr = 0;
         switch (placement_) {
           case Placement::Host:
             break;
           case Placement::Wram:
-            addr_ = core.wramAlloc(bytes());
-            std::memcpy(core.wramData() + addr_, entries_.data(), bytes());
+            addr = core.wramAlloc(bytes());
+            if (bytes() != 0)
+                std::memcpy(core.wramData() + addr, entries_.data(),
+                            bytes());
             break;
           case Placement::Mram:
-            addr_ = core.mramAlloc(bytes());
-            core.hostWriteMram(addr_, entries_.data(), bytes());
+            addr = core.mramAlloc(bytes());
+            if (bytes() != 0)
+                core.hostWriteMram(addr, entries_.data(), bytes());
             break;
         }
+        if (core_ != nullptr && addr != addr_)
+            throw std::logic_error(
+                "LutStore::attach: table copies at different addresses");
+        core_ = &core;
+        addr_ = addr;
     }
 
     /** True once attach() has run against a core. */
@@ -141,10 +160,13 @@ class LutStore
             return entries_[index];
         }
         if (placement_ == Placement::Wram) {
-            // Address arithmetic plus one pipelined WRAM load.
+            // Address arithmetic plus one pipelined WRAM load, from
+            // the executing core's copy.
             sink.charge(2);
+            sim::TaskletContext* ctx = lutTasklet(sink);
+            const sim::DpuCore& core = ctx ? ctx->core() : *core_;
             T value;
-            std::memcpy(&value, core_->wramData() + addr_ +
+            std::memcpy(&value, core.wramData() + addr_ +
                                     index * sizeof(T),
                         sizeof(T));
             return value;

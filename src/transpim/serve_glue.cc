@@ -119,19 +119,14 @@ EvaluatorCatalog::provider() const
             return binding; // unknown configuration
         const Entry& entry = it->second;
 
-        // One evaluator per core: LutStore binds attached tables to
-        // one DpuCore, and per-core tables are what the modeled
-        // machine has anyway.
-        auto evals =
-            std::make_shared<std::vector<FunctionEvaluator>>(
-                sys.numDpus());
+        // Generate the tables once and copy them into every core: the
+        // cores allocate in lockstep, so each copy lands at the same
+        // address and a kernel reads its own core's copy.
+        auto ev = std::make_shared<FunctionEvaluator>();
         try {
-            for (uint32_t d = 0; d < sys.numDpus(); ++d) {
-                (*evals)[d] =
-                    FunctionEvaluator::create(entry.function,
-                                              entry.spec);
-                (*evals)[d].attach(sys.dpu(d));
-            }
+            *ev = FunctionEvaluator::create(entry.function, entry.spec);
+            for (uint32_t d = 0; d < sys.numDpus(); ++d)
+                ev->attach(sys.dpu(d));
         } catch (const UnsupportedCombination&) {
             return binding;
         } catch (const std::bad_alloc&) {
@@ -139,14 +134,13 @@ EvaluatorCatalog::provider() const
         }
 
         binding.valid = true;
-        binding.tableBytes =
-            evals->empty() ? 0 : evals->front().memoryBytes();
+        binding.tableBytes = ev->memoryBytes();
         const uint32_t chunk = chunkElems_;
         binding.makeKernel =
-            [evals, chunk](const sim::ShardTask& t) -> sim::Kernel {
-            return makeStreamingKernel((*evals)[t.dpu], t, chunk);
+            [ev, chunk](const sim::ShardTask& t) -> sim::Kernel {
+            return makeStreamingKernel(*ev, t, chunk);
         };
-        binding.state = evals;
+        binding.state = ev;
         return binding;
     };
 }

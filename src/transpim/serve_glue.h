@@ -38,10 +38,10 @@ sim::serve::TableKey batchTableKey(Function f, const MethodSpec& spec);
  * serve pipeline: each tasklet claims chunks of @p chunkElems
  * elements round-robin, DMAs them into WRAM, evaluates with @p ev,
  * and DMAs the results back. @p ev must outlive the returned kernel
- * (it is captured by pointer — LutStore binds tables to one core, so
- * the caller keeps one evaluator per DPU). @p chunkElems is clamped
- * to [1, 256]; keep it small enough that elements/chunkElems >=
- * tasklets, or tail tasklets idle.
+ * (it is captured by pointer); one evaluator attached to every core
+ * serves them all, each core reading its own table copy.
+ * @p chunkElems is clamped to [1, 256]; keep it small enough that
+ * elements/chunkElems >= tasklets, or tail tasklets idle.
  */
 sim::Kernel makeStreamingKernel(const FunctionEvaluator& ev,
                                 const sim::ShardTask& task,
@@ -49,10 +49,11 @@ sim::Kernel makeStreamingKernel(const FunctionEvaluator& ev,
 
 /**
  * A registry of evaluator configurations addressable by TableKey,
- * plus the TableProvider that realizes them on a PimSystem (one
- * evaluator per core, tables attached at bind time). Register every
- * configuration a request trace uses, then hand provider() to the
- * ServePipeline; the catalog must outlive the pipeline run.
+ * plus the TableProvider that realizes them on a PimSystem (tables
+ * generated once per key and copied into every core at bind time).
+ * Register every configuration a request trace uses, then hand
+ * provider() to the ServePipeline; the catalog must outlive the
+ * pipeline run.
  */
 class EvaluatorCatalog
 {

@@ -87,8 +87,7 @@ struct RunResult
 
 /**
  * The Fig-5 streaming kernel on one core, scalar or batched. A fresh
- * evaluator is created per run (table generation is deterministic, and
- * LutStore binds attached tables to a single core).
+ * evaluator is created per run (table generation is deterministic).
  */
 RunResult
 runStreaming(Function f, const MethodSpec& spec,

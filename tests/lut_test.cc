@@ -7,6 +7,7 @@
  */
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -312,6 +313,42 @@ TEST(LutPlacement, WramAndMramAgreeOnValues)
         for (float x : {0.1f, 1.0f, 3.0f, 6.0f}) {
             EXPECT_EQ(w.eval(x, &ctx), m.eval(x, &ctx)) << x;
         }
+    });
+}
+
+TEST(LutPlacement, EmptyTableAttachesWithoutCopying)
+{
+    // A zero-entry table has no backing storage (data() may be null);
+    // attaching it must not hand that pointer to a copy. Guarded by
+    // the UBSan build.
+    for (Placement p : {Placement::Wram, Placement::Mram}) {
+        LutStore<float> empty({}, p);
+        sim::DpuCore dpu;
+        ASSERT_EQ(empty.bytes(), 0u);
+        EXPECT_NO_THROW(empty.attach(dpu)) << placementName(p);
+        EXPECT_TRUE(empty.attached());
+    }
+}
+
+TEST(LutPlacement, WramReadsComeFromTheExecutingCore)
+{
+    // One store copied into two cores: a kernel reads its own core's
+    // copy, and a read without a tasklet falls back to the core
+    // attached last.
+    LutStore<float> store({1.0f, 2.0f}, Placement::Wram);
+    sim::DpuCore a;
+    sim::DpuCore b;
+    store.attach(a);
+    store.attach(b);
+    const float mark = 42.0f;
+    std::memcpy(a.wramData() + sizeof(float), &mark, sizeof(float));
+
+    EXPECT_EQ(store.read(1, nullptr), 2.0f); // core b, untouched
+    a.launch(1, [&](sim::TaskletContext& ctx) {
+        EXPECT_EQ(store.read(1, &ctx), mark);
+    });
+    b.launch(1, [&](sim::TaskletContext& ctx) {
+        EXPECT_EQ(store.read(1, &ctx), 2.0f);
     });
 }
 
