@@ -161,7 +161,26 @@ PYEOF
         --json "$DOCS_TMP/serve.tune.json" > /dev/null
     python3 -m json.tool "$DOCS_TMP/serve.tune.json" > /dev/null
     grep -q '"tuner"' "$DOCS_TMP/serve.tune.json"
+    # One trace grammar (transpim/trace.h): a malformed trace fails
+    # both replay tools with exit 2 and the same error text after
+    # the tool-name prefix.
+    printf 'request function=sin elements=8 tenant=-1\n' \
+        > "$DOCS_TMP/bad.trace"
+    for tool in pimserve pimtune; do
+        status=0
+        "$BUILD_DIR/tools/$tool" --trace "$DOCS_TMP/bad.trace" \
+            > /dev/null 2> "$DOCS_TMP/$tool.err" || status=$?
+        if [ "$status" -ne 2 ]; then
+            echo "$tool: exit $status on a malformed trace, want 2" >&2
+            exit 1
+        fi
+        sed "s/^$tool: //" "$DOCS_TMP/$tool.err" > "$DOCS_TMP/$tool.msg"
+    done
+    cmp "$DOCS_TMP/pimserve.msg" "$DOCS_TMP/pimtune.msg"
+    grep -qxF "$DOCS_TMP/bad.trace:1: bad tenant '-1'" \
+        "$DOCS_TMP/pimserve.msg"
     echo "check_docs + pimserve/pimtune demo replay JSON round-trip OK"
+    echo "pimserve/pimtune reject a malformed trace with one message"
 fi
 
 # With TPL_TIER1_OBS=1, exercise the serve observability tier end to

@@ -126,9 +126,9 @@ struct WaveOutcome
 };
 
 /**
- * The routing hook PipelineOptions::autoTuner points at. Both serve
- * drivers (flat ServePipeline and FleetScheduler) call it the same
- * way: bindCache() once per run, route() on every generation-0 wave
+ * The routing hook PipelineOptions::autoTuner points at.
+ * ServePipeline calls it the same way on a flat system and on a
+ * fleet: bindCache() once per run, route() on every generation-0 wave
  * popped from the queue (retries keep their routed table), and
  * observe() after every wave's gather. In pipelined mode wave N+1 is
  * routed before wave N is observed — a deliberate one-wave decision

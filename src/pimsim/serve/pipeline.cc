@@ -2,14 +2,25 @@
  * @file
  * ServePipeline implementation.
  *
- * The drive loop is a two-deep software pipeline over the modeled
- * timeline: while wave N is "computing" (its cycles reserved on the
- * DPU lanes), the host lane already streams wave N+1's scatter, and
- * wave N's gather queues up behind it. The wall-clock simulation is
- * eager — each leg simulates fully when issued — so issue order only
- * decides how legs queue on the modeled lanes, never what they
- * compute; results are bit-identical between pipelined and
- * synchronous modes (fault-free), and across TPL_SIM_THREADS.
+ * One drive loop serves both the flat system and a multi-rank fleet.
+ * At run start the DPUs are cut into lane groups: one group over the
+ * whole system riding the host lane (flat), or one group per rank
+ * riding that rank's transfer lane (PipelineOptions::topology). Each
+ * wave is placed on one group and runs a two-deep software pipeline
+ * there: beginning a wave on a group first finishes (gathers) the
+ * group's previous wave, then launches — so while wave N computes on
+ * the DPU lanes, the transfer lane already streams wave N+1's
+ * scatter, and wave N's gather queues up behind it. On a single
+ * group the leg order is begin 0, compute 0, begin 1, finish 0,
+ * compute 1, ..., which is why a Topology{1, 1, N} fleet reproduces
+ * the flat modeled numbers exactly.
+ *
+ * The wall-clock simulation is eager — each leg simulates fully when
+ * issued — so issue order only decides how legs queue on the modeled
+ * lanes, never what they compute; results are bit-identical between
+ * pipelined and synchronous modes (fault-free), and all bookkeeping
+ * runs on the consumer thread against modeled times, so results and
+ * journal bytes are identical at any TPL_SIM_THREADS.
  */
 
 #include "pimsim/serve/pipeline.h"
@@ -21,17 +32,190 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 
 #include "pimsim/obs/journal.h"
 #include "pimsim/obs/metrics.h"
 #include "pimsim/obs/trace.h"
 #include "pimsim/serve/auto_tuner.h"
-#include "pimsim/serve/fleet.h"
-#include "pimsim/serve/wave_util.h"
 
 namespace tpl {
 namespace sim {
 namespace serve {
+
+namespace {
+
+/** A wave waiting to execute: fresh from the queue (generation 0) or
+ * re-queued after failures. */
+struct PendingWave
+{
+    Wave wave;
+    uint32_t generation = 0;
+    /** Set when the auto-tuner rerouted this wave to another table;
+     * stamped as a `tune` journal event at scatter start. */
+    std::string tuneNote;
+};
+
+/** One request's share of a wave (journal/flow bookkeeping). */
+struct WaveReq
+{
+    uint64_t id = 0;
+    uint64_t elements = 0; ///< this request's elements in the wave
+    bool last = false;     ///< wave carries the request's tail
+    double arrival = 0.0;
+};
+
+/** Everything one in-flight wave carries between its begin (scatter)
+ * and finish (gather + distribute) steps. */
+struct WaveExec
+{
+    Wave wave;
+    uint32_t generation = 0;
+    uint32_t parity = 0;
+    uint64_t waveIndex = 0; ///< execution-order wave number
+    const TableBinding* binding = nullptr;
+    std::vector<float> stagingIn;  ///< packed item inputs
+    std::vector<ShardTask> slices; ///< one per participating DPU
+    std::vector<uint64_t> itemStart; ///< wave-relative item offsets
+    std::vector<WaveReq> reqs; ///< unique requests, item order
+    WaveStats stats;
+    PipelineEvent scatterEv;
+    PipelineEvent computeEv;
+};
+
+/**
+ * A placement target: a contiguous DPU range and the transfer lane
+ * its legs ride (a rank id, or -1 for the system host lane). Ranks
+ * use disjoint DPUs, so buffer-reuse fences (parity = the group's
+ * wave count mod 2) and the in-flight wave are kept per group.
+ */
+struct LaneGroup
+{
+    int32_t lane = -1;
+    uint32_t firstDpu = 0;
+    uint32_t endDpu = 0;
+    uint64_t wavesBegun = 0; ///< parity source
+    // A parity's input buffers are free once the compute that read
+    // them ended; its output buffers once the gather that drained
+    // them ended.
+    std::array<double, 2> computeEndByParity{};
+    std::array<double, 2> gatherEndByParity{};
+    std::optional<WaveExec> inflight;
+    RankStats stats;
+};
+
+/** Collapse a wave's items into per-request shares, first-appearance
+ * item order. */
+std::vector<WaveReq>
+collectWaveReqs(const Wave& w)
+{
+    std::vector<WaveReq> reqs;
+    // Index by request id so a wave of many thousands of items stays
+    // linear; output order is still first appearance in item order.
+    std::unordered_map<uint64_t, size_t> index;
+    index.reserve(w.items.size());
+    for (const WaveItem& it : w.items) {
+        auto [pos, fresh] = index.try_emplace(it.requestId, reqs.size());
+        if (fresh)
+            reqs.push_back(
+                {it.requestId, 0, false, it.arrivalSeconds});
+        WaveReq& r = reqs[pos->second];
+        r.elements += it.elements;
+        r.last = r.last || it.last;
+    }
+    return reqs;
+}
+
+/** Move the first @p budget elements of @p w into the returned wave;
+ * @p w keeps the remainder. Items crossing the cut are split against
+ * the original request memory. */
+Wave
+takeWaveHead(Wave& w, uint64_t budget)
+{
+    Wave head;
+    head.table = w.table;
+    head.tenant = w.tenant;
+    std::vector<WaveItem> tail;
+    uint64_t off = 0;
+    for (WaveItem& it : w.items) {
+        if (off >= budget) {
+            tail.push_back(it);
+        } else if (off + it.elements <= budget) {
+            head.items.push_back(it);
+        } else {
+            uint64_t take = budget - off;
+            // The `last` flag follows the request's tail: it stays on
+            // the remainder, never the split-off head.
+            head.items.push_back({it.requestId, it.input, it.output,
+                                  take, it.arrivalSeconds, false});
+            tail.push_back({it.requestId, it.input + take,
+                            it.output + take, it.elements - take,
+                            it.arrivalSeconds, it.last});
+        }
+        off += it.elements;
+    }
+    w.items = std::move(tail);
+    return head;
+}
+
+/**
+ * Predicted double-buffered makespan of one popped wave run as @p k
+ * equal sub-waves over @p healthy cores of @p cap element slices: a
+ * mirror of the reservation sequence the drive loop issues (scatter
+ * 0; then compute i, scatter i+1, gather i), against the same serial
+ * transfer model and per-slice compute envelope. Only the *ranking*
+ * across k matters — common shifts (the table broadcast, lanes still
+ * busy from earlier waves) move every candidate equally.
+ */
+double
+predictSplitMakespan(uint64_t elems, uint32_t k, uint32_t healthy,
+                     uint32_t cap, const WaveCost& cost,
+                     PimSystem& sys, double freq)
+{
+    std::vector<uint64_t> part(k);
+    uint64_t base = elems / k, rem = elems % k;
+    for (uint32_t i = 0; i < k; ++i)
+        part[i] = base + (i < rem ? 1 : 0);
+
+    auto xferSeconds = [&](uint64_t e) {
+        return sys.serialTransferSeconds(e * sizeof(float));
+    };
+    auto computeSeconds = [&](uint64_t e) {
+        uint64_t perSlice =
+            std::min<uint64_t>(cap, (e + healthy - 1) / healthy);
+        return freq > 0.0 ? static_cast<double>(
+                                cost.sliceCycles(perSlice)) /
+                                freq
+                          : 0.0;
+    };
+
+    double host = 0.0, dpuFree = 0.0;
+    double computeByParity[2] = {0.0, 0.0};
+    double gatherByParity[2] = {0.0, 0.0};
+    std::vector<double> scatterEnd(k, 0.0);
+    host = std::max(computeByParity[0], host) + xferSeconds(part[0]);
+    scatterEnd[0] = host;
+    double makespan = host;
+    for (uint32_t i = 0; i < k; ++i) {
+        uint32_t parity = i % 2;
+        double ready =
+            std::max(scatterEnd[i], gatherByParity[parity]);
+        dpuFree = std::max(ready, dpuFree) + computeSeconds(part[i]);
+        computeByParity[parity] = dpuFree;
+        if (i + 1 < k) {
+            double sStart =
+                std::max(computeByParity[(i + 1) % 2], host);
+            host = sStart + xferSeconds(part[i + 1]);
+            scatterEnd[i + 1] = host;
+        }
+        host = std::max(dpuFree, host) + xferSeconds(part[i]);
+        gatherByParity[parity] = host;
+        makespan = std::max(makespan, host);
+    }
+    return makespan;
+}
+
+} // namespace
 
 ServePipeline::ServePipeline(PimSystem& system, TableProvider provider,
                              const PipelineOptions& options)
@@ -42,16 +226,6 @@ ServePipeline::ServePipeline(PimSystem& system, TableProvider provider,
 ServeReport
 ServePipeline::run(BatchQueue& queue)
 {
-    // Fleet dispatch (kill switch): with a valid topology matching
-    // the system's DPU count, the FleetScheduler drives the run over
-    // per-rank lanes. A null (or mismatched) topology keeps the flat
-    // single-system path below byte-for-byte.
-    if (opts_.topology && opts_.topology->valid() &&
-        opts_.topology->numDpus() == sys_.numDpus()) {
-        FleetScheduler fleet(sys_, cache_, opts_);
-        return fleet.run(queue);
-    }
-
     // Auto-tuner (kill switch): give the tuner this run's cache so
     // MRAM-budget arbitration can evict and re-broadcast tables.
     if (opts_.autoTuner)
@@ -66,17 +240,46 @@ ServePipeline::run(BatchQueue& queue)
     const uint32_t cap = std::max<uint32_t>(opts_.perDpuElements, 1);
     const double freq = sys_.model().frequencyHz;
 
+    // Lane groups. A valid topology describing exactly this system
+    // cuts the DPUs into one group per rank on per-rank transfer
+    // lanes; anything else is one group over the whole system on the
+    // host lane.
+    const Topology* topo = opts_.topology;
+    const bool perRank =
+        topo && topo->valid() && topo->numDpus() == n;
+    PipelineTimeline timeline(n);
+    std::vector<LaneGroup> groups;
+    if (perRank) {
+        const uint32_t ranks = topo->numRanks();
+        cache_.setRankCount(ranks);
+        timeline.configureRanks(ranks, topo->dpusPerRank,
+                                topo->channelMap());
+        groups.resize(ranks);
+        for (uint32_t r = 0; r < ranks; ++r) {
+            groups[r].lane = static_cast<int32_t>(r);
+            groups[r].firstDpu = topo->firstDpuOfRank(r);
+            groups[r].endDpu =
+                std::min(n, groups[r].firstDpu + topo->dpusPerRank);
+            groups[r].stats.rank = r;
+        }
+    } else {
+        groups.resize(1);
+        groups[0].endDpu = n;
+    }
+
     obs::TraceSpan runSpan(
         "serve run", "serve",
         obs::argsObject(
             {obs::argKv("dpus", static_cast<uint64_t>(n)),
+             obs::argKv("lane_groups",
+                        static_cast<uint64_t>(groups.size())),
              obs::argKv("per_dpu_elements",
                         static_cast<uint64_t>(cap))}));
     obs::Registry& reg = obs::Registry::global();
     obs::Tracer& tracer = obs::Tracer::global();
 
     // Double-buffered per-DPU MRAM: two input and two output buffers
-    // of `cap` floats each (parity = wave index mod 2).
+    // of `cap` floats each (parity = the group's wave count mod 2).
     const uint32_t bufBytes = cap * static_cast<uint32_t>(sizeof(float));
     std::vector<std::array<uint32_t, 2>> inAddr(n), outAddr(n);
     for (uint32_t d = 0; d < n; ++d)
@@ -85,13 +288,8 @@ ServePipeline::run(BatchQueue& queue)
             outAddr[d][p] = sys_.dpu(d).mramAlloc(bufBytes);
         }
 
-    PipelineTimeline timeline(n);
-    // Buffer-reuse fences: a parity's input buffers are free once the
-    // compute that read them ended; its output buffers once the
-    // gather that drained them ended.
-    double computeEndByParity[2] = {0.0, 0.0};
-    double gatherEndByParity[2] = {0.0, 0.0};
-    // Synchronous mode chains every leg on the previous one.
+    // Synchronous mode chains every leg on the previous one, across
+    // all groups — the baseline has no overlap to measure.
     double chain = 0.0;
     std::deque<PendingWave> retries;
     bool outOfCores = false;
@@ -133,7 +331,8 @@ ServePipeline::run(BatchQueue& queue)
 
     auto jev = [&](const char* kind, double t, double dur,
                    uint64_t request, uint64_t wave, uint64_t elements,
-                   uint64_t cycles, const std::string& table,
+                   uint64_t cycles, int32_t rank,
+                   const std::string& table,
                    const std::string& note = {}) {
         if (!journal)
             return;
@@ -145,6 +344,7 @@ ServePipeline::run(BatchQueue& queue)
         ev.wave = wave;
         ev.elements = elements;
         ev.cycles = cycles;
+        ev.rank = rank;
         ev.table = table;
         ev.note = note;
         journal->record(ev);
@@ -157,7 +357,24 @@ ServePipeline::run(BatchQueue& queue)
             report.failedDpus.push_back(d);
     };
 
-    /** Next wave to execute: pending retries first, then the queue. */
+    auto healthyCount = [&](const LaneGroup& g) {
+        uint32_t count = 0;
+        for (uint32_t d = g.firstDpu; d < g.endDpu; ++d)
+            count += sys_.isMasked(d) ? 0 : 1;
+        return count;
+    };
+
+    /** Largest healthy-DPU count of any group (wave pop budget). */
+    auto maxHealthyPerGroup = [&]() {
+        uint32_t best = 0;
+        for (const LaneGroup& g : groups)
+            best = std::max(best, healthyCount(g));
+        return best;
+    };
+
+    /** Next wave to execute: pending retries first, then the queue.
+     * Waves are sized for one group — the placement step later
+     * picks which. */
     auto nextWave = [&]() -> std::optional<PendingWave> {
         for (;;) {
             if (!retries.empty()) {
@@ -165,7 +382,7 @@ ServePipeline::run(BatchQueue& queue)
                 retries.pop_front();
                 return pw;
             }
-            uint32_t healthy = sys_.healthyDpus();
+            uint32_t healthy = maxHealthyPerGroup();
             if (healthy == 0) {
                 outOfCores = true;
                 return std::nullopt;
@@ -212,7 +429,7 @@ ServePipeline::run(BatchQueue& queue)
             if (opts_.costBook && opts_.pipelined) {
                 const WaveCost* wc = opts_.costBook->find(w->table);
                 uint64_t waveElems = w->elements();
-                if (wc && healthy > 0 && waveElems > 1) {
+                if (wc && waveElems > 1) {
                     uint32_t bestK = 1;
                     double best = predictSplitMakespan(
                         waveElems, 1, healthy, cap, *wc, sys_, freq);
@@ -239,7 +456,7 @@ ServePipeline::run(BatchQueue& queue)
                         for (auto it = pieces.rbegin();
                              it != pieces.rend(); ++it)
                             retries.push_front(
-                                PendingWave{std::move(*it), 0});
+                                PendingWave{std::move(*it), 0, {}});
                         // Retries was empty (we only reach the queue
                         // pop then), so the first split piece is at
                         // the front; the tune note rides on it.
@@ -252,24 +469,92 @@ ServePipeline::run(BatchQueue& queue)
                     }
                 }
             }
-            PendingWave pw{std::move(*w), 0};
-            pw.tuneNote = std::move(tuneNote);
-            return pw;
+            return PendingWave{std::move(*w), 0, std::move(tuneNote)};
         }
     };
 
-    /** Resolve the binding and reserve scatter (+ table broadcast on
-     * a miss). Returns false when the wave cannot run at all. */
-    auto beginWave = [&](PendingWave&& pw,
+    /**
+     * Placement: pick the group a wave of @p key runs on.
+     *   1. Only groups with a healthy DPU are candidates (none ->
+     *      nullptr, the system is out of cores). A lone group is the
+     *      only choice.
+     *   2. A known valid table prefers the least-busy rank already
+     *      holding it — unless the least-busy rank overall is ahead
+     *      by more than one single-rank broadcast, in which case the
+     *      table replicates there (the broadcast pays for itself).
+     *   3. A table with no holder (or unknown/infeasible) goes to
+     *      the candidate with the fewest resident tables, ties
+     *      broken by load then rank id — first sightings spread.
+     * Busy-ness is the rank's modeled makespan so far; everything
+     * here is a pure function of modeled state (deterministic).
+     */
+    auto place = [&](const TableKey& key) -> LaneGroup* {
+        if (groups.size() == 1)
+            return healthyCount(groups[0]) > 0 ? &groups[0] : nullptr;
+        LaneGroup* bestAll = nullptr;
+        double bestAllBusy = 0.0;
+        LaneGroup* bestRes = nullptr;
+        double bestResBusy = 0.0;
+        LaneGroup* bestFresh = nullptr;
+        size_t bestFreshRes = 0;
+        double bestFreshBusy = 0.0;
+        const TableBinding* binding = cache_.peek(key);
+        const bool known = binding && binding->valid;
+        for (LaneGroup& g : groups) {
+            if (healthyCount(g) == 0)
+                continue;
+            const uint32_t r = static_cast<uint32_t>(g.lane);
+            double busy = timeline.rankMakespan(r);
+            if (!bestAll || busy < bestAllBusy) {
+                bestAll = &g;
+                bestAllBusy = busy;
+            }
+            if (known && cache_.residentOnRank(key, r)) {
+                if (!bestRes || busy < bestResBusy) {
+                    bestRes = &g;
+                    bestResBusy = busy;
+                }
+            } else {
+                size_t res = cache_.residency(r);
+                if (!bestFresh || res < bestFreshRes ||
+                    (res == bestFreshRes && busy < bestFreshBusy)) {
+                    bestFresh = &g;
+                    bestFreshRes = res;
+                    bestFreshBusy = busy;
+                }
+            }
+        }
+        if (!bestAll || !known)
+            return bestAll;
+        if (!bestRes)
+            return bestFresh ? bestFresh : bestAll;
+        double bcast =
+            sys_.rankParallelTransferSeconds(binding->tableBytes);
+        if (bestResBusy - bestAllBusy > bcast)
+            return bestAll; // replicate: the broadcast pays off
+        return bestRes;
+    };
+
+    /** Resolve the binding for @p g and reserve scatter (+ a table
+     * broadcast when the group does not hold the table yet). Returns
+     * false when the wave cannot run at all. */
+    auto beginWave = [&](LaneGroup& g, PendingWave&& pw,
                          WaveExec& ex) -> bool {
         std::string tuneNote = std::move(pw.tuneNote);
         ex.wave = std::move(pw.wave);
         ex.generation = pw.generation;
-        ex.parity = static_cast<uint32_t>(wavesExecuted_ % 2);
+        ex.parity = static_cast<uint32_t>(g.wavesBegun % 2);
 
-        TableCache::Lookup found = cache_.lookup(ex.wave.table);
-        ex.binding = found.binding;
-        ex.stats.tableMiss = found.miss;
+        if (g.lane >= 0) {
+            TableCache::RankLookup found = cache_.lookupOnRank(
+                ex.wave.table, static_cast<uint32_t>(g.lane));
+            ex.binding = found.binding;
+            ex.stats.tableMiss = found.rankMiss;
+        } else {
+            TableCache::Lookup found = cache_.lookup(ex.wave.table);
+            ex.binding = found.binding;
+            ex.stats.tableMiss = found.miss;
+        }
         uint64_t waveElems = ex.wave.elements();
         if (!ex.binding || !ex.binding->valid) {
             report.infeasibleElements += waveElems;
@@ -282,31 +567,33 @@ ServePipeline::run(BatchQueue& queue)
                     }
                     jev("drop", chain, 0.0, r.id,
                         obs::JournalEvent::kNoWave, r.elements, 0,
-                        ex.wave.table.label, "no valid table binding");
+                        g.lane, ex.wave.table.label,
+                        "no valid table binding");
                 }
             return false;
         }
         PipelineEvent bcastEv{};
-        if (found.miss && ex.binding->tableBytes > 0) {
-            PipelineEvent ev = sys_.broadcastAsync(
+        if (ex.stats.tableMiss && ex.binding->tableBytes > 0) {
+            bcastEv = sys_.broadcastAsync(
                 timeline, opts_.pipelined ? 0.0 : chain,
-                ex.binding->tableBytes);
-            ex.stats.broadcastSeconds = ev.seconds();
-            bcastEv = ev;
-            chain = ev.end;
+                ex.binding->tableBytes, g.lane);
+            ex.stats.broadcastSeconds = bcastEv.seconds();
+            chain = bcastEv.end;
+            ++g.stats.broadcasts;
         }
 
-        // Slice across the currently healthy cores. If cores died
-        // since the wave was sized, the tail that no longer fits is
-        // split off and re-queued ahead of everything else.
+        // Slice across the group's currently healthy cores. If cores
+        // died since the wave was sized, the tail that no longer
+        // fits is split off and re-queued ahead of everything else.
         std::vector<uint32_t> healthy;
-        for (uint32_t d = 0; d < n; ++d)
+        for (uint32_t d = g.firstDpu; d < g.endDpu; ++d)
             if (!sys_.isMasked(d))
                 healthy.push_back(d);
         if (healthy.empty()) {
-            outOfCores = true;
             retries.push_front(
-                PendingWave{std::move(ex.wave), ex.generation});
+                PendingWave{std::move(ex.wave), ex.generation, {}});
+            if (maxHealthyPerGroup() == 0)
+                outOfCores = true;
             return false;
         }
         uint64_t budget =
@@ -314,7 +601,7 @@ ServePipeline::run(BatchQueue& queue)
         if (waveElems > budget) {
             Wave head = takeWaveHead(ex.wave, budget);
             retries.push_front(
-                PendingWave{std::move(ex.wave), ex.generation});
+                PendingWave{std::move(ex.wave), ex.generation, {}});
             ex.wave = std::move(head);
             waveElems = ex.wave.elements();
         }
@@ -357,9 +644,10 @@ ServePipeline::run(BatchQueue& queue)
         ex.stats.slices = static_cast<uint32_t>(ex.slices.size());
 
         double readyAt = opts_.pipelined
-                             ? computeEndByParity[ex.parity]
+                             ? g.computeEndByParity[ex.parity]
                              : chain;
-        ex.scatterEv = sys_.scatterAsync(timeline, readyAt, scatter);
+        ex.scatterEv =
+            sys_.scatterAsync(timeline, readyAt, scatter, g.lane);
         chain = ex.scatterEv.end;
         ex.stats.scatterSeconds = ex.scatterEv.seconds();
         ex.waveIndex = waveSeq++;
@@ -372,6 +660,7 @@ ServePipeline::run(BatchQueue& queue)
             ev.t = ex.scatterEv.start;
             ev.wave = ex.waveIndex;
             ev.elements = ex.stats.elements;
+            ev.rank = g.lane;
             ev.tenant = ex.wave.tenant;
             ev.table = ex.wave.table.label;
             ev.note = tuneNote;
@@ -403,28 +692,31 @@ ServePipeline::run(BatchQueue& queue)
                         tracer.flowStep(flowName, "serve", r.id);
                 }
                 jev("coalesce", ex.scatterEv.start, 0.0, r.id,
-                    ex.waveIndex, r.elements, 0, ex.wave.table.label);
+                    ex.waveIndex, r.elements, 0, g.lane,
+                    ex.wave.table.label);
                 jev("scatter", ex.scatterEv.start,
                     ex.scatterEv.seconds(), r.id, ex.waveIndex,
-                    r.elements, 0, ex.wave.table.label);
+                    r.elements, 0, g.lane, ex.wave.table.label);
             }
             if (ex.stats.tableMiss && ex.stats.broadcastSeconds > 0.0)
                 jev("broadcast", bcastEv.start, bcastEv.seconds(), 0,
-                    ex.waveIndex, 0, 0, ex.wave.table.label);
+                    ex.waveIndex, 0, 0, g.lane, ex.wave.table.label);
         }
-        ++wavesExecuted_;
+        ++g.wavesBegun;
+        g.stats.waves += 1;
+        g.stats.elements += waveElems;
         return true;
     };
 
-    /** Launch the wave's kernels (per-DPU lanes). */
-    auto computeWave = [&](WaveExec& ex) {
+    /** Launch the wave's kernels (the group's DPU lanes). */
+    auto computeWave = [&](LaneGroup& g, WaveExec& ex) {
         std::vector<int> sliceOfDpu(n, -1);
         for (size_t s = 0; s < ex.slices.size(); ++s)
             sliceOfDpu[ex.slices[s].dpu] = static_cast<int>(s);
         double readyAt =
             opts_.pipelined
                 ? std::max(ex.scatterEv.end,
-                           gatherEndByParity[ex.parity])
+                           g.gatherEndByParity[ex.parity])
                 : chain;
         ex.computeEv = sys_.launchAsync(
             timeline, readyAt, opts_.numTasklets,
@@ -435,13 +727,14 @@ ServePipeline::run(BatchQueue& queue)
                 return ex.binding->makeKernel(ex.slices[s]);
             });
         chain = ex.computeEv.end;
-        computeEndByParity[ex.parity] = ex.computeEv.end;
+        g.computeEndByParity[ex.parity] = ex.computeEv.end;
         ex.stats.maxCycles = sys_.lastMaxCycles();
         ex.stats.computeSeconds =
             freq > 0.0
                 ? static_cast<double>(ex.stats.maxCycles) / freq
                 : 0.0;
         report.computeCycles += ex.stats.maxCycles;
+        g.stats.computeCycles += ex.stats.maxCycles;
 
         // Straggler detection: a pure function of the per-DPU cycle
         // counts the sequential failure sweep recorded, so it is
@@ -478,7 +771,7 @@ ServePipeline::run(BatchQueue& queue)
                 }
                 jev("anomaly", ex.computeEv.start,
                     ex.computeEv.seconds(), 0, ex.waveIndex,
-                    ex.stats.elements, sliceCycles.back(),
+                    ex.stats.elements, sliceCycles.back(), g.lane,
                     ex.wave.table.label,
                     "max " + std::to_string(sliceCycles.back()) +
                         " cycles vs median " +
@@ -495,13 +788,14 @@ ServePipeline::run(BatchQueue& queue)
                 acc.computeSeconds += ex.computeEv.seconds();
                 jev("compute", ex.computeEv.start,
                     ex.computeEv.seconds(), r.id, ex.waveIndex,
-                    r.elements, ex.stats.maxCycles,
+                    r.elements, ex.stats.maxCycles, g.lane,
                     ex.wave.table.label);
             }
     };
 
-    /** Gather, distribute outputs, and re-queue failed slices. */
-    auto finishWave = [&](WaveExec& ex) {
+    /** Gather, distribute outputs, and re-queue failed slices (the
+     * retry wave is free to land on any healthy group). */
+    auto finishWave = [&](LaneGroup& g, WaveExec& ex) {
         uint64_t waveElems = ex.stats.elements;
         std::vector<float> stagingOut(waveElems);
         std::vector<GatherSlice> gather;
@@ -514,9 +808,9 @@ ServePipeline::run(BatchQueue& queue)
         double readyAt =
             opts_.pipelined ? ex.computeEv.end : chain;
         PipelineEvent gatherEv =
-            sys_.gatherAsync(timeline, readyAt, gather);
+            sys_.gatherAsync(timeline, readyAt, gather, g.lane);
         chain = gatherEv.end;
-        gatherEndByParity[ex.parity] = gatherEv.end;
+        g.gatherEndByParity[ex.parity] = gatherEv.end;
         ex.stats.gatherSeconds = gatherEv.seconds();
 
         // Distribute healthy slice ranges to the item outputs; turn
@@ -587,18 +881,19 @@ ServePipeline::run(BatchQueue& queue)
                 ReqAcc& acc = accFor(r, ex.wave.table);
                 acc.transferSeconds += gatherEv.seconds();
                 jev("gather", gatherEv.start, gatherEv.seconds(),
-                    r.id, ex.waveIndex, r.elements, 0,
+                    r.id, ex.waveIndex, r.elements, 0, g.lane,
                     ex.wave.table.label);
-                auto g = gatheredByReq.find(r.id);
-                if (g != gatheredByReq.end())
-                    acc.elementsDone += g->second;
+                auto gathered = gatheredByReq.find(r.id);
+                if (gathered != gatheredByReq.end())
+                    acc.elementsDone += gathered->second;
                 if (!acc.complete && acc.sawLast &&
                     acc.elementsTotal > 0 &&
                     acc.elementsDone == acc.elementsTotal) {
                     acc.complete = true;
                     acc.completed = gatherEv.end;
                     jev("done", gatherEv.end, 0.0, r.id, ex.waveIndex,
-                        acc.elementsTotal, 0, ex.wave.table.label);
+                        acc.elementsTotal, 0, g.lane,
+                        ex.wave.table.label);
                     if (tracer.enabled())
                         tracer.flowEnd("req " + std::to_string(r.id),
                                        "serve", r.id);
@@ -611,7 +906,7 @@ ServePipeline::run(BatchQueue& queue)
                 if (trackReqs)
                     for (const WaveReq& r : collectWaveReqs(retry))
                         jev("drop", gatherEv.end, 0.0, r.id,
-                            ex.waveIndex, r.elements, 0,
+                            ex.waveIndex, r.elements, 0, g.lane,
                             retry.table.label,
                             "retry budget exhausted");
                 if (reg.enabled())
@@ -619,8 +914,8 @@ ServePipeline::run(BatchQueue& queue)
                         .add(retryElems);
             } else {
                 report.reshardedElements += retryElems;
-                retries.push_back(PendingWave{std::move(retry),
-                                              ex.generation + 1});
+                retries.push_back(PendingWave{
+                    std::move(retry), ex.generation + 1, {}});
                 if (reg.enabled()) {
                     reg.counter("serve/retry/waves").add(1);
                     reg.counter("serve/retry/elements")
@@ -652,40 +947,60 @@ ServePipeline::run(BatchQueue& queue)
         report.waveStats.push_back(ex.stats);
     };
 
-    // The two-deep software pipeline: scatter of the next wave is
-    // issued between the current wave's launch and gather, so the
-    // host lane interleaves ... scatter(k+1), gather(k) ... while
-    // the DPU lanes run compute(k).
-    auto takeRunnable = [&]() -> std::optional<WaveExec> {
-        for (;;) {
-            auto pw = nextWave();
-            if (!pw)
-                return std::nullopt;
-            WaveExec ex;
-            if (beginWave(std::move(*pw), ex))
-                return ex;
-            // Infeasible or un-sliceable wave: try the next one
-            // (outOfCores aborts via nextWave on the next spin).
-            if (outOfCores)
-                return std::nullopt;
-        }
+    auto drainInflight = [&]() {
+        bool drained = false;
+        for (LaneGroup& g : groups)
+            if (g.inflight) {
+                finishWave(g, *g.inflight);
+                g.inflight.reset();
+                drained = true;
+            }
+        return drained;
     };
 
-    std::optional<WaveExec> cur = takeRunnable();
-    while (cur) {
+    // Drive loop: one in-flight wave per group. Beginning a second
+    // wave on a group first finishes the group's previous wave (its
+    // gather queues behind the new scatter on the group's lane),
+    // which keeps the two-deep pipeline per group.
+    for (;;) {
+        auto pw = nextWave();
+        if (!pw) {
+            // Stream exhausted *for now*: finishing the in-flight
+            // waves may re-queue retry waves (a failed core's slices
+            // re-shard onto the survivors), so drain and re-check
+            // before concluding the run is over.
+            if (drainInflight())
+                continue;
+            break;
+        }
+        LaneGroup* g = place(pw->wave.table);
+        if (!g) {
+            outOfCores = true;
+            retries.push_front(std::move(*pw));
+            break;
+        }
         obs::TraceSpan waveSpan(
-            "wave " + std::to_string(report.waveStats.size()),
-            "serve",
-            obs::argKv("elements", cur->stats.elements));
-        computeWave(*cur);
-        std::optional<WaveExec> next;
-        if (opts_.pipelined)
-            next = takeRunnable();
-        finishWave(*cur);
-        if (!opts_.pipelined)
-            next = takeRunnable();
-        cur = std::move(next);
+            "wave " + std::to_string(waveSeq), "serve",
+            obs::argKv("group", static_cast<uint64_t>(g - &groups[0])));
+        WaveExec ex;
+        if (!beginWave(*g, std::move(*pw), ex)) {
+            if (outOfCores)
+                break;
+            continue; // infeasible wave: try the next one
+        }
+        if (opts_.pipelined) {
+            if (g->inflight) {
+                finishWave(*g, *g->inflight);
+                g->inflight.reset();
+            }
+            computeWave(*g, ex);
+            g->inflight = std::move(ex);
+        } else {
+            computeWave(*g, ex);
+            finishWave(*g, ex);
+        }
     }
+    drainInflight();
 
     // Anything still pending when we ran out of cores is dropped.
     const double drainT = timeline.makespan();
@@ -699,7 +1014,7 @@ ServePipeline::run(BatchQueue& queue)
                     acc.sawLast = acc.sawLast || r.last;
                 }
                 jev("drop", drainT, 0.0, r.id,
-                    obs::JournalEvent::kNoWave, r.elements, 0,
+                    obs::JournalEvent::kNoWave, r.elements, 0, -1,
                     pw.wave.table.label, "out of cores");
             }
     }
@@ -709,6 +1024,13 @@ ServePipeline::run(BatchQueue& queue)
     report.cacheHits = cache_.hits();
     report.cacheMisses = cache_.misses();
     report.modeledSeconds = timeline.makespan();
+    if (perRank)
+        for (LaneGroup& g : groups) {
+            const uint32_t r = g.stats.rank;
+            g.stats.makespanSeconds = timeline.rankMakespan(r);
+            g.stats.residentTables = cache_.residency(r);
+            report.rankStats.push_back(g.stats);
+        }
     report.complete = !outOfCores && report.droppedElements == 0 &&
                       report.infeasibleElements == 0 &&
                       queue.closed() && queue.depth() == 0;

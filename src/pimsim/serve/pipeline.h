@@ -12,12 +12,22 @@
  * read its buffer — the classic ping-pong schedule of the UPMEM
  * async API.
  *
+ * The same drive loop serves a flat system and a multi-rank fleet
+ * (PipelineOptions::topology, see pimsim/topology.h): each wave is
+ * placed on one lane group — the whole system on the host lane, or
+ * one rank on its own transfer lane — and every group runs its own
+ * two-deep pipeline. On a fleet, lanes of ranks on distinct memory
+ * channels overlap, so the fleet makespan is the max over the rank
+ * timelines; placement balances hot tables through per-rank
+ * TableCache residency, and a table is broadcast once per holding
+ * rank, never once per DPU.
+ *
  * Degradation composes with pimfault: a DPU masked mid-pipeline
  * (dead transfer leg, hard launch failure, fenced straggler) fails
  * exactly the slices it owned; those elements are re-queued as a
- * retry wave over the surviving cores, bounded by
- * PipelineOptions::maxRetryWaves — the pipeline degrades or reports
- * incomplete, it never deadlocks.
+ * retry wave over the surviving cores (on a fleet, any healthy rank),
+ * bounded by PipelineOptions::maxRetryWaves — the pipeline degrades
+ * or reports incomplete, it never deadlocks.
  *
  * Synchronous mode (pipelined = false) issues the identical legs but
  * chains every reservation on the previous one, reproducing the
@@ -93,16 +103,16 @@ struct PipelineOptions
     obs::Journal* journal = nullptr;
 
     /**
-     * Fleet topology (kill switch: nullptr, the default, keeps
-     * today's flat single-system schedule bit-for-bit at any thread
-     * count). When set, valid, and describing exactly the system's
-     * DPU count, run() dispatches to the FleetScheduler (see
-     * serve/fleet.h): waves are placed per rank, transfers ride
+     * Fleet topology (kill switch: nullptr, the default, keeps the
+     * flat single-system schedule bit-for-bit at any thread count).
+     * When set, valid, and describing exactly the system's DPU
+     * count, run() places each wave on one rank: transfers ride
      * per-rank lanes that overlap across memory channels, tables are
      * broadcast once per holding rank, and ServeReport::rankStats is
      * filled. A topology whose numDpus() does not match the system
-     * falls back to the flat path. The caller keeps the object alive
-     * for the pipeline's lifetime.
+     * falls back to the flat path. With Topology{1, 1, N} the run
+     * reproduces the flat modeled numbers exactly. The caller keeps
+     * the object alive for the pipeline's lifetime.
      */
     const Topology* topology = nullptr;
 
@@ -110,11 +120,11 @@ struct PipelineOptions
      * Online per-tenant auto-tuner (kill switch: nullptr, the
      * default, keeps the untuned path bit-identical — including
      * journal bytes — at any TPL_SIM_THREADS, like costBook and
-     * topology before it; locked by test). When set, both serve
-     * drivers route every generation-0 wave through
+     * topology before it; locked by test). When set, the pipeline
+     * routes every generation-0 wave (flat or fleet) through
      * AutoTuner::route() — which may rewrite the wave's table to a
      * cheaper configuration meeting the owning tenant's SLA — and
-     * feed AutoTuner::observe() each wave's exact gathered outputs
+     * feeds AutoTuner::observe() each wave's exact gathered outputs
      * and modeled cycles after its gather. Switched waves journal a
      * `tune` event. The caller keeps the tuner alive for the run;
      * the tuner is stateful, so use a fresh instance per replay.
@@ -220,11 +230,12 @@ struct ServeReport
 };
 
 /**
- * The wave executor. Construct once per PimSystem; run() consumes a
- * queue until it is closed and drained. The queue must eventually be
- * closed (by the producers or the caller), otherwise run() waits for
- * more requests indefinitely — that is the queue contract, not a
- * pipeline stall: every admitted wave always completes or degrades.
+ * The wave executor. Construct once per PimSystem and run it once;
+ * run() consumes a queue until it is closed and drained. The queue
+ * must eventually be closed (by the producers or the caller),
+ * otherwise run() waits for more requests indefinitely — that is the
+ * queue contract, not a pipeline stall: every admitted wave always
+ * completes or degrades.
  */
 class ServePipeline
 {
@@ -242,7 +253,6 @@ class ServePipeline
     PimSystem& sys_;
     TableCache cache_;
     PipelineOptions opts_;
-    uint64_t wavesExecuted_ = 0; ///< across runs; parity source
 };
 
 } // namespace serve

@@ -15,7 +15,8 @@
  *
  * Topology is a plain description; the modeled consequences live in
  * PipelineTimeline's rank/channel lanes (system.h) and in the serve
- * layer's FleetScheduler (serve/fleet.h).
+ * layer's ServePipeline (serve/pipeline.h), which places each wave
+ * on one rank when PipelineOptions::topology is set.
  */
 
 #ifndef TPL_PIMSIM_TOPOLOGY_H

@@ -1,0 +1,80 @@
+/**
+ * @file
+ * The request-trace and CLI grammar shared by the tools.
+ *
+ * A trace is one request per line:
+ *
+ *   request function=sin method=llut elements=32768
+ *   request function=exp method=llut elements=16384 log2-entries=12
+ *   request function=sin method=cordic elements=4096 tenant=2
+ *
+ * Keys: function, method, elements, log2-entries, interpolated
+ * (0|1), iterations, placement (wram|mram), tenant. function= and
+ * elements= are required. Blank lines and '#' comments are skipped.
+ *
+ * Function names are functionName()'s spellings; method names are
+ * the CLI spellings of cliMethodName(). Numbers use C notation
+ * (decimal, 0x hex, leading-0 octal) and must be unsigned: a sign
+ * or leading whitespace is rejected. pimserve, pimtune, pimfault and
+ * pimtrace all parse with these functions, so the tools accept the
+ * same words and report the same errors.
+ */
+
+#ifndef TPL_TRANSPIM_TRACE_H
+#define TPL_TRANSPIM_TRACE_H
+
+#include <cstdint>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "transpim/evaluator.h"
+#include "transpim/reference.h"
+
+namespace tpl {
+namespace transpim {
+
+/** Parse an unsigned 32-bit number; false on a sign, whitespace,
+ * trailing text, or overflow. */
+bool parseU32(const std::string& text, uint32_t& out);
+
+/** Parse an unsigned 64-bit number; same rules as parseU32. */
+bool parseU64(const std::string& text, uint64_t& out);
+
+/** The function whose functionName() is @p name, if any. */
+std::optional<Function> parseFunction(std::string_view name);
+
+/** CLI spelling of a method: "cordic", "cordic-fixed", "cordic-lut",
+ * "mlut", "llut", "llut-fixed", "dlut", "dllut", "poly". */
+std::string_view cliMethodName(Method m);
+
+/** The method whose cliMethodName() is @p name, if any. */
+std::optional<Method> parseMethod(std::string_view name);
+
+/** One parsed trace line. */
+struct TraceRequest
+{
+    Function function = Function::Sin;
+    MethodSpec spec;
+    uint32_t elements = 0;
+    uint64_t tenant = 0;
+};
+
+/** Parse `request key=value ...` into @p req; on bad input returns
+ * false and sets @p error (e.g. "bad tenant '-1'"). */
+bool parseTraceLine(const std::string& line, TraceRequest& req,
+                    std::string& error);
+
+/**
+ * Read the trace file at @p path into @p out. On failure returns
+ * false and sets @p error to "cannot read 'PATH'",
+ * "PATH:LINE: <line error>", or "PATH: no requests".
+ */
+bool readTraceFile(const std::string& path,
+                   std::vector<TraceRequest>& out, std::string& error);
+
+} // namespace transpim
+} // namespace tpl
+
+#endif // TPL_TRANSPIM_TRACE_H

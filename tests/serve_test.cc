@@ -592,30 +592,70 @@ TEST(ServePipeline, MaskedDpuMidPipelineReshardsItsWave)
         "seed 99\nfault kind=dpu-hard-fail dpu=2 prob=1\n");
     ASSERT_TRUE(plan.has_value());
 
-    BatchedOptions opts;
-    opts.dpus = 8;
-    opts.tasklets = 8;
-    opts.perDpuElements = 128;
-    opts.requests = 3;
-    opts.elementsPerRequest = 1024;
-    opts.plan = plan;
-    MethodSpec spec;
-    BatchedResult res =
-        runBatchedThroughput(Function::Sin, spec, opts);
+    // One request is a single wave: DPU 2 then fails during the
+    // *last* wave, and its slice must still be retried.
+    for (uint32_t requests : {1u, 3u}) {
+        SCOPED_TRACE("requests=" + std::to_string(requests));
+        BatchedOptions opts;
+        opts.dpus = 8;
+        opts.tasklets = 8;
+        opts.perDpuElements = 128;
+        opts.requests = requests;
+        opts.elementsPerRequest = 1024;
+        opts.plan = plan;
+        MethodSpec spec;
+        BatchedResult res =
+            runBatchedThroughput(Function::Sin, spec, opts);
 
-    // DPU 2 hard-fails its first launch; its slices re-shard onto
-    // the seven survivors and the run still completes.
-    ASSERT_TRUE(res.pipelined.complete);
-    ASSERT_EQ(res.pipelined.failedDpus.size(), 1u);
-    EXPECT_EQ(res.pipelined.failedDpus[0], 2u);
-    EXPECT_GT(res.pipelined.reshardedElements, 0u);
-    EXPECT_EQ(res.pipelined.droppedElements, 0u);
+        // DPU 2 hard-fails its first launch; its slices re-shard onto
+        // the seven survivors and the run still completes.
+        ASSERT_TRUE(res.pipelined.complete);
+        ASSERT_EQ(res.pipelined.failedDpus.size(), 1u);
+        EXPECT_EQ(res.pipelined.failedDpus[0], 2u);
+        EXPECT_GT(res.pipelined.reshardedElements, 0u);
+        EXPECT_EQ(res.pipelined.droppedElements, 0u);
 
-    // Degraded, but correct: every element carries a real result.
-    // (Outputs of the two schedules are compared against the
-    // reference independently; the schedules may fail different
-    // waves, so byte-identity across modes is not required here.)
-    EXPECT_TRUE(res.sync.complete);
+        // Degraded, but correct: every element carries a real result.
+        // (Outputs of the two schedules are compared against the
+        // reference independently; the schedules may fail different
+        // waves, so byte-identity across modes is not required here.)
+        EXPECT_TRUE(res.sync.complete);
+
+        // The flat path and a single-rank fleet degrade identically.
+        auto serveWith = [&](const Topology* topo) {
+            sim::PimSystem sys(opts.dpus);
+            sys.armFaults(*plan);
+            EvaluatorCatalog catalog;
+            serve::TableKey key = catalog.add(Function::Sin, spec);
+            const uint64_t total =
+                static_cast<uint64_t>(requests) *
+                opts.elementsPerRequest;
+            std::vector<float> in(total, 0.5f), out(total);
+            serve::BatchQueue queue;
+            for (uint32_t r = 0; r < requests; ++r)
+                queue.push(makeRequest(
+                    key, in.data() + r * opts.elementsPerRequest,
+                    out.data() + r * opts.elementsPerRequest,
+                    opts.elementsPerRequest));
+            queue.close();
+            serve::PipelineOptions popts;
+            popts.numTasklets = opts.tasklets;
+            popts.perDpuElements = opts.perDpuElements;
+            popts.topology = topo;
+            serve::ServePipeline pipeline(sys, catalog.provider(),
+                                          popts);
+            return pipeline.run(queue);
+        };
+        Topology single{1, 1, opts.dpus};
+        serve::ServeReport flat = serveWith(nullptr);
+        serve::ServeReport fleet = serveWith(&single);
+        EXPECT_TRUE(flat.complete);
+        EXPECT_EQ(fleet.complete, flat.complete);
+        EXPECT_EQ(fleet.reshardedElements, flat.reshardedElements);
+        EXPECT_EQ(fleet.droppedElements, flat.droppedElements);
+        EXPECT_EQ(flat.reshardedElements,
+                  res.pipelined.reshardedElements);
+    }
 }
 
 TEST(ServePipeline, AllCoresDeadReportsIncompleteInsteadOfHanging)

@@ -38,13 +38,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
-#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "pimsim/obs/metrics.h"
 #include "pimsim/obs/trace.h"
 #include "transpim/harness.h"
+#include "transpim/trace.h"
 
 namespace {
 
@@ -62,58 +63,6 @@ usage()
            " [--no-interp]\n"
            "                [--trace PATH] [--metrics PATH] [--top N]"
            " [--quantiles]\n";
-}
-
-const std::map<std::string, Function>&
-functionTable()
-{
-    static const std::map<std::string, Function> table = {
-        {"sin", Function::Sin},       {"cos", Function::Cos},
-        {"tan", Function::Tan},       {"sinh", Function::Sinh},
-        {"cosh", Function::Cosh},     {"tanh", Function::Tanh},
-        {"exp", Function::Exp},       {"log", Function::Log},
-        {"sqrt", Function::Sqrt},     {"gelu", Function::Gelu},
-        {"sigmoid", Function::Sigmoid}, {"cndf", Function::Cndf},
-        {"atan", Function::Atan},     {"asin", Function::Asin},
-        {"acos", Function::Acos},     {"atanh", Function::Atanh},
-        {"log2", Function::Log2},     {"log10", Function::Log10},
-        {"exp2", Function::Exp2},     {"rsqrt", Function::Rsqrt},
-        {"erf", Function::Erf},       {"silu", Function::Silu},
-        {"softplus", Function::Softplus},
-    };
-    return table;
-}
-
-const std::map<std::string, Method>&
-methodTable()
-{
-    static const std::map<std::string, Method> table = {
-        {"cordic", Method::Cordic},
-        {"cordic-fixed", Method::CordicFixed},
-        {"cordic-lut", Method::CordicLut},
-        {"mlut", Method::MLut},
-        {"llut", Method::LLut},
-        {"llut-fixed", Method::LLutFixed},
-        {"dlut", Method::DLut},
-        {"dllut", Method::DlLut},
-        {"poly", Method::Poly},
-    };
-    return table;
-}
-
-bool
-parseU32(const std::string& text, uint32_t& out)
-{
-    try {
-        size_t pos = 0;
-        unsigned long v = std::stoul(text, &pos, 0);
-        if (pos != text.size() || v > UINT32_MAX)
-            return false;
-        out = static_cast<uint32_t>(v);
-        return true;
-    } catch (...) {
-        return false;
-    }
 }
 
 std::string
@@ -157,22 +106,22 @@ main(int argc, char** argv)
         };
         if (arg == "--function") {
             std::string name = value();
-            auto it = functionTable().find(name);
-            if (it == functionTable().end()) {
+            std::optional<Function> f = parseFunction(name);
+            if (!f) {
                 std::cerr << "pimtrace: unknown function '" << name
                           << "'\n";
                 return 2;
             }
-            function = it->second;
+            function = *f;
         } else if (arg == "--method") {
             std::string name = value();
-            auto it = methodTable().find(name);
-            if (it == methodTable().end()) {
+            std::optional<Method> m = parseMethod(name);
+            if (!m) {
                 std::cerr << "pimtrace: unknown method '" << name
                           << "'\n";
                 return 2;
             }
-            spec.method = it->second;
+            spec.method = *m;
         } else if (arg == "--elements") {
             u32Arg(opts.elements);
         } else if (arg == "--tasklets") {
