@@ -66,6 +66,12 @@
 # replay beats the best static configuration
 # (cycles_ratio_vs_static < 1) while meeting every tenant SLA
 # (sla_met) — the headline claim of the online tuner.
+#
+# Schema 7: pimserve replays a trace once, so "serve_sweep" no longer
+# carries "sync_run_modeled_seconds" (the makespan of a second,
+# synchronous replay). Its "speedup" is now sync_seconds /
+# modeled_seconds of the one run, and it appears on every pimserve
+# JSON, fleet_sweep's included.
 set -u
 
 quick=0
@@ -159,10 +165,10 @@ for bin in "$BENCH_DIR"/*; do
     $entry"
 done
 
-# Schema-2 sync-vs-pipelined sweep: replay an L-LUT sin request burst
-# (>= 4 waves over 64 DPUs) through pimserve; its --json output runs
-# BOTH schedules and carries sync_run_modeled_seconds + speedup. In
-# --quick mode the burst shrinks with TPL_BENCH_ELEMENTS.
+# Serve sweep: replay an L-LUT sin request burst (>= 4 waves over 64
+# DPUs) through pimserve once; its --json output carries the
+# no-overlap baseline (sync_seconds) and the pipelined speedup over
+# it. In --quick mode the burst shrinks with TPL_BENCH_ELEMENTS.
 serve_sweep=""
 PIMSERVE="$BUILD_DIR/tools/pimserve"
 if [ -x "$PIMSERVE" ]; then
@@ -172,7 +178,7 @@ if [ -x "$PIMSERVE" ]; then
             echo "request function=sin method=llut elements=$req_elems"
         done
     } > "$TRACE_TMP"
-    echo "== pimserve sync-vs-pipelined sweep (5 x $req_elems)" >&2
+    echo "== pimserve serve sweep (5 x $req_elems)" >&2
     if "$PIMSERVE" --trace "$TRACE_TMP" --dpus 64 \
         --json "$SERVE_TMP" > /dev/null 2> "$ERR_TMP"; then
         serve_sweep=$(cat "$SERVE_TMP")
@@ -205,7 +211,7 @@ if [ -x "$PIMSERVE" ]; then
         out="$FLEET_JSON_TMP"
         [ "$topo" = 1x1x64 ] && out="$RANK_JSON_TMP"
         if ! "$PIMSERVE" --demo-trace --topology "$topo" \
-            --demo-requests "$fleet_reqs" --no-sync-replay \
+            --demo-requests "$fleet_reqs" \
             --json "$out" > /dev/null 2> "$ERR_TMP"; then
             fleet_ok=0
             failures=$((failures + 1))
@@ -367,7 +373,7 @@ fi
 
 {
     echo "{"
-    echo "  \"schema\": 6,"
+    echo "  \"schema\": 7,"
     echo "  \"git_sha\": \"$GIT_SHA\","
     echo "  \"sim_threads\": \"${TPL_SIM_THREADS:-default}\","
     echo "  \"bench_elements\": \"${TPL_BENCH_ELEMENTS:-default}\","

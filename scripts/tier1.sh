@@ -156,7 +156,7 @@ for replay in ("as_requested", "static_best", "online"):
 print("pimtune: online beats static-best with SLAs met OK")
 PYEOF
     "$BUILD_DIR/tools/pimserve" --demo-trace --demo-requests 2000 \
-        --per-dpu-elements 8 --explore 512 --no-sync-replay \
+        --per-dpu-elements 8 --explore 512 \
         --tenant-sla '*:rmse<1e-3' \
         --json "$DOCS_TMP/serve.tune.json" > /dev/null
     python3 -m json.tool "$DOCS_TMP/serve.tune.json" > /dev/null
@@ -187,7 +187,8 @@ fi
 # end: the demo trace replayed with a journal + SLO + metrics + trace
 # attached, Python validation of all three artifacts (journal JSONL
 # line-by-line, latency percentiles + requests/s in the JSON summary,
-# metrics/trace well-formed), and journal byte-identity across
+# metrics/trace well-formed, registry serve/waves and serve/requests
+# equal to the summary's), and journal byte-identity across
 # TPL_SIM_THREADS=1/4/16 — the bit-replayability contract of
 # docs/observability.md checked on the real CLI, not just in-process.
 if [ "${TPL_TIER1_OBS:-0}" = "1" ]; then
@@ -227,6 +228,10 @@ assert doc["slo"]["met"] is True, doc["slo"]
 metrics = json.load(open(tmp + "/serve.metrics.json"))
 assert any(n.startswith("serve/") for n in metrics["counters"]), \
     sorted(metrics["counters"])
+# The registry describes exactly the run the summary reports.
+for key in ("waves", "requests"):
+    assert metrics["counters"]["serve/" + key] == doc[key], \
+        (key, metrics["counters"]["serve/" + key], doc[key])
 json.load(open(tmp + "/serve.trace.json"))
 print("journal + summary + metrics + trace artifacts OK")
 PYEOF
@@ -284,7 +289,6 @@ if [ "${TPL_TIER1_FLEET:-0}" = "1" ]; then
         TPL_SIM_THREADS=$threads \
             "$BUILD_DIR/tools/pimserve" --demo-trace \
             --topology 20x2x64 --demo-requests 20000 \
-            --no-sync-replay \
             --journal "$FLEET_TMP/fleet.t$threads.jsonl" \
             --json "$FLEET_TMP/fleet.t$threads.json" > /dev/null
     done

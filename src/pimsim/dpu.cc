@@ -140,10 +140,10 @@ DpuCore::hostReadWram(uint32_t addr, void* dst, uint32_t size) const
 
 namespace {
 
-uint32_t
-alignUp8(uint32_t v)
+uint64_t
+alignUp8(uint64_t v)
 {
-    return (v + 7u) & ~7u;
+    return (v + 7u) & ~uint64_t{7};
 }
 
 /** WRAM offset of @p p if [p, p+size) lies inside the scratchpad,
@@ -161,24 +161,24 @@ wramOffsetOf(const ZeroedBank& wram, const void* p, uint32_t size)
 } // namespace
 
 uint32_t
-DpuCore::mramAlloc(uint32_t size)
+DpuCore::mramAlloc(uint64_t size)
 {
     uint32_t addr = mramTop_;
-    uint32_t next = alignUp8(mramTop_ + size);
+    uint64_t next = alignUp8(uint64_t{mramTop_} + size);
     if (next > mram_.size())
         throw std::bad_alloc();
-    mramTop_ = next;
+    mramTop_ = static_cast<uint32_t>(next);
     return addr;
 }
 
 uint32_t
-DpuCore::wramAlloc(uint32_t size)
+DpuCore::wramAlloc(uint64_t size)
 {
     uint32_t addr = wramTop_;
-    uint32_t next = alignUp8(wramTop_ + size);
+    uint64_t next = alignUp8(uint64_t{wramTop_} + size);
     if (next > wram_.size())
         throw std::bad_alloc();
-    wramTop_ = next;
+    wramTop_ = static_cast<uint32_t>(next);
     return addr;
 }
 

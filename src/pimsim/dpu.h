@@ -327,12 +327,15 @@ class DpuCore
 
     /**
      * Allocate @p size bytes of MRAM (8-byte aligned bump allocator).
+     * The end of the allocation is computed in 64 bits, so a request
+     * past the bank throws std::bad_alloc rather than wrapping.
      * @return the MRAM address of the allocation.
      */
-    uint32_t mramAlloc(uint32_t size);
+    uint32_t mramAlloc(uint64_t size);
 
-    /** Allocate WRAM (8-byte aligned bump allocator). */
-    uint32_t wramAlloc(uint32_t size);
+    /** Allocate WRAM (8-byte aligned bump allocator; throws
+     * std::bad_alloc past the scratchpad, like mramAlloc). */
+    uint32_t wramAlloc(uint64_t size);
 
     /** Reset both allocators (new kernel program). */
     void resetAllocators();

@@ -17,10 +17,9 @@
  *
  * The wall-clock simulation is eager — each leg simulates fully when
  * issued — so issue order only decides how legs queue on the modeled
- * lanes, never what they compute; results are bit-identical between
- * pipelined and synchronous modes (fault-free), and all bookkeeping
- * runs on the consumer thread against modeled times, so results and
- * journal bytes are identical at any TPL_SIM_THREADS.
+ * lanes, never what they compute. All bookkeeping runs on the
+ * consumer thread against modeled times, so results and journal
+ * bytes are identical at any TPL_SIM_THREADS.
  */
 
 #include "pimsim/serve/pipeline.h"
@@ -280,7 +279,9 @@ ServePipeline::run(BatchQueue& queue)
 
     // Double-buffered per-DPU MRAM: two input and two output buffers
     // of `cap` floats each (parity = the group's wave count mod 2).
-    const uint32_t bufBytes = cap * static_cast<uint32_t>(sizeof(float));
+    // Sized in 64 bits: a capacity past the MRAM bank throws
+    // std::bad_alloc instead of wrapping every buffer onto one address.
+    const uint64_t bufBytes = static_cast<uint64_t>(cap) * sizeof(float);
     std::vector<std::array<uint32_t, 2>> inAddr(n), outAddr(n);
     for (uint32_t d = 0; d < n; ++d)
         for (uint32_t p = 0; p < 2; ++p) {
@@ -288,9 +289,9 @@ ServePipeline::run(BatchQueue& queue)
             outAddr[d][p] = sys_.dpu(d).mramAlloc(bufBytes);
         }
 
-    // Synchronous mode chains every leg on the previous one, across
-    // all groups — the baseline has no overlap to measure.
-    double chain = 0.0;
+    // End of the most recently reserved leg, on any group: the
+    // timestamp of a drop for a wave with no valid binding.
+    double lastLegEnd = 0.0;
     std::deque<PendingWave> retries;
     bool outOfCores = false;
     uint64_t waveSeq = 0; ///< execution-order wave numbering
@@ -426,7 +427,7 @@ ServePipeline::run(BatchQueue& queue)
             // splits on the predicted double-buffered makespan and
             // issue the fastest shape. Splits land at the front of
             // the retry deque (generation 0) so they pop in order.
-            if (opts_.costBook && opts_.pipelined) {
+            if (opts_.costBook) {
                 const WaveCost* wc = opts_.costBook->find(w->table);
                 uint64_t waveElems = w->elements();
                 if (wc && waveElems > 1) {
@@ -565,7 +566,7 @@ ServePipeline::run(BatchQueue& queue)
                         acc.elementsTotal += r.elements;
                         acc.sawLast = acc.sawLast || r.last;
                     }
-                    jev("drop", chain, 0.0, r.id,
+                    jev("drop", lastLegEnd, 0.0, r.id,
                         obs::JournalEvent::kNoWave, r.elements, 0,
                         g.lane, ex.wave.table.label,
                         "no valid table binding");
@@ -574,11 +575,10 @@ ServePipeline::run(BatchQueue& queue)
         }
         PipelineEvent bcastEv{};
         if (ex.stats.tableMiss && ex.binding->tableBytes > 0) {
-            bcastEv = sys_.broadcastAsync(
-                timeline, opts_.pipelined ? 0.0 : chain,
-                ex.binding->tableBytes, g.lane);
+            bcastEv = sys_.broadcastAsync(timeline, 0.0,
+                                          ex.binding->tableBytes, g.lane);
             ex.stats.broadcastSeconds = bcastEv.seconds();
-            chain = bcastEv.end;
+            lastLegEnd = bcastEv.end;
             ++g.stats.broadcasts;
         }
 
@@ -643,12 +643,9 @@ ServePipeline::run(BatchQueue& queue)
         ex.stats.elements = waveElems;
         ex.stats.slices = static_cast<uint32_t>(ex.slices.size());
 
-        double readyAt = opts_.pipelined
-                             ? g.computeEndByParity[ex.parity]
-                             : chain;
-        ex.scatterEv =
-            sys_.scatterAsync(timeline, readyAt, scatter, g.lane);
-        chain = ex.scatterEv.end;
+        ex.scatterEv = sys_.scatterAsync(
+            timeline, g.computeEndByParity[ex.parity], scatter, g.lane);
+        lastLegEnd = ex.scatterEv.end;
         ex.stats.scatterSeconds = ex.scatterEv.seconds();
         ex.waveIndex = waveSeq++;
 
@@ -713,11 +710,8 @@ ServePipeline::run(BatchQueue& queue)
         std::vector<int> sliceOfDpu(n, -1);
         for (size_t s = 0; s < ex.slices.size(); ++s)
             sliceOfDpu[ex.slices[s].dpu] = static_cast<int>(s);
-        double readyAt =
-            opts_.pipelined
-                ? std::max(ex.scatterEv.end,
-                           g.gatherEndByParity[ex.parity])
-                : chain;
+        double readyAt = std::max(ex.scatterEv.end,
+                                  g.gatherEndByParity[ex.parity]);
         ex.computeEv = sys_.launchAsync(
             timeline, readyAt, opts_.numTasklets,
             [&](uint32_t d) -> Kernel {
@@ -726,7 +720,7 @@ ServePipeline::run(BatchQueue& queue)
                     return {};
                 return ex.binding->makeKernel(ex.slices[s]);
             });
-        chain = ex.computeEv.end;
+        lastLegEnd = ex.computeEv.end;
         g.computeEndByParity[ex.parity] = ex.computeEv.end;
         ex.stats.maxCycles = sys_.lastMaxCycles();
         ex.stats.computeSeconds =
@@ -805,11 +799,9 @@ ServePipeline::run(BatchQueue& queue)
                  stagingOut.data() + t.firstElement,
                  t.elements *
                      static_cast<uint32_t>(sizeof(float))});
-        double readyAt =
-            opts_.pipelined ? ex.computeEv.end : chain;
         PipelineEvent gatherEv =
-            sys_.gatherAsync(timeline, readyAt, gather, g.lane);
-        chain = gatherEv.end;
+            sys_.gatherAsync(timeline, ex.computeEv.end, gather, g.lane);
+        lastLegEnd = gatherEv.end;
         g.gatherEndByParity[ex.parity] = gatherEv.end;
         ex.stats.gatherSeconds = gatherEv.seconds();
 
@@ -988,17 +980,12 @@ ServePipeline::run(BatchQueue& queue)
                 break;
             continue; // infeasible wave: try the next one
         }
-        if (opts_.pipelined) {
-            if (g->inflight) {
-                finishWave(*g, *g->inflight);
-                g->inflight.reset();
-            }
-            computeWave(*g, ex);
-            g->inflight = std::move(ex);
-        } else {
-            computeWave(*g, ex);
-            finishWave(*g, ex);
+        if (g->inflight) {
+            finishWave(*g, *g->inflight);
+            g->inflight.reset();
         }
+        computeWave(*g, ex);
+        g->inflight = std::move(ex);
     }
     drainInflight();
 

@@ -29,10 +29,12 @@
  * bounded by PipelineOptions::maxRetryWaves — the pipeline degrades
  * or reports incomplete, it never deadlocks.
  *
- * Synchronous mode (pipelined = false) issues the identical legs but
- * chains every reservation on the previous one, reproducing the
- * blocking transfer->launch->gather round trip; the pipelined
- * speedup and overlap fraction in ServeReport compare the two.
+ * The no-overlap baseline is pure accounting: every wave adds
+ * its broadcast, scatter, compute and gather durations to
+ * ServeReport::syncSeconds — the makespan of the blocking
+ * transfer->launch->gather round trip, since leg durations do not
+ * depend on when a leg is issued — and ServeReport::speedup() and
+ * overlapFraction() compare it with the pipelined makespan.
  */
 
 #ifndef TPL_PIMSIM_SERVE_PIPELINE_H
@@ -62,14 +64,10 @@ struct PipelineOptions
     /**
      * Element capacity of one per-DPU wave slice; a wave batches at
      * most perDpuElements * healthyDpus elements. Each DPU holds two
-     * input and two output MRAM buffers of this many floats.
+     * input and two output MRAM buffers of this many floats; run()
+     * throws std::bad_alloc when they do not fit in MRAM.
      */
     uint32_t perDpuElements = 512;
-
-    /** Double-buffered overlap (true) or the synchronous baseline
-     * schedule (false). Data results are identical; only the modeled
-     * timeline differs. */
-    bool pipelined = true;
 
     /** Times one wave's elements may be re-queued after failures
      * before they are dropped and the run reports incomplete. */
@@ -85,8 +83,8 @@ struct PipelineOptions
      * rules the run itself is charged with — and issues the fastest
      * shape. Splitting changes only the modeled schedule (outputs are
      * computed per element either way); tables without an entry run
-     * unsplit. Only consulted in pipelined mode. The caller keeps the
-     * book alive for the pipeline's lifetime.
+     * unsplit. The caller keeps the book alive for the pipeline's
+     * lifetime.
      */
     const CostBook* costBook = nullptr;
 
@@ -191,7 +189,9 @@ struct ServeReport
     uint64_t infeasibleElements = 0; ///< dropped: no valid binding
     uint64_t droppedElements = 0; ///< dropped: retry budget/no cores
     double modeledSeconds = 0.0; ///< pipeline timeline makespan
-    double syncSeconds = 0.0; ///< sum of leg durations (no overlap)
+    /** Sum of every wave's leg durations: the makespan of the same
+     * legs issued back to back, with no overlap. */
+    double syncSeconds = 0.0;
     std::vector<uint32_t> failedDpus; ///< cores masked during the run
     uint64_t reshardedElements = 0; ///< elements re-queued off them
     uint64_t computeCycles = 0; ///< sum of per-wave max cycles
@@ -203,7 +203,8 @@ struct ServeReport
      * path. */
     std::vector<RankStats> rankStats;
 
-    /** Fraction of the synchronous schedule hidden by overlap. */
+    /** Fraction of the no-overlap time (syncSeconds) hidden by
+     * overlap. */
     double
     overlapFraction() const
     {
@@ -211,7 +212,7 @@ struct ServeReport
                                  : 0.0;
     }
 
-    /** Synchronous over pipelined modeled time. */
+    /** No-overlap time (syncSeconds) over the pipelined makespan. */
     double
     speedup() const
     {
@@ -243,7 +244,10 @@ class ServePipeline
     ServePipeline(PimSystem& system, TableProvider provider,
                   const PipelineOptions& options = {});
 
-    /** Serve every request in @p queue; blocks the calling thread. */
+    /** Serve every request in @p queue; blocks the calling thread.
+     * Throws std::bad_alloc, before serving anything, when the
+     * per-DPU double buffers (PipelineOptions::perDpuElements) do
+     * not fit in MRAM. */
     ServeReport run(BatchQueue& queue);
 
     const TableCache& cache() const { return cache_; }

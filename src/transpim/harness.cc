@@ -241,62 +241,49 @@ runBatchedThroughput(Function f, const MethodSpec& spec,
         uniformFloats(total, static_cast<float>(dom.lo),
                       static_cast<float>(dom.hi), opts.seed);
 
-    // Two identical request streams, one system per schedule. The
-    // catalog (and with it the table cache contents) is rebuilt per
-    // system: tables bind to cores.
-    auto serveOnce =
-        [&](bool pipelined,
-            std::vector<float>& outputs) -> sim::serve::ServeReport {
-        sim::PimSystem sys(opts.dpus);
-        sys.setRetryPolicy(opts.policy);
-        if (opts.simThreads)
-            sys.setSimThreads(opts.simThreads);
-        if (opts.plan)
-            sys.armFaults(*opts.plan);
+    std::vector<float> outputs(total, 0.0f);
+    sim::PimSystem sys(opts.dpus);
+    sys.setRetryPolicy(opts.policy);
+    if (opts.simThreads)
+        sys.setSimThreads(opts.simThreads);
+    if (opts.plan)
+        sys.armFaults(*opts.plan);
 
-        EvaluatorCatalog catalog;
-        catalog.setChunkElements(opts.chunkElems);
-        sim::serve::TableKey key = catalog.add(f, spec);
+    EvaluatorCatalog catalog;
+    catalog.setChunkElements(opts.chunkElems);
+    sim::serve::TableKey key = catalog.add(f, spec);
 
-        sim::serve::BatchQueue queue;
-        for (uint32_t r = 0; r < opts.requests; ++r) {
-            sim::serve::Request req;
-            req.table = key;
-            req.input = inputs.data() +
-                        static_cast<uint64_t>(r) *
-                            opts.elementsPerRequest;
-            req.output = outputs.data() +
-                         static_cast<uint64_t>(r) *
-                             opts.elementsPerRequest;
-            req.elements = opts.elementsPerRequest;
-            queue.push(req);
-        }
-        queue.close();
+    sim::serve::BatchQueue queue;
+    for (uint32_t r = 0; r < opts.requests; ++r) {
+        const uint64_t off =
+            static_cast<uint64_t>(r) * opts.elementsPerRequest;
+        sim::serve::Request req;
+        req.table = key;
+        req.input = inputs.data() + off;
+        req.output = outputs.data() + off;
+        req.elements = opts.elementsPerRequest;
+        queue.push(req);
+    }
+    queue.close();
 
-        sim::serve::PipelineOptions popts;
-        popts.numTasklets = opts.tasklets;
-        popts.perDpuElements = opts.perDpuElements;
-        popts.pipelined = pipelined;
-        popts.maxRetryWaves = opts.maxRetryWaves;
-        sim::serve::ServePipeline pipeline(sys, catalog.provider(),
-                                           popts);
-        return pipeline.run(queue);
-    };
+    sim::serve::PipelineOptions popts;
+    popts.numTasklets = opts.tasklets;
+    popts.perDpuElements = opts.perDpuElements;
+    popts.maxRetryWaves = opts.maxRetryWaves;
+    sim::serve::ServePipeline pipeline(sys, catalog.provider(), popts);
+    res.report = pipeline.run(queue);
 
-    std::vector<float> outPipelined(total, 0.0f);
-    std::vector<float> outSync(total, 0.0f);
-    res.pipelined = serveOnce(true, outPipelined);
-    res.sync = serveOnce(false, outSync);
-
-    res.feasible = res.pipelined.infeasibleElements == 0 &&
-                   res.sync.infeasibleElements == 0;
-    res.outputsMatch =
-        total > 0 && std::memcmp(outPipelined.data(), outSync.data(),
-                                 total * sizeof(float)) == 0;
-    if (res.pipelined.elements > 0)
+    res.feasible = res.report.infeasibleElements == 0;
+    if (res.feasible && total > 0) {
+        std::vector<float> expect(total);
+        FunctionEvaluator::create(f, spec).evalBatch(inputs, expect);
+        res.outputsMatch = std::memcmp(expect.data(), outputs.data(),
+                                       total * sizeof(float)) == 0;
+    }
+    if (res.report.elements > 0)
         res.cyclesPerElement =
-            static_cast<double>(res.pipelined.computeCycles) /
-            static_cast<double>(res.pipelined.elements);
+            static_cast<double>(res.report.computeCycles) /
+            static_cast<double>(res.report.elements);
     return res;
 }
 

@@ -119,10 +119,10 @@ ResilientResult runResilientMicrobench(Function f,
 
 /**
  * Options for the batched throughput benchmark: a stream of
- * same-configuration requests served through the pimserve pipeline,
- * once double-buffered and once synchronous, on two fresh systems.
- * Defaults produce a >= 5-wave L-LUT sweep over 64 DPUs (the
- * acceptance configuration of the pipelined-vs-sync comparison).
+ * same-configuration requests served through the pimserve pipeline
+ * on a fresh system. Defaults produce a >= 5-wave L-LUT sweep over
+ * 64 DPUs (the acceptance configuration of the pipelined speedup
+ * over the no-overlap baseline).
  */
 struct BatchedOptions
 {
@@ -138,49 +138,32 @@ struct BatchedOptions
     uint64_t seed = 0x7ea9c0de;
     /** Optional input domain override (defaults to functionDomain). */
     std::optional<Domain> domain;
-    /** Retry/backoff/timeout knobs applied to both systems. */
+    /** Retry/backoff/timeout knobs applied to the system. */
     sim::RetryPolicy policy;
-    /** Fault plan armed on both systems before serving, when set. */
+    /** Fault plan armed on the system before serving, when set. */
     std::optional<sim::fault::FaultPlan> plan;
     uint32_t maxRetryWaves = 6;
     /** Simulation threads override (0 = global default). */
     uint32_t simThreads = 0;
 };
 
-/** Pipelined-vs-synchronous outcome of one batched benchmark. */
+/** Outcome of one batched benchmark. The speedup over the
+ * no-overlap baseline is report.speedup(). */
 struct BatchedResult
 {
     bool feasible = true; ///< false: no valid binding for the config
-    sim::serve::ServeReport pipelined;
-    sim::serve::ServeReport sync;
-    /** Outputs of the two runs are bit-identical (always expected
-     * without a fault plan; probabilistic plans may diverge because
-     * the two schedules order per-DPU transfer events differently). */
+    sim::serve::ServeReport report;
+    /** Every served output equals, bit for bit, a host-side
+     * FunctionEvaluator::evalBatch of the same configuration. */
     bool outputsMatch = false;
-    double cyclesPerElement = 0.0; ///< pipelined run, compute only
-
-    /** Sync over pipelined end-to-end modeled time. */
-    double
-    speedup() const
-    {
-        return pipelined.modeledSeconds > 0.0
-                   ? sync.modeledSeconds / pipelined.modeledSeconds
-                   : 0.0;
-    }
-
-    /** Overlap efficiency of the pipelined run, in percent. */
-    double
-    overlapPercent() const
-    {
-        return pipelined.overlapFraction() * 100.0;
-    }
+    double cyclesPerElement = 0.0; ///< compute cycles only
 };
 
 /**
  * Serve a burst of identical-configuration requests through the
- * pimserve pipeline twice — double-buffered and synchronous — and
- * compare modeled end-to-end time. This is the benchmark behind the
- * bench/run_all.sh sync-vs-pipelined sweep and tools/pimserve.
+ * pimserve pipeline on a fresh system and check the outputs against
+ * the host evaluator. Tests use it to pin the pipeline's accounting
+ * identities, fault handling and thread-count determinism.
  */
 BatchedResult runBatchedThroughput(Function f, const MethodSpec& spec,
                                    const BatchedOptions& opts = {});

@@ -5,7 +5,9 @@
  * multi-DPU system's transfer timing.
  */
 
+#include <cstdint>
 #include <cstring>
+#include <new>
 #include <numeric>
 #include <vector>
 
@@ -67,6 +69,20 @@ TEST(DpuMemory, AllocatorExhaustionThrows)
     EXPECT_THROW(dpu.mramAlloc(8), std::bad_alloc);
     EXPECT_NO_THROW(dpu.wramAlloc(256));
     EXPECT_THROW(dpu.wramAlloc(8), std::bad_alloc);
+}
+
+TEST(DpuMemory, AllocatorEndDoesNotWrapPast32Bits)
+{
+    // top + size wraps a 32-bit sum back below the bank size; the
+    // allocator must see the real end and refuse, not alias address 8.
+    DpuCore dpu;
+    const uint32_t huge = UINT32_MAX - 3;
+    EXPECT_EQ(0u, dpu.mramAlloc(8));
+    EXPECT_THROW(dpu.mramAlloc(huge), std::bad_alloc);
+    EXPECT_EQ(8u, dpu.mramAllocated());
+    EXPECT_EQ(0u, dpu.wramAlloc(8));
+    EXPECT_THROW(dpu.wramAlloc(huge), std::bad_alloc);
+    EXPECT_EQ(8u, dpu.wramAllocated());
 }
 
 TEST(DpuLaunch, ChargesInstructions)

@@ -2,7 +2,8 @@
  * @file
  * pimserve: replay a request trace through the batched serving
  * pipeline and print sustained throughput plus the overlap the
- * double-buffered schedule wins over the synchronous one.
+ * double-buffered schedule wins over the no-overlap baseline (the
+ * same legs issued back to back, ServeReport::syncSeconds).
  *
  *   pimserve --demo-trace > requests.trace   # built-in demo trace
  *   pimserve --trace requests.trace          # replay it
@@ -27,25 +28,23 @@
  *   --demo-trace           print a built-in demo trace and exit.
  *                          Combined with a replay option (--topology,
  *                          --demo-requests, --json, --journal,
- *                          --metrics, --slo, --plan, --sync,
- *                          --no-sync-replay) and no --trace, the
- *                          demo trace is *replayed* instead: a
- *                          synthetic mixed-config trace of
- *                          --demo-requests requests (default
- *                          1000000) built in memory.
+ *                          --metrics, --slo, --plan, --auto-tune,
+ *                          --tenant-sla) and no --trace, the demo
+ *                          trace is *replayed* instead: a synthetic
+ *                          mixed-config trace of --demo-requests
+ *                          requests (default 1000000) built in
+ *                          memory.
  *   --demo-requests N      size of the synthetic demo replay
  *   --topology DxRxP       fleet topology (e.g. 20x2x64: 20 DIMMs x
  *                          2 ranks x 64 DPUs); implies
  *                          --dpus D*R*P and per-rank scheduling
  *                          (see docs/fleet.md)
- *   --no-sync-replay       skip the sync-comparison second run
  *   --dpus N               simulated DPUs (default 64)
  *   --tasklets N           tasklets per DPU (default 16)
  *   --per-dpu-elements N   per-wave slice capacity per DPU
  *                          (default 512)
  *   --chunk N              streaming-kernel chunk elements
  *                          (default 32)
- *   --sync                 replay with the synchronous schedule only
  *   --plan PATH            arm a fault plan (pimfault text format)
  *   --seed N               input-generation seed
  *   --json PATH            write a JSON summary ('-' for stdout)
@@ -55,9 +54,7 @@
  *   --slo SPEC             check an SLO like p99<2ms or p50:150us
  *                          against modeled per-request latency
  *   --auto-tune            route waves through the online per-tenant
- *                          auto-tuner (docs/autotuner.md); both the
- *                          primary run and the sync-comparison
- *                          replay get their own fresh tuner
+ *                          auto-tuner (docs/autotuner.md)
  *   --tenant-sla T:SPEC    SLA for tenant T ('*' = default SLA for
  *                          tenants without their own; repeatable;
  *                          implies --auto-tune). SPEC grammar:
@@ -67,15 +64,17 @@
  *                          explored for before a stream commits
  *                          (default 2048)
  *
- * Per-request modeled latency (p50/p90/p99/p999, exact nearest-rank
- * over the journal) and sustained requests/s are always reported for
- * the primary run; the sync-comparison replay is never journaled.
+ * The trace is replayed once. Per-request modeled latency
+ * (p50/p90/p99/p999, exact nearest-rank over the journal), sustained
+ * requests/s and the speedup over the no-overlap baseline are always
+ * reported.
  *
  * Exit status: 0 when every request was served completely (and the
  * --slo target, if given, was met, and no tuned stream ended on a
  * candidate violating its SLA), 1 when elements were dropped /
  * infeasible / the run is incomplete / the SLO or an SLA was missed,
- * 2 on usage or parse errors.
+ * 2 on usage or parse errors, or when the per-DPU buffers of
+ * --per-dpu-elements do not fit in MRAM.
  */
 
 #include <algorithm>
@@ -84,6 +83,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <new>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -111,8 +111,8 @@ usage()
         << "usage: pimserve --trace PATH [--dpus N] [--tasklets N]\n"
            "                [--topology DxRxP]"
            " [--per-dpu-elements N]\n"
-           "                [--chunk N] [--sync] [--no-sync-replay]\n"
-           "                [--plan PATH] [--seed N] [--json PATH]\n"
+           "                [--chunk N] [--plan PATH] [--seed N]"
+           " [--json PATH]\n"
            "                [--metrics PATH] [--journal PATH]"
            " [--slo SPEC]\n"
            "                [--auto-tune] [--tenant-sla T:SPEC]..."
@@ -174,7 +174,6 @@ demoReplayTrace(uint32_t requests)
 
 void
 writeJson(std::ostream& out, const sim::serve::ServeReport& rep,
-          const sim::serve::ServeReport* syncRep,
           const obs::LatencySummary& lat, const obs::SloTracker* slo,
           const sim::Topology* topo,
           const std::vector<StreamReport>* tunerStreams,
@@ -203,18 +202,9 @@ writeJson(std::ostream& out, const sim::serve::ServeReport& rep,
     out << "  \"elements_per_second\": " << buf << ",\n";
     std::snprintf(buf, sizeof(buf), "%.2f",
                   rep.overlapFraction() * 100.0);
-    out << "  \"overlap_percent\": " << buf;
-    if (syncRep) {
-        double speedup = rep.modeledSeconds > 0.0
-                             ? syncRep->modeledSeconds /
-                                   rep.modeledSeconds
-                             : 0.0;
-        std::snprintf(buf, sizeof(buf), "%.9e",
-                      syncRep->modeledSeconds);
-        out << ",\n  \"sync_run_modeled_seconds\": " << buf;
-        std::snprintf(buf, sizeof(buf), "%.4f", speedup);
-        out << ",\n  \"speedup\": " << buf;
-    }
+    out << "  \"overlap_percent\": " << buf << ",\n";
+    std::snprintf(buf, sizeof(buf), "%.4f", rep.speedup());
+    out << "  \"speedup\": " << buf;
     auto secs = [&](double v) -> const char* {
         std::snprintf(buf, sizeof(buf), "%.9e", v);
         return buf;
@@ -311,8 +301,6 @@ main(int argc, char** argv)
     std::string journalPath;
     std::string sloText;
     bool demoTrace = false;
-    bool syncOnly = false;
-    bool noSyncReplay = false;
     bool autoTune = false;
     std::optional<sim::Topology> topology;
     uint32_t demoRequests = 0;
@@ -355,8 +343,6 @@ main(int argc, char** argv)
                              " 20x2x64)\n";
                 return 2;
             }
-        } else if (arg == "--no-sync-replay") {
-            noSyncReplay = true;
         } else if (arg == "--dpus") {
             u32Arg(dpus);
         } else if (arg == "--tasklets") {
@@ -365,8 +351,6 @@ main(int argc, char** argv)
             u32Arg(perDpuElements);
         } else if (arg == "--chunk") {
             u32Arg(chunk);
-        } else if (arg == "--sync") {
-            syncOnly = true;
         } else if (arg == "--plan") {
             planPath = value();
         } else if (arg == "--seed") {
@@ -427,8 +411,8 @@ main(int argc, char** argv)
     // synthetic in-memory trace instead.
     bool replayDemo =
         demoTrace && tracePath.empty() &&
-        (topology || demoRequests > 0 || syncOnly || noSyncReplay ||
-         autoTune || !jsonPath.empty() || !journalPath.empty() ||
+        (topology || demoRequests > 0 || autoTune ||
+         !jsonPath.empty() || !journalPath.empty() ||
          !metricsPath.empty() || !sloText.empty() ||
          !planPath.empty());
     if (demoTrace && !replayDemo) {
@@ -507,23 +491,21 @@ main(int argc, char** argv)
         }
     }
 
-    // One run of the whole trace on a fresh system. Only the primary
-    // run carries the journal (and surfaces its tuner's reports);
-    // the sync-comparison replay gets its own fresh tuner so the
-    // speedup compares like against like.
-    std::vector<StreamReport> tunerStreams;
-    std::vector<sim::serve::TuneDecision> tunerDecisions;
-    auto serveOnce = [&](bool pipelined, obs::Journal* journal)
-        -> sim::serve::ServeReport {
-        sim::PimSystem sys(dpus);
-        if (plan)
-            sys.armFaults(*plan);
-        EvaluatorCatalog catalog;
-        catalog.setChunkElements(chunk);
+    // One run of the whole trace on a fresh system.
+    obs::Journal journal;
+    // Per-request latencies are always tracked; the per-event stream
+    // is only worth its memory when it will be written somewhere.
+    if (journalPath.empty())
+        journal.setEventsEnabled(false);
+    sim::PimSystem sys(dpus);
+    if (plan)
+        sys.armFaults(*plan);
+    EvaluatorCatalog catalog;
+    catalog.setChunkElements(chunk);
 
-        sim::serve::BatchQueue queue;
-        if (journal)
-            queue.setJournal(journal);
+    sim::serve::BatchQueue queue;
+    queue.setJournal(&journal);
+    {
         uint64_t off = 0;
         for (const TraceRequest& r : trace) {
             sim::serve::Request req;
@@ -535,47 +517,43 @@ main(int argc, char** argv)
             queue.push(req);
             off += r.elements;
         }
-        queue.close();
+    }
+    queue.close();
 
-        std::optional<OnlineAutoTuner> tuner;
-        if (autoTune) {
-            AutoTunerOptions topts;
-            topts.exploreElements = explore;
-            if (defaultSla)
-                topts.defaultSla = *defaultSla;
-            tuner.emplace(catalog, topts);
-            for (const auto& [tenant, sla] : tenantSlas)
-                tuner->setTenantSla(tenant, sla);
-        }
+    std::optional<OnlineAutoTuner> tuner;
+    if (autoTune) {
+        AutoTunerOptions topts;
+        topts.exploreElements = explore;
+        if (defaultSla)
+            topts.defaultSla = *defaultSla;
+        tuner.emplace(catalog, topts);
+        for (const auto& [tenant, sla] : tenantSlas)
+            tuner->setTenantSla(tenant, sla);
+    }
 
-        sim::serve::PipelineOptions popts;
-        popts.numTasklets = tasklets;
-        popts.perDpuElements = perDpuElements;
-        popts.pipelined = pipelined;
-        popts.journal = journal;
-        if (tuner)
-            popts.autoTuner = &*tuner;
-        if (topology)
-            popts.topology = &*topology;
-        sim::serve::ServePipeline pipeline(sys, catalog.provider(),
-                                           popts);
-        sim::serve::ServeReport rep = pipeline.run(queue);
-        if (tuner && journal) {
-            tunerStreams = tuner->streamReports();
-            tunerDecisions = tuner->decisions();
-        }
-        return rep;
-    };
-
-    obs::Journal journal;
-    // Per-request latencies are always tracked; the per-event stream
-    // is only worth its memory when it will be written somewhere.
-    if (journalPath.empty())
-        journal.setEventsEnabled(false);
-    sim::serve::ServeReport rep = serveOnce(!syncOnly, &journal);
-    std::optional<sim::serve::ServeReport> syncRep;
-    if (!syncOnly && !noSyncReplay)
-        syncRep = serveOnce(false, nullptr);
+    sim::serve::PipelineOptions popts;
+    popts.numTasklets = tasklets;
+    popts.perDpuElements = perDpuElements;
+    popts.journal = &journal;
+    if (tuner)
+        popts.autoTuner = &*tuner;
+    if (topology)
+        popts.topology = &*topology;
+    sim::serve::ServePipeline pipeline(sys, catalog.provider(), popts);
+    sim::serve::ServeReport rep;
+    try {
+        rep = pipeline.run(queue);
+    } catch (const std::bad_alloc&) {
+        std::cerr << "pimserve: --per-dpu-elements " << perDpuElements
+                  << ": the per-DPU wave buffers do not fit in MRAM\n";
+        return 2;
+    }
+    std::vector<StreamReport> tunerStreams;
+    std::vector<sim::serve::TuneDecision> tunerDecisions;
+    if (tuner) {
+        tunerStreams = tuner->streamReports();
+        tunerDecisions = tuner->decisions();
+    }
 
     obs::LatencySummary latency =
         journal.summarize(rep.modeledSeconds);
@@ -595,8 +573,7 @@ main(int argc, char** argv)
                   << " DPUs)";
     else
         std::cout << dpus << " DPUs";
-    std::cout << " (" << (syncOnly ? "synchronous" : "double-buffered")
-              << " schedule)\n\n";
+    std::cout << " (double-buffered schedule)\n\n";
 
     std::cout << "-- pipeline\n";
     std::printf("   waves               %10llu\n",
@@ -655,13 +632,7 @@ main(int argc, char** argv)
                 rep.elementsPerSecond());
     std::printf("   overlap             %12.1f %%\n",
                 rep.overlapFraction() * 100.0);
-    if (syncRep) {
-        double speedup =
-            rep.modeledSeconds > 0.0
-                ? syncRep->modeledSeconds / rep.modeledSeconds
-                : 0.0;
-        std::printf("   vs sync replay      %12.2fx\n", speedup);
-    }
+    std::printf("   speedup             %12.2fx\n", rep.speedup());
     std::printf("   complete            %13s\n",
                 rep.complete ? "yes" : "NO");
 
@@ -736,8 +707,8 @@ main(int argc, char** argv)
         const std::vector<sim::serve::TuneDecision>* decPtr =
             autoTune ? &tunerDecisions : nullptr;
         if (jsonPath == "-") {
-            writeJson(std::cout, rep, syncRep ? &*syncRep : nullptr,
-                      latency, sloPtr, topoPtr, streamsPtr, decPtr);
+            writeJson(std::cout, rep, latency, sloPtr, topoPtr,
+                      streamsPtr, decPtr);
         } else {
             std::ofstream jsonOut(jsonPath);
             if (!jsonOut) {
@@ -745,8 +716,8 @@ main(int argc, char** argv)
                           << "'\n";
                 return 2;
             }
-            writeJson(jsonOut, rep, syncRep ? &*syncRep : nullptr,
-                      latency, sloPtr, topoPtr, streamsPtr, decPtr);
+            writeJson(jsonOut, rep, latency, sloPtr, topoPtr,
+                      streamsPtr, decPtr);
             std::cout << "\nwrote " << jsonPath << "\n";
         }
     }
