@@ -34,10 +34,11 @@ md_files=$(git ls-files -c -o --exclude-standard '*.md' 2>/dev/null)
 # GitHub-style anchor slugs of a markdown file's headings, one per
 # line: lowercase, punctuation stripped (keep alnum/space/hyphen/
 # underscore), spaces to hyphens. Fenced blocks are skipped so
-# '# comment' lines inside shell snippets are not headings.
+# '# comment' lines inside shell snippets are not headings. The awk
+# pattern avoids interval expressions ({1,6}), which mawk lacks.
 anchors_of() {
     awk '/^[[:space:]]*```/ { fence = !fence; next }
-         !fence && /^#{1,6} /' "$1" |
+         !fence && /^##?#?#?#?#? /' "$1" |
         sed -E 's/^#{1,6} +//' |
         tr 'A-Z' 'a-z' |
         sed -E 's/[^a-z0-9 _-]//g; s/ /-/g'

@@ -2,9 +2,10 @@
 # Tier-1 verification: configure, build, run the full test suite.
 # With TPL_TIER1_TSAN=1, additionally build a ThreadSanitizer tree and
 # run the parallel-engine tests (thread pool + launchAll determinism,
-# and the serve path's one shared evaluator read by every sim thread)
-# under TSan — the cheap way to catch data races the determinism test
-# alone cannot see.
+# the serve path's one shared evaluator read by every sim thread, and
+# the serve/fleet suites, whose drive loop overlaps host work with
+# kernels running on the pool) under TSan — the cheap way to catch
+# data races the determinism test alone cannot see.
 #
 # Usage: scripts/tier1.sh [BUILD_DIR]
 set -eu
@@ -39,9 +40,10 @@ if [ "${TPL_TIER1_TSAN:-0}" = "1" ]; then
     TSAN_DIR="${BUILD_DIR}-tsan"
     cmake -B "$TSAN_DIR" -S "$SRC_DIR" -DTPL_SANITIZE=thread
     cmake --build "$TSAN_DIR" -j --target concurrency_test \
-        shared_table_test
-    ctest --test-dir "$TSAN_DIR" --output-on-failure \
-        -R 'ThreadPool|Determinism|Concurrency|SharedTable'
+        shared_table_test serve_test fleet_test
+    TSAN_TESTS='ThreadPool|Determinism|Concurrency|SharedTable'
+    TSAN_TESTS="$TSAN_TESTS|BatchQueue|Serve|Topology|RankTransfer|Fleet"
+    ctest --test-dir "$TSAN_DIR" --output-on-failure -R "$TSAN_TESTS"
 fi
 
 # With TPL_TIER1_SIMD=1, build the softfloat tier with the SIMD lane

@@ -15,11 +15,22 @@
  * compute 1, ..., which is why a Topology{1, 1, N} fleet reproduces
  * the flat modeled numbers exactly.
  *
- * The wall-clock simulation is eager — each leg simulates fully when
- * issued — so issue order only decides how legs queue on the modeled
- * lanes, never what they compute. All bookkeeping runs on the
- * consumer thread against modeled times, so results and journal
- * bytes are identical at any TPL_SIM_THREADS.
+ * The host overlaps the DPUs in wall time too: a wave's kernels are
+ * submitted to the simulation pool and run in the background while
+ * this thread finishes the group's previous wave and pops, routes and
+ * begins the next one; the wave is committed (failure sweep, DPU-lane
+ * reservations, compute accounting) before the next submit, so
+ * commits land in wave order and at most one wave is outstanding.
+ * The commit also comes first wherever the host would read what it
+ * writes or touch memory the kernels read: placement across several
+ * lane groups (rank makespans), a table-cache miss (the provider
+ * writes every core), an infeasible wave (its drop is stamped with
+ * the last leg's end), and — since masks and per-DPU fault draws
+ * must keep their order — after every submit while a fault plan is
+ * armed. Transfer legs and all bookkeeping run on this thread
+ * against modeled times, and each lane sees its reservations in the
+ * serial order, so results and journal bytes are identical at any
+ * TPL_SIM_THREADS; with one thread the kernels run inside the commit.
  */
 
 #include "pimsim/serve/pipeline.h"
@@ -32,6 +43,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "pimsim/obs/journal.h"
 #include "pimsim/obs/metrics.h"
@@ -77,8 +89,10 @@ struct WaveExec
     std::vector<ShardTask> slices; ///< one per participating DPU
     std::vector<uint64_t> itemStart; ///< wave-relative item offsets
     std::vector<WaveReq> reqs; ///< unique requests, item order
+    std::vector<uint32_t> itemReq; ///< item -> index into reqs
     WaveStats stats;
     PipelineEvent scatterEv;
+    double computeReady = 0.0; ///< the kernels' lane readiness
     PipelineEvent computeEv;
 };
 
@@ -94,6 +108,7 @@ struct LaneGroup
     uint32_t firstDpu = 0;
     uint32_t endDpu = 0;
     uint64_t wavesBegun = 0; ///< parity source
+    uint32_t healthy = 0;    ///< unmasked DPUs, see refreshHealth
     // A parity's input buffers are free once the compute that read
     // them ended; its output buffers once the gather that drained
     // them ended.
@@ -104,23 +119,29 @@ struct LaneGroup
 };
 
 /** Collapse a wave's items into per-request shares, first-appearance
- * item order. */
+ * item order; @p itemReq, when given, receives each item's share
+ * index. */
 std::vector<WaveReq>
-collectWaveReqs(const Wave& w)
+collectWaveReqs(const Wave& w, std::vector<uint32_t>* itemReq = nullptr)
 {
     std::vector<WaveReq> reqs;
     // Index by request id so a wave of many thousands of items stays
     // linear; output order is still first appearance in item order.
-    std::unordered_map<uint64_t, size_t> index;
+    std::unordered_map<uint64_t, uint32_t> index;
     index.reserve(w.items.size());
+    if (itemReq)
+        itemReq->clear();
     for (const WaveItem& it : w.items) {
-        auto [pos, fresh] = index.try_emplace(it.requestId, reqs.size());
+        auto [pos, fresh] = index.try_emplace(
+            it.requestId, static_cast<uint32_t>(reqs.size()));
         if (fresh)
             reqs.push_back(
                 {it.requestId, 0, false, it.arrivalSeconds});
         WaveReq& r = reqs[pos->second];
         r.elements += it.elements;
         r.last = r.last || it.last;
+        if (itemReq)
+            itemReq->push_back(pos->second);
     }
     return reqs;
 }
@@ -303,6 +324,8 @@ ServePipeline::run(BatchQueue& queue)
     // and none of it feeds back into the modeled schedule.
     obs::Journal* const journal = opts_.journal;
     const bool trackReqs = journal != nullptr || tracer.enabled();
+    // A latency-only journal keeps no events: skip building them.
+    const bool journalEvents = journal && journal->eventsEnabled();
 
     struct ReqAcc
     {
@@ -335,7 +358,7 @@ ServePipeline::run(BatchQueue& queue)
                    uint64_t cycles, int32_t rank,
                    const std::string& table,
                    const std::string& note = {}) {
-        if (!journal)
+        if (!journalEvents)
             return;
         obs::JournalEvent ev;
         ev.kind = kind;
@@ -358,20 +381,42 @@ ServePipeline::run(BatchQueue& queue)
             report.failedDpus.push_back(d);
     };
 
+    // Healthy-DPU counts per group, recounted only when a core was
+    // masked since the last count.
+    uint64_t healthEpoch = sys_.maskEpoch() + 1; // count on first use
+    uint32_t maxHealthy = 0; ///< largest count of any group
+    auto refreshHealth = [&]() {
+        if (healthEpoch == sys_.maskEpoch())
+            return;
+        healthEpoch = sys_.maskEpoch();
+        maxHealthy = 0;
+        for (LaneGroup& g : groups) {
+            g.healthy = 0;
+            for (uint32_t d = g.firstDpu; d < g.endDpu; ++d)
+                g.healthy += sys_.isMasked(d) ? 0 : 1;
+            maxHealthy = std::max(maxHealthy, g.healthy);
+        }
+    };
     auto healthyCount = [&](const LaneGroup& g) {
-        uint32_t count = 0;
-        for (uint32_t d = g.firstDpu; d < g.endDpu; ++d)
-            count += sys_.isMasked(d) ? 0 : 1;
-        return count;
+        refreshHealth();
+        return g.healthy;
     };
 
     /** Largest healthy-DPU count of any group (wave pop budget). */
     auto maxHealthyPerGroup = [&]() {
-        uint32_t best = 0;
-        for (const LaneGroup& g : groups)
-            best = std::max(best, healthyCount(g));
-        return best;
+        refreshHealth();
+        return maxHealthy;
     };
+
+    // ---- Overlapped execution ----
+    // At most one wave is submitted and not yet committed: its
+    // kernels run on the simulation pool while this thread does the
+    // next wave's host work. Its commit (failure sweep + DPU-lane
+    // reservations + compute accounting) comes before anything that
+    // reads what the commit writes or touches memory the kernels
+    // read — see the drive loop below.
+    LaunchHandle launch;
+    LaneGroup* launchGroup = nullptr; ///< owner of the submitted wave
 
     /** Next wave to execute: pending retries first, then the queue.
      * Waves are sized for one group — the placement step later
@@ -536,6 +581,101 @@ ServePipeline::run(BatchQueue& queue)
         return bestRes;
     };
 
+    /** Commit the submitted wave, if any: join its kernels, reserve
+     * its DPU lanes and account its compute. */
+    auto commitOutstanding = [&]() {
+        if (!launchGroup)
+            return;
+        LaneGroup& g = *launchGroup;
+        launchGroup = nullptr;
+        WaveExec& ex = *g.inflight;
+        ex.computeEv =
+            sys_.commitLaunch(launch, timeline, ex.computeReady);
+        lastLegEnd = ex.computeEv.end;
+        g.computeEndByParity[ex.parity] = ex.computeEv.end;
+        ex.stats.maxCycles = launch.report().maxCycles;
+        ex.stats.computeSeconds =
+            freq > 0.0
+                ? static_cast<double>(ex.stats.maxCycles) / freq
+                : 0.0;
+        report.computeCycles += ex.stats.maxCycles;
+        g.stats.computeCycles += ex.stats.maxCycles;
+
+        // Straggler detection: a pure function of the per-DPU cycle
+        // counts the sequential failure sweep recorded, so it is
+        // deterministic at any thread count and costs nothing on the
+        // modeled schedule.
+        const std::vector<uint64_t>& perDpu = launch.cycles();
+        std::vector<uint64_t> sliceCycles;
+        sliceCycles.reserve(ex.slices.size());
+        for (const ShardTask& t : ex.slices)
+            sliceCycles.push_back(perDpu[t.dpu - launch.firstDpu()]);
+        for (uint64_t c : sliceCycles)
+            ex.stats.totalCycles += c;
+        std::sort(sliceCycles.begin(), sliceCycles.end());
+        if (!sliceCycles.empty())
+            ex.stats.medianCycles =
+                sliceCycles[sliceCycles.size() / 2];
+        if (sliceCycles.size() >= 2 && ex.stats.medianCycles > 0) {
+            const double limit =
+                opts_.stragglerFactor *
+                static_cast<double>(ex.stats.medianCycles);
+            uint32_t stragglers = 0;
+            for (uint64_t c : sliceCycles)
+                if (static_cast<double>(c) > limit)
+                    ++stragglers;
+            if (stragglers > 0) {
+                ex.stats.stragglerDpus = stragglers;
+                ++report.anomalousWaves;
+                if (reg.enabled()) {
+                    reg.counter("serve/anomaly/straggler_waves")
+                        .add(1);
+                    reg.counter("serve/anomaly/straggler_dpus")
+                        .add(stragglers);
+                }
+                if (journalEvents)
+                    jev("anomaly", ex.computeEv.start,
+                        ex.computeEv.seconds(), 0, ex.waveIndex,
+                        ex.stats.elements, sliceCycles.back(), g.lane,
+                        ex.wave.table.label,
+                        "max " + std::to_string(sliceCycles.back()) +
+                            " cycles vs median " +
+                            std::to_string(ex.stats.medianCycles) +
+                            " across " +
+                            std::to_string(sliceCycles.size()) +
+                            " slices");
+            }
+        }
+
+        if (trackReqs)
+            for (const WaveReq& r : ex.reqs) {
+                ReqAcc& acc = accFor(r, ex.wave.table);
+                acc.computeSeconds += ex.computeEv.seconds();
+                jev("compute", ex.computeEv.start,
+                    ex.computeEv.seconds(), r.id, ex.waveIndex,
+                    r.elements, ex.stats.maxCycles, g.lane,
+                    ex.wave.table.label);
+            }
+    };
+
+    /** Start the group's current wave (g.inflight) on its DPU lanes
+     * without waiting for the kernels. */
+    auto submitWave = [&](LaneGroup& g) {
+        WaveExec& ex = *g.inflight;
+        ex.computeReady = std::max(ex.scatterEv.end,
+                                   g.gatherEndByParity[ex.parity]);
+        size_t next = 0; // slices ascend by DPU, as submit visits them
+        launch = sys_.submitLaunch(
+            g.firstDpu, g.endDpu, opts_.numTasklets,
+            [&](uint32_t d) -> Kernel {
+                if (next == ex.slices.size() ||
+                    ex.slices[next].dpu != d)
+                    return {};
+                return ex.binding->makeKernel(ex.slices[next++]);
+            });
+        launchGroup = &g;
+    };
+
     /** Resolve the binding for @p g and reserve scatter (+ a table
      * broadcast when the group does not hold the table yet). Returns
      * false when the wave cannot run at all. */
@@ -546,6 +686,12 @@ ServePipeline::run(BatchQueue& queue)
         ex.generation = pw.generation;
         ex.parity = static_cast<uint32_t>(g.wavesBegun % 2);
 
+        // A miss runs the provider, which stages tables into every
+        // core, and an infeasible wave's drop is stamped with
+        // lastLegEnd: both need the submitted wave committed first.
+        const TableBinding* cached = cache_.peek(ex.wave.table);
+        if (!cached || !cached->valid)
+            commitOutstanding();
         if (g.lane >= 0) {
             TableCache::RankLookup found = cache_.lookupOnRank(
                 ex.wave.table, static_cast<uint32_t>(g.lane));
@@ -585,19 +731,15 @@ ServePipeline::run(BatchQueue& queue)
         // Slice across the group's currently healthy cores. If cores
         // died since the wave was sized, the tail that no longer
         // fits is split off and re-queued ahead of everything else.
-        std::vector<uint32_t> healthy;
-        for (uint32_t d = g.firstDpu; d < g.endDpu; ++d)
-            if (!sys_.isMasked(d))
-                healthy.push_back(d);
-        if (healthy.empty()) {
+        const uint32_t healthy = healthyCount(g);
+        if (healthy == 0) {
             retries.push_front(
                 PendingWave{std::move(ex.wave), ex.generation, {}});
             if (maxHealthyPerGroup() == 0)
                 outOfCores = true;
             return false;
         }
-        uint64_t budget =
-            static_cast<uint64_t>(cap) * healthy.size();
+        uint64_t budget = static_cast<uint64_t>(cap) * healthy;
         if (waveElems > budget) {
             Wave head = takeWaveHead(ex.wave, budget);
             retries.push_front(
@@ -620,12 +762,13 @@ ServePipeline::run(BatchQueue& queue)
         }
 
         const uint64_t per = std::min<uint64_t>(
-            cap, (waveElems + healthy.size() - 1) / healthy.size());
+            cap, (waveElems + healthy - 1) / healthy);
         std::vector<ScatterSlice> scatter;
         uint64_t first = 0;
-        for (uint32_t d : healthy) {
-            if (first >= waveElems)
-                break;
+        for (uint32_t d = g.firstDpu; d < g.endDpu && first < waveElems;
+             ++d) {
+            if (sys_.isMasked(d))
+                continue;
             uint32_t count = static_cast<uint32_t>(
                 std::min<uint64_t>(per, waveElems - first));
             ShardTask t;
@@ -651,7 +794,7 @@ ServePipeline::run(BatchQueue& queue)
 
         // Tuner redirect: stamp the decision on the wave it first
         // applies to, at scatter start, tagged with the tenant.
-        if (journal && !tuneNote.empty()) {
+        if (journalEvents && !tuneNote.empty()) {
             obs::JournalEvent ev;
             ev.kind = "tune";
             ev.t = ex.scatterEv.start;
@@ -667,7 +810,7 @@ ServePipeline::run(BatchQueue& queue)
         // Per-request span accounting (post-split, so every element
         // is attributed to exactly the wave that carries it).
         if (trackReqs) {
-            ex.reqs = collectWaveReqs(ex.wave);
+            ex.reqs = collectWaveReqs(ex.wave, &ex.itemReq);
             const double waveXfer =
                 ex.stats.broadcastSeconds + ex.stats.scatterSeconds;
             for (const WaveReq& r : ex.reqs) {
@@ -705,88 +848,6 @@ ServePipeline::run(BatchQueue& queue)
         return true;
     };
 
-    /** Launch the wave's kernels (the group's DPU lanes). */
-    auto computeWave = [&](LaneGroup& g, WaveExec& ex) {
-        std::vector<int> sliceOfDpu(n, -1);
-        for (size_t s = 0; s < ex.slices.size(); ++s)
-            sliceOfDpu[ex.slices[s].dpu] = static_cast<int>(s);
-        double readyAt = std::max(ex.scatterEv.end,
-                                  g.gatherEndByParity[ex.parity]);
-        ex.computeEv = sys_.launchAsync(
-            timeline, readyAt, opts_.numTasklets,
-            [&](uint32_t d) -> Kernel {
-                int s = sliceOfDpu[d];
-                if (s < 0)
-                    return {};
-                return ex.binding->makeKernel(ex.slices[s]);
-            });
-        lastLegEnd = ex.computeEv.end;
-        g.computeEndByParity[ex.parity] = ex.computeEv.end;
-        ex.stats.maxCycles = sys_.lastMaxCycles();
-        ex.stats.computeSeconds =
-            freq > 0.0
-                ? static_cast<double>(ex.stats.maxCycles) / freq
-                : 0.0;
-        report.computeCycles += ex.stats.maxCycles;
-        g.stats.computeCycles += ex.stats.maxCycles;
-
-        // Straggler detection: a pure function of the per-DPU cycle
-        // counts the sequential failure sweep recorded, so it is
-        // deterministic at any thread count and costs nothing on the
-        // modeled schedule.
-        const std::vector<uint64_t>& perDpu = sys_.lastLaunchCycles();
-        std::vector<uint64_t> sliceCycles;
-        sliceCycles.reserve(ex.slices.size());
-        for (const ShardTask& t : ex.slices)
-            if (t.dpu < perDpu.size())
-                sliceCycles.push_back(perDpu[t.dpu]);
-        for (uint64_t c : sliceCycles)
-            ex.stats.totalCycles += c;
-        std::sort(sliceCycles.begin(), sliceCycles.end());
-        if (!sliceCycles.empty())
-            ex.stats.medianCycles =
-                sliceCycles[sliceCycles.size() / 2];
-        if (sliceCycles.size() >= 2 && ex.stats.medianCycles > 0) {
-            const double limit =
-                opts_.stragglerFactor *
-                static_cast<double>(ex.stats.medianCycles);
-            uint32_t stragglers = 0;
-            for (uint64_t c : sliceCycles)
-                if (static_cast<double>(c) > limit)
-                    ++stragglers;
-            if (stragglers > 0) {
-                ex.stats.stragglerDpus = stragglers;
-                ++report.anomalousWaves;
-                if (reg.enabled()) {
-                    reg.counter("serve/anomaly/straggler_waves")
-                        .add(1);
-                    reg.counter("serve/anomaly/straggler_dpus")
-                        .add(stragglers);
-                }
-                jev("anomaly", ex.computeEv.start,
-                    ex.computeEv.seconds(), 0, ex.waveIndex,
-                    ex.stats.elements, sliceCycles.back(), g.lane,
-                    ex.wave.table.label,
-                    "max " + std::to_string(sliceCycles.back()) +
-                        " cycles vs median " +
-                        std::to_string(ex.stats.medianCycles) +
-                        " across " +
-                        std::to_string(sliceCycles.size()) +
-                        " slices");
-            }
-        }
-
-        if (trackReqs)
-            for (const WaveReq& r : ex.reqs) {
-                ReqAcc& acc = accFor(r, ex.wave.table);
-                acc.computeSeconds += ex.computeEv.seconds();
-                jev("compute", ex.computeEv.start,
-                    ex.computeEv.seconds(), r.id, ex.waveIndex,
-                    r.elements, ex.stats.maxCycles, g.lane,
-                    ex.wave.table.label);
-            }
-    };
-
     /** Gather, distribute outputs, and re-queue failed slices (the
      * retry wave is free to land on any healthy group). */
     auto finishWave = [&](LaneGroup& g, WaveExec& ex) {
@@ -811,84 +872,71 @@ ServePipeline::run(BatchQueue& queue)
         Wave retry;
         retry.table = ex.wave.table;
         retry.tenant = ex.wave.tenant;
-        // Visit every (item, overlap) of the wave-relative range
-        // [lo, hi): waveOff is the overlap's start in wave space,
-        // itemOff the same point relative to the item's own spans.
-        auto forEachItemRange =
-            [&](uint64_t lo, uint64_t hi,
-                const std::function<void(const WaveItem&,
-                                         uint64_t waveOff,
-                                         uint64_t itemOff,
-                                         uint64_t count)>& fn) {
-                for (size_t i = 0; i < ex.wave.items.size(); ++i) {
-                    uint64_t a = ex.itemStart[i];
-                    uint64_t b = a + ex.wave.items[i].elements;
-                    uint64_t s = std::max(lo, a);
-                    uint64_t e = std::min(hi, b);
-                    if (s < e)
-                        fn(ex.wave.items[i], s, s - a, e - s);
-                }
-            };
-        std::map<uint64_t, uint64_t> gatheredByReq;
+        // Slices and items both tile the wave in offset order, so one
+        // forward merge visits every (slice, item) overlap: waveOff
+        // is the overlap's start in wave space, itemOff the same point
+        // relative to the item's own spans.
+        std::vector<uint64_t> gathered(ex.reqs.size(), 0);
         std::vector<WaveOutcome::Span> tuneSpans;
+        size_t i = 0;
         for (const ShardTask& t : ex.slices) {
-            uint64_t lo = t.firstElement;
-            uint64_t hi = lo + t.elements;
-            if (!sys_.isMasked(t.dpu)) {
-                forEachItemRange(
-                    lo, hi,
-                    [&](const WaveItem& it, uint64_t waveOff,
-                        uint64_t itemOff, uint64_t count) {
-                        std::memcpy(it.output + itemOff,
-                                    stagingOut.data() + waveOff,
-                                    count * sizeof(float));
-                        if (trackReqs)
-                            gatheredByReq[it.requestId] += count;
-                        if (opts_.autoTuner)
-                            tuneSpans.push_back(
-                                {it.input + itemOff,
-                                 it.output + itemOff, count});
-                    });
-            } else {
+            const bool healthy = !sys_.isMasked(t.dpu);
+            if (!healthy) {
                 ++ex.stats.retriedSlices;
                 noteFailedDpu(t.dpu);
-                forEachItemRange(
-                    lo, hi,
-                    [&](const WaveItem& it, uint64_t /*waveOff*/,
-                        uint64_t itemOff, uint64_t count) {
-                        // The tail flag survives a retry only if the
-                        // retried range still covers the item's tail.
-                        retry.items.push_back(
-                            {it.requestId, it.input + itemOff,
-                             it.output + itemOff, count,
-                             it.arrivalSeconds,
-                             it.last &&
-                                 itemOff + count == it.elements});
-                    });
+            }
+            uint64_t waveOff = t.firstElement;
+            const uint64_t hi = waveOff + t.elements;
+            while (waveOff < hi) {
+                while (ex.itemStart[i] + ex.wave.items[i].elements <=
+                       waveOff)
+                    ++i;
+                const WaveItem& it = ex.wave.items[i];
+                const uint64_t itemOff = waveOff - ex.itemStart[i];
+                const uint64_t count =
+                    std::min(hi - waveOff, it.elements - itemOff);
+                if (healthy) {
+                    std::memcpy(it.output + itemOff,
+                                stagingOut.data() + waveOff,
+                                count * sizeof(float));
+                    if (trackReqs)
+                        gathered[ex.itemReq[i]] += count;
+                    if (opts_.autoTuner)
+                        tuneSpans.push_back({it.input + itemOff,
+                                             it.output + itemOff,
+                                             count});
+                } else {
+                    // The tail flag survives a retry only if the
+                    // retried range still covers the item's tail.
+                    retry.items.push_back(
+                        {it.requestId, it.input + itemOff,
+                         it.output + itemOff, count, it.arrivalSeconds,
+                         it.last && itemOff + count == it.elements});
+                }
+                waveOff += count;
             }
         }
 
         if (trackReqs)
-            for (const WaveReq& r : ex.reqs) {
-                ReqAcc& acc = accFor(r, ex.wave.table);
+            for (size_t r = 0; r < ex.reqs.size(); ++r) {
+                const WaveReq& req = ex.reqs[r];
+                ReqAcc& acc = accFor(req, ex.wave.table);
                 acc.transferSeconds += gatherEv.seconds();
                 jev("gather", gatherEv.start, gatherEv.seconds(),
-                    r.id, ex.waveIndex, r.elements, 0, g.lane,
+                    req.id, ex.waveIndex, req.elements, 0, g.lane,
                     ex.wave.table.label);
-                auto gathered = gatheredByReq.find(r.id);
-                if (gathered != gatheredByReq.end())
-                    acc.elementsDone += gathered->second;
+                acc.elementsDone += gathered[r];
                 if (!acc.complete && acc.sawLast &&
                     acc.elementsTotal > 0 &&
                     acc.elementsDone == acc.elementsTotal) {
                     acc.complete = true;
                     acc.completed = gatherEv.end;
-                    jev("done", gatherEv.end, 0.0, r.id, ex.waveIndex,
-                        acc.elementsTotal, 0, g.lane,
+                    jev("done", gatherEv.end, 0.0, req.id,
+                        ex.waveIndex, acc.elementsTotal, 0, g.lane,
                         ex.wave.table.label);
                     if (tracer.enabled())
-                        tracer.flowEnd("req " + std::to_string(r.id),
-                                       "serve", r.id);
+                        tracer.flowEnd("req " + std::to_string(req.id),
+                                       "serve", req.id);
                 }
             }
         uint64_t retryElems = retry.elements();
@@ -940,6 +988,7 @@ ServePipeline::run(BatchQueue& queue)
     };
 
     auto drainInflight = [&]() {
+        commitOutstanding();
         bool drained = false;
         for (LaneGroup& g : groups)
             if (g.inflight) {
@@ -950,10 +999,16 @@ ServePipeline::run(BatchQueue& queue)
         return drained;
     };
 
+    // With a fault plan armed, masks and per-DPU fault draws must
+    // keep their serial order, so nothing overlaps: the previous wave
+    // finishes before the next submits, which commits at once.
+    const bool overlap = sys_.faultPlan() == nullptr;
+
     // Drive loop: one in-flight wave per group. Beginning a second
-    // wave on a group first finishes the group's previous wave (its
-    // gather queues behind the new scatter on the group's lane),
-    // which keeps the two-deep pipeline per group.
+    // wave on a group first commits the submitted wave, then submits
+    // the new one and finishes the group's previous wave (its gather
+    // queues behind the new scatter on the group's lane) while the
+    // new wave's kernels run — the two-deep pipeline per group.
     for (;;) {
         auto pw = nextWave();
         if (!pw) {
@@ -965,6 +1020,10 @@ ServePipeline::run(BatchQueue& queue)
                 continue;
             break;
         }
+        // Placement reads every rank's modeled makespan, which the
+        // submitted wave's commit moves.
+        if (groups.size() > 1)
+            commitOutstanding();
         LaneGroup* g = place(pw->wave.table);
         if (!g) {
             outOfCores = true;
@@ -980,12 +1039,18 @@ ServePipeline::run(BatchQueue& queue)
                 break;
             continue; // infeasible wave: try the next one
         }
-        if (g->inflight) {
-            finishWave(*g, *g->inflight);
-            g->inflight.reset();
+        commitOutstanding();
+        std::optional<WaveExec> prev =
+            std::exchange(g->inflight, std::move(ex));
+        if (prev && !overlap) {
+            finishWave(*g, *prev);
+            prev.reset();
         }
-        computeWave(*g, ex);
-        g->inflight = std::move(ex);
+        submitWave(*g);
+        if (!overlap)
+            commitOutstanding();
+        if (prev)
+            finishWave(*g, *prev);
     }
     drainInflight();
 

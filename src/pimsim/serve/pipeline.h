@@ -35,6 +35,12 @@
  * transfer->launch->gather round trip, since leg durations do not
  * depend on when a leg is issued — and ServeReport::speedup() and
  * overlapFraction() compare it with the pipelined makespan.
+ *
+ * The simulator itself pipelines in wall time the same way: each
+ * wave's kernels run on the simulation pool while the consumer thread
+ * finishes the previous wave and begins the next, and waves commit in
+ * order — so every result is bit-identical to the serial reference
+ * (TPL_SIM_THREADS=1). See docs/serve.md, "Execution model".
  */
 
 #ifndef TPL_PIMSIM_SERVE_PIPELINE_H
@@ -247,7 +253,8 @@ class ServePipeline
     /** Serve every request in @p queue; blocks the calling thread.
      * Throws std::bad_alloc, before serving anything, when the
      * per-DPU double buffers (PipelineOptions::perDpuElements) do
-     * not fit in MRAM. */
+     * not fit in MRAM. An exception from a kernel, the provider or
+     * the tuner propagates once no kernel of the run is executing. */
     ServeReport run(BatchQueue& queue);
 
     const TableCache& cache() const { return cache_; }

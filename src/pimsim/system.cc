@@ -89,6 +89,7 @@ PimSystem::armFaults(const fault::FaultPlan& plan)
     faults_ = std::make_unique<fault::SystemFaultState>(plan, dpus_);
     for (uint32_t i = 0; i < numDpus(); ++i)
         dpus_[i]->setFaultState(&faults_->dpu(i));
+    ++maskEpoch_;
 }
 
 void
@@ -97,6 +98,7 @@ PimSystem::disarmFaults()
     for (auto& d : dpus_)
         d->setFaultState(nullptr);
     faults_.reset();
+    ++maskEpoch_;
 }
 
 const fault::FaultPlan*
@@ -123,8 +125,10 @@ PimSystem::healthyDpus() const
 void
 PimSystem::maskDpu(uint32_t dpu)
 {
-    if (faults_)
-        faults_->mask(dpu);
+    if (!faults_)
+        return;
+    faults_->mask(dpu);
+    ++maskEpoch_;
 }
 
 void
@@ -364,6 +368,184 @@ PimSystem::gatherFromMram(uint32_t mramAddr, void* data,
                            total, extraSeconds);
 }
 
+/** What a submitted wave carries from submitLaunch to its commit. */
+struct LaunchHandle::State
+{
+    uint32_t first = 0;
+    uint32_t numTasklets = 0;
+    std::vector<uint32_t> runs;  ///< range offsets (dpu - first) that run
+    std::vector<Kernel> kernels; ///< aligned with runs
+    uint32_t masked = 0;         ///< asked to run, but already masked
+    std::vector<uint64_t> cycles; ///< indexed by dpu - first
+    ThreadPool* pool = nullptr;
+    /** The kernels on the pool; null when they run at the commit. */
+    std::shared_ptr<ThreadPool::Job> job;
+    LaunchReport report;
+};
+
+LaunchHandle::LaunchHandle() = default;
+
+LaunchHandle::LaunchHandle(LaunchHandle&& other) noexcept = default;
+
+LaunchHandle&
+LaunchHandle::operator=(LaunchHandle&& other) noexcept
+{
+    if (this != &other) {
+        reset();
+        state_ = std::move(other.state_);
+    }
+    return *this;
+}
+
+LaunchHandle::~LaunchHandle() { reset(); }
+
+void
+LaunchHandle::reset() noexcept
+{
+    if (state_ && state_->job) {
+        // Abandoned before its commit: the kernels still reference
+        // this state, so let them finish before it goes away.
+        try {
+            state_->pool->wait(state_->job);
+        } catch (...) {
+        }
+    }
+    state_.reset();
+}
+
+uint32_t
+LaunchHandle::firstDpu() const
+{
+    return state_ ? state_->first : 0;
+}
+
+const std::vector<uint64_t>&
+LaunchHandle::cycles() const
+{
+    static const std::vector<uint64_t> none;
+    return state_ ? state_->cycles : none;
+}
+
+const LaunchReport&
+LaunchHandle::report() const
+{
+    static const LaunchReport none;
+    return state_ ? state_->report : none;
+}
+
+LaunchHandle
+PimSystem::submitLaunch(uint32_t firstDpu, uint32_t endDpu,
+                        uint32_t numTasklets,
+                        const DpuKernelFactory& makeKernel)
+{
+    endDpu = std::min(endDpu, numDpus());
+    firstDpu = std::min(firstDpu, endDpu);
+    const uint32_t n = endDpu - firstDpu;
+    obs::TraceSpan span(
+        "launchSubmit", "sim",
+        obs::argsObject(
+            {obs::argKv("dpus", static_cast<uint64_t>(n)),
+             obs::argKv("tasklets",
+                        static_cast<uint64_t>(numTasklets))}));
+
+    LaunchHandle handle;
+    handle.state_ = std::make_unique<LaunchHandle::State>();
+    LaunchHandle::State& st = *handle.state_;
+    st.first = firstDpu;
+    st.numTasklets = numTasklets;
+    st.cycles.assign(n, 0);
+    // Build the wave on this thread, in DPU order (deterministic
+    // factory calls). A core is skipped only if it was asked to run
+    // but an earlier failure masked it.
+    for (uint32_t k = 0; k < n; ++k) {
+        Kernel kernel = makeKernel(firstDpu + k);
+        if (!kernel)
+            continue;
+        if (faults_ && faults_->masked(firstDpu + k)) {
+            ++st.masked;
+            continue;
+        }
+        st.runs.push_back(k);
+        st.kernels.push_back(std::move(kernel));
+    }
+
+    if (simThreads_ != 1) {
+        // Per-DPU cycles land in pre-sized slots: no cross-thread
+        // accumulation, so the result is identical to the serial
+        // loop bit for bit.
+        st.pool = pool_ ? pool_ : &ThreadPool::global();
+        LaunchHandle::State* wave = &st;
+        st.job = st.pool->start(
+            st.runs.size(),
+            [this, wave](uint64_t i) { runLaunchIndex(*wave, i); });
+    }
+    return handle;
+}
+
+void
+PimSystem::runLaunchIndex(LaunchHandle::State& wave, size_t i)
+{
+    const uint32_t k = wave.runs[i];
+    const uint32_t d = wave.first + k;
+    obs::Tracer& tracer = obs::Tracer::global();
+    if (!tracer.enabled()) {
+        wave.cycles[k] =
+            dpus_[d]->launch(wave.numTasklets, wave.kernels[i]).cycles;
+        return;
+    }
+    // The per-DPU slice lands on whichever pool thread ran it,
+    // exercising the tracer's per-thread buffers.
+    double t0 = tracer.nowUs();
+    wave.cycles[k] =
+        dpus_[d]->launch(wave.numTasklets, wave.kernels[i]).cycles;
+    tracer.complete("dpu " + std::to_string(d), "dpu", t0,
+                    tracer.nowUs() - t0,
+                    obs::argKv("cycles", wave.cycles[k]));
+}
+
+void
+PimSystem::joinLaunch(LaunchHandle::State& wave)
+{
+    if (wave.job) {
+        std::shared_ptr<ThreadPool::Job> job = std::move(wave.job);
+        wave.pool->wait(job);
+    } else {
+        for (size_t i = 0; i < wave.runs.size(); ++i)
+            runLaunchIndex(wave, i);
+    }
+
+    // Sequential failure sweep: apply the launch timeout, mask newly
+    // failed cores, and cap their cycle contribution (the host fences
+    // a straggler at the timeout; a hard-failed core contributed 0).
+    obs::Registry& reg = obs::Registry::global();
+    LaunchReport& report = wave.report;
+    report.attempted = static_cast<uint32_t>(wave.runs.size());
+    report.masked = wave.masked;
+    if (faults_) {
+        for (uint32_t k : wave.runs) {
+            const uint32_t d = wave.first + k;
+            const LaunchStats& st = dpus_[d]->lastLaunch();
+            report.faultEvents += st.faultEvents;
+            bool failed = st.failed;
+            if (!failed && policy_.launchTimeoutCycles > 0 &&
+                st.cycles > policy_.launchTimeoutCycles) {
+                failed = true;
+                wave.cycles[k] = policy_.launchTimeoutCycles;
+                if (reg.enabled())
+                    reg.counter("fault/launch/timeout").add(1);
+            }
+            if (failed) {
+                report.failedDpus.push_back(d);
+                maskDpu(d);
+            }
+        }
+        if (reg.enabled() && report.masked)
+            reg.counter("fault/launch/masked_skips").add(report.masked);
+    }
+    for (uint64_t c : wave.cycles)
+        report.maxCycles = std::max(report.maxCycles, c);
+}
+
 double
 PimSystem::launchAll(uint32_t numTasklets, const Kernel& kernel)
 {
@@ -374,51 +556,14 @@ PimSystem::launchAll(uint32_t numTasklets, const Kernel& kernel)
             {obs::argKv("dpus", static_cast<uint64_t>(n)),
              obs::argKv("tasklets",
                         static_cast<uint64_t>(numTasklets))}));
-    obs::Tracer& tracer = obs::Tracer::global();
-    const bool tracing = tracer.enabled();
-    // Cores masked by an earlier failure are skipped this launch;
-    // snapshot the mask up front so a core failing *during* this
-    // launch still counts as attempted.
-    std::vector<uint8_t> skip(n, 0);
-    if (faults_)
-        for (uint32_t i = 0; i < n; ++i)
-            skip[i] = faults_->masked(i) ? 1 : 0;
-    // Per-DPU cycles land in a pre-sized slot each, then reduce
-    // sequentially: no cross-thread accumulation, so the result is
-    // identical to the serial loop bit for bit.
-    std::vector<uint64_t> cycles(n, 0);
-    auto runOne = [&](uint32_t i) {
-        if (skip[i])
-            return;
-        if (tracing) {
-            // The per-DPU slice lands on whichever pool thread ran
-            // it, exercising the tracer's per-thread buffers.
-            double t0 = tracer.nowUs();
-            cycles[i] = dpus_[i]->launch(numTasklets, kernel).cycles;
-            tracer.complete(
-                "dpu " + std::to_string(i), "dpu", t0,
-                tracer.nowUs() - t0,
-                obs::argKv("cycles", cycles[i]));
-        } else {
-            cycles[i] = dpus_[i]->launch(numTasklets, kernel).cycles;
-        }
-    };
-    if (simThreads_ == 1 || n <= 1) {
-        for (uint32_t i = 0; i < n; ++i)
-            runOne(i);
-    } else {
-        ThreadPool& pool = pool_ ? *pool_ : ThreadPool::global();
-        pool.parallelFor(
-            n, [&](uint64_t i) { runOne(static_cast<uint32_t>(i)); });
-    }
+    LaunchHandle wave = submitLaunch(
+        0, n, numTasklets, [&](uint32_t) { return kernel; });
+    joinLaunch(*wave.state_);
+    lastReport_ = wave.state_->report;
+    lastMaxCycles_ = lastReport_.maxCycles;
+    const uint64_t maxCycles = lastMaxCycles_;
+
     obs::Registry& reg = obs::Registry::global();
-
-    std::vector<uint8_t> ran(n, 0);
-    for (uint32_t i = 0; i < n; ++i)
-        ran[i] = skip[i] ? 0 : 1;
-    sweepLaunchFailures(ran, skip, cycles);
-    uint64_t maxCycles = lastMaxCycles_;
-
     if (reg.enabled()) {
         reg.counter("pimsim/system/launches").add(1);
         reg.counter("pimsim/system/max_cycles").add(maxCycles);
@@ -432,57 +577,6 @@ PimSystem::launchAll(uint32_t numTasklets, const Kernel& kernel)
     if (reg.enabled())
         reg.real("pimsim/system/modeled_seconds").add(seconds);
     return seconds;
-}
-
-void
-PimSystem::sweepLaunchFailures(const std::vector<uint8_t>& ran,
-                               const std::vector<uint8_t>& skip,
-                               std::vector<uint64_t>& cycles)
-{
-    uint32_t n = numDpus();
-    obs::Registry& reg = obs::Registry::global();
-    // Sequential failure sweep: apply the launch timeout, mask newly
-    // failed cores, and cap their cycle contribution (the host fences
-    // a straggler at the timeout; a hard-failed core contributed 0).
-    LaunchReport report;
-    if (faults_) {
-        for (uint32_t i = 0; i < n; ++i) {
-            if (skip[i]) {
-                ++report.masked;
-                continue;
-            }
-            if (!ran[i])
-                continue;
-            ++report.attempted;
-            const LaunchStats& st = dpus_[i]->lastLaunch();
-            report.faultEvents += st.faultEvents;
-            bool failed = st.failed;
-            if (!failed && policy_.launchTimeoutCycles > 0 &&
-                st.cycles > policy_.launchTimeoutCycles) {
-                failed = true;
-                cycles[i] = policy_.launchTimeoutCycles;
-                if (reg.enabled())
-                    reg.counter("fault/launch/timeout").add(1);
-            }
-            if (failed) {
-                report.failedDpus.push_back(i);
-                faults_->mask(i);
-            }
-        }
-        if (reg.enabled() && report.masked)
-            reg.counter("fault/launch/masked_skips").add(report.masked);
-    } else {
-        for (uint32_t i = 0; i < n; ++i)
-            report.attempted += ran[i] ? 1 : 0;
-    }
-
-    uint64_t maxCycles = 0;
-    for (uint64_t c : cycles)
-        maxCycles = std::max(maxCycles, c);
-    lastMaxCycles_ = maxCycles;
-    lastCycles_ = cycles;
-    report.maxCycles = maxCycles;
-    lastReport_ = std::move(report);
 }
 
 PipelineEvent
@@ -586,81 +680,26 @@ PimSystem::gatherAsync(PipelineTimeline& timeline, double readyAt,
 }
 
 PipelineEvent
-PimSystem::launchAsync(PipelineTimeline& timeline, double readyAt,
-                       uint32_t numTasklets,
-                       const DpuKernelFactory& makeKernel)
+PimSystem::commitLaunch(LaunchHandle& launch, PipelineTimeline& timeline,
+                        double readyAt)
 {
-    uint32_t n = numDpus();
-    obs::TraceSpan span(
-        "launchAsync", "sim",
-        obs::argsObject(
-            {obs::argKv("dpus", static_cast<uint64_t>(n)),
-             obs::argKv("tasklets",
-                        static_cast<uint64_t>(numTasklets))}));
-    obs::Tracer& tracer = obs::Tracer::global();
-    const bool tracing = tracer.enabled();
-
-    // Build the wave on the host thread (deterministic factory call
-    // order). A core is "skipped" only if it was asked to participate
-    // but an earlier failure masked it.
-    std::vector<uint8_t> skip(n, 0);
-    std::vector<uint8_t> ran(n, 0);
-    std::vector<Kernel> kernels(n);
-    for (uint32_t i = 0; i < n; ++i) {
-        Kernel k = makeKernel(i);
-        if (!k)
-            continue;
-        if (faults_ && faults_->masked(i)) {
-            skip[i] = 1;
-            continue;
-        }
-        kernels[i] = std::move(k);
-        ran[i] = 1;
-    }
-
-    // Per-DPU cycles land in pre-sized slots (same determinism
-    // argument as launchAll).
-    std::vector<uint64_t> cycles(n, 0);
-    auto runOne = [&](uint32_t i) {
-        if (!ran[i])
-            return;
-        if (tracing) {
-            double t0 = tracer.nowUs();
-            cycles[i] =
-                dpus_[i]->launch(numTasklets, kernels[i]).cycles;
-            tracer.complete("dpu " + std::to_string(i), "dpu", t0,
-                            tracer.nowUs() - t0,
-                            obs::argKv("cycles", cycles[i]));
-        } else {
-            cycles[i] =
-                dpus_[i]->launch(numTasklets, kernels[i]).cycles;
-        }
-    };
-    if (simThreads_ == 1 || n <= 1) {
-        for (uint32_t i = 0; i < n; ++i)
-            runOne(i);
-    } else {
-        ThreadPool& pool = pool_ ? *pool_ : ThreadPool::global();
-        pool.parallelFor(
-            n, [&](uint64_t i) { runOne(static_cast<uint32_t>(i)); });
-    }
-
-    sweepLaunchFailures(ran, skip, cycles);
+    obs::TraceSpan span("launchCommit", "sim");
+    LaunchHandle::State& wave = *launch.state_;
+    joinLaunch(wave);
 
     // Merge each participating core's modeled cycles onto its own
     // timeline lane; the wave's event spans the earliest lane start
     // to the latest lane end.
     PipelineEvent ev{readyAt, readyAt};
     bool first = true;
-    for (uint32_t i = 0; i < n; ++i) {
-        if (!ran[i])
-            continue;
+    for (uint32_t k : wave.runs) {
+        const uint32_t d = wave.first + k;
         double secs = model_.frequencyHz > 0.0
-                          ? static_cast<double>(cycles[i]) /
+                          ? static_cast<double>(wave.cycles[k]) /
                                 model_.frequencyHz
                           : 0.0;
-        double start = std::max(readyAt, timeline.dpuFree(i));
-        double end = timeline.reserveDpu(i, readyAt, secs);
+        double start = std::max(readyAt, timeline.dpuFree(d));
+        double end = timeline.reserveDpu(d, readyAt, secs);
         ev.start = first ? start : std::min(ev.start, start);
         ev.end = std::max(ev.end, end);
         first = false;
@@ -668,10 +707,11 @@ PimSystem::launchAsync(PipelineTimeline& timeline, double readyAt,
 
     obs::Registry& reg = obs::Registry::global();
     if (reg.enabled()) {
+        const uint64_t maxCycles = wave.report.maxCycles;
         reg.counter("pimsim/system/async_launches").add(1);
-        reg.counter("pimsim/system/max_cycles").add(lastMaxCycles_);
+        reg.counter("pimsim/system/max_cycles").add(maxCycles);
         reg.histogram("pimsim/system/max_cycles_per_launch")
-            .observe(lastMaxCycles_);
+            .observe(maxCycles);
         reg.real("pimsim/system/modeled_seconds")
             .add(ev.end - ev.start);
     }

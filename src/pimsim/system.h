@@ -19,6 +19,7 @@
 #define TPL_PIMSIM_SYSTEM_H
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -343,10 +344,47 @@ struct GatherSlice
 };
 
 /**
- * Builds the kernel one DPU runs in a launchAsync wave. Returning an
+ * Builds the kernel one DPU runs in a submitted wave. Returning an
  * empty Kernel excludes that DPU from the wave (its lane stays free).
  */
 using DpuKernelFactory = std::function<Kernel(uint32_t dpu)>;
+
+/**
+ * A kernel wave started by PimSystem::submitLaunch. Its kernels run on
+ * the simulation pool in the background until PimSystem::commitLaunch
+ * joins them; afterwards the handle holds the wave's outcome.
+ * Destroying a handle that was never committed waits for its kernels
+ * (discarding any error they threw), so nothing of the wave runs once
+ * the handle is gone. The PimSystem must outlive its handles.
+ */
+class LaunchHandle
+{
+  public:
+    LaunchHandle();
+    LaunchHandle(LaunchHandle&& other) noexcept;
+    LaunchHandle& operator=(LaunchHandle&& other) noexcept;
+    ~LaunchHandle();
+
+    /** First DPU of the submitted range. */
+    uint32_t firstDpu() const;
+
+    /**
+     * Per-DPU cycles of the committed wave, indexed by dpu -
+     * firstDpu() (0 for cores that did not run; straggler entries
+     * already fenced at the policy's launch timeout). Filled by the
+     * sequential failure sweep, so deterministic at any thread count.
+     */
+    const std::vector<uint64_t>& cycles() const;
+
+    /** Failure accounting of the committed wave. */
+    const LaunchReport& report() const;
+
+  private:
+    friend class PimSystem;
+    struct State; // system.cc
+    void reset() noexcept;
+    std::unique_ptr<State> state_;
+};
 
 /** Accumulated timing of one offloaded phase. */
 struct PhaseTiming
@@ -381,12 +419,13 @@ struct PhaseTiming
  * generation (FunctionEvaluator::setupSeconds) and the CPU baselines
  * (work::timeCpuBaseline).
  *
- * Parallel simulation: launchAll and the bulk transfer helpers execute
- * across DPUs on the process-wide ThreadPool. Each DpuCore is fully
- * self-contained (its own MRAM/WRAM arrays, per-tasklet instruction
- * counters, per-core DMA accumulator), so modeled cycles, energy and
- * memory numbers are pure functions of per-core state and the results
- * are bit-identical for any thread count. Set TPL_SIM_THREADS=1 (or
+ * Parallel simulation: launchAll, submitLaunch and the bulk transfer
+ * helpers execute across DPUs on the process-wide ThreadPool. Each
+ * DpuCore is fully self-contained (its own MRAM/WRAM arrays,
+ * per-tasklet instruction counters, per-core DMA accumulator), so
+ * modeled cycles, energy and memory numbers are pure functions of
+ * per-core state and the results are bit-identical for any thread
+ * count. Set TPL_SIM_THREADS=1 (or
  * setSimThreads(1)) to force the serial reference path.
  */
 class PimSystem
@@ -434,8 +473,9 @@ class PimSystem
 
     /// @name Asynchronous (pipelined) legs.
     ///
-    /// The async variants perform their data movement / simulation
-    /// immediately in wall time but reserve their modeled cost on a
+    /// The transfer legs move their data immediately in wall time; a
+    /// kernel wave runs in the background between submitLaunch and
+    /// commitLaunch. All of them reserve their modeled cost on a
     /// caller-owned PipelineTimeline instead of assuming the legs run
     /// back to back: transfer legs occupy the serialized host lane,
     /// kernel legs occupy each DPU's own lane. Passing the completion
@@ -485,18 +525,35 @@ class PimSystem
                               int32_t rank = -1);
 
     /**
-     * Launch a wave on every DPU for which @p makeKernel returns a
-     * non-empty kernel, each core's modeled cycles reserved on its
-     * own lane starting no earlier than @p readyAt. Masked cores are
-     * skipped; failures are swept exactly as in launchAll (see
-     * lastLaunchReport()). The event spans from the earliest lane
-     * start to the latest lane end; with all lanes free at @p readyAt
-     * its seconds() is the slowest healthy core's time, like
-     * launchAll's return value.
+     * Start a wave on DPUs [@p firstDpu, @p endDpu) without blocking.
+     * @p makeKernel is called on this thread once per DPU of the
+     * range, in DPU order; cores for which it returns a non-empty
+     * kernel run it, except cores an earlier failure masked (they are
+     * skipped, as in launchAll). The kernels run on the simulation
+     * pool while the caller goes on; with a serial pool (or
+     * setSimThreads(1)) they run inside commitLaunch instead.
+     *
+     * Until the commit the caller must not touch what the kernels
+     * read or write: the cores' MRAM/WRAM regions they use, their
+     * fault states, or their masks.
      */
-    PipelineEvent launchAsync(PipelineTimeline& timeline,
-                              double readyAt, uint32_t numTasklets,
+    LaunchHandle submitLaunch(uint32_t firstDpu, uint32_t endDpu,
+                              uint32_t numTasklets,
                               const DpuKernelFactory& makeKernel);
+
+    /**
+     * Join a submitted wave: wait for its kernels (rethrowing the
+     * first exception one threw), run the failure sweep (see
+     * LaunchHandle::report()), and reserve each participating core's
+     * modeled cycles on its own lane starting no earlier than
+     * @p readyAt. The event spans from the earliest lane start to the
+     * latest lane end; with all lanes free at @p readyAt its
+     * seconds() is the slowest healthy core's time, like launchAll's
+     * return value.
+     */
+    PipelineEvent commitLaunch(LaunchHandle& launch,
+                               PipelineTimeline& timeline,
+                               double readyAt);
     /// @}
 
     /**
@@ -520,19 +577,6 @@ class PimSystem
 
     /** Cycles of the slowest DPU in the last launchAll. */
     uint64_t lastMaxCycles() const { return lastMaxCycles_; }
-
-    /**
-     * Per-DPU cycle counts of the last launchAll/launchAsync, indexed
-     * by DPU (0 for cores that did not run the wave; straggler
-     * entries already fenced at the policy's launch timeout). Filled
-     * by the same sequential failure sweep that computes
-     * lastMaxCycles(), so it is deterministic at any thread count —
-     * the serve pipeline's straggler detector reads its spread.
-     */
-    const std::vector<uint64_t>& lastLaunchCycles() const
-    {
-        return lastCycles_;
-    }
 
     /** Failure accounting of the last launchAll. */
     const LaunchReport& lastLaunchReport() const { return lastReport_; }
@@ -564,6 +608,13 @@ class PimSystem
 
     /** Number of cores not masked out. */
     uint32_t healthyDpus() const;
+
+    /**
+     * Moves whenever a core is masked, and when armFaults or
+     * disarmFaults resets the masks: a caller caching healthy-core
+     * counts recounts only when this changed.
+     */
+    uint64_t maskEpoch() const { return maskEpoch_.load(); }
 
     /**
      * Degradation-aware sharded execution: scatter @p elements items
@@ -680,28 +731,28 @@ class PimSystem
     void maskDpu(uint32_t dpu);
 
     /**
-     * Post-launch failure sweep shared by launchAll and launchAsync:
-     * fence stragglers at the policy's launch timeout (capping their
-     * entry in @p cycles), mask newly failed cores, and fill
-     * lastReport_ / lastMaxCycles_. @p ran marks cores that executed
-     * this wave, @p skip cores excluded because they were already
-     * masked when the wave started. Sequential, so the result is
+     * Shared by launchAll and commitLaunch: wait for the wave's
+     * kernels (or run them here on a serial pool), then the failure
+     * sweep — fence stragglers at the policy's launch timeout
+     * (capping their cycles entry), mask newly failed cores and fill
+     * the wave's report. The sweep is sequential, so the result is
      * independent of the simulation thread count.
      */
-    void sweepLaunchFailures(const std::vector<uint8_t>& ran,
-                             const std::vector<uint8_t>& skip,
-                             std::vector<uint64_t>& cycles);
+    void joinLaunch(LaunchHandle::State& wave);
+
+    /** Run the @p i-th kernel of @p wave (any thread). */
+    void runLaunchIndex(LaunchHandle::State& wave, size_t i);
 
     CostModel model_;
     std::vector<std::unique_ptr<DpuCore>> dpus_;
     uint64_t lastMaxCycles_ = 0;
-    std::vector<uint64_t> lastCycles_;
     uint32_t simThreads_ = 0;
     ThreadPool* pool_ = nullptr; ///< nullptr = the global pool
     TransferStats transferStats_;
     RetryPolicy policy_;
     LaunchReport lastReport_;
     std::unique_ptr<fault::SystemFaultState> faults_;
+    std::atomic<uint64_t> maskEpoch_{0};
 };
 
 } // namespace sim

@@ -5,16 +5,50 @@
 
 #include "pimsim/thread_pool.h"
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <exception>
 
 namespace tpl {
 namespace sim {
+
+struct ThreadPool::Job
+{
+    uint64_t count = 0;
+    std::function<void(uint64_t)> fn;
+    std::atomic<uint64_t> next{0};
+    std::atomic<uint32_t> active{0};
+    std::exception_ptr error; ///< guarded by the pool mutex
+
+    bool hasWork() const { return next.load() < count; }
+};
 
 namespace {
 
 /** Set while a pool worker executes job indices; nested parallelFor
  * calls detect it and run inline instead of re-entering the pool. */
 thread_local bool insideWorker = false;
+
+/** How long an idle participant polls before it blocks (see the
+ * header). */
+constexpr std::chrono::microseconds kPollBudget{1000};
+
+/** Poll @p ready, yielding the CPU between checks, for up to
+ * kPollBudget. @return whether @p ready came true. */
+template <typename Ready>
+bool
+pollFor(Ready ready)
+{
+    const auto deadline = std::chrono::steady_clock::now() + kPollBudget;
+    for (uint32_t n = 1; !ready(); ++n) {
+        if (n % 64 == 0 && std::chrono::steady_clock::now() > deadline)
+            return false;
+        std::this_thread::yield();
+    }
+    return true;
+}
 
 } // namespace
 
@@ -55,6 +89,7 @@ ThreadPool::~ThreadPool()
     {
         std::lock_guard<std::mutex> lock(mutex_);
         stop_ = true;
+        ++posted_;
     }
     wakeCv_.notify_all();
     for (auto& w : workers_)
@@ -69,12 +104,29 @@ ThreadPool::workerLoop()
         std::shared_ptr<Job> job;
         {
             std::unique_lock<std::mutex> lock(mutex_);
-            wakeCv_.wait(lock, [this] {
-                return stop_ || (job_ && job_->hasWork());
-            });
-            if (stop_)
-                return;
-            job = job_;
+            for (;;) {
+                if (stop_)
+                    return;
+                for (const auto& j : jobs_)
+                    if (j->hasWork()) {
+                        job = j;
+                        break;
+                    }
+                if (job)
+                    break;
+                // Nothing to do: poll for the next start, then block.
+                const uint64_t seen = posted_.load();
+                lock.unlock();
+                const bool posted =
+                    pollFor([&] { return posted_.load() != seen; });
+                lock.lock();
+                if (posted)
+                    continue;
+                ++sleepingWorkers_;
+                wakeCv_.wait(lock,
+                             [&] { return posted_.load() != seen; });
+                --sleepingWorkers_;
+            }
         }
         runIndices(*job);
     }
@@ -83,26 +135,69 @@ ThreadPool::workerLoop()
 void
 ThreadPool::runIndices(Job& job)
 {
-    job.active.fetch_add(1, std::memory_order_acq_rel);
+    // A participant registers before claiming, so a waiter that sees
+    // the range exhausted and no participant left knows every claimed
+    // index has finished.
+    job.active.fetch_add(1);
     for (;;) {
-        uint64_t i = job.next.fetch_add(1, std::memory_order_relaxed);
+        uint64_t i = job.next.fetch_add(1);
         if (i >= job.count)
             break;
         try {
-            (*job.fn)(i);
+            job.fn(i);
         } catch (...) {
             std::lock_guard<std::mutex> lock(mutex_);
             if (!job.error)
                 job.error = std::current_exception();
             // Cancel remaining indices; claimed ones still drain.
-            job.next.store(job.count, std::memory_order_relaxed);
+            job.next.store(job.count);
         }
     }
-    if (job.active.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        // Last participant out: wake the caller waiting in parallelFor.
+    if (job.active.fetch_sub(1) == 1) {
+        // Last participant out: wake whoever waits for this job.
         std::lock_guard<std::mutex> lock(mutex_);
-        doneCv_.notify_all();
+        if (sleepingWaiters_ > 0)
+            doneCv_.notify_all();
     }
+}
+
+std::shared_ptr<ThreadPool::Job>
+ThreadPool::start(uint64_t count, std::function<void(uint64_t)> fn)
+{
+    auto job = std::make_shared<Job>();
+    job->count = count;
+    job->fn = std::move(fn);
+    // Without workers (or nested inside one) the job is not posted:
+    // wait() runs it inline on the caller.
+    if (workers_.empty() || count <= 1 || insideWorker)
+        return job;
+    bool wake = false;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        jobs_.push_back(job);
+        ++posted_;
+        wake = sleepingWorkers_ > 0;
+    }
+    if (wake)
+        wakeCv_.notify_all();
+    return job;
+}
+
+void
+ThreadPool::wait(const std::shared_ptr<Job>& job)
+{
+    runIndices(*job); // the waiter claims whatever is left
+    auto drained = [&] { return job->active.load() == 0; };
+    pollFor(drained);
+    std::unique_lock<std::mutex> lock(mutex_);
+    ++sleepingWaiters_;
+    doneCv_.wait(lock, drained);
+    --sleepingWaiters_;
+    auto it = std::find(jobs_.begin(), jobs_.end(), job);
+    if (it != jobs_.end())
+        jobs_.erase(it);
+    if (job->error)
+        std::rethrow_exception(job->error);
 }
 
 void
@@ -116,28 +211,7 @@ ThreadPool::parallelFor(uint64_t count,
             fn(i);
         return;
     }
-
-    auto job = std::make_shared<Job>();
-    job->count = count;
-    job->fn = &fn;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        job_ = job;
-    }
-    wakeCv_.notify_all();
-
-    runIndices(*job); // the caller is a full participant
-
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        doneCv_.wait(lock, [&] {
-            return job->active.load(std::memory_order_acquire) == 0;
-        });
-        if (job_ == job)
-            job_.reset();
-        if (job->error)
-            std::rethrow_exception(job->error);
-    }
+    wait(start(count, fn));
 }
 
 void

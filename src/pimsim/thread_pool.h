@@ -23,6 +23,19 @@
  * Nested parallelFor calls from inside a worker run inline (serially on
  * the calling worker): the pool never deadlocks and inner loops simply
  * do not over-subscribe the machine.
+ *
+ * start()/wait() split a job into a non-blocking post and a join, so
+ * the caller can do other work while the workers run it (the serve
+ * pipeline overlaps its host bookkeeping with DPU kernels this way).
+ * Several jobs may be outstanding at once; workers drain them in the
+ * order they were started. With no workers, nothing runs until
+ * wait(), which then runs every index inline — the serial reference.
+ *
+ * Idle workers (and a waiter whose job is still running) poll for
+ * about a millisecond before they block: waking a blocked thread is
+ * a futex wake, which on a virtualized host can cost more than a
+ * whole serve wave's kernels. A pool that stays busy therefore never
+ * pays it; one that goes quiet sleeps after the poll.
  */
 
 #ifndef TPL_PIMSIM_THREAD_POOL_H
@@ -31,7 +44,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -71,6 +83,25 @@ class ThreadPool
     void parallelFor(uint64_t count,
                      const std::function<void(uint64_t)>& fn);
 
+    /** One started index range; opaque to callers. */
+    struct Job;
+
+    /**
+     * Start fn(i) for every i in [0, count) on the workers and return
+     * at once; @p fn is owned by the job. Every started job must be
+     * passed to wait() exactly once. With no workers (or from inside
+     * a worker) nothing runs before wait().
+     */
+    std::shared_ptr<Job> start(uint64_t count,
+                               std::function<void(uint64_t)> fn);
+
+    /**
+     * Block until every index of @p job finished, running indices no
+     * worker claimed yet on the calling thread. Rethrows the first
+     * exception fn threw (remaining unclaimed indices are skipped).
+     */
+    void wait(const std::shared_ptr<Job>& job);
+
     /**
      * Process-wide shared pool, built on first use with
      * defaultThreads() lanes. Never destroyed (workers are detached at
@@ -85,24 +116,19 @@ class ThreadPool
     static uint32_t defaultThreads();
 
   private:
-    struct Job
-    {
-        uint64_t count = 0;
-        const std::function<void(uint64_t)>* fn = nullptr;
-        std::atomic<uint64_t> next{0};
-        std::atomic<uint32_t> active{0};
-        std::exception_ptr error; ///< guarded by the pool mutex
-
-        bool hasWork() const { return next.load() < count; }
-    };
-
     void workerLoop();
     void runIndices(Job& job);
 
     mutable std::mutex mutex_;
     std::condition_variable wakeCv_; ///< workers: new job available
-    std::condition_variable doneCv_; ///< caller: job drained
-    std::shared_ptr<Job> job_;       ///< current job, if any
+    std::condition_variable doneCv_; ///< waiters: a job drained
+    /** Started, not yet waited jobs, oldest first. */
+    std::vector<std::shared_ptr<Job>> jobs_;
+    /** Bumped (under the mutex) by every start and by shutdown; idle
+     * workers poll it before they block. */
+    std::atomic<uint64_t> posted_{0};
+    uint32_t sleepingWorkers_ = 0; ///< blocked on wakeCv_
+    uint32_t sleepingWaiters_ = 0; ///< blocked on doneCv_
     std::vector<std::thread> workers_;
     bool stop_ = false;
 };

@@ -7,13 +7,15 @@
  * serializes tasklets and reconstructs their interleaving analytically.)
  *
  * Also the home of the parallel-engine guarantees: ThreadPool
- * correctness (full coverage, exception propagation, reentrancy) and
- * the determinism contract of PimSystem::launchAll — a multi-DPU
- * workload run with 1 simulation thread and with N threads must
- * produce bit-identical LaunchStats per DPU.
+ * correctness (full coverage, exception propagation, reentrancy,
+ * non-blocking start/wait) and the determinism contract of
+ * PimSystem::launchAll — a multi-DPU workload run with 1 simulation
+ * thread and with N threads must produce bit-identical LaunchStats
+ * per DPU.
  */
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <numeric>
@@ -137,6 +139,62 @@ TEST(ThreadPool, SerialPoolRunsInline)
     uint64_t sum = 0; // no atomics needed: single-threaded by contract
     pool.parallelFor(1000, [&](uint64_t i) { sum += i; });
     EXPECT_EQ(499500u, sum);
+}
+
+TEST(ThreadPool, StartWaitCoversEveryIndexExactlyOnce)
+{
+    sim::ThreadPool pool(4);
+    constexpr uint64_t n = 10007;
+    std::vector<std::atomic<uint32_t>> hits(n);
+    auto job = pool.start(n, [&](uint64_t i) { ++hits[i]; });
+    pool.wait(job);
+    for (uint64_t i = 0; i < n; ++i)
+        ASSERT_EQ(1u, hits[i].load()) << "index " << i;
+}
+
+TEST(ThreadPool, StartRethrowsAtWait)
+{
+    sim::ThreadPool pool(4);
+    auto job = pool.start(100, [&](uint64_t i) {
+        if (i == 42)
+            throw std::runtime_error("boom");
+    });
+    EXPECT_THROW(pool.wait(job), std::runtime_error);
+    std::atomic<uint64_t> sum{0};
+    pool.wait(pool.start(100, [&](uint64_t i) { sum += i; }));
+    EXPECT_EQ(4950u, sum.load());
+}
+
+TEST(ThreadPool, SerialPoolStartRunsInsideWait)
+{
+    sim::ThreadPool pool(1);
+    const std::thread::id caller = std::this_thread::get_id();
+    uint64_t sum = 0;
+    bool onCaller = true;
+    auto job = pool.start(1000, [&](uint64_t i) {
+        sum += i;
+        onCaller = onCaller && std::this_thread::get_id() == caller;
+    });
+    EXPECT_EQ(0u, sum); // nothing runs before wait: the serial reference
+    pool.wait(job);
+    EXPECT_EQ(499500u, sum);
+    EXPECT_TRUE(onCaller);
+}
+
+TEST(ThreadPool, ParallelForWhileJobOutstanding)
+{
+    sim::ThreadPool pool(4);
+    std::vector<std::atomic<uint32_t>> started(64);
+    auto job = pool.start(started.size(), [&](uint64_t i) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        ++started[i];
+    });
+    std::atomic<uint64_t> sum{0};
+    pool.parallelFor(1000, [&](uint64_t i) { sum += i; });
+    EXPECT_EQ(499500u, sum.load());
+    pool.wait(job);
+    for (auto& s : started)
+        EXPECT_EQ(1u, s.load());
 }
 
 // ----------------------------------------------- launchAll determinism

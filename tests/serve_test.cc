@@ -2,23 +2,36 @@
  * @file
  * pimserve tests: batch coalescing boundaries, overlap accounting
  * identities of the double-buffered pipeline, LUT-cache behavior,
- * determinism across simulation thread counts, and fault-armed
- * degradation.
+ * determinism across simulation thread counts, fault-armed
+ * degradation, and the overlapped drive loop (threaded runs match
+ * the serial reference; errors leave nothing running).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstring>
 #include <ctime>
 #include <deque>
+#include <map>
+#include <memory>
 #include <new>
+#include <optional>
 #include <random>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "pimsim/obs/journal.h"
+#include "pimsim/serve/auto_tuner.h"
 #include "pimsim/serve/pipeline.h"
+#include "pimsim/thread_pool.h"
 #include "pimsim/topology.h"
+#include "transpim/auto_tuner.h"
 #include "transpim/harness.h"
 #include "transpim/serve_glue.h"
 
@@ -801,5 +814,399 @@ TEST(ServePipeline, FleetMakespanIsMaxOfRankTimelines)
             classSum += c;
         EXPECT_EQ(classSum, st.totalInstructions);
         EXPECT_EQ(classSum + st.stallCycles, st.cycles);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Overlapped execution: a wave's kernels run on the pool while the
+// host finishes the previous wave and begins the next, and commits
+// land in wave order — so a threaded run is bit-identical to the
+// serial reference (TPL_SIM_THREADS=1), where the kernels run inside
+// the commit. Both are also bit-identical to the drive loop with
+// overlap off, which an armed fault plan forces: a plan that never
+// fires changes no modeled number, only the loop's order.
+
+namespace {
+
+/** One request of a differential scenario. */
+struct MixRequest
+{
+    Function fn = Function::Sin;
+    MethodSpec spec;
+    uint32_t elements = 0;
+    uint64_t tenant = 0;
+};
+
+struct Scenario
+{
+    uint32_t dpus = 16;
+    uint32_t perDpuElements = 64;
+    std::optional<Topology> topology;
+    std::optional<fault::FaultPlan> plan;
+    bool tuner = false;
+    uint64_t mramBudgetBytes = 0;
+    std::map<uint64_t, serve::TenantSla> slas;
+    std::optional<serve::WaveCost> cost; ///< book entry for every table
+    std::vector<MixRequest> requests;
+};
+
+/** Everything a run produces that overlap must not change. */
+struct ScenarioRun
+{
+    serve::ServeReport rep;
+    std::vector<float> out;
+    std::string journal;
+    std::vector<serve::TuneDecision> decisions;
+};
+
+/** Serve @p sc serially (@p threads == 1) or on a dedicated pool of
+ * @p threads; @p overlapOff arms a plan that never fires when the
+ * scenario has none. */
+ScenarioRun
+serveScenario(const Scenario& sc, uint32_t threads,
+              bool overlapOff = false)
+{
+    ThreadPool pool(threads);
+    PimSystem sys(sc.dpus);
+    if (threads == 1)
+        sys.setSimThreads(1);
+    else
+        sys.setThreadPool(&pool);
+    if (sc.plan)
+        sys.armFaults(*sc.plan);
+    else if (overlapOff)
+        sys.armFaults(*fault::FaultPlan::parse(
+            "seed 1\nfault kind=dpu-hard-fail prob=0\n"));
+
+    EvaluatorCatalog catalog;
+    uint64_t total = 0;
+    for (const MixRequest& r : sc.requests)
+        total += r.elements;
+    std::vector<float> in(total);
+    for (uint64_t i = 0; i < total; ++i)
+        in[i] = 0.01f + 0.9f * static_cast<float>((i * 37) % 1000) /
+                            1000.0f;
+    ScenarioRun run;
+    run.out.assign(total, 0.0f);
+
+    obs::Journal journal;
+    serve::BatchQueue queue;
+    queue.setJournal(&journal);
+    serve::CostBook book;
+    uint64_t off = 0;
+    for (const MixRequest& r : sc.requests) {
+        serve::Request q = makeRequest(catalog.add(r.fn, r.spec),
+                                       in.data() + off,
+                                       run.out.data() + off, r.elements);
+        q.tenant = r.tenant;
+        if (sc.cost)
+            book.set(q.table, *sc.cost);
+        queue.push(q);
+        off += r.elements;
+    }
+    queue.close();
+
+    std::optional<OnlineAutoTuner> tuner;
+    serve::PipelineOptions popts;
+    popts.numTasklets = 8;
+    popts.perDpuElements = sc.perDpuElements;
+    popts.journal = &journal;
+    if (sc.topology)
+        popts.topology = &*sc.topology;
+    if (sc.cost)
+        popts.costBook = &book;
+    if (sc.tuner) {
+        AutoTunerOptions topts;
+        topts.exploreElements = 256;
+        topts.mramBudgetBytes = sc.mramBudgetBytes;
+        tuner.emplace(catalog, topts);
+        for (const auto& [tenant, sla] : sc.slas)
+            tuner->setTenantSla(tenant, sla);
+        popts.autoTuner = &*tuner;
+    }
+    serve::ServePipeline pipeline(sys, catalog.provider(), popts);
+    run.rep = pipeline.run(queue);
+    run.journal = journal.toJsonl();
+    if (tuner)
+        run.decisions = tuner->decisions();
+    return run;
+}
+
+void
+expectSameRun(const ScenarioRun& a, const ScenarioRun& b)
+{
+    const serve::ServeReport& x = a.rep;
+    const serve::ServeReport& y = b.rep;
+    EXPECT_EQ(x.complete, y.complete);
+    EXPECT_EQ(x.requests, y.requests);
+    EXPECT_EQ(x.elements, y.elements);
+    EXPECT_EQ(x.waves, y.waves);
+    EXPECT_EQ(x.cacheHits, y.cacheHits);
+    EXPECT_EQ(x.cacheMisses, y.cacheMisses);
+    EXPECT_EQ(x.infeasibleElements, y.infeasibleElements);
+    EXPECT_EQ(x.droppedElements, y.droppedElements);
+    EXPECT_EQ(x.modeledSeconds, y.modeledSeconds);
+    EXPECT_EQ(x.syncSeconds, y.syncSeconds);
+    EXPECT_EQ(x.failedDpus, y.failedDpus);
+    EXPECT_EQ(x.reshardedElements, y.reshardedElements);
+    EXPECT_EQ(x.computeCycles, y.computeCycles);
+    EXPECT_EQ(x.anomalousWaves, y.anomalousWaves);
+    ASSERT_EQ(x.waveStats.size(), y.waveStats.size());
+    for (size_t i = 0; i < x.waveStats.size(); ++i) {
+        const serve::WaveStats& p = x.waveStats[i];
+        const serve::WaveStats& q = y.waveStats[i];
+        SCOPED_TRACE("wave " + std::to_string(i));
+        EXPECT_EQ(p.elements, q.elements);
+        EXPECT_EQ(p.slices, q.slices);
+        EXPECT_EQ(p.tableMiss, q.tableMiss);
+        EXPECT_EQ(p.broadcastSeconds, q.broadcastSeconds);
+        EXPECT_EQ(p.scatterSeconds, q.scatterSeconds);
+        EXPECT_EQ(p.computeSeconds, q.computeSeconds);
+        EXPECT_EQ(p.gatherSeconds, q.gatherSeconds);
+        EXPECT_EQ(p.maxCycles, q.maxCycles);
+        EXPECT_EQ(p.totalCycles, q.totalCycles);
+        EXPECT_EQ(p.retriedSlices, q.retriedSlices);
+        EXPECT_EQ(p.medianCycles, q.medianCycles);
+        EXPECT_EQ(p.stragglerDpus, q.stragglerDpus);
+    }
+    ASSERT_EQ(x.rankStats.size(), y.rankStats.size());
+    for (size_t r = 0; r < x.rankStats.size(); ++r) {
+        EXPECT_EQ(x.rankStats[r].waves, y.rankStats[r].waves);
+        EXPECT_EQ(x.rankStats[r].elements, y.rankStats[r].elements);
+        EXPECT_EQ(x.rankStats[r].computeCycles,
+                  y.rankStats[r].computeCycles);
+        EXPECT_EQ(x.rankStats[r].makespanSeconds,
+                  y.rankStats[r].makespanSeconds);
+        EXPECT_EQ(x.rankStats[r].residentTables,
+                  y.rankStats[r].residentTables);
+        EXPECT_EQ(x.rankStats[r].broadcasts, y.rankStats[r].broadcasts);
+    }
+    ASSERT_EQ(a.out.size(), b.out.size());
+    EXPECT_EQ(0, std::memcmp(a.out.data(), b.out.data(),
+                             a.out.size() * sizeof(float)));
+    EXPECT_EQ(a.journal, b.journal);
+    ASSERT_EQ(a.decisions.size(), b.decisions.size());
+    for (size_t i = 0; i < a.decisions.size(); ++i) {
+        EXPECT_EQ(a.decisions[i].reason, b.decisions[i].reason);
+        EXPECT_EQ(a.decisions[i].toTable, b.decisions[i].toTable);
+    }
+}
+
+/** A few dozen LLut requests over three tables, sized so waves
+ * coalesce several requests and requests straddle waves. */
+std::vector<MixRequest>
+llutMix()
+{
+    std::vector<MixRequest> reqs;
+    const Function fns[] = {Function::Sin, Function::Cos, Function::Exp};
+    for (uint32_t i = 0; i < 30; ++i)
+        reqs.push_back({fns[(i / 4) % 3], MethodSpec{},
+                        150 + (i * 97) % 600, 0});
+    return reqs;
+}
+
+/** Serve @p sc serially with overlap off, then serially and on 4-
+ * and 16-thread pools with overlap on; every run must match the
+ * first. @return the first run. */
+ScenarioRun
+expectOverlapMatchesSerial(const Scenario& sc)
+{
+    ScenarioRun reference = serveScenario(sc, 1, true);
+    for (uint32_t threads : {1u, 4u, 16u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        expectSameRun(reference, serveScenario(sc, threads));
+    }
+    return reference;
+}
+
+} // namespace
+
+TEST(ServeOverlap, FlatMatchesSerial)
+{
+    Scenario sc;
+    sc.requests = llutMix();
+    ScenarioRun run = expectOverlapMatchesSerial(sc);
+    EXPECT_TRUE(run.rep.complete);
+    EXPECT_GT(run.rep.waves, 10u);
+}
+
+TEST(ServeOverlap, FleetMatchesSerial)
+{
+    Scenario sc;
+    sc.topology = Topology{2, 2, 8};
+    sc.dpus = sc.topology->numDpus();
+    sc.requests = llutMix();
+    ScenarioRun run = expectOverlapMatchesSerial(sc);
+    EXPECT_TRUE(run.rep.complete);
+    EXPECT_EQ(run.rep.rankStats.size(), 4u);
+}
+
+TEST(ServeOverlap, TunerWithBudgetEvictionMatchesSerial)
+{
+    Scenario sc;
+    sc.dpus = 8;
+    sc.tuner = true;
+    sc.mramBudgetBytes = 8 * 1024;
+    sc.slas = {{1, serve::TenantSla{}}, {2, serve::TenantSla{}}};
+    ASSERT_TRUE(serve::TenantSla::parse("rmse<1e-2", sc.slas[1]));
+    ASSERT_TRUE(serve::TenantSla::parse("rmse<1e-2", sc.slas[2]));
+    for (uint32_t i = 0; i < 32; ++i) {
+        MixRequest r;
+        r.fn = i % 2 ? Function::Exp : Function::Sin;
+        r.spec.method = Method::Cordic;
+        r.elements = 200;
+        r.tenant = 1 + i % 2;
+        sc.requests.push_back(r);
+    }
+    ScenarioRun run = expectOverlapMatchesSerial(sc);
+    EXPECT_TRUE(run.rep.complete);
+    bool evicted = false;
+    for (const serve::TuneDecision& d : run.decisions)
+        evicted = evicted || d.reason == "evict";
+    EXPECT_TRUE(evicted);
+}
+
+TEST(ServeOverlap, CostBookSplitsMatchSerial)
+{
+    Scenario sc;
+    sc.requests = llutMix();
+    const uint64_t unsplit = serveScenario(sc, 1).rep.waves;
+    serve::WaveCost cost;
+    cost.cyclesPerElement = 64.0;
+    cost.fixedCycles = 100.0;
+    cost.minElements = 1;
+    sc.cost = cost;
+    ScenarioRun run = expectOverlapMatchesSerial(sc);
+    EXPECT_TRUE(run.rep.complete);
+    EXPECT_GT(run.rep.waves, unsplit); // the book split waves
+}
+
+TEST(ServeOverlap, InfeasibleDropMatchesSerial)
+{
+    Scenario sc;
+    sc.requests = llutMix();
+    MethodSpec huge; // 2^16 entries do not fit the 64 KB WRAM
+    huge.log2Entries = 16;
+    for (size_t i = 3; i < sc.requests.size(); i += 7)
+        sc.requests[i].spec = huge;
+    ScenarioRun run = expectOverlapMatchesSerial(sc);
+    EXPECT_FALSE(run.rep.complete);
+    EXPECT_GT(run.rep.infeasibleElements, 0u);
+    EXPECT_NE(run.journal.find("no valid table binding"),
+              std::string::npos);
+}
+
+TEST(ServeOverlap, FaultPlanMatchesSerial)
+{
+    Scenario sc;
+    sc.requests = llutMix();
+    for (MixRequest& r : sc.requests) // one table: no miss commits
+        r.fn = Function::Sin;
+    sc.plan = fault::FaultPlan::parse(
+        "seed 11\n"
+        "fault kind=dpu-hard-fail dpu=3 prob=1 after=4\n"
+        "fault kind=dpu-straggler dpu=6 prob=1 slowdown=6\n"
+        "fault kind=dma-timeout prob=0.01 stall=2000\n");
+    ASSERT_TRUE(sc.plan.has_value());
+    ScenarioRun run = expectOverlapMatchesSerial(sc);
+    EXPECT_TRUE(run.rep.complete);
+    EXPECT_EQ(run.rep.failedDpus, std::vector<uint32_t>{3});
+    EXPECT_GT(run.rep.reshardedElements, 0u);
+    EXPECT_GT(run.rep.anomalousWaves, 0u);
+    // The failing launch's sweep masks DPU 3 before the next wave is
+    // sliced, so exactly one slice is ever lost to it.
+    uint32_t retried = 0;
+    for (const serve::WaveStats& w : run.rep.waveStats)
+        retried += w.retriedSlices;
+    EXPECT_EQ(retried, 1u);
+}
+
+namespace {
+
+/** A provider whose kernels sleep briefly and count themselves in
+ * and out of @p running; the kernel on DPU 5 of the fourth wave
+ * throws when @p throwing is set. */
+serve::TableProvider
+countingProvider(std::atomic<int>& running, bool throwing)
+{
+    auto built = std::make_shared<uint32_t>(0);
+    return [&running, throwing, built](const serve::TableKey&,
+                                       PimSystem&) {
+        serve::TableBinding b;
+        b.valid = true;
+        b.makeKernel = [&running, throwing,
+                        built](const ShardTask& t) -> Kernel {
+            const bool boom = throwing && t.dpu == 5 && ++*built > 3;
+            return [&running, boom](TaskletContext& ctx) {
+                if (ctx.taskletId() != 0)
+                    return;
+                ++running;
+                std::this_thread::sleep_for(
+                    std::chrono::microseconds(300));
+                --running;
+                if (boom)
+                    throw std::runtime_error("kernel fault");
+            };
+        };
+        return b;
+    };
+}
+
+/** Route passes every wave through, and throws on the @p failAt-th
+ * call: a host-side error while a wave is submitted. */
+class ThrowingTuner final : public serve::AutoTuner
+{
+  public:
+    explicit ThrowingTuner(uint32_t failAt) : failAt_(failAt) {}
+
+    Routing
+    route(const serve::TableKey& requested, uint64_t) override
+    {
+        if (++calls_ == failAt_)
+            throw std::runtime_error("route fault");
+        return {requested, false, {}};
+    }
+    void observe(const serve::WaveOutcome&) override {}
+    std::vector<serve::TuneDecision>
+    decisions() const override
+    {
+        return {};
+    }
+
+  private:
+    uint32_t failAt_;
+    uint32_t calls_ = 0;
+};
+
+} // namespace
+
+TEST(ServeOverlap, ErrorsSurfaceAndLeaveNoKernelRunning)
+{
+    for (bool kernelThrows : {true, false}) {
+        SCOPED_TRACE(kernelThrows ? "kernel throws" : "route throws");
+        ThreadPool pool(4);
+        PimSystem sys(8);
+        sys.setThreadPool(&pool);
+        std::atomic<int> running{0};
+        std::vector<float> in(8 * 64 * 8, 0.5f), out(in.size());
+        serve::BatchQueue queue;
+        for (uint32_t r = 0; r < 8; ++r)
+            queue.push(makeRequest(keyOf(1), in.data() + r * 512,
+                                   out.data() + r * 512, 512));
+        queue.close();
+        ThrowingTuner tuner(kernelThrows ? 0 : 5);
+        serve::PipelineOptions popts;
+        popts.numTasklets = 4;
+        popts.perDpuElements = 64;
+        popts.autoTuner = &tuner;
+        serve::ServePipeline pipeline(
+            sys, countingProvider(running, kernelThrows), popts);
+        EXPECT_THROW(pipeline.run(queue), std::runtime_error);
+        // Nothing of the run keeps executing on the pool...
+        EXPECT_EQ(running.load(), 0);
+        // ...and the pool has no job left behind.
+        std::atomic<uint64_t> sum{0};
+        pool.parallelFor(100, [&](uint64_t i) { sum += i; });
+        EXPECT_EQ(sum.load(), 4950u);
     }
 }
