@@ -105,9 +105,12 @@ fi
 
 # With TPL_TIER1_FAULT=1, exercise the fault-injection tier end to
 # end: the fault + conformance ctest slices, a pimfault --demo plan
-# replayed through parse → canonical echo → degraded sharded run, a
-# JSON round-trip of its metrics dump, and a degraded-launch trace
-# captured via the TPL_OBS_TRACE env bootstrap.
+# replayed through parse → canonical echo → degraded pipeline run, a
+# JSON round-trip of its metrics dump, a degraded-launch trace
+# captured via the TPL_OBS_TRACE env bootstrap, the replay's stdout
+# byte-identical at TPL_SIM_THREADS=1/4/16, and pimfault's exit
+# statuses: 2 for out-of-range --tasklets / --dpus 0, 1 (infeasible,
+# not an abort) for a per-DPU slice too large for MRAM.
 if [ "${TPL_TIER1_FAULT:-0}" = "1" ]; then
     FAULT_TMP=$(mktemp -d)
     ctest --test-dir "$BUILD_DIR" --output-on-failure \
@@ -124,6 +127,30 @@ if [ "${TPL_TIER1_FAULT:-0}" = "1" ]; then
     python3 -m json.tool "$FAULT_TMP/fault.trace.json" > /dev/null
     grep -q 'fault/' "$FAULT_TMP/fault.metrics.json"
     echo "pimfault demo replay + degraded-launch trace round-trip OK"
+    for threads in 1 4 16; do
+        TPL_SIM_THREADS=$threads "$BUILD_DIR/tools/pimfault" \
+            --plan "$FAULT_TMP/demo.plan" > "$FAULT_TMP/replay.t$threads"
+    done
+    cmp "$FAULT_TMP/replay.t1" "$FAULT_TMP/replay.t4"
+    cmp "$FAULT_TMP/replay.t1" "$FAULT_TMP/replay.t16"
+    grep -q 'complete  *yes$' "$FAULT_TMP/replay.t1"
+    echo "pimfault demo replay byte-identical at 1/4/16 sim threads"
+    expect_exit() { # WANT ARGS...: run pimfault, require exit WANT
+        want=$1
+        shift
+        status=0
+        "$BUILD_DIR/tools/pimfault" "$@" > /dev/null 2>&1 || status=$?
+        if [ "$status" -ne "$want" ]; then
+            echo "pimfault $*: exit $status, want $want" >&2
+            exit 1
+        fi
+    }
+    expect_exit 2 --plan "$FAULT_TMP/demo.plan" --tasklets 0
+    expect_exit 2 --plan "$FAULT_TMP/demo.plan" --tasklets 25
+    expect_exit 2 --plan "$FAULT_TMP/demo.plan" --dpus 0
+    expect_exit 1 --plan "$FAULT_TMP/demo.plan" --dpus 1 \
+        --elements 20000000
+    echo "pimfault exit statuses (usage 2, oversized slice 1) OK"
 fi
 
 # With TPL_TIER1_DOCS=1, run the documentation checks: every

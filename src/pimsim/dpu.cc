@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -206,7 +205,10 @@ DpuCore::accountDma(uint32_t size)
 LaunchStats
 DpuCore::launch(uint32_t numTasklets, const Kernel& kernel)
 {
-    assert(numTasklets >= 1 && numTasklets <= model_.maxTasklets);
+    if (numTasklets < 1 || numTasklets > model_.maxTasklets)
+        throw std::invalid_argument(
+            "DpuCore::launch: " + std::to_string(numTasklets) +
+            " tasklets, want 1.." + std::to_string(model_.maxTasklets));
     dmaEngineCycles_ = 0;
     dmaBytes_ = 0;
     if (faults_ && faults_->onLaunchBegin()) {

@@ -356,7 +356,9 @@ class DpuCore
     /**
      * Run @p kernel once per tasklet and update the launch statistics.
      * Tasklets execute sequentially in simulation; the cycle model
-     * reconstructs their interleaving analytically.
+     * reconstructs their interleaving analytically. Throws
+     * std::invalid_argument unless 1 <= @p numTasklets <=
+     * CostModel::maxTasklets.
      */
     LaunchStats launch(uint32_t numTasklets, const Kernel& kernel);
 

@@ -12,7 +12,6 @@
 #include "pimsim/system.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <string>
 
@@ -30,8 +29,7 @@ namespace fault {
  * Created by PimSystem::armFaults; the DpuFaultState pointers handed
  * to the cores point into this object. Mask slots are written only by
  * the thread simulating that DPU (or sequentially by the host side),
- * and reads happen after the pool joins, so plain bytes suffice; the
- * retry/failure tallies cross threads and are atomic.
+ * and reads happen after the pool joins, so plain bytes suffice.
  */
 class SystemFaultState
 {
@@ -50,9 +48,6 @@ class SystemFaultState
     DpuFaultState& dpu(uint32_t i) { return *states_[i]; }
     bool masked(uint32_t i) const { return masked_[i] != 0; }
     void mask(uint32_t i) { masked_[i] = 1; }
-
-    std::atomic<uint32_t> transferRetries{0};
-    std::atomic<uint32_t> transferFailures{0};
 
   private:
     FaultPlan plan_;
@@ -242,8 +237,6 @@ PimSystem::transferLeg(uint32_t dpu, uint64_t bytes,
                              static_cast<double>(1ull << (attempt - 1)),
                          policy_.backoffCapSeconds);
             extra += backoff;
-            faults_->transferRetries.fetch_add(
-                1, std::memory_order_relaxed);
             if (reg.enabled()) {
                 reg.counter("fault/transfer/retries").add(1);
                 reg.real("fault/transfer/backoff_seconds").add(backoff);
@@ -273,7 +266,6 @@ PimSystem::transferLeg(uint32_t dpu, uint64_t bytes,
     }
     // Out of retries: this core's link is considered dead.
     maskDpu(dpu);
-    faults_->transferFailures.fetch_add(1, std::memory_order_relaxed);
     if (reg.enabled())
         reg.counter("fault/transfer/failures").add(1);
     return extra;
@@ -716,215 +708,6 @@ PimSystem::commitLaunch(LaunchHandle& launch, PipelineTimeline& timeline,
             .add(ev.end - ev.start);
     }
     return ev;
-}
-
-ShardedRunReport
-PimSystem::runSharded(const void* input, void* output,
-                      uint64_t elements, uint32_t elemBytes,
-                      uint32_t numTasklets,
-                      const ShardKernelFactory& makeKernel)
-{
-    ShardedRunReport rep;
-    if (elements == 0) {
-        rep.complete = true;
-        return rep;
-    }
-    obs::TraceSpan span(
-        "runSharded", "sim",
-        obs::argsObject(
-            {obs::argKv("elements", elements),
-             obs::argKv("dpus", static_cast<uint64_t>(numDpus()))}));
-    obs::Registry& reg = obs::Registry::global();
-    const uint32_t retries0 =
-        faults_ ? faults_->transferRetries.load() : 0;
-    const uint32_t failures0 =
-        faults_ ? faults_->transferFailures.load() : 0;
-
-    const uint8_t* in = static_cast<const uint8_t*>(input);
-    uint8_t* out = static_cast<uint8_t*>(output);
-
-    // Pending contiguous element ranges (first, count). Failed shards
-    // put their range back here and the next wave re-distributes it
-    // over whatever cores are still healthy.
-    std::vector<std::pair<uint64_t, uint64_t>> pending{{0, elements}};
-    const uint32_t waveLimit = std::max(1u, policy_.maxReshardWaves);
-
-    auto noteFailed = [&rep](uint32_t d) {
-        if (std::find(rep.failedDpus.begin(), rep.failedDpus.end(),
-                      d) == rep.failedDpus.end())
-            rep.failedDpus.push_back(d);
-    };
-
-    while (!pending.empty() && rep.waves < waveLimit) {
-        std::vector<uint32_t> healthy;
-        for (uint32_t i = 0; i < numDpus(); ++i)
-            if (!isMasked(i))
-                healthy.push_back(i);
-        if (healthy.empty())
-            break;
-        ++rep.waves;
-
-        uint64_t total = 0;
-        for (const auto& r : pending)
-            total += r.second;
-        // Even split over the healthy cores; each core gets at most
-        // one shard per wave, so leftover fragments roll over to the
-        // next wave (pending shrinks every wave — this terminates).
-        const uint64_t per =
-            (total + healthy.size() - 1) / healthy.size();
-
-        std::vector<ShardTask> tasks;
-        std::vector<std::pair<uint64_t, uint64_t>> next;
-        {
-            size_t h = 0;
-            for (const auto& r : pending) {
-                uint64_t first = r.first, count = r.second;
-                while (count > 0) {
-                    if (h == healthy.size()) {
-                        next.emplace_back(first, count);
-                        break;
-                    }
-                    uint64_t take = std::min(count, per);
-                    ShardTask t;
-                    t.dpu = healthy[h++];
-                    t.firstElement = first;
-                    t.elements = static_cast<uint32_t>(take);
-                    tasks.push_back(t);
-                    first += take;
-                    count -= take;
-                }
-            }
-        }
-        pending.clear();
-
-        // Scatter: one serial leg per shard (sizes differ, so the
-        // host interface serializes). A leg that kills its core drops
-        // the shard back into the pending set before launch.
-        std::vector<char> live(tasks.size(), 1);
-        uint64_t scatterBytes = 0;
-        double scatterExtra = 0.0;
-        for (size_t k = 0; k < tasks.size(); ++k) {
-            ShardTask& t = tasks[k];
-            DpuCore& d = dpu(t.dpu);
-            const uint64_t bytes =
-                static_cast<uint64_t>(t.elements) * elemBytes;
-            t.inAddr = d.mramAlloc(static_cast<uint32_t>(bytes));
-            t.outAddr = d.mramAlloc(static_cast<uint32_t>(bytes));
-            scatterExtra += transferLeg(
-                t.dpu, bytes,
-                [&] {
-                    d.hostWriteMram(t.inAddr,
-                                    in + t.firstElement * elemBytes,
-                                    static_cast<uint32_t>(bytes));
-                },
-                d.mramData() + t.inAddr, bytes);
-            if (isMasked(t.dpu)) {
-                live[k] = 0;
-                next.emplace_back(t.firstElement, t.elements);
-                noteFailed(t.dpu);
-            } else {
-                scatterBytes += bytes;
-            }
-        }
-        rep.modeledSeconds +=
-            accountTransfer(transferStats_.scatter, "scatter",
-                            TransferMode::Serial, scatterBytes,
-                            scatterExtra);
-
-        // Launch every live shard (distinct cores, so parallel is
-        // safe); per-task cycles land in pre-sized slots.
-        std::vector<uint64_t> cyc(tasks.size(), 0);
-        auto runOne = [&](size_t k) {
-            if (!live[k])
-                return;
-            const ShardTask& t = tasks[k];
-            cyc[k] =
-                dpu(t.dpu).launch(numTasklets, makeKernel(t)).cycles;
-        };
-        if (simThreads_ == 1 || tasks.size() <= 1) {
-            for (size_t k = 0; k < tasks.size(); ++k)
-                runOne(k);
-        } else {
-            ThreadPool& pool = pool_ ? *pool_ : ThreadPool::global();
-            pool.parallelFor(tasks.size(),
-                             [&](uint64_t k) { runOne(k); });
-        }
-
-        // Sequential sweep: fence stragglers, mask failures, gather
-        // the survivors' outputs into the host array.
-        uint64_t gatherBytes = 0;
-        double gatherExtra = 0.0;
-        uint64_t waveMax = 0;
-        for (size_t k = 0; k < tasks.size(); ++k) {
-            if (!live[k])
-                continue;
-            const ShardTask& t = tasks[k];
-            const LaunchStats& st = dpu(t.dpu).lastLaunch();
-            bool failed = st.failed;
-            if (!failed && policy_.launchTimeoutCycles > 0 &&
-                st.cycles > policy_.launchTimeoutCycles) {
-                failed = true;
-                cyc[k] = policy_.launchTimeoutCycles;
-                if (reg.enabled())
-                    reg.counter("fault/launch/timeout").add(1);
-            }
-            if (failed) {
-                maskDpu(t.dpu);
-                noteFailed(t.dpu);
-                next.emplace_back(t.firstElement, t.elements);
-                waveMax = std::max(waveMax, cyc[k]);
-                continue;
-            }
-            const uint64_t bytes =
-                static_cast<uint64_t>(t.elements) * elemBytes;
-            uint8_t* dst = out + t.firstElement * elemBytes;
-            gatherExtra += transferLeg(
-                t.dpu, bytes,
-                [&] {
-                    dpu(t.dpu).hostReadMram(
-                        t.outAddr, dst, static_cast<uint32_t>(bytes));
-                },
-                dst, bytes);
-            if (isMasked(t.dpu)) {
-                // The gather leg died: the results are lost and the
-                // shard recomputes elsewhere.
-                noteFailed(t.dpu);
-                next.emplace_back(t.firstElement, t.elements);
-            } else {
-                gatherBytes += bytes;
-            }
-            waveMax = std::max(waveMax, cyc[k]);
-        }
-        rep.modeledSeconds +=
-            accountTransfer(transferStats_.gather, "gather",
-                            TransferMode::Serial, gatherBytes,
-                            gatherExtra);
-        if (model_.frequencyHz > 0.0)
-            rep.modeledSeconds +=
-                static_cast<double>(waveMax) / model_.frequencyHz;
-        lastMaxCycles_ = std::max(lastMaxCycles_, waveMax);
-
-        for (const auto& r : next)
-            rep.reshardedElements += r.second;
-        pending = std::move(next);
-    }
-
-    rep.complete = pending.empty();
-    if (faults_) {
-        rep.transferRetries =
-            faults_->transferRetries.load() - retries0;
-        rep.transferFailures =
-            faults_->transferFailures.load() - failures0;
-    }
-    if (reg.enabled()) {
-        reg.counter("fault/shard/waves").add(rep.waves);
-        if (rep.reshardedElements)
-            reg.counter("fault/shard/resharded_elements")
-                .add(rep.reshardedElements);
-        if (!rep.complete)
-            reg.counter("fault/shard/incomplete").add(1);
-    }
-    return rep;
 }
 
 double

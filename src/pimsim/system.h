@@ -121,9 +121,6 @@ struct RetryPolicy
      * (straggler fencing); 0 disables the timeout. */
     uint64_t launchTimeoutCycles = 0;
 
-    /** Re-shard passes runSharded may take before giving up. */
-    uint32_t maxReshardWaves = 6;
-
     /** Detected-corrupt transfer legs are retried; when false they
      * land silently (models a runtime without CRC). */
     bool detectTransferCorruption = true;
@@ -145,7 +142,7 @@ struct LaunchReport
     uint64_t faultEvents = 0; ///< injected events across cores
 };
 
-/** One shard of a runSharded pass: where a contiguous slice of the
+/** One per-DPU slice of a serve wave: where a contiguous slice of the
  * element range landed on one core. */
 struct ShardTask
 {
@@ -156,20 +153,8 @@ struct ShardTask
     uint32_t elements = 0;     ///< elements in this shard
 };
 
-/** Builds the kernel evaluating one shard (SPMD body per tasklet). */
+/** Builds the kernel evaluating one slice (SPMD body per tasklet). */
 using ShardKernelFactory = std::function<Kernel(const ShardTask&)>;
-
-/** Outcome of a PimSystem::runSharded call. */
-struct ShardedRunReport
-{
-    bool complete = false;    ///< every element produced an output
-    uint32_t waves = 0;       ///< launch passes (1 = no failures)
-    double modeledSeconds = 0.0; ///< transfers + slowest launch/wave
-    std::vector<uint32_t> failedDpus; ///< cores masked along the way
-    uint64_t reshardedElements = 0; ///< elements moved off failed cores
-    uint32_t transferRetries = 0;   ///< failed legs that were retried
-    uint32_t transferFailures = 0;  ///< legs dead after all retries
-};
 
 /**
  * Modeled-time resource timeline for pipelined (double-buffered)
@@ -616,19 +601,6 @@ class PimSystem
      */
     uint64_t maskEpoch() const { return maskEpoch_.load(); }
 
-    /**
-     * Degradation-aware sharded execution: scatter @p elements items
-     * of @p elemBytes from @p input across the healthy cores, launch
-     * the shard kernels, and gather into @p output — retrying failed
-     * transfer legs with capped exponential backoff and re-sharding
-     * the slices of failed cores onto the survivors in subsequent
-     * waves. Without an armed plan this degenerates to one wave over
-     * all cores. @p makeKernel is called once per shard per wave.
-     */
-    ShardedRunReport runSharded(const void* input, void* output,
-                                uint64_t elements, uint32_t elemBytes,
-                                uint32_t numTasklets,
-                                const ShardKernelFactory& makeKernel);
     /// @}
 
     /**

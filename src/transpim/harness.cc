@@ -89,40 +89,15 @@ runMicrobench(Function f, const MethodSpec& spec,
     uint32_t outAddr = dpu.mramAlloc(bytes);
     dpu.hostWriteMram(inAddr, inputs.data(), bytes);
 
-    // The paper's microbenchmark kernel: each tasklet streams chunks
-    // from MRAM through a WRAM buffer and evaluates every element.
-    // Chunks run through evalBatch (charge-identical to the scalar
-    // loop); TPL_BATCH_EVAL=0 selects the per-element path instead.
-    constexpr uint32_t chunkElems = 256;
-    const bool useBatch = batchEvalEnabled();
-    sim::LaunchStats stats =
-        dpu.launch(opts.tasklets, [&](sim::TaskletContext& ctx) {
-            float buffer[chunkElems];
-            uint32_t perChunk = chunkElems;
-            uint32_t chunks =
-                (opts.elements + perChunk - 1) / perChunk;
-            for (uint32_t c = ctx.taskletId(); c < chunks;
-                 c += ctx.numTasklets()) {
-                uint32_t beg = c * perChunk;
-                uint32_t cnt =
-                    std::min(perChunk, opts.elements - beg);
-                ctx.mramRead(inAddr + beg * sizeof(float), buffer,
-                             cnt * sizeof(float));
-                if (useBatch) {
-                    // loop control + WRAM load/store, bulk-charged
-                    ctx.chargeClassN(InstrClass::IntAlu, 4, cnt);
-                    std::span<float> span(buffer, cnt);
-                    eval.evalBatch(span, span, &ctx);
-                } else {
-                    for (uint32_t i = 0; i < cnt; ++i) {
-                        ctx.charge(4); // loop control + WRAM ld/st
-                        buffer[i] = eval.eval(buffer[i], &ctx);
-                    }
-                }
-                ctx.mramWrite(outAddr + beg * sizeof(float), buffer,
-                              cnt * sizeof(float));
-            }
-        });
+    // The paper's microbenchmark kernel: each tasklet streams 256-
+    // element chunks from MRAM through a WRAM buffer and evaluates
+    // every element with evalBatch (TPL_BATCH_EVAL=0 selects the
+    // charge-identical per-element path).
+    sim::ShardTask task{.inAddr = inAddr,
+                        .outAddr = outAddr,
+                        .elements = opts.elements};
+    sim::LaunchStats stats = dpu.launch(
+        opts.tasklets, makeStreamingKernel(eval, task, 256));
 
     std::vector<float> outputs(opts.elements);
     dpu.hostReadMram(outAddr, outputs.data(), bytes);
@@ -152,70 +127,6 @@ runMicrobench(Function f, const MethodSpec& spec,
     res.transferSeconds =
         timing.serialTransferSeconds(eval.memoryBytes());
     res.setupSeconds = res.hostGenSeconds + res.transferSeconds;
-    return res;
-}
-
-ResilientResult
-runResilientMicrobench(Function f, const MethodSpec& spec,
-                       const ResilientOptions& opts)
-{
-    ResilientResult res;
-    res.totalDpus = opts.dpus;
-
-    obs::TraceSpan benchSpan(
-        "resilient " + std::string(functionName(f)) + " / " +
-            methodLabel(spec),
-        "host",
-        obs::argsObject(
-            {obs::argKv("elements",
-                        static_cast<uint64_t>(opts.elements)),
-             obs::argKv("dpus", static_cast<uint64_t>(opts.dpus))}));
-
-    Domain dom = opts.domain ? *opts.domain : functionDomain(f);
-    std::vector<float> inputs =
-        uniformFloats(opts.elements, static_cast<float>(dom.lo),
-                      static_cast<float>(dom.hi), opts.seed);
-    std::vector<float> outputs(opts.elements, 0.0f);
-
-    sim::PimSystem sys(opts.dpus);
-    sys.setRetryPolicy(opts.policy);
-
-    // Tables are generated once and copied into every core.
-    FunctionEvaluator eval;
-    try {
-        eval = FunctionEvaluator::create(f, spec);
-        for (uint32_t i = 0; i < opts.dpus; ++i)
-            eval.attach(sys.dpu(i));
-    } catch (const UnsupportedCombination&) {
-        res.feasible = false;
-        return res;
-    } catch (const std::bad_alloc&) {
-        res.feasible = false;
-        return res;
-    }
-
-    if (opts.plan)
-        sys.armFaults(*opts.plan);
-
-    res.run = sys.runSharded(
-        inputs.data(), outputs.data(), opts.elements, sizeof(float),
-        opts.tasklets, [&](const sim::ShardTask& t) -> sim::Kernel {
-            return makeStreamingKernel(eval, t, 256);
-        });
-
-    res.healthyDpus = sys.healthyDpus();
-
-    ErrorAccumulator acc;
-    for (uint32_t i = 0; i < opts.elements; ++i) {
-        float ref = static_cast<float>(
-            referenceValue(f, static_cast<double>(inputs[i])));
-        acc.add(outputs[i], ref);
-    }
-    res.error = acc.stats();
-    res.predictedRmse = predictRmse(f, spec);
-    double bound =
-        std::max(res.predictedRmse * opts.errorBoundFactor, 1e-6);
-    res.withinErrorBound = res.run.complete && res.error.rmse <= bound;
     return res;
 }
 
@@ -271,19 +182,39 @@ runBatchedThroughput(Function f, const MethodSpec& spec,
     popts.perDpuElements = opts.perDpuElements;
     popts.maxRetryWaves = opts.maxRetryWaves;
     sim::serve::ServePipeline pipeline(sys, catalog.provider(), popts);
-    res.report = pipeline.run(queue);
+    try {
+        res.report = pipeline.run(queue);
+    } catch (const std::bad_alloc&) {
+        // The per-DPU wave buffers do not fit in MRAM.
+        res.feasible = false;
+        return res;
+    }
+    res.healthyDpus = sys.healthyDpus();
+    if (res.report.elements > 0)
+        res.cyclesPerElement =
+            static_cast<double>(res.report.computeCycles) /
+            static_cast<double>(res.report.elements);
 
     res.feasible = res.report.infeasibleElements == 0;
-    if (res.feasible && total > 0) {
+    if (!res.feasible)
+        return res;
+    if (total > 0) {
         std::vector<float> expect(total);
         FunctionEvaluator::create(f, spec).evalBatch(inputs, expect);
         res.outputsMatch = std::memcmp(expect.data(), outputs.data(),
                                        total * sizeof(float)) == 0;
     }
-    if (res.report.elements > 0)
-        res.cyclesPerElement =
-            static_cast<double>(res.report.computeCycles) /
-            static_cast<double>(res.report.elements);
+    ErrorAccumulator acc;
+    for (uint64_t i = 0; i < total; ++i) {
+        float ref = static_cast<float>(
+            referenceValue(f, static_cast<double>(inputs[i])));
+        acc.add(outputs[i], ref);
+    }
+    res.error = acc.stats();
+    res.predictedRmse = predictRmse(f, spec);
+    double bound = std::max(res.predictedRmse * kErrorBoundFactor, 1e-6);
+    res.withinErrorBound =
+        res.report.complete && res.error.rmse <= bound;
     return res;
 }
 

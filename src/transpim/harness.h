@@ -67,62 +67,13 @@ MicrobenchResult runMicrobench(Function f, const MethodSpec& spec,
                                const MicrobenchOptions& opts = {});
 
 /**
- * Options for the degradation-aware multi-DPU harness. The fault plan
- * is optional: with none armed the run degenerates to one wave over
- * all cores and the report shows zero failures.
- */
-struct ResilientOptions
-{
-    uint32_t elements = 1u << 12;
-    uint32_t dpus = 8;
-    uint32_t tasklets = 8;
-    uint64_t seed = 0x7ea9c0de;
-    /** Optional input domain override (defaults to functionDomain). */
-    std::optional<Domain> domain;
-    /** Retry/backoff/timeout knobs applied to the PimSystem. */
-    sim::RetryPolicy policy;
-    /** Fault plan armed before the run, when set. */
-    std::optional<sim::fault::FaultPlan> plan;
-    /**
-     * Degraded-result acceptance bound: the run is within bound when
-     * it completed and measured RMSE <= max(predictRmse * this
-     * factor, 1e-6). The error model is a scaling law verified within
-     * a factor of ~4-6 (tests/error_model_test.cc), so the default
-     * leaves headroom without masking corrupted outputs, which are
-     * orders of magnitude off.
-     */
-    double errorBoundFactor = 10.0;
-};
-
-/** Outcome of a resilient run: degradation report + accuracy check. */
-struct ResilientResult
-{
-    bool feasible = true;        ///< false: unsupported/tables too big
-    sim::ShardedRunReport run;   ///< waves, failures, retries, seconds
-    ErrorStats error;            ///< vs. host libm, all elements
-    double predictedRmse = 0.0;  ///< error_model scaling-law bound
-    bool withinErrorBound = false; ///< complete && rmse within bound
-    uint32_t healthyDpus = 0;    ///< cores alive after the run
-    uint32_t totalDpus = 0;
-};
-
-/**
- * Run one (function, method) evaluation over @p opts.elements inputs
- * sharded across a multi-DPU system, with the fault plan (if any)
- * armed: failed cores are masked, their elements re-sharded onto
- * survivors, and the final accuracy is checked against the analytic
- * error model. Exercises PimSystem::runSharded end to end.
- */
-ResilientResult runResilientMicrobench(Function f,
-                                       const MethodSpec& spec,
-                                       const ResilientOptions& opts = {});
-
-/**
- * Options for the batched throughput benchmark: a stream of
- * same-configuration requests served through the pimserve pipeline
- * on a fresh system. Defaults produce a >= 5-wave L-LUT sweep over
- * 64 DPUs (the acceptance configuration of the pipelined speedup
- * over the no-overlap baseline).
+ * Options for the batched harness: a stream of same-configuration
+ * requests served through the pimserve pipeline on a fresh system,
+ * optionally with a fault plan armed. Defaults produce a >= 5-wave
+ * L-LUT sweep over 64 DPUs (the acceptance configuration of the
+ * pipelined speedup over the no-overlap baseline). One request with
+ * perDpuElements = ceil(elementsPerRequest / dpus) is one wave over
+ * every core when no fault fires: the resilient run pimfault replays.
  */
 struct BatchedOptions
 {
@@ -147,23 +98,45 @@ struct BatchedOptions
     uint32_t simThreads = 0;
 };
 
-/** Outcome of one batched benchmark. The speedup over the
- * no-overlap baseline is report.speedup(). */
+/**
+ * Degraded-result acceptance factor: a run is within bound when it
+ * completed and its RMSE <= max(predictRmse * this, 1e-6). The error
+ * model is a scaling law verified within a factor of ~4-6
+ * (tests/error_model_test.cc), so 10 leaves headroom without masking
+ * corrupted outputs, which are orders of magnitude off.
+ */
+constexpr double kErrorBoundFactor = 10.0;
+
+/** Outcome of one batched run. The speedup over the no-overlap
+ * baseline is report.speedup(); waves, failed DPUs, re-sharded
+ * elements and completeness are in the report too. */
 struct BatchedResult
 {
-    bool feasible = true; ///< false: no valid binding for the config
+    /** false: no valid binding for the config (unsupported, tables
+     * too big), or the per-DPU wave buffers do not fit in MRAM. */
+    bool feasible = true;
     sim::serve::ServeReport report;
     /** Every served output equals, bit for bit, a host-side
      * FunctionEvaluator::evalBatch of the same configuration. */
     bool outputsMatch = false;
     double cyclesPerElement = 0.0; ///< compute cycles only
+    ErrorStats error;              ///< vs. host libm, all elements
+    double predictedRmse = 0.0;    ///< error_model scaling-law bound
+    /** report.complete and error.rmse within kErrorBoundFactor x
+     * predictedRmse. */
+    bool withinErrorBound = false;
+    uint32_t healthyDpus = 0; ///< cores not masked after the run
 };
 
 /**
  * Serve a burst of identical-configuration requests through the
- * pimserve pipeline on a fresh system and check the outputs against
- * the host evaluator. Tests use it to pin the pipeline's accounting
- * identities, fault handling and thread-count determinism.
+ * pimserve pipeline on a fresh system, with the fault plan (if any)
+ * armed: failed cores are masked and their slices re-sharded onto
+ * the survivors in retry waves. Checks the outputs against the host
+ * evaluator and against host libm within the analytic error bound.
+ * Tests use it to pin the pipeline's accounting identities, fault
+ * handling and thread-count determinism; pimfault replays plans
+ * through it.
  */
 BatchedResult runBatchedThroughput(Function f, const MethodSpec& spec,
                                    const BatchedOptions& opts = {});

@@ -3,8 +3,8 @@
  * Glue between the generic serve layer (pimsim/serve) and transpim
  * evaluators: the TableKey hash for a (function, method spec) pair,
  * the catalog that resolves keys back to evaluator configurations,
- * and the shared streaming kernel both the resilient harness and the
- * serve pipeline run per shard.
+ * and the shared streaming kernel both the single-DPU microbenchmark
+ * and the serve pipeline run per slice.
  *
  * The split keeps the dependency arrow pointing one way: tpl_pimserve
  * knows nothing about evaluators; this file (in tpl_transpim) teaches
@@ -34,10 +34,10 @@ namespace transpim {
 sim::serve::TableKey batchTableKey(Function f, const MethodSpec& spec);
 
 /**
- * Per-shard streaming kernel shared by runResilientMicrobench and the
- * serve pipeline: each tasklet claims chunks of @p chunkElems
- * elements round-robin, DMAs them into WRAM, evaluates with @p ev,
- * and DMAs the results back. @p ev must outlive the returned kernel
+ * Per-slice streaming kernel shared by runMicrobench (256-element
+ * chunks) and the serve pipeline: each tasklet claims chunks of
+ * @p chunkElems elements round-robin, DMAs them into WRAM, evaluates
+ * with @p ev, and DMAs the results back. @p ev must outlive the returned kernel
  * (it is captured by pointer); one evaluator attached to every core
  * serves them all, each core reading its own table copy.
  * @p chunkElems is clamped to [1, 256]; keep it small enough that

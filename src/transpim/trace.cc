@@ -11,6 +11,8 @@
 #include <sstream>
 #include <utility>
 
+#include "pimsim/cost_model.h"
+
 namespace tpl {
 namespace transpim {
 
@@ -65,6 +67,21 @@ parseU64(const std::string& text, uint64_t& out)
     } catch (...) {
         return false;
     }
+}
+
+bool
+parseTasklets(const std::string& text, uint32_t& out,
+              std::string& error)
+{
+    const uint32_t maxTasklets = sim::CostModel{}.maxTasklets;
+    uint32_t n = 0;
+    if (!parseU32(text, n) || n < 1 || n > maxTasklets) {
+        error = "bad --tasklets '" + text + "' (want 1.." +
+                std::to_string(maxTasklets) + ")";
+        return false;
+    }
+    out = n;
+    return true;
 }
 
 std::optional<Function>

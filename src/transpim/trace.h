@@ -42,6 +42,12 @@ bool parseU32(const std::string& text, uint32_t& out);
 /** Parse an unsigned 64-bit number; same rules as parseU32. */
 bool parseU64(const std::string& text, uint64_t& out);
 
+/** Parse a --tasklets value: a number in [1, CostModel::maxTasklets].
+ * On bad input returns false and sets @p error (e.g. "bad --tasklets
+ * '0' (want 1..24)"). */
+bool parseTasklets(const std::string& text, uint32_t& out,
+                   std::string& error);
+
 /** The function whose functionName() is @p name, if any. */
 std::optional<Function> parseFunction(std::string_view name);
 

@@ -18,6 +18,7 @@
 #include <cctype>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -26,6 +27,7 @@
 
 #include "common/rng.h"
 #include "pimsim/fault/fault.h"
+#include "pimsim/serve/pipeline.h"
 #include "pimsim/system.h"
 #include "softfloat/softfloat.h"
 #include "softfloat/softfloat64.h"
@@ -306,60 +308,28 @@ struct FaultedRun
 {
     std::vector<float> outputs;
     std::vector<LaunchStats> perDpu;
-    sim::ShardedRunReport report;
+    sim::serve::ServeReport report;
 };
 
-FaultedRun
-runFaultedSharded(bool batch, uint32_t threads)
+/** A provider realizing every key as sin / L-LUT (MRAM) with one
+ * evaluator copied into every core, whose kernel streams 32-element
+ * chunks through the scalar (@p batch false) or batch body. */
+sim::serve::TableProvider
+faultedProvider(bool batch)
 {
-    constexpr uint32_t kDpus = 8;
-    constexpr uint32_t kPerDpu = 512;
-    constexpr uint64_t kTotal = kDpus * kPerDpu;
-
-    MethodSpec spec = smallSpec(Method::LLut, Placement::Mram);
-    Domain dom = functionDomain(Function::Sin);
-    std::vector<float> inputs = uniformFloats(
-        kTotal, static_cast<float>(dom.lo),
-        static_cast<float>(dom.hi), 4242);
-
-    PimSystem sys(kDpus);
-    sys.setSimThreads(threads);
-
-    std::vector<FunctionEvaluator> evals(kDpus);
-    for (uint32_t d = 0; d < kDpus; ++d) {
-        evals[d] = FunctionEvaluator::create(Function::Sin, spec);
-        evals[d].attach(sys.dpu(d));
-    }
-
-    sim::fault::FaultPlan plan;
-    plan.seed = 99;
-    sim::fault::FaultSpec flip;
-    flip.kind = sim::fault::FaultKind::MramBitFlip;
-    flip.dpu = 1;
-    flip.addr = 512;
-    flip.bit = 3;
-    flip.triggerAfter = 0;
-    plan.faults.push_back(flip);
-    sim::fault::FaultSpec straggler;
-    straggler.kind = sim::fault::FaultKind::DpuStraggler;
-    straggler.dpu = -1;
-    straggler.probability = 0.5;
-    straggler.slowdown = 3.0;
-    plan.faults.push_back(straggler);
-    sim::fault::FaultSpec timeout;
-    timeout.kind = sim::fault::FaultKind::DmaTimeout;
-    timeout.dpu = -1;
-    timeout.probability = 0.1;
-    timeout.extraStallCycles = 2000;
-    plan.faults.push_back(timeout);
-    sys.armFaults(plan);
-
-    FaultedRun r;
-    r.outputs.assign(kTotal, 0.0f);
-    r.report = sys.runSharded(
-        inputs.data(), r.outputs.data(), kTotal, sizeof(float), 4,
-        [&](const sim::ShardTask& t) -> sim::Kernel {
-            const FunctionEvaluator* evp = &evals[t.dpu];
+    return [batch](const sim::serve::TableKey&, PimSystem& sys) {
+        auto ev = std::make_shared<FunctionEvaluator>(
+            FunctionEvaluator::create(
+                Function::Sin, smallSpec(Method::LLut, Placement::Mram)));
+        for (uint32_t d = 0; d < sys.numDpus(); ++d)
+            ev->attach(sys.dpu(d));
+        sim::serve::TableBinding binding;
+        binding.valid = true;
+        binding.tableBytes = ev->memoryBytes();
+        binding.state = ev;
+        const FunctionEvaluator* evp = ev.get();
+        binding.makeKernel =
+            [evp, batch](const sim::ShardTask& t) -> sim::Kernel {
             return [evp, t, batch](TaskletContext& ctx) {
                 constexpr uint32_t chunkElems = 32;
                 float buf[chunkElems];
@@ -386,40 +356,111 @@ runFaultedSharded(bool batch, uint32_t threads)
                                   buf, cnt * sizeof(float));
                 }
             };
-        });
+        };
+        return binding;
+    };
+}
+
+FaultedRun
+runFaultedServe(bool batch, uint32_t threads)
+{
+    constexpr uint32_t kDpus = 8;
+    constexpr uint32_t kPerDpu = 512;
+    constexpr uint64_t kTotal = kDpus * kPerDpu;
+
+    Domain dom = functionDomain(Function::Sin);
+    std::vector<float> inputs = uniformFloats(
+        kTotal, static_cast<float>(dom.lo),
+        static_cast<float>(dom.hi), 4242);
+
+    PimSystem sys(kDpus);
+    sys.setSimThreads(threads);
+
+    sim::fault::FaultPlan plan;
+    plan.seed = 99;
+    sim::fault::FaultSpec flip;
+    flip.kind = sim::fault::FaultKind::MramBitFlip;
+    flip.dpu = 1;
+    flip.addr = 512;
+    flip.bit = 3;
+    flip.triggerAfter = 0;
+    plan.faults.push_back(flip);
+    sim::fault::FaultSpec straggler;
+    straggler.kind = sim::fault::FaultKind::DpuStraggler;
+    straggler.dpu = -1;
+    straggler.probability = 0.5;
+    straggler.slowdown = 3.0;
+    plan.faults.push_back(straggler);
+    sim::fault::FaultSpec timeout;
+    timeout.kind = sim::fault::FaultKind::DmaTimeout;
+    timeout.dpu = -1;
+    timeout.probability = 0.1;
+    timeout.extraStallCycles = 2000;
+    plan.faults.push_back(timeout);
+    sys.armFaults(plan);
+
+    FaultedRun r;
+    r.outputs.assign(kTotal, 0.0f);
+    sim::serve::BatchQueue queue;
+    sim::serve::Request req;
+    req.table.hash = 1;
+    req.table.label = "sin";
+    req.input = inputs.data();
+    req.output = r.outputs.data();
+    req.elements = kTotal;
+    queue.push(req);
+    queue.close();
+
+    sim::serve::PipelineOptions popts;
+    popts.numTasklets = 4;
+    popts.perDpuElements = kPerDpu;
+    sim::serve::ServePipeline pipeline(sys, faultedProvider(batch),
+                                       popts);
+    r.report = pipeline.run(queue);
     for (uint32_t d = 0; d < kDpus; ++d)
         r.perDpu.push_back(sys.dpu(d).lastLaunch());
     return r;
 }
 
+/** Same outputs, per-DPU stats and modeled report, bit for bit. */
+void
+expectFaultedRunsIdentical(const FaultedRun& a, const FaultedRun& b,
+                           const std::string& label)
+{
+    expectOutputsBitIdentical(a.outputs, b.outputs, label);
+    ASSERT_EQ(a.perDpu.size(), b.perDpu.size()) << label;
+    for (size_t d = 0; d < a.perDpu.size(); ++d)
+        expectStatsIdentical(a.perDpu[d], b.perDpu[d],
+                             label + " dpu " + std::to_string(d));
+    EXPECT_EQ(a.report.complete, b.report.complete) << label;
+    EXPECT_EQ(a.report.waves, b.report.waves) << label;
+    EXPECT_EQ(a.report.modeledSeconds, b.report.modeledSeconds)
+        << label;
+    EXPECT_EQ(a.report.syncSeconds, b.report.syncSeconds) << label;
+    EXPECT_EQ(a.report.computeCycles, b.report.computeCycles) << label;
+    EXPECT_EQ(a.report.failedDpus, b.report.failedDpus) << label;
+    EXPECT_EQ(a.report.reshardedElements, b.report.reshardedElements)
+        << label;
+}
+
 TEST(BatchFaultEquivalence, ArmedPlanAtAnyThreadCount)
 {
-    FaultedRun scalarRef = runFaultedSharded(false, 1);
+    FaultedRun scalarRef = runFaultedServe(false, 1);
+    ASSERT_TRUE(scalarRef.report.complete);
     for (uint32_t threads : {1u, 4u, 16u}) {
         std::string label =
             "threads=" + std::to_string(threads);
-        FaultedRun scalar = runFaultedSharded(false, threads);
-        FaultedRun batch = runFaultedSharded(true, threads);
+        FaultedRun scalar = runFaultedServe(false, threads);
+        FaultedRun batch = runFaultedServe(true, threads);
 
         // Batch vs scalar at this thread count.
-        expectOutputsBitIdentical(scalar.outputs, batch.outputs,
-                                  label);
-        ASSERT_EQ(scalar.perDpu.size(), batch.perDpu.size()) << label;
-        for (size_t d = 0; d < scalar.perDpu.size(); ++d)
-            expectStatsIdentical(scalar.perDpu[d], batch.perDpu[d],
-                                 label + " dpu " + std::to_string(d));
-        EXPECT_EQ(scalar.report.complete, batch.report.complete)
-            << label;
-        EXPECT_EQ(scalar.report.waves, batch.report.waves) << label;
-        EXPECT_EQ(scalar.report.modeledSeconds,
-                  batch.report.modeledSeconds)
-            << label;
+        expectFaultedRunsIdentical(scalar, batch, label);
 
         // Thread-count determinism of both paths.
-        expectOutputsBitIdentical(scalarRef.outputs, scalar.outputs,
-                                  label + " vs single-thread");
-        expectOutputsBitIdentical(scalarRef.outputs, batch.outputs,
-                                  label + " vs single-thread");
+        expectFaultedRunsIdentical(scalarRef, scalar,
+                                   label + " vs single-thread");
+        expectFaultedRunsIdentical(scalarRef, batch,
+                                   label + " batch vs single-thread");
     }
 }
 

@@ -5,8 +5,8 @@
  * modeled statistic bit-identical to no plan), every fault kind
  * firing and being detected or recovered, retry/backoff semantics,
  * and the headline acceptance scenario — 64 DPUs with 5% injected
- * hard failures completing via masking + re-shard within the error-
- * model bound.
+ * hard failures completing via masking + serve-pipeline retry waves
+ * within the error-model bound.
  */
 
 #include <gtest/gtest.h>
@@ -610,6 +610,20 @@ TEST(FaultTransfer, DetectedCorruptionExhaustsRetries)
 // Acceptance: 64 DPUs, 5% hard failures, re-shard to completion.
 // ---------------------------------------------------------------------
 
+/** The resilient run pimfault replays: one request whose per-DPU
+ * slice is ceil(elements / dpus), so a fault-free run is one wave. */
+BatchedOptions
+resilientOptions(uint32_t elements, uint32_t dpus, uint32_t tasklets)
+{
+    BatchedOptions opts;
+    opts.dpus = dpus;
+    opts.tasklets = tasklets;
+    opts.requests = 1;
+    opts.elementsPerRequest = elements;
+    opts.perDpuElements = (elements + dpus - 1) / dpus;
+    return opts;
+}
+
 TEST(FaultAcceptance, SixtyFourDpusWithFivePercentHardFailures)
 {
     fault::FaultPlan plan;
@@ -622,58 +636,99 @@ TEST(FaultAcceptance, SixtyFourDpusWithFivePercentHardFailures)
 
     MethodSpec spec; // interpolated L-LUT in WRAM
     spec.log2Entries = 10;
-    ResilientOptions opts;
-    opts.elements = 1u << 12;
-    opts.dpus = 64;
-    opts.tasklets = 4;
+    BatchedOptions opts = resilientOptions(1u << 12, 64, 4);
     opts.plan = plan;
 
     obs::Registry& reg = obs::Registry::global();
     reg.reset();
     reg.setEnabled(true);
-    ResilientResult res =
-        runResilientMicrobench(Function::Sin, spec, opts);
+    BatchedResult res = runBatchedThroughput(Function::Sin, spec, opts);
     reg.setEnabled(false);
 
     ASSERT_TRUE(res.feasible);
-    EXPECT_TRUE(res.run.complete);
+    EXPECT_TRUE(res.report.complete);
     EXPECT_TRUE(res.withinErrorBound)
         << "rmse " << res.error.rmse << " predicted "
         << res.predictedRmse;
     // The seed fires the 5% hard-fail draw on at least one core, so
     // degradation actually happened and was recovered from.
-    EXPECT_GE(res.run.failedDpus.size(), 1u);
-    EXPECT_LT(res.run.failedDpus.size(), 32u);
-    EXPECT_GE(res.run.waves, 2u);
-    EXPECT_GT(res.run.reshardedElements, 0u);
+    EXPECT_GE(res.report.failedDpus.size(), 1u);
+    EXPECT_LT(res.report.failedDpus.size(), 32u);
+    EXPECT_GE(res.report.waves, 2u);
+    EXPECT_GT(res.report.reshardedElements, 0u);
+    EXPECT_EQ(res.report.droppedElements, 0u);
     EXPECT_EQ(res.healthyDpus,
-              res.totalDpus -
-                  static_cast<uint32_t>(res.run.failedDpus.size()));
-    // Failure surfaced in the obs registry under fault/...
+              opts.dpus -
+                  static_cast<uint32_t>(res.report.failedDpus.size()));
+    // Failure surfaced in the obs registry under fault/... and the
+    // re-sharded elements under serve/retry/...
     EXPECT_GE(reg.counter("fault/launch/failed").value(), 1u);
-    EXPECT_GE(reg.counter("fault/shard/resharded_elements").value(),
-              res.run.reshardedElements);
+    EXPECT_EQ(reg.counter("serve/retry/elements").value(),
+              res.report.reshardedElements);
 }
 
 TEST(FaultAcceptance, ResilientRunWithoutPlanIsOneCleanWave)
 {
     MethodSpec spec;
     spec.log2Entries = 10;
-    ResilientOptions opts;
-    opts.elements = 1u << 10;
-    opts.dpus = 8;
-    opts.tasklets = 4;
+    BatchedOptions opts = resilientOptions(1u << 10, 8, 4);
 
-    ResilientResult res =
-        runResilientMicrobench(Function::Sin, spec, opts);
+    obs::Registry& reg = obs::Registry::global();
+    reg.reset();
+    reg.setEnabled(true);
+    BatchedResult res = runBatchedThroughput(Function::Sin, spec, opts);
+    reg.setEnabled(false);
+
     ASSERT_TRUE(res.feasible);
-    EXPECT_TRUE(res.run.complete);
-    EXPECT_EQ(res.run.waves, 1u);
-    EXPECT_TRUE(res.run.failedDpus.empty());
-    EXPECT_EQ(res.run.reshardedElements, 0u);
-    EXPECT_EQ(res.run.transferRetries, 0u);
+    EXPECT_TRUE(res.report.complete);
+    EXPECT_EQ(res.report.waves, 1u);
+    EXPECT_TRUE(res.report.failedDpus.empty());
+    EXPECT_EQ(res.report.reshardedElements, 0u);
+    EXPECT_EQ(reg.counter("fault/transfer/retries").value(), 0u);
+    EXPECT_TRUE(res.outputsMatch);
     EXPECT_TRUE(res.withinErrorBound);
     EXPECT_EQ(res.healthyDpus, 8u);
+}
+
+TEST(FaultAcceptance, PimfaultDemoPlanReshardsOneDeadCore)
+{
+    // The scenario `pimfault --demo` prints, replayed with pimfault's
+    // defaults: sin / L-LUT 2^10, 4096 elements, 16 DPUs, 8 tasklets.
+    auto plan = fault::FaultPlan::parse(
+        "seed 7\n"
+        "fault kind=dpu-hard-fail dpu=2 prob=1\n"
+        "fault kind=dpu-straggler dpu=5 prob=1 slowdown=3\n"
+        "fault kind=dma-timeout prob=0.001 stall=2000\n"
+        "fault kind=transfer-timeout prob=0.02\n");
+    ASSERT_TRUE(plan.has_value());
+    MethodSpec spec;
+    spec.log2Entries = 10;
+    BatchedOptions opts = resilientOptions(4096, 16, 8);
+    opts.plan = plan;
+
+    BatchedResult res = runBatchedThroughput(Function::Sin, spec, opts);
+    ASSERT_TRUE(res.feasible);
+    EXPECT_TRUE(res.report.complete);
+    EXPECT_EQ(res.report.waves, 2u);
+    EXPECT_EQ(res.report.failedDpus, std::vector<uint32_t>{2});
+    EXPECT_EQ(res.report.reshardedElements, 256u);
+    EXPECT_EQ(res.healthyDpus, 15u);
+    EXPECT_TRUE(res.withinErrorBound)
+        << "rmse " << res.error.rmse << " predicted "
+        << res.predictedRmse;
+}
+
+TEST(FaultAcceptance, OversizedSliceIsInfeasibleNotFatal)
+{
+    // One DPU's four double-buffered slices of 2^24 floats (64 MiB
+    // each) cannot fit its 64 MiB MRAM bank: the pipeline's up-front allocation
+    // throws, and the harness reports it instead of propagating.
+    MethodSpec spec;
+    BatchedOptions opts = resilientOptions(1024, 1, 8);
+    opts.perDpuElements = 1u << 24;
+    BatchedResult res = runBatchedThroughput(Function::Sin, spec, opts);
+    EXPECT_FALSE(res.feasible);
+    EXPECT_FALSE(res.withinErrorBound);
 }
 
 } // namespace

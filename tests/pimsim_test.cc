@@ -9,6 +9,7 @@
 #include <cstring>
 #include <new>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -135,6 +136,22 @@ TEST(DpuLaunch, TaskletIdsAndCounts)
     });
     std::vector<uint32_t> expect{0, 1, 2, 3, 4, 5, 6, 7};
     EXPECT_EQ(expect, seen);
+}
+
+TEST(DpuLaunch, RejectsOutOfRangeTaskletCounts)
+{
+    // Release builds compile asserts out, so the range check on this
+    // caller-supplied count must stay a real one.
+    DpuCore dpu;
+    uint32_t runs = 0;
+    auto kernel = [&](TaskletContext&) { ++runs; };
+    const uint32_t max = CostModel{}.maxTasklets;
+    EXPECT_THROW(dpu.launch(0, kernel), std::invalid_argument);
+    EXPECT_THROW(dpu.launch(max + 1, kernel), std::invalid_argument);
+    EXPECT_EQ(runs, 0u);
+    EXPECT_EQ(dpu.launch(1, kernel).tasklets, 1u);
+    EXPECT_EQ(dpu.launch(max, kernel).tasklets, max);
+    EXPECT_EQ(runs, 1u + max);
 }
 
 TEST(DpuDma, MramReadMovesDataAndCharges)

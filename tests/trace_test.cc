@@ -84,6 +84,25 @@ TEST(TraceGrammar, RejectsSignsWhitespaceAndJunk)
     }
 }
 
+TEST(TraceGrammar, TaskletsWithinHardwareRange)
+{
+    uint32_t n = 7;
+    std::string error;
+    EXPECT_TRUE(parseTasklets("1", n, error));
+    EXPECT_EQ(n, 1u);
+    EXPECT_TRUE(parseTasklets("24", n, error));
+    EXPECT_EQ(n, 24u);
+    EXPECT_TRUE(error.empty());
+    for (const char* text : {"0", "25", "100", "-1", "x", ""}) {
+        n = 7;
+        EXPECT_FALSE(parseTasklets(text, n, error)) << text;
+        EXPECT_EQ(n, 7u);
+        EXPECT_EQ(error,
+                  "bad --tasklets '" + std::string(text) +
+                      "' (want 1..24)");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Names.
 

@@ -1,9 +1,13 @@
 /**
  * @file
- * pimfault: replay a FaultPlan file against a sharded multi-DPU run
- * and print the blast radius — which cores failed, how many elements
- * were re-sharded onto survivors, what the retries cost, and whether
- * the degraded result still meets the analytic error bound.
+ * pimfault: replay a FaultPlan file against one request served
+ * through the serve pipeline on a multi-DPU system
+ * (transpim::runBatchedThroughput) and print the blast radius: which
+ * cores failed, how many elements were re-sharded onto survivors in
+ * retry waves, what the transfer retries cost, and whether the
+ * degraded result still meets the analytic error bound. Each DPU's
+ * slice holds ceil(elements / dpus) elements, so a run in which no
+ * fault fires is one wave over every core.
  *
  *   pimfault --plan scenario.plan [workload options]
  *   pimfault --demo > scenario.plan        # built-in demo scenario
@@ -18,17 +22,19 @@
  *   --function NAME   sin, cos, tanh, exp, log, ... (default sin)
  *   --method NAME     llut, mlut, cordic, ... (default llut)
  *   --elements N      input elements (default 4096)
- *   --dpus N          simulated DPUs (default 16)
- *   --tasklets N      tasklets per DPU (default 8)
+ *   --dpus N          simulated DPUs, at least 1 (default 16)
+ *   --tasklets N      tasklets per DPU, 1..24 (default 8)
  *   --log2-entries N  LUT entry budget (default 10)
  *   --iterations N    CORDIC iterations (default 24)
  *   --metrics PATH    dump the metrics registry (fault/... counters)
  *
  * Exit status: 0 when the run completed and the degraded result is
  * within the error-model bound, 1 when it is degraded beyond the
- * bound / incomplete / infeasible, 2 on usage or plan-parse errors.
+ * bound / incomplete / infeasible (including a per-DPU slice too
+ * large for MRAM), 2 on usage or plan-parse errors.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -80,10 +86,11 @@ main(int argc, char** argv)
     Function function = Function::Sin;
     MethodSpec spec;
     spec.log2Entries = 10;
-    ResilientOptions opts;
-    opts.elements = 4096;
+    uint32_t elements = 4096;
+    BatchedOptions opts;
     opts.dpus = 16;
     opts.tasklets = 8;
+    opts.requests = 1;
     std::string planPath;
     std::string metricsPath;
     bool printOnly = false;
@@ -134,11 +141,20 @@ main(int argc, char** argv)
             }
             spec.method = *m;
         } else if (arg == "--elements") {
-            u32Arg(opts.elements);
+            u32Arg(elements);
         } else if (arg == "--dpus") {
             u32Arg(opts.dpus);
+            if (opts.dpus == 0) {
+                std::cerr << "pimfault: bad --dpus '0' (want at"
+                             " least 1)\n";
+                return 2;
+            }
         } else if (arg == "--tasklets") {
-            u32Arg(opts.tasklets);
+            std::string error;
+            if (!parseTasklets(value(), opts.tasklets, error)) {
+                std::cerr << "pimfault: " << error << "\n";
+                return 2;
+            }
         } else if (arg == "--log2-entries") {
             u32Arg(spec.log2Entries);
         } else if (arg == "--iterations") {
@@ -193,53 +209,59 @@ main(int argc, char** argv)
         return 1;
     }
 
-    obs::Registry::global().setEnabled(true);
+    obs::Registry& reg = obs::Registry::global();
+    reg.setEnabled(true);
     opts.plan = *plan;
-    ResilientResult res = runResilientMicrobench(function, spec, opts);
+    opts.elementsPerRequest = elements;
+    opts.perDpuElements = static_cast<uint32_t>(std::max<uint64_t>(
+        1, (static_cast<uint64_t>(elements) + opts.dpus - 1) /
+               opts.dpus));
+    BatchedResult res = runBatchedThroughput(function, spec, opts);
     if (!res.feasible) {
-        std::cerr << "pimfault: configuration infeasible (tables do"
-                     " not fit the PIM core)\n";
+        std::cerr << "pimfault: configuration infeasible (tables or"
+                     " the per-DPU slice do not fit the PIM core)\n";
         return 1;
     }
+    const sim::serve::ServeReport& run = res.report;
 
     std::cout << "== pimfault: " << functionName(function) << " / "
               << methodLabel(spec) << "\n";
     std::cout << "   plan " << planPath << " (seed " << plan->seed
               << ", " << plan->faults.size() << " fault spec"
               << (plan->faults.size() == 1 ? "" : "s") << "), "
-              << opts.elements << " elements over " << opts.dpus
+              << elements << " elements over " << opts.dpus
               << " DPUs\n\n";
 
     std::cout << "-- blast radius\n";
-    std::printf("   waves               %10u\n", res.run.waves);
+    std::printf("   waves               %10llu\n",
+                static_cast<unsigned long long>(run.waves));
     std::printf("   failed DPUs         %10zu of %u  [",
-                res.run.failedDpus.size(), res.totalDpus);
-    for (size_t i = 0; i < res.run.failedDpus.size(); ++i)
-        std::printf("%s%u", i ? " " : "", res.run.failedDpus[i]);
+                run.failedDpus.size(), opts.dpus);
+    for (size_t i = 0; i < run.failedDpus.size(); ++i)
+        std::printf("%s%u", i ? " " : "", run.failedDpus[i]);
     std::printf("]\n");
     std::printf("   healthy after run   %10u\n", res.healthyDpus);
     std::printf("   resharded elements  %10llu\n",
+                static_cast<unsigned long long>(run.reshardedElements));
+    std::printf("   transfer retries    %10llu\n",
                 static_cast<unsigned long long>(
-                    res.run.reshardedElements));
-    std::printf("   transfer retries    %10u\n",
-                res.run.transferRetries);
-    std::printf("   transfer failures   %10u\n",
-                res.run.transferFailures);
-    std::printf("   modeled seconds     %13.6f\n",
-                res.run.modeledSeconds);
+                    reg.counter("fault/transfer/retries").value()));
+    std::printf("   transfer failures   %10llu\n",
+                static_cast<unsigned long long>(
+                    reg.counter("fault/transfer/failures").value()));
+    std::printf("   modeled seconds     %13.6f\n", run.modeledSeconds);
 
     std::cout << "\n-- degraded result\n";
     std::printf("   complete            %10s\n",
-                res.run.complete ? "yes" : "NO");
+                run.complete ? "yes" : "NO");
     std::printf("   RMSE                %13.3e (bound %.3e x %.0f)\n",
-                res.error.rmse, res.predictedRmse,
-                opts.errorBoundFactor);
+                res.error.rmse, res.predictedRmse, kErrorBoundFactor);
     std::printf("   max error           %13.3e\n", res.error.maxAbs);
     std::printf("   within error bound  %10s\n",
                 res.withinErrorBound ? "yes" : "NO");
 
     if (!metricsPath.empty()) {
-        if (!obs::Registry::global().writeJson(metricsPath)) {
+        if (!reg.writeJson(metricsPath)) {
             std::cerr << "pimfault: cannot write '" << metricsPath
                       << "'\n";
             return 2;

@@ -40,7 +40,7 @@
  *                          --dpus D*R*P and per-rank scheduling
  *                          (see docs/fleet.md)
  *   --dpus N               simulated DPUs (default 64)
- *   --tasklets N           tasklets per DPU (default 16)
+ *   --tasklets N           tasklets per DPU, 1..24 (default 16)
  *   --per-dpu-elements N   per-wave slice capacity per DPU
  *                          (default 512)
  *   --chunk N              streaming-kernel chunk elements
@@ -346,7 +346,11 @@ main(int argc, char** argv)
         } else if (arg == "--dpus") {
             u32Arg(dpus);
         } else if (arg == "--tasklets") {
-            u32Arg(tasklets);
+            std::string error;
+            if (!parseTasklets(value(), tasklets, error)) {
+                std::cerr << "pimserve: " << error << "\n";
+                return 2;
+            }
         } else if (arg == "--per-dpu-elements") {
             u32Arg(perDpuElements);
         } else if (arg == "--chunk") {
@@ -421,8 +425,7 @@ main(int argc, char** argv)
     }
     if (topology)
         dpus = topology->numDpus();
-    if ((tracePath.empty() && !replayDemo) || dpus == 0 ||
-        tasklets == 0) {
+    if ((tracePath.empty() && !replayDemo) || dpus == 0) {
         usage();
         return 2;
     }

@@ -16,7 +16,7 @@
  *   --method NAME     llut, mlut, dlut, dllut, llut-fixed, cordic,
  *                     cordic-fixed, cordic-lut, poly (default llut)
  *   --elements N      input elements (default 16384)
- *   --tasklets N      tasklets (default 16)
+ *   --tasklets N      tasklets, 1..24 (default 16)
  *   --log2-entries N  LUT entry budget (default 12)
  *   --iterations N    CORDIC iterations (default 24)
  *   --placement P     wram | mram (default wram)
@@ -125,7 +125,11 @@ main(int argc, char** argv)
         } else if (arg == "--elements") {
             u32Arg(opts.elements);
         } else if (arg == "--tasklets") {
-            u32Arg(opts.tasklets);
+            std::string error;
+            if (!parseTasklets(value(), opts.tasklets, error)) {
+                std::cerr << "pimtrace: " << error << "\n";
+                return 2;
+            }
         } else if (arg == "--log2-entries") {
             u32Arg(spec.log2Entries);
         } else if (arg == "--iterations") {

@@ -38,7 +38,7 @@
  *                        SPEC grammar: docs/autotuner.md, e.g.
  *                        'rmse<1e-6;cycles:p99<600'.
  *   --dpus N             simulated DPUs (default 64)
- *   --tasklets N         tasklets per DPU (default 16)
+ *   --tasklets N         tasklets per DPU, 1..24 (default 16)
  *   --per-dpu-elements N per-wave slice capacity per DPU (default 512)
  *   --chunk N            streaming-kernel chunk elements (default 32)
  *   --explore N          elements each candidate is explored for
@@ -255,7 +255,11 @@ main(int argc, char** argv)
         } else if (arg == "--dpus") {
             u32Arg(dpus);
         } else if (arg == "--tasklets") {
-            u32Arg(tasklets);
+            std::string error;
+            if (!parseTasklets(value(), tasklets, error)) {
+                std::cerr << "pimtune: " << error << "\n";
+                return 2;
+            }
         } else if (arg == "--per-dpu-elements") {
             u32Arg(perDpuElements);
         } else if (arg == "--chunk") {
@@ -284,7 +288,7 @@ main(int argc, char** argv)
     }
 
     if (tracePath.empty() == !demo || (demo && demoRequests == 0) ||
-        dpus == 0 || tasklets == 0 || candidates == 0) {
+        dpus == 0 || candidates == 0) {
         usage();
         return 2;
     }
