@@ -72,6 +72,11 @@
 # synchronous replay). Its "speedup" is now sync_seconds /
 # modeled_seconds of the one run, and it appears on every pimserve
 # JSON, fleet_sweep's included.
+#
+# Schema 8: "fleet_sweep" records host memory — "peak_rss_mb", the
+# 20x2x64 replay's peak resident set, and "bytes_per_request", the
+# peak-RSS slope from a replay of one fifth of the requests to the
+# full one (scripts/request_memory.py).
 set -u
 
 quick=0
@@ -207,18 +212,25 @@ if [ -x "$PIMSERVE" ]; then
     FLEET_JSON_TMP=$(mktemp)
     RANK_JSON_TMP=$(mktemp)
     fleet_ok=1
-    for topo in 20x2x64 1x1x64; do
-        out="$FLEET_JSON_TMP"
-        [ "$topo" = 1x1x64 ] && out="$RANK_JSON_TMP"
-        if ! "$PIMSERVE" --demo-trace --topology "$topo" \
-            --demo-requests "$fleet_reqs" \
-            --json "$out" > /dev/null 2> "$ERR_TMP"; then
-            fleet_ok=0
-            failures=$((failures + 1))
-            echo "   $topo FAILED" >&2
-            tail -5 "$ERR_TMP" >&2
-        fi
-    done
+    # The fleet replay runs under the memory probe, which replays a
+    # fifth of the trace first and reports the peak-RSS slope.
+    fleet_mem=$(python3 "$(dirname "$0")/../scripts/request_memory.py" \
+        "$PIMSERVE" 20x2x64 $((fleet_reqs / 5)) "$fleet_reqs" \
+        --json "$FLEET_JSON_TMP" 2> "$ERR_TMP")
+    if [ $? -ne 0 ]; then
+        fleet_ok=0
+        failures=$((failures + 1))
+        echo "   20x2x64 FAILED" >&2
+        tail -5 "$ERR_TMP" >&2
+    fi
+    if ! "$PIMSERVE" --demo-trace --topology 1x1x64 \
+        --demo-requests "$fleet_reqs" \
+        --json "$RANK_JSON_TMP" > /dev/null 2> "$ERR_TMP"; then
+        fleet_ok=0
+        failures=$((failures + 1))
+        echo "   1x1x64 FAILED" >&2
+        tail -5 "$ERR_TMP" >&2
+    fi
     if [ "$fleet_ok" = 1 ]; then
         ratio=$(awk 'function rps(f) {
             while ((getline line < f) > 0)
@@ -233,8 +245,13 @@ if [ -x "$PIMSERVE" ]; then
             a = rps(ARGV[1]); b = rps(ARGV[2])
             printf "%.4f", (b > 0) ? a / b : 0
         }' "$FLEET_JSON_TMP" "$RANK_JSON_TMP")
-        fleet_sweep="{\"requests\": $fleet_reqs, \"fleet\": $(cat "$FLEET_JSON_TMP"), \"single_rank\": $(cat "$RANK_JSON_TMP"), \"requests_per_second_ratio\": $ratio}"
+        mem_fields=$(echo "$fleet_mem" | python3 -c 'import json, sys
+m = json.load(sys.stdin)
+print("\"peak_rss_mb\": %s, \"bytes_per_request\": %s"
+      % (m["peak_rss_mb"][1], m["bytes_per_request"]))')
+        fleet_sweep="{\"requests\": $fleet_reqs, \"fleet\": $(cat "$FLEET_JSON_TMP"), \"single_rank\": $(cat "$RANK_JSON_TMP"), \"requests_per_second_ratio\": $ratio, $mem_fields}"
         echo "   fleet over single rank: ${ratio}x requests/s" >&2
+        echo "   fleet memory: $mem_fields" >&2
         # The scale-out is asserted, not just recorded: the full 1M
         # replay must reach >= 4x; the --quick trace (16k requests)
         # is too short to fill the fleet, so it only has to beat one
@@ -373,7 +390,7 @@ fi
 
 {
     echo "{"
-    echo "  \"schema\": 7,"
+    echo "  \"schema\": 8,"
     echo "  \"git_sha\": \"$GIT_SHA\","
     echo "  \"sim_threads\": \"${TPL_SIM_THREADS:-default}\","
     echo "  \"bench_elements\": \"${TPL_BENCH_ELEMENTS:-default}\","

@@ -4,8 +4,9 @@
 # run the parallel-engine tests (thread pool + launchAll determinism,
 # the serve path's one shared evaluator read by every sim thread, and
 # the serve/fleet suites, whose drive loop overlaps host work with
-# kernels running on the pool) under TSan — the cheap way to catch
-# data races the determinism test alone cannot see.
+# kernels running on the pool, and the label pool every thread may
+# intern into) under TSan — the cheap way to catch data races the
+# determinism test alone cannot see.
 #
 # Usage: scripts/tier1.sh [BUILD_DIR]
 set -eu
@@ -40,9 +41,10 @@ if [ "${TPL_TIER1_TSAN:-0}" = "1" ]; then
     TSAN_DIR="${BUILD_DIR}-tsan"
     cmake -B "$TSAN_DIR" -S "$SRC_DIR" -DTPL_SANITIZE=thread
     cmake --build "$TSAN_DIR" -j --target concurrency_test \
-        shared_table_test serve_test fleet_test
+        shared_table_test serve_test fleet_test common_test
     TSAN_TESTS='ThreadPool|Determinism|Concurrency|SharedTable'
     TSAN_TESTS="$TSAN_TESTS|BatchQueue|Serve|Topology|RankTransfer|Fleet"
+    TSAN_TESTS="$TSAN_TESTS|LabelPool"
     ctest --test-dir "$TSAN_DIR" --output-on-failure -R "$TSAN_TESTS"
 fi
 
@@ -309,9 +311,11 @@ fi
 # With TPL_TIER1_FLEET=1, exercise the fleet topology tier on the real
 # CLI: the synthetic demo trace replayed over a 20x2x64 fleet (40
 # ranks, 2560 DPUs), journal byte-identity across TPL_SIM_THREADS=
-# 1/4/16, and a Python check that the per-rank journal spans and
+# 1/4/16, a Python check that the per-rank journal spans and
 # rank_stats rows partition the fleet totals (makespan = max over
-# ranks, waves/elements sum exactly).
+# ranks, waves/elements sum exactly), and a per-request memory gate:
+# the peak-RSS slope from a 50k- to a 250k-request replay must stay
+# at or under 450 bytes per request.
 if [ "${TPL_TIER1_FLEET:-0}" = "1" ]; then
     FLEET_TMP=$(mktemp -d)
     for threads in 1 4 16; do
@@ -357,4 +361,8 @@ assert abs(max(span_by_rank.values()) - doc["modeled_seconds"]) <= \
 print("fleet journal spans partition the fleet total OK")
 PYEOF
     echo "pimserve fleet replay byte-identical at 1/4/16 sim threads"
+    python3 "$SRC_DIR/scripts/request_memory.py" \
+        "$BUILD_DIR/tools/pimserve" 20x2x64 50000 250000 \
+        --max-bytes-per-request 450
+    echo "pimserve fleet replay memory per request within 450 B"
 fi

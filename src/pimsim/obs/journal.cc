@@ -36,7 +36,7 @@ formatDouble(double v)
 }
 
 std::string
-jsonEscape(const std::string& s)
+jsonEscape(std::string_view s)
 {
     std::string out;
     out.reserve(s.size());
@@ -122,6 +122,18 @@ Journal::recordLatency(const RequestLatency& lat)
     latencies_.push_back(lat);
 }
 
+void
+Journal::recordLatencies(std::vector<RequestLatency>&& lats)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (latencies_.empty()) {
+        latencies_ = std::move(lats);
+        return;
+    }
+    latencies_.reserve(latencies_.size() + lats.size());
+    latencies_.insert(latencies_.end(), lats.begin(), lats.end());
+}
+
 std::vector<JournalEvent>
 Journal::events() const
 {
@@ -139,21 +151,23 @@ Journal::latencies() const
 LatencySummary
 Journal::summarize(double makespanSeconds) const
 {
-    std::vector<RequestLatency> lats = latencies();
     LatencySummary s;
     std::vector<double> done;
-    done.reserve(lats.size());
     double sum = 0.0;
-    for (const auto& lat : lats) {
-        if (!lat.complete) {
-            ++s.incomplete;
-            continue;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        done.reserve(latencies_.size());
+        for (const RequestLatency& lat : latencies_) {
+            if (!lat.complete) {
+                ++s.incomplete;
+                continue;
+            }
+            const double v = lat.latencySeconds();
+            done.push_back(v);
+            sum += v;
+            if (v > s.max)
+                s.max = v;
         }
-        const double v = lat.latencySeconds();
-        done.push_back(v);
-        sum += v;
-        if (v > s.max)
-            s.max = v;
     }
     s.requests = done.size();
     if (done.empty())
@@ -183,29 +197,37 @@ Journal::summarize(double makespanSeconds) const
 std::string
 Journal::toJsonl() const
 {
-    std::vector<JournalEvent> evs = events();
-    std::vector<RequestLatency> lats = latencies();
-    // Canonical order: events by (t, kind, request, wave, rank) —
-    // modeled time first so the log reads causally; rank last so the
-    // fleet path stays canonical when two ranks tie on everything
-    // else; stable_sort keeps any residual ties in (deterministic
+    std::lock_guard<std::mutex> lock(mutex_);
+    // Sort pointers to the records, not copies of them. Canonical
+    // order: events by (t, kind, request, wave, rank) — modeled time
+    // first so the log reads causally; rank last so the fleet path
+    // stays canonical when two ranks tie on everything else;
+    // stable_sort keeps any residual ties in (deterministic
     // single-consumer) append order.
+    std::vector<const JournalEvent*> evs;
+    evs.reserve(events_.size());
+    for (const JournalEvent& ev : events_)
+        evs.push_back(&ev);
     std::stable_sort(evs.begin(), evs.end(),
-                     [](const JournalEvent& a, const JournalEvent& b) {
-                         return std::tie(a.t, a.kind, a.request, a.wave,
-                                         a.rank) <
-                                std::tie(b.t, b.kind, b.request, b.wave,
-                                         b.rank);
+                     [](const JournalEvent* a, const JournalEvent* b) {
+                         return std::tie(a->t, a->kind, a->request,
+                                         a->wave, a->rank) <
+                                std::tie(b->t, b->kind, b->request,
+                                         b->wave, b->rank);
                      });
+    std::vector<const RequestLatency*> lats;
+    lats.reserve(latencies_.size());
+    for (const RequestLatency& lat : latencies_)
+        lats.push_back(&lat);
     std::stable_sort(lats.begin(), lats.end(),
-                     [](const RequestLatency& a, const RequestLatency& b) {
-                         return a.request < b.request;
+                     [](const RequestLatency* a, const RequestLatency* b) {
+                         return a->request < b->request;
                      });
     std::ostringstream out;
-    for (const auto& ev : evs)
-        appendEventLine(out, ev);
-    for (const auto& lat : lats)
-        appendLatencyLine(out, lat);
+    for (const JournalEvent* ev : evs)
+        appendEventLine(out, *ev);
+    for (const RequestLatency* lat : lats)
+        appendLatencyLine(out, *lat);
     return out.str();
 }
 
@@ -285,11 +307,14 @@ SloSpec::toText() const
 }
 
 void
-SloTracker::observe(const std::string& table, double latencySeconds,
+SloTracker::observe(std::string_view table, double latencySeconds,
                     bool complete)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    Tally& t = tallies_[table];
+    auto it = tallies_.find(table);
+    if (it == tallies_.end())
+        it = tallies_.emplace(std::string(table), Tally{}).first;
+    Tally& t = it->second;
     if (complete && latencySeconds <= spec_.targetSeconds)
         ++t.good;
     else

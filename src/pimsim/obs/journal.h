@@ -42,9 +42,11 @@
 #define TPL_PIMSIM_OBS_JOURNAL_H
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace tpl {
@@ -77,7 +79,10 @@ struct JournalEvent
 struct RequestLatency
 {
     uint64_t request = 0;
-    std::string table;
+    /** TableKey label. The journal does not own the text: point it at
+     * storage that outlives the journal — the serve pipeline points
+     * it into the label pool (common/label.h), which never frees. */
+    std::string_view table;
     uint64_t elements = 0;
     uint64_t waves = 0;        ///< waves this request's elements rode in
     bool complete = false;     ///< all elements gathered healthy
@@ -121,6 +126,9 @@ class Journal
   public:
     void record(const JournalEvent& ev);
     void recordLatency(const RequestLatency& lat);
+    /** Append @p lats in order under one lock and one reservation
+     * (the serve pipeline's end-of-run bulk append). */
+    void recordLatencies(std::vector<RequestLatency>&& lats);
 
     /**
      * When disabled, record() drops events; recordLatency is
@@ -131,13 +139,16 @@ class Journal
     void setEventsEnabled(bool enabled);
     bool eventsEnabled() const;
 
+    /** Copies of the recorded events and latencies. summarize()
+     * and toJsonl() read the records in place instead. */
     std::vector<JournalEvent> events() const;
     std::vector<RequestLatency> latencies() const;
 
     /**
      * Exact nearest-rank percentiles over every *complete* recorded
      * latency; requestsPerSecond = completed / @p makespanSeconds
-     * (0 when the makespan is 0).
+     * (0 when the makespan is 0). Extra memory: one double per
+     * complete request.
      */
     LatencySummary summarize(double makespanSeconds) const;
 
@@ -214,7 +225,7 @@ class SloTracker
   public:
     explicit SloTracker(const SloSpec& spec) : spec_(spec) {}
 
-    void observe(const std::string& table, double latencySeconds,
+    void observe(std::string_view table, double latencySeconds,
                  bool complete);
 
     /** Per-table results, sorted by table label. */
@@ -236,7 +247,7 @@ class SloTracker
 
     SloSpec spec_;
     mutable std::mutex mutex_;
-    std::map<std::string, Tally> tallies_;
+    std::map<std::string, Tally, std::less<>> tallies_;
 };
 
 } // namespace obs

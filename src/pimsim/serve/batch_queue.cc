@@ -22,7 +22,7 @@ BatchQueue::push(Request request)
     request.id = nextId_++;
     ++totalPushed_;
     uint64_t id = request.id;
-    if (journal_) {
+    if (journal_ && journal_->eventsEnabled()) {
         obs::JournalEvent ev;
         ev.kind = "enqueue";
         ev.t = request.arrivalSeconds;

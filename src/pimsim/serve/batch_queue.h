@@ -35,9 +35,10 @@
 #include <map>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <utility>
 #include <vector>
+
+#include "common/label.h"
 
 namespace tpl {
 
@@ -54,12 +55,15 @@ namespace serve {
  * keys hash equal; the hash must therefore cover every knob that
  * changes the generated tables (function, method, precision,
  * placement, entry budget, ...). The label is human-readable context
- * for traces and CLI output only.
+ * for traces and CLI output only. It is interned when assigned (see
+ * common/label.h), so a key is two words, copies without allocating,
+ * and its label outlives every request, wave and journal record that
+ * carries it.
  */
 struct TableKey
 {
     uint64_t hash = 0;
-    std::string label;
+    Label label;
 
     bool operator==(const TableKey& o) const { return hash == o.hash; }
 };
@@ -165,7 +169,8 @@ class BatchQueue
     /**
      * Attach a journal: every push() records an `enqueue` span event
      * stamped at the request's arrivalSeconds. nullptr detaches;
-     * off-path costs nothing (one pointer test under the push lock).
+     * off-path costs nothing (one pointer test under the push lock),
+     * and neither does a journal whose event capture is off.
      */
     void setJournal(obs::Journal* journal);
 

@@ -39,10 +39,8 @@
 #include <array>
 #include <cstring>
 #include <deque>
-#include <map>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "pimsim/obs/journal.h"
@@ -73,7 +71,156 @@ struct WaveReq
     uint64_t id = 0;
     uint64_t elements = 0; ///< this request's elements in the wave
     bool last = false;     ///< wave carries the request's tail
-    double arrival = 0.0;
+};
+
+/** What one request's span accounting needs beyond the fields of
+ * its latency record. */
+struct ReqTrack
+{
+    uint64_t elementsDone = 0; ///< healthy gathered elements
+    /** Last ReqBook::collect pass that visited the request (0 =
+     * never: the slot is a gap), and its share's index there. */
+    uint64_t pass = 0;
+    uint32_t share = 0;
+    bool sawLast = false; ///< a wave carried the request's tail
+};
+
+/**
+ * Per-request span accounting, kept in the journal's own record
+ * type: the latency record of request `id` lives at `id - firstId` of
+ * a dense vector (O(1) lookup, no per-request allocation) and is
+ * filled in place wave by wave; its bookkeeping extras sit in a
+ * parallel vector. Queue ids are monotone, so the records are
+ * already in id order when the run finishes and hand over to the
+ * journal without a copy. Ids that never reach a wave (zero-element
+ * requests) leave gaps, dropped at finish().
+ *
+ * While the run is open, a record's `elements` counts the
+ * generation-0 elements issued, `firstScatterSeconds` is negative
+ * until the first scatter, and `queueWaitSeconds`/`stallSeconds`
+ * are unset.
+ */
+class ReqBook
+{
+  public:
+    /** One request's record and bookkeeping. */
+    struct Entry
+    {
+        obs::RequestLatency& lat;
+        ReqTrack& track;
+    };
+
+    void
+    reserve(size_t requests)
+    {
+        lats_.reserve(requests);
+        tracks_.reserve(requests);
+    }
+
+    /** The entry of a request some collect() already visited. */
+    Entry
+    at(uint64_t id)
+    {
+        const uint64_t i = id - firstId_;
+        return {lats_[i], tracks_[i]};
+    }
+
+    /**
+     * Collapse @p w's items into per-request shares, in order of
+     * first appearance, opening the records of requests seen for the
+     * first time (labeled with @p w's table). Items of one request
+     * need not be adjacent: a per-request pass stamp dedupes them.
+     * @p itemReq, when given, receives each item's share index.
+     */
+    std::vector<WaveReq>
+    collect(const Wave& w, std::vector<uint32_t>* itemReq = nullptr)
+    {
+        ++pass_;
+        std::vector<WaveReq> reqs;
+        if (itemReq)
+            itemReq->clear();
+        for (const WaveItem& it : w.items) {
+            auto [lat, track] = slot(it.requestId);
+            if (track.pass == 0) {
+                lat.request = it.requestId;
+                lat.table = w.table.label.view();
+                lat.arrivalSeconds = it.arrivalSeconds;
+                lat.firstScatterSeconds = -1.0;
+            }
+            if (track.pass != pass_) {
+                track.pass = pass_;
+                track.share = static_cast<uint32_t>(reqs.size());
+                reqs.push_back({it.requestId, 0, false});
+            }
+            WaveReq& r = reqs[track.share];
+            r.elements += it.elements;
+            r.last = r.last || it.last;
+            if (itemReq)
+                itemReq->push_back(track.share);
+        }
+        return reqs;
+    }
+
+    /**
+     * Close every record — queue wait and the stall residual —
+     * drop the gaps, and hand the records over in request-id order.
+     * Decomposition identity (complete requests):
+     *   latency = queueWait + transfer + compute + stall
+     * holds exactly because stall is defined as the residual; it goes
+     * negative when a multi-wave request's legs overlap in the
+     * double-buffered schedule (legs then sum past the span).
+     */
+    std::vector<obs::RequestLatency>
+    finish()
+    {
+        size_t kept = 0;
+        for (size_t i = 0; i < lats_.size(); ++i) {
+            if (tracks_[i].pass == 0)
+                continue;
+            obs::RequestLatency& lat = lats_[i];
+            if (lat.firstScatterSeconds < 0.0)
+                lat.firstScatterSeconds = lat.arrivalSeconds;
+            lat.queueWaitSeconds =
+                lat.firstScatterSeconds - lat.arrivalSeconds;
+            lat.stallSeconds =
+                lat.complete
+                    ? (lat.completedSeconds - lat.arrivalSeconds) -
+                          lat.queueWaitSeconds - lat.transferSeconds -
+                          lat.computeSeconds
+                    : 0.0;
+            if (kept != i)
+                lats_[kept] = lat;
+            ++kept;
+        }
+        lats_.resize(kept);
+        return std::move(lats_);
+    }
+
+  private:
+    Entry
+    slot(uint64_t id)
+    {
+        if (lats_.empty()) {
+            firstId_ = id;
+        } else if (id < firstId_) {
+            // Rebase: a lower id than any seen so far.
+            lats_.insert(lats_.begin(), firstId_ - id,
+                         obs::RequestLatency{});
+            tracks_.insert(tracks_.begin(), firstId_ - id, ReqTrack{});
+            firstId_ = id;
+        }
+        const uint64_t i = id - firstId_;
+        if (i >= lats_.size()) {
+            lats_.resize(i + 1);
+            tracks_.resize(i + 1);
+        }
+        return {lats_[i], tracks_[i]};
+    }
+
+    std::vector<obs::RequestLatency> lats_;
+    std::vector<ReqTrack> tracks_;
+    uint64_t firstId_ = 0;
+    uint64_t pass_ = 0;
 };
 
 /** Everything one in-flight wave carries between its begin (scatter)
@@ -117,34 +264,6 @@ struct LaneGroup
     std::optional<WaveExec> inflight;
     RankStats stats;
 };
-
-/** Collapse a wave's items into per-request shares, first-appearance
- * item order; @p itemReq, when given, receives each item's share
- * index. */
-std::vector<WaveReq>
-collectWaveReqs(const Wave& w, std::vector<uint32_t>* itemReq = nullptr)
-{
-    std::vector<WaveReq> reqs;
-    // Index by request id so a wave of many thousands of items stays
-    // linear; output order is still first appearance in item order.
-    std::unordered_map<uint64_t, uint32_t> index;
-    index.reserve(w.items.size());
-    if (itemReq)
-        itemReq->clear();
-    for (const WaveItem& it : w.items) {
-        auto [pos, fresh] = index.try_emplace(
-            it.requestId, static_cast<uint32_t>(reqs.size()));
-        if (fresh)
-            reqs.push_back(
-                {it.requestId, 0, false, it.arrivalSeconds});
-        WaveReq& r = reqs[pos->second];
-        r.elements += it.elements;
-        r.last = r.last || it.last;
-        if (itemReq)
-            itemReq->push_back(pos->second);
-    }
-    return reqs;
-}
 
 /** Move the first @p budget elements of @p w into the returned wave;
  * @p w keeps the remainder. Items crossing the cut are split against
@@ -327,31 +446,11 @@ ServePipeline::run(BatchQueue& queue)
     // A latency-only journal keeps no events: skip building them.
     const bool journalEvents = journal && journal->eventsEnabled();
 
-    struct ReqAcc
-    {
-        std::string table;
-        double arrival = 0.0;
-        double firstScatter = -1.0; ///< <0 = not scattered yet
-        double completed = 0.0;
-        double transferSeconds = 0.0;
-        double computeSeconds = 0.0;
-        uint64_t elementsTotal = 0; ///< gen-0 elements issued
-        uint64_t elementsDone = 0;  ///< healthy gathered elements
-        uint64_t waves = 0;
-        bool sawLast = false; ///< a wave carried the request's tail
-        bool complete = false;
-    };
-    std::map<uint64_t, ReqAcc> reqAccs;
-
-    auto accFor = [&](const WaveReq& r,
-                      const TableKey& table) -> ReqAcc& {
-        auto [it, fresh] = reqAccs.try_emplace(r.id);
-        if (fresh) {
-            it->second.table = table.label;
-            it->second.arrival = r.arrival;
-        }
-        return it->second;
-    };
+    ReqBook book;
+    // A pre-filled queue holds every request of the run: size the
+    // book once. Requests pushed during the run grow it.
+    if (trackReqs)
+        book.reserve(queue.depth());
 
     auto jev = [&](const char* kind, double t, double dur,
                    uint64_t request, uint64_t wave, uint64_t elements,
@@ -649,8 +748,8 @@ ServePipeline::run(BatchQueue& queue)
 
         if (trackReqs)
             for (const WaveReq& r : ex.reqs) {
-                ReqAcc& acc = accFor(r, ex.wave.table);
-                acc.computeSeconds += ex.computeEv.seconds();
+                book.at(r.id).lat.computeSeconds +=
+                    ex.computeEv.seconds();
                 jev("compute", ex.computeEv.start,
                     ex.computeEv.seconds(), r.id, ex.waveIndex,
                     r.elements, ex.stats.maxCycles, g.lane,
@@ -706,11 +805,11 @@ ServePipeline::run(BatchQueue& queue)
         if (!ex.binding || !ex.binding->valid) {
             report.infeasibleElements += waveElems;
             if (trackReqs)
-                for (const WaveReq& r : collectWaveReqs(ex.wave)) {
-                    ReqAcc& acc = accFor(r, ex.wave.table);
+                for (const WaveReq& r : book.collect(ex.wave)) {
+                    auto [lat, track] = book.at(r.id);
                     if (ex.generation == 0) {
-                        acc.elementsTotal += r.elements;
-                        acc.sawLast = acc.sawLast || r.last;
+                        lat.elements += r.elements;
+                        track.sawLast = track.sawLast || r.last;
                     }
                     jev("drop", lastLegEnd, 0.0, r.id,
                         obs::JournalEvent::kNoWave, r.elements, 0,
@@ -810,23 +909,23 @@ ServePipeline::run(BatchQueue& queue)
         // Per-request span accounting (post-split, so every element
         // is attributed to exactly the wave that carries it).
         if (trackReqs) {
-            ex.reqs = collectWaveReqs(ex.wave, &ex.itemReq);
+            ex.reqs = book.collect(ex.wave, &ex.itemReq);
             const double waveXfer =
                 ex.stats.broadcastSeconds + ex.stats.scatterSeconds;
             for (const WaveReq& r : ex.reqs) {
-                ReqAcc& acc = accFor(r, ex.wave.table);
-                ++acc.waves;
-                if (acc.firstScatter < 0.0)
-                    acc.firstScatter = ex.scatterEv.start;
-                acc.transferSeconds += waveXfer;
+                auto [lat, track] = book.at(r.id);
+                ++lat.waves;
+                if (lat.firstScatterSeconds < 0.0)
+                    lat.firstScatterSeconds = ex.scatterEv.start;
+                lat.transferSeconds += waveXfer;
                 if (ex.generation == 0) {
-                    acc.elementsTotal += r.elements;
-                    acc.sawLast = acc.sawLast || r.last;
+                    lat.elements += r.elements;
+                    track.sawLast = track.sawLast || r.last;
                 }
                 if (tracer.enabled()) {
                     const std::string flowName =
                         "req " + std::to_string(r.id);
-                    if (acc.waves == 1)
+                    if (lat.waves == 1)
                         tracer.flowBegin(flowName, "serve", r.id);
                     else
                         tracer.flowStep(flowName, "serve", r.id);
@@ -920,19 +1019,18 @@ ServePipeline::run(BatchQueue& queue)
         if (trackReqs)
             for (size_t r = 0; r < ex.reqs.size(); ++r) {
                 const WaveReq& req = ex.reqs[r];
-                ReqAcc& acc = accFor(req, ex.wave.table);
-                acc.transferSeconds += gatherEv.seconds();
+                auto [lat, track] = book.at(req.id);
+                lat.transferSeconds += gatherEv.seconds();
                 jev("gather", gatherEv.start, gatherEv.seconds(),
                     req.id, ex.waveIndex, req.elements, 0, g.lane,
                     ex.wave.table.label);
-                acc.elementsDone += gathered[r];
-                if (!acc.complete && acc.sawLast &&
-                    acc.elementsTotal > 0 &&
-                    acc.elementsDone == acc.elementsTotal) {
-                    acc.complete = true;
-                    acc.completed = gatherEv.end;
+                track.elementsDone += gathered[r];
+                if (!lat.complete && track.sawLast && lat.elements > 0 &&
+                    track.elementsDone == lat.elements) {
+                    lat.complete = true;
+                    lat.completedSeconds = gatherEv.end;
                     jev("done", gatherEv.end, 0.0, req.id,
-                        ex.waveIndex, acc.elementsTotal, 0, g.lane,
+                        ex.waveIndex, lat.elements, 0, g.lane,
                         ex.wave.table.label);
                     if (tracer.enabled())
                         tracer.flowEnd("req " + std::to_string(req.id),
@@ -944,7 +1042,7 @@ ServePipeline::run(BatchQueue& queue)
             if (ex.generation + 1 > opts_.maxRetryWaves) {
                 report.droppedElements += retryElems;
                 if (trackReqs)
-                    for (const WaveReq& r : collectWaveReqs(retry))
+                    for (const WaveReq& r : book.collect(retry))
                         jev("drop", gatherEv.end, 0.0, r.id,
                             ex.waveIndex, r.elements, 0, g.lane,
                             retry.table.label,
@@ -1059,11 +1157,11 @@ ServePipeline::run(BatchQueue& queue)
     for (const PendingWave& pw : retries) {
         report.droppedElements += pw.wave.elements();
         if (trackReqs)
-            for (const WaveReq& r : collectWaveReqs(pw.wave)) {
-                ReqAcc& acc = accFor(r, pw.wave.table);
+            for (const WaveReq& r : book.collect(pw.wave)) {
+                auto [lat, track] = book.at(r.id);
                 if (pw.generation == 0) {
-                    acc.elementsTotal += r.elements;
-                    acc.sawLast = acc.sawLast || r.last;
+                    lat.elements += r.elements;
+                    track.sawLast = track.sawLast || r.last;
                 }
                 jev("drop", drainT, 0.0, r.id,
                     obs::JournalEvent::kNoWave, r.elements, 0, -1,
@@ -1087,40 +1185,11 @@ ServePipeline::run(BatchQueue& queue)
                       report.infeasibleElements == 0 &&
                       queue.closed() && queue.depth() == 0;
 
-    // Finalize one RequestLatency per tracked request. The std::map
-    // iterates in request-id order, and every timestamp came off the
-    // modeled timeline — the journal serializes byte-identically at
-    // any thread count. Decomposition identity (complete requests):
-    //   latency = queueWait + transfer + compute + stall
-    // holds exactly because stall is defined as the residual; it goes
-    // negative when a multi-wave request's legs overlap in the
-    // double-buffered schedule (legs then sum past the span).
-    if (journal) {
-        for (const auto& [id, acc] : reqAccs) {
-            obs::RequestLatency lat;
-            lat.request = id;
-            lat.table = acc.table;
-            lat.elements = acc.elementsTotal;
-            lat.waves = acc.waves;
-            lat.complete = acc.complete;
-            lat.arrivalSeconds = acc.arrival;
-            lat.firstScatterSeconds = acc.firstScatter < 0.0
-                                          ? acc.arrival
-                                          : acc.firstScatter;
-            lat.completedSeconds = acc.completed;
-            lat.queueWaitSeconds =
-                lat.firstScatterSeconds - acc.arrival;
-            lat.transferSeconds = acc.transferSeconds;
-            lat.computeSeconds = acc.computeSeconds;
-            lat.stallSeconds =
-                acc.complete
-                    ? (acc.completed - acc.arrival) -
-                          lat.queueWaitSeconds - acc.transferSeconds -
-                          acc.computeSeconds
-                    : 0.0;
-            journal->recordLatency(lat);
-        }
-    }
+    // One latency record per tracked request, appended in one batch.
+    // Every timestamp came off the modeled timeline, so the journal
+    // serializes byte-identically at any thread count.
+    if (journal)
+        journal->recordLatencies(book.finish());
 
     if (reg.enabled()) {
         reg.counter("serve/waves").add(report.waves);

@@ -399,7 +399,7 @@ OnlineAutoTuner::route(const sim::serve::TableKey& requested,
         bump("tuner/switches");
         out.note = (s.lastReason.empty() ? std::string("route")
                                          : s.lastReason) +
-                   " (requested " + s.requested.label + ")";
+                   " (requested " + s.requested.label.str() + ")";
     }
     s.lastRoutedHash = c->key.hash;
     return out;

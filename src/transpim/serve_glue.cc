@@ -38,10 +38,8 @@ class Fnv1a
     uint64_t hash_ = 0xcbf29ce484222325ull;
 };
 
-} // namespace
-
-sim::serve::TableKey
-batchTableKey(Function f, const MethodSpec& spec)
+uint64_t
+tableHash(Function f, const MethodSpec& spec)
 {
     // Field-by-field (never the raw struct: padding bytes are
     // indeterminate), covering every knob that shapes the generated
@@ -59,9 +57,16 @@ batchTableKey(Function f, const MethodSpec& spec)
     h.mix(spec.dlutMinExp);
     h.mix(static_cast<uint8_t>(spec.reduceRange));
     h.mix(static_cast<uint8_t>(spec.shareTrigTables));
+    return h.value();
+}
 
+} // namespace
+
+sim::serve::TableKey
+batchTableKey(Function f, const MethodSpec& spec)
+{
     sim::serve::TableKey key;
-    key.hash = h.value();
+    key.hash = tableHash(f, spec);
     key.label =
         std::string(functionName(f)) + "/" + methodLabel(spec);
     return key;
@@ -103,9 +108,14 @@ makeStreamingKernel(const FunctionEvaluator& ev,
 sim::serve::TableKey
 EvaluatorCatalog::add(Function f, const MethodSpec& spec)
 {
-    sim::serve::TableKey key = batchTableKey(f, spec);
-    entries_.emplace(key.hash, Entry{f, spec});
-    return key;
+    // Called once per pushed request: only a first sighting builds
+    // and interns the label.
+    auto it = entries_.find(tableHash(f, spec));
+    if (it == entries_.end()) {
+        sim::serve::TableKey key = batchTableKey(f, spec);
+        it = entries_.emplace(key.hash, Entry{f, spec, key}).first;
+    }
+    return it->second.key;
 }
 
 sim::serve::TableProvider

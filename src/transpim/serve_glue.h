@@ -59,7 +59,8 @@ class EvaluatorCatalog
 {
   public:
     /** Register @p f with @p spec; returns (and remembers) its key.
-     * Re-adding an equal configuration is a no-op. */
+     * Re-adding an equal configuration only hashes it and returns the
+     * remembered key. */
     sim::serve::TableKey add(Function f, const MethodSpec& spec);
 
     /** Streaming-kernel chunk size passed to makeStreamingKernel. */
@@ -96,6 +97,7 @@ class EvaluatorCatalog
     {
         Function function = Function::Sin;
         MethodSpec spec;
+        sim::serve::TableKey key;
     };
 
     std::map<uint64_t, Entry> entries_;

@@ -1,11 +1,16 @@
 /**
  * @file
  * Unit tests for the common module: bit utilities, Q3.28 fixed point,
- * error metrics, emulated integer arithmetic, and the RNG helpers.
+ * error metrics, emulated integer arithmetic, the RNG helpers, and
+ * the label pool.
  */
 
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +18,7 @@
 #include "common/emu_int.h"
 #include "common/error_metrics.h"
 #include "common/fixed_point.h"
+#include "common/label.h"
 #include "common/rng.h"
 
 namespace tpl {
@@ -230,6 +236,74 @@ TEST(Rng, Range)
     for (float x : v) {
         EXPECT_GE(x, -2.0f);
         EXPECT_LT(x, 5.0f);
+    }
+}
+
+TEST(LabelPool, EqualTextSharesOneAddress)
+{
+    const std::string a = "sin/L-LUT interp. (WRAM, 2^12)";
+    const std::string b = a; // equal text, distinct storage
+    ASSERT_NE(a.data(), b.data());
+    const Label la(a), lb(b.c_str()), lc{std::string_view(b)};
+    EXPECT_EQ(la.view().data(), lb.view().data());
+    EXPECT_EQ(&la.str(), &lc.str());
+    EXPECT_EQ(la, lb);
+    EXPECT_EQ(la.str(), a);
+    EXPECT_FALSE(la == Label("cos/L-LUT interp. (WRAM, 2^12)"));
+
+    // The empty label equals any empty text.
+    EXPECT_EQ(Label(), Label(""));
+    EXPECT_EQ(Label().str(), "");
+}
+
+TEST(LabelPool, LabelOutlivesItsSourceString)
+{
+    Label label;
+    std::string_view view;
+    {
+        // Longer than any small-string buffer, so the source owns a
+        // heap block that dies with it (a dangling read trips ASan).
+        auto source = std::make_unique<std::string>(
+            "exp/M-LUT interp. (MRAM, 2^16) built on the heap");
+        label = *source;
+        view = Label(*source).view();
+        source->assign(source->size(), 'x');
+    }
+    EXPECT_EQ(label.str(),
+              "exp/M-LUT interp. (MRAM, 2^16) built on the heap");
+    EXPECT_EQ(view, label.view());
+}
+
+TEST(LabelPool, EightThreadsInternConcurrently)
+{
+    constexpr int kThreads = 8;
+    constexpr int kTexts = 64;
+    constexpr int kRounds = 50;
+    // Every thread interns the same texts, starting at a different
+    // offset so first sightings race.
+    std::vector<std::vector<const char*>> seen(
+        kThreads, std::vector<const char*>(kTexts));
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([t, &seen] {
+            for (int round = 0; round < kRounds; ++round)
+                for (int i = 0; i < kTexts; ++i) {
+                    const int k = (i + t * 8) % kTexts;
+                    const Label label(
+                        "concurrent/label " + std::to_string(k));
+                    if (round == 0)
+                        seen[t][k] = label.view().data();
+                    else
+                        ASSERT_EQ(seen[t][k], label.view().data());
+                }
+        });
+    for (std::thread& th : threads)
+        th.join();
+    for (int k = 0; k < kTexts; ++k) {
+        EXPECT_EQ(std::string(seen[0][k]),
+                  "concurrent/label " + std::to_string(k));
+        for (int t = 1; t < kThreads; ++t)
+            EXPECT_EQ(seen[t][k], seen[0][k]) << "text " << k;
     }
 }
 

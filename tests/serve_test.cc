@@ -704,6 +704,146 @@ TEST(ServePipeline, AllCoresDeadReportsIncompleteInsteadOfHanging)
     EXPECT_EQ(sys.healthyDpus(), 0u);
 }
 
+// Latency records depend on the requests served, not on where the
+// queue's ids start: the pipeline indexes its per-request accounting
+// by id - firstId. A retry wave (armed plan) revisits requests after
+// another wave has begun, and must still count each request once.
+TEST(ServePipeline, LatencyRecordsIndependentOfRequestIdBase)
+{
+    auto plan = fault::FaultPlan::parse(
+        "seed 99\nfault kind=dpu-hard-fail dpu=2 prob=1\n");
+    ASSERT_TRUE(plan.has_value());
+    MethodSpec spec;
+    constexpr uint32_t kRequests = 12;
+
+    struct Served
+    {
+        serve::ServeReport rep;
+        std::vector<obs::RequestLatency> lats;
+        std::vector<obs::JournalEvent> events;
+        uint64_t firstId = 0;
+    };
+    // @p consumed requests are pushed and popped before the trace,
+    // as a queue that already fed an earlier run would have.
+    auto serveTrace = [&](bool faults, uint32_t consumed) {
+        sim::PimSystem sys(8);
+        if (faults)
+            sys.armFaults(*plan);
+        EvaluatorCatalog catalog;
+        const serve::TableKey keys[2] = {
+            catalog.add(Function::Sin, spec),
+            catalog.add(Function::Cos, spec)};
+        serve::BatchQueue queue;
+        float x = 0.5f, y = 0.0f;
+        for (uint32_t i = 0; i < consumed; ++i)
+            queue.push(makeRequest(keys[0], &x, &y, 1));
+        while (queue.depth() > 0)
+            queue.popWave(1024);
+
+        std::vector<uint32_t> sizes;
+        uint64_t total = 0;
+        for (uint32_t r = 0; r < kRequests; ++r) {
+            sizes.push_back(100 + (r * 83) % 300);
+            total += sizes.back();
+        }
+        std::vector<float> in(total), out(total);
+        for (uint64_t i = 0; i < total; ++i)
+            in[i] = 0.05f + 0.9f * static_cast<float>(i % 97) / 97.0f;
+        Served s;
+        uint64_t off = 0;
+        for (uint32_t r = 0; r < kRequests; ++r) {
+            uint64_t id = queue.push(makeRequest(
+                keys[(r / 3) % 2], in.data() + off, out.data() + off,
+                sizes[r]));
+            if (r == 0)
+                s.firstId = id;
+            off += sizes[r];
+        }
+        queue.close();
+
+        obs::Journal journal;
+        serve::PipelineOptions popts;
+        popts.numTasklets = 4;
+        popts.perDpuElements = 64; // 512-element waves over 8 DPUs
+        popts.journal = &journal;
+        serve::ServePipeline pipeline(sys, catalog.provider(), popts);
+        s.rep = pipeline.run(queue);
+        s.lats = journal.latencies();
+        s.events = journal.events();
+        return s;
+    };
+
+    uint64_t wavesPerMode[2] = {0, 0}; // summed over the records
+    for (bool faults : {false, true}) {
+        SCOPED_TRACE(faults ? "dpu-hard-fail plan" : "no plan");
+        const Served fresh = serveTrace(faults, 0);
+        const Served reused = serveTrace(faults, 1000);
+        ASSERT_TRUE(fresh.rep.complete);
+        ASSERT_TRUE(reused.rep.complete);
+        EXPECT_EQ(fresh.firstId, 1u);
+        EXPECT_EQ(reused.firstId, 1001u);
+        EXPECT_EQ(fresh.rep.reshardedElements,
+                  reused.rep.reshardedElements);
+        EXPECT_EQ(fresh.rep.reshardedElements > 0, faults);
+
+        // One record per request, in id order, identical apart from
+        // the id offset.
+        ASSERT_EQ(fresh.lats.size(), kRequests);
+        ASSERT_EQ(reused.lats.size(), kRequests);
+        for (uint32_t r = 0; r < kRequests; ++r) {
+            SCOPED_TRACE("request " + std::to_string(r));
+            const obs::RequestLatency& a = fresh.lats[r];
+            const obs::RequestLatency& b = reused.lats[r];
+            EXPECT_EQ(a.request, fresh.firstId + r);
+            EXPECT_EQ(b.request, reused.firstId + r);
+            EXPECT_EQ(a.table, b.table);
+            EXPECT_EQ(a.elements, b.elements);
+            EXPECT_EQ(a.elements, 100 + (r * 83) % 300);
+            EXPECT_EQ(a.waves, b.waves);
+            EXPECT_TRUE(a.complete);
+            EXPECT_EQ(a.complete, b.complete);
+            EXPECT_EQ(a.arrivalSeconds, b.arrivalSeconds);
+            EXPECT_EQ(a.firstScatterSeconds, b.firstScatterSeconds);
+            EXPECT_EQ(a.completedSeconds, b.completedSeconds);
+            EXPECT_EQ(a.queueWaitSeconds, b.queueWaitSeconds);
+            EXPECT_EQ(a.transferSeconds, b.transferSeconds);
+            EXPECT_EQ(a.computeSeconds, b.computeSeconds);
+            EXPECT_EQ(a.stallSeconds, b.stallSeconds);
+        }
+
+        // Each record's wave count is the number of distinct waves
+        // that coalesced the request, and exactly one `done` closes
+        // it — also when a wave revisits the request after another
+        // wave began (requests straddling waves of a swept lane, and
+        // with the plan armed, retry waves).
+        bool revisitedLater = false;
+        for (const Served* s : {&fresh, &reused}) {
+            std::map<uint64_t, std::vector<uint64_t>> wavesOf;
+            std::map<uint64_t, int> dones;
+            for (const obs::JournalEvent& ev : s->events) {
+                if (ev.kind == "coalesce")
+                    wavesOf[ev.request].push_back(ev.wave);
+                else if (ev.kind == "done")
+                    ++dones[ev.request];
+            }
+            for (const obs::RequestLatency& lat : s->lats) {
+                std::vector<uint64_t> w = wavesOf[lat.request];
+                std::sort(w.begin(), w.end());
+                EXPECT_EQ(std::unique(w.begin(), w.end()), w.end());
+                EXPECT_EQ(lat.waves, w.size());
+                EXPECT_EQ(dones[lat.request], 1);
+                for (size_t i = 1; i < w.size(); ++i)
+                    revisitedLater = revisitedLater || w[i] > w[i - 1] + 1;
+            }
+        }
+        EXPECT_TRUE(revisitedLater);
+        for (const obs::RequestLatency& lat : fresh.lats)
+            wavesPerMode[faults] += lat.waves;
+    }
+    // The retry waves rode again with requests they had served.
+    EXPECT_GT(wavesPerMode[1], wavesPerMode[0]);
+}
+
 TEST(ServePipeline, FaultFreeOutputsMatchReference)
 {
     BatchedOptions opts;

@@ -474,23 +474,23 @@ main(int argc, char** argv)
 
     obs::Registry::global().setEnabled(true);
 
-    // Generate per-request inputs over each function's domain.
+    // Generate per-request inputs over each function's domain, each
+    // request drawn from its own seed straight into place.
     uint64_t total = 0;
     for (const TraceRequest& r : trace)
         total += r.elements;
     std::vector<float> inputs(total);
     std::vector<float> outputs(total, 0.0f);
     {
-        uint64_t off = 0;
+        float* in = inputs.data();
         uint32_t salt = 0;
         for (const TraceRequest& r : trace) {
             Domain dom = functionDomain(r.function);
-            std::vector<float> chunkIn = uniformFloats(
-                r.elements, static_cast<float>(dom.lo),
-                static_cast<float>(dom.hi), seed + salt++);
-            std::copy(chunkIn.begin(), chunkIn.end(),
-                      inputs.begin() + off);
-            off += r.elements;
+            const float lo = static_cast<float>(dom.lo);
+            const float hi = static_cast<float>(dom.hi);
+            SplitMix64 rng(seed + salt++);
+            for (uint32_t i = 0; i < r.elements; ++i)
+                *in++ = rng.nextFloat(lo, hi);
         }
     }
 
@@ -522,6 +522,9 @@ main(int argc, char** argv)
         }
     }
     queue.close();
+    // The queue holds every request now: free the trace.
+    const size_t requests = trace.size();
+    std::vector<TraceRequest>().swap(trace);
 
     std::optional<OnlineAutoTuner> tuner;
     if (autoTune) {
@@ -568,8 +571,8 @@ main(int argc, char** argv)
                          lat.complete);
     }
 
-    std::cout << "== pimserve: " << trace.size() << " request"
-              << (trace.size() == 1 ? "" : "s") << ", " << total
+    std::cout << "== pimserve: " << requests << " request"
+              << (requests == 1 ? "" : "s") << ", " << total
               << " elements over ";
     if (topology)
         std::cout << topology->toText() << " fleet (" << dpus
