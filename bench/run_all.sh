@@ -37,9 +37,8 @@
 # "elements_per_sec" (per-configuration-point elements divided by wall
 # seconds — a trajectory metric, comparable only between runs with the
 # same settings), and a "sim_throughput" object replays the Figure-5
-# sweep with the batch execution path on (TPL_BATCH_EVAL=1, the
-# default) and off (TPL_BATCH_EVAL=0) and records both rates plus the
-# batch-over-scalar speedup.
+# sweep with the batch execution path on and off and records both
+# rates plus the batch-over-scalar speedup (see schema 9).
 #
 # Schema 4: the embedded "serve_sweep" object (pimserve --json,
 # embedded verbatim) now carries per-request modeled latency — a
@@ -77,6 +76,11 @@
 # 20x2x64 replay's peak resident set, and "bytes_per_request", the
 # peak-RSS slope from a replay of one fifth of the requests to the
 # full one (scripts/request_memory.py).
+#
+# Schema 9: the streaming kernels always take the batch path, so
+# "sim_throughput" replays the Figure-5 sweep once and records its
+# rate as "seconds" and "elements_per_sec"; the scalar replay and the
+# batch-over-scalar speedup are gone.
 set -u
 
 quick=0
@@ -322,12 +326,10 @@ else
     echo "== pimtune not built; tuner_sweep omitted" >&2
 fi
 
-# Schema-3 simulator-throughput probe: the Figure-5 sweep replayed with
-# the batch execution path enabled (the default) and disabled
-# (TPL_BATCH_EVAL=0). CSV mode is used so the row count gives the
+# Simulator-throughput probe: the Figure-5 sweep replayed once through
+# the batch execution path. CSV mode is used so the row count gives the
 # number of feasible sweep points, which with the per-point element
-# count yields true simulated-elements-per-second rates; the ratio is
-# the headline batch-over-scalar simulator speedup.
+# count yields a true simulated-elements-per-second rate.
 sim_throughput=""
 FIG5="$BENCH_DIR/fig5_cycles"
 if [ -x "$FIG5" ]; then
@@ -337,52 +339,29 @@ if [ -x "$FIG5" ]; then
     # the wall clock instead. An explicit TPL_BENCH_ELEMENTS (including
     # --quick's 512) still wins.
     st_elems=${TPL_BENCH_ELEMENTS:-65536}
-    echo "== fig5_cycles batch-vs-scalar simulator throughput" >&2
-    st_ok=1
-    batch_secs=0
-    scalar_secs=0
-    points=0
-    for mode in batch scalar; do
-        : > "$CSV_TMP"
-        start=$(now_ns)
-        if [ "$mode" = batch ]; then
-            TPL_BENCH_ELEMENTS=$st_elems TPL_BENCH_CSV=1 \
-                TPL_BATCH_EVAL=1 "$FIG5" > "$CSV_TMP" 2> "$ERR_TMP"
-        else
-            TPL_BENCH_ELEMENTS=$st_elems TPL_BENCH_CSV=1 \
-                TPL_BATCH_EVAL=0 "$FIG5" > "$CSV_TMP" 2> "$ERR_TMP"
-        fi
-        status=$?
-        end=$(now_ns)
-        if [ "$status" -ne 0 ]; then
-            st_ok=0
-            failures=$((failures + 1))
-            echo "   $mode run FAILED (exit $status)" >&2
-            tail -5 "$ERR_TMP" >&2
-            continue
-        fi
+    echo "== fig5_cycles simulator throughput" >&2
+    : > "$CSV_TMP"
+    start=$(now_ns)
+    TPL_BENCH_ELEMENTS=$st_elems TPL_BENCH_CSV=1 \
+        "$FIG5" > "$CSV_TMP" 2> "$ERR_TMP"
+    status=$?
+    end=$(now_ns)
+    if [ "$status" -ne 0 ]; then
+        failures=$((failures + 1))
+        echo "   run FAILED (exit $status)" >&2
+        tail -5 "$ERR_TMP" >&2
+    else
         secs=$(awk -v a="$start" -v b="$end" 'BEGIN { printf "%.3f", (b - a) / 1e9 }')
         points=$(($(wc -l < "$CSV_TMP") - 1))
         [ "$points" -ge 0 ] || points=0
-        echo "   $mode: ${secs}s ($points points x $st_elems elements)" >&2
-        if [ "$mode" = batch ]; then batch_secs=$secs; else scalar_secs=$secs; fi
-    done
-    if [ "$st_ok" = 1 ]; then
+        echo "   ${secs}s ($points points x $st_elems elements)" >&2
         sim_throughput=$(awk -v p="$points" -v e="$st_elems" \
-            -v b="$batch_secs" -v s="$scalar_secs" 'BEGIN {
-            total = p * e
-            beps = (b > 0) ? total / b : 0
-            seps = (s > 0) ? total / s : 0
-            spd = (b > 0 && s > 0) ? s / b : 0
+            -v s="$secs" 'BEGIN {
+            eps = (s > 0) ? p * e / s : 0
             printf "{\"bench\": \"fig5_cycles\", \"sweep_points\": %d, ", p
             printf "\"elements_per_point\": %d, ", e
-            printf "\"batch_seconds\": %.3f, \"scalar_seconds\": %.3f, ", b, s
-            printf "\"batch_elements_per_sec\": %.1f, ", beps
-            printf "\"scalar_elements_per_sec\": %.1f, ", seps
-            printf "\"batch_over_scalar_speedup\": %.3f}", spd
+            printf "\"seconds\": %.3f, \"elements_per_sec\": %.1f}", s, eps
         }')
-        echo "$sim_throughput" |
-            sed -nE 's/.*"batch_over_scalar_speedup": ([0-9.]+).*/   speedup \1x/p' >&2
     fi
 else
     echo "== fig5_cycles not built; sim_throughput omitted" >&2
@@ -390,7 +369,7 @@ fi
 
 {
     echo "{"
-    echo "  \"schema\": 8,"
+    echo "  \"schema\": 9,"
     echo "  \"git_sha\": \"$GIT_SHA\","
     echo "  \"sim_threads\": \"${TPL_SIM_THREADS:-default}\","
     echo "  \"bench_elements\": \"${TPL_BENCH_ELEMENTS:-default}\","

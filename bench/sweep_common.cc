@@ -59,9 +59,8 @@ runPoint(Function f, const MethodSpec& spec, bool simulateCycles)
         res.error = evaluateAccuracy(eval, inputs);
         res.memoryBytes = eval.memoryBytes();
         res.hostGenSeconds = eval.setupSeconds();
-        sim::PimSystem timing(1);
         res.transferSeconds =
-            timing.serialTransferSeconds(eval.memoryBytes());
+            sim::CostModel{}.serialTransferSeconds(eval.memoryBytes());
         res.setupSeconds = res.hostGenSeconds + res.transferSeconds;
     } catch (const std::bad_alloc&) {
         res.feasible = false;

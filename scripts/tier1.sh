@@ -163,7 +163,8 @@ fi
 # the tuner CLIs (pimtune's three-way replay must show the online
 # tuner beating the best static configuration with every SLA met;
 # pimserve --auto-tune must emit its tuner section) so the documented
-# examples keep working.
+# examples keep working, and check that both replay tools reject a
+# malformed trace and a malformed --tenant-sla with one message.
 if [ "${TPL_TIER1_DOCS:-0}" = "1" ]; then
     bash "$SRC_DIR/scripts/check_docs.sh"
     DOCS_TMP=$(mktemp -d)
@@ -210,8 +211,25 @@ PYEOF
     cmp "$DOCS_TMP/pimserve.msg" "$DOCS_TMP/pimtune.msg"
     grep -qxF "$DOCS_TMP/bad.trace:1: bad tenant '-1'" \
         "$DOCS_TMP/pimserve.msg"
+    # One --tenant-sla grammar (parseTenantSlaArg): a malformed value
+    # fails both tools with exit 2 and the same message.
+    for tool in pimserve pimtune; do
+        status=0
+        "$BUILD_DIR/tools/$tool" --tenant-sla '-1:rmse<1' \
+            > /dev/null 2> "$DOCS_TMP/$tool.sla.err" || status=$?
+        if [ "$status" -ne 2 ]; then
+            echo "$tool: exit $status on a malformed --tenant-sla," \
+                "want 2" >&2
+            exit 1
+        fi
+        sed "s/^$tool: //" "$DOCS_TMP/$tool.sla.err" \
+            > "$DOCS_TMP/$tool.sla.msg"
+    done
+    cmp "$DOCS_TMP/pimserve.sla.msg" "$DOCS_TMP/pimtune.sla.msg"
+    grep -qxF "bad tenant id '-1'" "$DOCS_TMP/pimserve.sla.msg"
     echo "check_docs + pimserve/pimtune demo replay JSON round-trip OK"
     echo "pimserve/pimtune reject a malformed trace with one message"
+    echo "pimserve/pimtune reject a malformed --tenant-sla with one message"
 fi
 
 # With TPL_TIER1_OBS=1, exercise the serve observability tier end to

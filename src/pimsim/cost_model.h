@@ -22,6 +22,7 @@
 #ifndef TPL_PIMSIM_COST_MODEL_H
 #define TPL_PIMSIM_COST_MODEL_H
 
+#include <algorithm>
 #include <cstdint>
 
 namespace tpl {
@@ -86,6 +87,46 @@ struct CostModel
 
     /** Host<->PIM transfer energy per byte (picojoules). */
     double hostTransferEnergyPerBytePj = 100.0;
+
+    /// @}
+
+    /// @name Host-transfer rates (modeled seconds).
+    /// @{
+
+    /** Model ranks a parallel transfer over @p dpus DPUs engages:
+     * max(1, dpus / dpusPerRank), or 1 when dpusPerRank is 0. */
+    uint32_t
+    ranksEngaged(uint32_t dpus) const
+    {
+        return dpusPerRank ? std::max(1u, dpus / dpusPerRank) : 1u;
+    }
+
+    /**
+     * Seconds to stream @p bytes in parallel mode (same-size buffer
+     * per DPU) over @p ranks model ranks: each rank adds its
+     * per-rank bandwidth, capped by host memory bandwidth. 0 when
+     * the bandwidth parameters are not positive.
+     */
+    double
+    parallelTransferSeconds(uint64_t bytes, uint32_t ranks) const
+    {
+        double bw = std::min(hostParallelBandwidth * ranks,
+                             hostAggregateBandwidthCap);
+        if (bw <= 0.0)
+            return 0.0;
+        return static_cast<double>(bytes) / bw;
+    }
+
+    /** Seconds to stream @p bytes serialized on the host interface
+     * (distinct buffer sizes). 0 when the serial bandwidth is not
+     * positive. */
+    double
+    serialTransferSeconds(uint64_t bytes) const
+    {
+        if (hostSerialBandwidth <= 0.0)
+            return 0.0;
+        return static_cast<double>(bytes) / hostSerialBandwidth;
+    }
 
     /// @}
 };

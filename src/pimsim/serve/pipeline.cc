@@ -3,9 +3,9 @@
  * ServePipeline implementation.
  *
  * One drive loop serves both the flat system and a multi-rank fleet.
- * At run start the DPUs are cut into lane groups: one group over the
- * whole system riding the host lane (flat), or one group per rank
- * riding that rank's transfer lane (PipelineOptions::topology). Each
+ * At run start the DPUs are cut into lane groups, one per transfer
+ * lane of the timeline: one group over the whole system (flat), or
+ * one group per rank (PipelineOptions::topology). Each
  * wave is placed on one group and runs a two-deep software pipeline
  * there: beginning a wave on a group first finishes (gathers) the
  * group's previous wave, then launches — so while wave N computes on
@@ -13,7 +13,9 @@
  * scatter, and wave N's gather queues up behind it. On a single
  * group the leg order is begin 0, compute 0, begin 1, finish 0,
  * compute 1, ..., which is why a Topology{1, 1, N} fleet reproduces
- * the flat modeled numbers exactly.
+ * the flat modeled numbers exactly while N <= CostModel::dpusPerRank
+ * (a larger flat lane engages N / dpusPerRank model ranks in its
+ * broadcasts, a rank lane always one).
  *
  * The host overlaps the DPUs in wall time too: a wave's kernels are
  * submitted to the simulation pool and run in the background while
@@ -245,13 +247,16 @@ struct WaveExec
 
 /**
  * A placement target: a contiguous DPU range and the transfer lane
- * its legs ride (a rank id, or -1 for the system host lane). Ranks
- * use disjoint DPUs, so buffer-reuse fences (parity = the group's
- * wave count mod 2) and the in-flight wave are kept per group.
+ * its legs ride. Groups use disjoint DPUs, so buffer-reuse fences
+ * (parity = the group's wave count mod 2) and the in-flight wave are
+ * kept per group.
  */
 struct LaneGroup
 {
-    int32_t lane = -1;
+    uint32_t lane = 0;
+    /** Journal `rank` field: the rank id on a fleet, -1 (omitted)
+     * on a flat system. */
+    int32_t rank = -1;
     uint32_t firstDpu = 0;
     uint32_t endDpu = 0;
     uint64_t wavesBegun = 0; ///< parity source
@@ -297,6 +302,10 @@ takeWaveHead(Wave& w, uint64_t budget)
     return head;
 }
 
+/** Straggler threshold: a wave is anomalous when its slowest slice
+ * exceeds this many times the wave's median per-DPU cycles. */
+constexpr double kStragglerFactor = 4.0;
+
 /**
  * Predicted double-buffered makespan of one popped wave run as @p k
  * equal sub-waves over @p healthy cores of @p cap element slices: a
@@ -309,15 +318,16 @@ takeWaveHead(Wave& w, uint64_t budget)
 double
 predictSplitMakespan(uint64_t elems, uint32_t k, uint32_t healthy,
                      uint32_t cap, const WaveCost& cost,
-                     PimSystem& sys, double freq)
+                     const CostModel& model)
 {
+    const double freq = model.frequencyHz;
     std::vector<uint64_t> part(k);
     uint64_t base = elems / k, rem = elems % k;
     for (uint32_t i = 0; i < k; ++i)
         part[i] = base + (i < rem ? 1 : 0);
 
     auto xferSeconds = [&](uint64_t e) {
-        return sys.serialTransferSeconds(e * sizeof(float));
+        return model.serialTransferSeconds(e * sizeof(float));
     };
     auto computeSeconds = [&](uint64_t e) {
         uint64_t perSlice =
@@ -379,31 +389,25 @@ ServePipeline::run(BatchQueue& queue)
     const uint32_t cap = std::max<uint32_t>(opts_.perDpuElements, 1);
     const double freq = sys_.model().frequencyHz;
 
-    // Lane groups. A valid topology describing exactly this system
-    // cuts the DPUs into one group per rank on per-rank transfer
-    // lanes; anything else is one group over the whole system on the
-    // host lane.
+    // Lane groups, one per transfer lane. A valid topology describing
+    // exactly this system has one lane per rank; anything else is one
+    // lane over the whole system.
     const Topology* topo = opts_.topology;
     const bool perRank =
         topo && topo->valid() && topo->numDpus() == n;
-    PipelineTimeline timeline(n);
-    std::vector<LaneGroup> groups;
-    if (perRank) {
-        const uint32_t ranks = topo->numRanks();
-        cache_.setRankCount(ranks);
-        timeline.configureRanks(ranks, topo->dpusPerRank,
-                                topo->channelMap());
-        groups.resize(ranks);
-        for (uint32_t r = 0; r < ranks; ++r) {
-            groups[r].lane = static_cast<int32_t>(r);
-            groups[r].firstDpu = topo->firstDpuOfRank(r);
-            groups[r].endDpu =
-                std::min(n, groups[r].firstDpu + topo->dpusPerRank);
-            groups[r].stats.rank = r;
-        }
-    } else {
-        groups.resize(1);
-        groups[0].endDpu = n;
+    PipelineTimeline timeline = perRank
+                                    ? PipelineTimeline(*topo)
+                                    : PipelineTimeline(n, sys_.model());
+    const uint32_t lanes = timeline.laneCount();
+    cache_.setLaneCount(lanes);
+    std::vector<LaneGroup> groups(lanes);
+    for (uint32_t l = 0; l < lanes; ++l) {
+        LaneGroup& g = groups[l];
+        g.lane = l;
+        g.rank = perRank ? static_cast<int32_t>(l) : -1;
+        g.firstDpu = l * timeline.dpusPerLane();
+        g.endDpu = std::min(n, g.firstDpu + timeline.dpusPerLane());
+        g.stats.rank = l;
     }
 
     obs::TraceSpan runSpan(
@@ -577,13 +581,13 @@ ServePipeline::run(BatchQueue& queue)
                 if (wc && waveElems > 1) {
                     uint32_t bestK = 1;
                     double best = predictSplitMakespan(
-                        waveElems, 1, healthy, cap, *wc, sys_, freq);
+                        waveElems, 1, healthy, cap, *wc, sys_.model());
                     for (uint32_t k : {2u, 4u, 8u}) {
                         if (waveElems / k < healthy)
                             break; // sub-slices would degenerate
                         double m = predictSplitMakespan(
-                            waveElems, k, healthy, cap, *wc, sys_,
-                            freq);
+                            waveElems, k, healthy, cap, *wc,
+                            sys_.model());
                         if (m < best * (1.0 - 1e-9)) {
                             best = m;
                             bestK = k;
@@ -648,19 +652,18 @@ ServePipeline::run(BatchQueue& queue)
         for (LaneGroup& g : groups) {
             if (healthyCount(g) == 0)
                 continue;
-            const uint32_t r = static_cast<uint32_t>(g.lane);
-            double busy = timeline.rankMakespan(r);
+            double busy = timeline.laneMakespan(g.lane);
             if (!bestAll || busy < bestAllBusy) {
                 bestAll = &g;
                 bestAllBusy = busy;
             }
-            if (known && cache_.residentOnRank(key, r)) {
+            if (known && cache_.resident(key, g.lane)) {
                 if (!bestRes || busy < bestResBusy) {
                     bestRes = &g;
                     bestResBusy = busy;
                 }
             } else {
-                size_t res = cache_.residency(r);
+                size_t res = cache_.residency(g.lane);
                 if (!bestFresh || res < bestFreshRes ||
                     (res == bestFreshRes && busy < bestFreshBusy)) {
                     bestFresh = &g;
@@ -673,8 +676,8 @@ ServePipeline::run(BatchQueue& queue)
             return bestAll;
         if (!bestRes)
             return bestFresh ? bestFresh : bestAll;
-        double bcast =
-            sys_.rankParallelTransferSeconds(binding->tableBytes);
+        double bcast = sys_.model().parallelTransferSeconds(
+            binding->tableBytes, timeline.laneRanks());
         if (bestResBusy - bestAllBusy > bcast)
             return bestAll; // replicate: the broadcast pays off
         return bestRes;
@@ -717,7 +720,7 @@ ServePipeline::run(BatchQueue& queue)
                 sliceCycles[sliceCycles.size() / 2];
         if (sliceCycles.size() >= 2 && ex.stats.medianCycles > 0) {
             const double limit =
-                opts_.stragglerFactor *
+                kStragglerFactor *
                 static_cast<double>(ex.stats.medianCycles);
             uint32_t stragglers = 0;
             for (uint64_t c : sliceCycles)
@@ -735,7 +738,7 @@ ServePipeline::run(BatchQueue& queue)
                 if (journalEvents)
                     jev("anomaly", ex.computeEv.start,
                         ex.computeEv.seconds(), 0, ex.waveIndex,
-                        ex.stats.elements, sliceCycles.back(), g.lane,
+                        ex.stats.elements, sliceCycles.back(), g.rank,
                         ex.wave.table.label,
                         "max " + std::to_string(sliceCycles.back()) +
                             " cycles vs median " +
@@ -752,7 +755,7 @@ ServePipeline::run(BatchQueue& queue)
                     ex.computeEv.seconds();
                 jev("compute", ex.computeEv.start,
                     ex.computeEv.seconds(), r.id, ex.waveIndex,
-                    r.elements, ex.stats.maxCycles, g.lane,
+                    r.elements, ex.stats.maxCycles, g.rank,
                     ex.wave.table.label);
             }
     };
@@ -791,16 +794,11 @@ ServePipeline::run(BatchQueue& queue)
         const TableBinding* cached = cache_.peek(ex.wave.table);
         if (!cached || !cached->valid)
             commitOutstanding();
-        if (g.lane >= 0) {
-            TableCache::RankLookup found = cache_.lookupOnRank(
-                ex.wave.table, static_cast<uint32_t>(g.lane));
-            ex.binding = found.binding;
-            ex.stats.tableMiss = found.rankMiss;
-        } else {
-            TableCache::Lookup found = cache_.lookup(ex.wave.table);
-            ex.binding = found.binding;
-            ex.stats.tableMiss = found.miss;
-        }
+        TableCache::Lookup found = cache_.lookup(ex.wave.table, g.lane);
+        ex.binding = found.binding;
+        ex.stats.tableMiss = found.laneMiss;
+        if (found.laneMiss && g.rank >= 0 && reg.enabled())
+            reg.counter("serve/lut_cache/rank_broadcasts").add(1);
         uint64_t waveElems = ex.wave.elements();
         if (!ex.binding || !ex.binding->valid) {
             report.infeasibleElements += waveElems;
@@ -813,15 +811,15 @@ ServePipeline::run(BatchQueue& queue)
                     }
                     jev("drop", lastLegEnd, 0.0, r.id,
                         obs::JournalEvent::kNoWave, r.elements, 0,
-                        g.lane, ex.wave.table.label,
+                        g.rank, ex.wave.table.label,
                         "no valid table binding");
                 }
             return false;
         }
         PipelineEvent bcastEv{};
         if (ex.stats.tableMiss && ex.binding->tableBytes > 0) {
-            bcastEv = sys_.broadcastAsync(timeline, 0.0,
-                                          ex.binding->tableBytes, g.lane);
+            bcastEv = sys_.broadcastAsync(timeline, g.lane, 0.0,
+                                          ex.binding->tableBytes);
             ex.stats.broadcastSeconds = bcastEv.seconds();
             lastLegEnd = bcastEv.end;
             ++g.stats.broadcasts;
@@ -886,7 +884,7 @@ ServePipeline::run(BatchQueue& queue)
         ex.stats.slices = static_cast<uint32_t>(ex.slices.size());
 
         ex.scatterEv = sys_.scatterAsync(
-            timeline, g.computeEndByParity[ex.parity], scatter, g.lane);
+            timeline, g.lane, g.computeEndByParity[ex.parity], scatter);
         lastLegEnd = ex.scatterEv.end;
         ex.stats.scatterSeconds = ex.scatterEv.seconds();
         ex.waveIndex = waveSeq++;
@@ -899,7 +897,7 @@ ServePipeline::run(BatchQueue& queue)
             ev.t = ex.scatterEv.start;
             ev.wave = ex.waveIndex;
             ev.elements = ex.stats.elements;
-            ev.rank = g.lane;
+            ev.rank = g.rank;
             ev.tenant = ex.wave.tenant;
             ev.table = ex.wave.table.label;
             ev.note = tuneNote;
@@ -931,15 +929,15 @@ ServePipeline::run(BatchQueue& queue)
                         tracer.flowStep(flowName, "serve", r.id);
                 }
                 jev("coalesce", ex.scatterEv.start, 0.0, r.id,
-                    ex.waveIndex, r.elements, 0, g.lane,
+                    ex.waveIndex, r.elements, 0, g.rank,
                     ex.wave.table.label);
                 jev("scatter", ex.scatterEv.start,
                     ex.scatterEv.seconds(), r.id, ex.waveIndex,
-                    r.elements, 0, g.lane, ex.wave.table.label);
+                    r.elements, 0, g.rank, ex.wave.table.label);
             }
             if (ex.stats.tableMiss && ex.stats.broadcastSeconds > 0.0)
                 jev("broadcast", bcastEv.start, bcastEv.seconds(), 0,
-                    ex.waveIndex, 0, 0, g.lane, ex.wave.table.label);
+                    ex.waveIndex, 0, 0, g.rank, ex.wave.table.label);
         }
         ++g.wavesBegun;
         g.stats.waves += 1;
@@ -960,7 +958,7 @@ ServePipeline::run(BatchQueue& queue)
                  t.elements *
                      static_cast<uint32_t>(sizeof(float))});
         PipelineEvent gatherEv =
-            sys_.gatherAsync(timeline, ex.computeEv.end, gather, g.lane);
+            sys_.gatherAsync(timeline, g.lane, ex.computeEv.end, gather);
         lastLegEnd = gatherEv.end;
         g.gatherEndByParity[ex.parity] = gatherEv.end;
         ex.stats.gatherSeconds = gatherEv.seconds();
@@ -1022,7 +1020,7 @@ ServePipeline::run(BatchQueue& queue)
                 auto [lat, track] = book.at(req.id);
                 lat.transferSeconds += gatherEv.seconds();
                 jev("gather", gatherEv.start, gatherEv.seconds(),
-                    req.id, ex.waveIndex, req.elements, 0, g.lane,
+                    req.id, ex.waveIndex, req.elements, 0, g.rank,
                     ex.wave.table.label);
                 track.elementsDone += gathered[r];
                 if (!lat.complete && track.sawLast && lat.elements > 0 &&
@@ -1030,7 +1028,7 @@ ServePipeline::run(BatchQueue& queue)
                     lat.complete = true;
                     lat.completedSeconds = gatherEv.end;
                     jev("done", gatherEv.end, 0.0, req.id,
-                        ex.waveIndex, lat.elements, 0, g.lane,
+                        ex.waveIndex, lat.elements, 0, g.rank,
                         ex.wave.table.label);
                     if (tracer.enabled())
                         tracer.flowEnd("req " + std::to_string(req.id),
@@ -1044,7 +1042,7 @@ ServePipeline::run(BatchQueue& queue)
                 if (trackReqs)
                     for (const WaveReq& r : book.collect(retry))
                         jev("drop", gatherEv.end, 0.0, r.id,
-                            ex.waveIndex, r.elements, 0, g.lane,
+                            ex.waveIndex, r.elements, 0, g.rank,
                             retry.table.label,
                             "retry budget exhausted");
                 if (reg.enabled())
@@ -1176,9 +1174,8 @@ ServePipeline::run(BatchQueue& queue)
     report.modeledSeconds = timeline.makespan();
     if (perRank)
         for (LaneGroup& g : groups) {
-            const uint32_t r = g.stats.rank;
-            g.stats.makespanSeconds = timeline.rankMakespan(r);
-            g.stats.residentTables = cache_.residency(r);
+            g.stats.makespanSeconds = timeline.laneMakespan(g.lane);
+            g.stats.residentTables = cache_.residency(g.lane);
             report.rankStats.push_back(g.stats);
         }
     report.complete = !outOfCores && report.droppedElements == 0 &&

@@ -5,7 +5,7 @@
  * Pops waves off a BatchQueue and drives them through scatter ->
  * launch -> gather on a PimSystem, with every wave's modeled cost
  * reserved on a PipelineTimeline instead of summed sequentially: the
- * host-interface lane streams the scatter of wave N+1 and the gather
+ * transfer lane streams the scatter of wave N+1 and the gather
  * of wave N-1 while the DPU lanes compute wave N. Per-DPU MRAM
  * buffers are double-buffered (parity = wave index mod 2), so a
  * wave's scatter only waits for the compute two waves back that last
@@ -14,8 +14,8 @@
  *
  * The same drive loop serves a flat system and a multi-rank fleet
  * (PipelineOptions::topology, see pimsim/topology.h): each wave is
- * placed on one lane group — the whole system on the host lane, or
- * one rank on its own transfer lane — and every group runs its own
+ * placed on one lane group — the whole system on its one transfer
+ * lane, or one rank on its own — and every group runs its own
  * two-deep pipeline. On a fleet, lanes of ranks on distinct memory
  * channels overlap, so the fleet makespan is the max over the rank
  * timelines; placement balances hot tables through per-rank
@@ -114,9 +114,11 @@ struct PipelineOptions
      * per-rank lanes that overlap across memory channels, tables are
      * broadcast once per holding rank, and ServeReport::rankStats is
      * filled. A topology whose numDpus() does not match the system
-     * falls back to the flat path. With Topology{1, 1, N} the run
-     * reproduces the flat modeled numbers exactly. The caller keeps
-     * the object alive for the pipeline's lifetime.
+     * falls back to the flat path. With Topology{1, 1, N} and
+     * N <= CostModel::dpusPerRank the run reproduces the flat modeled
+     * numbers exactly; a larger flat system's broadcasts engage
+     * N / dpusPerRank model ranks, a rank's only one. The caller
+     * keeps the object alive for the pipeline's lifetime.
      */
     const Topology* topology = nullptr;
 
@@ -134,16 +136,6 @@ struct PipelineOptions
      * the tuner is stateful, so use a fresh instance per replay.
      */
     AutoTuner* autoTuner = nullptr;
-
-    /**
-     * Straggler detector threshold: a wave is flagged anomalous when
-     * its slowest participating DPU exceeds stragglerFactor × the
-     * wave's median per-DPU cycles (upper median; waves with fewer
-     * than two slices or a zero median are never flagged). Detection
-     * is a pure function of modeled cycles, so it is deterministic
-     * and always on; <= 1 effectively flags every uneven wave.
-     */
-    double stragglerFactor = 4.0;
 };
 
 /** Modeled timing of one executed wave. */
@@ -163,8 +155,10 @@ struct WaveStats
     uint32_t retriedSlices = 0; ///< slices lost to masked cores
     /** Upper median of the participating DPUs' cycle counts. */
     uint64_t medianCycles = 0;
-    /** DPUs whose cycles exceeded stragglerFactor × medianCycles;
-     * nonzero iff the wave was flagged anomalous. */
+    /** DPUs whose cycles exceeded 4 × medianCycles (the straggler
+     * threshold; waves with fewer than two slices or a zero median
+     * are never flagged); nonzero iff the wave was flagged
+     * anomalous. */
     uint32_t stragglerDpus = 0;
 };
 
@@ -202,7 +196,7 @@ struct ServeReport
     uint64_t reshardedElements = 0; ///< elements re-queued off them
     uint64_t computeCycles = 0; ///< sum of per-wave max cycles
     /** Waves flagged by the straggler detector (see
-     * PipelineOptions::stragglerFactor). */
+     * WaveStats::stragglerDpus). */
     uint64_t anomalousWaves = 0;
     std::vector<WaveStats> waveStats;
     /** Per-rank accounting; empty on the flat (topology == nullptr)

@@ -11,62 +11,43 @@ namespace tpl {
 namespace sim {
 namespace serve {
 
+void
+TableCache::setLaneCount(uint32_t lanes)
+{
+    laneCount_ = lanes;
+    laneBroadcasts_ = 0;
+    for (auto& [hash, entry] : entries_)
+        entry.resident.assign(lanes, false);
+}
+
 TableCache::Lookup
-TableCache::lookup(const TableKey& key)
+TableCache::lookup(const TableKey& key, uint32_t lane)
 {
     obs::Registry& reg = obs::Registry::global();
+    Lookup out;
     auto it = entries_.find(key.hash);
     if (it != entries_.end()) {
         ++hits_;
         if (reg.enabled())
             reg.counter("serve/lut_cache/hits").add(1);
-        return {it->second.get(), false};
-    }
-    ++misses_;
-    if (reg.enabled())
-        reg.counter("serve/lut_cache/misses").add(1);
-    TableBinding binding =
-        provider_ ? provider_(key, system_) : TableBinding{};
-    auto [pos, inserted] = entries_.emplace(
-        key.hash, std::make_unique<TableBinding>(std::move(binding)));
-    (void)inserted;
-    return {pos->second.get(), true};
-}
-
-void
-TableCache::setRankCount(uint32_t ranks)
-{
-    rankCount_ = ranks;
-    resident_.clear();
-    rankBroadcasts_ = 0;
-}
-
-TableCache::RankLookup
-TableCache::lookupOnRank(const TableKey& key, uint32_t rank)
-{
-    RankLookup out;
-    auto it = entries_.find(key.hash);
-    if (it == entries_.end()) {
-        Lookup first = lookup(key); // provider path + hit/miss counters
-        out.binding = first.binding;
-        out.providerMiss = true;
     } else {
-        ++hits_;
-        obs::Registry& reg = obs::Registry::global();
+        ++misses_;
         if (reg.enabled())
-            reg.counter("serve/lut_cache/hits").add(1);
-        out.binding = it->second.get();
+            reg.counter("serve/lut_cache/misses").add(1);
+        Entry entry;
+        entry.binding = std::make_unique<TableBinding>(
+            provider_ ? provider_(key, system_) : TableBinding{});
+        entry.resident.assign(laneCount_, false);
+        it = entries_.emplace(key.hash, std::move(entry)).first;
+        out.miss = true;
     }
-    std::vector<bool>& res = resident_[key.hash];
-    if (res.size() < rankCount_)
-        res.resize(rankCount_, false);
-    if (out.binding->valid && rank < res.size() && !res[rank]) {
-        res[rank] = true;
-        out.rankMiss = true;
-        ++rankBroadcasts_;
-        obs::Registry& reg = obs::Registry::global();
-        if (reg.enabled())
-            reg.counter("serve/lut_cache/rank_broadcasts").add(1);
+    Entry& entry = it->second;
+    out.binding = entry.binding.get();
+    if (out.binding->valid && lane < entry.resident.size() &&
+        !entry.resident[lane]) {
+        entry.resident[lane] = true;
+        out.laneMiss = true;
+        ++laneBroadcasts_;
     }
     return out;
 }
@@ -75,7 +56,7 @@ const TableBinding*
 TableCache::peek(const TableKey& key) const
 {
     auto it = entries_.find(key.hash);
-    return it == entries_.end() ? nullptr : it->second.get();
+    return it == entries_.end() ? nullptr : it->second.binding.get();
 }
 
 uint32_t
@@ -84,13 +65,12 @@ TableCache::evict(const TableKey& key)
     auto it = entries_.find(key.hash);
     if (it == entries_.end())
         return 0;
-    const uint32_t bytes = it->second->tableBytes;
+    const uint32_t bytes = it->second.binding->tableBytes;
     // Retire, don't destroy: in-flight waves may still reference the
     // binding (kernels capture evaluator state by shared_ptr, but
     // the pipeline holds the raw binding pointer).
-    retired_.push_back(std::move(it->second));
+    retired_.push_back(std::move(it->second.binding));
     entries_.erase(it);
-    resident_.erase(key.hash);
     ++evictions_;
     obs::Registry& reg = obs::Registry::global();
     if (reg.enabled())
@@ -99,19 +79,19 @@ TableCache::evict(const TableKey& key)
 }
 
 bool
-TableCache::residentOnRank(const TableKey& key, uint32_t rank) const
+TableCache::resident(const TableKey& key, uint32_t lane) const
 {
-    auto it = resident_.find(key.hash);
-    return it != resident_.end() && rank < it->second.size() &&
-           it->second[rank];
+    auto it = entries_.find(key.hash);
+    return it != entries_.end() && lane < it->second.resident.size() &&
+           it->second.resident[lane];
 }
 
 size_t
-TableCache::residency(uint32_t rank) const
+TableCache::residency(uint32_t lane) const
 {
     size_t n = 0;
-    for (const auto& [hash, res] : resident_)
-        if (rank < res.size() && res[rank])
+    for (const auto& [hash, entry] : entries_)
+        if (lane < entry.resident.size() && entry.resident[lane])
             ++n;
     return n;
 }

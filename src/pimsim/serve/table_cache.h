@@ -6,10 +6,13 @@
  * the modeled footprint of the tables the configuration needs on each
  * DPU. The first lookup of a key calls the caller-supplied
  * TableProvider, which generates the tables and stages them onto
- * every core (an evaluator attach); subsequent lookups are hits and
- * let the pipeline skip the modeled MRAM table re-broadcast — the
+ * every core (an evaluator attach); subsequent lookups are hits. The
+ * cache also tracks which transfer lanes (PipelineTimeline) already
+ * received each table, so the pipeline charges one modeled MRAM
+ * table broadcast per lane that runs it and skips it afterwards — the
  * cache is what makes repeated configurations cheap in a mixed
- * request stream.
+ * request stream. A flat system is one lane; a fleet has one per
+ * rank.
  *
  * The serve layer is generic over what a "table" is: the provider is
  * the only place that knows about transpim evaluators (see
@@ -24,6 +27,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "pimsim/serve/batch_queue.h"
 #include "pimsim/system.h"
@@ -43,12 +47,10 @@ struct TableBinding
 {
     bool valid = false;
 
-    /** Per-core table footprint in bytes. A cache miss pays one
-     * modeled broadcast of this footprint: the whole-system parallel
-     * rate on the flat path (lookup), or one single-rank parallel
-     * pass per holding rank on the fleet path (lookupOnRank) — a
-     * table is broadcast once per rank that hosts it, never once per
-     * DPU. */
+    /** Per-core table footprint in bytes. The first lookup on each
+     * transfer lane pays one modeled parallel broadcast of this
+     * footprint on that lane — a table is broadcast once per lane
+     * (rank) that hosts it, never once per DPU. */
     uint32_t tableBytes = 0;
 
     /** Builds the kernel evaluating one wave slice (reuses the
@@ -77,42 +79,32 @@ class TableCache
     {
     }
 
-    /** Result of a lookup: the binding plus whether the provider had
-     * to be consulted (a miss pays the table broadcast). */
+    /**
+     * Arm residency tracking for @p lanes transfer lanes (1, the
+     * default, is a flat system) and forget which lanes hold which
+     * table; cached bindings stay. Lanes 0..lanes-1 become valid
+     * arguments to lookup/resident/residency.
+     */
+    void setLaneCount(uint32_t lanes);
+
+    /** Result of a lookup: the binding, whether the provider had to
+     * generate its tables (first sighting), and whether @p lane still
+     * had to receive the table (the caller charges one broadcast on
+     * the lane). */
     struct Lookup
     {
         const TableBinding* binding = nullptr;
         bool miss = false;
-    };
-
-    Lookup lookup(const TableKey& key);
-
-    /**
-     * Arm per-rank residency tracking for a fleet of @p ranks ranks.
-     * Resets any prior residency state; rank 0..ranks-1 become valid
-     * arguments to lookupOnRank/residentOnRank/residency.
-     */
-    void setRankCount(uint32_t ranks);
-
-    /** Result of a fleet-path lookup: the binding, whether the
-     * provider had to generate tables (first sighting fleet-wide),
-     * and whether this rank still had to receive its broadcast
-     * (first sighting on the rank — the caller charges one
-     * single-rank broadcast). */
-    struct RankLookup
-    {
-        const TableBinding* binding = nullptr;
-        bool providerMiss = false;
-        bool rankMiss = false;
+        bool laneMiss = false;
     };
 
     /**
-     * Fleet-path lookup: resolve @p key (consulting the provider on
-     * first sighting, exactly like lookup) and mark the table
-     * resident on @p rank. rankMiss is set — and one rank broadcast
-     * counted — when a valid binding was not yet resident there.
+     * Resolve @p key, consulting the provider on first sighting, and
+     * mark the table resident on @p lane. laneMiss is set — and one
+     * lane broadcast counted — when a valid binding was not yet
+     * resident there.
      */
-    RankLookup lookupOnRank(const TableKey& key, uint32_t rank);
+    Lookup lookup(const TableKey& key, uint32_t lane);
 
     /** Binding for @p key if cached, else nullptr. No counters move:
      * this is the scheduler's placement peek, not a lookup. */
@@ -120,12 +112,11 @@ class TableCache
 
     /**
      * Drop @p key from the cache (MRAM-budget arbitration): the next
-     * lookup re-consults the provider and pays the table broadcast
-     * again, and any per-rank residency is cleared so every holding
-     * rank re-broadcasts too. The old binding object stays alive
-     * until the cache is destroyed — an in-flight wave still holding
-     * its pointer (one-wave decision lag in pipelined mode) keeps a
-     * valid table. @return the evicted footprint in bytes (0 when
+     * lookup re-consults the provider, and its residency is cleared
+     * so every lane that runs it again pays the broadcast again. The
+     * old binding object stays alive until the cache is destroyed —
+     * an in-flight wave still holding its pointer (one-wave decision
+     * lag in pipelined mode) keeps a valid table. @return the evicted footprint in bytes (0 when
      * the key was not cached).
      */
     uint32_t evict(const TableKey& key);
@@ -133,14 +124,14 @@ class TableCache
     /** Evictions performed so far. */
     uint64_t evictions() const { return evictions_; }
 
-    /** Whether @p key's table is resident on @p rank. */
-    bool residentOnRank(const TableKey& key, uint32_t rank) const;
+    /** Whether @p key's table is resident on @p lane. */
+    bool resident(const TableKey& key, uint32_t lane) const;
 
-    /** Number of distinct valid tables resident on @p rank. */
-    size_t residency(uint32_t rank) const;
+    /** Number of distinct valid tables resident on @p lane. */
+    size_t residency(uint32_t lane) const;
 
-    /** Total single-rank broadcasts charged by lookupOnRank. */
-    uint64_t rankBroadcasts() const { return rankBroadcasts_; }
+    /** Lane broadcasts charged by lookup since setLaneCount. */
+    uint64_t laneBroadcasts() const { return laneBroadcasts_; }
 
     uint64_t hits() const { return hits_; }
     uint64_t misses() const { return misses_; }
@@ -149,16 +140,20 @@ class TableCache
   private:
     PimSystem& system_;
     TableProvider provider_;
+    /** A cached binding and the lanes holding its table. */
+    struct Entry
+    {
+        std::unique_ptr<TableBinding> binding;
+        std::vector<bool> resident; ///< indexed by lane
+    };
+
     // Bindings live behind stable pointers: evict() retires the
-    // entry instead of destroying it, so pointers handed out by
+    // binding instead of destroying it, so pointers handed out by
     // lookup stay valid for the cache's lifetime.
-    std::map<uint64_t, std::unique_ptr<TableBinding>> entries_;
+    std::map<uint64_t, Entry> entries_;
     std::vector<std::unique_ptr<TableBinding>> retired_;
-    // Fleet residency: per cached table, which ranks hold it. Sized
-    // lazily to rankCount_ on first touch of each entry.
-    std::map<uint64_t, std::vector<bool>> resident_;
-    uint32_t rankCount_ = 0;
-    uint64_t rankBroadcasts_ = 0;
+    uint32_t laneCount_ = 1;
+    uint64_t laneBroadcasts_ = 0;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
     uint64_t evictions_ = 0;

@@ -2,11 +2,11 @@
  * @file
  * Multi-DPU system implementation.
  *
- * All multi-DPU loops (kernel launches, bulk MRAM copies) run on the
- * process-wide ThreadPool. Each DpuCore owns its entire state, so the
- * loops are embarrassingly parallel and the modeled numbers they
- * produce are independent of the thread count (see the determinism
- * test in tests/concurrency_test.cc).
+ * Kernel launches run on the process-wide ThreadPool. Each DpuCore
+ * owns its entire state, so the launches are embarrassingly parallel
+ * and the modeled numbers they produce are independent of the thread
+ * count (see the determinism test in tests/concurrency_test.cc).
+ * Transfer legs run on the calling thread, one slice after another.
  */
 
 #include "pimsim/system.h"
@@ -56,17 +56,6 @@ class SystemFaultState
 };
 
 } // namespace fault
-
-namespace {
-
-/**
- * Per-DPU copies below this size are cheaper than a pool dispatch;
- * run them serially. Launches always go parallel — a kernel launch is
- * orders of magnitude more work than a pool handoff.
- */
-constexpr uint64_t kParallelCopyThresholdBytes = 4096;
-
-} // namespace
 
 PimSystem::PimSystem(uint32_t numDpus, const CostModel& model)
     : model_(model)
@@ -126,91 +115,24 @@ PimSystem::maskDpu(uint32_t dpu)
     ++maskEpoch_;
 }
 
-void
-PimSystem::forEachDpu(const std::function<void(uint32_t)>& fn,
-                      uint64_t bytesPerDpu) const
+PipelineEvent
+PimSystem::reserveTransfer(PipelineTimeline& timeline, uint32_t lane,
+                           double readyAt, TransferStats::Cell& cell,
+                           const char* cellName, uint64_t streamBytes,
+                           double seconds)
 {
-    uint32_t n = numDpus();
-    bool serial = simThreads_ == 1 || n <= 1 ||
-                  bytesPerDpu < kParallelCopyThresholdBytes;
-    if (serial) {
-        for (uint32_t i = 0; i < n; ++i)
-            fn(i);
-        return;
-    }
-    ThreadPool& pool = pool_ ? *pool_ : ThreadPool::global();
-    pool.parallelFor(n,
-                     [&](uint64_t i) { fn(static_cast<uint32_t>(i)); });
-}
-
-double
-PimSystem::parallelTransferSeconds(uint64_t totalBytes) const
-{
-    // Parallel transfers stream at the per-rank bandwidth, overlapped
-    // across ranks, capped by host memory bandwidth.
-    uint32_t ranks = model_.dpusPerRank
-                         ? std::max(1u, numDpus() / model_.dpusPerRank)
-                         : 1u;
-    double bw = std::min(model_.hostParallelBandwidth * ranks,
-                         model_.hostAggregateBandwidthCap);
-    if (bw <= 0.0)
-        return 0.0;
-    return static_cast<double>(totalBytes) / bw;
-}
-
-double
-PimSystem::serialTransferSeconds(uint64_t totalBytes) const
-{
-    if (model_.hostSerialBandwidth <= 0.0)
-        return 0.0;
-    return static_cast<double>(totalBytes) / model_.hostSerialBandwidth;
-}
-
-double
-PimSystem::rankParallelTransferSeconds(uint64_t totalBytes) const
-{
-    // A single rank engages one rank's worth of parallel bandwidth,
-    // regardless of how many ranks the whole system has.
-    double bw = std::min(model_.hostParallelBandwidth,
-                         model_.hostAggregateBandwidthCap);
-    if (bw <= 0.0)
-        return 0.0;
-    return static_cast<double>(totalBytes) / bw;
-}
-
-double
-PimSystem::accountTransfer(TransferStats::Cell (&cells)[2],
-                           const char* direction, TransferMode mode,
-                           uint64_t streamBytes, double extraSeconds)
-{
-    double seconds = (mode == TransferMode::Parallel
-                          ? parallelTransferSeconds(streamBytes)
-                          : serialTransferSeconds(streamBytes)) +
-                     extraSeconds;
-    return accountTransferSeconds(cells, direction, mode, streamBytes,
-                                  seconds);
-}
-
-double
-PimSystem::accountTransferSeconds(TransferStats::Cell (&cells)[2],
-                                  const char* direction,
-                                  TransferMode mode,
-                                  uint64_t streamBytes, double seconds)
-{
-    TransferStats::Cell& cell = cells[static_cast<int>(mode)];
     ++cell.transfers;
     cell.bytes += streamBytes;
     cell.seconds += seconds;
 
     obs::Registry& reg = obs::Registry::global();
     if (reg.enabled()) {
-        std::string base = std::string("pimsim/host/") + direction +
-                           "/" + toString(mode);
+        std::string base = std::string("pimsim/host/") + cellName;
         reg.counter(base + "/transfers").add(1);
         reg.counter(base + "/bytes").add(streamBytes);
         reg.real(base + "/modeled_seconds").add(seconds);
     }
-    return seconds;
+    return timeline.reserveLane(lane, readyAt, seconds);
 }
 
 double
@@ -257,107 +179,18 @@ PimSystem::transferLeg(uint32_t dpu, uint64_t bytes,
                 return extra;
             }
             // Detected: the streamed bytes were wasted; retry.
-            extra += serialTransferSeconds(bytes);
+            extra += model_.serialTransferSeconds(bytes);
         }
         // Timeout: nothing arrived; the attempt cost the leg's stream
         // time before the host gave up.
         if (outcome == fault::TransferOutcome::Timeout)
-            extra += serialTransferSeconds(bytes);
+            extra += model_.serialTransferSeconds(bytes);
     }
     // Out of retries: this core's link is considered dead.
     maskDpu(dpu);
     if (reg.enabled())
         reg.counter("fault/transfer/failures").add(1);
     return extra;
-}
-
-double
-PimSystem::broadcastToMram(uint32_t mramAddr, const void* src,
-                           uint32_t size, TransferMode mode)
-{
-    obs::TraceSpan span(
-        std::string("broadcast ") + toString(mode), "xfer",
-        obs::argKv("bytes", static_cast<uint64_t>(size)));
-    // Fault-retry overhead lands in a pre-sized slot per DPU and is
-    // summed sequentially, so the modeled seconds are independent of
-    // the thread count (all slots are 0.0 with no plan armed).
-    std::vector<double> extra(numDpus(), 0.0);
-    forEachDpu(
-        [&](uint32_t i) {
-            extra[i] = transferLeg(
-                i, size,
-                [&, i] { dpus_[i]->hostWriteMram(mramAddr, src, size); },
-                dpus_[i]->mramData() + mramAddr, size);
-        },
-        size);
-    double extraSeconds = 0.0;
-    for (double e : extra)
-        extraSeconds += e;
-    // Parallel broadcast writes the same buffer to each rank
-    // overlapped, costing one parallel pass of the table bytes;
-    // serialized it streams the buffer once per DPU.
-    uint64_t streamBytes =
-        mode == TransferMode::Parallel
-            ? size
-            : static_cast<uint64_t>(size) * numDpus();
-    return accountTransfer(transferStats_.broadcast, "broadcast", mode,
-                           streamBytes, extraSeconds);
-}
-
-double
-PimSystem::scatterToMram(uint32_t mramAddr, const void* data,
-                         uint32_t bytesPerDpu, TransferMode mode)
-{
-    uint64_t total = static_cast<uint64_t>(bytesPerDpu) * numDpus();
-    obs::TraceSpan span(std::string("scatter ") + toString(mode),
-                        "xfer", obs::argKv("bytes", total));
-    const uint8_t* bytes = static_cast<const uint8_t*>(data);
-    std::vector<double> extra(numDpus(), 0.0);
-    forEachDpu(
-        [&](uint32_t i) {
-            extra[i] = transferLeg(
-                i, bytesPerDpu,
-                [&, i] {
-                    dpus_[i]->hostWriteMram(
-                        mramAddr,
-                        bytes + static_cast<uint64_t>(i) * bytesPerDpu,
-                        bytesPerDpu);
-                },
-                dpus_[i]->mramData() + mramAddr, bytesPerDpu);
-        },
-        bytesPerDpu);
-    double extraSeconds = 0.0;
-    for (double e : extra)
-        extraSeconds += e;
-    return accountTransfer(transferStats_.scatter, "scatter", mode,
-                           total, extraSeconds);
-}
-
-double
-PimSystem::gatherFromMram(uint32_t mramAddr, void* data,
-                          uint32_t bytesPerDpu, TransferMode mode)
-{
-    uint64_t total = static_cast<uint64_t>(bytesPerDpu) * numDpus();
-    obs::TraceSpan span(std::string("gather ") + toString(mode),
-                        "xfer", obs::argKv("bytes", total));
-    uint8_t* bytes = static_cast<uint8_t*>(data);
-    std::vector<double> extra(numDpus(), 0.0);
-    forEachDpu(
-        [&](uint32_t i) {
-            uint8_t* dst = bytes + static_cast<uint64_t>(i) * bytesPerDpu;
-            extra[i] = transferLeg(
-                i, bytesPerDpu,
-                [&, i, dst] {
-                    dpus_[i]->hostReadMram(mramAddr, dst, bytesPerDpu);
-                },
-                dst, bytesPerDpu);
-        },
-        bytesPerDpu);
-    double extraSeconds = 0.0;
-    for (double e : extra)
-        extraSeconds += e;
-    return accountTransfer(transferStats_.gather, "gather", mode,
-                           total, extraSeconds);
 }
 
 /** What a submitted wave carries from submitLaunch to its commit. */
@@ -572,35 +405,21 @@ PimSystem::launchAll(uint32_t numTasklets, const Kernel& kernel)
 }
 
 PipelineEvent
-PimSystem::broadcastAsync(PipelineTimeline& timeline, double readyAt,
-                          uint64_t tableBytes, int32_t rank)
+PimSystem::broadcastAsync(PipelineTimeline& timeline, uint32_t lane,
+                          double readyAt, uint64_t tableBytes)
 {
     obs::TraceSpan span("broadcastAsync", "xfer",
                         obs::argKv("bytes", tableBytes));
-    if (rank >= 0) {
-        // Fleet path: one single-rank parallel pass, reserved on the
-        // rank's transfer lane (serializing with any sibling rank on
-        // the same channel).
-        double seconds = accountTransferSeconds(
-            transferStats_.broadcast, "broadcast",
-            TransferMode::Parallel, tableBytes,
-            rankParallelTransferSeconds(tableBytes));
-        double end = timeline.reserveRank(
-            static_cast<uint32_t>(rank), readyAt, seconds);
-        return {end - seconds, end};
-    }
-    double seconds =
-        accountTransfer(transferStats_.broadcast, "broadcast",
-                        TransferMode::Parallel, tableBytes);
-    double start = std::max(readyAt, timeline.hostFree());
-    double end = timeline.reserveHost(readyAt, seconds);
-    return {start, end};
+    return reserveTransfer(
+        timeline, lane, readyAt, transferStats_.broadcast,
+        "broadcast/parallel", tableBytes,
+        model_.parallelTransferSeconds(tableBytes, timeline.laneRanks()));
 }
 
 PipelineEvent
-PimSystem::scatterAsync(PipelineTimeline& timeline, double readyAt,
-                        std::span<const ScatterSlice> slices,
-                        int32_t rank)
+PimSystem::scatterAsync(PipelineTimeline& timeline, uint32_t lane,
+                        double readyAt,
+                        std::span<const ScatterSlice> slices)
 {
     uint64_t total = 0;
     for (const ScatterSlice& s : slices)
@@ -622,23 +441,16 @@ PimSystem::scatterAsync(PipelineTimeline& timeline, double readyAt,
         if (!isMasked(s.dpu))
             streamBytes += s.bytes;
     }
-    double seconds =
-        accountTransfer(transferStats_.scatter, "scatter",
-                        TransferMode::Serial, streamBytes, extra);
-    if (rank >= 0) {
-        double end = timeline.reserveRank(
-            static_cast<uint32_t>(rank), readyAt, seconds);
-        return {end - seconds, end};
-    }
-    double start = std::max(readyAt, timeline.hostFree());
-    double end = timeline.reserveHost(readyAt, seconds);
-    return {start, end};
+    return reserveTransfer(
+        timeline, lane, readyAt, transferStats_.scatter,
+        "scatter/serial", streamBytes,
+        model_.serialTransferSeconds(streamBytes) + extra);
 }
 
 PipelineEvent
-PimSystem::gatherAsync(PipelineTimeline& timeline, double readyAt,
-                       std::span<const GatherSlice> slices,
-                       int32_t rank)
+PimSystem::gatherAsync(PipelineTimeline& timeline, uint32_t lane,
+                       double readyAt,
+                       std::span<const GatherSlice> slices)
 {
     uint64_t total = 0;
     for (const GatherSlice& s : slices)
@@ -658,17 +470,10 @@ PimSystem::gatherAsync(PipelineTimeline& timeline, double readyAt,
         if (!isMasked(s.dpu))
             streamBytes += s.bytes;
     }
-    double seconds =
-        accountTransfer(transferStats_.gather, "gather",
-                        TransferMode::Serial, streamBytes, extra);
-    if (rank >= 0) {
-        double end = timeline.reserveRank(
-            static_cast<uint32_t>(rank), readyAt, seconds);
-        return {end - seconds, end};
-    }
-    double start = std::max(readyAt, timeline.hostFree());
-    double end = timeline.reserveHost(readyAt, seconds);
-    return {start, end};
+    return reserveTransfer(
+        timeline, lane, readyAt, transferStats_.gather,
+        "gather/serial", streamBytes,
+        model_.serialTransferSeconds(streamBytes) + extra);
 }
 
 PipelineEvent
@@ -708,23 +513,6 @@ PimSystem::commitLaunch(LaunchHandle& launch, PipelineTimeline& timeline,
             .add(ev.end - ev.start);
     }
     return ev;
-}
-
-double
-PimSystem::projectedSystemSeconds(uint64_t perDpuCycles,
-                                  uint64_t simulatedElementsPerDpu,
-                                  uint64_t totalElements,
-                                  uint32_t systemDpus) const
-{
-    if (simulatedElementsPerDpu == 0 || systemDpus == 0 ||
-        model_.frequencyHz <= 0.0)
-        return 0.0;
-    double cyclesPerElement = static_cast<double>(perDpuCycles) /
-                              static_cast<double>(simulatedElementsPerDpu);
-    uint64_t elementsPerDpu =
-        (totalElements + systemDpus - 1) / systemDpus;
-    return cyclesPerElement * static_cast<double>(elementsPerDpu) /
-           model_.frequencyHz;
 }
 
 } // namespace sim

@@ -10,9 +10,11 @@
  *
  * Transfer timing follows the UPMEM characterization: transfers execute
  * in parallel across DPUs when every DPU sends/receives a buffer of the
- * same size, and serialize otherwise. The model exposes both so the
- * workload harness can account setup and result movement the way the
- * paper does.
+ * same size, and serialize otherwise (CostModel's transfer rates). Every
+ * host<->DPU transfer is a leg reserved on a transfer lane of a
+ * PipelineTimeline: a table broadcast streams at the parallel rate of
+ * the model ranks its lane engages, and the variable-size scatter and
+ * gather slices serialize.
  */
 
 #ifndef TPL_PIMSIM_SYSTEM_H
@@ -27,6 +29,7 @@
 
 #include "pimsim/dpu.h"
 #include "pimsim/fault/fault.h"
+#include "pimsim/topology.h"
 
 namespace tpl {
 namespace sim {
@@ -38,66 +41,37 @@ class SystemFaultState; // system.cc (plan copy + per-DPU states)
 } // namespace fault
 
 /**
- * How a host<->PIM transfer streams on the modeled machine: rank-
- * parallel (same-size buffer per DPU, the fast path the UPMEM runtime
- * reaches with aligned same-size transfers) or serialized on the host
- * interface (distinct sizes / unaligned).
- */
-enum class TransferMode
-{
-    Parallel,
-    Serial,
-};
-
-/** "parallel" or "serial". */
-inline const char*
-toString(TransferMode mode)
-{
-    return mode == TransferMode::Parallel ? "parallel" : "serial";
-}
-
-/**
- * Per-direction x per-mode transfer accounting. Earlier revisions
- * folded rank-parallel and serial timing into one returned number;
- * this split keeps a distinct counter per (broadcast/scatter/gather,
- * parallel/serial) cell so the tracer and metrics registry can label
- * them — the cells sum exactly to the old combined totals (locked by
- * a unit test).
+ * Per-direction transfer accounting. Each direction has one fixed
+ * mode: a broadcast streams in parallel, scatter and gather slices
+ * serialize. The cells mirror the registry's counters under
+ * `pimsim/host/<direction>/<mode>/` (transfers, bytes,
+ * modeled_seconds) and sum to the totals (locked by a unit test).
  */
 struct TransferStats
 {
     struct Cell
     {
-        uint64_t transfers = 0; ///< calls accounted in this cell
+        uint64_t transfers = 0; ///< legs accounted in this cell
         uint64_t bytes = 0;     ///< modeled stream bytes
         double seconds = 0.0;   ///< modeled transfer seconds
     };
 
-    /** Indexed by static_cast<int>(TransferMode). */
-    Cell broadcast[2];
-    Cell scatter[2];
-    Cell gather[2];
+    Cell broadcast; ///< parallel
+    Cell scatter;   ///< serial
+    Cell gather;    ///< serial
 
-    /** Sum of every cell's modeled seconds (the old combined view). */
+    /** Sum of every cell's modeled seconds. */
     double
     totalSeconds() const
     {
-        double s = 0.0;
-        for (int m = 0; m < 2; ++m)
-            s += broadcast[m].seconds + scatter[m].seconds +
-                 gather[m].seconds;
-        return s;
+        return broadcast.seconds + scatter.seconds + gather.seconds;
     }
 
     /** Sum of every cell's modeled stream bytes. */
     uint64_t
     totalBytes() const
     {
-        uint64_t b = 0;
-        for (int m = 0; m < 2; ++m)
-            b += broadcast[m].bytes + scatter[m].bytes +
-                 gather[m].bytes;
-        return b;
+        return broadcast.bytes + scatter.bytes + gather.bytes;
     }
 };
 
@@ -157,142 +131,6 @@ struct ShardTask
 using ShardKernelFactory = std::function<Kernel(const ShardTask&)>;
 
 /**
- * Modeled-time resource timeline for pipelined (double-buffered)
- * execution: one lane for the serialized host interface plus one lane
- * per DPU. A reservation starts when both its dependency (@p readyAt)
- * and the lane are free — exactly the rank-level overlap the UPMEM
- * async API exposes, where the host can stream wave N+1 while the
- * DPUs compute wave N.
- *
- * Purely modeled time: the simulator still executes everything
- * eagerly in wall time; the timeline only decides how the modeled
- * seconds of the legs overlap. Reservations mutate nothing but the
- * lane clocks, so makespan() is a pure function of the reservation
- * sequence and therefore bit-identical for any TPL_SIM_THREADS.
- */
-class PipelineTimeline
-{
-  public:
-    explicit PipelineTimeline(uint32_t numDpus)
-        : dpus_(numDpus, 0.0)
-    {
-    }
-
-    /** When the host-interface lane next becomes idle. */
-    double hostFree() const { return host_; }
-
-    /** When @p dpu's compute lane next becomes idle. */
-    double dpuFree(uint32_t dpu) const { return dpus_[dpu]; }
-
-    /**
-     * Arm per-rank transfer lanes: @p ranks rank lanes of
-     * @p dpusPerRank DPUs each, with rank r's transfers carried on
-     * channel @p channelOfRank[r]. Ranks mapped to distinct channels
-     * overlap; ranks sharing a channel serialize against each other.
-     * Until this is called (the flat single-system path), rank lanes
-     * do not exist and reserveRank must not be used.
-     */
-    void
-    configureRanks(uint32_t ranks, uint32_t dpusPerRank,
-                   std::vector<uint32_t> channelOfRank)
-    {
-        rankDpus_ = dpusPerRank;
-        channelOfRank_ = std::move(channelOfRank);
-        rankLane_.assign(ranks, 0.0);
-        rankMakespan_.assign(ranks, 0.0);
-        uint32_t channels = 0;
-        for (uint32_t c : channelOfRank_)
-            channels = std::max(channels, c + 1);
-        channelLane_.assign(channels, 0.0);
-    }
-
-    /** Number of rank lanes armed by configureRanks (0 = flat). */
-    uint32_t rankCount() const
-    {
-        return static_cast<uint32_t>(rankLane_.size());
-    }
-
-    /** When @p rank's transfer lane (and its channel) next free up. */
-    double
-    rankFree(uint32_t rank) const
-    {
-        return std::max(rankLane_[rank],
-                        channelLane_[channelOfRank_[rank]]);
-    }
-
-    /**
-     * Occupy @p rank's transfer lane and its channel for @p seconds
-     * starting no earlier than @p readyAt. @return the completion
-     * time.
-     */
-    double
-    reserveRank(uint32_t rank, double readyAt, double seconds)
-    {
-        double start = std::max(readyAt, rankFree(rank));
-        double end = start + seconds;
-        rankLane_[rank] = end;
-        channelLane_[channelOfRank_[rank]] = end;
-        rankMakespan_[rank] = std::max(rankMakespan_[rank], end);
-        makespan_ = std::max(makespan_, end);
-        return end;
-    }
-
-    /**
-     * Latest completion of any reservation attributed to @p rank:
-     * its transfer lane plus the compute lanes of its DPUs.
-     */
-    double rankMakespan(uint32_t rank) const
-    {
-        return rankMakespan_[rank];
-    }
-
-    /**
-     * Occupy the host lane for @p seconds starting no earlier than
-     * @p readyAt. @return the completion time.
-     */
-    double
-    reserveHost(double readyAt, double seconds)
-    {
-        double start = std::max(readyAt, host_);
-        host_ = start + seconds;
-        makespan_ = std::max(makespan_, host_);
-        return host_;
-    }
-
-    /** Occupy @p dpu's compute lane; see reserveHost. */
-    double
-    reserveDpu(uint32_t dpu, double readyAt, double seconds)
-    {
-        double start = std::max(readyAt, dpus_[dpu]);
-        dpus_[dpu] = start + seconds;
-        makespan_ = std::max(makespan_, dpus_[dpu]);
-        if (rankDpus_ > 0) {
-            uint32_t rank = dpu / rankDpus_;
-            if (rank < rankMakespan_.size())
-                rankMakespan_[rank] =
-                    std::max(rankMakespan_[rank], dpus_[dpu]);
-        }
-        return dpus_[dpu];
-    }
-
-    /** Latest completion time of any reservation so far. */
-    double makespan() const { return makespan_; }
-
-  private:
-    double host_ = 0.0;
-    std::vector<double> dpus_;
-    double makespan_ = 0.0;
-    // Rank lanes (empty until configureRanks): per-rank transfer
-    // lanes, the channel lanes they serialize on, and per-rank
-    // makespans folding in DPU-lane reservations.
-    uint32_t rankDpus_ = 0;
-    std::vector<uint32_t> channelOfRank_;
-    std::vector<double> rankLane_;
-    std::vector<double> channelLane_;
-    std::vector<double> rankMakespan_;
-};
-
-/**
  * One leg reserved on a PipelineTimeline: when the lane began the
  * operation (after both the dependency and the lane were free) and
  * when it completed. end - start is the operation's own duration,
@@ -306,6 +144,142 @@ struct PipelineEvent
 
     /** Duration of the leg itself (waiting excluded). */
     double seconds() const { return end - start; }
+};
+
+/**
+ * Modeled-time resource timeline for pipelined (double-buffered)
+ * execution: one compute lane per DPU plus transfer lanes, each
+ * carrying the host transfers of a contiguous DPU range. A
+ * reservation starts when both its dependency (@p readyAt) and the
+ * lane are free — exactly the rank-level overlap the UPMEM async API
+ * exposes, where the host can stream wave N+1 while the DPUs compute
+ * wave N.
+ *
+ * A flat system is one transfer lane over all its DPUs; a fleet has
+ * one per rank. Every transfer lane also rides a memory channel:
+ * lanes on distinct channels overlap, lanes sharing one serialize.
+ *
+ * Purely modeled time: the simulator still executes everything
+ * eagerly in wall time; the timeline only decides how the modeled
+ * seconds of the legs overlap. Reservations mutate nothing but the
+ * lane clocks, so makespan() is a pure function of the reservation
+ * sequence and therefore bit-identical for any TPL_SIM_THREADS.
+ */
+class PipelineTimeline
+{
+  public:
+    /**
+     * A flat timeline: @p numDpus compute lanes and one transfer lane
+     * over all of them, whose parallel legs engage
+     * model.ranksEngaged(numDpus) model ranks.
+     */
+    PipelineTimeline(uint32_t numDpus, const CostModel& model)
+        : PipelineTimeline(numDpus, std::max(numDpus, 1u),
+                           model.ranksEngaged(numDpus), {0})
+    {
+    }
+
+    /**
+     * A fleet timeline over @p topo's DPUs: one transfer lane per
+     * rank, engaging one model rank each, on its DIMM's memory
+     * channel (Topology::channelOfRank).
+     */
+    explicit PipelineTimeline(const Topology& topo)
+        : PipelineTimeline(topo.numDpus(), topo.dpusPerRank, 1,
+                           topo.channelMap())
+    {
+    }
+
+    /** Number of transfer lanes. */
+    uint32_t laneCount() const
+    {
+        return static_cast<uint32_t>(laneEnd_.size());
+    }
+
+    /** DPUs per transfer lane: lane l carries DPUs
+     * [l * dpusPerLane(), (l + 1) * dpusPerLane()). */
+    uint32_t dpusPerLane() const { return dpusPerLane_; }
+
+    /** Model ranks a parallel leg on any lane engages. */
+    uint32_t laneRanks() const { return laneRanks_; }
+
+    /** When @p lane (and its channel) next frees up. */
+    double
+    laneFree(uint32_t lane) const
+    {
+        return std::max(laneEnd_[lane], channelEnd_[channelOfLane_[lane]]);
+    }
+
+    /**
+     * Occupy @p lane and its channel for @p seconds starting no
+     * earlier than @p readyAt. @return the reserved leg.
+     */
+    PipelineEvent
+    reserveLane(uint32_t lane, double readyAt, double seconds)
+    {
+        const double start = std::max(readyAt, laneFree(lane));
+        const double end = start + seconds;
+        laneEnd_[lane] = end;
+        channelEnd_[channelOfLane_[lane]] = end;
+        laneMakespan_[lane] = std::max(laneMakespan_[lane], end);
+        makespan_ = std::max(makespan_, end);
+        return {start, end};
+    }
+
+    /**
+     * Latest completion of any reservation attributed to @p lane:
+     * its transfer legs plus the compute lanes of its DPUs.
+     */
+    double laneMakespan(uint32_t lane) const
+    {
+        return laneMakespan_[lane];
+    }
+
+    /** When @p dpu's compute lane next becomes idle. */
+    double dpuFree(uint32_t dpu) const { return dpus_[dpu]; }
+
+    /** Occupy @p dpu's compute lane; see reserveLane. @return the
+     * completion time. */
+    double
+    reserveDpu(uint32_t dpu, double readyAt, double seconds)
+    {
+        double start = std::max(readyAt, dpus_[dpu]);
+        dpus_[dpu] = start + seconds;
+        makespan_ = std::max(makespan_, dpus_[dpu]);
+        const uint32_t lane = dpu / dpusPerLane_;
+        if (lane < laneMakespan_.size())
+            laneMakespan_[lane] =
+                std::max(laneMakespan_[lane], dpus_[dpu]);
+        return dpus_[dpu];
+    }
+
+    /** Latest completion time of any reservation so far. */
+    double makespan() const { return makespan_; }
+
+  private:
+    PipelineTimeline(uint32_t numDpus, uint32_t dpusPerLane,
+                     uint32_t laneRanks,
+                     std::vector<uint32_t> channelOfLane)
+        : dpus_(numDpus, 0.0), dpusPerLane_(dpusPerLane),
+          laneRanks_(laneRanks),
+          channelOfLane_(std::move(channelOfLane)),
+          laneEnd_(channelOfLane_.size(), 0.0),
+          laneMakespan_(channelOfLane_.size(), 0.0)
+    {
+        uint32_t channels = 0;
+        for (uint32_t c : channelOfLane_)
+            channels = std::max(channels, c + 1);
+        channelEnd_.assign(channels, 0.0);
+    }
+
+    std::vector<double> dpus_;
+    double makespan_ = 0.0;
+    uint32_t dpusPerLane_;
+    uint32_t laneRanks_;
+    std::vector<uint32_t> channelOfLane_;
+    std::vector<double> laneEnd_;
+    std::vector<double> channelEnd_;
+    std::vector<double> laneMakespan_;
 };
 
 /** One per-DPU slice of an async scatter: @p bytes from host memory
@@ -371,23 +345,6 @@ class LaunchHandle
     std::unique_ptr<State> state_;
 };
 
-/** Accumulated timing of one offloaded phase. */
-struct PhaseTiming
-{
-    double hostToPimSeconds = 0.0; ///< CPU -> MRAM transfers
-    double pimSeconds = 0.0;       ///< slowest DPU kernel time
-    double pimToHostSeconds = 0.0; ///< MRAM -> CPU transfers
-    double setupSeconds = 0.0;     ///< host-side table generation etc.
-
-    /** End-to-end time of the phase. */
-    double
-    total() const
-    {
-        return hostToPimSeconds + pimSeconds + pimToHostSeconds +
-               setupSeconds;
-    }
-};
-
 /**
  * A set of simulated DPUs plus the host-side runtime.
  *
@@ -395,7 +352,7 @@ struct PhaseTiming
  * number of cores of the *modeled* machine: microbenchmarks simulate a
  * single DPU (as in the paper), while the workload experiments simulate
  * a handful of DPUs executing their exact per-core element share and
- * project to the full 2545-DPU system (see projectedSystemSeconds).
+ * project to the full 2545-DPU system (see work::projectPimSeconds).
  *
  * Time domains: every `double` this class returns is **modeled time**
  * (seconds of the modeled PIM machine, derived from cycle counts and
@@ -404,9 +361,9 @@ struct PhaseTiming
  * generation (FunctionEvaluator::setupSeconds) and the CPU baselines
  * (work::timeCpuBaseline).
  *
- * Parallel simulation: launchAll, submitLaunch and the bulk transfer
- * helpers execute across DPUs on the process-wide ThreadPool. Each
- * DpuCore is fully self-contained (its own MRAM/WRAM arrays,
+ * Parallel simulation: launchAll and submitLaunch execute across DPUs
+ * on the process-wide ThreadPool. Each DpuCore is fully
+ * self-contained (its own MRAM/WRAM arrays,
  * per-tasklet instruction counters, per-core DMA accumulator), so
  * modeled cycles, energy and memory numbers are pure functions of
  * per-core state and the results are bit-identical for any thread
@@ -431,83 +388,47 @@ class PimSystem
 
     const CostModel& model() const { return model_; }
 
-    /**
-     * Broadcast the same buffer into every DPU at @p mramAddr.
-     * @return modeled transfer seconds. Parallel mode (default, the
-     * pre-split behavior): the same bytes stream once per rank,
-     * overlapped across ranks. Serial mode: one pass of the buffer
-     * per DPU on the serialized host interface.
-     */
-    double broadcastToMram(uint32_t mramAddr, const void* src,
-                           uint32_t size,
-                           TransferMode mode = TransferMode::Parallel);
-
-    /**
-     * Scatter equal-size slices of @p data across the DPUs.
-     * Slice i (size bytesPerDpu) lands at @p mramAddr of DPU i.
-     * @return modeled transfer seconds in @p mode.
-     */
-    double scatterToMram(uint32_t mramAddr, const void* data,
-                         uint32_t bytesPerDpu,
-                         TransferMode mode = TransferMode::Parallel);
-
-    /** Gather equal-size slices back from the DPUs. */
-    double gatherFromMram(uint32_t mramAddr, void* data,
-                          uint32_t bytesPerDpu,
-                          TransferMode mode = TransferMode::Parallel);
-
-    /// @name Asynchronous (pipelined) legs.
+    /// @name Pipelined legs.
     ///
-    /// The transfer legs move their data immediately in wall time; a
-    /// kernel wave runs in the background between submitLaunch and
-    /// commitLaunch. All of them reserve their modeled cost on a
-    /// caller-owned PipelineTimeline instead of assuming the legs run
-    /// back to back: transfer legs occupy the serialized host lane,
-    /// kernel legs occupy each DPU's own lane. Passing the completion
-    /// time of a leg as another leg's @p readyAt expresses the data
-    /// dependency; the timeline's makespan is then the end-to-end
-    /// modeled time of the overlapped schedule. Fault semantics,
-    /// TransferStats accounting and LaunchStats (including the exact
-    /// per-class cycle partition) are identical to the synchronous
-    /// calls.
+    /// Every host<->DPU transfer is a leg on one transfer lane of a
+    /// caller-owned PipelineTimeline (a flat timeline has the one
+    /// lane 0); a kernel wave runs in the background between
+    /// submitLaunch and commitLaunch and occupies each DPU's own
+    /// compute lane. Transfer legs move their data immediately in
+    /// wall time. Passing the completion time of a leg as another
+    /// leg's @p readyAt expresses the data dependency; the timeline's
+    /// makespan is then the end-to-end modeled time of the overlapped
+    /// schedule. Every transfer leg is accounted in transferStats()
+    /// and in the registry under `pimsim/host/<direction>/<mode>/`.
     /// @{
 
     /**
-     * Account a rank-parallel broadcast of @p tableBytes on the host
-     * lane, timing only: the broadcast data itself must already have
-     * been staged through direct core writes (e.g. an evaluator's
-     * attach()). Used by the serve layer to model LUT distribution on
-     * a cache miss.
-     *
-     * With @p rank >= 0 the leg is reserved on that rank's transfer
-     * lane (the timeline must have configureRanks armed) and costs
-     * one single-rank parallel pass (rankParallelTransferSeconds)
-     * instead of the whole-system parallel rate — the fleet path
-     * broadcasts a table once per holding rank, not once per DPU.
+     * Account a parallel broadcast of @p tableBytes on @p lane,
+     * timing only: the broadcast data itself must already have been
+     * staged through direct core writes (e.g. an evaluator's
+     * attach()). The leg streams at the parallel rate of the model
+     * ranks the lane engages (PipelineTimeline::laneRanks). Used by
+     * the serve layer to model LUT distribution on a cache miss.
      */
     PipelineEvent broadcastAsync(PipelineTimeline& timeline,
-                                 double readyAt, uint64_t tableBytes,
-                                 int32_t rank = -1);
+                                 uint32_t lane, double readyAt,
+                                 uint64_t tableBytes);
 
     /**
-     * Scatter variable-size @p slices (serialized on the host lane)
-     * starting no earlier than @p readyAt. Copies happen immediately;
-     * with a fault plan armed each slice is one retryable transfer
-     * leg and a slice whose DPU dies is dropped (check isMasked()
-     * afterwards). @return the leg's reservation on the host lane,
-     * or on @p rank's transfer lane when @p rank >= 0 (fleet path:
-     * the slices must all target DPUs of that rank).
+     * Scatter variable-size @p slices, serialized on @p lane, starting
+     * no earlier than @p readyAt. Copies happen immediately; with a
+     * fault plan armed each slice is one retryable transfer leg
+     * (capped exponential backoff, see RetryPolicy) and a slice whose
+     * DPU dies is dropped (check isMasked() afterwards).
      */
     PipelineEvent scatterAsync(PipelineTimeline& timeline,
-                               double readyAt,
-                               std::span<const ScatterSlice> slices,
-                               int32_t rank = -1);
+                               uint32_t lane, double readyAt,
+                               std::span<const ScatterSlice> slices);
 
     /** Gather variable-size @p slices; mirror of scatterAsync. */
     PipelineEvent gatherAsync(PipelineTimeline& timeline,
-                              double readyAt,
-                              std::span<const GatherSlice> slices,
-                              int32_t rank = -1);
+                              uint32_t lane, double readyAt,
+                              std::span<const GatherSlice> slices);
 
     /**
      * Start a wave on DPUs [@p firstDpu, @p endDpu) without blocking.
@@ -541,10 +462,8 @@ class PimSystem
                                double readyAt);
     /// @}
 
-    /**
-     * Accumulated per-direction x per-mode transfer accounting of
-     * every broadcast/scatter/gather this system ran.
-     */
+    /** Accumulated per-direction transfer accounting of every
+     * broadcast/scatter/gather leg this system ran. */
     const TransferStats& transferStats() const
     {
         return transferStats_;
@@ -621,73 +540,21 @@ class PimSystem
      */
     void setThreadPool(ThreadPool* pool) { pool_ = pool; }
 
-    /**
-     * Modeled seconds a transfer of @p totalBytes takes in parallel
-     * mode (same-size buffer per DPU, overlapped across ranks).
-     * Returns 0 if the model's bandwidth parameters are non-positive.
-     */
-    double parallelTransferSeconds(uint64_t totalBytes) const;
-
-    /**
-     * Modeled seconds one *rank* takes to stream @p totalBytes in
-     * parallel mode: a single rank engages only its own per-rank
-     * bandwidth, however many DPUs it carries. The fleet path charges
-     * this per holding rank; ranks on distinct channels overlap on
-     * the timeline instead of multiplying the rate here.
-     */
-    double rankParallelTransferSeconds(uint64_t totalBytes) const;
-
-    /**
-     * Modeled seconds a transfer of @p totalBytes takes in serial mode
-     * (distinct buffer sizes serialize on the host interface).
-     * Returns 0 if the model's serial bandwidth is non-positive.
-     */
-    double serialTransferSeconds(uint64_t totalBytes) const;
-
-    /**
-     * Project a per-DPU cycle count measured on the simulated cores to
-     * a full system of @p systemDpus cores processing @p totalElements
-     * elements, assuming the measured kernel processed
-     * @p simulatedElements elements per core (linear in elements, which
-     * holds for the streaming element-wise kernels evaluated here).
-     * Returns modeled seconds; 0 when any of the divisors
-     * (simulatedElementsPerDpu, systemDpus, frequencyHz) is not
-     * positive.
-     */
-    double projectedSystemSeconds(uint64_t perDpuCycles,
-                                  uint64_t simulatedElementsPerDpu,
-                                  uint64_t totalElements,
-                                  uint32_t systemDpus) const;
-
   private:
-    /** Run fn(d) for every DPU index, parallel when profitable. */
-    void forEachDpu(const std::function<void(uint32_t)>& fn,
-                    uint64_t bytesPerDpu) const;
-
     /**
-     * Account one transfer into @p cell (and, observationally, the
-     * obs layer): modeled seconds for @p streamBytes in @p mode,
-     * plus @p extraSeconds of fault-retry overhead (0 when no fault
-     * fired).
+     * The one reservation helper of the transfer legs: account
+     * @p streamBytes and @p seconds into @p cell and the registry's
+     * counters under `pimsim/host/<@p cellName>/`, then reserve the
+     * leg on @p lane.
      */
-    double accountTransfer(TransferStats::Cell (&cells)[2],
-                           const char* direction, TransferMode mode,
-                           uint64_t streamBytes,
-                           double extraSeconds = 0.0);
+    PipelineEvent reserveTransfer(PipelineTimeline& timeline,
+                                  uint32_t lane, double readyAt,
+                                  TransferStats::Cell& cell,
+                                  const char* cellName,
+                                  uint64_t streamBytes, double seconds);
 
     /**
-     * accountTransfer with the stream seconds supplied by the caller
-     * instead of derived from @p mode — used by the fleet path to
-     * charge a broadcast at the single-rank parallel rate.
-     */
-    double accountTransferSeconds(TransferStats::Cell (&cells)[2],
-                                  const char* direction,
-                                  TransferMode mode,
-                                  uint64_t streamBytes,
-                                  double seconds);
-
-    /**
-     * One per-DPU leg of a bulk transfer under the armed plan's retry
+     * One per-DPU leg of a transfer under the armed plan's retry
      * semantics: draws the leg outcome, retries timeouts/detected
      * corruption with capped exponential backoff, masks the DPU when
      * retries are exhausted. @p copy performs the actual bytes;

@@ -14,7 +14,7 @@
  * serialize against each other.
  *
  * Topology is a plain description; the modeled consequences live in
- * PipelineTimeline's rank/channel lanes (system.h) and in the serve
+ * PipelineTimeline's per-rank transfer lanes (system.h) and in the serve
  * layer's ServePipeline (serve/pipeline.h), which places each wave
  * on one rank when PipelineOptions::topology is set.
  */
@@ -34,8 +34,11 @@ namespace sim {
  * Shape of a PIM fleet: @c dimms DIMMs, each carrying
  * @c ranksPerDimm ranks of @c dpusPerRank DPUs. Ranks are numbered
  * DIMM-major (rank r lives on DIMM r / ranksPerDimm) and DPUs
- * rank-major (DPU d lives on rank d / dpusPerRank), so a
- * Topology{1, 1, N} is exactly today's flat N-DPU pool.
+ * rank-major (DPU d lives on rank d / dpusPerRank). A
+ * Topology{1, 1, N} is exactly the flat N-DPU pool while
+ * N <= CostModel::dpusPerRank: a flat transfer lane over more DPUs
+ * broadcasts at the rate of N / dpusPerRank model ranks, a rank lane
+ * at the rate of one.
  *
  * One memory channel per DIMM: ranks on different DIMMs transfer in
  * parallel; the ranks of one DIMM serialize on their shared channel.

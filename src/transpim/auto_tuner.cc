@@ -32,6 +32,18 @@ constexpr uint64_t kSampleSeed = 0x7a11e5;
  * catch a genuinely worse candidate. */
 constexpr double kImplicitRmseSlack = 2.0;
 
+/** Max differential-error samples taken per observed wave
+ * (stride-sampled across the wave's healthy spans). */
+constexpr uint32_t kSampleCap = 256;
+
+/** Per-table byte cap handed to recommendSpec when generating
+ * candidates. */
+constexpr uint32_t kMaxTableBytes = 48 * 1024;
+
+/** Sample size for the candidate search and for measuring the
+ * requested config's baseline RMSE. */
+constexpr uint32_t kSearchSamples = 1024;
+
 void
 bump(const char* name, uint64_t n = 1)
 {
@@ -144,7 +156,7 @@ OnlineAutoTuner::buildCandidates(Stream& s)
     if (target <= 0.0) {
         Domain dom = functionDomain(base.function);
         auto inputs = uniformFloats(
-            opts_.searchSamples, static_cast<float>(dom.lo),
+            kSearchSamples, static_cast<float>(dom.lo),
             static_cast<float>(dom.hi), kSampleSeed);
         try {
             FunctionEvaluator ev =
@@ -174,8 +186,8 @@ OnlineAutoTuner::buildCandidates(Stream& s)
     TunerConstraints tc;
     tc.metric = ErrorMetric::Auto;
     tc.placement = base.spec.placement;
-    tc.maxTableBytes = opts_.maxTableBytes;
-    tc.sampleSize = opts_.searchSamples;
+    tc.maxTableBytes = kMaxTableBytes;
+    tc.sampleSize = kSearchSamples;
     auto rec = recommendSpec(base.function, target, tc);
     if (rec) {
         for (const TunedCandidate& tcand : rec->candidates) {
@@ -438,14 +450,14 @@ OnlineAutoTuner::observe(const sim::serve::WaveOutcome& outcome)
     uint64_t spanTotal = 0;
     for (const auto& sp : outcome.spans)
         spanTotal += sp.elements;
-    if (spanTotal > 0 && opts_.sampleCap > 0) {
+    if (spanTotal > 0) {
         const uint64_t stride =
-            std::max<uint64_t>(1, spanTotal / opts_.sampleCap);
+            std::max<uint64_t>(1, spanTotal / kSampleCap);
         uint64_t idx = 0;
         uint32_t taken = 0;
         for (const auto& sp : outcome.spans) {
             for (uint64_t i = 0; i < sp.elements; ++i, ++idx) {
-                if (idx % stride != 0 || taken >= opts_.sampleCap)
+                if (idx % stride != 0 || taken >= kSampleCap)
                     continue;
                 ++taken;
                 const float in = sp.input[i];

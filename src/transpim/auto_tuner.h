@@ -70,18 +70,6 @@ struct AutoTunerOptions
      * least-recently-routed idle tables (see file comment). */
     uint64_t mramBudgetBytes = 0;
 
-    /** Max differential-error samples taken per observed wave
-     * (stride-sampled across the wave's healthy spans). */
-    uint32_t sampleCap = 256;
-
-    /** Per-table byte cap handed to recommendSpec when generating
-     * candidates. */
-    uint32_t maxTableBytes = 48 * 1024;
-
-    /** Sample size for the candidate search and for measuring the
-     * requested config's baseline RMSE. */
-    uint32_t searchSamples = 1024;
-
     /** SLA applied to tenants without an explicit setTenantSla();
      * default-constructed (unconstrained) = those tenants pass
      * through untuned. */

@@ -136,15 +136,6 @@ class BatchSink
     sim::TaskletContext* ctx_;
 };
 
-/**
- * Process-wide batch-path toggle read once from the environment:
- * TPL_BATCH_EVAL=0 makes the streaming kernels take the scalar
- * per-element path (the batch path is the default). The two paths are
- * charge- and bit-identical by construction; the toggle exists for
- * A/B throughput measurement and defect isolation.
- */
-bool batchEvalEnabled();
-
 } // namespace transpim
 } // namespace tpl
 

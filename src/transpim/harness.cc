@@ -91,8 +91,7 @@ runMicrobench(Function f, const MethodSpec& spec,
 
     // The paper's microbenchmark kernel: each tasklet streams 256-
     // element chunks from MRAM through a WRAM buffer and evaluates
-    // every element with evalBatch (TPL_BATCH_EVAL=0 selects the
-    // charge-identical per-element path).
+    // every element with evalBatch.
     sim::ShardTask task{.inAddr = inAddr,
                         .outAddr = outAddr,
                         .elements = opts.elements};
@@ -123,9 +122,8 @@ runMicrobench(Function f, const MethodSpec& spec,
 
     // Table transfer: a single-DPU setup streams the tables serially
     // (they are one buffer, not a parallel per-DPU transfer).
-    sim::PimSystem timing(1);
     res.transferSeconds =
-        timing.serialTransferSeconds(eval.memoryBytes());
+        sim::CostModel{}.serialTransferSeconds(eval.memoryBytes());
     res.setupSeconds = res.hostGenSeconds + res.transferSeconds;
     return res;
 }

@@ -85,7 +85,9 @@ PimProgram::attachAll(sim::PimSystem& system)
 {
     for (uint32_t d = 0; d < system.numDpus(); ++d)
         attach(system.dpu(d));
-    return system.parallelTransferSeconds(totalTableBytes());
+    const sim::CostModel& model = system.model();
+    return model.parallelTransferSeconds(
+        totalTableBytes(), model.ranksEngaged(system.numDpus()));
 }
 
 } // namespace transpim

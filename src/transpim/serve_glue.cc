@@ -78,8 +78,7 @@ makeStreamingKernel(const FunctionEvaluator& ev,
 {
     const FunctionEvaluator* evp = &ev;
     const uint32_t chunk = std::clamp(chunkElems, 1u, 256u);
-    const bool useBatch = batchEvalEnabled();
-    return [evp, task, chunk, useBatch](sim::TaskletContext& ctx) {
+    return [evp, task, chunk](sim::TaskletContext& ctx) {
         float buffer[256];
         uint32_t chunks = (task.elements + chunk - 1) / chunk;
         for (uint32_t c = ctx.taskletId(); c < chunks;
@@ -88,17 +87,10 @@ makeStreamingKernel(const FunctionEvaluator& ev,
             uint32_t cnt = std::min(chunk, task.elements - beg);
             ctx.mramRead(task.inAddr + beg * sizeof(float), buffer,
                          cnt * sizeof(float));
-            if (useBatch) {
-                // loop control + WRAM load/store, bulk-charged
-                ctx.chargeClassN(InstrClass::IntAlu, 4, cnt);
-                std::span<float> span(buffer, cnt);
-                evp->evalBatch(span, span, &ctx);
-            } else {
-                for (uint32_t i = 0; i < cnt; ++i) {
-                    ctx.charge(4); // loop control + WRAM load/store
-                    buffer[i] = evp->eval(buffer[i], &ctx);
-                }
-            }
+            // loop control + WRAM load/store, bulk-charged
+            ctx.chargeClassN(InstrClass::IntAlu, 4, cnt);
+            std::span<float> span(buffer, cnt);
+            evp->evalBatch(span, span, &ctx);
             ctx.mramWrite(task.outAddr + beg * sizeof(float), buffer,
                           cnt * sizeof(float));
         }

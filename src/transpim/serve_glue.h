@@ -37,9 +37,10 @@ sim::serve::TableKey batchTableKey(Function f, const MethodSpec& spec);
  * Per-slice streaming kernel shared by runMicrobench (256-element
  * chunks) and the serve pipeline: each tasklet claims chunks of
  * @p chunkElems elements round-robin, DMAs them into WRAM, evaluates
- * with @p ev, and DMAs the results back. @p ev must outlive the returned kernel
- * (it is captured by pointer); one evaluator attached to every core
- * serves them all, each core reading its own table copy.
+ * them with @p ev's evalBatch, and DMAs the results back. @p ev must
+ * outlive the returned kernel (it is captured by pointer); one
+ * evaluator attached to every core serves them all, each core
+ * reading its own table copy.
  * @p chunkElems is clamped to [1, 256]; keep it small enough that
  * elements/chunkElems >= tasklets, or tail tasklets idle.
  */

@@ -84,6 +84,35 @@ parseTasklets(const std::string& text, uint32_t& out,
     return true;
 }
 
+bool
+parseTenantSlaArg(const std::string& text, TenantSlaArg& out,
+                  std::string& error)
+{
+    const size_t colon = text.find(':');
+    if (colon == std::string::npos || colon == 0) {
+        error = "bad --tenant-sla '" + text +
+                "' (want T:SPEC or '*:SPEC')";
+        return false;
+    }
+    TenantSlaArg arg;
+    if (!sim::serve::TenantSla::parse(text.substr(colon + 1), arg.sla)) {
+        error = "bad SLA spec in '" + text +
+                "' (want e.g. rmse<1e-6;cycles:p99<600)";
+        return false;
+    }
+    const std::string who = text.substr(0, colon);
+    if (who != "*") {
+        uint64_t tenant = 0;
+        if (!parseU64(who, tenant)) {
+            error = "bad tenant id '" + who + "'";
+            return false;
+        }
+        arg.tenant = tenant;
+    }
+    out = arg;
+    return true;
+}
+
 std::optional<Function>
 parseFunction(std::string_view name)
 {

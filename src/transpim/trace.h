@@ -17,7 +17,8 @@
  * (decimal, 0x hex, leading-0 octal) and must be unsigned: a sign
  * or leading whitespace is rejected. pimserve, pimtune, pimfault and
  * pimtrace all parse with these functions, so the tools accept the
- * same words and report the same errors.
+ * same words and report the same errors. The shared options parsed
+ * here are --tasklets N and --tenant-sla T:SPEC.
  */
 
 #ifndef TPL_TRANSPIM_TRACE_H
@@ -29,6 +30,7 @@
 #include <string_view>
 #include <vector>
 
+#include "pimsim/serve/auto_tuner.h"
 #include "transpim/evaluator.h"
 #include "transpim/reference.h"
 
@@ -47,6 +49,24 @@ bool parseU64(const std::string& text, uint64_t& out);
  * '0' (want 1..24)"). */
 bool parseTasklets(const std::string& text, uint32_t& out,
                    std::string& error);
+
+/** A parsed --tenant-sla argument. */
+struct TenantSlaArg
+{
+    /** The tenant the SLA governs; nullopt for '*' (the default SLA
+     * of every tenant without its own). */
+    std::optional<uint64_t> tenant;
+    sim::serve::TenantSla sla;
+};
+
+/**
+ * Parse a --tenant-sla value `T:SPEC` or `*:SPEC`: T is a tenant id
+ * (parseU64) and SPEC a TenantSla::parse spec such as
+ * `rmse<1e-6;cycles:p99<600`. On bad input returns false and sets
+ * @p error (e.g. "bad tenant id '-1'").
+ */
+bool parseTenantSlaArg(const std::string& text, TenantSlaArg& out,
+                       std::string& error);
 
 /** The function whose functionName() is @p name, if any. */
 std::optional<Function> parseFunction(std::string_view name);

@@ -9,7 +9,7 @@
 #include <cmath>
 
 #include "common/rng.h"
-#include "pimsim/system.h"
+#include "pimsim/cost_model.h"
 #include "transpim/error_model.h"
 #include "transpim/harness.h"
 
@@ -114,7 +114,6 @@ recommendSpec(Function f, double targetRmse,
         constraints.methods.empty() ? kAllMethods : constraints.methods;
 
     sim::CostModel model;
-    sim::PimSystem timing(1);
     std::vector<TunedCandidate> candidates;
 
     for (Method m : methods) {
@@ -161,7 +160,7 @@ recommendSpec(Function f, double targetRmse,
             cand.tableBytes = eval.memoryBytes();
             cand.setupSeconds =
                 eval.setupSeconds() +
-                timing.serialTransferSeconds(eval.memoryBytes());
+                model.serialTransferSeconds(eval.memoryBytes());
             // Score: issue-bound kernel time per evaluation plus the
             // amortized setup share.
             double evals = static_cast<double>(

@@ -189,8 +189,10 @@ pimSigmoid(ActVariant v, const WorkloadConfig& cfg)
 
     res.pimKernelSeconds =
         projectPimSeconds(cfg, sys.model(), sys.lastMaxCycles());
-    res.hostToPimSeconds = fullTransferSeconds(
-        cfg, sys.model(), cfg.totalElements * sizeof(float));
+    const sim::CostModel& model = sys.model();
+    res.hostToPimSeconds = model.parallelTransferSeconds(
+        cfg.totalElements * sizeof(float),
+        model.ranksEngaged(cfg.systemDpus));
     res.pimToHostSeconds = res.hostToPimSeconds;
     res.seconds = res.pimKernelSeconds + res.hostToPimSeconds +
                   res.pimToHostSeconds + res.setupSeconds;
@@ -360,17 +362,18 @@ pimSoftmax(ActVariant v, const WorkloadConfig& cfg)
         projectPimSeconds(cfg, sys.model(), pass0Cycles) +
         projectPimSeconds(cfg, sys.model(), pass1Cycles) +
         projectPimSeconds(cfg, sys.model(), pass2Cycles);
+    const sim::CostModel& model = sys.model();
+    const uint32_t ranks = model.ranksEngaged(cfg.systemDpus);
     res.hostToPimSeconds =
-        fullTransferSeconds(cfg, sys.model(),
-                            cfg.totalElements * sizeof(float)) +
-        fullTransferSeconds(cfg, sys.model(),
-                            cfg.systemDpus * sizeof(float));
+        model.parallelTransferSeconds(cfg.totalElements * sizeof(float),
+                                      ranks) +
+        model.parallelTransferSeconds(cfg.systemDpus * sizeof(float),
+                                      ranks);
     res.pimToHostSeconds =
-        fullTransferSeconds(cfg, sys.model(),
-                            cfg.totalElements * sizeof(float)) +
-        fullTransferSeconds(cfg, sys.model(),
-                            cfg.systemDpus * cfg.tasklets *
-                                sizeof(float));
+        model.parallelTransferSeconds(cfg.totalElements * sizeof(float),
+                                      ranks) +
+        model.parallelTransferSeconds(
+            cfg.systemDpus * cfg.tasklets * sizeof(float), ranks);
     res.seconds = res.pimKernelSeconds + res.hostToPimSeconds +
                   res.pimToHostSeconds + res.setupSeconds;
 

@@ -328,10 +328,12 @@ runPim(BsVariant variant, const WorkloadConfig& cfg)
     // Project the slowest simulated DPU to the full machine.
     res.pimKernelSeconds =
         projectPimSeconds(cfg, sys.model(), sys.lastMaxCycles());
-    res.hostToPimSeconds = fullTransferSeconds(
-        cfg, sys.model(), cfg.totalElements * 5 * sizeof(float));
-    res.pimToHostSeconds = fullTransferSeconds(
-        cfg, sys.model(), cfg.totalElements * 2 * sizeof(float));
+    const sim::CostModel& model = sys.model();
+    const uint32_t ranks = model.ranksEngaged(cfg.systemDpus);
+    res.hostToPimSeconds = model.parallelTransferSeconds(
+        cfg.totalElements * 5 * sizeof(float), ranks);
+    res.pimToHostSeconds = model.parallelTransferSeconds(
+        cfg.totalElements * 2 * sizeof(float), ranks);
     res.seconds = res.pimKernelSeconds + res.hostToPimSeconds +
                   res.pimToHostSeconds + res.setupSeconds;
 

@@ -73,19 +73,5 @@ projectPimSeconds(const WorkloadConfig& cfg, const sim::CostModel& model,
            model.frequencyHz;
 }
 
-double
-fullTransferSeconds(const WorkloadConfig& cfg,
-                    const sim::CostModel& model, uint64_t totalBytes)
-{
-    uint32_t ranks = model.dpusPerRank
-                         ? std::max(1u, cfg.systemDpus / model.dpusPerRank)
-                         : 1u;
-    double bw = std::min(model.hostParallelBandwidth * ranks,
-                         model.hostAggregateBandwidthCap);
-    if (bw <= 0.0)
-        return 0.0;
-    return static_cast<double>(totalBytes) / bw;
-}
-
 } // namespace work
 } // namespace tpl

@@ -121,15 +121,6 @@ double projectPimSeconds(const WorkloadConfig& cfg,
                          const sim::CostModel& model,
                          uint64_t cyclesPerSimDpu);
 
-/**
- * Parallel host<->PIM transfer seconds for the full problem.
- * Returns **modeled** seconds; 0 when the model's bandwidth
- * parameters are not positive.
- */
-double fullTransferSeconds(const WorkloadConfig& cfg,
-                           const sim::CostModel& model,
-                           uint64_t totalBytes);
-
 } // namespace work
 } // namespace tpl
 

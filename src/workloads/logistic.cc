@@ -189,13 +189,15 @@ runPim(LogisticVariant v, const LogisticConfig& cfg)
 
     res.pimKernelSeconds =
         projectPimSeconds(cfg, sys.model(), sys.lastMaxCycles());
-    res.hostToPimSeconds = fullTransferSeconds(
-        cfg, sys.model(),
+    const sim::CostModel& model = sys.model();
+    const uint32_t ranks = model.ranksEngaged(cfg.systemDpus);
+    res.hostToPimSeconds = model.parallelTransferSeconds(
         cfg.totalElements * rowBytes +
             static_cast<uint64_t>(cfg.systemDpus) * (features + 1) *
-                sizeof(float));
-    res.pimToHostSeconds = fullTransferSeconds(
-        cfg, sys.model(), cfg.totalElements * sizeof(float));
+                sizeof(float),
+        ranks);
+    res.pimToHostSeconds = model.parallelTransferSeconds(
+        cfg.totalElements * sizeof(float), ranks);
     res.seconds = res.pimKernelSeconds + res.hostToPimSeconds +
                   res.pimToHostSeconds + res.setupSeconds;
 

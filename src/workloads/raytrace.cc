@@ -240,10 +240,12 @@ runPim(RayVariant v, const WorkloadConfig& cfg)
 
     res.pimKernelSeconds =
         projectPimSeconds(cfg, sys.model(), sys.lastMaxCycles());
-    res.hostToPimSeconds = fullTransferSeconds(
-        cfg, sys.model(), cfg.totalElements * 2 * sizeof(float));
-    res.pimToHostSeconds = fullTransferSeconds(
-        cfg, sys.model(), cfg.totalElements * sizeof(float));
+    const sim::CostModel& model = sys.model();
+    const uint32_t ranks = model.ranksEngaged(cfg.systemDpus);
+    res.hostToPimSeconds = model.parallelTransferSeconds(
+        cfg.totalElements * 2 * sizeof(float), ranks);
+    res.pimToHostSeconds = model.parallelTransferSeconds(
+        cfg.totalElements * sizeof(float), ranks);
     res.seconds = res.pimKernelSeconds + res.hostToPimSeconds +
                   res.pimToHostSeconds + res.setupSeconds;
 

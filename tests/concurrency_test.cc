@@ -26,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "lane_transfers.h"
 #include "pimsim/fault/fault.h"
 #include "pimsim/obs/metrics.h"
 #include "pimsim/obs/trace.h"
@@ -228,7 +229,11 @@ runDeterminismWorkload(sim::PimSystem& sys, uint32_t perDpu)
     auto inputs = uniformFloats(
         static_cast<uint64_t>(perDpu) * sys.numDpus(), 0.0f, 6.28f,
         0xdecaf);
-    sys.scatterToMram(inAddr, inputs.data(), perDpu * sizeof(float));
+    sim::PipelineTimeline tl(sys.numDpus(), sys.model());
+    sys.scatterAsync(tl, 0, 0.0,
+                     sim::testxfer::equalScatter(
+                         sys, inAddr, inputs.data(),
+                         perDpu * sizeof(float)));
 
     sys.launchAll(8, [&](sim::TaskletContext& ctx) {
         constexpr uint32_t chunk = 64;
@@ -251,7 +256,9 @@ runDeterminismWorkload(sim::PimSystem& sys, uint32_t perDpu)
 
     std::vector<float> out(static_cast<uint64_t>(perDpu) *
                            sys.numDpus());
-    sys.gatherFromMram(outAddr, out.data(), perDpu * sizeof(float));
+    sys.gatherAsync(tl, 0, 0.0,
+                    sim::testxfer::equalGather(sys, outAddr, out.data(),
+                                               perDpu * sizeof(float)));
     return out;
 }
 

@@ -213,10 +213,9 @@ TEST(FleetConformance, TransferBandwidthScalesAcrossRanksNotWithin)
     const uint64_t bytes = 8u << 20;
 
     auto twoRankMakespan = [&](const sim::Topology& topo) {
-        sim::PipelineTimeline t(8);
-        t.configureRanks(2, 4, topo.channelMap());
-        sys.broadcastAsync(t, 0.0, bytes, 0);
-        sys.broadcastAsync(t, 0.0, bytes, 1);
+        sim::PipelineTimeline t(topo);
+        sys.broadcastAsync(t, 0, 0.0, bytes);
+        sys.broadcastAsync(t, 1, 0.0, bytes);
         return t.makespan();
     };
     sim::Topology acrossChannels{2, 1, 4};
@@ -237,9 +236,9 @@ TEST(FleetConformance, TransferBandwidthScalesAcrossRanksNotWithin)
     // regime the cost model encodes).
     double rankRate =
         static_cast<double>(bytes) /
-        sys.rankParallelTransferSeconds(bytes);
-    double serialRate =
-        static_cast<double>(bytes) / sys.serialTransferSeconds(bytes);
+        sys.model().parallelTransferSeconds(bytes, 1);
+    double serialRate = static_cast<double>(bytes) /
+                        sys.model().serialTransferSeconds(bytes);
     double regime = rankRate / serialRate;
     EXPECT_GE(regime, 6.7 / 0.35 * 0.9);
     EXPECT_LE(regime, 6.7 / 0.35 * 1.1);

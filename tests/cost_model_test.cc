@@ -98,17 +98,19 @@ TEST(CostModelSweep, TransferBandwidthKnobs)
     CostModel narrow;
     narrow.hostParallelBandwidth = 1e9;
     narrow.hostAggregateBandwidthCap = 4e9;
-    narrow.mramBytes = 64 * 1024; // keep 256 simulated banks small
-    narrow.wramBytes = 4 * 1024;
-    PimSystem sys(256, narrow); // 4 ranks
+    const uint32_t ranks = narrow.ranksEngaged(256); // 4 ranks
+    EXPECT_EQ(4u, ranks);
     // 4 ranks x 1 GB/s = 4 GB/s, exactly at the cap.
-    EXPECT_NEAR(1.0 / 4.0, sys.parallelTransferSeconds(1'000'000'000),
+    EXPECT_NEAR(1.0 / 4.0,
+                narrow.parallelTransferSeconds(1'000'000'000, ranks),
                 1e-6);
+    // A flat 256-DPU timeline's broadcast lane engages the same 4.
+    PipelineTimeline flat(256, narrow);
+    EXPECT_EQ(ranks, flat.laneRanks());
     CostModel capped = narrow;
     capped.hostAggregateBandwidthCap = 2e9;
-    PimSystem sysCapped(256, capped);
     EXPECT_NEAR(1.0 / 2.0,
-                sysCapped.parallelTransferSeconds(1'000'000'000),
+                capped.parallelTransferSeconds(1'000'000'000, ranks),
                 1e-6);
 }
 

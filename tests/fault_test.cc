@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "lane_transfers.h"
 #include "pimsim/fault/fault.h"
 #include "pimsim/obs/metrics.h"
 #include "pimsim/system.h"
@@ -27,7 +28,8 @@ using namespace tpl::sim;
 using namespace tpl::transpim;
 
 // ---------------------------------------------------------------------
-// Shared workload: scatter, one chunked DMA kernel, gather.
+// Shared workload: scatter, one chunked DMA kernel, gather, with the
+// transfers as legs on a flat one-lane timeline.
 // ---------------------------------------------------------------------
 
 struct WorkloadResult
@@ -54,7 +56,11 @@ runWorkload(PimSystem& sys, uint32_t perDpu = 512)
         uniformFloats(perDpu * n, -1.0f, 1.0f, 99);
 
     WorkloadResult r;
-    r.seconds = sys.scatterToMram(inAddr, inputs.data(), bytes);
+    PipelineTimeline tl(n, sys.model());
+    r.seconds = sys.scatterAsync(tl, 0, 0.0,
+                                 testxfer::equalScatter(
+                                     sys, inAddr, inputs.data(), bytes))
+                    .seconds();
     r.seconds += sys.launchAll(4, [&](TaskletContext& ctx) {
         float buf[kChunk];
         uint32_t chunks = perDpu / kChunk;
@@ -71,7 +77,11 @@ runWorkload(PimSystem& sys, uint32_t perDpu = 512)
         }
     });
     r.outputs.assign(perDpu * n, 0.0f);
-    r.seconds += sys.gatherFromMram(outAddr, r.outputs.data(), bytes);
+    r.seconds += sys.gatherAsync(tl, 0, 0.0,
+                                 testxfer::equalGather(
+                                     sys, outAddr, r.outputs.data(),
+                                     bytes))
+                     .seconds();
     for (uint32_t i = 0; i < n; ++i)
         r.stats.push_back(sys.dpu(i).lastLaunch());
     return r;

@@ -15,9 +15,11 @@
 #include <cstring>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "pimsim/obs/journal.h"
+#include "pimsim/obs/metrics.h"
 #include "pimsim/serve/pipeline.h"
 #include "pimsim/serve/table_cache.h"
 #include "pimsim/topology.h"
@@ -208,16 +210,17 @@ TEST(RankTransfer, BroadcastsOverlapAcrossChannelsSerializeWithin)
 {
     PimSystem sys(8);
     const uint64_t bytes = 1u << 20;
-    const double one = sys.rankParallelTransferSeconds(bytes);
+    const double one = sys.model().parallelTransferSeconds(bytes, 1);
     ASSERT_GT(one, 0.0);
 
     // Two DIMMs: the two rank lanes ride distinct channels, so two
     // equal broadcasts fully overlap (2x aggregate bandwidth).
     Topology twoChannels{2, 1, 4};
-    PipelineTimeline apart(8);
-    apart.configureRanks(2, 4, twoChannels.channelMap());
-    PipelineEvent a0 = sys.broadcastAsync(apart, 0.0, bytes, 0);
-    PipelineEvent a1 = sys.broadcastAsync(apart, 0.0, bytes, 1);
+    PipelineTimeline apart(twoChannels);
+    EXPECT_EQ(2u, apart.laneCount());
+    EXPECT_EQ(1u, apart.laneRanks()); // a rank lane engages one rank
+    PipelineEvent a0 = sys.broadcastAsync(apart, 0, 0.0, bytes);
+    PipelineEvent a1 = sys.broadcastAsync(apart, 1, 0.0, bytes);
     EXPECT_DOUBLE_EQ(a0.seconds(), one);
     EXPECT_DOUBLE_EQ(a1.seconds(), one);
     EXPECT_NEAR(apart.makespan(), one, one * 1e-12);
@@ -225,10 +228,9 @@ TEST(RankTransfer, BroadcastsOverlapAcrossChannelsSerializeWithin)
     // One DIMM, two ranks: same two broadcasts share the channel and
     // serialize back to back.
     Topology shared{1, 2, 4};
-    PipelineTimeline together(8);
-    together.configureRanks(2, 4, shared.channelMap());
-    sys.broadcastAsync(together, 0.0, bytes, 0);
-    PipelineEvent s1 = sys.broadcastAsync(together, 0.0, bytes, 1);
+    PipelineTimeline together(shared);
+    sys.broadcastAsync(together, 0, 0.0, bytes);
+    PipelineEvent s1 = sys.broadcastAsync(together, 1, 0.0, bytes);
     EXPECT_NEAR(s1.start, one, one * 1e-12);
     EXPECT_NEAR(together.makespan(), 2.0 * one, one * 1e-12);
 }
@@ -248,10 +250,9 @@ TEST(RankTransfer, ScatterBandwidthScalesWithEngagedRanks)
     std::vector<ScatterSlice> rank1 = slicesFor(4);
 
     Topology twoChannels{2, 1, 4};
-    PipelineTimeline apart(8);
-    apart.configureRanks(2, 4, twoChannels.channelMap());
-    PipelineEvent a0 = sys.scatterAsync(apart, 0.0, rank0, 0);
-    PipelineEvent a1 = sys.scatterAsync(apart, 0.0, rank1, 1);
+    PipelineTimeline apart(twoChannels);
+    PipelineEvent a0 = sys.scatterAsync(apart, 0, 0.0, rank0);
+    PipelineEvent a1 = sys.scatterAsync(apart, 1, 0.0, rank1);
     const double one = a0.seconds();
     ASSERT_GT(one, 0.0);
     EXPECT_DOUBLE_EQ(a1.seconds(), one);
@@ -260,10 +261,9 @@ TEST(RankTransfer, ScatterBandwidthScalesWithEngagedRanks)
     EXPECT_NEAR(apart.makespan(), one, one * 1e-12);
 
     Topology shared{1, 2, 4};
-    PipelineTimeline together(8);
-    together.configureRanks(2, 4, shared.channelMap());
-    sys.scatterAsync(together, 0.0, rank0, 0);
-    sys.scatterAsync(together, 0.0, rank1, 1);
+    PipelineTimeline together(shared);
+    sys.scatterAsync(together, 0, 0.0, rank0);
+    sys.scatterAsync(together, 1, 0.0, rank1);
     EXPECT_NEAR(together.makespan(), 2.0 * one, one * 1e-12);
 }
 
@@ -283,52 +283,81 @@ TEST(FleetCache, BroadcastOncePerHoldingRankNotPerDpu)
             b.tableBytes = 4096;
             return b;
         });
-    cache.setRankCount(3);
+    cache.setLaneCount(3);
 
     // First fleet-wide sighting: provider runs AND rank 0 receives
     // its broadcast.
-    serve::TableCache::RankLookup l0 =
-        cache.lookupOnRank(keyOf(1), 0);
+    serve::TableCache::Lookup l0 = cache.lookup(keyOf(1), 0);
     ASSERT_NE(l0.binding, nullptr);
-    EXPECT_TRUE(l0.providerMiss);
-    EXPECT_TRUE(l0.rankMiss);
+    EXPECT_TRUE(l0.miss);
+    EXPECT_TRUE(l0.laneMiss);
 
     // Same rank again: fully resident, nothing to pay.
-    serve::TableCache::RankLookup l0b =
-        cache.lookupOnRank(keyOf(1), 0);
-    EXPECT_FALSE(l0b.providerMiss);
-    EXPECT_FALSE(l0b.rankMiss);
+    serve::TableCache::Lookup l0b = cache.lookup(keyOf(1), 0);
+    EXPECT_FALSE(l0b.miss);
+    EXPECT_FALSE(l0b.laneMiss);
 
     // New rank: tables exist, but this rank still pays exactly one
     // single-rank broadcast.
-    serve::TableCache::RankLookup l1 =
-        cache.lookupOnRank(keyOf(1), 1);
-    EXPECT_FALSE(l1.providerMiss);
-    EXPECT_TRUE(l1.rankMiss);
+    serve::TableCache::Lookup l1 = cache.lookup(keyOf(1), 1);
+    EXPECT_FALSE(l1.miss);
+    EXPECT_TRUE(l1.laneMiss);
 
     EXPECT_EQ(providerCalls, 1);
     EXPECT_EQ(cache.misses(), 1u);
     EXPECT_EQ(cache.hits(), 2u);
-    EXPECT_EQ(cache.rankBroadcasts(), 2u); // ranks 0 and 1, not 4 DPUs
-    EXPECT_TRUE(cache.residentOnRank(keyOf(1), 0));
-    EXPECT_TRUE(cache.residentOnRank(keyOf(1), 1));
-    EXPECT_FALSE(cache.residentOnRank(keyOf(1), 2));
+    EXPECT_EQ(cache.laneBroadcasts(), 2u); // ranks 0 and 1, not 4 DPUs
+    EXPECT_TRUE(cache.resident(keyOf(1), 0));
+    EXPECT_TRUE(cache.resident(keyOf(1), 1));
+    EXPECT_FALSE(cache.resident(keyOf(1), 2));
     EXPECT_EQ(cache.residency(0), 1u);
     EXPECT_EQ(cache.residency(2), 0u);
 
     // Infeasible tables are cached but never become resident.
-    serve::TableCache::RankLookup bad =
-        cache.lookupOnRank(keyOf(666), 0);
-    EXPECT_TRUE(bad.providerMiss);
-    EXPECT_FALSE(bad.rankMiss);
+    serve::TableCache::Lookup bad = cache.lookup(keyOf(666), 0);
+    EXPECT_TRUE(bad.miss);
+    EXPECT_FALSE(bad.laneMiss);
     EXPECT_FALSE(bad.binding->valid);
-    EXPECT_EQ(cache.rankBroadcasts(), 2u);
+    EXPECT_EQ(cache.laneBroadcasts(), 2u);
     EXPECT_EQ(cache.residency(0), 1u);
 
-    // Re-arming resets residency (each fleet run re-broadcasts).
-    cache.setRankCount(3);
-    EXPECT_EQ(cache.residency(0), 0u);
-    EXPECT_EQ(cache.rankBroadcasts(), 0u);
+    // Evicting a table clears its residency: the next lookup consults
+    // the provider again and the lane pays its broadcast again.
+    EXPECT_EQ(cache.evict(keyOf(1)), 4096u);
+    EXPECT_FALSE(cache.resident(keyOf(1), 0));
+    serve::TableCache::Lookup again = cache.lookup(keyOf(1), 1);
+    EXPECT_TRUE(again.miss);
+    EXPECT_TRUE(again.laneMiss);
+    EXPECT_EQ(providerCalls, 3);
+
+    // Re-arming resets residency (each run re-broadcasts) but keeps
+    // the cached bindings.
+    cache.setLaneCount(3);
+    EXPECT_EQ(cache.residency(1), 0u);
+    EXPECT_EQ(cache.laneBroadcasts(), 0u);
+    EXPECT_FALSE(cache.lookup(keyOf(1), 1).miss);
+}
+
+TEST(FleetCache, FlatSystemIsOneLane)
+{
+    // Without setLaneCount the cache has one lane (a flat system):
+    // the first lookup of a key both consults the provider and pays
+    // the lane's broadcast; every later lookup is a plain hit.
+    PimSystem sys(4);
+    serve::TableCache cache(sys, [](const serve::TableKey&, PimSystem&) {
+        serve::TableBinding b;
+        b.valid = true;
+        b.tableBytes = 4096;
+        return b;
+    });
+    serve::TableCache::Lookup first = cache.lookup(keyOf(1), 0);
+    EXPECT_TRUE(first.miss);
+    EXPECT_TRUE(first.laneMiss);
+    serve::TableCache::Lookup hit = cache.lookup(keyOf(1), 0);
+    EXPECT_FALSE(hit.miss);
+    EXPECT_FALSE(hit.laneMiss);
+    EXPECT_EQ(cache.laneBroadcasts(), 1u);
+    EXPECT_EQ(cache.residency(0), 1u);
 }
 
 TEST(FleetScheduler, CacheCountersCountRanksNotDpus)
@@ -364,9 +393,12 @@ TEST(FleetScheduler, SingleRankTopologyMatchesFlatBitExactly)
 {
     std::vector<Req> reqs = {
         {0, 600}, {1, 300}, {0, 300}, {2, 500}, {1, 140}};
-    RunResult flat = runTrace(reqs, 8, nullptr);
+    obs::Journal flatJournal, fleetJournal;
+    RunResult flat =
+        runTrace(reqs, 8, nullptr, 64, 0, nullptr, &flatJournal);
     Topology topo{1, 1, 8};
-    RunResult fleet = runTrace(reqs, 8, &topo);
+    RunResult fleet =
+        runTrace(reqs, 8, &topo, 64, 0, nullptr, &fleetJournal);
 
     ASSERT_TRUE(flat.rep.complete);
     ASSERT_TRUE(fleet.rep.complete);
@@ -388,6 +420,60 @@ TEST(FleetScheduler, SingleRankTopologyMatchesFlatBitExactly)
     ASSERT_EQ(fleet.rep.rankStats.size(), 1u);
     EXPECT_EQ(fleet.rep.rankStats[0].makespanSeconds,
               fleet.rep.modeledSeconds);
+    // Both run as one transfer lane, so their journals match byte
+    // for byte once the fleet's rank field is dropped.
+    std::string fleetJsonl = fleetJournal.toJsonl();
+    const std::string rankField = ", \"rank\": 0";
+    for (size_t at = fleetJsonl.find(rankField); at != std::string::npos;
+         at = fleetJsonl.find(rankField, at))
+        fleetJsonl.erase(at, rankField.size());
+    EXPECT_EQ(fleetJsonl, flatJournal.toJsonl());
+
+    // Past CostModel::dpusPerRank the flat lane engages N / 64 model
+    // ranks in its broadcasts while the one rank lane engages one:
+    // the same waves and outputs, every flat broadcast leg exactly
+    // half the rank one.
+    const uint32_t big = 2 * CostModel{}.dpusPerRank;
+    obs::Registry& reg = obs::Registry::global();
+    const char* const bcast =
+        "pimsim/host/broadcast/parallel/modeled_seconds";
+    reg.reset();
+    reg.setEnabled(true);
+    RunResult flatBig = runTrace(reqs, big, nullptr);
+    const double flatBcast = reg.real(bcast).value();
+    reg.reset();
+    Topology topoBig{1, 1, big};
+    RunResult fleetBig = runTrace(reqs, big, &topoBig);
+    const double fleetBcast = reg.real(bcast).value();
+    reg.setEnabled(false);
+    reg.reset();
+    ASSERT_TRUE(flatBig.rep.complete);
+    ASSERT_TRUE(fleetBig.rep.complete);
+    EXPECT_EQ(fleetBig.rep.waves, flatBig.rep.waves);
+    EXPECT_EQ(fleetBig.rep.cacheHits, flatBig.rep.cacheHits);
+    EXPECT_EQ(fleetBig.rep.cacheMisses, flatBig.rep.cacheMisses);
+    EXPECT_EQ(fleetBig.rep.computeCycles, flatBig.rep.computeCycles);
+    ASSERT_EQ(fleetBig.out.size(), flatBig.out.size());
+    EXPECT_EQ(std::memcmp(fleetBig.out.data(), flatBig.out.data(),
+                          flatBig.out.size() * sizeof(float)),
+              0);
+    ASSERT_EQ(fleetBig.rep.waveStats.size(), flatBig.rep.waveStats.size());
+    uint32_t broadcasts = 0;
+    for (size_t i = 0; i < flatBig.rep.waveStats.size(); ++i) {
+        const serve::WaveStats& f = flatBig.rep.waveStats[i];
+        const serve::WaveStats& r = fleetBig.rep.waveStats[i];
+        EXPECT_EQ(f.tableMiss, r.tableMiss) << "wave " << i;
+        // A leg's duration read back off the timeline (end - start)
+        // carries the rounding of its start time.
+        EXPECT_NEAR(2.0 * f.broadcastSeconds, r.broadcastSeconds,
+                    1e-12 * r.broadcastSeconds)
+            << "wave " << i;
+        broadcasts += f.broadcastSeconds > 0.0 ? 1 : 0;
+    }
+    EXPECT_EQ(broadcasts, 3u); // sin, cos, exp
+    // The legs as charged: the flat lane's total is exactly half.
+    ASSERT_GT(flatBcast, 0.0);
+    EXPECT_EQ(2.0 * flatBcast, fleetBcast);
 }
 
 TEST(FleetScheduler, MismatchedTopologyFallsBackToFlat)

@@ -26,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include "common/emu_int.h"
+#include "lane_transfers.h"
 #include "pimsim/analysis/sanitizer.h"
 #include "pimsim/obs/metrics.h"
 #include "pimsim/obs/trace.h"
@@ -674,7 +675,11 @@ TEST(Trace, ChromeExportIsWellFormedAndProperlyNested)
         for (uint32_t d = 0; d < sys.numDpus(); ++d)
             addr = sys.dpu(d).mramAlloc(perDpu * sizeof(float));
         std::vector<float> data(perDpu * sys.numDpus(), 1.0f);
-        sys.scatterToMram(addr, data.data(), perDpu * sizeof(float));
+        sim::PipelineTimeline tl(sys.numDpus(), sys.model());
+        sys.scatterAsync(tl, 0, 0.0,
+                         sim::testxfer::equalScatter(
+                             sys, addr, data.data(),
+                             perDpu * sizeof(float)));
         sys.launchAll(4, [&](sim::TaskletContext& ctx) {
             float buf[64];
             ctx.mramRead(addr, buf, sizeof buf);
@@ -685,7 +690,10 @@ TEST(Trace, ChromeExportIsWellFormedAndProperlyNested)
             ctx.mramWrite(addr, buf, sizeof buf);
             ctx.barrier();
         });
-        sys.gatherFromMram(addr, data.data(), perDpu * sizeof(float));
+        sys.gatherAsync(tl, 0, 0.0,
+                        sim::testxfer::equalGather(
+                            sys, addr, data.data(),
+                            perDpu * sizeof(float)));
     }
 
     tracer.setEnabled(false);
@@ -808,6 +816,10 @@ TEST(Trace, FlowEventsCarryIdAndBindingPoint)
 
 TEST(TransferSplit, CellsMatchTheOldCombinedTotals)
 {
+    obs::Registry& reg = obs::Registry::global();
+    reg.reset();
+    reg.setEnabled(true);
+
     sim::PimSystem sys(4);
     constexpr uint32_t kBytes = 64 * 1024;
     std::vector<uint8_t> buf(kBytes * sys.numDpus(), 0x5a);
@@ -815,65 +827,65 @@ TEST(TransferSplit, CellsMatchTheOldCombinedTotals)
     for (uint32_t d = 0; d < sys.numDpus(); ++d)
         addr = sys.dpu(d).mramAlloc(kBytes);
 
-    using M = sim::TransferMode;
-    double bPar = sys.broadcastToMram(addr, buf.data(), kBytes);
-    double bSer =
-        sys.broadcastToMram(addr, buf.data(), kBytes, M::Serial);
-    double sPar = sys.scatterToMram(addr, buf.data(), kBytes);
-    double gSer =
-        sys.gatherFromMram(addr, buf.data(), kBytes, M::Serial);
+    sim::PipelineTimeline tl(sys.numDpus(), sys.model());
+    double b1 = sys.broadcastAsync(tl, 0, 0.0, kBytes).seconds();
+    double b2 = sys.broadcastAsync(tl, 0, 0.0, kBytes).seconds();
+    double s = sys.scatterAsync(tl, 0, 0.0,
+                                sim::testxfer::equalScatter(
+                                    sys, addr, buf.data(), kBytes))
+                   .seconds();
+    double g = sys.gatherAsync(tl, 0, 0.0,
+                               sim::testxfer::equalGather(
+                                   sys, addr, buf.data(), kBytes))
+                   .seconds();
+    reg.setEnabled(false);
 
-    // Returned values reproduce the pre-split single-number model:
-    // a parallel broadcast streams the buffer once (overlapped), a
-    // serial one streams it per DPU; scatter/gather always move the
-    // full aggregate.
+    // Each direction has its fixed mode: a broadcast streams its
+    // buffer once at the parallel rate of the lane's model ranks;
+    // scatter and gather serialize the full aggregate.
+    const sim::CostModel& model = sys.model();
     uint64_t aggregate = uint64_t{kBytes} * sys.numDpus();
-    EXPECT_DOUBLE_EQ(sys.parallelTransferSeconds(kBytes), bPar);
-    EXPECT_DOUBLE_EQ(sys.serialTransferSeconds(aggregate), bSer);
-    EXPECT_DOUBLE_EQ(sys.parallelTransferSeconds(aggregate), sPar);
-    EXPECT_DOUBLE_EQ(sys.serialTransferSeconds(aggregate), gSer);
+    EXPECT_DOUBLE_EQ(model.parallelTransferSeconds(kBytes, 1), b1);
+    EXPECT_DOUBLE_EQ(b1, b2);
+    EXPECT_DOUBLE_EQ(model.serialTransferSeconds(aggregate), s);
+    EXPECT_DOUBLE_EQ(model.serialTransferSeconds(aggregate), g);
 
-    // The per-cell accounting carries the same numbers, one cell per
-    // (direction, mode), with nothing leaking across cells.
+    // One cell per direction, with nothing leaking across cells.
     const sim::TransferStats& ts = sys.transferStats();
-    const int par = static_cast<int>(M::Parallel);
-    const int ser = static_cast<int>(M::Serial);
-
-    EXPECT_EQ(1u, ts.broadcast[par].transfers);
-    EXPECT_EQ(uint64_t{kBytes}, ts.broadcast[par].bytes);
-    EXPECT_DOUBLE_EQ(bPar, ts.broadcast[par].seconds);
-
-    EXPECT_EQ(1u, ts.broadcast[ser].transfers);
-    EXPECT_EQ(aggregate, ts.broadcast[ser].bytes);
-    EXPECT_DOUBLE_EQ(bSer, ts.broadcast[ser].seconds);
-
-    EXPECT_EQ(1u, ts.scatter[par].transfers);
-    EXPECT_EQ(aggregate, ts.scatter[par].bytes);
-    EXPECT_DOUBLE_EQ(sPar, ts.scatter[par].seconds);
-    EXPECT_EQ(0u, ts.scatter[ser].transfers);
-
-    EXPECT_EQ(1u, ts.gather[ser].transfers);
-    EXPECT_EQ(aggregate, ts.gather[ser].bytes);
-    EXPECT_DOUBLE_EQ(gSer, ts.gather[ser].seconds);
-    EXPECT_EQ(0u, ts.gather[par].transfers);
+    EXPECT_EQ(2u, ts.broadcast.transfers);
+    EXPECT_EQ(2 * uint64_t{kBytes}, ts.broadcast.bytes);
+    EXPECT_DOUBLE_EQ(b1 + b2, ts.broadcast.seconds);
+    EXPECT_EQ(1u, ts.scatter.transfers);
+    EXPECT_EQ(aggregate, ts.scatter.bytes);
+    EXPECT_DOUBLE_EQ(s, ts.scatter.seconds);
+    EXPECT_EQ(1u, ts.gather.transfers);
+    EXPECT_EQ(aggregate, ts.gather.bytes);
+    EXPECT_DOUBLE_EQ(g, ts.gather.seconds);
 
     // And the cells sum exactly to the combined view.
-    EXPECT_DOUBLE_EQ(bPar + bSer + sPar + gSer, ts.totalSeconds());
-    EXPECT_EQ(uint64_t{kBytes} + 3 * aggregate, ts.totalBytes());
-}
+    EXPECT_DOUBLE_EQ(b1 + b2 + s + g, ts.totalSeconds());
+    EXPECT_EQ(2 * uint64_t{kBytes} + 2 * aggregate, ts.totalBytes());
 
-TEST(TransferSplit, DefaultModePreservesPreSplitBehavior)
-{
-    // Call sites that predate the split pass no mode; they must keep
-    // getting the parallel numbers they always got.
-    sim::PimSystem sys(2);
-    uint32_t addr = sys.dpu(0).mramAlloc(8192);
-    sys.dpu(1).mramAlloc(8192);
-    std::vector<uint8_t> buf(8192 * 2, 1);
-    EXPECT_DOUBLE_EQ(sys.parallelTransferSeconds(8192),
-                     sys.broadcastToMram(addr, buf.data(), 8192));
-    EXPECT_DOUBLE_EQ(sys.parallelTransferSeconds(8192 * 2),
-                     sys.scatterToMram(addr, buf.data(), 8192));
+    // The registry carries the same cells under their production
+    // names, one <direction>/<mode> prefix per direction.
+    auto cell = [&](const char* name) {
+        return std::string("pimsim/host/") + name;
+    };
+    EXPECT_EQ(2u, reg.counter(cell("broadcast/parallel/transfers"))
+                      .value());
+    EXPECT_EQ(2 * uint64_t{kBytes},
+              reg.counter(cell("broadcast/parallel/bytes")).value());
+    EXPECT_DOUBLE_EQ(
+        b1 + b2,
+        reg.real(cell("broadcast/parallel/modeled_seconds")).value());
+    EXPECT_EQ(1u,
+              reg.counter(cell("scatter/serial/transfers")).value());
+    EXPECT_EQ(aggregate,
+              reg.counter(cell("scatter/serial/bytes")).value());
+    EXPECT_EQ(1u, reg.counter(cell("gather/serial/transfers")).value());
+    EXPECT_DOUBLE_EQ(
+        g, reg.real(cell("gather/serial/modeled_seconds")).value());
+    reg.reset();
 }
 
 // ------------------------------------------- sanitizer-to-registry

@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the PIM simulator: memory models, allocators, the DMA
  * model, the pipeline cycle model and its scaling law, and the
- * multi-DPU system's transfer timing.
+ * multi-DPU system's transfer legs and their timing.
  */
 
 #include <cstdint>
@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "lane_transfers.h"
 #include "pimsim/system.h"
 #include "softfloat/softfloat.h"
 
@@ -242,35 +243,54 @@ TEST(DpuLaunch, SoftFloatIntegration)
     EXPECT_GT(stats.totalInstructions, 10u * 40u);
 }
 
-TEST(PimSystem, BroadcastReachesEveryDpu)
+TEST(PimSystem, BroadcastLegEngagesTheLaneRanks)
 {
-    PimSystem sys(4);
-    std::vector<uint32_t> table{1, 2, 3, 4};
-    double t = sys.broadcastToMram(512, table.data(), 16);
-    EXPECT_GT(t, 0.0);
-    for (uint32_t i = 0; i < sys.numDpus(); ++i) {
-        std::vector<uint32_t> back(4);
-        sys.dpu(i).hostReadMram(512, back.data(), 16);
-        EXPECT_EQ(table, back) << "dpu " << i;
-    }
+    // A flat lane over N DPUs broadcasts at the parallel rate of
+    // max(1, N / dpusPerRank) model ranks; the leg waits for its
+    // dependency and then occupies the lane.
+    PimSystem small(4);
+    PipelineTimeline one(small.numDpus(), small.model());
+    EXPECT_EQ(1u, one.laneCount());
+    EXPECT_EQ(1u, one.laneRanks());
+    const double rate = small.model().parallelTransferSeconds(4096, 1);
+    PipelineEvent a = small.broadcastAsync(one, 0, 1e-3, 4096);
+    EXPECT_EQ(1e-3, a.start);
+    EXPECT_EQ(1e-3 + rate, a.end);
+    PipelineEvent b = small.broadcastAsync(one, 0, 0.0, 4096);
+    EXPECT_EQ(a.end, b.start); // serialized behind the first leg
+    EXPECT_EQ(2 * rate, small.transferStats().broadcast.seconds);
+
+    CostModel model;
+    PipelineTimeline two(2 * model.dpusPerRank, model);
+    EXPECT_EQ(2u, two.laneRanks());
+    PimSystem big(1);
+    PipelineEvent c = big.broadcastAsync(two, 0, 0.0, 4096);
+    EXPECT_EQ(0.0, c.start);
+    EXPECT_EQ(rate, 2.0 * c.end);
+    EXPECT_EQ(c.end, two.makespan());
 }
 
 TEST(PimSystem, ScatterGatherRoundTrip)
 {
     PimSystem sys(4);
+    PipelineTimeline tl(sys.numDpus(), sys.model());
     std::vector<float> data(400);
     std::iota(data.begin(), data.end(), 0.0f);
-    sys.scatterToMram(0, data.data(), 400);
+    sys.scatterAsync(tl, 0, 0.0,
+                     testxfer::equalScatter(sys, 0, data.data(), 400));
     std::vector<float> back(400);
-    sys.gatherFromMram(0, back.data(), 400);
+    sys.gatherAsync(tl, 0, 0.0,
+                    testxfer::equalGather(sys, 0, back.data(), 400));
     EXPECT_EQ(data, back);
 }
 
 TEST(PimSystem, ScatterPlacesCorrectSlices)
 {
     PimSystem sys(2);
+    PipelineTimeline tl(sys.numDpus(), sys.model());
     std::vector<uint32_t> data{10, 11, 20, 21};
-    sys.scatterToMram(0, data.data(), 8);
+    sys.scatterAsync(tl, 0, 0.0,
+                     testxfer::equalScatter(sys, 0, data.data(), 8));
     uint32_t v[2];
     sys.dpu(0).hostReadMram(0, v, 8);
     EXPECT_EQ(10u, v[0]);
@@ -282,13 +302,21 @@ TEST(PimSystem, ScatterPlacesCorrectSlices)
 
 TEST(PimSystem, TransferTimingModel)
 {
-    PimSystem sys(64);
+    CostModel model;
+    const uint32_t ranks = model.ranksEngaged(64);
     // Parallel beats serial for the same volume.
-    EXPECT_LT(sys.parallelTransferSeconds(1 << 20),
-              sys.serialTransferSeconds(1 << 20));
+    EXPECT_LT(model.parallelTransferSeconds(1 << 20, ranks),
+              model.serialTransferSeconds(1 << 20));
     // Timing is linear in bytes.
-    EXPECT_NEAR(2 * sys.parallelTransferSeconds(1 << 20),
-                sys.parallelTransferSeconds(2 << 20), 1e-12);
+    EXPECT_NEAR(2 * model.parallelTransferSeconds(1 << 20, ranks),
+                model.parallelTransferSeconds(2 << 20, ranks), 1e-12);
+    // A transfer engages max(1, dpus / dpusPerRank) model ranks.
+    EXPECT_EQ(1u, model.ranksEngaged(1));
+    EXPECT_EQ(1u, model.ranksEngaged(64));
+    EXPECT_EQ(2u, model.ranksEngaged(128));
+    CostModel noRanks;
+    noRanks.dpusPerRank = 0;
+    EXPECT_EQ(1u, noRanks.ranksEngaged(2545));
 }
 
 TEST(PimSystem, LaunchAllRunsEveryDpuAndTakesMax)
@@ -338,15 +366,6 @@ TEST(DpuEnergy, ScalesWithWork)
         ctx.charge(200);
     });
     EXPECT_NEAR(2.0, b.energyJoules / a.energyJoules, 1e-9);
-}
-
-TEST(PimSystem, ProjectionScalesLinearly)
-{
-    PimSystem sys(1);
-    // 1000 cycles for 10 elements -> 100 cycles/element.
-    // 2545 DPUs, 2545000 elements -> 1000 elements/DPU -> 100k cycles.
-    double secs = sys.projectedSystemSeconds(1000, 10, 2545000, 2545);
-    EXPECT_NEAR(100000.0 / sys.model().frequencyHz, secs, 1e-12);
 }
 
 } // namespace

@@ -103,6 +103,43 @@ TEST(TraceGrammar, TaskletsWithinHardwareRange)
     }
 }
 
+TEST(TraceGrammar, TenantSlaArgument)
+{
+    TenantSlaArg arg;
+    std::string error;
+    ASSERT_TRUE(parseTenantSlaArg("*:rmse<1e-3", arg, error)) << error;
+    EXPECT_FALSE(arg.tenant.has_value()); // '*' = the default SLA
+    EXPECT_EQ(arg.sla.maxRmse, 1e-3);
+    ASSERT_TRUE(
+        parseTenantSlaArg("2:rmse<1e-6;cycles:p99<600", arg, error))
+        << error;
+    ASSERT_TRUE(arg.tenant.has_value());
+    EXPECT_EQ(*arg.tenant, 2u);
+    EXPECT_EQ(arg.sla.maxRmse, 1e-6);
+    EXPECT_EQ(arg.sla.maxCyclesPerElement, 600.0);
+    EXPECT_EQ(arg.sla.cyclesPercentile, 99.0);
+
+    const struct
+    {
+        const char* text;
+        const char* error;
+    } bad[] = {
+        {":x", "bad --tenant-sla ':x' (want T:SPEC or '*:SPEC')"},
+        {"x", "bad --tenant-sla 'x' (want T:SPEC or '*:SPEC')"},
+        {"-1:rmse<1", "bad tenant id '-1'"},
+        {"2:fast", "bad SLA spec in '2:fast' (want e.g. "
+                   "rmse<1e-6;cycles:p99<600)"},
+    };
+    for (const auto& b : bad) {
+        TenantSlaArg untouched;
+        untouched.tenant = 9;
+        EXPECT_FALSE(parseTenantSlaArg(b.text, untouched, error))
+            << b.text;
+        EXPECT_EQ(error, b.error);
+        EXPECT_EQ(untouched.tenant, 9u) << b.text;
+    }
+}
+
 // ---------------------------------------------------------------------
 // Names.
 

@@ -352,6 +352,22 @@ TEST(WorkloadInfra, ProjectionMath)
     EXPECT_NEAR(100.0 * 1000.0 / model.frequencyHz, secs, 1e-12);
 }
 
+TEST(WorkloadInfra, ProjectionScalesLinearly)
+{
+    WorkloadConfig cfg;
+    cfg.elementsPerSimDpu = 10;
+    cfg.systemDpus = 2545;
+    sim::CostModel model;
+    // 1000 cycles for 10 elements -> 100 cycles/element.
+    // 2545 DPUs, 2545000 elements -> 1000 elements/DPU -> 100k cycles.
+    cfg.totalElements = 2545000;
+    double secs = projectPimSeconds(cfg, model, 1000);
+    EXPECT_NEAR(100000.0 / model.frequencyHz, secs, 1e-12);
+    // Twice the elements, twice the seconds.
+    cfg.totalElements = 2 * 2545000;
+    EXPECT_NEAR(2 * secs, projectPimSeconds(cfg, model, 1000), 1e-12);
+}
+
 } // namespace
 } // namespace work
 } // namespace tpl

@@ -370,34 +370,17 @@ main(int argc, char** argv)
         } else if (arg == "--auto-tune") {
             autoTune = true;
         } else if (arg == "--tenant-sla") {
-            std::string spec = value();
-            size_t colon = spec.find(':');
-            if (colon == std::string::npos || colon == 0) {
-                std::cerr << "pimserve: bad --tenant-sla '" << spec
-                          << "' (want T:SPEC or '*:SPEC')\n";
-                return 2;
-            }
-            std::string who = spec.substr(0, colon);
-            sim::serve::TenantSla sla;
-            if (!sim::serve::TenantSla::parse(spec.substr(colon + 1),
-                                              sla)) {
-                std::cerr << "pimserve: bad SLA spec in '" << spec
-                          << "' (want e.g. rmse<1e-6;cycles:p99<600)"
-                          << "\n";
+            TenantSlaArg parsed;
+            std::string error;
+            if (!parseTenantSlaArg(value(), parsed, error)) {
+                std::cerr << "pimserve: " << error << "\n";
                 return 2;
             }
             autoTune = true;
-            if (who == "*") {
-                defaultSla = sla;
-            } else {
-                uint64_t tenant = 0;
-                if (!parseU64(who, tenant)) {
-                    std::cerr << "pimserve: bad tenant id '" << who
-                              << "'\n";
-                    return 2;
-                }
-                tenantSlas[tenant] = sla;
-            }
+            if (parsed.tenant)
+                tenantSlas[*parsed.tenant] = parsed.sla;
+            else
+                defaultSla = parsed.sla;
         } else if (arg == "--explore") {
             u32Arg(explore);
         } else if (arg == "--help" || arg == "-h") {

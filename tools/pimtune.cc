@@ -224,34 +224,17 @@ main(int argc, char** argv)
             demo = true;
             u32Arg(demoRequests);
         } else if (arg == "--tenant-sla") {
-            std::string spec = value();
-            size_t colon = spec.find(':');
-            if (colon == std::string::npos || colon == 0) {
-                std::cerr << "pimtune: bad --tenant-sla '" << spec
-                          << "' (want T:SPEC or '*:SPEC')\n";
-                return 2;
-            }
-            std::string who = spec.substr(0, colon);
-            sim::serve::TenantSla sla;
-            if (!sim::serve::TenantSla::parse(spec.substr(colon + 1),
-                                              sla)) {
-                std::cerr << "pimtune: bad SLA spec in '" << spec
-                          << "' (want e.g. rmse<1e-6;cycles:p99<600)"
-                          << "\n";
+            TenantSlaArg parsed;
+            std::string error;
+            if (!parseTenantSlaArg(value(), parsed, error)) {
+                std::cerr << "pimtune: " << error << "\n";
                 return 2;
             }
             anySlaArg = true;
-            if (who == "*") {
-                defaultSla = sla;
-            } else {
-                uint64_t tenant = 0;
-                if (!parseU64(who, tenant)) {
-                    std::cerr << "pimtune: bad tenant id '" << who
-                              << "'\n";
-                    return 2;
-                }
-                slas[tenant] = sla;
-            }
+            if (parsed.tenant)
+                slas[*parsed.tenant] = parsed.sla;
+            else
+                defaultSla = parsed.sla;
         } else if (arg == "--dpus") {
             u32Arg(dpus);
         } else if (arg == "--tasklets") {
