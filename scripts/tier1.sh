@@ -2,7 +2,8 @@
 # Tier-1 verification: configure, build, run the full test suite.
 # With TPL_TIER1_TSAN=1, additionally build a ThreadSanitizer tree and
 # run the parallel-engine tests (thread pool + launchAll determinism,
-# the serve path's one shared evaluator read by every sim thread, and
+# the serve path's one shared evaluator and the one host copy of each
+# table that every sim thread reads through its core's mapping, and
 # the serve/fleet suites, whose drive loop overlaps host work with
 # kernels running on the pool, and the label pool every thread may
 # intern into) under TSan — the cheap way to catch data races the
@@ -44,7 +45,7 @@ if [ "${TPL_TIER1_TSAN:-0}" = "1" ]; then
         shared_table_test serve_test fleet_test common_test
     TSAN_TESTS='ThreadPool|Determinism|Concurrency|SharedTable'
     TSAN_TESTS="$TSAN_TESTS|BatchQueue|Serve|Topology|RankTransfer|Fleet"
-    TSAN_TESTS="$TSAN_TESTS|LabelPool"
+    TSAN_TESTS="$TSAN_TESTS|LabelPool|SharedRegion"
     ctest --test-dir "$TSAN_DIR" --output-on-failure -R "$TSAN_TESTS"
 fi
 
@@ -70,13 +71,17 @@ fi
 # With TPL_TIER1_ASAN=1, build the whole tree under AddressSanitizer +
 # UndefinedBehaviorSanitizer and run the complete suite. Catches heap
 # misuse and UB (shifts, overflow, misaligned access) that the plain
-# build silently tolerates.
+# build silently tolerates — among them a shared table read after its
+# catalog and pipeline are gone (SharedTable.TablesOutlive*, named
+# again below so the leg fails loudly if that test ever goes missing).
 if [ "${TPL_TIER1_ASAN:-0}" = "1" ]; then
     ASAN_DIR="${BUILD_DIR}-asan"
     cmake -B "$ASAN_DIR" -S "$SRC_DIR" \
         -DTPL_SANITIZE=address,undefined
     cmake --build "$ASAN_DIR" -j
     ctest --test-dir "$ASAN_DIR" --output-on-failure -j
+    ctest --test-dir "$ASAN_DIR" --output-on-failure --no-tests=error \
+        -R 'SharedTable.TablesOutliveCatalogCacheAndPipeline'
 fi
 
 # With TPL_TIER1_TRACE=1, exercise the observability layer end to end:

@@ -11,6 +11,8 @@
 #include <stdexcept>
 #include <string>
 
+#include <sys/mman.h>
+
 #include "pimsim/analysis/sanitizer.h"
 #include "pimsim/fault/fault.h"
 #include "pimsim/obs/metrics.h"
@@ -92,7 +94,37 @@ opClassCounter(int o)
     return *p;
 }
 
+/** "pimsim/dpu/table_privatized_bytes", registered on first use so
+ * a run that never privatizes dumps the same metric names as before. */
+obs::Counter&
+privatizedBytesCounter()
+{
+    static obs::Counter& c = obs::Registry::global().counter(
+        "pimsim/dpu/table_privatized_bytes");
+    return c;
+}
+
+uint64_t
+alignUp8(uint64_t v)
+{
+    return (v + 7u) & ~uint64_t{7};
+}
+
 } // namespace
+
+ZeroedBank::ZeroedBank(size_t size) : size_(size)
+{
+    void* p = ::mmap(nullptr, size ? size : 1, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED)
+        throw std::bad_alloc();
+    data_ = static_cast<uint8_t*>(p);
+}
+
+ZeroedBank::~ZeroedBank()
+{
+    ::munmap(data_, size_ ? size_ : 1);
+}
 
 DpuCore::DpuCore(const CostModel& model)
     : model_(model), mram_(model.mramBytes), wram_(model.wramBytes)
@@ -100,10 +132,31 @@ DpuCore::DpuCore(const CostModel& model)
 }
 
 void
+DpuCore::setSanitizer(check::Sanitizer* sanitizer)
+{
+    sanitizer_ = sanitizer;
+    if (sanitizer) {
+        privatizeAll(MemSpace::Wram);
+        privatizeAll(MemSpace::Mram);
+    }
+}
+
+void
+DpuCore::setFaultState(fault::DpuFaultState* faults)
+{
+    faults_ = faults;
+    if (faults) {
+        privatizeAll(MemSpace::Wram);
+        privatizeAll(MemSpace::Mram);
+    }
+}
+
+void
 DpuCore::hostWriteMram(uint32_t addr, const void* src, uint32_t size)
 {
     if (static_cast<uint64_t>(addr) + size > mram_.size())
         throw std::out_of_range("hostWriteMram beyond MRAM bank");
+    privatizeRange(MemSpace::Mram, addr, size);
     std::memcpy(mram_.data() + addr, src, size);
     if (faults_)
         faults_->onMramWritten(addr, size);
@@ -114,7 +167,7 @@ DpuCore::hostReadMram(uint32_t addr, void* dst, uint32_t size) const
 {
     if (static_cast<uint64_t>(addr) + size > mram_.size())
         throw std::out_of_range("hostReadMram beyond MRAM bank");
-    std::memcpy(dst, mram_.data() + addr, size);
+    readThrough(MemSpace::Mram, addr, dst, size);
 }
 
 void
@@ -122,6 +175,7 @@ DpuCore::hostWriteWram(uint32_t addr, const void* src, uint32_t size)
 {
     if (static_cast<uint64_t>(addr) + size > wram_.size())
         throw std::out_of_range("hostWriteWram beyond scratchpad");
+    privatizeRange(MemSpace::Wram, addr, size);
     std::memcpy(wram_.data() + addr, src, size);
     if (sanitizer_)
         sanitizer_->markWramInitialized(addr, size);
@@ -134,16 +188,87 @@ DpuCore::hostReadWram(uint32_t addr, void* dst, uint32_t size) const
 {
     if (static_cast<uint64_t>(addr) + size > wram_.size())
         throw std::out_of_range("hostReadWram beyond scratchpad");
-    std::memcpy(dst, wram_.data() + addr, size);
+    readThrough(MemSpace::Wram, addr, dst, size);
+}
+
+DpuCore::Mapping
+DpuCore::mapShared(MemSpace space, const uint8_t* bytes, uint32_t size,
+                   std::shared_ptr<const void> owner)
+{
+    Mapping m;
+    m.addr = space == MemSpace::Wram ? wramAlloc(size) : mramAlloc(size);
+    m.region = regionCount();
+    regions_.push_back(Region{space, m.addr, size, bytes, std::move(owner)});
+    shared_[static_cast<int>(space)].add(m.addr, size);
+    // An empty region has nothing to share, and no write would ever
+    // overlap it to privatize it.
+    if (size == 0 || sanitizer_ || faults_) {
+        privatize(regions_.back());
+        if (faults_ && space == MemSpace::Mram)
+            faults_->onMramWritten(m.addr, size);
+    }
+    return m;
+}
+
+void
+DpuCore::readThrough(MemSpace space, uint64_t addr, void* dst,
+                     uint32_t size) const
+{
+    const ZeroedBank& b = space == MemSpace::Wram ? wram_ : mram_;
+    std::memcpy(dst, b.data() + addr, size);
+    if (!overlapsShared(space, addr, size))
+        return;
+    auto* out = static_cast<uint8_t*>(dst);
+    for (const Region& r : regions_) {
+        if (!r.owner || r.space != space)
+            continue;
+        uint64_t lo = std::max<uint64_t>(addr, r.addr);
+        uint64_t hi = std::min<uint64_t>(addr + size,
+                                         uint64_t{r.addr} + r.size);
+        if (lo < hi)
+            std::memcpy(out + (lo - addr), r.view + (lo - r.addr),
+                        hi - lo);
+    }
+}
+
+void
+DpuCore::privatize(Region& r)
+{
+    uint8_t* dst = bank(r.space).data() + r.addr;
+    if (r.size != 0)
+        std::memcpy(dst, r.view, r.size);
+    r.view = dst;
+    r.owner.reset();
+    SharedSpan& sp = shared_[static_cast<int>(r.space)];
+    if (--sp.count == 0)
+        sp = SharedSpan{};
+    if (obs::Registry::global().enabled())
+        privatizedBytesCounter().add(r.size);
+}
+
+void
+DpuCore::privatizeOverlapping(MemSpace space, uint64_t addr,
+                              uint64_t size)
+{
+    for (Region& r : regions_)
+        if (r.owner && r.space == space && r.addr < addr + size &&
+            uint64_t{r.addr} + r.size > addr)
+            privatize(r);
+}
+
+void
+DpuCore::rollback(const AllocMark& mark)
+{
+    regions_.erase(regions_.begin() + mark.regions, regions_.end());
+    mramTop_ = mark.mramTop;
+    wramTop_ = mark.wramTop;
+    shared_ = {};
+    for (const Region& r : regions_)
+        if (r.owner)
+            shared_[static_cast<int>(r.space)].add(r.addr, r.size);
 }
 
 namespace {
-
-uint64_t
-alignUp8(uint64_t v)
-{
-    return (v + 7u) & ~uint64_t{7};
-}
 
 /** WRAM offset of @p p if [p, p+size) lies inside the scratchpad,
  * else -1 (a host buffer standing in for a tasklet's WRAM chunk). */
@@ -186,6 +311,8 @@ DpuCore::resetAllocators()
 {
     mramTop_ = 0;
     wramTop_ = 0;
+    regions_.clear();
+    shared_ = {};
 }
 
 uint64_t
@@ -325,12 +452,30 @@ DpuCore::launch(uint32_t numTasklets, const Kernel& kernel)
 void
 TaskletContext::mramRead(uint32_t mramAddr, void* dst, uint32_t size)
 {
-    mramReadAt(mramAddr, dst, size, 0);
+    dmaIn(mramAddr, dst, size, 0, nullptr);
 }
 
 void
 TaskletContext::mramReadAt(uint32_t mramAddr, void* dst, uint32_t size,
                            uint32_t line)
+{
+    dmaIn(mramAddr, dst, size, line, nullptr);
+}
+
+void
+TaskletContext::mramReadRegion(uint32_t region, uint32_t mramAddr,
+                               void* dst, uint32_t size)
+{
+    const DpuCore::Region& r = core_.regions_[region];
+    if (r.space != MemSpace::Mram || mramAddr < r.addr ||
+        uint64_t{mramAddr} + size > r.addr + alignUp8(r.size))
+        throw std::out_of_range("mramReadRegion outside the region");
+    dmaIn(mramAddr, dst, size, 0, r.view + (mramAddr - r.addr));
+}
+
+void
+TaskletContext::dmaIn(uint32_t mramAddr, void* dst, uint32_t size,
+                      uint32_t line, const uint8_t* src)
 {
     if (check::Sanitizer* san = core_.sanitizer_) {
         int64_t wa = wramOffsetOf(core_.wram_, dst, size);
@@ -341,7 +486,10 @@ TaskletContext::mramReadAt(uint32_t mramAddr, void* dst, uint32_t size,
     }
     if (static_cast<uint64_t>(mramAddr) + size > core_.mram_.size())
         throw std::out_of_range("mramRead beyond MRAM bank");
-    std::memcpy(dst, core_.mram_.data() + mramAddr, size);
+    if (src)
+        std::memcpy(dst, src, size);
+    else
+        core_.readThrough(MemSpace::Mram, mramAddr, dst, size);
     dmaStall_ += core_.accountDma(size);
     if (core_.faults_)
         dmaStall_ += core_.faults_->onDmaData(
@@ -368,6 +516,7 @@ TaskletContext::mramWriteAt(uint32_t mramAddr, const void* src,
     }
     if (static_cast<uint64_t>(mramAddr) + size > core_.mram_.size())
         throw std::out_of_range("mramWrite beyond MRAM bank");
+    core_.privatizeRange(MemSpace::Mram, mramAddr, size);
     std::memcpy(core_.mram_.data() + mramAddr, src, size);
     dmaStall_ += core_.accountDma(size);
     if (core_.faults_) {

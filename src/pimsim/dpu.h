@@ -23,10 +23,11 @@
 #ifndef TPL_PIMSIM_DPU_H
 #define TPL_PIMSIM_DPU_H
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -128,6 +129,15 @@ class TaskletContext : public InstrSink
     /// @}
 
     /**
+     * mramRead of a range known to lie inside the core's region
+     * @p region (DpuCore::mapShared; up to its size rounded up to 8):
+     * the same DMA charges and hooks, served straight from the
+     * region's view without searching the region table.
+     */
+    void mramReadRegion(uint32_t region, uint32_t mramAddr, void* dst,
+                        uint32_t size);
+
+    /**
      * Tasklet barrier (UPMEM barrier_wait): charges one issue slot.
      * Tasklets execute sequentially in simulation, so the rendezvous
      * itself is a no-op — but an attached sanitizer advances this
@@ -161,6 +171,12 @@ class TaskletContext : public InstrSink
 
   private:
     friend class DpuCore;
+
+    /** The DMA-read model behind the mramRead variants: @p src is the
+     * bytes to deliver, or nullptr to read the bank through its
+     * shared regions. */
+    void dmaIn(uint32_t mramAddr, void* dst, uint32_t size,
+               uint32_t line, const uint8_t* src);
 
     DpuCore& core_;
     uint32_t id_;
@@ -229,31 +245,23 @@ struct LaunchStats
 };
 
 /**
- * Fixed-size zero-initialized byte bank with *lazy* zeroing: backed by
- * calloc, so untouched pages stay untouched OS zero pages instead of
- * being memset at construction. A value-initialized vector would touch
- * all 64 MiB of a modeled MRAM bank up front, which dominates host
- * time for sweeps that build one core per configuration point; with
- * the lazy bank only the pages a run actually uses ever fault in.
- * WRAM uses it too: a 64-KB bank comes from the heap, where calloc
- * still skips zeroing pages the heap has just grown by, so building a
- * few thousand cores does not fault in their scratchpads up front.
- * Reads of never-written bytes still return 0, exactly like the
- * vector this replaces.
+ * Fixed-size zero-initialized byte bank backed by one anonymous
+ * `mmap`: untouched pages stay the kernel's shared zero page, so a
+ * core faults in only the pages it actually writes. A heap-backed bank
+ * would not be lazy — the allocator clears reused chunks — and a
+ * value-initialized vector would touch all 64 MiB of a modeled MRAM
+ * bank up front. Reads of never-written bytes return 0.
+ *
+ * Each bank is one mapping and a core owns two (MRAM and WRAM), so a
+ * 20x2x64 fleet of 2560 cores holds 5 120 mappings, well under the
+ * kernel's default `vm.max_map_count` of 65 530.
  */
 class ZeroedBank
 {
   public:
-    explicit ZeroedBank(size_t size)
-        : data_(static_cast<uint8_t*>(
-              std::calloc(size ? size : 1, 1))),
-          size_(size)
-    {
-        if (!data_)
-            throw std::bad_alloc();
-    }
-
-    ~ZeroedBank() { std::free(data_); }
+    /** @throws std::bad_alloc when the mapping fails. */
+    explicit ZeroedBank(size_t size);
+    ~ZeroedBank();
 
     ZeroedBank(const ZeroedBank&) = delete;
     ZeroedBank& operator=(const ZeroedBank&) = delete;
@@ -267,10 +275,29 @@ class ZeroedBank
     size_t size_;
 };
 
+/** The two memories of a core. */
+enum class MemSpace : uint8_t
+{
+    Wram,
+    Mram,
+};
+
 /**
  * One simulated DPU: a 64-MB MRAM bank, a 64-KB WRAM scratchpad, bump
  * allocators for both (the allocation totals feed the paper's memory-
  * consumption figure), and the launch/cycle model.
+ *
+ * Shared regions: a read-only host buffer (a generated table) can be
+ * mapped into a freshly allocated range instead of being copied, so
+ * one host copy serves every core it is attached to. The core still
+ * allocates the range, and records the mapping in a region table whose
+ * indices — like the addresses — agree across cores with identical
+ * allocation histories. Every read of the range sees the shared bytes.
+ * The first write into a region (host write, DMA write, a raw
+ * `wramData()`/`mramData()` pointer, a fault) *privatizes* it: the
+ * bytes are copied into this core's bank, which serves the region from
+ * then on, so each core still sees its own copy and its own faults.
+ * Attaching a sanitizer or a fault plan privatizes every region.
  */
 class DpuCore
 {
@@ -299,12 +326,10 @@ class DpuCore
      * Attach (or, with nullptr, detach) a runtime sanitizer. Off by
      * default; the core does not own the sanitizer. While attached,
      * every simulated WRAM/MRAM access and DMA is checked — purely
-     * observationally, so modeled statistics are unchanged.
+     * observationally, so modeled statistics are unchanged. Attaching
+     * one privatizes every shared region.
      */
-    void setSanitizer(check::Sanitizer* sanitizer)
-    {
-        sanitizer_ = sanitizer;
-    }
+    void setSanitizer(check::Sanitizer* sanitizer);
 
     /** The attached sanitizer, or nullptr. */
     check::Sanitizer* sanitizer() const { return sanitizer_; }
@@ -316,11 +341,9 @@ class DpuCore
      * DMA and memory writes consult the plan — with no plan, or a
      * plan whose specs never fire, every modeled statistic is
      * bit-identical to the unfaulted run (tests/fault_test.cc).
+     * Attaching a state privatizes every shared region.
      */
-    void setFaultState(fault::DpuFaultState* faults)
-    {
-        faults_ = faults;
-    }
+    void setFaultState(fault::DpuFaultState* faults);
 
     /** The attached fault state, or nullptr. */
     fault::DpuFaultState* faultState() const { return faults_; }
@@ -337,8 +360,67 @@ class DpuCore
      * std::bad_alloc past the scratchpad, like mramAlloc). */
     uint32_t wramAlloc(uint64_t size);
 
-    /** Reset both allocators (new kernel program). */
+    /** Reset both allocators and drop every shared region (new
+     * kernel program; tables attached before must be re-attached). */
     void resetAllocators();
+
+    /** Where mapShared placed a buffer. */
+    struct Mapping
+    {
+        uint32_t addr = 0;   ///< allocated address in the memory
+        uint32_t region = 0; ///< index into the region table
+    };
+
+    /**
+     * Allocate @p size bytes in @p space (wramAlloc/mramAlloc) and map
+     * @p bytes there as a shared read-only region instead of copying
+     * them. @p owner (non-null unless @p size is 0) keeps the buffer
+     * alive for as long as the region is shared. @p bytes must stay readable up to @p size rounded up
+     * to 8 bytes, the widest aligned DMA window a read may take. With a
+     * sanitizer or fault plan attached the region is privatized at
+     * once (an MRAM one then sees the plan's stuck bits, exactly as a
+     * hostWriteMram of the bytes would).
+     * @throws std::bad_alloc when the memory cannot hold it (no region
+     *         is recorded).
+     */
+    Mapping mapShared(MemSpace space, const uint8_t* bytes,
+                      uint32_t size, std::shared_ptr<const void> owner);
+
+    /** Where region @p region's bytes are read from: the shared
+     * buffer, or this core's bank once the region is privatized. */
+    const uint8_t* regionView(uint32_t region) const
+    {
+        return regions_[region].view;
+    }
+
+    /** Number of regions mapped since the last resetAllocators(). */
+    uint32_t regionCount() const
+    {
+        return static_cast<uint32_t>(regions_.size());
+    }
+
+    /** True while region @p region still reads the shared bytes. */
+    bool regionShared(uint32_t region) const
+    {
+        return regions_[region].owner != nullptr;
+    }
+
+    /** Allocator tops and region count: what rollback() restores. */
+    struct AllocMark
+    {
+        uint32_t mramTop = 0;
+        uint32_t wramTop = 0;
+        uint32_t regions = 0;
+    };
+
+    AllocMark allocMark() const
+    {
+        return {mramTop_, wramTop_, regionCount()};
+    }
+
+    /** Undo every allocation and region made after @p mark (an
+     * all-or-nothing table bind that failed part way). */
+    void rollback(const AllocMark& mark);
 
     /** Bytes of MRAM currently allocated (paper's Figure 7 metric). */
     uint32_t mramAllocated() const { return mramTop_; }
@@ -346,12 +428,20 @@ class DpuCore
     /** Bytes of WRAM currently allocated. */
     uint32_t wramAllocated() const { return wramTop_; }
 
-    /** Raw WRAM pointer (kernel-side scratchpad accesses). */
-    uint8_t* wramData() { return wram_.data(); }
-    const uint8_t* wramData() const { return wram_.data(); }
+    /** Raw WRAM pointer (kernel-side scratchpad accesses). The caller
+     * may write anywhere, so this privatizes every WRAM region. */
+    uint8_t* wramData()
+    {
+        privatizeAll(MemSpace::Wram);
+        return wram_.data();
+    }
 
-    /** Raw MRAM pointer (used by the DMA model). */
-    uint8_t* mramData() { return mram_.data(); }
+    /** Raw MRAM pointer; privatizes every MRAM region. */
+    uint8_t* mramData()
+    {
+        privatizeAll(MemSpace::Mram);
+        return mram_.data();
+    }
 
     /**
      * Run @p kernel once per tasklet and update the launch statistics.
@@ -371,11 +461,74 @@ class DpuCore
     /** Account a DMA transfer on the engine; returns stall cycles. */
     uint64_t accountDma(uint32_t size);
 
+    /** One mapped buffer; owner is null once privatized (privatize()
+     * runs once per region), and view then points into the bank. */
+    struct Region
+    {
+        MemSpace space;
+        uint32_t addr;
+        uint32_t size;
+        const uint8_t* view;
+        std::shared_ptr<const void> owner;
+    };
+
+    /** Shared (not yet privatized) regions of one memory: how many,
+     * and bounds enclosing all of them, so an access outside them is
+     * an O(1) check. */
+    struct SharedSpan
+    {
+        uint32_t count = 0;
+        uint64_t lo = 0;
+        uint64_t hi = 0;
+
+        void
+        add(uint64_t addr, uint64_t size)
+        {
+            lo = count ? std::min(lo, addr) : addr;
+            hi = count ? std::max(hi, addr + size) : addr + size;
+            ++count;
+        }
+    };
+
+    ZeroedBank& bank(MemSpace s)
+    {
+        return s == MemSpace::Wram ? wram_ : mram_;
+    }
+
+    bool
+    overlapsShared(MemSpace s, uint64_t addr, uint64_t size) const
+    {
+        const SharedSpan& sp = shared_[static_cast<int>(s)];
+        return sp.count != 0 && addr < sp.hi && addr + size > sp.lo;
+    }
+
+    /** Copy [addr, addr+size) of @p space into @p dst, shared regions
+     * included (bounds already checked). */
+    void readThrough(MemSpace space, uint64_t addr, void* dst,
+                     uint32_t size) const;
+
+    /** Privatize every shared region of @p space overlapping
+     * [addr, addr+size), before a write there. */
+    void privatizeRange(MemSpace space, uint64_t addr, uint64_t size)
+    {
+        if (overlapsShared(space, addr, size))
+            privatizeOverlapping(space, addr, size);
+    }
+    void privatizeOverlapping(MemSpace space, uint64_t addr,
+                              uint64_t size);
+    void privatizeAll(MemSpace space)
+    {
+        privatizeRange(space, 0, bank(space).size());
+    }
+    void privatize(Region& r);
+
     CostModel model_;
     ZeroedBank mram_;
     ZeroedBank wram_;
     uint32_t mramTop_ = 0;
     uint32_t wramTop_ = 0;
+    std::vector<Region> regions_;
+    std::array<SharedSpan, 2> shared_{}; ///< indexed by MemSpace
     uint64_t dmaEngineCycles_ = 0; ///< accumulated during a launch
     uint64_t dmaBytes_ = 0;        ///< accumulated during a launch
     check::Sanitizer* sanitizer_ = nullptr; ///< non-owning, opt-in

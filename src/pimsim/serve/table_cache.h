@@ -5,8 +5,11 @@
  * Maps a TableKey to a TableBinding: the per-core kernel factory plus
  * the modeled footprint of the tables the configuration needs on each
  * DPU. The first lookup of a key calls the caller-supplied
- * TableProvider, which generates the tables and stages them onto
- * every core (an evaluator attach); subsequent lookups are hits. The
+ * TableProvider, which generates the tables once and attaches them to
+ * every core (each core allocates the footprint and maps the one host
+ * copy, see DpuCore::mapShared); subsequent lookups are hits. Binding
+ * appends to every core's region table, which in-flight kernels read,
+ * so the pipeline commits its outstanding wave before a miss. The
  * cache also tracks which transfer lanes (PipelineTimeline) already
  * received each table, so the pipeline charges one modeled MRAM
  * table broadcast per lane that runs it and skips it afterwards — the
@@ -47,7 +50,8 @@ struct TableBinding
 {
     bool valid = false;
 
-    /** Per-core table footprint in bytes. The first lookup on each
+    /** Per-core table footprint in bytes (modeled: what each DPU
+     * allocates, not host bytes copied). The first lookup on each
      * transfer lane pays one modeled parallel broadcast of this
      * footprint on that lane — a table is broadcast once per lane
      * (rank) that hosts it, never once per DPU. */

@@ -434,10 +434,13 @@ PimSystem::scatterAsync(PipelineTimeline& timeline, uint32_t lane,
     double extra = 0.0;
     for (const ScatterSlice& s : slices) {
         DpuCore& d = *dpus_[s.dpu];
+        // Only an armed plan corrupts the target, and arming already
+        // privatized every shared region, so the raw pointer costs no
+        // copy; unarmed, the target is never touched.
         extra += transferLeg(
             s.dpu, s.bytes,
             [&] { d.hostWriteMram(s.mramAddr, s.src, s.bytes); },
-            d.mramData() + s.mramAddr, s.bytes);
+            faults_ ? d.mramData() + s.mramAddr : nullptr, s.bytes);
         if (!isMasked(s.dpu))
             streamBytes += s.bytes;
     }

@@ -241,7 +241,7 @@ class LLutFixed
     int densityLog2() const { return e_; }
 
     /** Host-side Q3.28 entries (e.g. for hand-written kernels). */
-    const std::vector<int32_t>& hostEntries() const
+    std::span<const int32_t> hostEntries() const
     {
         return table_.host();
     }

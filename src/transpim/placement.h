@@ -3,15 +3,23 @@
  * Table storage with WRAM/MRAM placement and access-cost accounting.
  *
  * Every LUT-based method (and the CORDIC angle tables) stores its
- * entries through LutStore. The store owns the authoritative host-side
- * copy generated at setup time; attach() places a copy into a simulated
- * DPU's scratchpad (WRAM) or DRAM bank (MRAM), after which reads charge
- * the corresponding access cost. One host-side table may be attached to
- * many cores (generate once, copy per core, as TransPimLib's setup
- * does): every copy sits at the same address, and a read inside a
- * kernel fetches from the *executing* tasklet's core, so each DPU sees
- * its own copy — including any fault injected into it. Reads without a
- * tasklet fall back to the core attached last.
+ * entries through LutStore. The store owns the one host-side copy,
+ * generated at setup time. attach() places the table on a simulated
+ * DPU's scratchpad (WRAM) or DRAM bank (MRAM) the way TransPimLib's
+ * setup copies it there: the core allocates the table's range, so its
+ * allocation totals (Figure 7) are those of a real copy. The bytes,
+ * though, are not copied: the core maps the host copy as a shared
+ * read-only region (DpuCore::mapShared), so one host table per store
+ * serves any number of cores. Reads then charge the placement's
+ * access cost.
+ *
+ * One store may be attached to many cores: every core holds it at the
+ * same address and region index, and a read inside a kernel fetches
+ * through the *executing* tasklet's core. The first write into a
+ * core's region — a host or DMA write, a raw-pointer poke, an injected
+ * fault — gives that core a private copy, so each DPU still sees its
+ * own table, faults included. Reads without a tasklet fall back to the
+ * core attached last.
  *
  *  - WRAM: one pipelined load plus address arithmetic.
  *  - MRAM: an 8-byte-aligned DMA transfer through the DPU's DMA model
@@ -28,7 +36,10 @@
 #ifndef TPL_TRANSPIM_PLACEMENT_H
 #define TPL_TRANSPIM_PLACEMENT_H
 
+#include <algorithm>
 #include <cstring>
+#include <memory>
+#include <span>
 #include <stdexcept>
 #include <type_traits>
 #include <vector>
@@ -89,53 +100,56 @@ class LutStore
   public:
     LutStore() = default;
 
-    LutStore(std::vector<T> entries, Placement placement)
-        : entries_(std::move(entries)), placement_(placement)
-    {}
+    LutStore(const std::vector<T>& entries, Placement placement)
+        : size_(static_cast<uint32_t>(entries.size())),
+          placement_(placement),
+          // Zero-padded to whole 8-byte blocks: an MRAM read of the
+          // last entry DMAs the aligned block around it.
+          image_(std::make_shared<T[]>(
+              (((bytes() + 7u) & ~7u) + sizeof(T) - 1) / sizeof(T)))
+    {
+        std::copy(entries.begin(), entries.end(), image_.get());
+    }
 
-    uint32_t size() const { return static_cast<uint32_t>(entries_.size()); }
+    uint32_t size() const { return size_; }
 
     /** Bytes this table occupies on the PIM core. */
-    uint32_t bytes() const { return size() * sizeof(T); }
+    uint32_t bytes() const { return size_ * sizeof(T); }
 
     Placement placement() const { return placement_; }
 
-    const std::vector<T>& host() const { return entries_; }
+    /** The host-side entries. */
+    std::span<const T> host() const { return {image_.get(), size_}; }
 
     /**
-     * Copy the table into @p core at its configured placement. One
-     * store may be attached to many cores, but every copy must land at
-     * the same address, since reads resolve one address on whichever
-     * core executes them (cores with identical allocation histories
-     * always agree).
+     * Place the table on @p core at its configured placement: the core
+     * allocates the range and maps the shared host copy there. One
+     * store may be attached to many cores, but every core must place
+     * it at the same address and region index, since reads resolve
+     * them on whichever core executes them (cores with identical
+     * allocation histories always agree).
      * @throws std::bad_alloc when the memory region cannot hold it.
-     * @throws std::logic_error when a later copy lands at a different
-     *         address than the first.
+     * @throws std::logic_error when a later core places it differently
+     *         than the first.
      */
     void
     attach(sim::DpuCore& core)
     {
-        uint32_t addr = 0;
-        switch (placement_) {
-          case Placement::Host:
-            break;
-          case Placement::Wram:
-            addr = core.wramAlloc(bytes());
-            if (bytes() != 0)
-                std::memcpy(core.wramData() + addr, entries_.data(),
-                            bytes());
-            break;
-          case Placement::Mram:
-            addr = core.mramAlloc(bytes());
-            if (bytes() != 0)
-                core.hostWriteMram(addr, entries_.data(), bytes());
-            break;
-        }
-        if (core_ != nullptr && addr != addr_)
+        sim::DpuCore::Mapping m;
+        if (placement_ != Placement::Host)
+            m = core.mapShared(placement_ == Placement::Wram
+                                   ? sim::MemSpace::Wram
+                                   : sim::MemSpace::Mram,
+                               reinterpret_cast<const uint8_t*>(
+                                   image_.get()),
+                               bytes(), image_);
+        if (core_ != nullptr &&
+            (m.addr != addr_ || m.region != region_))
             throw std::logic_error(
                 "LutStore::attach: table copies at different addresses");
         core_ = &core;
-        addr_ = addr;
+        addr_ = m.addr;
+        region_ = m.region;
     }
 
     /** True once attach() has run against a core. */
@@ -150,24 +164,24 @@ class LutStore
     T
     readT(uint32_t index, S& sink) const
     {
-        if (index >= entries_.size())
+        if (index >= size_)
             throw std::out_of_range("LutStore index");
         sink.note(OpClass::TableRead);
+        T value;
         if (core_ == nullptr || placement_ == Placement::Host) {
             // Host-side evaluation: charge the WRAM-equivalent cost so
             // instruction counts stay comparable in pure-host tests.
             sink.charge(2);
-            return entries_[index];
+            return image_[index];
         }
         if (placement_ == Placement::Wram) {
-            // Address arithmetic plus one pipelined WRAM load, from
-            // the executing core's copy.
+            // Address arithmetic plus one pipelined WRAM load, through
+            // the executing core's view of the table.
             sink.charge(2);
             sim::TaskletContext* ctx = lutTasklet(sink);
             const sim::DpuCore& core = ctx ? ctx->core() : *core_;
-            T value;
-            std::memcpy(&value, core.wramData() + addr_ +
-                                    index * sizeof(T),
+            std::memcpy(&value,
+                        core.regionView(region_) + index * sizeof(T),
                         sizeof(T));
             return value;
         }
@@ -177,14 +191,14 @@ class LutStore
         uint32_t last = (byteOff + sizeof(T) + 7u) & ~7u;
         alignas(8) unsigned char block[16 + sizeof(T)];
         if (sim::TaskletContext* ctx = lutTasklet(sink)) {
-            ctx->mramRead(first, block, last - first);
+            ctx->mramReadRegion(region_, first, block, last - first);
         } else {
             // No DMA model available: approximate the stall as
             // instructions so costs remain visible.
             sink.charge(8);
-            std::memcpy(block, core_->mramData() + first, last - first);
+            std::memcpy(block, core_->regionView(region_) + (first - addr_),
+                        last - first);
         }
-        T value;
         std::memcpy(&value, block + (byteOff - first), sizeof(T));
         return value;
     }
@@ -201,10 +215,13 @@ class LutStore
     }
 
   private:
-    std::vector<T> entries_;
+    uint32_t size_ = 0;
     Placement placement_ = Placement::Host;
+    /** The host copy every attached core maps (8-byte padded). */
+    std::shared_ptr<T[]> image_;
     sim::DpuCore* core_ = nullptr;
     uint32_t addr_ = 0;
+    uint32_t region_ = 0;
 };
 
 } // namespace transpim

@@ -121,17 +121,26 @@ EvaluatorCatalog::provider() const
             return binding; // unknown configuration
         const Entry& entry = it->second;
 
-        // Generate the tables once and copy them into every core: the
-        // cores allocate in lockstep, so each copy lands at the same
-        // address and a kernel reads its own core's copy.
+        // Generate the tables once and map them into every core: the
+        // cores allocate in lockstep, so each core holds them at the
+        // same address and a kernel reads through its own core. The
+        // bind is all or nothing: a table that does not fit on some
+        // core (say a configuration's second table) rolls back every
+        // core it touched, keeping the cores in lockstep.
         auto ev = std::make_shared<FunctionEvaluator>();
+        std::vector<sim::DpuCore::AllocMark> marks;
         try {
             *ev = FunctionEvaluator::create(entry.function, entry.spec);
-            for (uint32_t d = 0; d < sys.numDpus(); ++d)
+            marks.reserve(sys.numDpus());
+            for (uint32_t d = 0; d < sys.numDpus(); ++d) {
+                marks.push_back(sys.dpu(d).allocMark());
                 ev->attach(sys.dpu(d));
+            }
         } catch (const UnsupportedCombination&) {
             return binding;
         } catch (const std::bad_alloc&) {
+            for (uint32_t d = 0; d < marks.size(); ++d)
+                sys.dpu(d).rollback(marks[d]);
             return binding;
         }
 

@@ -40,7 +40,7 @@ sim::serve::TableKey batchTableKey(Function f, const MethodSpec& spec);
  * them with @p ev's evalBatch, and DMAs the results back. @p ev must
  * outlive the returned kernel (it is captured by pointer); one
  * evaluator attached to every core serves them all, each core
- * reading its own table copy.
+ * reading the tables through its own mapping of the one host copy.
  * @p chunkElems is clamped to [1, 256]; keep it small enough that
  * elements/chunkElems >= tasklets, or tail tasklets idle.
  */
@@ -50,11 +50,15 @@ sim::Kernel makeStreamingKernel(const FunctionEvaluator& ev,
 
 /**
  * A registry of evaluator configurations addressable by TableKey,
- * plus the TableProvider that realizes them on a PimSystem (tables
- * generated once per key and copied into every core at bind time).
- * Register every configuration a request trace uses, then hand
- * provider() to the ServePipeline; the catalog must outlive the
- * pipeline run.
+ * plus the TableProvider that realizes them on a PimSystem: at bind
+ * time it generates a key's tables once and every core maps that one
+ * host copy copy-on-write (LutStore::attach), so a bind costs one
+ * table, not one per DPU, while each core still allocates the tables'
+ * footprint. A bind is all or nothing: when a table does not fit,
+ * every core it touched is rolled back. Register every configuration
+ * a request trace uses, then hand provider() to the ServePipeline;
+ * the catalog must outlive the pipeline run (the bound tables may
+ * outlive both: the cores keep them alive).
  */
 class EvaluatorCatalog
 {
