@@ -72,16 +72,25 @@ fi
 # UndefinedBehaviorSanitizer and run the complete suite. Catches heap
 # misuse and UB (shifts, overflow, misaligned access) that the plain
 # build silently tolerates — among them a shared table read after its
-# catalog and pipeline are gone (SharedTable.TablesOutlive*, named
-# again below so the leg fails loudly if that test ever goes missing).
+# catalog and pipeline are gone (SharedTable.TablesOutlive*), the
+# engine fast-value lanes (BatchFastLane.*) and the hostile table specs
+# that once overflowed a table image, aborted pimserve or shifted an
+# int32 by 32 (BatchHostileSpec.*), each slice named again below so the
+# leg fails loudly if it ever goes missing.
 if [ "${TPL_TIER1_ASAN:-0}" = "1" ]; then
     ASAN_DIR="${BUILD_DIR}-asan"
     cmake -B "$ASAN_DIR" -S "$SRC_DIR" \
         -DTPL_SANITIZE=address,undefined
     cmake --build "$ASAN_DIR" -j
     ctest --test-dir "$ASAN_DIR" --output-on-failure -j
-    ctest --test-dir "$ASAN_DIR" --output-on-failure --no-tests=error \
-        -R 'SharedTable.TablesOutliveCatalogCacheAndPipeline'
+    for tests in 'SharedTable.TablesOutliveCatalogCacheAndPipeline' \
+        'BatchFastLane\.' \
+        'BatchHostileSpec.TableBeyondAddressSpaceDrops' \
+        'BatchHostileSpec.EmptyTableSpecDrops' \
+        'BatchHostileSpec.WideFixedCordicScheduleServes'; do
+        ctest --test-dir "$ASAN_DIR" --output-on-failure \
+            --no-tests=error -R "$tests"
+    done
 fi
 
 # With TPL_TIER1_TRACE=1, exercise the observability layer end to end:
@@ -108,6 +117,33 @@ if [ "${TPL_TIER1_TRACE:-0}" = "1" ]; then
     python3 -m json.tool "$TRACE_TMP/determinism.metrics.json" > /dev/null
     python3 -m json.tool "$TRACE_TMP/determinism.trace.json" > /dev/null
     echo "obs-enabled determinism re-run + env-bootstrap dumps OK"
+    # Hostile table specs: a table beyond the 32-bit address space and
+    # an L-LUT of zero entries cannot bind, so pimserve reports the
+    # request infeasible and exits 1 (not an abort); a 40-iteration
+    # fixed CORDIC is valid and serves completely (exit 0).
+    for spec in 'method=llut log2-entries=31:1' \
+        'method=llut log2-entries=0:1' \
+        'method=cordic-fixed iterations=40:0'; do
+        want=${spec##*:}
+        printf 'request function=sin elements=64 %s\n' "${spec%:*}" \
+            > "$TRACE_TMP/hostile.trace"
+        status=0
+        "$BUILD_DIR/tools/pimserve" --trace "$TRACE_TMP/hostile.trace" \
+            --dpus 4 --json "$TRACE_TMP/hostile.json" > /dev/null \
+            || status=$?
+        if [ "$status" -ne "$want" ]; then
+            echo "pimserve '${spec%:*}': exit $status, want $want" >&2
+            exit 1
+        fi
+        python3 - "$TRACE_TMP/hostile.json" "$want" <<'PYEOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+dropped = sys.argv[2] == "1"
+assert doc["infeasible_elements"] == (64 if dropped else 0), doc
+assert doc["complete"] is not dropped, doc
+PYEOF
+    done
+    echo "pimserve drops unbindable table specs and serves the rest OK"
 fi
 
 # With TPL_TIER1_FAULT=1, exercise the fault-injection tier end to

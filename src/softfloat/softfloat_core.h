@@ -215,6 +215,14 @@ quietNan()
     return bitsToFloat(ieeeQuietNan);
 }
 
+/** A host IEEE result as the emulated cores return it: any NaN
+ * becomes the canonical quiet NaN (the fast-value lane's patch). */
+inline float
+canonical(float r)
+{
+    return r != r ? quietNan() : r;
+}
+
 /** Magnitude addition of two same-sign unpacked operands. */
 inline float
 addMags(uint32_t sign, Unpacked a, Unpacked b)
@@ -272,10 +280,24 @@ isNanBits(uint32_t bits)
  * multiplier), else exactly what emuMul32T charges for the two 24-bit
  * significands. Used by the fast-value lane and the batched mulN so
  * their accounting matches the emulated core bit for bit.
+ *
+ * Two normal operands (the common case) take a closed form: a normal
+ * significand's top byte holds the implicit bit, so its non-zero byte
+ * count is 1 + (mantissa byte 1 != 0) + (mantissa byte 0 != 0). Zero,
+ * subnormal, inf and NaN operands go through unpack().
  */
 inline uint32_t
 mulIntCharge(uint32_t bitsA, uint32_t bitsB)
 {
+    if (ieeeExponent(bitsA) - 1u < 0xfeu &&
+        ieeeExponent(bitsB) - 1u < 0xfeu) {
+        uint32_t ra = 1u + ((bitsA & 0xff00u) != 0) +
+                      ((bitsA & 0xffu) != 0);
+        uint32_t rb = 1u + ((bitsB & 0xff00u) != 0) +
+                      ((bitsB & 0xffu) != 0);
+        return emu::mulBaseCost +
+               (ra < rb ? ra : rb) * emu::mulRowCost;
+    }
     Unpacked a = unpack(bitsA);
     Unpacked b = unpack(bitsB);
     if (a.isNan || b.isNan || a.isInf || b.isInf || a.isZero || b.isZero)
@@ -300,6 +322,18 @@ mulIntCharge(uint32_t bitsA, uint32_t bitsB)
  * random binary32 differential tests lock. The batch execution path's
  * sinks opt in; SinkRef does not, so the public scalar API always runs
  * the emulated cores.
+ *
+ * The lane extends to whole evaluator engines (the CORDIC loops in
+ * transpim/cordic.h): an engine may run one host-arithmetic loop per
+ * call that produces the emulated loop's values, charges and notes.
+ * Such a loop may hoist two things out of its iterations: the host or
+ * WRAM table view (LutStore::viewT, resolved once per call) and its
+ * per-call charge and note totals, which it adds once through the
+ * sink's 64-bit chargeClassWide/noteWide (BatchTally's adds; a
+ * fast-value sink provides both). It may not hoist or batch MRAM
+ * table reads: those stay one readT per entry, in the emulated
+ * order, so the DMA model, DMA-data faults and stall cycles see the
+ * same event sequence.
  */
 template <class S>
 inline constexpr bool sinkFastValues = [] {
@@ -317,8 +351,7 @@ addT(float fa, float fb, S& s)
     s.chargeClass(InstrClass::SoftFloat, core::addCharge);
     s.note(OpClass::FloatAdd);
     if constexpr (sinkFastValues<S>) {
-        float r = fa + fb;
-        return r != r ? core::quietNan() : r;
+        return core::canonical(fa + fb);
     }
     core::Unpacked a = core::unpack(floatBits(fa));
     core::Unpacked b = core::unpack(floatBits(fb));
@@ -367,8 +400,7 @@ mulT(float fa, float fb, S& s)
         uint32_t ic = core::mulIntCharge(floatBits(fa), floatBits(fb));
         if (ic)
             s.chargeClass(InstrClass::IntMulDiv, ic);
-        float r = fa * fb;
-        return r != r ? core::quietNan() : r;
+        return core::canonical(fa * fb);
     }
     core::Unpacked a = core::unpack(floatBits(fa));
     core::Unpacked b = core::unpack(floatBits(fb));
@@ -411,8 +443,7 @@ divT(float fa, float fb, S& s)
     s.chargeClass(InstrClass::SoftFloat, core::divCharge);
     s.note(OpClass::FloatDiv);
     if constexpr (sinkFastValues<S>) {
-        float r = fa / fb;
-        return r != r ? core::quietNan() : r;
+        return core::canonical(fa / fb);
     }
     core::Unpacked a = core::unpack(floatBits(fa));
     core::Unpacked b = core::unpack(floatBits(fb));

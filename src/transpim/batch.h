@@ -13,6 +13,14 @@
  * element (same DMA event sequence, so fault injection and DMA-engine
  * occupancy are unchanged); BatchSink caches the TaskletContext*
  * lookup once per batch instead of one dynamic_cast per read.
+ *
+ * The CORDIC engines extend the fast-value lane to their whole
+ * iteration loop (softfloat_core.h states the contract): per call they
+ * resolve a host or WRAM angle table once (LutStore::viewT), run the
+ * iterations in host arithmetic with sign-bit flips in place of the
+ * add/sub branches, and add the call's charge and note totals once
+ * through chargeClassWide/noteWide. MRAM angle tables are still read
+ * one readT per iteration.
  */
 
 #ifndef TPL_TRANSPIM_BATCH_H
@@ -90,6 +98,16 @@ class BatchSink
     }
 
     void note(OpClass op) { tally_.note(op); }
+
+    /** 64-bit classed add: an engine lane's per-call total. */
+    void
+    chargeClassWide(InstrClass cls, uint64_t instructions)
+    {
+        tally_.chargeClassWide(cls, instructions);
+    }
+
+    /** 64-bit operation add: an engine lane's per-call total. */
+    void noteWide(OpClass op, uint64_t n) { tally_.noteWide(op, n); }
 
     /** The wrapped sink (may be null). */
     InstrSink* raw() const { return real_; }

@@ -18,7 +18,7 @@ std::vector<uint32_t>
 cordicSchedule(CordicMode mode, uint32_t iterations)
 {
     std::vector<uint32_t> schedule;
-    schedule.reserve(iterations);
+    schedule.reserve(LutStore<float>::checkSize(iterations));
     if (mode == CordicMode::Circular) {
         for (uint32_t i = 0; i < iterations; ++i)
             schedule.push_back(i);

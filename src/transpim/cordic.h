@@ -25,6 +25,7 @@
 #ifndef TPL_TRANSPIM_CORDIC_H
 #define TPL_TRANSPIM_CORDIC_H
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -38,6 +39,29 @@
 namespace tpl {
 namespace transpim {
 
+/** Rotation family (paper Table 1). */
+enum class CordicMode
+{
+    Circular,   ///< sin, cos, tan
+    Hyperbolic, ///< sinh, cosh, tanh, exp, and via vectoring log, sqrt
+};
+
+/** (x, y, z) state of a float CORDIC engine. */
+struct CordicVector
+{
+    float x;
+    float y;
+    float z;
+};
+
+/** (x, y, z) state of the Q3.28 CORDIC engine. */
+struct CordicFixedVector
+{
+    Fixed x;
+    Fixed y;
+    Fixed z;
+};
+
 namespace cordic_detail {
 
 /** Instruction cost of the sign test + branch + loop control per step. */
@@ -46,14 +70,189 @@ inline constexpr uint32_t iterControlCost = 4;
 /** Loop prologue: loading the start vector and constants. */
 inline constexpr uint32_t startupCost = 4;
 
-} // namespace cordic_detail
+/** One Q3.28 step: two shifts, three adds, sign test + loop control. */
+inline constexpr uint32_t fixedStepCost = 2 + 3 + iterControlCost;
 
-/** Rotation family (paper Table 1). */
-enum class CordicMode
+/**
+ * True when the step is positive: y gains the shifted x and z loses
+ * the angle. Rotation drives z toward zero, so it steps by sign(z);
+ * vectoring drives y toward zero, so it steps by -sign(y).
+ */
+template <bool Vectoring>
+inline bool
+positiveStep(float y, float z)
 {
-    Circular,   ///< sin, cos, tan
-    Hyperbolic, ///< sinh, cosh, tanh, exp, and via vectoring log, sqrt
-};
+    if constexpr (Vectoring)
+        return (floatBits(y) >> 31) != 0;
+    else
+        return (floatBits(z) >> 31) == 0;
+}
+
+/**
+ * The fast-value lane of iterateT (softfloat_core.h states the
+ * contract): the emulated loop's values, charges and notes, computed
+ * in host arithmetic.
+ *  - The angle table is resolved once per call; an MRAM table keeps
+ *    one readT per iteration.
+ *  - subT(a, b) is addT(a, -b) plus one SoftFloat instruction, so each
+ *    add/sub branch becomes a sign-bit flip of the added term, and the
+ *    loop counts the subtractions.
+ *  - The shifts take pimLdexpT's exponent-field path inline and fall
+ *    back to pimLdexpT for the other inputs.
+ *  - Everything else is summed per call and added to the sink once.
+ */
+template <bool Vectoring, class S>
+inline CordicVector
+iterateFastT(CordicMode mode, const std::vector<uint32_t>& schedule,
+             const LutStore<float>& angles, CordicVector v, S& sink)
+{
+    constexpr uint32_t signBit = 0x80000000u;
+    auto flip = [](float a, uint32_t mask) {
+        return bitsToFloat(floatBits(a) ^ mask);
+    };
+    auto shift = [&sink](float a, uint32_t i, uint64_t& inlined) {
+        float r;
+        if (ldexpDownFast(a, i, r)) {
+            ++inlined;
+            return r;
+        }
+        return pimLdexpT(a, -static_cast<int>(i), sink);
+    };
+    const LutView<float> view = angles.viewT(sink);
+    // On a positive step circular rotation subtracts the shifted y
+    // term from x, hyperbolic rotation adds it.
+    const uint32_t xFlip =
+        mode == CordicMode::Hyperbolic ? 0u : signBit;
+    const uint64_t n = schedule.size();
+    uint64_t inlinedShifts = 0;
+    uint64_t xSubs = 0;
+    float x = v.x;
+    float y = v.y;
+    float z = v.z;
+    for (uint32_t k = 0; k < n; ++k) {
+        uint32_t i = schedule[k];
+        float xs = shift(x, i, inlinedShifts);
+        float ys = shift(y, i, inlinedShifts);
+        float ang = view ? view[k] : angles.readT(k, sink);
+        // 0 on a positive step, the sign bit on a negative one.
+        uint32_t neg = positiveStep<Vectoring>(y, z) ? 0u : signBit;
+        xSubs += (neg ^ xFlip) >> 31;
+        float nx = sf::core::canonical(x + flip(ys, neg ^ xFlip));
+        float ny = sf::core::canonical(y + flip(xs, neg));
+        float nz = sf::core::canonical(z + flip(ang, neg ^ signBit));
+        x = nx;
+        y = ny;
+        z = nz;
+    }
+    // Per step: one of the y and z updates subtracts, and x's does
+    // when xSubs counted it.
+    const uint64_t reads = view ? n : 0;
+    sink.chargeClassWide(InstrClass::IntAlu,
+                         n * iterControlCost + reads * lutReadCost +
+                             inlinedShifts *
+                                 ldexp_detail::fastPathCost);
+    sink.chargeClassWide(InstrClass::SoftFloat,
+                         n * (3 * sf::core::addCharge + 1) + xSubs);
+    sink.noteWide(OpClass::FloatAdd, 3 * n);
+    sink.noteWide(OpClass::Ldexp, inlinedShifts);
+    sink.noteWide(OpClass::TableRead, reads);
+    return {x, y, z};
+}
+
+/**
+ * The float CORDIC iterations over @p schedule from state @p v, with
+ * one angle per step from @p angles: rotation (Vectoring = false)
+ * drives z to zero, vectoring drives y to zero. Every float engine
+ * (CordicEngine, the tail of CordicLutEngine) runs this one loop; a
+ * fast-value sink takes iterateFastT.
+ */
+template <bool Vectoring, class S>
+inline CordicVector
+iterateT(CordicMode mode, const std::vector<uint32_t>& schedule,
+         const LutStore<float>& angles, CordicVector v, S& sink)
+{
+    if constexpr (sf::sinkFastValues<S>) {
+        return iterateFastT<Vectoring>(mode, schedule, angles, v, sink);
+    } else {
+        float x = v.x;
+        float y = v.y;
+        float z = v.z;
+        for (uint32_t k = 0; k < schedule.size(); ++k) {
+            int i = static_cast<int>(schedule[k]);
+            float xs = pimLdexpT(x, -i, sink);
+            float ys = pimLdexpT(y, -i, sink);
+            float ang = angles.readT(k, sink);
+            sink.charge(iterControlCost);
+            bool positive = positiveStep<Vectoring>(y, z);
+            // Circular rotation: x -= s*ys; hyperbolic: x += s*ys.
+            bool xPlus = (mode == CordicMode::Hyperbolic) == positive;
+            x = xPlus ? sf::addT(x, ys, sink) : sf::subT(x, ys, sink);
+            y = positive ? sf::addT(y, xs, sink)
+                         : sf::subT(y, xs, sink);
+            z = positive ? sf::subT(z, ang, sink)
+                         : sf::addT(z, ang, sink);
+        }
+        return {x, y, z};
+    }
+}
+
+/** @p a + @p b when @p mask is 0, @p a - @p b when it is all ones
+ * (two's-complement wrap, so no signed overflow). */
+inline int32_t
+addOrSub(int32_t a, int32_t b, uint32_t mask)
+{
+    uint32_t term = (static_cast<uint32_t>(b) ^ mask) - mask;
+    return static_cast<int32_t>(static_cast<uint32_t>(a) + term);
+}
+
+/**
+ * The Q3.28 counterpart of iterateT, one loop for both lanes: values
+ * are native integer arithmetic, with each add/sub chosen by a sign
+ * mask instead of a branch. A fast-value sink resolves the angle table
+ * once per call (MRAM keeps one readT per step) and gets the call's
+ * charges and notes added once.
+ */
+template <bool Vectoring, class S>
+inline CordicFixedVector
+iterateFixedT(CordicMode mode, const std::vector<uint32_t>& schedule,
+              const LutStore<int32_t>& angles, int32_t x, int32_t y,
+              int32_t z, S& sink)
+{
+    constexpr bool fast = sf::sinkFastValues<S>;
+    LutView<int32_t> view(nullptr);
+    if constexpr (fast)
+        view = angles.viewT(sink);
+    // Circular rotation: x -= s*ys; hyperbolic: x += s*ys.
+    const uint32_t xFlip = mode == CordicMode::Hyperbolic ? 0u : ~0u;
+    for (uint32_t k = 0; k < schedule.size(); ++k) {
+        // The exact floor shift: an int32 shifted right by 31 or more
+        // places is 0 or -1 (and a shift by 32 or more is undefined).
+        int i = static_cast<int>(std::min(schedule[k], 31u));
+        int32_t xs = x >> i;
+        int32_t ys = y >> i;
+        int32_t ang = view ? view[k] : angles.readT(k, sink);
+        if constexpr (!fast)
+            sink.charge(fixedStepCost);
+        // All ones on a negative step: rotation steps by sign(z),
+        // vectoring by -sign(y).
+        uint32_t neg = Vectoring ? ~static_cast<uint32_t>(y >> 31)
+                                 : static_cast<uint32_t>(z >> 31);
+        int32_t nx = addOrSub(x, ys, neg ^ xFlip);
+        y = addOrSub(y, xs, neg);
+        z = addOrSub(z, ang, ~neg);
+        x = nx;
+    }
+    if constexpr (fast) {
+        const uint64_t n = schedule.size();
+        const uint64_t reads = view ? n : 0;
+        sink.chargeClassWide(InstrClass::IntAlu,
+                             n * fixedStepCost + reads * lutReadCost);
+        sink.noteWide(OpClass::TableRead, reads);
+    }
+    return {Fixed::fromRaw(x), Fixed::fromRaw(y), Fixed::fromRaw(z)};
+}
+
+} // namespace cordic_detail
 
 /**
  * Floating-point CORDIC engine.
@@ -66,12 +265,7 @@ class CordicEngine
 {
   public:
     /** (x, y, z) state after the final iteration. */
-    struct Result
-    {
-        float x;
-        float y;
-        float z;
-    };
+    using Result = CordicVector;
 
     /**
      * Build an engine.
@@ -102,25 +296,8 @@ class CordicEngine
     rotateT(float z0, S& sink) const
     {
         sink.charge(cordic_detail::startupCost);
-        float x = invGain_;
-        float y = 0.0f;
-        float z = z0;
-        for (uint32_t k = 0; k < schedule_.size(); ++k) {
-            int i = static_cast<int>(schedule_[k]);
-            float xs = pimLdexpT(x, -i, sink);
-            float ys = pimLdexpT(y, -i, sink);
-            float ang = table_.readT(k, sink);
-            sink.charge(cordic_detail::iterControlCost);
-            bool positive = (floatBits(z) >> 31) == 0;
-            // Circular rotation: x -= s*ys; hyperbolic: x += s*ys.
-            bool xPlus = (mode_ == CordicMode::Hyperbolic) == positive;
-            x = xPlus ? sf::addT(x, ys, sink) : sf::subT(x, ys, sink);
-            y = positive ? sf::addT(y, xs, sink)
-                         : sf::subT(y, xs, sink);
-            z = positive ? sf::subT(z, ang, sink)
-                         : sf::addT(z, ang, sink);
-        }
-        return {x, y, z};
+        return cordic_detail::iterateT<false>(
+            mode_, schedule_, table_, {invGain_, 0.0f, z0}, sink);
     }
 
     /** Sink-template body of vector() (batch path inlines it). */
@@ -129,25 +306,8 @@ class CordicEngine
     vectorT(float x0, float y0, S& sink) const
     {
         sink.charge(cordic_detail::startupCost);
-        float x = x0;
-        float y = y0;
-        float z = 0.0f;
-        for (uint32_t k = 0; k < schedule_.size(); ++k) {
-            int i = static_cast<int>(schedule_[k]);
-            float xs = pimLdexpT(x, -i, sink);
-            float ys = pimLdexpT(y, -i, sink);
-            float ang = table_.readT(k, sink);
-            sink.charge(cordic_detail::iterControlCost);
-            // Vectoring drives y toward zero: s = -sign(y).
-            bool positive = (floatBits(y) >> 31) != 0;
-            bool xPlus = (mode_ == CordicMode::Hyperbolic) == positive;
-            x = xPlus ? sf::addT(x, ys, sink) : sf::subT(x, ys, sink);
-            y = positive ? sf::addT(y, xs, sink)
-                         : sf::subT(y, xs, sink);
-            z = positive ? sf::subT(z, ang, sink)
-                         : sf::addT(z, ang, sink);
-        }
-        return {x, y, z};
+        return cordic_detail::iterateT<true>(mode_, schedule_, table_,
+                                             {x0, y0, 0.0f}, sink);
     }
 
     CordicMode mode() const { return mode_; }
@@ -189,12 +349,7 @@ class CordicEngine
 class CordicFixedEngine
 {
   public:
-    struct Result
-    {
-        Fixed x;
-        Fixed y;
-        Fixed z;
-    };
+    using Result = CordicFixedVector;
 
     CordicFixedEngine(CordicMode mode, uint32_t iterations,
                       Placement placement);
@@ -211,24 +366,8 @@ class CordicFixedEngine
     rotateT(Fixed z0, S& sink) const
     {
         sink.charge(cordic_detail::startupCost);
-        int32_t x = invGain_.raw();
-        int32_t y = 0;
-        int32_t z = z0.raw();
-        for (uint32_t k = 0; k < schedule_.size(); ++k) {
-            int i = static_cast<int>(schedule_[k]);
-            int32_t xs = x >> i;
-            int32_t ys = y >> i;
-            int32_t ang = table_.readT(k, sink);
-            // Two shifts, three adds, sign test + loop control.
-            sink.charge(2 + 3 + cordic_detail::iterControlCost);
-            bool positive = z >= 0;
-            bool xPlus = (mode_ == CordicMode::Hyperbolic) == positive;
-            x = xPlus ? x + ys : x - ys;
-            y = positive ? y + xs : y - xs;
-            z = positive ? z - ang : z + ang;
-        }
-        return {Fixed::fromRaw(x), Fixed::fromRaw(y),
-                Fixed::fromRaw(z)};
+        return cordic_detail::iterateFixedT<false>(
+            mode_, schedule_, table_, invGain_.raw(), 0, z0.raw(), sink);
     }
 
     /** Sink-template body of vector() (batch path inlines it). */
@@ -237,23 +376,8 @@ class CordicFixedEngine
     vectorT(Fixed x0, Fixed y0, S& sink) const
     {
         sink.charge(cordic_detail::startupCost);
-        int32_t x = x0.raw();
-        int32_t y = y0.raw();
-        int32_t z = 0;
-        for (uint32_t k = 0; k < schedule_.size(); ++k) {
-            int i = static_cast<int>(schedule_[k]);
-            int32_t xs = x >> i;
-            int32_t ys = y >> i;
-            int32_t ang = table_.readT(k, sink);
-            sink.charge(2 + 3 + cordic_detail::iterControlCost);
-            bool positive = y < 0;
-            bool xPlus = (mode_ == CordicMode::Hyperbolic) == positive;
-            x = xPlus ? x + ys : x - ys;
-            y = positive ? y + xs : y - xs;
-            z = positive ? z - ang : z + ang;
-        }
-        return {Fixed::fromRaw(x), Fixed::fromRaw(y),
-                Fixed::fromRaw(z)};
+        return cordic_detail::iterateFixedT<true>(
+            mode_, schedule_, table_, x0.raw(), y0.raw(), 0, sink);
     }
 
     uint32_t iterations() const { return iterations_; }
@@ -276,6 +400,9 @@ class CordicFixedEngine
  * Build the iteration schedule for a mode: circular uses i = 0..n-1;
  * hyperbolic uses i = 1..k with the standard convergence repeats at
  * i = 4, 13, 40, truncated to @p iterations entries.
+ * @throws std::bad_alloc when an angle table of @p iterations entries
+ *         would not fit a PIM core's address space
+ *         (LutStore::checkSize), before anything is built.
  */
 std::vector<uint32_t> cordicSchedule(CordicMode mode, uint32_t iterations);
 

@@ -71,24 +71,9 @@ class CordicLutEngine
             j = limit;
         Entry e = entryTable_.readT(static_cast<uint32_t>(j), sink);
 
-        float x = e.x;
-        float y = e.y;
         float z = sf::subT(z0, e.a, sink);
-        for (uint32_t k = 0; k < tailSchedule_.size(); ++k) {
-            int i = static_cast<int>(tailSchedule_[k]);
-            float xs = pimLdexpT(x, -i, sink);
-            float ys = pimLdexpT(y, -i, sink);
-            float ang = angleTable_.readT(k, sink);
-            sink.charge(4);
-            bool positive = (floatBits(z) >> 31) == 0;
-            bool xPlus = (mode_ == CordicMode::Hyperbolic) == positive;
-            x = xPlus ? sf::addT(x, ys, sink) : sf::subT(x, ys, sink);
-            y = positive ? sf::addT(y, xs, sink)
-                         : sf::subT(y, xs, sink);
-            z = positive ? sf::subT(z, ang, sink)
-                         : sf::addT(z, ang, sink);
-        }
-        return {x, y, z};
+        return cordic_detail::iterateT<false>(
+            mode_, tailSchedule_, angleTable_, {e.x, e.y, z}, sink);
     }
 
     /** Tail iterations actually executed. */

@@ -41,6 +41,21 @@ using BatchEval = std::function<void(std::span<const float>,
 using Attach = std::function<void(sim::DpuCore&)>;
 
 /**
+ * The batched loop over one evaluation body. Flattened so the body,
+ * its engines and the softfloat cores they call inline into the loop;
+ * only out-of-line calls (MRAM DMA reads, the binary16/64 tiers)
+ * remain calls.
+ */
+template <class Body>
+[[gnu::flatten]] void
+runBatch(const Body& body, std::span<const float> in,
+         std::span<float> out, BatchSink& sink)
+{
+    for (std::size_t i = 0; i < in.size(); ++i)
+        out[i] = body(in[i], sink);
+}
+
+/**
  * Both materializations of one evaluation body. The builders assign a
  * generic `(float x, auto& sink)` lambda once; the templated operator=
  * instantiates it twice — with SinkRef for the scalar std::function
@@ -63,8 +78,7 @@ struct EvalPair
         batch = [body](std::span<const float> in, std::span<float> out,
                        InstrSink* sink, BatchStats* stats) {
             BatchSink bs(sink);
-            for (std::size_t i = 0; i < in.size(); ++i)
-                out[i] = body(in[i], bs);
+            runBatch(body, in, out, bs);
             if (stats)
                 stats->elements += in.size();
             bs.flush(stats);
@@ -177,6 +191,8 @@ makeLut(const MethodSpec& spec, const TableFn& f, double lo, double hi,
         const DLutSpec& dspec)
 {
     AnyLut lut;
+    if (spec.log2Entries >= 32)
+        throw std::invalid_argument("log2Entries must be below 32");
     uint32_t n = 1u << spec.log2Entries;
     switch (spec.method) {
       case Method::MLut:

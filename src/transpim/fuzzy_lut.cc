@@ -22,7 +22,7 @@ std::vector<float>
 buildFloatTable(const TableFn& f, double p, double spacing,
                 uint32_t entries)
 {
-    std::vector<float> table(entries);
+    std::vector<float> table(LutStore<float>::checkSize(entries));
     for (uint32_t i = 0; i < entries; ++i)
         table[i] = static_cast<float>(f(p + i * spacing));
     return table;
@@ -90,7 +90,7 @@ LLutFixed::LLutFixed(const TableFn& f, double lo, double hi,
     double spacing = std::ldexp(1.0, -e_);
     uint32_t entries =
         static_cast<uint32_t>(std::ceil(span / spacing)) + 1;
-    std::vector<int32_t> table(entries);
+    std::vector<int32_t> table(LutStore<int32_t>::checkSize(entries));
     for (uint32_t i = 0; i < entries; ++i)
         table[i] = saturatingFromDouble(f(lo + i * spacing)).raw();
     table_ = LutStore<int32_t>(std::move(table), placement);

@@ -99,6 +99,24 @@ pimLdexpT(float arg, int exp, S& sink)
     return bitsToFloat(sign | keep);
 }
 
+/**
+ * The exponent-field path of pimLdexpT(arg, -shift) alone: when @p arg
+ * is normal and the result stays normal, store it in @p out and return
+ * true (the caller charges fastPathCost and notes one Ldexp, as
+ * pimLdexpT would). Zero, subnormal, inf/NaN and underflowing inputs
+ * return false; the caller then runs pimLdexpT itself.
+ */
+inline bool
+ldexpDownFast(float arg, uint32_t shift, float& out)
+{
+    uint32_t bits = floatBits(arg);
+    uint32_t e = ieeeExponent(bits);
+    if (e - 1u >= 0xfeu || e <= shift)
+        return false;
+    out = bitsToFloat(bits - (shift << 23));
+    return true;
+}
+
 /** Binary64 variant: arg * 2^exp with C99 ldexp semantics. */
 template <class S>
 inline double

@@ -30,7 +30,9 @@
  * observation that scratchpad capacity caps the accuracy of
  * non-interpolated methods); attach() throws std::bad_alloc when a
  * table does not fit, and the benchmark harness reports the
- * configuration as infeasible.
+ * configuration as infeasible. A table whose bytes exceed the 32-bit
+ * address space fails earlier, in checkSize(), before its host copy
+ * is generated.
  */
 
 #ifndef TPL_TRANSPIM_PLACEMENT_H
@@ -39,6 +41,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <new>
 #include <span>
 #include <stdexcept>
 #include <type_traits>
@@ -71,6 +74,12 @@ placementName(Placement p)
 }
 
 /**
+ * IntAlu instructions of one host- or WRAM-placed table read: address
+ * arithmetic plus one pipelined WRAM load.
+ */
+inline constexpr uint32_t lutReadCost = 2;
+
+/**
  * Resolve the simulator tasklet context behind a Sink, for DMA-modelled
  * MRAM table reads. Batch sinks cache the TaskletContext* once per
  * batch and expose it as tasklet(); the InstrSink*-backed sinks
@@ -88,6 +97,34 @@ lutTasklet(S& sink)
 }
 
 /**
+ * A table's entries as one evaluation call sees them (LutStore::viewT):
+ * the host copy, or the executing core's WRAM view of it. Reads copy
+ * the bytes out, as readT does, and charge nothing.
+ */
+template <typename T>
+class LutView
+{
+  public:
+    explicit LutView(const uint8_t* bytes) : bytes_(bytes) {}
+
+    /** False for an MRAM table, which has no view. */
+    explicit operator bool() const { return bytes_ != nullptr; }
+
+    /** Entry @p index (unchecked; the caller stays within size()). */
+    T
+    operator[](uint32_t index) const
+    {
+        T value;
+        std::memcpy(&value, bytes_ + std::size_t{index} * sizeof(T),
+                    sizeof(T));
+        return value;
+    }
+
+  private:
+    const uint8_t* bytes_;
+};
+
+/**
  * Typed table with placement-aware reads.
  *
  * @tparam T entry type; trivially copyable (float, Fixed, small PODs).
@@ -100,8 +137,9 @@ class LutStore
   public:
     LutStore() = default;
 
+    /** @throws std::bad_alloc when checkSize(entries.size()) does. */
     LutStore(const std::vector<T>& entries, Placement placement)
-        : size_(static_cast<uint32_t>(entries.size())),
+        : size_(checkSize(entries.size())),
           placement_(placement),
           // Zero-padded to whole 8-byte blocks: an MRAM read of the
           // last entry DMAs the aligned block around it.
@@ -109,6 +147,22 @@ class LutStore
               (((bytes() + 7u) & ~7u) + sizeof(T) - 1) / sizeof(T)))
     {
         std::copy(entries.begin(), entries.end(), image_.get());
+    }
+
+    /**
+     * The entry count of a table of @p entries entries, checked to fit
+     * a PIM core's 32-bit address space with its 8-byte padding.
+     * Table builders call it before they generate the entries, so an
+     * oversized configuration is refused without building its host
+     * copy.
+     * @throws std::bad_alloc when the table's bytes do not fit.
+     */
+    static uint32_t
+    checkSize(uint64_t entries)
+    {
+        if (entries > 0xfffffff8u / sizeof(T))
+            throw std::bad_alloc();
+        return static_cast<uint32_t>(entries);
     }
 
     uint32_t size() const { return size_; }
@@ -167,25 +221,16 @@ class LutStore
         if (index >= size_)
             throw std::out_of_range("LutStore index");
         sink.note(OpClass::TableRead);
-        T value;
-        if (core_ == nullptr || placement_ == Placement::Host) {
-            // Host-side evaluation: charge the WRAM-equivalent cost so
-            // instruction counts stay comparable in pure-host tests.
-            sink.charge(2);
-            return image_[index];
-        }
-        if (placement_ == Placement::Wram) {
+        if (LutView<T> view = viewT(sink)) {
             // Address arithmetic plus one pipelined WRAM load, through
-            // the executing core's view of the table.
-            sink.charge(2);
-            sim::TaskletContext* ctx = lutTasklet(sink);
-            const sim::DpuCore& core = ctx ? ctx->core() : *core_;
-            std::memcpy(&value,
-                        core.regionView(region_) + index * sizeof(T),
-                        sizeof(T));
-            return value;
+            // the executing core's view of the table. Host-side
+            // evaluation charges the same, so instruction counts stay
+            // comparable in pure-host tests.
+            sink.charge(lutReadCost);
+            return view[index];
         }
         // MRAM: issue an aligned DMA for the containing 8-byte blocks.
+        T value;
         uint32_t byteOff = addr_ + index * sizeof(T);
         uint32_t first = byteOff & ~7u;
         uint32_t last = (byteOff + sizeof(T) + 7u) & ~7u;
@@ -201,6 +246,30 @@ class LutStore
         }
         std::memcpy(&value, block + (byteOff - first), sizeof(T));
         return value;
+    }
+
+    /**
+     * The entries one evaluation call reads, resolved once per call
+     * (the CORDIC engines' fast-value lane): the host copy when the
+     * table is unattached or host-placed, the executing core's view
+     * for WRAM. MRAM tables return an empty view; their reads must
+     * stay per-entry readT calls so each one is a modeled DMA. Reading
+     * a view charges nothing: the caller charges each read as readT
+     * does (one TableRead note and lutReadCost IntAlu instructions).
+     */
+    template <class S>
+    LutView<T>
+    viewT(S& sink) const
+    {
+        if (core_ == nullptr || placement_ == Placement::Host)
+            return LutView<T>(
+                reinterpret_cast<const uint8_t*>(image_.get()));
+        if (placement_ == Placement::Wram) {
+            sim::TaskletContext* ctx = lutTasklet(sink);
+            const sim::DpuCore& core = ctx ? ctx->core() : *core_;
+            return LutView<T>(core.regionView(region_));
+        }
+        return LutView<T>(nullptr);
     }
 
     /**

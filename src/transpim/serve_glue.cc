@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <memory>
 #include <new>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -136,7 +137,10 @@ EvaluatorCatalog::provider() const
                 marks.push_back(sys.dpu(d).allocMark());
                 ev->attach(sys.dpu(d));
             }
-        } catch (const UnsupportedCombination&) {
+        } catch (const std::invalid_argument&) {
+            // An unsupported pair (UnsupportedCombination) or a spec
+            // no table can be built for; create() threw, so no core
+            // was touched.
             return binding;
         } catch (const std::bad_alloc&) {
             for (uint32_t d = 0; d < marks.size(); ++d)

@@ -91,9 +91,10 @@ class EvaluatorCatalog
      * The TableProvider for ServePipeline/TableCache. Binds `this`:
      * the catalog must outlive every pipeline using the provider.
      * Unknown keys and infeasible configurations (unsupported
-     * combination, tables exceeding core memory) yield an invalid
-     * binding — the pipeline drops those requests instead of
-     * throwing.
+     * combination, a spec no table can be built for such as
+     * log2Entries 0 or >= 32 for an L-LUT, tables exceeding core
+     * memory or the 32-bit address space) yield an invalid binding —
+     * the pipeline drops those requests instead of throwing.
      */
     sim::serve::TableProvider provider() const;
 

@@ -12,6 +12,20 @@
  * (0|1), iterations, placement (wram|mram), tenant. function= and
  * elements= are required. Blank lines and '#' comments are skipped.
  *
+ * Which table specs bind: a request whose configuration cannot bind
+ * parses fine and is dropped by the serve path as infeasible
+ * (ServeReport::infeasibleElements; pimserve exits 1), never aborts.
+ *  - log2-entries N (the LUT methods): 1..31 asks for at most 2^N
+ *    entries, and binds when the tables fit their placement on every
+ *    core (WRAM or the MRAM bank). 0 and 32 or more drop: an L-LUT
+ *    needs two entries, and 2^N must be a 32-bit count. Tables past
+ *    the 32-bit address space drop before the host builds them;
+ *    smaller ones that exceed the core are built on the host first.
+ *  - iterations N (the CORDIC methods): any N binds while its angle
+ *    table (4 bytes per iteration) fits; 2^30 or more drops before
+ *    anything is built. cordic-fixed steps past shift 31 add the
+ *    exact floor x / 2^i (0 or -1), so they serve but add no accuracy.
+ *
  * Function names are functionName()'s spellings; method names are
  * the CLI spellings of cliMethodName(). Numbers use C notation
  * (decimal, 0x hex, leading-0 octal) and must be unsigned: a sign

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -32,7 +33,11 @@
 #include "softfloat/softfloat.h"
 #include "softfloat/softfloat64.h"
 #include "softfloat/softfloat_batch.h"
+#include "transpim/batch.h"
+#include "transpim/cordic.h"
 #include "transpim/evaluator.h"
+#include "transpim/serve_glue.h"
+#include "transpim/trace.h"
 
 namespace tpl {
 namespace transpim {
@@ -808,6 +813,334 @@ TEST(BatchStatsApi, AccumulatesElementsAndMirrorsSinkTotals)
                  again);
     EXPECT_EQ(100u, again.elements);
     EXPECT_EQ(onePassInstructions, again.totalInstructions());
+}
+
+// ---------------------------------------------------------------------
+// Engine fast-value lanes: the CORDIC loops under BatchSink against the
+// emulated SinkRef lane, call by call.
+// ---------------------------------------------------------------------
+
+/** One lane's results: output bits and the sink totals after each call. */
+struct LaneRun
+{
+    std::vector<uint32_t> bits;
+    std::vector<std::array<uint64_t, numInstrClasses>> classes;
+    std::vector<std::array<uint64_t, numOpClasses>> ops;
+    std::vector<uint64_t> stalls;
+    LaunchStats stats;
+};
+
+/**
+ * Run @p call(i, sink, bits) for i in [0, n) inside a one-tasklet
+ * launch on @p core: through SinkRef (the emulated lane) or through a
+ * BatchSink flushed after every call (the fast-value lane).
+ */
+template <class Call>
+LaneRun
+runLane(DpuCore& core, size_t n, bool fast, const Call& call)
+{
+    LaneRun r;
+    r.stats = core.launch(1, [&](TaskletContext& ctx) {
+        for (size_t i = 0; i < n; ++i) {
+            if (fast) {
+                BatchSink bs(&ctx);
+                call(i, bs, r.bits);
+                bs.flush();
+            } else {
+                SinkRef ref(&ctx);
+                call(i, ref, r.bits);
+            }
+            r.classes.push_back(ctx.classInstructions());
+            r.ops.push_back(ctx.opCounts());
+            r.stalls.push_back(ctx.dmaStallCycles());
+        }
+    });
+    return r;
+}
+
+/**
+ * Both lanes of @p call must agree bit for bit and charge for charge:
+ * inside a launch (TaskletContext: classes, notes, DMA stalls, the
+ * whole LaunchStats) and on a plain counting sink (no DMA model).
+ */
+template <class Call>
+void
+expectLanesMatch(DpuCore& core, size_t n, const Call& call,
+                 const std::string& label)
+{
+    LaneRun ref = runLane(core, n, false, call);
+    LaneRun fast = runLane(core, n, true, call);
+    ASSERT_EQ(ref.bits.size(), fast.bits.size()) << label;
+    for (size_t i = 0; i < ref.bits.size(); ++i)
+        EXPECT_EQ(ref.bits[i], fast.bits[i]) << label << " value " << i;
+    for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(ref.classes[i], fast.classes[i]) << label << " call " << i;
+        EXPECT_EQ(ref.ops[i], fast.ops[i]) << label << " call " << i;
+        EXPECT_EQ(ref.stalls[i], fast.stalls[i]) << label << " call " << i;
+    }
+    expectStatsIdentical(ref.stats, fast.stats, label);
+
+    ClassSink refSink;
+    ClassSink fastSink;
+    std::vector<uint32_t> refBits;
+    std::vector<uint32_t> fastBits;
+    for (size_t i = 0; i < n; ++i) {
+        SinkRef r(&refSink);
+        call(i, r, refBits);
+        BatchSink bs(&fastSink);
+        call(i, bs, fastBits);
+        bs.flush();
+    }
+    EXPECT_EQ(refBits, fastBits) << label << " (counting sink)";
+    expectSinksEqual(refSink, fastSink, label + " (counting sink)");
+}
+
+/**
+ * Binary32 inputs that drive the loops' shifts through every pimLdexpT
+ * branch: signed zeros, subnormals, values that underflow once shifted,
+ * infinities and NaNs (canonical, negative and signalling), next to
+ * ordinary in-range values.
+ */
+std::vector<float>
+ldexpBranchFloats()
+{
+    const uint32_t bits[] = {
+        0x00000000u, 0x80000000u, // +-0
+        0x00000001u, 0x80400000u, // subnormals
+        0x00800000u, 0x01000000u, // smallest normals: underflow
+        0x7f800000u, 0xff800000u, // +-inf
+        0x7fc00000u, 0xffc00001u, // quiet NaNs
+        0x7f800001u,              // signalling NaN
+    };
+    std::vector<float> v;
+    for (uint32_t b : bits)
+        v.push_back(bitsToFloat(b));
+    for (float f : {0.5f, -0.75f, 1.0f, -1.1f, 0.125f, 1e-30f, 3.0f})
+        v.push_back(f);
+    return v;
+}
+
+void
+pushBits(std::vector<uint32_t>& out, const CordicVector& v)
+{
+    out.push_back(floatBits(v.x));
+    out.push_back(floatBits(v.y));
+    out.push_back(floatBits(v.z));
+}
+
+void
+pushBits(std::vector<uint32_t>& out, const CordicFixedVector& v)
+{
+    out.push_back(static_cast<uint32_t>(v.x.raw()));
+    out.push_back(static_cast<uint32_t>(v.y.raw()));
+    out.push_back(static_cast<uint32_t>(v.z.raw()));
+}
+
+std::string
+laneLabel(const char* engine, CordicMode mode, uint32_t iterations,
+          Placement p)
+{
+    return std::string(engine) +
+           (mode == CordicMode::Circular ? " circular" : " hyperbolic") +
+           " n=" + std::to_string(iterations) + " " + placementName(p);
+}
+
+constexpr uint32_t kLaneIterations[] = {1, 16, 24, 40};
+constexpr Placement kLanePlacements[] = {Placement::Host,
+                                         Placement::Wram,
+                                         Placement::Mram};
+constexpr CordicMode kLaneModes[] = {CordicMode::Circular,
+                                     CordicMode::Hyperbolic};
+
+TEST(BatchFastLane, FloatEngineMatchesEmulatedLane)
+{
+    const std::vector<float> in = ldexpBranchFloats();
+    const size_t n = in.size();
+    for (CordicMode mode : kLaneModes)
+        for (uint32_t iters : kLaneIterations)
+            for (Placement p : kLanePlacements) {
+                CordicEngine eng(mode, iters, p);
+                DpuCore core;
+                if (p != Placement::Host)
+                    eng.attach(core);
+                std::string label = laneLabel("float", mode, iters, p);
+                expectLanesMatch(
+                    core, n,
+                    [&](size_t i, auto& sink, std::vector<uint32_t>& out) {
+                        pushBits(out, eng.rotateT(in[i], sink));
+                    },
+                    label + " rotate");
+                // Every (x0, y0) pair: the first steps shift the raw
+                // inputs themselves.
+                expectLanesMatch(
+                    core, n * n,
+                    [&](size_t i, auto& sink, std::vector<uint32_t>& out) {
+                        pushBits(out, eng.vectorT(in[i / n], in[i % n],
+                                                  sink));
+                    },
+                    label + " vector");
+            }
+}
+
+TEST(BatchFastLane, FixedEngineMatchesEmulatedLane)
+{
+    // Q3.28 raws: zero, +-1 ulp, in-range angles and the extremes
+    // (which only wrap, identically in both lanes).
+    const int32_t raws[] = {
+        0, 1, -1, Fixed::fromDouble(0.5).raw(),
+        Fixed::fromDouble(-0.7).raw(), Fixed::fromDouble(1.5).raw(),
+        Fixed::fromDouble(1.1).raw(), Fixed::fromDouble(-1.1).raw(),
+        std::numeric_limits<int32_t>::max(),
+        std::numeric_limits<int32_t>::min(),
+    };
+    const size_t n = std::size(raws);
+    for (CordicMode mode : kLaneModes)
+        for (uint32_t iters : kLaneIterations)
+            for (Placement p : kLanePlacements) {
+                CordicFixedEngine eng(mode, iters, p);
+                DpuCore core;
+                if (p != Placement::Host)
+                    eng.attach(core);
+                std::string label = laneLabel("fixed", mode, iters, p);
+                expectLanesMatch(
+                    core, n,
+                    [&](size_t i, auto& sink, std::vector<uint32_t>& out) {
+                        pushBits(out, eng.rotateT(Fixed::fromRaw(raws[i]),
+                                                  sink));
+                    },
+                    label + " rotate");
+                expectLanesMatch(
+                    core, n * n,
+                    [&](size_t i, auto& sink, std::vector<uint32_t>& out) {
+                        pushBits(out,
+                                 eng.vectorT(Fixed::fromRaw(raws[i / n]),
+                                             Fixed::fromRaw(raws[i % n]),
+                                             sink));
+                    },
+                    label + " vector");
+            }
+}
+
+/** emuMul32T's row count for one binary32 operand, through unpack(). */
+uint32_t
+unpackedRows(uint32_t bits)
+{
+    return emu::nonZeroBytes(sf::core::unpack(bits).sig >> 7);
+}
+
+TEST(BatchFastLane, MulIntChargeClosedFormMatchesUnpack)
+{
+    // Every exponent class (zero/subnormal, smallest and ordinary
+    // normals, largest normal, inf/NaN) crossed with every zero/
+    // non-zero pattern of the mantissa's top bits and low two bytes.
+    std::vector<uint32_t> operands;
+    for (uint32_t exp : {0u, 1u, 2u, 127u, 254u, 255u})
+        for (uint32_t top : {0u, 0x7f0000u})
+            for (uint32_t byte1 : {0u, 0x5a00u})
+                for (uint32_t byte0 : {0u, 0x01u})
+                    for (uint32_t sign : {0u, 0x80000000u})
+                        operands.push_back(sign | exp << 23 | top |
+                                           byte1 | byte0);
+    for (uint32_t a : operands) {
+        for (uint32_t b : operands) {
+            sf::core::Unpacked ua = sf::core::unpack(a);
+            sf::core::Unpacked ub = sf::core::unpack(b);
+            uint32_t want = 0;
+            if (!(ua.isNan || ub.isNan || ua.isInf || ub.isInf ||
+                  ua.isZero || ub.isZero))
+                want = emu::mulBaseCost +
+                       std::min(unpackedRows(a), unpackedRows(b)) *
+                           emu::mulRowCost;
+            EXPECT_EQ(want, sf::core::mulIntCharge(a, b))
+                << std::hex << a << " * " << b;
+
+            // ... which is what the emulated multiply charges.
+            ClassSink emulated;
+            SinkRef ref(&emulated);
+            sf::mulT(bitsToFloat(a), bitsToFloat(b), ref);
+            EXPECT_EQ(want, emulated.cls_[static_cast<int>(
+                                InstrClass::IntMulDiv)])
+                << std::hex << a << " * " << b;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Hostile trace specs through the serve path: a spec that cannot bind
+// drops its request instead of aborting, and a valid one serves.
+// ---------------------------------------------------------------------
+
+/** Serve the one request of trace line @p line on a 4-DPU system. */
+sim::serve::ServeReport
+serveTraceLine(const std::string& line, std::vector<float>& out)
+{
+    TraceRequest req;
+    std::string error;
+    EXPECT_TRUE(parseTraceLine(line, req, error)) << error;
+    PimSystem sys(4);
+    sys.setSimThreads(1);
+    EvaluatorCatalog catalog;
+    Domain dom = functionDomain(req.function);
+    std::vector<float> in = uniformFloats(
+        req.elements, static_cast<float>(dom.lo),
+        static_cast<float>(dom.hi), 11);
+    out.assign(req.elements, 0.0f);
+    sim::serve::BatchQueue queue;
+    sim::serve::Request q;
+    q.table = catalog.add(req.function, req.spec);
+    q.input = in.data();
+    q.output = out.data();
+    q.elements = req.elements;
+    queue.push(q);
+    queue.close();
+    sim::serve::PipelineOptions popts;
+    popts.perDpuElements = 32;
+    sim::serve::ServePipeline pipeline(sys, catalog.provider(), popts);
+    return pipeline.run(queue);
+}
+
+TEST(BatchHostileSpec, TableBeyondAddressSpaceDrops)
+{
+    // 2^31 L-LUT entries over [0, 2pi) is 6.7 GB of floats: refused
+    // before the host copy is built, not wrapped to a tiny image.
+    std::vector<float> out;
+    sim::serve::ServeReport rep = serveTraceLine(
+        "request function=sin method=llut log2-entries=31 elements=64",
+        out);
+    EXPECT_FALSE(rep.complete);
+    EXPECT_EQ(64u, rep.infeasibleElements);
+    EXPECT_THROW(LutStore<float>::checkSize(1u << 30), std::bad_alloc);
+    EXPECT_EQ(0x3ffffffeu, LutStore<float>::checkSize(0x3ffffffeu));
+}
+
+TEST(BatchHostileSpec, EmptyTableSpecDrops)
+{
+    for (const char* line :
+         {"request function=sin method=llut log2-entries=0 elements=64",
+          "request function=sin method=dllut log2-entries=0 elements=64",
+          "request function=sin method=llut log2-entries=32 elements=64"}) {
+        std::vector<float> out;
+        sim::serve::ServeReport rep = serveTraceLine(line, out);
+        EXPECT_FALSE(rep.complete) << line;
+        EXPECT_EQ(64u, rep.infeasibleElements) << line;
+    }
+}
+
+TEST(BatchHostileSpec, WideFixedCordicScheduleServes)
+{
+    // 40 iterations reach shift 39; the request is valid and serves.
+    std::vector<float> out;
+    sim::serve::ServeReport rep = serveTraceLine(
+        "request function=sin method=cordic-fixed elements=64 "
+        "iterations=40",
+        out);
+    EXPECT_TRUE(rep.complete);
+    EXPECT_EQ(0u, rep.infeasibleElements);
+    Domain dom = functionDomain(Function::Sin);
+    std::vector<float> in = uniformFloats(
+        64, static_cast<float>(dom.lo), static_cast<float>(dom.hi), 11);
+    for (size_t i = 0; i < in.size(); ++i)
+        EXPECT_NEAR(out[i], std::sin(in[i]), 1e-6) << in[i];
 }
 
 } // namespace
