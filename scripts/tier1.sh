@@ -5,8 +5,9 @@
 # the serve path's one shared evaluator and the one host copy of each
 # table that every sim thread reads through its core's mapping, and
 # the serve/fleet suites, whose drive loop overlaps host work with
-# kernels running on the pool, and the label pool every thread may
-# intern into) under TSan — the cheap way to catch data races the
+# kernels the pool builds and runs, the submit contract, the label
+# pool every thread may intern into, and the tuner's candidate search
+# on the pool) under TSan — the cheap way to catch data races the
 # determinism test alone cannot see.
 #
 # Usage: scripts/tier1.sh [BUILD_DIR]
@@ -42,10 +43,10 @@ if [ "${TPL_TIER1_TSAN:-0}" = "1" ]; then
     TSAN_DIR="${BUILD_DIR}-tsan"
     cmake -B "$TSAN_DIR" -S "$SRC_DIR" -DTPL_SANITIZE=thread
     cmake --build "$TSAN_DIR" -j --target concurrency_test \
-        shared_table_test serve_test fleet_test common_test
+        shared_table_test serve_test fleet_test common_test tuner_test
     TSAN_TESTS='ThreadPool|Determinism|Concurrency|SharedTable'
     TSAN_TESTS="$TSAN_TESTS|BatchQueue|Serve|Topology|RankTransfer|Fleet"
-    TSAN_TESTS="$TSAN_TESTS|LabelPool|SharedRegion"
+    TSAN_TESTS="$TSAN_TESTS|LabelPool|SharedRegion|LaunchContract|Tuner"
     ctest --test-dir "$TSAN_DIR" --output-on-failure -R "$TSAN_TESTS"
 fi
 

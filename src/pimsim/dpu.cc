@@ -329,7 +329,7 @@ DpuCore::accountDma(uint32_t size)
     return model_.dmaLatencyCycles + engine;
 }
 
-LaunchStats
+const LaunchStats&
 DpuCore::launch(uint32_t numTasklets, const Kernel& kernel)
 {
     if (numTasklets < 1 || numTasklets > model_.maxTasklets)
@@ -338,27 +338,29 @@ DpuCore::launch(uint32_t numTasklets, const Kernel& kernel)
             " tasklets, want 1.." + std::to_string(model_.maxTasklets));
     dmaEngineCycles_ = 0;
     dmaBytes_ = 0;
+
+    // Start from fresh statistics, keeping perTasklet's capacity: a
+    // steady stream of launches allocates nothing here.
+    std::vector<TaskletStats> perTasklet = std::move(last_.perTasklet);
+    perTasklet.clear();
+    last_ = LaunchStats{};
+    LaunchStats& stats = last_;
+    stats.tasklets = numTasklets;
+
     if (faults_ && faults_->onLaunchBegin()) {
         // Hard-failed core: the kernel never runs. Everything but the
         // failure flag stays zero so a masked core contributes nothing
         // to any aggregate.
-        LaunchStats stats;
-        stats.tasklets = numTasklets;
         stats.failed = true;
         stats.faultEvents = faults_->launchFaultEvents();
+        stats.perTasklet = std::move(perTasklet);
         obs::Registry& reg = obs::Registry::global();
         if (reg.enabled())
             reg.counter("fault/launch/failed").add(1);
-        last_ = stats;
         return stats;
     }
     if (sanitizer_)
         sanitizer_->beginLaunch(numTasklets);
-
-    std::vector<TaskletContext> contexts;
-    contexts.reserve(numTasklets);
-    for (uint32_t t = 0; t < numTasklets; ++t)
-        contexts.emplace_back(*this, t, numTasklets);
 
     // Purely observational: wall-clock slices per tasklet when the
     // tracer is on. Modeled statistics never depend on this branch.
@@ -367,7 +369,12 @@ DpuCore::launch(uint32_t numTasklets, const Kernel& kernel)
     std::vector<std::pair<double, double>> slices;
     if (tracing)
         slices.reserve(numTasklets);
-    for (auto& ctx : contexts) {
+
+    // Tasklets run one after another, so each one's context lives
+    // only for its own body and is folded into the statistics at once.
+    perTasklet.reserve(numTasklets);
+    for (uint32_t t = 0; t < numTasklets; ++t) {
+        TaskletContext ctx(*this, t, numTasklets);
         if (tracing) {
             double t0 = tracer.nowUs();
             kernel(ctx);
@@ -375,27 +382,21 @@ DpuCore::launch(uint32_t numTasklets, const Kernel& kernel)
         } else {
             kernel(ctx);
         }
-    }
-
-    LaunchStats stats;
-    stats.tasklets = numTasklets;
-    stats.dmaEngineCycles = dmaEngineCycles_;
-    stats.perTasklet.reserve(numTasklets);
-    for (const auto& ctx : contexts) {
         stats.totalInstructions += ctx.instructions();
         uint64_t work = ctx.instructions() * model_.pipelineInterval +
                         ctx.dmaStallCycles();
         stats.maxTaskletWork = std::max(stats.maxTaskletWork, work);
-        TaskletStats ts;
+        TaskletStats& ts = perTasklet.emplace_back();
         ts.instructions = ctx.instructions();
         ts.dmaStallCycles = ctx.dmaStallCycles();
         ts.classInstructions = ctx.classInstructions();
-        stats.perTasklet.push_back(ts);
         for (int c = 0; c < numInstrClasses; ++c)
             stats.classInstructions[c] += ctx.classInstructions()[c];
         for (int o = 0; o < numOpClasses; ++o)
             stats.opCounts[o] += ctx.opCounts()[o];
     }
+    stats.perTasklet = std::move(perTasklet);
+    stats.dmaEngineCycles = dmaEngineCycles_;
     stats.cycles = std::max({stats.totalInstructions,
                              stats.maxTaskletWork,
                              stats.dmaEngineCycles});
@@ -444,8 +445,6 @@ DpuCore::launch(uint32_t numTasklets, const Kernel& kernel)
                 opClassCounter(o).add(stats.opCounts[o]);
         m.cyclesPerLaunch->observe(stats.cycles);
     }
-
-    last_ = stats;
     return stats;
 }
 

@@ -449,8 +449,13 @@ class DpuCore
      * reconstructs their interleaving analytically. Throws
      * std::invalid_argument unless 1 <= @p numTasklets <=
      * CostModel::maxTasklets.
+     *
+     * Allocation-free once lastLaunch().perTasklet has grown to
+     * @p numTasklets entries: each tasklet's context lives on this
+     * thread's stack, and the statistics are written in place.
+     * @return lastLaunch(), which the next launch overwrites.
      */
-    LaunchStats launch(uint32_t numTasklets, const Kernel& kernel);
+    const LaunchStats& launch(uint32_t numTasklets, const Kernel& kernel);
 
     /** Statistics of the most recent launch. */
     const LaunchStats& lastLaunch() const { return last_; }

@@ -47,6 +47,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace tpl {
@@ -174,7 +175,9 @@ class Tracer
 
 /**
  * RAII span: opens on construction, closes on destruction, on the
- * same thread. Near-zero cost while the tracer is disabled.
+ * same thread. Near-zero cost while the tracer is disabled, as long
+ * as the name and args cost nothing to build: pass formatted args as
+ * a callable (the lazy form) on hot paths.
  */
 class TraceSpan
 {
@@ -185,6 +188,19 @@ class TraceSpan
     {
         if (active_)
             Tracer::global().begin(name, cat, std::move(args));
+    }
+
+    /**
+     * Lazy form: @p args() builds the args object only while the
+     * tracer is enabled, so a disabled span formats nothing.
+     */
+    template <typename Args>
+        requires std::is_invocable_r_v<std::string, Args&>
+    TraceSpan(const char* name, const char* cat, Args&& args)
+        : active_(Tracer::global().enabled())
+    {
+        if (active_)
+            Tracer::global().begin(name, cat, args());
     }
 
     ~TraceSpan()

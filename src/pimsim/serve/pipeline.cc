@@ -18,7 +18,7 @@
  * broadcasts, a rank lane always one).
  *
  * The host overlaps the DPUs in wall time too: a wave's kernels are
- * submitted to the simulation pool and run in the background while
+ * built and run on the simulation pool in the background while
  * this thread finishes the group's previous wave and pops, routes and
  * begins the next one; the wave is committed (failure sweep, DPU-lane
  * reservations, compute accounting) before the next submit, so
@@ -410,14 +410,14 @@ ServePipeline::run(BatchQueue& queue)
         g.stats.rank = l;
     }
 
-    obs::TraceSpan runSpan(
-        "serve run", "serve",
-        obs::argsObject(
+    obs::TraceSpan runSpan("serve run", "serve", [&] {
+        return obs::argsObject(
             {obs::argKv("dpus", static_cast<uint64_t>(n)),
              obs::argKv("lane_groups",
                         static_cast<uint64_t>(groups.size())),
              obs::argKv("per_dpu_elements",
-                        static_cast<uint64_t>(cap))}));
+                        static_cast<uint64_t>(cap))});
+    });
     obs::Registry& reg = obs::Registry::global();
     obs::Tracer& tracer = obs::Tracer::global();
 
@@ -707,11 +707,7 @@ ServePipeline::run(BatchQueue& queue)
         // counts the sequential failure sweep recorded, so it is
         // deterministic at any thread count and costs nothing on the
         // modeled schedule.
-        const std::vector<uint64_t>& perDpu = launch.cycles();
-        std::vector<uint64_t> sliceCycles;
-        sliceCycles.reserve(ex.slices.size());
-        for (const ShardTask& t : ex.slices)
-            sliceCycles.push_back(perDpu[t.dpu - launch.firstDpu()]);
+        std::vector<uint64_t> sliceCycles = launch.cycles();
         for (uint64_t c : sliceCycles)
             ex.stats.totalCycles += c;
         std::sort(sliceCycles.begin(), sliceCycles.end());
@@ -761,20 +757,15 @@ ServePipeline::run(BatchQueue& queue)
     };
 
     /** Start the group's current wave (g.inflight) on its DPU lanes
-     * without waiting for the kernels. */
+     * without waiting for the kernels. The pool builds each slice's
+     * kernel; the slices (in g.inflight) and the binding (cached for
+     * the cache's lifetime) outlive the commit. */
     auto submitWave = [&](LaneGroup& g) {
         WaveExec& ex = *g.inflight;
         ex.computeReady = std::max(ex.scatterEv.end,
                                    g.gatherEndByParity[ex.parity]);
-        size_t next = 0; // slices ascend by DPU, as submit visits them
-        launch = sys_.submitLaunch(
-            g.firstDpu, g.endDpu, opts_.numTasklets,
-            [&](uint32_t d) -> Kernel {
-                if (next == ex.slices.size() ||
-                    ex.slices[next].dpu != d)
-                    return {};
-                return ex.binding->makeKernel(ex.slices[next++]);
-            });
+        launch = sys_.submitLaunch(ex.slices, opts_.numTasklets,
+                                   ex.binding->makeKernel);
         launchGroup = &g;
     };
 
@@ -861,6 +852,10 @@ ServePipeline::run(BatchQueue& queue)
         const uint64_t per = std::min<uint64_t>(
             cap, (waveElems + healthy - 1) / healthy);
         std::vector<ScatterSlice> scatter;
+        // Sized once: the wave's allocations do not grow with its
+        // slice count.
+        ex.slices.reserve(healthy);
+        scatter.reserve(healthy);
         uint64_t first = 0;
         for (uint32_t d = g.firstDpu; d < g.endDpu && first < waveElems;
              ++d) {
@@ -951,6 +946,7 @@ ServePipeline::run(BatchQueue& queue)
         uint64_t waveElems = ex.stats.elements;
         std::vector<float> stagingOut(waveElems);
         std::vector<GatherSlice> gather;
+        gather.reserve(ex.slices.size());
         for (const ShardTask& t : ex.slices)
             gather.push_back(
                 {t.dpu, t.outAddr,
@@ -1126,9 +1122,12 @@ ServePipeline::run(BatchQueue& queue)
             retries.push_front(std::move(*pw));
             break;
         }
-        obs::TraceSpan waveSpan(
-            "wave " + std::to_string(waveSeq), "serve",
-            obs::argKv("group", static_cast<uint64_t>(g - &groups[0])));
+        std::optional<obs::TraceSpan> waveSpan;
+        if (tracer.enabled())
+            waveSpan.emplace(
+                "wave " + std::to_string(waveSeq), "serve",
+                obs::argKv("group",
+                           static_cast<uint64_t>(g - &groups[0])));
         WaveExec ex;
         if (!beginWave(*g, std::move(*pw), ex)) {
             if (outOfCores)

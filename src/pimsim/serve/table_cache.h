@@ -58,7 +58,9 @@ struct TableBinding
     uint32_t tableBytes = 0;
 
     /** Builds the kernel evaluating one wave slice (reuses the
-     * ShardTask shape: dpu, in/out MRAM addresses, element count). */
+     * ShardTask shape: dpu, in/out MRAM addresses, element count).
+     * Called on simulation pool threads, concurrently for the slices
+     * of a wave, so it must be thread-safe. */
     ShardKernelFactory makeKernel;
 
     /** Opaque owner of whatever the kernels reference (evaluators,

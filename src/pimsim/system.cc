@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "pimsim/obs/metrics.h"
@@ -56,6 +57,21 @@ class SystemFaultState
 };
 
 } // namespace fault
+
+namespace {
+
+/** Total bytes of a scatter's or gather's slices (trace args). */
+template <typename Slice>
+uint64_t
+sliceBytes(std::span<const Slice> slices)
+{
+    uint64_t total = 0;
+    for (const Slice& s : slices)
+        total += s.bytes;
+    return total;
+}
+
+} // namespace
 
 PimSystem::PimSystem(uint32_t numDpus, const CostModel& model)
     : model_(model)
@@ -135,9 +151,9 @@ PimSystem::reserveTransfer(PipelineTimeline& timeline, uint32_t lane,
     return timeline.reserveLane(lane, readyAt, seconds);
 }
 
+template <typename Copy>
 double
-PimSystem::transferLeg(uint32_t dpu, uint64_t bytes,
-                       const std::function<void()>& copy,
+PimSystem::transferLeg(uint32_t dpu, uint64_t bytes, const Copy& copy,
                        uint8_t* corruptTarget, uint64_t corruptSize)
 {
     if (!faults_) {
@@ -196,12 +212,15 @@ PimSystem::transferLeg(uint32_t dpu, uint64_t bytes,
 /** What a submitted wave carries from submitLaunch to its commit. */
 struct LaunchHandle::State
 {
-    uint32_t first = 0;
+    std::span<const ShardTask> slices;
+    /** The factory building each slice's kernel; null when every
+     * slice runs the one shared `kernel`. */
+    const ShardKernelFactory* makeKernel = nullptr;
+    const Kernel* kernel = nullptr;
     uint32_t numTasklets = 0;
-    std::vector<uint32_t> runs;  ///< range offsets (dpu - first) that run
-    std::vector<Kernel> kernels; ///< aligned with runs
-    uint32_t masked = 0;         ///< asked to run, but already masked
-    std::vector<uint64_t> cycles; ///< indexed by dpu - first
+    std::vector<uint32_t> runs;   ///< indices of the slices that run
+    uint32_t masked = 0;          ///< slices whose core was masked
+    std::vector<uint64_t> cycles; ///< aligned with slices
     ThreadPool* pool = nullptr;
     /** The kernels on the pool; null when they run at the commit. */
     std::shared_ptr<ThreadPool::Job> job;
@@ -238,12 +257,6 @@ LaunchHandle::reset() noexcept
     state_.reset();
 }
 
-uint32_t
-LaunchHandle::firstDpu() const
-{
-    return state_ ? state_->first : 0;
-}
-
 const std::vector<uint64_t>&
 LaunchHandle::cycles() const
 {
@@ -259,43 +272,45 @@ LaunchHandle::report() const
 }
 
 LaunchHandle
-PimSystem::submitLaunch(uint32_t firstDpu, uint32_t endDpu,
+PimSystem::submitLaunch(std::span<const ShardTask> slices,
                         uint32_t numTasklets,
-                        const DpuKernelFactory& makeKernel)
+                        const ShardKernelFactory& makeKernel)
 {
-    endDpu = std::min(endDpu, numDpus());
-    firstDpu = std::min(firstDpu, endDpu);
-    const uint32_t n = endDpu - firstDpu;
-    obs::TraceSpan span(
-        "launchSubmit", "sim",
-        obs::argsObject(
-            {obs::argKv("dpus", static_cast<uint64_t>(n)),
+    obs::TraceSpan span("launchSubmit", "sim", [&] {
+        return obs::argsObject(
+            {obs::argKv("dpus", static_cast<uint64_t>(slices.size())),
              obs::argKv("tasklets",
-                        static_cast<uint64_t>(numTasklets))}));
+                        static_cast<uint64_t>(numTasklets))});
+    });
+    return startLaunch(slices, numTasklets, &makeKernel, nullptr);
+}
 
+LaunchHandle
+PimSystem::startLaunch(std::span<const ShardTask> slices,
+                       uint32_t numTasklets,
+                       const ShardKernelFactory* makeKernel,
+                       const Kernel* kernel)
+{
     LaunchHandle handle;
     handle.state_ = std::make_unique<LaunchHandle::State>();
     LaunchHandle::State& st = *handle.state_;
-    st.first = firstDpu;
+    st.slices = slices;
+    st.makeKernel = makeKernel;
+    st.kernel = kernel;
     st.numTasklets = numTasklets;
-    st.cycles.assign(n, 0);
-    // Build the wave on this thread, in DPU order (deterministic
-    // factory calls). A core is skipped only if it was asked to run
-    // but an earlier failure masked it.
-    for (uint32_t k = 0; k < n; ++k) {
-        Kernel kernel = makeKernel(firstDpu + k);
-        if (!kernel)
-            continue;
-        if (faults_ && faults_->masked(firstDpu + k)) {
+    st.cycles.assign(slices.size(), 0);
+    // Masks are read here, on the submitting thread: a slice is
+    // skipped only if an earlier failure masked its core.
+    st.runs.reserve(slices.size());
+    for (uint32_t i = 0; i < slices.size(); ++i) {
+        if (faults_ && faults_->masked(slices[i].dpu))
             ++st.masked;
-            continue;
-        }
-        st.runs.push_back(k);
-        st.kernels.push_back(std::move(kernel));
+        else
+            st.runs.push_back(i);
     }
 
     if (simThreads_ != 1) {
-        // Per-DPU cycles land in pre-sized slots: no cross-thread
+        // Per-slice cycles land in pre-sized slots: no cross-thread
         // accumulation, so the result is identical to the serial
         // loop bit for bit.
         st.pool = pool_ ? pool_ : &ThreadPool::global();
@@ -310,22 +325,33 @@ PimSystem::submitLaunch(uint32_t firstDpu, uint32_t endDpu,
 void
 PimSystem::runLaunchIndex(LaunchHandle::State& wave, size_t i)
 {
-    const uint32_t k = wave.runs[i];
-    const uint32_t d = wave.first + k;
+    const uint32_t s = wave.runs[i];
+    const uint32_t d = wave.slices[s].dpu;
+    // A built kernel lives for this task only: built, launched and
+    // destroyed on the thread that runs it.
+    Kernel built;
+    if (!wave.kernel) {
+        built = (*wave.makeKernel)(wave.slices[s]);
+        if (!built)
+            throw std::invalid_argument(
+                "submitLaunch: the kernel factory returned an empty "
+                "kernel for DPU " +
+                std::to_string(d));
+    }
+    const Kernel& kernel = wave.kernel ? *wave.kernel : built;
     obs::Tracer& tracer = obs::Tracer::global();
     if (!tracer.enabled()) {
-        wave.cycles[k] =
-            dpus_[d]->launch(wave.numTasklets, wave.kernels[i]).cycles;
+        wave.cycles[s] =
+            dpus_[d]->launch(wave.numTasklets, kernel).cycles;
         return;
     }
     // The per-DPU slice lands on whichever pool thread ran it,
     // exercising the tracer's per-thread buffers.
     double t0 = tracer.nowUs();
-    wave.cycles[k] =
-        dpus_[d]->launch(wave.numTasklets, wave.kernels[i]).cycles;
+    wave.cycles[s] = dpus_[d]->launch(wave.numTasklets, kernel).cycles;
     tracer.complete("dpu " + std::to_string(d), "dpu", t0,
                     tracer.nowUs() - t0,
-                    obs::argKv("cycles", wave.cycles[k]));
+                    obs::argKv("cycles", wave.cycles[s]));
 }
 
 void
@@ -347,15 +373,15 @@ PimSystem::joinLaunch(LaunchHandle::State& wave)
     report.attempted = static_cast<uint32_t>(wave.runs.size());
     report.masked = wave.masked;
     if (faults_) {
-        for (uint32_t k : wave.runs) {
-            const uint32_t d = wave.first + k;
+        for (uint32_t s : wave.runs) {
+            const uint32_t d = wave.slices[s].dpu;
             const LaunchStats& st = dpus_[d]->lastLaunch();
             report.faultEvents += st.faultEvents;
             bool failed = st.failed;
             if (!failed && policy_.launchTimeoutCycles > 0 &&
                 st.cycles > policy_.launchTimeoutCycles) {
                 failed = true;
-                wave.cycles[k] = policy_.launchTimeoutCycles;
+                wave.cycles[s] = policy_.launchTimeoutCycles;
                 if (reg.enabled())
                     reg.counter("fault/launch/timeout").add(1);
             }
@@ -375,14 +401,16 @@ double
 PimSystem::launchAll(uint32_t numTasklets, const Kernel& kernel)
 {
     uint32_t n = numDpus();
-    obs::TraceSpan span(
-        "launchAll", "sim",
-        obs::argsObject(
+    obs::TraceSpan span("launchAll", "sim", [&] {
+        return obs::argsObject(
             {obs::argKv("dpus", static_cast<uint64_t>(n)),
              obs::argKv("tasklets",
-                        static_cast<uint64_t>(numTasklets))}));
-    LaunchHandle wave = submitLaunch(
-        0, n, numTasklets, [&](uint32_t) { return kernel; });
+                        static_cast<uint64_t>(numTasklets))});
+    });
+    std::vector<ShardTask> all(n);
+    for (uint32_t d = 0; d < n; ++d)
+        all[d].dpu = d;
+    LaunchHandle wave = startLaunch(all, numTasklets, nullptr, &kernel);
     joinLaunch(*wave.state_);
     lastReport_ = wave.state_->report;
     lastMaxCycles_ = lastReport_.maxCycles;
@@ -408,8 +436,9 @@ PipelineEvent
 PimSystem::broadcastAsync(PipelineTimeline& timeline, uint32_t lane,
                           double readyAt, uint64_t tableBytes)
 {
-    obs::TraceSpan span("broadcastAsync", "xfer",
-                        obs::argKv("bytes", tableBytes));
+    obs::TraceSpan span("broadcastAsync", "xfer", [&] {
+        return obs::argKv("bytes", tableBytes);
+    });
     return reserveTransfer(
         timeline, lane, readyAt, transferStats_.broadcast,
         "broadcast/parallel", tableBytes,
@@ -421,11 +450,9 @@ PimSystem::scatterAsync(PipelineTimeline& timeline, uint32_t lane,
                         double readyAt,
                         std::span<const ScatterSlice> slices)
 {
-    uint64_t total = 0;
-    for (const ScatterSlice& s : slices)
-        total += s.bytes;
-    obs::TraceSpan span("scatterAsync", "xfer",
-                        obs::argKv("bytes", total));
+    obs::TraceSpan span("scatterAsync", "xfer", [&] {
+        return obs::argKv("bytes", sliceBytes(slices));
+    });
     // One retryable leg per slice, sequentially: the slices have
     // distinct sizes, so the host interface serializes them anyway,
     // and sequential legs keep the per-DPU fault-event order (and
@@ -455,11 +482,9 @@ PimSystem::gatherAsync(PipelineTimeline& timeline, uint32_t lane,
                        double readyAt,
                        std::span<const GatherSlice> slices)
 {
-    uint64_t total = 0;
-    for (const GatherSlice& s : slices)
-        total += s.bytes;
-    obs::TraceSpan span("gatherAsync", "xfer",
-                        obs::argKv("bytes", total));
+    obs::TraceSpan span("gatherAsync", "xfer", [&] {
+        return obs::argKv("bytes", sliceBytes(slices));
+    });
     uint64_t streamBytes = 0;
     double extra = 0.0;
     for (const GatherSlice& s : slices) {
@@ -492,10 +517,10 @@ PimSystem::commitLaunch(LaunchHandle& launch, PipelineTimeline& timeline,
     // to the latest lane end.
     PipelineEvent ev{readyAt, readyAt};
     bool first = true;
-    for (uint32_t k : wave.runs) {
-        const uint32_t d = wave.first + k;
+    for (uint32_t s : wave.runs) {
+        const uint32_t d = wave.slices[s].dpu;
         double secs = model_.frequencyHz > 0.0
-                          ? static_cast<double>(wave.cycles[k]) /
+                          ? static_cast<double>(wave.cycles[s]) /
                                 model_.frequencyHz
                           : 0.0;
         double start = std::max(readyAt, timeline.dpuFree(d));

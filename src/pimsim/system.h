@@ -127,7 +127,12 @@ struct ShardTask
     uint32_t elements = 0;     ///< elements in this shard
 };
 
-/** Builds the kernel evaluating one slice (SPMD body per tasklet). */
+/**
+ * Builds the kernel evaluating one slice (SPMD body per tasklet).
+ * PimSystem::submitLaunch calls it on the simulation pool's threads,
+ * concurrently for different slices, so it must be thread-safe. It
+ * must return a non-empty kernel.
+ */
 using ShardKernelFactory = std::function<Kernel(const ShardTask&)>;
 
 /**
@@ -303,12 +308,6 @@ struct GatherSlice
 };
 
 /**
- * Builds the kernel one DPU runs in a submitted wave. Returning an
- * empty Kernel excludes that DPU from the wave (its lane stays free).
- */
-using DpuKernelFactory = std::function<Kernel(uint32_t dpu)>;
-
-/**
  * A kernel wave started by PimSystem::submitLaunch. Its kernels run on
  * the simulation pool in the background until PimSystem::commitLaunch
  * joins them; afterwards the handle holds the wave's outcome.
@@ -324,14 +323,12 @@ class LaunchHandle
     LaunchHandle& operator=(LaunchHandle&& other) noexcept;
     ~LaunchHandle();
 
-    /** First DPU of the submitted range. */
-    uint32_t firstDpu() const;
-
     /**
-     * Per-DPU cycles of the committed wave, indexed by dpu -
-     * firstDpu() (0 for cores that did not run; straggler entries
-     * already fenced at the policy's launch timeout). Filled by the
-     * sequential failure sweep, so deterministic at any thread count.
+     * Per-slice cycles of the committed wave, aligned with the
+     * submitted slices (0 for a slice whose core was masked; straggler
+     * entries already fenced at the policy's launch timeout). Filled
+     * by the sequential failure sweep, so deterministic at any thread
+     * count.
      */
     const std::vector<uint64_t>& cycles() const;
 
@@ -431,21 +428,24 @@ class PimSystem
                               std::span<const GatherSlice> slices);
 
     /**
-     * Start a wave on DPUs [@p firstDpu, @p endDpu) without blocking.
-     * @p makeKernel is called on this thread once per DPU of the
-     * range, in DPU order; cores for which it returns a non-empty
-     * kernel run it, except cores an earlier failure masked (they are
-     * skipped, as in launchAll). The kernels run on the simulation
-     * pool while the caller goes on; with a serial pool (or
-     * setSimThreads(1)) they run inside commitLaunch instead.
+     * Start a wave over @p slices (at most one per DPU) without
+     * blocking. Slices whose core an earlier failure masked are
+     * skipped here, as in launchAll; every other slice becomes one
+     * pool task that calls @p makeKernel for it, launches the kernel
+     * on the slice's core and destroys it, all on the same thread.
+     * The tasks run on the simulation pool while the caller goes on;
+     * with a serial pool (or setSimThreads(1)) they run inside
+     * commitLaunch instead. An exception from the factory or a kernel
+     * surfaces at the commit.
      *
-     * Until the commit the caller must not touch what the kernels
-     * read or write: the cores' MRAM/WRAM regions they use, their
-     * fault states, or their masks.
+     * @p slices and @p makeKernel are referenced, not copied: both
+     * must outlive the commit (or the handle). Until then the caller
+     * must not touch what the kernels read or write: the cores'
+     * MRAM/WRAM regions they use, their fault states, or their masks.
      */
-    LaunchHandle submitLaunch(uint32_t firstDpu, uint32_t endDpu,
+    LaunchHandle submitLaunch(std::span<const ShardTask> slices,
                               uint32_t numTasklets,
-                              const DpuKernelFactory& makeKernel);
+                              const ShardKernelFactory& makeKernel);
 
     /**
      * Join a submitted wave: wait for its kernels (rethrowing the
@@ -470,10 +470,12 @@ class PimSystem
     }
 
     /**
-     * Launch the same kernel on every simulated DPU. With a fault
-     * plan armed, masked (previously failed) cores are skipped and
-     * cores that fail during this launch are masked for subsequent
-     * work; see lastLaunchReport().
+     * Launch the same kernel on every simulated DPU. Every core runs
+     * @p kernel itself, not a copy, concurrently on the simulation
+     * pool, so calling it must be thread-safe. With a fault plan
+     * armed, masked (previously failed) cores are skipped and cores
+     * that fail during this launch are masked for subsequent work;
+     * see lastLaunchReport().
      * @return seconds of the slowest healthy DPU (they run
      * concurrently).
      */
@@ -562,12 +564,23 @@ class PimSystem
      * corrupt leg flips a bit in. @return extra modeled seconds
      * (backoff + re-streamed bytes) — 0 with no plan armed.
      */
-    double transferLeg(uint32_t dpu, uint64_t bytes,
-                       const std::function<void()>& copy,
+    template <typename Copy>
+    double transferLeg(uint32_t dpu, uint64_t bytes, const Copy& copy,
                        uint8_t* corruptTarget, uint64_t corruptSize);
 
     /** Mark a DPU failed/masked (armed plans only). */
     void maskDpu(uint32_t dpu);
+
+    /**
+     * Shared by submitLaunch and launchAll: set up a wave over
+     * @p slices, skipping masked cores, and start it on the pool. Each
+     * slice runs @p kernel when it is non-null, else the kernel
+     * @p makeKernel builds for it.
+     */
+    LaunchHandle startLaunch(std::span<const ShardTask> slices,
+                             uint32_t numTasklets,
+                             const ShardKernelFactory* makeKernel,
+                             const Kernel* kernel);
 
     /**
      * Shared by launchAll and commitLaunch: wait for the wave's
@@ -579,7 +592,8 @@ class PimSystem
      */
     void joinLaunch(LaunchHandle::State& wave);
 
-    /** Run the @p i-th kernel of @p wave (any thread). */
+    /** Build (unless shared) and run the @p i-th kernel of @p wave
+     * (any thread). */
     void runLaunchIndex(LaunchHandle::State& wave, size_t i);
 
     CostModel model_;

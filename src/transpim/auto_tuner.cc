@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "common/error_metrics.h"
 #include "common/rng.h"
@@ -53,6 +54,39 @@ bump(const char* name, uint64_t n = 1)
 }
 
 } // namespace
+
+void
+NearestRank::push(double x)
+{
+    if (!low_.empty() && x < low_.front()) {
+        low_.push_back(x);
+        std::push_heap(low_.begin(), low_.end());
+    } else {
+        high_.push_back(x);
+        std::push_heap(high_.begin(), high_.end(), std::greater<>());
+    }
+    // Every low value is <= every high value; move boundary values
+    // across until low holds exactly the r smallest.
+    const size_t n = size();
+    const uint64_t r = std::min<uint64_t>(
+        std::max<uint64_t>(
+            static_cast<uint64_t>(std::ceil(
+                p_ / 100.0 * static_cast<double>(n))),
+            1),
+        n);
+    while (low_.size() > r) {
+        std::pop_heap(low_.begin(), low_.end());
+        high_.push_back(low_.back());
+        low_.pop_back();
+        std::push_heap(high_.begin(), high_.end(), std::greater<>());
+    }
+    while (low_.size() < r) {
+        std::pop_heap(high_.begin(), high_.end(), std::greater<>());
+        low_.push_back(high_.back());
+        high_.pop_back();
+        std::push_heap(low_.begin(), low_.end());
+    }
+}
 
 double
 OnlineAutoTuner::Candidate::cyclesPerElement() const
@@ -139,6 +173,7 @@ OnlineAutoTuner::buildCandidates(Stream& s)
 
     Candidate base;
     base.key = s.requested;
+    base.waveCycles = NearestRank(s.sla.cyclesPercentile);
     base.function = entry->first;
     base.spec = entry->second;
     base.relativeError =
@@ -210,6 +245,7 @@ OnlineAutoTuner::buildCandidates(Stream& s)
             c.spec = tcand.spec;
             c.tableBytes = *bytes;
             c.relativeError = base.relativeError;
+            c.waveCycles = base.waveCycles;
             s.candidates.push_back(c);
         }
     }
@@ -245,17 +281,8 @@ double
 OnlineAutoTuner::cyclesScore(const Stream& s,
                              const Candidate& c) const
 {
-    if (s.sla.cyclesPercentile > 0.0 &&
-        !c.waveCyclesPerElement.empty()) {
-        std::vector<double> sorted = c.waveCyclesPerElement;
-        std::sort(sorted.begin(), sorted.end());
-        uint64_t r = static_cast<uint64_t>(
-            std::ceil(s.sla.cyclesPercentile / 100.0 *
-                      static_cast<double>(sorted.size())));
-        r = std::min<uint64_t>(std::max<uint64_t>(r, 1),
-                               sorted.size());
-        return sorted[r - 1];
-    }
+    if (s.sla.cyclesPercentile > 0.0 && c.waveCycles.size() > 0)
+        return c.waveCycles.value();
     return c.cyclesPerElement();
 }
 
@@ -441,9 +468,9 @@ OnlineAutoTuner::observe(const sim::serve::WaveOutcome& outcome)
 
     c->elements += outcome.elements;
     c->totalCycles += outcome.totalCycles;
-    c->waveCyclesPerElement.push_back(
-        static_cast<double>(outcome.totalCycles) /
-        static_cast<double>(outcome.elements));
+    if (s.sla.cyclesPercentile > 0.0)
+        c->waveCycles.push(static_cast<double>(outcome.totalCycles) /
+                           static_cast<double>(outcome.elements));
 
     // Exact differential error, stride-sampled over the wave's
     // healthy gathered ranges against the double-precision reference.

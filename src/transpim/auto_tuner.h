@@ -53,6 +53,32 @@
 namespace tpl {
 namespace transpim {
 
+/**
+ * The nearest-rank percentile of a growing series: after n pushes,
+ * value() is the r-th smallest value, r = ceil(p / 100 * n) clamped to
+ * [1, n], exactly what sorting the series and reading element r - 1
+ * gives. Kept incrementally in two heaps, a max-heap of the r smallest
+ * values and a min-heap of the rest; r grows by at most one per push,
+ * so a push costs O(log n) and a read O(1).
+ */
+class NearestRank
+{
+  public:
+    explicit NearestRank(double percentile = 0.0) : p_(percentile) {}
+
+    void push(double x);
+
+    /** The current rank-r value; 0 while empty. */
+    double value() const { return low_.empty() ? 0.0 : low_.front(); }
+
+    size_t size() const { return low_.size() + high_.size(); }
+
+  private:
+    double p_;
+    std::vector<double> low_;  ///< max-heap: the r smallest values
+    std::vector<double> high_; ///< min-heap: the rest
+};
+
 /** Knobs of the online tuner. */
 struct AutoTunerOptions
 {
@@ -140,7 +166,9 @@ class OnlineAutoTuner final : public sim::serve::AutoTuner
         double sumSqError = 0.0;
         uint64_t errorSamples = 0;
         double maxUlp = 0.0;
-        std::vector<double> waveCyclesPerElement;
+        /** Per-wave cycles/element at the stream's cycles
+         * percentile; fed only under a percentile cycles clause. */
+        NearestRank waveCycles;
         bool violated = false; ///< failed an SLA clause; excluded
 
         double cyclesPerElement() const;

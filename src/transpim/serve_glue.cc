@@ -151,6 +151,7 @@ EvaluatorCatalog::provider() const
         binding.valid = true;
         binding.tableBytes = ev->memoryBytes();
         const uint32_t chunk = chunkElems_;
+        // Runs on pool threads: it only reads the shared evaluator.
         binding.makeKernel =
             [ev, chunk](const sim::ShardTask& t) -> sim::Kernel {
             return makeStreamingKernel(*ev, t, chunk);

@@ -10,6 +10,7 @@
 
 #include "common/rng.h"
 #include "pimsim/cost_model.h"
+#include "pimsim/thread_pool.h"
 #include "transpim/error_model.h"
 #include "transpim/harness.h"
 
@@ -99,6 +100,74 @@ measureRmse(const FunctionEvaluator& eval,
     return n ? std::sqrt(sumSq / static_cast<double>(n)) : 0.0;
 }
 
+/**
+ * The smallest knob of method @p m meeting @p targetRmse, scored:
+ * nullopt when @p m does not support @p f, is excluded, or reaches the
+ * target within no table budget. Reads only its arguments, so several
+ * methods search concurrently.
+ */
+std::optional<TunedCandidate>
+searchMethod(Function f, Method m, double targetRmse,
+             const TunerConstraints& constraints,
+             const std::vector<float>& inputs)
+{
+    MethodSpec probe;
+    probe.method = m;
+    if (!FunctionEvaluator::supports(f, probe))
+        return std::nullopt;
+    if (m == Method::LLutFixed && !constraints.allowFixedPoint)
+        return std::nullopt;
+
+    const sim::CostModel model;
+    for (uint32_t knob : knobLadder(m)) {
+        MethodSpec spec = specWithKnob(m, knob, constraints);
+        // Accuracy search runs host-side; placement only affects
+        // the memory budget check here.
+        spec.placement = Placement::Host;
+        // Fast pre-filter: skip knobs the analytic error model
+        // predicts to miss the target by a wide margin, avoiding
+        // table construction for hopeless configurations.
+        if (predictRmse(f, spec) > 30.0 * targetRmse)
+            continue;
+        FunctionEvaluator eval = FunctionEvaluator::create(f, spec);
+        if (eval.memoryBytes() > constraints.maxTableBytes) {
+            // Table growth is monotone in the knob: no larger
+            // configuration of this method fits either.
+            return std::nullopt;
+        }
+        bool relative = useRelative(f, constraints.metric);
+        double rmse = measureRmse(eval, inputs, relative);
+        if (rmse > targetRmse)
+            continue; // not accurate enough yet; raise the knob
+
+        // Accuracy target met: measure the per-eval cost.
+        CountingSink cost;
+        uint32_t probes = std::min<uint32_t>(256, constraints.sampleSize);
+        for (uint32_t i = 0; i < probes; ++i)
+            eval.eval(inputs[i], &cost);
+
+        TunedCandidate cand;
+        cand.spec = specWithKnob(m, knob, constraints);
+        cand.rmse = rmse;
+        cand.instructionsPerEval =
+            static_cast<double>(cost.total()) / probes;
+        cand.tableBytes = eval.memoryBytes();
+        cand.setupSeconds =
+            model.serialTransferSeconds(eval.memoryBytes());
+        cand.hostSetupSeconds = eval.setupSeconds();
+        // Score: issue-bound kernel time per evaluation plus the
+        // amortized modeled setup share. Host time stays out, so the
+        // ranking is the same on every run and machine.
+        double evals = static_cast<double>(
+            std::max<uint64_t>(1, constraints.expectedEvaluations));
+        cand.secondsPerEval =
+            cand.instructionsPerEval / model.frequencyHz +
+            cand.setupSeconds / evals;
+        return cand; // smallest knob meeting the target: done with m
+    }
+    return std::nullopt;
+}
+
 } // namespace
 
 std::optional<TunerResult>
@@ -113,72 +182,25 @@ recommendSpec(Function f, double targetRmse,
     const std::vector<Method>& methods =
         constraints.methods.empty() ? kAllMethods : constraints.methods;
 
-    sim::CostModel model;
+    // One search per method on the simulation pool, each into its own
+    // slot; concatenating the slots in method order keeps the
+    // candidate list independent of the thread count.
+    std::vector<std::optional<TunedCandidate>> found(methods.size());
+    sim::parallelFor(methods.size(), [&](uint64_t i) {
+        found[i] = searchMethod(f, methods[i], targetRmse, constraints,
+                                inputs);
+    });
     std::vector<TunedCandidate> candidates;
-
-    for (Method m : methods) {
-        MethodSpec probe;
-        probe.method = m;
-        if (!FunctionEvaluator::supports(f, probe))
-            continue;
-        if (m == Method::LLutFixed && !constraints.allowFixedPoint)
-            continue;
-
-        for (uint32_t knob : knobLadder(m)) {
-            MethodSpec spec = specWithKnob(m, knob, constraints);
-            // Accuracy search runs host-side; placement only affects
-            // the memory budget check here.
-            spec.placement = Placement::Host;
-            // Fast pre-filter: skip knobs the analytic error model
-            // predicts to miss the target by a wide margin, avoiding
-            // table construction for hopeless configurations.
-            if (predictRmse(f, spec) > 30.0 * targetRmse)
-                continue;
-            FunctionEvaluator eval = FunctionEvaluator::create(f, spec);
-            if (eval.memoryBytes() > constraints.maxTableBytes) {
-                // Table growth is monotone in the knob: no larger
-                // configuration of this method fits either.
-                break;
-            }
-            bool relative = useRelative(f, constraints.metric);
-            double rmse = measureRmse(eval, inputs, relative);
-            if (rmse > targetRmse)
-                continue; // not accurate enough yet; raise the knob
-
-            // Accuracy target met: measure the per-eval cost.
-            CountingSink cost;
-            uint32_t probes =
-                std::min<uint32_t>(256, constraints.sampleSize);
-            for (uint32_t i = 0; i < probes; ++i)
-                eval.eval(inputs[i], &cost);
-
-            TunedCandidate cand;
-            cand.spec = specWithKnob(m, knob, constraints);
-            cand.rmse = rmse;
-            cand.instructionsPerEval =
-                static_cast<double>(cost.total()) / probes;
-            cand.tableBytes = eval.memoryBytes();
-            cand.setupSeconds =
-                eval.setupSeconds() +
-                model.serialTransferSeconds(eval.memoryBytes());
-            // Score: issue-bound kernel time per evaluation plus the
-            // amortized setup share.
-            double evals = static_cast<double>(
-                std::max<uint64_t>(1, constraints.expectedEvaluations));
-            cand.secondsPerEval =
-                cand.instructionsPerEval / model.frequencyHz +
-                cand.setupSeconds / evals;
-            candidates.push_back(cand);
-            break; // smallest knob meeting the target: done with m
-        }
-    }
+    for (std::optional<TunedCandidate>& c : found)
+        if (c)
+            candidates.push_back(std::move(*c));
 
     if (candidates.empty())
         return std::nullopt;
-    std::sort(candidates.begin(), candidates.end(),
-              [](const TunedCandidate& a, const TunedCandidate& b) {
-                  return a.secondsPerEval < b.secondsPerEval;
-              });
+    std::stable_sort(candidates.begin(), candidates.end(),
+                     [](const TunedCandidate& a, const TunedCandidate& b) {
+                         return a.secondsPerEval < b.secondsPerEval;
+                     });
     TunerResult result;
     result.best = candidates.front();
     result.candidates = std::move(candidates);

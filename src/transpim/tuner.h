@@ -9,8 +9,8 @@
  * (table placement, memory budget, how many evaluations the kernel
  * will amortize setup over), the tuner searches each supported
  * method's knob for the smallest configuration meeting the target,
- * measures its per-evaluation instruction cost and setup time, and
- * returns the cheapest option:
+ * measures its per-evaluation instruction cost and modeled setup
+ * (table transfer) time, and returns the cheapest option:
  *
  *  - few evaluations -> CORDIC-family (flat, tiny setup; KT2),
  *  - many evaluations -> interpolated L-LUT (best cycles/accuracy;
@@ -70,9 +70,14 @@ struct TunedCandidate
     MethodSpec spec;
     double rmse = 0.0;
     double instructionsPerEval = 0.0;
-    double setupSeconds = 0.0;  ///< generation + modeled transfer
+    double setupSeconds = 0.0;  ///< modeled table transfer
+    /** Host wall time the table generation took (reported only: it
+     * varies from run to run, so it never enters the score). */
+    double hostSetupSeconds = 0.0;
     uint32_t tableBytes = 0;
-    /** Amortized seconds per evaluation (the ranking score). */
+    /** Amortized modeled seconds per evaluation (the ranking score):
+     * issue-bound kernel time plus setupSeconds spread over the
+     * expected evaluations. */
     double secondsPerEval = 0.0;
 };
 
@@ -85,7 +90,9 @@ struct TunerResult
 
 /**
  * Recommend the cheapest configuration of any supported method that
- * achieves @p targetRmse for @p f under @p constraints.
+ * achieves @p targetRmse for @p f under @p constraints. The methods
+ * are searched concurrently on the simulation pool; the result is the
+ * same at any thread count.
  * @return nullopt when no method reaches the target within budget.
  */
 std::optional<TunerResult> recommendSpec(

@@ -6,17 +6,21 @@
  * bit-for-bit, journal bytes included), determinism of tuned runs
  * across simulation thread counts, the core win (a tuned stream
  * commits to a cheaper configuration that still meets its SLA),
- * per-tenant wave separation, and MRAM-budget arbitration.
+ * per-tenant wave separation, MRAM-budget arbitration, and the
+ * incremental percentile behind the `cycles:pNN` clause.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "pimsim/obs/journal.h"
 #include "pimsim/serve/pipeline.h"
 #include "transpim/auto_tuner.h"
@@ -372,6 +376,55 @@ TEST(OnlineTuner, TenantsGetSeparateStreamsAndWaves)
                                   r.elements * sizeof(float)),
                       0);
         offEl += r.elements;
+    }
+}
+
+// ---------------------------------------------------------------------
+// The percentile cycles clause: NearestRank keeps the rank-r value of
+// a candidate's per-wave cycles incrementally. The tuner's cycles
+// score under a `cycles:pNN<X` clause is exactly value(), and checkSla
+// compares only that score with X, so matching the former sort-based
+// definition wave by wave means the same violations, and from them
+// the same decisions.
+
+TEST(NearestRank, MatchesSortBasedDefinitionOverTenThousandWaves)
+{
+    for (double p : {1.0, 50.0, 90.0, 99.0, 99.9, 100.0}) {
+        SCOPED_TRACE("p" + std::to_string(p));
+        NearestRank rank(p);
+        std::vector<double> sorted; // every value so far, ascending
+        SplitMix64 rng(0x5eed + static_cast<uint64_t>(p * 10));
+        const double bound = 460.0;
+        uint64_t violations = 0;
+        for (uint32_t w = 0; w < 10'000; ++w) {
+            // Cycles/element around 400 with rare straggler spikes;
+            // whole values so duplicates are common.
+            double x = 380.0 + static_cast<double>(rng.next() % 40);
+            if (rng.next() % 50 == 0)
+                x += 200.0 + static_cast<double>(rng.next() % 300);
+            rank.push(x);
+            sorted.insert(
+                std::upper_bound(sorted.begin(), sorted.end(), x), x);
+
+            // The sort-based definition the tuner used to evaluate.
+            uint64_t r = static_cast<uint64_t>(std::ceil(
+                p / 100.0 * static_cast<double>(sorted.size())));
+            r = std::min<uint64_t>(std::max<uint64_t>(r, 1),
+                                   sorted.size());
+            const double want = sorted[r - 1];
+            ASSERT_EQ(rank.value(), want) << "wave " << w;
+            ASSERT_EQ(rank.value() > bound, want > bound)
+                << "wave " << w;
+            violations += want > bound ? 1 : 0;
+        }
+        EXPECT_EQ(rank.size(), 10'000u);
+        // The sequence exercises both sides of the clause.
+        if (p >= 99.0) {
+            EXPECT_GT(violations, 0u);
+        }
+        if (p <= 50.0) {
+            EXPECT_EQ(violations, 0u);
+        }
     }
 }
 

@@ -11,7 +11,8 @@
  * non-blocking start/wait) and the determinism contract of
  * PimSystem::launchAll — a multi-DPU workload run with 1 simulation
  * thread and with N threads must produce bit-identical LaunchStats
- * per DPU.
+ * per DPU — and the launch contract: submitLaunch's factory runs
+ * once per unmasked slice, and each launch leaves fresh statistics.
  */
 
 #include <atomic>
@@ -20,6 +21,7 @@
 #include <cstring>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -526,6 +528,150 @@ TEST(Determinism, FaultPlanIsThreadCountIndependent)
     EXPECT_EQ(ra.failedDpus, rb.failedDpus);
     EXPECT_EQ(ra.maxCycles, rb.maxCycles);
     EXPECT_EQ(ra.faultEvents, rb.faultEvents);
+}
+
+// ------------------------------------------------ the launch contract
+
+TEST(LaunchContract, FactoryCalledOncePerUnmaskedSlice)
+{
+    // DPU 2 hard-fails on its first launch, which masks it.
+    auto plan = sim::fault::FaultPlan::parse(
+        "seed 1\nfault kind=dpu-hard-fail dpu=2 prob=1\n");
+    ASSERT_TRUE(plan.has_value());
+    sim::ThreadPool pool(4);
+    sim::PimSystem sys(8);
+    sys.setThreadPool(&pool);
+    sys.armFaults(*plan);
+    sys.launchAll(1, [](sim::TaskletContext& ctx) { ctx.charge(1); });
+    ASSERT_TRUE(sys.isMasked(2));
+
+    // Slices over every DPU but 5, out of DPU order.
+    std::vector<sim::ShardTask> slices;
+    for (uint32_t d : {7u, 0u, 2u, 3u, 1u, 6u, 4u}) {
+        sim::ShardTask t;
+        t.dpu = d;
+        t.elements = d + 1;
+        slices.push_back(t);
+    }
+    std::vector<std::atomic<uint32_t>> calls(sys.numDpus());
+    const sim::ShardKernelFactory factory =
+        [&calls](const sim::ShardTask& t) -> sim::Kernel {
+        ++calls[t.dpu];
+        const uint32_t work = 10 * t.elements;
+        return [work](sim::TaskletContext& ctx) { ctx.charge(work); };
+    };
+    sim::PipelineTimeline timeline(sys.numDpus(), sys.model());
+    for (int round = 0; round < 3; ++round) {
+        for (std::atomic<uint32_t>& c : calls)
+            c = 0;
+        sim::LaunchHandle launch = sys.submitLaunch(slices, 4, factory);
+        sys.commitLaunch(launch, timeline, 0.0);
+        for (uint32_t d = 0; d < sys.numDpus(); ++d)
+            EXPECT_EQ(calls[d].load(), d == 2 || d == 5 ? 0u : 1u)
+                << "round " << round << " dpu " << d;
+        EXPECT_EQ(launch.report().attempted, 6u);
+        EXPECT_EQ(launch.report().masked, 1u);
+        // Cycles come back aligned with the slices, 0 where masked.
+        ASSERT_EQ(launch.cycles().size(), slices.size());
+        for (size_t i = 0; i < slices.size(); ++i) {
+            const uint32_t d = slices[i].dpu;
+            EXPECT_EQ(launch.cycles()[i],
+                      d == 2 ? 0 : sys.dpu(d).lastLaunch().cycles)
+                << "slice " << i;
+        }
+    }
+}
+
+TEST(LaunchContract, FactoryErrorsSurfaceAtCommit)
+{
+    sim::ThreadPool pool(4);
+    sim::PimSystem sys(8);
+    sys.setThreadPool(&pool);
+    std::vector<sim::ShardTask> slices(sys.numDpus());
+    for (uint32_t d = 0; d < sys.numDpus(); ++d)
+        slices[d].dpu = d;
+    std::atomic<int> running{0};
+    const sim::Kernel slow = [&running](sim::TaskletContext& ctx) {
+        if (ctx.taskletId() != 0)
+            return;
+        ++running;
+        std::this_thread::sleep_for(std::chrono::microseconds(300));
+        --running;
+    };
+    sim::PipelineTimeline timeline(sys.numDpus(), sys.model());
+    // A factory that throws, and one that returns no kernel, for DPU 5.
+    const sim::ShardKernelFactory throwing =
+        [&slow](const sim::ShardTask& t) -> sim::Kernel {
+        if (t.dpu == 5)
+            throw std::runtime_error("factory fault");
+        return slow;
+    };
+    const sim::ShardKernelFactory empty =
+        [&slow](const sim::ShardTask& t) -> sim::Kernel {
+        return t.dpu == 5 ? sim::Kernel{} : slow;
+    };
+    {
+        sim::LaunchHandle launch;
+        ASSERT_NO_THROW(launch = sys.submitLaunch(slices, 2, throwing));
+        EXPECT_THROW(sys.commitLaunch(launch, timeline, 0.0),
+                     std::runtime_error);
+        EXPECT_EQ(running.load(), 0);
+    }
+    {
+        sim::LaunchHandle launch;
+        ASSERT_NO_THROW(launch = sys.submitLaunch(slices, 2, empty));
+        EXPECT_THROW(sys.commitLaunch(launch, timeline, 0.0),
+                     std::invalid_argument);
+        EXPECT_EQ(running.load(), 0);
+    }
+}
+
+TEST(LaunchContract, FreshStatsAcrossTaskletCounts)
+{
+    // Per-tasklet work, DMA and op tallies all differ by tasklet, so
+    // any field a launch failed to reset shows up against a fresh
+    // core's launch of the same shape.
+    const sim::Kernel kernel = [](sim::TaskletContext& ctx) {
+        float buf[8];
+        ctx.mramRead(0, buf, 8 * (1 + ctx.taskletId() % 4));
+        ctx.charge(100 + 10 * ctx.taskletId());
+        ctx.chargeClass(InstrClass::WramAccess, ctx.taskletId());
+        ctx.noteN(OpClass::TableRead, ctx.taskletId());
+    };
+    sim::DpuCore core;
+    core.mramAlloc(64);
+    for (uint32_t n : {16u, 4u, 24u}) {
+        SCOPED_TRACE("tasklets=" + std::to_string(n));
+        sim::DpuCore fresh;
+        fresh.mramAlloc(64);
+        const sim::LaunchStats ref = fresh.launch(n, kernel);
+        const sim::LaunchStats& got = core.launch(n, kernel);
+        EXPECT_EQ(&got, &core.lastLaunch());
+        EXPECT_EQ(got.tasklets, n);
+        EXPECT_EQ(got.cycles, ref.cycles);
+        EXPECT_EQ(got.totalInstructions, ref.totalInstructions);
+        EXPECT_EQ(got.maxTaskletWork, ref.maxTaskletWork);
+        EXPECT_EQ(got.dmaEngineCycles, ref.dmaEngineCycles);
+        EXPECT_EQ(got.dmaBytes, ref.dmaBytes);
+        EXPECT_EQ(got.stallCycles, ref.stallCycles);
+        EXPECT_EQ(got.classInstructions, ref.classInstructions);
+        EXPECT_EQ(got.opCounts, ref.opCounts);
+        EXPECT_EQ(0, std::memcmp(&got.energyJoules, &ref.energyJoules,
+                                 sizeof(double)));
+        ASSERT_EQ(got.perTasklet.size(), n);
+        for (uint32_t t = 0; t < n; ++t) {
+            EXPECT_EQ(got.perTasklet[t].instructions,
+                      ref.perTasklet[t].instructions);
+            if (t > 0) {
+                EXPECT_GT(got.perTasklet[t].instructions,
+                          got.perTasklet[t - 1].instructions);
+            }
+            EXPECT_EQ(got.perTasklet[t].dmaStallCycles,
+                      ref.perTasklet[t].dmaStallCycles);
+            EXPECT_EQ(got.perTasklet[t].classInstructions,
+                      ref.perTasklet[t].classInstructions);
+        }
+    }
 }
 
 } // namespace

@@ -1263,20 +1263,32 @@ TEST(ServeOverlap, FaultPlanMatchesSerial)
 
 namespace {
 
-/** A provider whose kernels sleep briefly and count themselves in
- * and out of @p running; the kernel on DPU 5 of the fourth wave
- * throws when @p throwing is set. */
-serve::TableProvider
-countingProvider(std::atomic<int>& running, bool throwing)
+/** Where a run of countingProvider's kernels fails. */
+enum class Fail
 {
-    auto built = std::make_shared<uint32_t>(0);
-    return [&running, throwing, built](const serve::TableKey&,
-                                       PimSystem&) {
+    Kernel,  ///< the kernel on DPU 5 of the fourth wave throws
+    Factory, ///< building that kernel throws instead
+    None,
+};
+
+/** A provider whose kernels sleep briefly and count themselves in
+ * and out of @p running, failing as @p fail says. Its factory runs
+ * on pool threads, so its count is atomic. */
+serve::TableProvider
+countingProvider(std::atomic<int>& running, Fail fail)
+{
+    auto built = std::make_shared<std::atomic<uint32_t>>(0);
+    return [&running, fail, built](const serve::TableKey&,
+                                   PimSystem&) {
         serve::TableBinding b;
         b.valid = true;
-        b.makeKernel = [&running, throwing,
+        b.makeKernel = [&running, fail,
                         built](const ShardTask& t) -> Kernel {
-            const bool boom = throwing && t.dpu == 5 && ++*built > 3;
+            const bool fourth =
+                fail != Fail::None && t.dpu == 5 && ++*built > 3;
+            if (fourth && fail == Fail::Factory)
+                throw std::runtime_error("factory fault");
+            const bool boom = fourth && fail == Fail::Kernel;
             return [&running, boom](TaskletContext& ctx) {
                 if (ctx.taskletId() != 0)
                     return;
@@ -1322,8 +1334,12 @@ class ThrowingTuner final : public serve::AutoTuner
 
 TEST(ServeOverlap, ErrorsSurfaceAndLeaveNoKernelRunning)
 {
-    for (bool kernelThrows : {true, false}) {
-        SCOPED_TRACE(kernelThrows ? "kernel throws" : "route throws");
+    // The kernel or its factory fails on a pool thread, or route()
+    // fails on the drive thread while a wave is submitted.
+    for (Fail fail : {Fail::Kernel, Fail::Factory, Fail::None}) {
+        SCOPED_TRACE(fail == Fail::Kernel    ? "kernel throws"
+                     : fail == Fail::Factory ? "factory throws"
+                                             : "route throws");
         ThreadPool pool(4);
         PimSystem sys(8);
         sys.setThreadPool(&pool);
@@ -1334,13 +1350,13 @@ TEST(ServeOverlap, ErrorsSurfaceAndLeaveNoKernelRunning)
             queue.push(makeRequest(keyOf(1), in.data() + r * 512,
                                    out.data() + r * 512, 512));
         queue.close();
-        ThrowingTuner tuner(kernelThrows ? 0 : 5);
+        ThrowingTuner tuner(fail == Fail::None ? 5 : 0);
         serve::PipelineOptions popts;
         popts.numTasklets = 4;
         popts.perDpuElements = 64;
         popts.autoTuner = &tuner;
         serve::ServePipeline pipeline(
-            sys, countingProvider(running, kernelThrows), popts);
+            sys, countingProvider(running, fail), popts);
         EXPECT_THROW(pipeline.run(queue), std::runtime_error);
         // Nothing of the run keeps executing on the pool...
         EXPECT_EQ(running.load(), 0);

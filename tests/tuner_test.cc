@@ -3,12 +3,20 @@
  * Auto-tuner tests: recommendations meet the accuracy target, respect
  * memory budgets, and reproduce the paper's Key Takeaways (CORDIC for
  * tight memory, LUT families for streaming kernels, setup dominating
- * for tiny evaluation counts).
+ * for tiny evaluation counts), with a candidate list that is the same
+ * at any thread count.
  */
+
+#include <atomic>
+#include <optional>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "pimsim/thread_pool.h"
 #include "transpim/harness.h"
 #include "transpim/tuner.h"
 
@@ -209,6 +217,77 @@ TEST(Tuner, AutoMetricClassificationCoversEveryFunction)
         EXPECT_EQ(resolveMetric(f, ErrorMetric::Relative),
                   ErrorMetric::Relative)
             << functionName(f);
+    }
+}
+
+/** @p a and @p b list the same candidates with the same scores. */
+void
+expectSameCandidates(const TunerResult& a, const TunerResult& b)
+{
+    ASSERT_EQ(a.candidates.size(), b.candidates.size());
+    for (size_t i = 0; i < a.candidates.size(); ++i) {
+        const TunedCandidate& x = a.candidates[i];
+        const TunedCandidate& y = b.candidates[i];
+        EXPECT_EQ(methodLabel(x.spec), methodLabel(y.spec)) << i;
+        EXPECT_EQ(x.rmse, y.rmse) << i;
+        EXPECT_EQ(x.instructionsPerEval, y.instructionsPerEval) << i;
+        EXPECT_EQ(x.tableBytes, y.tableBytes) << i;
+        EXPECT_EQ(x.setupSeconds, y.setupSeconds) << i;
+        EXPECT_EQ(x.secondsPerEval, y.secondsPerEval) << i;
+    }
+    EXPECT_EQ(methodLabel(a.best.spec), methodLabel(b.best.spec));
+}
+
+TEST(Tuner, CandidateListIndependentOfThreadCount)
+{
+    // The score is modeled only, so neither the search's thread count
+    // nor its host timing can reorder the list. Threaded: the methods
+    // search concurrently on the global pool (one lane per host CPU).
+    // Serial: the same calls from a pool worker, where nested
+    // parallel loops run inline.
+    struct Query
+    {
+        Function f;
+        double target;
+        uint64_t evals;
+    };
+    const std::vector<Query> queries = {{Function::Sin, 1e-5, 1'000'000},
+                                        {Function::Exp, 1e-4, 100},
+                                        {Function::Tanh, 1e-3, 10}};
+    auto runAll = [&] {
+        std::vector<std::optional<TunerResult>> out;
+        for (const Query& q : queries) {
+            TunerConstraints c;
+            c.expectedEvaluations = q.evals;
+            out.push_back(recommendSpec(q.f, q.target, c));
+        }
+        return out;
+    };
+    const auto threaded = runAll();
+
+    std::vector<std::optional<TunerResult>> serial;
+    sim::ThreadPool pool(2);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<bool> done{false};
+    pool.parallelFor(2, [&](uint64_t) {
+        if (std::this_thread::get_id() == caller) {
+            // Leave the search to the worker thread.
+            while (!done.load())
+                std::this_thread::yield();
+            return;
+        }
+        serial = runAll();
+        done = true;
+    });
+
+    ASSERT_EQ(serial.size(), threaded.size());
+    for (size_t i = 0; i < queries.size(); ++i) {
+        SCOPED_TRACE(std::string(functionName(queries[i].f)));
+        ASSERT_TRUE(serial[i] && threaded[i]);
+        expectSameCandidates(*serial[i], *threaded[i]);
+        // Host generation time is still reported, outside the score.
+        for (const TunedCandidate& c : threaded[i]->candidates)
+            EXPECT_GE(c.hostSetupSeconds, 0.0);
     }
 }
 
