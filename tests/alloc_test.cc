@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -90,12 +91,13 @@ TEST(AllocationLock, StreamingLaunchAllocatesNothing)
     }
 }
 
-/** Per-slice body of the serve runs below: tasklet 0 copies the
- * slice through a WRAM-sized buffer. Captures only the slice, so
- * building the kernel allocates nothing on whichever thread runs it:
- * the drive thread's count then holds only its own work. */
+/** Elements per DPU per wave in the serve runs below. */
 constexpr uint32_t kPerDpu = 8;
 
+/** Binds every key to a kernel in which tasklet 0 copies its slice
+ * through a WRAM buffer. The kernel captures only the slice, so
+ * building it allocates nothing on whichever thread runs it, and the
+ * drive thread's count holds only its own work. */
 serve::TableProvider
 copyProvider()
 {
