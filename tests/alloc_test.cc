@@ -32,25 +32,49 @@ namespace {
 /** operator new calls made by this thread. */
 thread_local uint64_t tAllocations = 0;
 
-} // namespace
-
 void*
-operator new(std::size_t size)
+countedMalloc(std::size_t size) noexcept
 {
     ++tAllocations;
-    if (void* p = std::malloc(size ? size : 1))
+    return std::malloc(size ? size : 1);
+}
+
+void*
+countedNew(std::size_t size)
+{
+    if (void* p = countedMalloc(size))
         return p;
     throw std::bad_alloc();
 }
 
+} // namespace
+
+// Every unaligned form is replaced, so each allocation is counted and
+// freed by the matching replacement (a sanitizer runtime would
+// otherwise supply the forms left out, with its own allocator).
+void* operator new(std::size_t size) { return countedNew(size); }
+void* operator new[](std::size_t size) { return countedNew(size); }
+void*
+operator new(std::size_t size, const std::nothrow_t&) noexcept
+{
+    return countedMalloc(size);
+}
+void*
+operator new[](std::size_t size, const std::nothrow_t&) noexcept
+{
+    return countedMalloc(size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 void
-operator delete(void* p) noexcept
+operator delete(void* p, const std::nothrow_t&) noexcept
 {
     std::free(p);
 }
-
 void
-operator delete(void* p, std::size_t) noexcept
+operator delete[](void* p, const std::nothrow_t&) noexcept
 {
     std::free(p);
 }
