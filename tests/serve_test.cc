@@ -1263,12 +1263,12 @@ TEST(ServeOverlap, FaultPlanMatchesSerial)
 
 namespace {
 
-/** Where a run of countingProvider's kernels fails. */
+/** Where a run fails. */
 enum class Fail
 {
     Kernel,  ///< the kernel on DPU 5 of the fourth wave throws
     Factory, ///< building that kernel throws instead
-    None,
+    Route,   ///< the tuner's route() throws (the provider never does)
 };
 
 /** A provider whose kernels sleep briefly and count themselves in
@@ -1285,7 +1285,7 @@ countingProvider(std::atomic<int>& running, Fail fail)
         b.makeKernel = [&running, fail,
                         built](const ShardTask& t) -> Kernel {
             const bool fourth =
-                fail != Fail::None && t.dpu == 5 && ++*built > 3;
+                fail != Fail::Route && t.dpu == 5 && ++*built > 3;
             if (fourth && fail == Fail::Factory)
                 throw std::runtime_error("factory fault");
             const bool boom = fourth && fail == Fail::Kernel;
@@ -1336,7 +1336,7 @@ TEST(ServeOverlap, ErrorsSurfaceAndLeaveNoKernelRunning)
 {
     // The kernel or its factory fails on a pool thread, or route()
     // fails on the drive thread while a wave is submitted.
-    for (Fail fail : {Fail::Kernel, Fail::Factory, Fail::None}) {
+    for (Fail fail : {Fail::Kernel, Fail::Factory, Fail::Route}) {
         SCOPED_TRACE(fail == Fail::Kernel    ? "kernel throws"
                      : fail == Fail::Factory ? "factory throws"
                                              : "route throws");
@@ -1350,7 +1350,7 @@ TEST(ServeOverlap, ErrorsSurfaceAndLeaveNoKernelRunning)
             queue.push(makeRequest(keyOf(1), in.data() + r * 512,
                                    out.data() + r * 512, 512));
         queue.close();
-        ThrowingTuner tuner(fail == Fail::None ? 5 : 0);
+        ThrowingTuner tuner(fail == Fail::Route ? 5 : 0);
         serve::PipelineOptions popts;
         popts.numTasklets = 4;
         popts.perDpuElements = 64;
