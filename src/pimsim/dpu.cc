@@ -339,12 +339,14 @@ DpuCore::launch(uint32_t numTasklets, const Kernel& kernel)
     dmaEngineCycles_ = 0;
     dmaBytes_ = 0;
 
-    // Start from fresh statistics, keeping perTasklet's capacity: a
-    // steady stream of launches allocates nothing here.
+    // Start from fresh statistics in place, keeping perTasklet's
+    // buffer in last_ (moves cannot throw): a steady stream of
+    // launches allocates nothing here.
     std::vector<TaskletStats> perTasklet = std::move(last_.perTasklet);
-    perTasklet.clear();
     last_ = LaunchStats{};
     LaunchStats& stats = last_;
+    stats.perTasklet = std::move(perTasklet);
+    stats.perTasklet.clear();
     stats.tasklets = numTasklets;
 
     if (faults_ && faults_->onLaunchBegin()) {
@@ -353,7 +355,6 @@ DpuCore::launch(uint32_t numTasklets, const Kernel& kernel)
         // to any aggregate.
         stats.failed = true;
         stats.faultEvents = faults_->launchFaultEvents();
-        stats.perTasklet = std::move(perTasklet);
         obs::Registry& reg = obs::Registry::global();
         if (reg.enabled())
             reg.counter("fault/launch/failed").add(1);
@@ -372,7 +373,7 @@ DpuCore::launch(uint32_t numTasklets, const Kernel& kernel)
 
     // Tasklets run one after another, so each one's context lives
     // only for its own body and is folded into the statistics at once.
-    perTasklet.reserve(numTasklets);
+    stats.perTasklet.reserve(numTasklets);
     for (uint32_t t = 0; t < numTasklets; ++t) {
         TaskletContext ctx(*this, t, numTasklets);
         if (tracing) {
@@ -386,7 +387,7 @@ DpuCore::launch(uint32_t numTasklets, const Kernel& kernel)
         uint64_t work = ctx.instructions() * model_.pipelineInterval +
                         ctx.dmaStallCycles();
         stats.maxTaskletWork = std::max(stats.maxTaskletWork, work);
-        TaskletStats& ts = perTasklet.emplace_back();
+        TaskletStats& ts = stats.perTasklet.emplace_back();
         ts.instructions = ctx.instructions();
         ts.dmaStallCycles = ctx.dmaStallCycles();
         ts.classInstructions = ctx.classInstructions();
@@ -395,7 +396,6 @@ DpuCore::launch(uint32_t numTasklets, const Kernel& kernel)
         for (int o = 0; o < numOpClasses; ++o)
             stats.opCounts[o] += ctx.opCounts()[o];
     }
-    stats.perTasklet = std::move(perTasklet);
     stats.dmaEngineCycles = dmaEngineCycles_;
     stats.cycles = std::max({stats.totalInstructions,
                              stats.maxTaskletWork,

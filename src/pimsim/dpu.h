@@ -453,7 +453,9 @@ class DpuCore
      * Allocation-free once lastLaunch().perTasklet has grown to
      * @p numTasklets entries: each tasklet's context lives on this
      * thread's stack, and the statistics are written in place.
-     * @return lastLaunch(), which the next launch overwrites.
+     * @return lastLaunch(), which the next launch overwrites. If the
+     * kernel or an attached sanitizer throws, lastLaunch() is
+     * unspecified until a later launch returns.
      */
     const LaunchStats& launch(uint32_t numTasklets, const Kernel& kernel);
 

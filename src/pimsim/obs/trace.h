@@ -47,7 +47,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 namespace tpl {
@@ -175,9 +174,10 @@ class Tracer
 
 /**
  * RAII span: opens on construction, closes on destruction, on the
- * same thread. Near-zero cost while the tracer is disabled, as long
- * as the name and args cost nothing to build: pass formatted args as
- * a callable (the lazy form) on hot paths.
+ * same thread. Near-zero cost while the tracer is disabled, apart
+ * from building the name and args: on hot paths, hold an
+ * std::optional<TraceSpan> and emplace it only when
+ * Tracer::enabled(), so a disabled span formats nothing.
  */
 class TraceSpan
 {
@@ -188,19 +188,6 @@ class TraceSpan
     {
         if (active_)
             Tracer::global().begin(name, cat, std::move(args));
-    }
-
-    /**
-     * Lazy form: @p args() builds the args object only while the
-     * tracer is enabled, so a disabled span formats nothing.
-     */
-    template <typename Args>
-        requires std::is_invocable_r_v<std::string, Args&>
-    TraceSpan(const char* name, const char* cat, Args&& args)
-        : active_(Tracer::global().enabled())
-    {
-        if (active_)
-            Tracer::global().begin(name, cat, args());
     }
 
     ~TraceSpan()

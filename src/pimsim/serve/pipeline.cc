@@ -410,14 +410,16 @@ ServePipeline::run(BatchQueue& queue)
         g.stats.rank = l;
     }
 
-    obs::TraceSpan runSpan("serve run", "serve", [&] {
-        return obs::argsObject(
-            {obs::argKv("dpus", static_cast<uint64_t>(n)),
-             obs::argKv("lane_groups",
-                        static_cast<uint64_t>(groups.size())),
-             obs::argKv("per_dpu_elements",
-                        static_cast<uint64_t>(cap))});
-    });
+    std::optional<obs::TraceSpan> runSpan;
+    if (obs::Tracer::global().enabled())
+        runSpan.emplace(
+            "serve run", "serve",
+            obs::argsObject(
+                {obs::argKv("dpus", static_cast<uint64_t>(n)),
+                 obs::argKv("lane_groups",
+                            static_cast<uint64_t>(groups.size())),
+                 obs::argKv("per_dpu_elements",
+                            static_cast<uint64_t>(cap))}));
     obs::Registry& reg = obs::Registry::global();
     obs::Tracer& tracer = obs::Tracer::global();
 

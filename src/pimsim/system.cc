@@ -13,6 +13,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -213,10 +215,7 @@ PimSystem::transferLeg(uint32_t dpu, uint64_t bytes, const Copy& copy,
 struct LaunchHandle::State
 {
     std::span<const ShardTask> slices;
-    /** The factory building each slice's kernel; null when every
-     * slice runs the one shared `kernel`. */
     const ShardKernelFactory* makeKernel = nullptr;
-    const Kernel* kernel = nullptr;
     uint32_t numTasklets = 0;
     std::vector<uint32_t> runs;   ///< indices of the slices that run
     uint32_t masked = 0;          ///< slices whose core was masked
@@ -276,27 +275,20 @@ PimSystem::submitLaunch(std::span<const ShardTask> slices,
                         uint32_t numTasklets,
                         const ShardKernelFactory& makeKernel)
 {
-    obs::TraceSpan span("launchSubmit", "sim", [&] {
-        return obs::argsObject(
-            {obs::argKv("dpus", static_cast<uint64_t>(slices.size())),
-             obs::argKv("tasklets",
-                        static_cast<uint64_t>(numTasklets))});
-    });
-    return startLaunch(slices, numTasklets, &makeKernel, nullptr);
-}
-
-LaunchHandle
-PimSystem::startLaunch(std::span<const ShardTask> slices,
-                       uint32_t numTasklets,
-                       const ShardKernelFactory* makeKernel,
-                       const Kernel* kernel)
-{
+    std::optional<obs::TraceSpan> span;
+    if (obs::Tracer::global().enabled())
+        span.emplace(
+            "launchSubmit", "sim",
+            obs::argsObject(
+                {obs::argKv("dpus",
+                            static_cast<uint64_t>(slices.size())),
+                 obs::argKv("tasklets",
+                            static_cast<uint64_t>(numTasklets))}));
     LaunchHandle handle;
     handle.state_ = std::make_unique<LaunchHandle::State>();
     LaunchHandle::State& st = *handle.state_;
     st.slices = slices;
-    st.makeKernel = makeKernel;
-    st.kernel = kernel;
+    st.makeKernel = &makeKernel;
     st.numTasklets = numTasklets;
     st.cycles.assign(slices.size(), 0);
     // Masks are read here, on the submitting thread: a slice is
@@ -327,18 +319,14 @@ PimSystem::runLaunchIndex(LaunchHandle::State& wave, size_t i)
 {
     const uint32_t s = wave.runs[i];
     const uint32_t d = wave.slices[s].dpu;
-    // A built kernel lives for this task only: built, launched and
+    // The kernel lives for this task only: built, launched and
     // destroyed on the thread that runs it.
-    Kernel built;
-    if (!wave.kernel) {
-        built = (*wave.makeKernel)(wave.slices[s]);
-        if (!built)
-            throw std::invalid_argument(
-                "submitLaunch: the kernel factory returned an empty "
-                "kernel for DPU " +
-                std::to_string(d));
-    }
-    const Kernel& kernel = wave.kernel ? *wave.kernel : built;
+    const Kernel kernel = (*wave.makeKernel)(wave.slices[s]);
+    if (!kernel)
+        throw std::invalid_argument(
+            "submitLaunch: the kernel factory returned an empty "
+            "kernel for DPU " +
+            std::to_string(d));
     obs::Tracer& tracer = obs::Tracer::global();
     if (!tracer.enabled()) {
         wave.cycles[s] =
@@ -401,16 +389,23 @@ double
 PimSystem::launchAll(uint32_t numTasklets, const Kernel& kernel)
 {
     uint32_t n = numDpus();
-    obs::TraceSpan span("launchAll", "sim", [&] {
-        return obs::argsObject(
-            {obs::argKv("dpus", static_cast<uint64_t>(n)),
-             obs::argKv("tasklets",
-                        static_cast<uint64_t>(numTasklets))});
-    });
+    std::optional<obs::TraceSpan> span;
+    if (obs::Tracer::global().enabled())
+        span.emplace(
+            "launchAll", "sim",
+            obs::argsObject(
+                {obs::argKv("dpus", static_cast<uint64_t>(n)),
+                 obs::argKv("tasklets",
+                            static_cast<uint64_t>(numTasklets))}));
     std::vector<ShardTask> all(n);
     for (uint32_t d = 0; d < n; ++d)
         all[d].dpu = d;
-    LaunchHandle wave = startLaunch(all, numTasklets, nullptr, &kernel);
+    // Every slice runs the caller's one kernel by reference: a
+    // reference_wrapper fits std::function's inline buffer, so no
+    // slice copies the kernel or allocates.
+    const ShardKernelFactory shared =
+        [&kernel](const ShardTask&) -> Kernel { return std::ref(kernel); };
+    LaunchHandle wave = submitLaunch(all, numTasklets, shared);
     joinLaunch(*wave.state_);
     lastReport_ = wave.state_->report;
     lastMaxCycles_ = lastReport_.maxCycles;
@@ -436,9 +431,10 @@ PipelineEvent
 PimSystem::broadcastAsync(PipelineTimeline& timeline, uint32_t lane,
                           double readyAt, uint64_t tableBytes)
 {
-    obs::TraceSpan span("broadcastAsync", "xfer", [&] {
-        return obs::argKv("bytes", tableBytes);
-    });
+    std::optional<obs::TraceSpan> span;
+    if (obs::Tracer::global().enabled())
+        span.emplace("broadcastAsync", "xfer",
+                     obs::argKv("bytes", tableBytes));
     return reserveTransfer(
         timeline, lane, readyAt, transferStats_.broadcast,
         "broadcast/parallel", tableBytes,
@@ -450,9 +446,10 @@ PimSystem::scatterAsync(PipelineTimeline& timeline, uint32_t lane,
                         double readyAt,
                         std::span<const ScatterSlice> slices)
 {
-    obs::TraceSpan span("scatterAsync", "xfer", [&] {
-        return obs::argKv("bytes", sliceBytes(slices));
-    });
+    std::optional<obs::TraceSpan> span;
+    if (obs::Tracer::global().enabled())
+        span.emplace("scatterAsync", "xfer",
+                     obs::argKv("bytes", sliceBytes(slices)));
     // One retryable leg per slice, sequentially: the slices have
     // distinct sizes, so the host interface serializes them anyway,
     // and sequential legs keep the per-DPU fault-event order (and
@@ -482,9 +479,10 @@ PimSystem::gatherAsync(PipelineTimeline& timeline, uint32_t lane,
                        double readyAt,
                        std::span<const GatherSlice> slices)
 {
-    obs::TraceSpan span("gatherAsync", "xfer", [&] {
-        return obs::argKv("bytes", sliceBytes(slices));
-    });
+    std::optional<obs::TraceSpan> span;
+    if (obs::Tracer::global().enabled())
+        span.emplace("gatherAsync", "xfer",
+                     obs::argKv("bytes", sliceBytes(slices)));
     uint64_t streamBytes = 0;
     double extra = 0.0;
     for (const GatherSlice& s : slices) {

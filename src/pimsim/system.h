@@ -131,7 +131,9 @@ struct ShardTask
  * Builds the kernel evaluating one slice (SPMD body per tasklet).
  * PimSystem::submitLaunch calls it on the simulation pool's threads,
  * concurrently for different slices, so it must be thread-safe. It
- * must return a non-empty kernel.
+ * must return a non-empty kernel. The slice it is handed is an element
+ * of the submitted span, so the kernel may keep a reference to it: the
+ * kernel is destroyed before the wave's commit returns.
  */
 using ShardKernelFactory = std::function<Kernel(const ShardTask&)>;
 
@@ -572,17 +574,6 @@ class PimSystem
     void maskDpu(uint32_t dpu);
 
     /**
-     * Shared by submitLaunch and launchAll: set up a wave over
-     * @p slices, skipping masked cores, and start it on the pool. Each
-     * slice runs @p kernel when it is non-null, else the kernel
-     * @p makeKernel builds for it.
-     */
-    LaunchHandle startLaunch(std::span<const ShardTask> slices,
-                             uint32_t numTasklets,
-                             const ShardKernelFactory* makeKernel,
-                             const Kernel* kernel);
-
-    /**
      * Shared by launchAll and commitLaunch: wait for the wave's
      * kernels (or run them here on a serial pool), then the failure
      * sweep — fence stragglers at the policy's launch timeout
@@ -592,8 +583,7 @@ class PimSystem
      */
     void joinLaunch(LaunchHandle::State& wave);
 
-    /** Build (unless shared) and run the @p i-th kernel of @p wave
-     * (any thread). */
+    /** Build and run the @p i-th kernel of @p wave (any thread). */
     void runLaunchIndex(LaunchHandle::State& wave, size_t i);
 
     CostModel model_;

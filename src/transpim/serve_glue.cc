@@ -61,6 +61,37 @@ tableHash(Function f, const MethodSpec& spec)
     return h.value();
 }
 
+/** The body of every streaming kernel: one tasklet's share of
+ * @p task, in chunks of @p chunk (already clamped) elements. */
+void
+streamSlice(const FunctionEvaluator& ev, const sim::ShardTask& task,
+            uint32_t chunk, sim::TaskletContext& ctx)
+{
+    float buffer[256];
+    uint32_t chunks = (task.elements + chunk - 1) / chunk;
+    for (uint32_t c = ctx.taskletId(); c < chunks;
+         c += ctx.numTasklets()) {
+        uint32_t beg = c * chunk;
+        uint32_t cnt = std::min(chunk, task.elements - beg);
+        ctx.mramRead(task.inAddr + beg * sizeof(float), buffer,
+                     cnt * sizeof(float));
+        // loop control + WRAM load/store, bulk-charged
+        ctx.chargeClassN(InstrClass::IntAlu, 4, cnt);
+        std::span<float> span(buffer, cnt);
+        ev.evalBatch(span, span, &ctx);
+        ctx.mramWrite(task.outAddr + beg * sizeof(float), buffer,
+                      cnt * sizeof(float));
+    }
+}
+
+/** What a bound key's kernels read: the one evaluator attached to
+ * every core and the catalog's chunk size. */
+struct StreamingTables
+{
+    FunctionEvaluator ev;
+    uint32_t chunk = 0;
+};
+
 } // namespace
 
 sim::serve::TableKey
@@ -80,21 +111,7 @@ makeStreamingKernel(const FunctionEvaluator& ev,
     const FunctionEvaluator* evp = &ev;
     const uint32_t chunk = std::clamp(chunkElems, 1u, 256u);
     return [evp, task, chunk](sim::TaskletContext& ctx) {
-        float buffer[256];
-        uint32_t chunks = (task.elements + chunk - 1) / chunk;
-        for (uint32_t c = ctx.taskletId(); c < chunks;
-             c += ctx.numTasklets()) {
-            uint32_t beg = c * chunk;
-            uint32_t cnt = std::min(chunk, task.elements - beg);
-            ctx.mramRead(task.inAddr + beg * sizeof(float), buffer,
-                         cnt * sizeof(float));
-            // loop control + WRAM load/store, bulk-charged
-            ctx.chargeClassN(InstrClass::IntAlu, 4, cnt);
-            std::span<float> span(buffer, cnt);
-            evp->evalBatch(span, span, &ctx);
-            ctx.mramWrite(task.outAddr + beg * sizeof(float), buffer,
-                          cnt * sizeof(float));
-        }
+        streamSlice(*evp, task, chunk, ctx);
     };
 }
 
@@ -128,14 +145,15 @@ EvaluatorCatalog::provider() const
         // bind is all or nothing: a table that does not fit on some
         // core (say a configuration's second table) rolls back every
         // core it touched, keeping the cores in lockstep.
-        auto ev = std::make_shared<FunctionEvaluator>();
+        auto tables = std::make_shared<StreamingTables>();
         std::vector<sim::DpuCore::AllocMark> marks;
         try {
-            *ev = FunctionEvaluator::create(entry.function, entry.spec);
+            tables->ev =
+                FunctionEvaluator::create(entry.function, entry.spec);
             marks.reserve(sys.numDpus());
             for (uint32_t d = 0; d < sys.numDpus(); ++d) {
                 marks.push_back(sys.dpu(d).allocMark());
-                ev->attach(sys.dpu(d));
+                tables->ev.attach(sys.dpu(d));
             }
         } catch (const std::invalid_argument&) {
             // An unsupported pair (UnsupportedCombination) or a spec
@@ -149,14 +167,20 @@ EvaluatorCatalog::provider() const
         }
 
         binding.valid = true;
-        binding.tableBytes = ev->memoryBytes();
-        const uint32_t chunk = chunkElems_;
-        // Runs on pool threads: it only reads the shared evaluator.
+        binding.tableBytes = tables->ev.memoryBytes();
+        tables->chunk = std::clamp(chunkElems_, 1u, 256u);
+        // Runs on pool threads: it only reads the shared tables. The
+        // kernel holds two pointers (the slice outlives it, see
+        // ShardKernelFactory), so it fits std::function's inline
+        // buffer and building it allocates nothing.
+        const StreamingTables* shared = tables.get();
         binding.makeKernel =
-            [ev, chunk](const sim::ShardTask& t) -> sim::Kernel {
-            return makeStreamingKernel(*ev, t, chunk);
+            [shared](const sim::ShardTask& t) -> sim::Kernel {
+            return [shared, &t](sim::TaskletContext& ctx) {
+                streamSlice(shared->ev, t, shared->chunk, ctx);
+            };
         };
-        binding.state = ev;
+        binding.state = std::move(tables);
         return binding;
     };
 }

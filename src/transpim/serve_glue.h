@@ -34,8 +34,9 @@ namespace transpim {
 sim::serve::TableKey batchTableKey(Function f, const MethodSpec& spec);
 
 /**
- * Per-slice streaming kernel shared by runMicrobench (256-element
- * chunks) and the serve pipeline: each tasklet claims chunks of
+ * Per-slice streaming kernel of runMicrobench (256-element chunks);
+ * EvaluatorCatalog's serve kernels run the same body, but reference
+ * their slice instead of copying it. Each tasklet claims chunks of
  * @p chunkElems elements round-robin, DMAs them into WRAM, evaluates
  * them with @p ev's evalBatch, and DMAs the results back. @p ev must
  * outlive the returned kernel (it is captured by pointer); one
@@ -68,7 +69,8 @@ class EvaluatorCatalog
      * remembered key. */
     sim::serve::TableKey add(Function f, const MethodSpec& spec);
 
-    /** Streaming-kernel chunk size passed to makeStreamingKernel. */
+    /** Streaming-kernel chunk size of the serve kernels (clamped to
+     * [1, 256] at bind time, as in makeStreamingKernel). */
     void setChunkElements(uint32_t n) { chunkElems_ = n; }
     uint32_t chunkElements() const { return chunkElems_; }
 

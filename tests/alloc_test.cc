@@ -7,9 +7,10 @@
  *  - DpuCore::launch of a 16-tasklet streaming kernel allocates
  *    nothing (tasklet contexts live on the stack, and the statistics
  *    reuse the previous launch's storage);
- *  - a steady-state serve wave makes as many drive-thread allocations
- *    on 64 DPUs as on 16: none of the drive thread's per-wave work
- *    allocates per DPU.
+ *  - a steady-state serve wave, with EvaluatorCatalog's streaming
+ *    kernels, makes as many drive-thread allocations on 64 DPUs as on
+ *    16: none of the drive thread's per-wave work allocates per DPU,
+ *    including the kernels it builds when it helps the pool.
  */
 
 #include <cstdint>
@@ -83,7 +84,6 @@ namespace tpl {
 namespace {
 
 using sim::ShardTask;
-using sim::TaskletContext;
 namespace serve = sim::serve;
 
 TEST(AllocationLock, StreamingLaunchAllocatesNothing)
@@ -118,42 +118,18 @@ TEST(AllocationLock, StreamingLaunchAllocatesNothing)
 /** Elements per DPU per wave in the serve runs below. */
 constexpr uint32_t kPerDpu = 8;
 
-/** Binds every key to a kernel in which tasklet 0 copies its slice
- * through a WRAM buffer. The kernel captures only the slice, so
- * building it allocates nothing on whichever thread runs it, and the
- * drive thread's count holds only its own work. */
-serve::TableProvider
-copyProvider()
-{
-    return [](const serve::TableKey&, sim::PimSystem&) {
-        serve::TableBinding b;
-        b.valid = true;
-        b.makeKernel = [](const ShardTask& t) -> sim::Kernel {
-            return [&t](TaskletContext& ctx) {
-                if (ctx.taskletId() != 0)
-                    return;
-                float buf[kPerDpu];
-                ctx.mramRead(t.inAddr, buf, t.elements * sizeof(float));
-                ctx.charge(4 * t.elements);
-                ctx.mramWrite(t.outAddr, buf,
-                              t.elements * sizeof(float));
-            };
-        };
-        return b;
-    };
-}
-
 /** Drive-thread allocations of one serve run of @p waves one-request
- * waves of kPerDpu elements per DPU on @p sys. */
+ * waves of kPerDpu elements per DPU on @p sys, with the production
+ * provider (EvaluatorCatalog) and its streaming kernels. */
 uint64_t
 serveRunAllocations(sim::PimSystem& sys, uint32_t waves)
 {
     const uint64_t waveElems = uint64_t{kPerDpu} * sys.numDpus();
     std::vector<float> in(waveElems * waves, 0.5f), out(in.size());
+    transpim::EvaluatorCatalog catalog;
+    const serve::TableKey key =
+        catalog.add(transpim::Function::Sin, transpim::MethodSpec{});
     serve::BatchQueue queue;
-    serve::TableKey key;
-    key.hash = 1;
-    key.label = "copy";
     for (uint32_t w = 0; w < waves; ++w) {
         serve::Request r;
         r.table = key;
@@ -166,7 +142,7 @@ serveRunAllocations(sim::PimSystem& sys, uint32_t waves)
     serve::PipelineOptions opts;
     opts.numTasklets = 16;
     opts.perDpuElements = kPerDpu;
-    serve::ServePipeline pipeline(sys, copyProvider(), opts);
+    serve::ServePipeline pipeline(sys, catalog.provider(), opts);
     const uint64_t before = tAllocations;
     serve::ServeReport rep = pipeline.run(queue);
     const uint64_t allocations = tAllocations - before;
