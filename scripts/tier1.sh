@@ -74,7 +74,9 @@ fi
 # misuse and UB (shifts, overflow, misaligned access) that the plain
 # build silently tolerates — among them a shared table read after its
 # catalog and pipeline are gone (SharedTable.TablesOutlive*), the
-# engine fast-value lanes (BatchFastLane.*) and the hostile table specs
+# engine fast-value lanes (BatchFastLane.*), among them the SIMD block
+# lanes (BatchFastLane.*BlockLane*), the staged bodies' block shapes
+# and MRAM routing (BatchEdgeCases.*) and the hostile table specs
 # that once overflowed a table image, aborted pimserve or shifted an
 # int32 by 32 (BatchHostileSpec.*), each slice named again below so the
 # leg fails loudly if it ever goes missing.
@@ -86,6 +88,11 @@ if [ "${TPL_TIER1_ASAN:-0}" = "1" ]; then
     ctest --test-dir "$ASAN_DIR" --output-on-failure -j
     for tests in 'SharedTable.TablesOutliveCatalogCacheAndPipeline' \
         'BatchFastLane\.' \
+        'BatchFastLane.FloatBlockLaneMatchesPerElementLane' \
+        'BatchFastLane.FixedBlockLaneMatchesPerElementLane' \
+        'BatchEdgeCases.DegenerateSizesBitIdentical' \
+        'BatchEdgeCases.NanAndInfLadenInputsBitIdentical' \
+        'BatchEdgeCases.MramCordicKeepsPerElementDmaOrder' \
         'BatchHostileSpec.TableBeyondAddressSpaceDrops' \
         'BatchHostileSpec.EmptyTableSpecDrops' \
         'BatchHostileSpec.WideFixedCordicScheduleServes'; do

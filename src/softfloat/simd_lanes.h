@@ -47,6 +47,10 @@ typedef float VFloat
 typedef uint32_t VBits
     __attribute__((vector_size(simdLanes * sizeof(uint32_t))));
 
+/** One SIMD register of signed 32-bit lanes (arithmetic shifts). */
+typedef int32_t VInt
+    __attribute__((vector_size(simdLanes * sizeof(int32_t))));
+
 #else
 #define TPL_SF_SIMD 0
 

@@ -20,6 +20,16 @@
  *  - CordicFixedEngine: arithmetic in Q3.28 with native integer ops
  *    (an ablation: far cheaper per iteration, accuracy capped near the
  *    2^-28 resolution).
+ *
+ * A fast-value sink (the batch path) runs the iterations in host
+ * arithmetic in one of two lanes, with the emulated loop's values,
+ * charges and notes: the per-element lane (iterateT, iterateFixedT)
+ * steps one start vector through the schedule, and the block lane
+ * (iterateBlockT, iterateFixedBlockT; SIMD builds only) steps a block
+ * of independent start vectors through each iteration together, one
+ * element per SIMD lane. An engine call splits into startT (the
+ * prologue, per element) and the iterations, so a batch can gather a
+ * block's start vectors, run the block lane, and finish each element.
  */
 
 #ifndef TPL_TRANSPIM_CORDIC_H
@@ -27,11 +37,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "common/bitops.h"
 #include "common/fixed_point.h"
 #include "common/instr_sink.h"
+#include "softfloat/simd_lanes.h"
 #include "softfloat/softfloat_core.h"
 #include "transpim/ldexp.h"
 #include "transpim/placement.h"
@@ -60,6 +72,23 @@ struct CordicFixedVector
     Fixed x;
     Fixed y;
     Fixed z;
+};
+
+/** The input of one rotation-mode engine call: the start angle. */
+template <class T>
+struct CordicRotation
+{
+    static constexpr bool vectoring = false;
+    T z0;
+};
+
+/** The input of one vectoring-mode engine call: the start vector. */
+template <class T>
+struct CordicVectoring
+{
+    static constexpr bool vectoring = true;
+    T x0;
+    T y0;
 };
 
 namespace cordic_detail {
@@ -252,6 +281,214 @@ iterateFixedT(CordicMode mode, const std::vector<uint32_t>& schedule,
     return {Fixed::fromRaw(x), Fixed::fromRaw(y), Fixed::fromRaw(z)};
 }
 
+#if TPL_SF_SIMD
+
+/** True when any lane of @p mask is non-zero. */
+inline bool
+anyLane(sf::VBits mask)
+{
+    uint64_t words[sizeof(mask) / sizeof(uint64_t)];
+    std::memcpy(words, &mask, sizeof(mask));
+    uint64_t any = 0;
+    for (uint64_t w : words)
+        any |= w;
+    return any != 0;
+}
+
+/** canonical() in every lane of a host vector sum, as bits. */
+inline sf::VBits
+canonicalBits(sf::VFloat r)
+{
+    const sf::VBits nan = reinterpret_cast<sf::VBits>(r != r);
+    return (reinterpret_cast<sf::VBits>(r) & ~nan) | (nan & ieeeQuietNan);
+}
+
+/**
+ * ldexpDownFast(., @p shift) in every lane of @p bits: the exponent-
+ * field result where that path applies. Lanes where it does not
+ * (zero, subnormal, inf/NaN, exponent <= @p shift) are set in
+ * @p slow; their returned bits are garbage (a shift of 256 or more
+ * wraps the field) until the caller's pimLdexpT fix-up replaces them.
+ * @p shift is below 2^30 (LutStore::checkSize bounds a schedule), so
+ * the exponent compares fit signed lanes.
+ */
+inline sf::VBits
+shiftDownBits(sf::VBits bits, uint32_t shift, sf::VBits& slow)
+{
+    const sf::VInt e = reinterpret_cast<sf::VInt>((bits >> 23) & 0xffu);
+    const int32_t s = static_cast<int32_t>(shift);
+    slow = reinterpret_cast<sf::VBits>((e <= s) | (e == 0xff));
+    return bits - (shift << 23);
+}
+
+/**
+ * The block lane of iterateT: @p Vectors * simdLanes independent start
+ * vectors @p v, one per SIMD lane, stepped through each iteration
+ * together and overwritten with their results. Each lane computes what
+ * iterateFastT computes for its element: the same host additions, the
+ * same sign-bit flips, the exponent-field shift in-vector with a
+ * scalar pimLdexpT fix-up for the lanes it does not cover. @p view is
+ * the angle table's host or WRAM view (an MRAM table has none and
+ * never reaches this lane). The block's charge and note totals are
+ * added once, as iterateFastT adds its per-call totals.
+ */
+template <bool Vectoring, int Vectors, class S>
+inline void
+iterateBlockT(CordicMode mode, const std::vector<uint32_t>& schedule,
+              LutView<float> view, CordicVector* v, S& sink)
+{
+    using sf::VBits;
+    using sf::VFloat;
+    constexpr int lanes = sf::simdLanes;
+    constexpr uint32_t signBit = 0x80000000u;
+    const uint32_t xFlip =
+        mode == CordicMode::Hyperbolic ? 0u : signBit;
+    VBits x[Vectors], y[Vectors], z[Vectors];
+    for (int b = 0; b < Vectors; ++b)
+        for (int l = 0; l < lanes; ++l) {
+            x[b][l] = floatBits(v[b * lanes + l].x);
+            y[b][l] = floatBits(v[b * lanes + l].y);
+            z[b][l] = floatBits(v[b * lanes + l].z);
+        }
+    auto sum = [](VBits a, VBits b) {
+        return reinterpret_cast<VFloat>(a) + reinterpret_cast<VFloat>(b);
+    };
+    // Per lane at most Vectors * n subtractions: below 2^32, since a
+    // schedule has fewer than 2^30 steps (LutStore::checkSize).
+    VBits xSubs = {};
+    uint64_t slowShifts = 0;
+    const uint64_t n = schedule.size();
+    for (uint32_t k = 0; k < n; ++k) {
+        const uint32_t i = schedule[k];
+        const uint32_t ang = floatBits(view[k]);
+        VBits xs[Vectors], ys[Vectors], xSlow[Vectors], ySlow[Vectors];
+        VBits anySlow = {};
+        for (int b = 0; b < Vectors; ++b) {
+            xs[b] = shiftDownBits(x[b], i, xSlow[b]);
+            ys[b] = shiftDownBits(y[b], i, ySlow[b]);
+            anySlow |= xSlow[b] | ySlow[b];
+        }
+        if (anyLane(anySlow)) {
+            auto fix = [&](VBits& out, const VBits& in, const VBits& slow) {
+                for (int l = 0; l < lanes; ++l)
+                    if (slow[l]) {
+                        out[l] = floatBits(pimLdexpT(
+                            bitsToFloat(in[l]), -static_cast<int>(i),
+                            sink));
+                        ++slowShifts;
+                    }
+            };
+            for (int b = 0; b < Vectors; ++b) {
+                fix(xs[b], x[b], xSlow[b]);
+                fix(ys[b], y[b], ySlow[b]);
+            }
+        }
+        // Only the component whose sign picks the step (z in rotation,
+        // y in vectoring) needs canonical() after every step. A NaN in
+        // the other two reaches nothing but its own final value: its
+        // shift takes pimLdexpT's pass-through, with the same charge
+        // for any payload, and every sum with it is a NaN. So they take
+        // canonical() once, after the last step (a schedule of no steps
+        // returns the start vector untouched, as iterateFastT does).
+        for (int b = 0; b < Vectors; ++b) {
+            // 0 on a positive step, the sign bit on a negative one.
+            const VBits neg = Vectoring ? ~y[b] & signBit : z[b] & signBit;
+            const VBits xNeg = neg ^ xFlip;
+            xSubs += xNeg >> 31;
+            const VFloat nx = sum(x[b], ys[b] ^ xNeg);
+            const VFloat ny = sum(y[b], xs[b] ^ neg);
+            const VFloat nz = sum(z[b], (neg ^ signBit) ^ ang);
+            x[b] = reinterpret_cast<VBits>(nx);
+            y[b] = Vectoring ? canonicalBits(ny)
+                             : reinterpret_cast<VBits>(ny);
+            z[b] = Vectoring ? reinterpret_cast<VBits>(nz)
+                             : canonicalBits(nz);
+        }
+    }
+    for (int b = 0; b < Vectors && n > 0; ++b) {
+        x[b] = canonicalBits(reinterpret_cast<VFloat>(x[b]));
+        VBits& other = Vectoring ? z[b] : y[b];
+        other = canonicalBits(reinterpret_cast<VFloat>(other));
+    }
+    for (int b = 0; b < Vectors; ++b)
+        for (int l = 0; l < lanes; ++l)
+            v[b * lanes + l] = {bitsToFloat(x[b][l]), bitsToFloat(y[b][l]),
+                                bitsToFloat(z[b][l])};
+    uint64_t subs = 0;
+    for (int l = 0; l < lanes; ++l)
+        subs += xSubs[l];
+    const uint64_t steps = n * Vectors * lanes;
+    const uint64_t inlinedShifts = 2 * steps - slowShifts;
+    sink.chargeClassWide(InstrClass::IntAlu,
+                         steps * (iterControlCost + lutReadCost) +
+                             inlinedShifts *
+                                 ldexp_detail::fastPathCost);
+    sink.chargeClassWide(InstrClass::SoftFloat,
+                         steps * (3 * sf::core::addCharge + 1) + subs);
+    sink.noteWide(OpClass::FloatAdd, 3 * steps);
+    sink.noteWide(OpClass::Ldexp, inlinedShifts);
+    sink.noteWide(OpClass::TableRead, steps);
+}
+
+/**
+ * The block lane of iterateFixedT: @p Vectors * simdLanes independent
+ * Q3.28 start vectors @p v stepped through each iteration together,
+ * with iterateFixedT's shifts and sign-masked adds in every lane and
+ * the block's charge and note totals added once.
+ */
+template <bool Vectoring, int Vectors, class S>
+inline void
+iterateFixedBlockT(CordicMode mode, const std::vector<uint32_t>& schedule,
+                   LutView<int32_t> view, CordicFixedVector* v, S& sink)
+{
+    using sf::VBits;
+    using sf::VInt;
+    constexpr int lanes = sf::simdLanes;
+    const uint32_t xFlip = mode == CordicMode::Hyperbolic ? 0u : ~0u;
+    VBits x[Vectors], y[Vectors], z[Vectors];
+    for (int b = 0; b < Vectors; ++b)
+        for (int l = 0; l < lanes; ++l) {
+            x[b][l] = static_cast<uint32_t>(v[b * lanes + l].x.raw());
+            y[b][l] = static_cast<uint32_t>(v[b * lanes + l].y.raw());
+            z[b][l] = static_cast<uint32_t>(v[b * lanes + l].z.raw());
+        }
+    // addOrSub in every lane, in unsigned (wrapping) arithmetic.
+    auto addOrSubV = [](VBits a, VBits b, VBits mask) {
+        return a + ((b ^ mask) - mask);
+    };
+    auto floorShift = [](VBits a, int i) {
+        return reinterpret_cast<VBits>(reinterpret_cast<VInt>(a) >> i);
+    };
+    const uint64_t n = schedule.size();
+    for (uint32_t k = 0; k < n; ++k) {
+        const int i = static_cast<int>(std::min(schedule[k], 31u));
+        const VBits ang = VBits{} + static_cast<uint32_t>(view[k]);
+        for (int b = 0; b < Vectors; ++b) {
+            const VBits xs = floorShift(x[b], i);
+            const VBits ys = floorShift(y[b], i);
+            // All ones on a negative step.
+            const VBits neg = Vectoring ? ~floorShift(y[b], 31)
+                                        : floorShift(z[b], 31);
+            const VBits nx = addOrSubV(x[b], ys, neg ^ xFlip);
+            y[b] = addOrSubV(y[b], xs, neg);
+            z[b] = addOrSubV(z[b], ang, ~neg);
+            x[b] = nx;
+        }
+    }
+    for (int b = 0; b < Vectors; ++b)
+        for (int l = 0; l < lanes; ++l)
+            v[b * lanes + l] = {
+                Fixed::fromRaw(static_cast<int32_t>(x[b][l])),
+                Fixed::fromRaw(static_cast<int32_t>(y[b][l])),
+                Fixed::fromRaw(static_cast<int32_t>(z[b][l]))};
+    const uint64_t steps = n * Vectors * lanes;
+    sink.chargeClassWide(InstrClass::IntAlu,
+                         steps * (fixedStepCost + lutReadCost));
+    sink.noteWide(OpClass::TableRead, steps);
+}
+
+#endif // TPL_SF_SIMD
+
 } // namespace cordic_detail
 
 /**
@@ -295,9 +532,9 @@ class CordicEngine
     Result
     rotateT(float z0, S& sink) const
     {
-        sink.charge(cordic_detail::startupCost);
         return cordic_detail::iterateT<false>(
-            mode_, schedule_, table_, {invGain_, 0.0f, z0}, sink);
+            mode_, schedule_, table_, startT(CordicRotation<float>{z0}, sink),
+            sink);
     }
 
     /** Sink-template body of vector() (batch path inlines it). */
@@ -305,10 +542,49 @@ class CordicEngine
     Result
     vectorT(float x0, float y0, S& sink) const
     {
-        sink.charge(cordic_detail::startupCost);
-        return cordic_detail::iterateT<true>(mode_, schedule_, table_,
-                                             {x0, y0, 0.0f}, sink);
+        return cordic_detail::iterateT<true>(
+            mode_, schedule_, table_,
+            startT(CordicVectoring<float>{x0, y0}, sink), sink);
     }
+
+    /** rotateT's prologue: its start vector (invGain, 0, z0). */
+    template <class S>
+    CordicVector
+    startT(CordicRotation<float> in, S& sink) const
+    {
+        sink.charge(cordic_detail::startupCost);
+        return {invGain_, 0.0f, in.z0};
+    }
+
+    /** vectorT's prologue: its start vector (x0, y0, 0). */
+    template <class S>
+    CordicVector
+    startT(CordicVectoring<float> in, S& sink) const
+    {
+        sink.charge(cordic_detail::startupCost);
+        return {in.x0, in.y0, 0.0f};
+    }
+
+    /** The angle table's view for @p sink (LutStore::viewT): empty for
+     * MRAM, whose calls cannot take the block lane. */
+    template <class S>
+    LutView<float>
+    angleViewT(S& sink) const
+    {
+        return table_.viewT(sink);
+    }
+
+#if TPL_SF_SIMD
+    /** The iterations of startT's vectors @p v, in the block lane
+     * (cordic_detail::iterateBlockT) over @p view = angleViewT(). */
+    template <bool Vectoring, int Vectors, class S>
+    void
+    iterateBlockT(LutView<float> view, CordicVector* v, S& sink) const
+    {
+        cordic_detail::iterateBlockT<Vectoring, Vectors>(mode_, schedule_,
+                                                         view, v, sink);
+    }
+#endif
 
     CordicMode mode() const { return mode_; }
 
@@ -365,9 +641,10 @@ class CordicFixedEngine
     Result
     rotateT(Fixed z0, S& sink) const
     {
-        sink.charge(cordic_detail::startupCost);
+        Result v = startT(CordicRotation<Fixed>{z0}, sink);
         return cordic_detail::iterateFixedT<false>(
-            mode_, schedule_, table_, invGain_.raw(), 0, z0.raw(), sink);
+            mode_, schedule_, table_, v.x.raw(), v.y.raw(), v.z.raw(),
+            sink);
     }
 
     /** Sink-template body of vector() (batch path inlines it). */
@@ -375,10 +652,49 @@ class CordicFixedEngine
     Result
     vectorT(Fixed x0, Fixed y0, S& sink) const
     {
-        sink.charge(cordic_detail::startupCost);
+        Result v = startT(CordicVectoring<Fixed>{x0, y0}, sink);
         return cordic_detail::iterateFixedT<true>(
-            mode_, schedule_, table_, x0.raw(), y0.raw(), 0, sink);
+            mode_, schedule_, table_, v.x.raw(), v.y.raw(), v.z.raw(),
+            sink);
     }
+
+    /** rotateT's prologue: its start vector (invGain, 0, z0). */
+    template <class S>
+    Result
+    startT(CordicRotation<Fixed> in, S& sink) const
+    {
+        sink.charge(cordic_detail::startupCost);
+        return {invGain_, Fixed(), in.z0};
+    }
+
+    /** vectorT's prologue: its start vector (x0, y0, 0). */
+    template <class S>
+    Result
+    startT(CordicVectoring<Fixed> in, S& sink) const
+    {
+        sink.charge(cordic_detail::startupCost);
+        return {in.x0, in.y0, Fixed()};
+    }
+
+    /** The angle table's view for @p sink; see CordicEngine. */
+    template <class S>
+    LutView<int32_t>
+    angleViewT(S& sink) const
+    {
+        return table_.viewT(sink);
+    }
+
+#if TPL_SF_SIMD
+    /** The iterations of startT's vectors @p v, in the block lane
+     * (cordic_detail::iterateFixedBlockT). */
+    template <bool Vectoring, int Vectors, class S>
+    void
+    iterateBlockT(LutView<int32_t> view, Result* v, S& sink) const
+    {
+        cordic_detail::iterateFixedBlockT<Vectoring, Vectors>(
+            mode_, schedule_, view, v, sink);
+    }
+#endif
 
     uint32_t iterations() const { return iterations_; }
 

@@ -57,7 +57,19 @@ class CordicLutEngine
     Result
     rotateT(float z0, S& sink) const
     {
+        return cordic_detail::iterateT<false>(
+            mode_, tailSchedule_, angleTable_,
+            startT(CordicRotation<float>{z0}, sink), sink);
+    }
+
+    /** rotateT's prologue, the LUT head: the pre-rotated entry nearest
+     * @p in.z0 as the tail's start vector. */
+    template <class S>
+    CordicVector
+    startT(CordicRotation<float> in, S& sink) const
+    {
         // L-LUT-style head: ldexp + round, no multiplication.
+        const float z0 = in.z0;
         float t = z0;
         if (lo_ != 0.0f)
             t = sf::subT(z0, lo_, sink);
@@ -72,9 +84,31 @@ class CordicLutEngine
         Entry e = entryTable_.readT(static_cast<uint32_t>(j), sink);
 
         float z = sf::subT(z0, e.a, sink);
-        return cordic_detail::iterateT<false>(
-            mode_, tailSchedule_, angleTable_, {e.x, e.y, z}, sink);
+        return {e.x, e.y, z};
     }
+
+    /** The tail angle table's view for @p sink; see CordicEngine. The
+     * entry table shares its placement, so a head with a view never
+     * DMAs either. */
+    template <class S>
+    LutView<float>
+    angleViewT(S& sink) const
+    {
+        return angleTable_.viewT(sink);
+    }
+
+#if TPL_SF_SIMD
+    /** The tail iterations of startT's vectors @p v, in the block
+     * lane (cordic_detail::iterateBlockT). */
+    template <bool Vectoring, int Vectors, class S>
+    void
+    iterateBlockT(LutView<float> view, CordicVector* v, S& sink) const
+    {
+        static_assert(!Vectoring, "CordicLutEngine only rotates");
+        cordic_detail::iterateBlockT<false, Vectors>(mode_, tailSchedule_,
+                                                     view, v, sink);
+    }
+#endif
 
     /** Tail iterations actually executed. */
     uint32_t tailIterations() const

@@ -55,12 +55,143 @@ runBatch(const Body& body, std::span<const float> in,
         out[i] = body(in[i], sink);
 }
 
+/** The carry of a staged body whose post stage needs nothing from its
+ * pre stage. */
+struct NoCarry
+{};
+
+/**
+ * What a staged body's pre stage returns: the input of its one engine
+ * call (CordicRotation or CordicVectoring) and the values its post
+ * stage needs.
+ */
+template <class In, class Carry>
+struct Staged
+{
+    In in;
+    Carry carry;
+};
+
+/** A pre stage's result for a rotation-mode engine call. */
+template <class T, class Carry = NoCarry>
+Staged<CordicRotation<T>, Carry>
+rotating(T z0, Carry carry = {})
+{
+    return {{z0}, carry};
+}
+
+/** A pre stage's result for a vectoring-mode engine call. */
+template <class T, class Carry = NoCarry>
+Staged<CordicVectoring<T>, Carry>
+vectoring(T x0, T y0, Carry carry = {})
+{
+    return {{x0, y0}, carry};
+}
+
+/**
+ * A CORDIC body that makes exactly one unconditional engine call, in
+ * stages: pre(x, sink) returns a Staged, the engine runs, and
+ * post(carry, result, sink) returns the output. Calling it runs
+ * pre → rotateT/vectorT → post: the scalar path and the batch path's
+ * per-element lane. runBatch also runs whole blocks of it through the
+ * engine's block lane; this one definition serves both.
+ */
+template <class Engine, class Pre, class Post>
+struct StagedBody
+{
+    std::shared_ptr<const Engine> engine;
+    Pre pre;
+    Post post;
+
+    template <class S>
+    float
+    operator()(float x, S& sink) const
+    {
+        auto [in, carry] = pre(x, sink);
+        if constexpr (decltype(in)::vectoring)
+            return post(carry, engine->vectorT(in.x0, in.y0, sink), sink);
+        else
+            return post(carry, engine->rotateT(in.z0, sink), sink);
+    }
+};
+
+/** The StagedBody of @p pre and @p post around @p engine. */
+template <class Engine, class Pre, class Post>
+StagedBody<std::remove_const_t<Engine>, Pre, Post>
+staged(std::shared_ptr<Engine> engine, Pre pre, Post post)
+{
+    return {std::move(engine), std::move(pre), std::move(post)};
+}
+
+#if TPL_SF_SIMD
+/**
+ * One block of @p Vectors * simdLanes elements of a staged body in the
+ * engine's block lane: every element's pre stage and engine prologue,
+ * then the iterations of all of them together, then every post stage.
+ * All inputs are read before any output is written, so @p in may
+ * alias @p out.
+ */
+template <int Vectors, class Engine, class Pre, class Post, class View>
+void
+runBlock(const StagedBody<Engine, Pre, Post>& body, View view,
+         const float* in, float* out, BatchSink& sink)
+{
+    constexpr int n = Vectors * sf::simdLanes;
+    using Stage = decltype(body.pre(0.0f, sink));
+    Stage stages[n]{};
+    typename Engine::Result v[n]{};
+    for (int j = 0; j < n; ++j) {
+        stages[j] = body.pre(in[j], sink);
+        v[j] = body.engine->startT(stages[j].in, sink);
+    }
+    constexpr bool vectoring = decltype(Stage::in)::vectoring;
+    body.engine->template iterateBlockT<vectoring, Vectors>(view, v,
+                                                             sink);
+    for (int j = 0; j < n; ++j)
+        out[j] = body.post(stages[j].carry, v[j], sink);
+}
+#endif
+
+/**
+ * The batched loop over a staged body. With a host or WRAM angle
+ * table it runs blocks of four vectors, then single vectors, in the
+ * block lane, and the remainder (and every element of an MRAM table,
+ * whose reads must stay one DMA per step) per element. Reordering
+ * work within a block changes no total: the batch's charges and notes
+ * are sums, and a block does no DMA.
+ */
+template <class Engine, class Pre, class Post>
+[[gnu::flatten]] void
+runBatch(const StagedBody<Engine, Pre, Post>& body,
+         std::span<const float> in, std::span<float> out,
+         BatchSink& sink)
+{
+    std::size_t i = 0;
+#if TPL_SF_SIMD
+    constexpr std::size_t lanes = sf::simdLanes;
+    constexpr int blockVectors = 4;
+    if (in.size() >= lanes) {
+        if (auto view = body.engine->angleViewT(sink)) {
+            for (; in.size() - i >= blockVectors * lanes;
+                 i += blockVectors * lanes)
+                runBlock<blockVectors>(body, view, &in[i], &out[i],
+                                       sink);
+            for (; in.size() - i >= lanes; i += lanes)
+                runBlock<1>(body, view, &in[i], &out[i], sink);
+        }
+    }
+#endif
+    for (; i < in.size(); ++i)
+        out[i] = body(in[i], sink);
+}
+
 /**
  * Both materializations of one evaluation body. The builders assign a
- * generic `(float x, auto& sink)` lambda once; the templated operator=
- * instantiates it twice — with SinkRef for the scalar std::function
- * and with BatchSink for the batched loop — so the two paths share one
- * body and cannot diverge in values or charges.
+ * generic `(float x, auto& sink)` lambda or a StagedBody once; the
+ * templated operator= instantiates it twice — with SinkRef for the
+ * scalar std::function and with BatchSink for the batched loop — so
+ * the two paths share one body and cannot diverge in values or
+ * charges.
  */
 struct EvalPair
 {
@@ -551,17 +682,146 @@ buildTableMethod(Function f, const MethodSpec& spec)
 
 // ---------------------------------------------------------------------
 // CORDIC builders
+//
+// A body that makes exactly one unconditional engine call is a
+// StagedBody, so the batch path can run it in the block lane; bodies
+// that call the engine conditionally or twice stay generic lambdas
+// and call staged bodies (or the engine) per element.
 // ---------------------------------------------------------------------
 
-/** e^x via split + hyperbolic rotation + ldexp. */
-template <class S>
-float
-cordicExp(const CordicEngine& engine, float x, S& sink)
+/** Pre stage of the float trig bodies: optional 2*pi reduction, then
+ * the quadrant split; the quadrant is the carry. */
+auto
+trigPre(bool reduce)
 {
-    ExpSplit s = splitExpT(x, sink);
-    CordicEngine::Result r = engine.rotateT(s.r, sink);
-    float e = sf::addT(r.x, r.y, sink); // cosh + sinh
-    return pimLdexpT(e, s.k, sink);
+    return [reduce](float x, auto& sink) {
+        if (reduce)
+            x = reduceTwoPiT(x, sink);
+        QuadrantReduced qr = reduceQuadrantT(x, sink);
+        return rotating(qr.r, qr.q);
+    };
+}
+
+/** Post stage of the float trig bodies: quadrant output selection. */
+auto
+trigPost(Function f)
+{
+    return [f](int q, const CordicVector& r, auto& sink) {
+        if (f == Function::Sin)
+            return selectSin(r, q, sink);
+        if (f == Function::Cos)
+            return selectCos(r, q, sink);
+        float s = selectSin(r, q, sink);
+        float c = selectCos(r, q, sink);
+        return sf::divT(s, c, sink);
+    };
+}
+
+/** Post stage of the exponential bodies: cosh + sinh, then ldexp by
+ * the carried power of two. */
+auto
+expPost()
+{
+    return [](int32_t k, const CordicVector& r, auto& sink) {
+        float e = sf::addT(r.x, r.y, sink);
+        return pimLdexpT(e, k, sink);
+    };
+}
+
+/** e^x via split + hyperbolic rotation + ldexp. */
+template <class Engine>
+auto
+cordicExp(std::shared_ptr<Engine> eng)
+{
+    return staged(std::move(eng),
+                  [](float x, auto& sink) {
+                      ExpSplit s = splitExpT(x, sink);
+                      return rotating(s.r, s.k);
+                  },
+                  expPost());
+}
+
+/** 2^x = 2^k * e^(r*ln2), r = x - floor(x) in [0, 1). */
+template <class Engine>
+auto
+cordicExp2(std::shared_ptr<Engine> eng)
+{
+    return staged(std::move(eng),
+                  [](float x, auto& sink) {
+                      int32_t k = sf::toI32FloorT(x, sink);
+                      float kf = sf::fromI32T(k, sink);
+                      float r = sf::subT(x, kf, sink);
+                      return rotating(sf::mulT(r, fLn2, sink), k);
+                  },
+                  expPost());
+}
+
+/** What the sigmoid post stage needs: e^-x's power of two and x. */
+struct SigmoidCarry
+{
+    int32_t k;
+    float x;
+};
+
+/** sigmoid x = 1 / (1 + e^-x) over the e^x body @p exp; silu
+ * multiplies by x. */
+template <class ExpBody>
+auto
+cordicSigmoid(const ExpBody& exp, bool silu)
+{
+    return staged(
+        exp.engine,
+        [pre = exp.pre](float x, auto& sink) {
+            auto s = pre(sf::negT(x, sink), sink);
+            return rotating(s.in.z0, SigmoidCarry{s.carry, x});
+        },
+        [post = exp.post, silu](SigmoidCarry c, const CordicVector& r,
+                                auto& sink) {
+            float e = post(c.k, r, sink);
+            float s = sf::divT(1.0f, sf::addT(1.0f, e, sink), sink);
+            if (silu)
+                s = sf::mulT(c.x, s, sink);
+            return s;
+        });
+}
+
+/** Pre stage of the logarithm bodies: x = m * 2^k, then vectoring
+ * (m + 1, m - 1); k is the carry. */
+auto
+logPre()
+{
+    return [](float x, auto& sink) {
+        LogSplit s = splitLogT(x, sink);
+        float x0 = sf::addT(s.m, 1.0f, sink);
+        float y0 = sf::subT(s.m, 1.0f, sink);
+        return vectoring(x0, y0, s.k);
+    };
+}
+
+/** log x = k*ln2 + 2*atanh((m-1)/(m+1)). */
+auto
+cordicLog(std::shared_ptr<CordicEngine> eng)
+{
+    return staged(std::move(eng), logPre(),
+                  [](int32_t k, const CordicVector& r, auto& sink) {
+                      float lm = pimLdexpT(r.z, 1, sink);
+                      float kf = sf::fromI32T(k, sink);
+                      return sf::addT(lm, sf::mulT(kf, fLn2, sink),
+                                      sink);
+                  });
+}
+
+/** Pre stage of the square-root bodies: x = m * 4^k, then vectoring
+ * (m + 1/4, m - 1/4); k is the carry. */
+auto
+sqrtPre()
+{
+    return [](float x, auto& sink) {
+        SqrtSplit s = splitSqrtT(x, sink);
+        float x0 = sf::addT(s.m, 0.25f, sink);
+        float y0 = sf::subT(s.m, 0.25f, sink);
+        return vectoring(x0, y0, s.k);
+    };
 }
 
 /** |x| <= 1 test: one bit-mask compare. */
@@ -578,148 +838,91 @@ buildCordic(Function f, const MethodSpec& spec)
 {
     Built out;
     bool reduce = spec.reduceRange;
+    auto eng = std::make_shared<CordicEngine>(
+        f == Function::Sin || f == Function::Cos || f == Function::Tan ||
+                f == Function::Atan
+            ? CordicMode::Circular
+            : CordicMode::Hyperbolic,
+        spec.iterations, spec.placement);
+    out.attach = [eng](sim::DpuCore& c) { eng->attach(c); };
+    out.memoryBytes = eng->memoryBytes();
 
     switch (f) {
       case Function::Sin:
       case Function::Cos:
-      case Function::Tan: {
-        auto eng = std::make_shared<CordicEngine>(
-            CordicMode::Circular, spec.iterations, spec.placement);
-        out.eval = [eng, f, reduce](float x, auto& sink) {
-            if (reduce)
-                x = reduceTwoPiT(x, sink);
-            QuadrantReduced qr = reduceQuadrantT(x, sink);
-            CordicEngine::Result r = eng->rotateT(qr.r, sink);
-            if (f == Function::Sin)
-                return selectSin(r, qr.q, sink);
-            if (f == Function::Cos)
-                return selectCos(r, qr.q, sink);
-            float s = selectSin(r, qr.q, sink);
-            float c = selectCos(r, qr.q, sink);
-            return sf::divT(s, c, sink);
-        };
-        out.attach = [eng](sim::DpuCore& c) { eng->attach(c); };
-        out.memoryBytes = eng->memoryBytes();
+      case Function::Tan:
+        out.eval = staged(eng, trigPre(reduce), trigPost(f));
         return out;
-      }
       case Function::Sinh:
       case Function::Cosh: {
-        auto eng = std::make_shared<CordicEngine>(
-            CordicMode::Hyperbolic, spec.iterations, spec.placement);
-        out.eval = [eng, f](float x, auto& sink) {
+        auto exp = cordicExp(eng);
+        out.eval = [eng, exp, f](float x, auto& sink) {
             if (magnitudeBelowOne(x, sink)) {
                 CordicEngine::Result r = eng->rotateT(x, sink);
                 return f == Function::Sinh ? r.y : r.x;
             }
             // Outside the convergence range: exp identities.
-            float e = cordicExp(*eng, x, sink);
+            float e = exp(x, sink);
             float ei = sf::divT(1.0f, e, sink);
             float t = f == Function::Sinh ? sf::subT(e, ei, sink)
                                           : sf::addT(e, ei, sink);
             return pimLdexpT(t, -1, sink);
         };
-        out.attach = [eng](sim::DpuCore& c) { eng->attach(c); };
-        out.memoryBytes = eng->memoryBytes();
         return out;
       }
       case Function::Tanh: {
-        auto eng = std::make_shared<CordicEngine>(
-            CordicMode::Hyperbolic, spec.iterations, spec.placement);
-        out.eval = [eng](float x, auto& sink) {
+        auto exp = cordicExp(eng);
+        out.eval = [eng, exp](float x, auto& sink) {
             if (magnitudeBelowOne(x, sink)) {
                 CordicEngine::Result r = eng->rotateT(x, sink);
                 return sf::divT(r.y, r.x, sink);
             }
             // tanh x = 1 - 2 / (e^(2x) + 1).
-            float e2 = cordicExp(*eng, pimLdexpT(x, 1, sink), sink);
+            float e2 = exp(pimLdexpT(x, 1, sink), sink);
             float d = sf::addT(e2, 1.0f, sink);
             float t = sf::divT(2.0f, d, sink);
             return sf::subT(1.0f, t, sink);
         };
-        out.attach = [eng](sim::DpuCore& c) { eng->attach(c); };
-        out.memoryBytes = eng->memoryBytes();
         return out;
       }
-      case Function::Exp: {
-        auto eng = std::make_shared<CordicEngine>(
-            CordicMode::Hyperbolic, spec.iterations, spec.placement);
-        out.eval = [eng](float x, auto& sink) {
-            return cordicExp(*eng, x, sink);
-        };
-        out.attach = [eng](sim::DpuCore& c) { eng->attach(c); };
-        out.memoryBytes = eng->memoryBytes();
+      case Function::Exp:
+        out.eval = cordicExp(eng);
         return out;
-      }
-      case Function::Log: {
-        auto eng = std::make_shared<CordicEngine>(
-            CordicMode::Hyperbolic, spec.iterations, spec.placement);
-        out.eval = [eng](float x, auto& sink) {
-            // log x = k*ln2 + 2*atanh((m-1)/(m+1)).
-            LogSplit s = splitLogT(x, sink);
-            float x0 = sf::addT(s.m, 1.0f, sink);
-            float y0 = sf::subT(s.m, 1.0f, sink);
-            CordicEngine::Result r = eng->vectorT(x0, y0, sink);
-            float lm = pimLdexpT(r.z, 1, sink);
-            float kf = sf::fromI32T(s.k, sink);
-            return sf::addT(lm, sf::mulT(kf, fLn2, sink), sink);
-        };
-        out.attach = [eng](sim::DpuCore& c) { eng->attach(c); };
-        out.memoryBytes = eng->memoryBytes();
+      case Function::Log:
+        out.eval = cordicLog(eng);
         return out;
-      }
       case Function::Sqrt: {
-        auto eng = std::make_shared<CordicEngine>(
-            CordicMode::Hyperbolic, spec.iterations, spec.placement);
+        // sqrt x = 2^k * gain^-1 * x_n with (x_n, _) from vectoring
+        // (m + 1/4, m - 1/4).
         float invGain = eng->invGain();
-        out.eval = [eng, invGain](float x, auto& sink) {
+        auto root = staged(
+            eng, sqrtPre(),
+            [invGain](int32_t k, const CordicVector& r, auto& sink) {
+                float v = sf::mulT(r.x, invGain, sink);
+                return pimLdexpT(v, k, sink);
+            });
+        out.eval = [root](float x, auto& sink) {
             sink.charge(2); // zero guard
             if (floatBits(x) == 0 || floatBits(x) == 0x80000000u)
                 return 0.0f;
-            // sqrt x = 2^k * gain^-1 * x_n with (x_n, _) from
-            // vectoring (m + 1/4, m - 1/4).
-            SqrtSplit s = splitSqrtT(x, sink);
-            float x0 = sf::addT(s.m, 0.25f, sink);
-            float y0 = sf::subT(s.m, 0.25f, sink);
-            CordicEngine::Result r = eng->vectorT(x0, y0, sink);
-            float v = sf::mulT(r.x, invGain, sink);
-            return pimLdexpT(v, s.k, sink);
+            return root(x, sink);
         };
-        out.attach = [eng](sim::DpuCore& c) { eng->attach(c); };
-        out.memoryBytes = eng->memoryBytes();
         return out;
       }
       case Function::Sigmoid:
-      case Function::Silu: {
-        auto eng = std::make_shared<CordicEngine>(
-            CordicMode::Hyperbolic, spec.iterations, spec.placement);
-        bool silu = f == Function::Silu;
-        out.eval = [eng, silu](float x, auto& sink) {
-            float e = cordicExp(*eng, sf::negT(x, sink), sink);
-            float s = sf::divT(1.0f, sf::addT(1.0f, e, sink), sink);
-            if (silu)
-                s = sf::mulT(x, s, sink);
-            return s;
-        };
-        out.attach = [eng](sim::DpuCore& c) { eng->attach(c); };
-        out.memoryBytes = eng->memoryBytes();
+      case Function::Silu:
+        out.eval = cordicSigmoid(cordicExp(eng), f == Function::Silu);
         return out;
-      }
-      case Function::Atan: {
+      case Function::Atan:
         // Circular vectoring: z accumulates atan(y0/x0).
-        auto eng = std::make_shared<CordicEngine>(
-            CordicMode::Circular, spec.iterations, spec.placement);
-        out.eval = [eng](float x, auto& sink) {
-            CordicEngine::Result r = eng->vectorT(1.0f, x, sink);
-            return r.z;
-        };
-        out.attach = [eng](sim::DpuCore& c) { eng->attach(c); };
-        out.memoryBytes = eng->memoryBytes();
+        out.eval = staged(
+            eng,
+            [](float x, auto&) { return vectoring(1.0f, x); },
+            [](NoCarry, const CordicVector& r, auto&) { return r.z; });
         return out;
-      }
       case Function::Atanh: {
-        auto eng = std::make_shared<CordicEngine>(
-            CordicMode::Hyperbolic, spec.iterations, spec.placement);
-        out.eval = [eng](float x, auto& sink) {
+        auto log = cordicLog(eng);
+        out.eval = [eng, log](float x, auto& sink) {
             // Direct vectoring converges for |x| <= tanh(1.118); use
             // atanh x = ln((1+x)/(1-x))/2 via the log path beyond.
             sink.charge(3);
@@ -729,95 +932,51 @@ buildCordic(Function f, const MethodSpec& spec)
             }
             float u = sf::divT(sf::addT(1.0f, x, sink),
                               sf::subT(1.0f, x, sink), sink);
-            LogSplit s = splitLogT(u, sink);
-            float x0 = sf::addT(s.m, 1.0f, sink);
-            float y0 = sf::subT(s.m, 1.0f, sink);
-            CordicEngine::Result r = eng->vectorT(x0, y0, sink);
-            float lm = pimLdexpT(r.z, 1, sink);
-            float kf = sf::fromI32T(s.k, sink);
-            float ln = sf::addT(lm, sf::mulT(kf, fLn2, sink), sink);
-            return pimLdexpT(ln, -1, sink);
+            return pimLdexpT(log(u, sink), -1, sink);
         };
-        out.attach = [eng](sim::DpuCore& c) { eng->attach(c); };
-        out.memoryBytes = eng->memoryBytes();
         return out;
       }
       case Function::Log2:
       case Function::Log10: {
-        auto eng = std::make_shared<CordicEngine>(
-            CordicMode::Hyperbolic, spec.iterations, spec.placement);
         bool base10 = f == Function::Log10;
         const float log2e = 1.44269504088896340736f;
         const float log10of2 = 0.30102999566398119521f;
-        out.eval = [eng, base10, log2e, log10of2](float x,
-                                                  auto& sink) {
-            LogSplit s = splitLogT(x, sink);
-            float x0 = sf::addT(s.m, 1.0f, sink);
-            float y0 = sf::subT(s.m, 1.0f, sink);
-            CordicEngine::Result r = eng->vectorT(x0, y0, sink);
-            float lnm = pimLdexpT(r.z, 1, sink);
-            float l2m = sf::mulT(lnm, log2e, sink);
-            float kf = sf::fromI32T(s.k, sink);
-            float l2 = sf::addT(l2m, kf, sink);
-            if (base10)
-                l2 = sf::mulT(l2, log10of2, sink);
-            return l2;
-        };
-        out.attach = [eng](sim::DpuCore& c) { eng->attach(c); };
-        out.memoryBytes = eng->memoryBytes();
+        out.eval = staged(
+            eng, logPre(),
+            [base10, log2e, log10of2](int32_t k, const CordicVector& r,
+                                      auto& sink) {
+                float lnm = pimLdexpT(r.z, 1, sink);
+                float l2m = sf::mulT(lnm, log2e, sink);
+                float kf = sf::fromI32T(k, sink);
+                float l2 = sf::addT(l2m, kf, sink);
+                if (base10)
+                    l2 = sf::mulT(l2, log10of2, sink);
+                return l2;
+            });
         return out;
       }
-      case Function::Exp2: {
-        auto eng = std::make_shared<CordicEngine>(
-            CordicMode::Hyperbolic, spec.iterations, spec.placement);
-        out.eval = [eng](float x, auto& sink) {
-            // 2^x = 2^k * e^(r*ln2), r = x - floor(x) in [0, 1).
-            int32_t k = sf::toI32FloorT(x, sink);
-            float kf = sf::fromI32T(k, sink);
-            float r = sf::subT(x, kf, sink);
-            float rl = sf::mulT(r, fLn2, sink);
-            CordicEngine::Result rot = eng->rotateT(rl, sink);
-            float e = sf::addT(rot.x, rot.y, sink);
-            return pimLdexpT(e, k, sink);
-        };
-        out.attach = [eng](sim::DpuCore& c) { eng->attach(c); };
-        out.memoryBytes = eng->memoryBytes();
+      case Function::Exp2:
+        out.eval = cordicExp2(eng);
         return out;
-      }
       case Function::Rsqrt: {
-        auto eng = std::make_shared<CordicEngine>(
-            CordicMode::Hyperbolic, spec.iterations, spec.placement);
         float invGain = eng->invGain();
-        out.eval = [eng, invGain](float x, auto& sink) {
-            SqrtSplit s = splitSqrtT(x, sink);
-            float x0 = sf::addT(s.m, 0.25f, sink);
-            float y0 = sf::subT(s.m, 0.25f, sink);
-            CordicEngine::Result r = eng->vectorT(x0, y0, sink);
-            float sq = sf::mulT(r.x, invGain, sink);
-            float inv = sf::divT(1.0f, sq, sink);
-            return pimLdexpT(inv, -s.k, sink);
-        };
-        out.attach = [eng](sim::DpuCore& c) { eng->attach(c); };
-        out.memoryBytes = eng->memoryBytes();
+        out.eval = staged(
+            eng, sqrtPre(),
+            [invGain](int32_t k, const CordicVector& r, auto& sink) {
+                float sq = sf::mulT(r.x, invGain, sink);
+                float inv = sf::divT(1.0f, sq, sink);
+                return pimLdexpT(inv, -k, sink);
+            });
         return out;
       }
       case Function::Softplus: {
-        auto eng = std::make_shared<CordicEngine>(
-            CordicMode::Hyperbolic, spec.iterations, spec.placement);
-        out.eval = [eng](float x, auto& sink) {
-            // ln(1 + e^x): exp path, then log path on the same engine.
-            float e = cordicExp(*eng, x, sink);
-            float u = sf::addT(1.0f, e, sink);
-            LogSplit s = splitLogT(u, sink);
-            float x0 = sf::addT(s.m, 1.0f, sink);
-            float y0 = sf::subT(s.m, 1.0f, sink);
-            CordicEngine::Result r = eng->vectorT(x0, y0, sink);
-            float lm = pimLdexpT(r.z, 1, sink);
-            float kf = sf::fromI32T(s.k, sink);
-            return sf::addT(lm, sf::mulT(kf, fLn2, sink), sink);
+        // ln(1 + e^x): exp path, then log path on the same engine.
+        auto exp = cordicExp(eng);
+        auto log = cordicLog(eng);
+        out.eval = [exp, log](float x, auto& sink) {
+            float e = exp(x, sink);
+            return log(sf::addT(1.0f, e, sink), sink);
         };
-        out.attach = [eng](sim::DpuCore& c) { eng->attach(c); };
-        out.memoryBytes = eng->memoryBytes();
         return out;
       }
       default:
@@ -835,41 +994,44 @@ buildCordicFixed(Function f, const MethodSpec& spec)
     auto eng = std::make_shared<CordicFixedEngine>(
         CordicMode::Circular, spec.iterations, spec.placement);
     bool reduce = spec.reduceRange;
-    out.eval = [eng, f, reduce](float x, auto& sink) {
-        if (reduce)
-            x = reduceTwoPiT(x, sink);
-        Fixed v = sf::toFixedT(x, sink);
-        v = reduceTwoPiFixedT(v, sink);
-        // Quadrant reduction by conditional subtraction.
-        sink.charge(4);
-        int q = 0;
-        int32_t raw = v.raw();
-        if (raw >= fixedPi().raw()) {
-            raw -= fixedPi().raw();
-            q += 2;
-        }
-        if (raw >= fixedHalfPi().raw()) {
-            raw -= fixedHalfPi().raw();
-            q += 1;
-        }
-        CordicFixedEngine::Result r =
-            eng->rotateT(Fixed::fromRaw(raw), sink);
-        sink.charge(3); // quadrant select + conditional negate
-        Fixed sinV, cosV;
-        switch (q) {
-          case 0: sinV = r.y; cosV = r.x; break;
-          case 1: sinV = r.x; cosV = -r.y; break;
-          case 2: sinV = -r.y; cosV = -r.x; break;
-          default: sinV = -r.x; cosV = r.y; break;
-        }
-        if (f == Function::Sin)
-            return sf::fromFixedT(sinV, sink);
-        if (f == Function::Cos)
-            return sf::fromFixedT(cosV, sink);
-        float s = sf::fromFixedT(sinV, sink);
-        float c = sf::fromFixedT(cosV, sink);
-        return sf::divT(s, c, sink);
-    };
+    out.eval = staged(
+        eng,
+        [reduce](float x, auto& sink) {
+            if (reduce)
+                x = reduceTwoPiT(x, sink);
+            Fixed v = sf::toFixedT(x, sink);
+            v = reduceTwoPiFixedT(v, sink);
+            // Quadrant reduction by conditional subtraction.
+            sink.charge(4);
+            int q = 0;
+            int32_t raw = v.raw();
+            if (raw >= fixedPi().raw()) {
+                raw -= fixedPi().raw();
+                q += 2;
+            }
+            if (raw >= fixedHalfPi().raw()) {
+                raw -= fixedHalfPi().raw();
+                q += 1;
+            }
+            return rotating(Fixed::fromRaw(raw), q);
+        },
+        [f](int q, const CordicFixedVector& r, auto& sink) {
+            sink.charge(3); // quadrant select + conditional negate
+            Fixed sinV, cosV;
+            switch (q) {
+              case 0: sinV = r.y; cosV = r.x; break;
+              case 1: sinV = r.x; cosV = -r.y; break;
+              case 2: sinV = -r.y; cosV = -r.x; break;
+              default: sinV = -r.x; cosV = r.y; break;
+            }
+            if (f == Function::Sin)
+                return sf::fromFixedT(sinV, sink);
+            if (f == Function::Cos)
+                return sf::fromFixedT(cosV, sink);
+            float s = sf::fromFixedT(sinV, sink);
+            float c = sf::fromFixedT(cosV, sink);
+            return sf::divT(s, c, sink);
+        });
     out.attach = [eng](sim::DpuCore& c) { eng->attach(c); };
     out.memoryBytes = eng->memoryBytes();
     return out;
@@ -886,20 +1048,7 @@ buildCordicLut(Function f, const MethodSpec& spec)
         auto eng = std::make_shared<CordicLutEngine>(
             CordicMode::Circular, spec.iterations, spec.gridBits, 0.0,
             1.5707963267948966, spec.placement);
-        bool reduce = spec.reduceRange;
-        out.eval = [eng, f, reduce](float x, auto& sink) {
-            if (reduce)
-                x = reduceTwoPiT(x, sink);
-            QuadrantReduced qr = reduceQuadrantT(x, sink);
-            CordicEngine::Result r = eng->rotateT(qr.r, sink);
-            if (f == Function::Sin)
-                return selectSin(r, qr.q, sink);
-            if (f == Function::Cos)
-                return selectCos(r, qr.q, sink);
-            float s = selectSin(r, qr.q, sink);
-            float c = selectCos(r, qr.q, sink);
-            return sf::divT(s, c, sink);
-        };
+        out.eval = staged(eng, trigPre(spec.reduceRange), trigPost(f));
         out.attach = [eng](sim::DpuCore& c) { eng->attach(c); };
         out.memoryBytes = eng->memoryBytes();
         return out;
@@ -916,65 +1065,41 @@ buildCordicLut(Function f, const MethodSpec& spec)
         auto eng = std::make_shared<CordicLutEngine>(
             CordicMode::Hyperbolic, spec.iterations, spec.gridBits,
             -1.12, 1.12, spec.placement);
-        auto expEval = [eng](float x, auto& sink) {
-            ExpSplit s = splitExpT(x, sink);
-            CordicEngine::Result r = eng->rotateT(s.r, sink);
-            float e = sf::addT(r.x, r.y, sink);
-            return pimLdexpT(e, s.k, sink);
-        };
+        auto exp = cordicExp(eng);
         switch (f) {
           case Function::Exp:
-            out.eval = expEval;
+            out.eval = exp;
             break;
           case Function::Exp2:
-            out.eval = [eng](float x, auto& sink) {
-                const float ln2 = 0.69314718055994530942f;
-                int32_t k = sf::toI32FloorT(x, sink);
-                float kf = sf::fromI32T(k, sink);
-                float r = sf::subT(x, kf, sink);
-                float rl = sf::mulT(r, ln2, sink);
-                CordicEngine::Result rot = eng->rotateT(rl, sink);
-                float e = sf::addT(rot.x, rot.y, sink);
-                return pimLdexpT(e, k, sink);
-            };
+            out.eval = cordicExp2(eng);
             break;
+          case Function::Sigmoid:
           case Function::Silu:
-            out.eval = [expEval](float x, auto& sink) {
-                float e = expEval(sf::negT(x, sink), sink);
-                float s =
-                    sf::divT(1.0f, sf::addT(1.0f, e, sink), sink);
-                return sf::mulT(x, s, sink);
-            };
+            out.eval = cordicSigmoid(exp, f == Function::Silu);
             break;
           case Function::Sinh:
           case Function::Cosh:
-            out.eval = [eng, expEval, f](float x, auto& sink) {
+            out.eval = [eng, exp, f](float x, auto& sink) {
                 if (magnitudeBelowOne(x, sink)) {
                     CordicEngine::Result r = eng->rotateT(x, sink);
                     return f == Function::Sinh ? r.y : r.x;
                 }
-                float e = expEval(x, sink);
+                float e = exp(x, sink);
                 float ei = sf::divT(1.0f, e, sink);
                 float t = f == Function::Sinh ? sf::subT(e, ei, sink)
                                               : sf::addT(e, ei, sink);
                 return pimLdexpT(t, -1, sink);
             };
             break;
-          case Function::Tanh:
-            out.eval = [eng, expEval](float x, auto& sink) {
+          default: // Tanh
+            out.eval = [eng, exp](float x, auto& sink) {
                 if (magnitudeBelowOne(x, sink)) {
                     CordicEngine::Result r = eng->rotateT(x, sink);
                     return sf::divT(r.y, r.x, sink);
                 }
-                float e2 = expEval(pimLdexpT(x, 1, sink), sink);
+                float e2 = exp(pimLdexpT(x, 1, sink), sink);
                 float d = sf::addT(e2, 1.0f, sink);
                 return sf::subT(1.0f, sf::divT(2.0f, d, sink), sink);
-            };
-            break;
-          default: // Sigmoid
-            out.eval = [expEval](float x, auto& sink) {
-                float e = expEval(sf::negT(x, sink), sink);
-                return sf::divT(1.0f, sf::addT(1.0f, e, sink), sink);
             };
             break;
         }

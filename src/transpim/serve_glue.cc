@@ -67,7 +67,7 @@ void
 streamSlice(const FunctionEvaluator& ev, const sim::ShardTask& task,
             uint32_t chunk, sim::TaskletContext& ctx)
 {
-    float buffer[256];
+    float buffer[maxChunkElements];
     uint32_t chunks = (task.elements + chunk - 1) / chunk;
     for (uint32_t c = ctx.taskletId(); c < chunks;
          c += ctx.numTasklets()) {
@@ -109,7 +109,7 @@ makeStreamingKernel(const FunctionEvaluator& ev,
                     const sim::ShardTask& task, uint32_t chunkElems)
 {
     const FunctionEvaluator* evp = &ev;
-    const uint32_t chunk = std::clamp(chunkElems, 1u, 256u);
+    const uint32_t chunk = std::clamp(chunkElems, 1u, maxChunkElements);
     return [evp, task, chunk](sim::TaskletContext& ctx) {
         streamSlice(*evp, task, chunk, ctx);
     };
@@ -168,7 +168,7 @@ EvaluatorCatalog::provider() const
 
         binding.valid = true;
         binding.tableBytes = tables->ev.memoryBytes();
-        tables->chunk = std::clamp(chunkElems_, 1u, 256u);
+        tables->chunk = std::clamp(chunkElems_, 1u, maxChunkElements);
         // Runs on pool threads: it only reads the shared tables. The
         // kernel holds two pointers (the slice outlives it, see
         // ShardKernelFactory), so it fits std::function's inline

@@ -33,6 +33,10 @@ namespace transpim {
  */
 sim::serve::TableKey batchTableKey(Function f, const MethodSpec& spec);
 
+/** Largest streaming-kernel chunk: the elements one tasklet's WRAM
+ * buffer holds. */
+inline constexpr uint32_t maxChunkElements = 256;
+
 /**
  * Per-slice streaming kernel of runMicrobench (256-element chunks);
  * EvaluatorCatalog's serve kernels run the same body, but reference
@@ -42,8 +46,9 @@ sim::serve::TableKey batchTableKey(Function f, const MethodSpec& spec);
  * outlive the returned kernel (it is captured by pointer); one
  * evaluator attached to every core serves them all, each core
  * reading the tables through its own mapping of the one host copy.
- * @p chunkElems is clamped to [1, 256]; keep it small enough that
- * elements/chunkElems >= tasklets, or tail tasklets idle.
+ * @p chunkElems is clamped to [1, maxChunkElements]; keep it small
+ * enough that elements/chunkElems >= tasklets, or tail tasklets idle.
+ * The tools refuse an out-of-range --chunk instead (parseChunk).
  */
 sim::Kernel makeStreamingKernel(const FunctionEvaluator& ev,
                                 const sim::ShardTask& task,
@@ -70,7 +75,7 @@ class EvaluatorCatalog
     sim::serve::TableKey add(Function f, const MethodSpec& spec);
 
     /** Streaming-kernel chunk size of the serve kernels (clamped to
-     * [1, 256] at bind time, as in makeStreamingKernel). */
+     * [1, maxChunkElements] at bind time, as in makeStreamingKernel). */
     void setChunkElements(uint32_t n) { chunkElems_ = n; }
     uint32_t chunkElements() const { return chunkElems_; }
 

@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "pimsim/cost_model.h"
+#include "transpim/serve_glue.h"
 
 namespace tpl {
 namespace transpim {
@@ -78,6 +79,19 @@ parseTasklets(const std::string& text, uint32_t& out,
     if (!parseU32(text, n) || n < 1 || n > maxTasklets) {
         error = "bad --tasklets '" + text + "' (want 1.." +
                 std::to_string(maxTasklets) + ")";
+        return false;
+    }
+    out = n;
+    return true;
+}
+
+bool
+parseChunk(const std::string& text, uint32_t& out, std::string& error)
+{
+    uint32_t n = 0;
+    if (!parseU32(text, n) || n < 1 || n > maxChunkElements) {
+        error = "bad --chunk '" + text + "' (want 1.." +
+                std::to_string(maxChunkElements) + ")";
         return false;
     }
     out = n;

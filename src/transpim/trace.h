@@ -32,7 +32,7 @@
  * or leading whitespace is rejected. pimserve, pimtune, pimfault and
  * pimtrace all parse with these functions, so the tools accept the
  * same words and report the same errors. The shared options parsed
- * here are --tasklets N and --tenant-sla T:SPEC.
+ * here are --tasklets N, --chunk N and --tenant-sla T:SPEC.
  */
 
 #ifndef TPL_TRANSPIM_TRACE_H
@@ -63,6 +63,12 @@ bool parseU64(const std::string& text, uint64_t& out);
  * '0' (want 1..24)"). */
 bool parseTasklets(const std::string& text, uint32_t& out,
                    std::string& error);
+
+/** Parse a --chunk value: a number in [1, maxChunkElements], the
+ * streaming kernel's evalBatch span. On bad input returns false and
+ * sets @p error (e.g. "bad --chunk '0' (want 1..256)"). */
+bool parseChunk(const std::string& text, uint32_t& out,
+                std::string& error);
 
 /** A parsed --tenant-sla argument. */
 struct TenantSlaArg

@@ -93,16 +93,20 @@ struct RunResult
 };
 
 /**
- * The Fig-5 streaming kernel on one core, scalar or batched. A fresh
- * evaluator is created per run (table generation is deterministic).
+ * The Fig-5 streaming kernel on one core, scalar or batched, with
+ * @p plan's faults armed on it. A fresh evaluator is created per run
+ * (table generation is deterministic).
  */
 RunResult
 runStreaming(Function f, const MethodSpec& spec,
              const std::vector<float>& inputs, uint32_t tasklets,
-             bool batch)
+             bool batch, const sim::fault::FaultPlan& plan = {})
 {
     FunctionEvaluator ev = FunctionEvaluator::create(f, spec);
-    DpuCore dpu;
+    PimSystem sys(1);
+    if (!plan.empty())
+        sys.armFaults(plan);
+    DpuCore& dpu = sys.dpu(0);
     ev.attach(dpu);
 
     const uint32_t n = static_cast<uint32_t>(inputs.size());
@@ -258,6 +262,11 @@ constexpr Combo kRepresentatives[] = {
     {Function::Sigmoid, Method::CordicLut, Placement::Wram},
     {Function::Erf, Method::Poly, Placement::Wram},
     {Function::Sin, Method::CordicFixed, Placement::Wram},
+    // Block-lane shapes: a vectoring CORDIC body, a circular CORDIC+LUT
+    // body, and a CORDIC-fixed body with tan's divide.
+    {Function::Log, Method::Cordic, Placement::Wram},
+    {Function::Tan, Method::CordicLut, Placement::Wram},
+    {Function::Tan, Method::CordicFixed, Placement::Wram},
 };
 
 TEST(BatchEdgeCases, DegenerateSizesBitIdentical)
@@ -302,6 +311,44 @@ TEST(BatchEdgeCases, NanAndInfLadenInputsBitIdentical)
     for (const Combo& combo : kRepresentatives) {
         MethodSpec spec = smallSpec(combo.m, combo.p);
         expectBatchMatchesScalar(combo.f, spec, inputs, 4);
+    }
+}
+
+TEST(BatchEdgeCases, MramCordicKeepsPerElementDmaOrder)
+{
+    // An MRAM angle table has no view, so its batches stay in the
+    // per-element lane: one DMA per step, in the scalar path's order.
+    // Under DMA-data faults any other order would corrupt and stall
+    // different reads.
+    sim::fault::FaultPlan plan;
+    plan.seed = 5;
+    sim::fault::FaultSpec corrupt;
+    corrupt.kind = sim::fault::FaultKind::DmaCorrupt;
+    corrupt.probability = 0.02;
+    plan.faults.push_back(corrupt);
+    sim::fault::FaultSpec timeout;
+    timeout.kind = sim::fault::FaultKind::DmaTimeout;
+    timeout.probability = 0.02;
+    timeout.extraStallCycles = 700;
+    plan.faults.push_back(timeout);
+    for (Function f : {Function::Sin, Function::Log}) {
+        MethodSpec spec = smallSpec(Method::Cordic, Placement::Mram);
+        Domain dom = functionDomain(f);
+        std::vector<float> inputs = uniformFloats(
+            193, static_cast<float>(dom.lo), static_cast<float>(dom.hi),
+            31);
+        std::string label = comboLabel(f, spec) + " under DMA faults";
+        RunResult scalar = runStreaming(f, spec, inputs, 3, false, plan);
+        RunResult batch = runStreaming(f, spec, inputs, 3, true, plan);
+        EXPECT_GT(scalar.stats.faultEvents, 0u) << label;
+        expectOutputsBitIdentical(scalar.outputs, batch.outputs, label);
+        EXPECT_EQ(scalar.stats.dmaEngineCycles,
+                  batch.stats.dmaEngineCycles) << label;
+        EXPECT_EQ(scalar.stats.stallCycles, batch.stats.stallCycles)
+            << label;
+        EXPECT_EQ(scalar.stats.faultEvents, batch.stats.faultEvents)
+            << label;
+        expectStatsIdentical(scalar.stats, batch.stats, label);
     }
 }
 
@@ -982,18 +1029,24 @@ TEST(BatchFastLane, FloatEngineMatchesEmulatedLane)
             }
 }
 
-TEST(BatchFastLane, FixedEngineMatchesEmulatedLane)
+/** Q3.28 raws: zero, +-1 ulp, in-range angles and the extremes (which
+ * only wrap, identically in every lane). */
+std::vector<int32_t>
+fixedLaneRaws()
 {
-    // Q3.28 raws: zero, +-1 ulp, in-range angles and the extremes
-    // (which only wrap, identically in both lanes).
-    const int32_t raws[] = {
+    return {
         0, 1, -1, Fixed::fromDouble(0.5).raw(),
         Fixed::fromDouble(-0.7).raw(), Fixed::fromDouble(1.5).raw(),
         Fixed::fromDouble(1.1).raw(), Fixed::fromDouble(-1.1).raw(),
         std::numeric_limits<int32_t>::max(),
         std::numeric_limits<int32_t>::min(),
     };
-    const size_t n = std::size(raws);
+}
+
+TEST(BatchFastLane, FixedEngineMatchesEmulatedLane)
+{
+    const std::vector<int32_t> raws = fixedLaneRaws();
+    const size_t n = raws.size();
     for (CordicMode mode : kLaneModes)
         for (uint32_t iters : kLaneIterations)
             for (Placement p : kLanePlacements) {
@@ -1018,6 +1071,155 @@ TEST(BatchFastLane, FixedEngineMatchesEmulatedLane)
                                              sink));
                     },
                     label + " vector");
+            }
+}
+
+// ---------------------------------------------------------------------
+// Engine block lanes: a block of start vectors stepped through each
+// iteration together against the per-element fast-value lane.
+// ---------------------------------------------------------------------
+
+/**
+ * What the batch path does with a staged body, at engine level: the
+ * start vectors of @p in in blocks of four vectors, then of one
+ * vector, through the engine's block lane when @p block is set, and
+ * the rest per element (rotateT/vectorT). Builds without SIMD lanes
+ * have no block lane and run every element per element.
+ */
+template <class Engine, class In>
+void
+runEngineBatch(const Engine& eng, std::span<const In> in, bool block,
+               BatchSink& sink, std::vector<uint32_t>& bits)
+{
+    size_t i = 0;
+#if TPL_SF_SIMD
+    auto blocks = [&]<int Vectors>() {
+        constexpr size_t n = Vectors * sf::simdLanes;
+        for (; in.size() - i >= n; i += n) {
+            typename Engine::Result v[n]{};
+            for (size_t j = 0; j < n; ++j)
+                v[j] = eng.startT(in[i + j], sink);
+            eng.template iterateBlockT<In::vectoring, Vectors>(
+                eng.angleViewT(sink), v, sink);
+            for (const auto& r : v)
+                pushBits(bits, r);
+        }
+    };
+    if (block) {
+        blocks.template operator()<4>();
+        blocks.template operator()<1>();
+    }
+#else
+    (void)block;
+#endif
+    for (; i < in.size(); ++i) {
+        if constexpr (In::vectoring)
+            pushBits(bits, eng.vectorT(in[i].x0, in[i].y0, sink));
+        else
+            pushBits(bits, eng.rotateT(in[i].z0, sink));
+    }
+}
+
+/**
+ * @p in through runEngineBatch in groups of @p fill elements, each
+ * group with its own BatchSink flushed after it, inside a one-tasklet
+ * launch on @p core: the block lane must match the per-element lane
+ * in every value, in the tasklet's charge and note totals after every
+ * group, and in the whole LaunchStats.
+ */
+template <class Engine, class In>
+void
+expectBlockLaneMatches(DpuCore& core, const Engine& eng,
+                       const std::vector<In>& in, size_t fill,
+                       const std::string& label)
+{
+    auto run = [&](bool block) {
+        LaneRun r;
+        r.stats = core.launch(1, [&](TaskletContext& ctx) {
+            for (size_t g = 0; g < in.size(); g += fill) {
+                BatchSink bs(&ctx);
+                runEngineBatch(eng,
+                               std::span<const In>(in).subspan(
+                                   g, std::min(fill, in.size() - g)),
+                               block, bs, r.bits);
+                bs.flush();
+                r.classes.push_back(ctx.classInstructions());
+                r.ops.push_back(ctx.opCounts());
+            }
+        });
+        return r;
+    };
+    LaneRun ref = run(false);
+    LaneRun blk = run(true);
+    EXPECT_EQ(ref.bits, blk.bits) << label;
+    EXPECT_EQ(ref.classes, blk.classes) << label;
+    EXPECT_EQ(ref.ops, blk.ops) << label;
+    expectStatsIdentical(ref.stats, blk.stats, label);
+}
+
+/** kLaneIterations, an empty schedule (the start vector comes back
+ * untouched, NaN payloads included) and a hyperbolic schedule that
+ * passes shift 255, where `shift << 23` no longer fits the exponent
+ * field. */
+constexpr uint32_t kBlockIterations[] = {0, 1, 16, 24, 40, 300};
+
+/** Every block fill from 1 to 4W+1 elements: each remainder after
+ * blocks of four vectors and of one. */
+constexpr size_t kMaxBlockFill = 4 * sf::simdLanes + 1;
+
+TEST(BatchFastLane, FloatBlockLaneMatchesPerElementLane)
+{
+    const std::vector<float> in = ldexpBranchFloats();
+    std::vector<CordicRotation<float>> rot;
+    std::vector<CordicVectoring<float>> vec;
+    for (float a : in) {
+        rot.push_back({a});
+        for (float b : in)
+            vec.push_back({a, b});
+    }
+    for (CordicMode mode : kLaneModes)
+        for (uint32_t iters : kBlockIterations)
+            for (Placement p : {Placement::Host, Placement::Wram}) {
+                CordicEngine eng(mode, iters, p);
+                DpuCore core;
+                if (p != Placement::Host)
+                    eng.attach(core);
+                std::string label = laneLabel("float", mode, iters, p);
+                for (size_t fill = 1; fill <= kMaxBlockFill; ++fill) {
+                    std::string at = " fill " + std::to_string(fill);
+                    expectBlockLaneMatches(core, eng, rot, fill,
+                                           label + " rotate" + at);
+                    expectBlockLaneMatches(core, eng, vec, fill,
+                                           label + " vector" + at);
+                }
+            }
+}
+
+TEST(BatchFastLane, FixedBlockLaneMatchesPerElementLane)
+{
+    const std::vector<int32_t> raws = fixedLaneRaws();
+    std::vector<CordicRotation<Fixed>> rot;
+    std::vector<CordicVectoring<Fixed>> vec;
+    for (int32_t a : raws) {
+        rot.push_back({Fixed::fromRaw(a)});
+        for (int32_t b : raws)
+            vec.push_back({Fixed::fromRaw(a), Fixed::fromRaw(b)});
+    }
+    for (CordicMode mode : kLaneModes)
+        for (uint32_t iters : kBlockIterations)
+            for (Placement p : {Placement::Host, Placement::Wram}) {
+                CordicFixedEngine eng(mode, iters, p);
+                DpuCore core;
+                if (p != Placement::Host)
+                    eng.attach(core);
+                std::string label = laneLabel("fixed", mode, iters, p);
+                for (size_t fill = 1; fill <= kMaxBlockFill; ++fill) {
+                    std::string at = " fill " + std::to_string(fill);
+                    expectBlockLaneMatches(core, eng, rot, fill,
+                                           label + " rotate" + at);
+                    expectBlockLaneMatches(core, eng, vec, fill,
+                                           label + " vector" + at);
+                }
             }
 }
 

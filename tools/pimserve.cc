@@ -43,7 +43,7 @@
  *   --tasklets N           tasklets per DPU, 1..24 (default 16)
  *   --per-dpu-elements N   per-wave slice capacity per DPU
  *                          (default 512)
- *   --chunk N              streaming-kernel chunk elements
+ *   --chunk N              streaming-kernel chunk elements, 1..256
  *                          (default 32)
  *   --plan PATH            arm a fault plan (pimfault text format)
  *   --seed N               input-generation seed
@@ -354,7 +354,11 @@ main(int argc, char** argv)
         } else if (arg == "--per-dpu-elements") {
             u32Arg(perDpuElements);
         } else if (arg == "--chunk") {
-            u32Arg(chunk);
+            std::string error;
+            if (!parseChunk(value(), chunk, error)) {
+                std::cerr << "pimserve: " << error << "\n";
+                return 2;
+            }
         } else if (arg == "--plan") {
             planPath = value();
         } else if (arg == "--seed") {

@@ -40,7 +40,8 @@
  *   --dpus N             simulated DPUs (default 64)
  *   --tasklets N         tasklets per DPU, 1..24 (default 16)
  *   --per-dpu-elements N per-wave slice capacity per DPU (default 512)
- *   --chunk N            streaming-kernel chunk elements (default 32)
+ *   --chunk N            streaming-kernel chunk elements, 1..256
+ *                        (default 32)
  *   --explore N          elements each candidate is explored for
  *                        before a stream commits (default 512)
  *   --candidates N       candidates per stream incl. requested
@@ -246,7 +247,11 @@ main(int argc, char** argv)
         } else if (arg == "--per-dpu-elements") {
             u32Arg(perDpuElements);
         } else if (arg == "--chunk") {
-            u32Arg(chunk);
+            std::string error;
+            if (!parseChunk(value(), chunk, error)) {
+                std::cerr << "pimtune: " << error << "\n";
+                return 2;
+            }
         } else if (arg == "--explore") {
             u32Arg(explore);
         } else if (arg == "--candidates") {
