@@ -212,8 +212,10 @@ fi
 # the tuner CLIs (pimtune's three-way replay must show the online
 # tuner beating the best static configuration with every SLA met;
 # pimserve --auto-tune must emit its tuner section) so the documented
-# examples keep working, and check that both replay tools reject a
-# malformed trace and a malformed --tenant-sla with one message.
+# examples keep working, and check that each CLI mistake gets one
+# message in every tool: a malformed trace and a malformed --tenant-sla
+# in both replay tools, a bad method as a flag and as a trace key, and
+# an out-of-range --tasklets in all five tools that take it.
 if [ "${TPL_TIER1_DOCS:-0}" = "1" ]; then
     bash "$SRC_DIR/scripts/check_docs.sh"
     DOCS_TMP=$(mktemp -d)
@@ -242,43 +244,67 @@ PYEOF
         --json "$DOCS_TMP/serve.tune.json" > /dev/null
     python3 -m json.tool "$DOCS_TMP/serve.tune.json" > /dev/null
     grep -q '"tuner"' "$DOCS_TMP/serve.tune.json"
-    # One trace grammar (transpim/trace.h): a malformed trace fails
-    # both replay tools with exit 2 and the same error text after
-    # the tool-name prefix.
+    # One CLI vocabulary: each mistake below must fail every tool it
+    # reaches with exit 2 and the same text after the "TOOL: " prefix.
+    # usage_msg NAME TOOL ARGS... runs TOOL, requires exit 2, and keeps
+    # its stderr minus that prefix in $DOCS_TMP/NAME.TOOL.msg.
+    usage_msg() {
+        name=$1
+        tool=$2
+        shift 2
+        status=0
+        "$BUILD_DIR/tools/$tool" "$@" \
+            > /dev/null 2> "$DOCS_TMP/$name.$tool.err" || status=$?
+        if [ "$status" -ne 2 ]; then
+            echo "$tool $*: exit $status, want 2" >&2
+            exit 1
+        fi
+        sed "s/^$tool: //" "$DOCS_TMP/$name.$tool.err" \
+            > "$DOCS_TMP/$name.$tool.msg"
+    }
+    # One trace grammar (transpim/trace.h): a malformed trace line,
+    # prefixed with path:line:.
     printf 'request function=sin elements=8 tenant=-1\n' \
         > "$DOCS_TMP/bad.trace"
     for tool in pimserve pimtune; do
-        status=0
-        "$BUILD_DIR/tools/$tool" --trace "$DOCS_TMP/bad.trace" \
-            > /dev/null 2> "$DOCS_TMP/$tool.err" || status=$?
-        if [ "$status" -ne 2 ]; then
-            echo "$tool: exit $status on a malformed trace, want 2" >&2
-            exit 1
-        fi
-        sed "s/^$tool: //" "$DOCS_TMP/$tool.err" > "$DOCS_TMP/$tool.msg"
+        usage_msg trace "$tool" --trace "$DOCS_TMP/bad.trace"
     done
-    cmp "$DOCS_TMP/pimserve.msg" "$DOCS_TMP/pimtune.msg"
+    cmp "$DOCS_TMP/trace.pimserve.msg" "$DOCS_TMP/trace.pimtune.msg"
     grep -qxF "$DOCS_TMP/bad.trace:1: bad tenant '-1'" \
-        "$DOCS_TMP/pimserve.msg"
-    # One --tenant-sla grammar (parseTenantSlaArg): a malformed value
-    # fails both tools with exit 2 and the same message.
+        "$DOCS_TMP/trace.pimserve.msg"
+    # One --tenant-sla grammar (parseTenantSlaArg).
     for tool in pimserve pimtune; do
-        status=0
-        "$BUILD_DIR/tools/$tool" --tenant-sla '-1:rmse<1' \
-            > /dev/null 2> "$DOCS_TMP/$tool.sla.err" || status=$?
-        if [ "$status" -ne 2 ]; then
-            echo "$tool: exit $status on a malformed --tenant-sla," \
-                "want 2" >&2
-            exit 1
-        fi
-        sed "s/^$tool: //" "$DOCS_TMP/$tool.sla.err" \
-            > "$DOCS_TMP/$tool.sla.msg"
+        usage_msg sla "$tool" --tenant-sla '-1:rmse<1'
     done
-    cmp "$DOCS_TMP/pimserve.sla.msg" "$DOCS_TMP/pimtune.sla.msg"
-    grep -qxF "bad tenant id '-1'" "$DOCS_TMP/pimserve.sla.msg"
+    cmp "$DOCS_TMP/sla.pimserve.msg" "$DOCS_TMP/sla.pimtune.msg"
+    grep -qxF "bad tenant id '-1'" "$DOCS_TMP/sla.pimserve.msg"
+    # One request-key table (applyRequestKey): --method in the flag
+    # tools and method= in a trace line.
+    printf 'request function=sin elements=8 method=bogus\n' \
+        > "$DOCS_TMP/method.trace"
+    for tool in pimfault pimtrace; do
+        usage_msg method "$tool" --method bogus
+        grep -qxF "unknown method 'bogus'" "$DOCS_TMP/method.$tool.msg"
+    done
+    for tool in pimserve pimtune; do
+        usage_msg method "$tool" --trace "$DOCS_TMP/method.trace"
+        grep -qxF "$DOCS_TMP/method.trace:1: unknown method 'bogus'" \
+            "$DOCS_TMP/method.$tool.msg"
+    done
+    # One --tasklets rule (cli::parseTasklets) in all five tools that
+    # take it.
+    for tool in pimserve pimtune pimfault pimtrace pimlint; do
+        usage_msg tasklets "$tool" --tasklets 25
+        cmp "$DOCS_TMP/tasklets.pimserve.msg" \
+            "$DOCS_TMP/tasklets.$tool.msg"
+    done
+    grep -qxF "bad --tasklets '25' (want 1..24)" \
+        "$DOCS_TMP/tasklets.pimserve.msg"
     echo "check_docs + pimserve/pimtune demo replay JSON round-trip OK"
     echo "pimserve/pimtune reject a malformed trace with one message"
     echo "pimserve/pimtune reject a malformed --tenant-sla with one message"
+    echo "pimfault/pimtrace/pimserve/pimtune reject a bad method with one message"
+    echo "all five tools reject --tasklets 25 with one message"
 fi
 
 # With TPL_TIER1_OBS=1, exercise the serve observability tier end to

@@ -6,7 +6,9 @@
 #include "pimsim/analysis/certificate.h"
 
 #include <cctype>
-#include <cstdio>
+#include <charconv>
+
+#include "common/json.h"
 
 namespace tpl {
 namespace sim {
@@ -27,6 +29,49 @@ pair(uint64_t lo, uint64_t hi)
 }
 
 /**
+ * Decode the JSON string literal whose opening quote is at @p p into
+ * @p out: every escape jsonEscape() emits (\", \\, \n, \t, \r,
+ * \u00XX), plus any other backslash-escaped character taken as
+ * itself. Returns the position just past the closing quote, or npos
+ * for an unterminated literal or a \u escape beyond one byte.
+ */
+size_t
+readStringToken(const std::string& json, size_t p, std::string& out)
+{
+    out.clear();
+    for (++p; p < json.size(); ++p) {
+        char c = json[p];
+        if (c == '"')
+            return p + 1;
+        if (c != '\\') {
+            out += c;
+            continue;
+        }
+        if (++p >= json.size())
+            break;
+        switch (json[p]) {
+          case 'n': out += '\n'; break;
+          case 't': out += '\t'; break;
+          case 'r': out += '\r'; break;
+          case 'u': {
+            if (p + 4 >= json.size())
+                return std::string::npos;
+            const char* hex = json.data() + p + 1;
+            unsigned code = 0;
+            auto [end, ec] = std::from_chars(hex, hex + 4, code, 16);
+            if (ec != std::errc() || end != hex + 4 || code > 0xff)
+                return std::string::npos;
+            out += static_cast<char>(code);
+            p += 4;
+            break;
+          }
+          default: out += json[p]; break;
+        }
+    }
+    return std::string::npos;
+}
+
+/**
  * Position just past `"key":` at or after @p from, or npos. Scans by
  * lexing whole string literals (escape-aware) instead of raw
  * substring search, so key-like text *inside* a string value — a
@@ -39,33 +84,14 @@ afterKey(const std::string& json, const std::string& key,
          size_t from = 0)
 {
     size_t p = from;
+    std::string content;
     while (p < json.size()) {
         if (json[p] != '"') {
             ++p;
             continue;
         }
-        ++p; // string token: unescape its full content
-        std::string content;
-        bool closed = false;
-        while (p < json.size()) {
-            char c = json[p];
-            if (c == '\\' && p + 1 < json.size()) {
-                switch (json[p + 1]) {
-                  case 'n': content += '\n'; break;
-                  case 't': content += '\t'; break;
-                  default: content += json[p + 1]; break;
-                }
-                p += 2;
-            } else if (c == '"') {
-                closed = true;
-                ++p;
-                break;
-            } else {
-                content += c;
-                ++p;
-            }
-        }
-        if (!closed)
+        p = readStringToken(json, p, content);
+        if (p == std::string::npos)
             return std::string::npos; // unterminated string
         if (content != key)
             continue;
@@ -133,22 +159,7 @@ readString(const std::string& json, const std::string& key,
     size_t p = afterKey(json, key, from);
     if (p == std::string::npos || p >= json.size() || json[p] != '"')
         return false;
-    ++p;
-    out.clear();
-    while (p < json.size() && json[p] != '"') {
-        if (json[p] == '\\' && p + 1 < json.size()) {
-            ++p;
-            switch (json[p]) {
-              case 'n': out += '\n'; break;
-              case 't': out += '\t'; break;
-              default: out += json[p]; break;
-            }
-        } else {
-            out += json[p];
-        }
-        ++p;
-    }
-    return p < json.size();
+    return readStringToken(json, p, out) != std::string::npos;
 }
 
 bool
@@ -175,30 +186,6 @@ readPair(const std::string& json, const std::string& key,
 }
 
 } // namespace
-
-std::string
-jsonEscape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 std::string
 serializeCertificate(const KernelCertificate& cert)

@@ -36,9 +36,6 @@ struct KernelCertificate
     uint32_t interleavePhases = 0; ///< barrier phases explored
 };
 
-/** Escape @p s for embedding in a JSON string literal. */
-std::string jsonEscape(const std::string& s);
-
 /** Serialize to the JSON schema in docs/analysis.md. */
 std::string serializeCertificate(const KernelCertificate& cert);
 

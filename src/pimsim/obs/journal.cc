@@ -15,6 +15,8 @@
 #include <sstream>
 #include <tuple>
 
+#include "common/json.h"
+
 namespace tpl {
 namespace obs {
 
@@ -33,31 +35,6 @@ formatDouble(double v)
     char buf[40];
     std::snprintf(buf, sizeof(buf), "%.17g", v);
     return buf;
-}
-
-std::string
-jsonEscape(std::string_view s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out.push_back(c);
-            }
-        }
-    }
-    return out;
 }
 
 void

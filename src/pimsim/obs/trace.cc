@@ -6,43 +6,16 @@
 #include "pimsim/obs/trace.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+
+#include "common/json.h"
 
 namespace tpl {
 namespace obs {
 
 namespace {
-
-/** Escape a string for embedding in a JSON string literal. */
-std::string
-jsonEscape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out.push_back(c);
-            }
-        }
-    }
-    return out;
-}
 
 std::string
 formatDouble(double v)

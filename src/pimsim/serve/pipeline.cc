@@ -306,6 +306,10 @@ takeWaveHead(Wave& w, uint64_t budget)
  * exceeds this many times the wave's median per-DPU cycles. */
 constexpr double kStragglerFactor = 4.0;
 
+/** Times one wave's elements may be re-queued after failures before
+ * they are dropped and the run reports incomplete. */
+constexpr uint32_t kMaxRetryWaves = 6;
+
 /**
  * Predicted double-buffered makespan of one popped wave run as @p k
  * equal sub-waves over @p healthy cores of @p cap element slices: a
@@ -1035,7 +1039,7 @@ ServePipeline::run(BatchQueue& queue)
             }
         uint64_t retryElems = retry.elements();
         if (retryElems > 0) {
-            if (ex.generation + 1 > opts_.maxRetryWaves) {
+            if (ex.generation + 1 > kMaxRetryWaves) {
                 report.droppedElements += retryElems;
                 if (trackReqs)
                     for (const WaveReq& r : book.collect(retry))

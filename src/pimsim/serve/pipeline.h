@@ -26,8 +26,8 @@
  * (dead transfer leg, hard launch failure, fenced straggler) fails
  * exactly the slices it owned; those elements are re-queued as a
  * retry wave over the surviving cores (on a fleet, any healthy rank),
- * bounded by PipelineOptions::maxRetryWaves — the pipeline degrades
- * or reports incomplete, it never deadlocks.
+ * at most six times per wave — the pipeline degrades or reports
+ * incomplete, it never deadlocks.
  *
  * The no-overlap baseline is pure accounting: every wave adds
  * its broadcast, scatter, compute and gather durations to
@@ -74,10 +74,6 @@ struct PipelineOptions
      * throws std::bad_alloc when they do not fit in MRAM.
      */
     uint32_t perDpuElements = 512;
-
-    /** Times one wave's elements may be re-queued after failures
-     * before they are dropped and the run reports incomplete. */
-    uint32_t maxRetryWaves = 6;
 
     /**
      * Cost certificates for cost-aware wave sizing (kill switch:

@@ -13,7 +13,6 @@
 #include <functional>
 
 #include "common/error_metrics.h"
-#include "common/rng.h"
 #include "pimsim/obs/metrics.h"
 #include "transpim/reference.h"
 
@@ -21,10 +20,6 @@ namespace tpl {
 namespace transpim {
 
 namespace {
-
-/** Candidate-search input seed, shared with the static tuner so the
- * two agree about offline accuracy. */
-constexpr uint64_t kSampleSeed = 0x7a11e5;
 
 /** Slack on the implicit accuracy bound used when a tenant's SLA has
  * no rmse clause: the bound is 2x the requested configuration's own
@@ -189,25 +184,12 @@ OnlineAutoTuner::buildCandidates(Stream& s)
     // accurate than what the tenant asked for.
     double target = s.sla.maxRmse;
     if (target <= 0.0) {
-        Domain dom = functionDomain(base.function);
-        auto inputs = uniformFloats(
-            kSearchSamples, static_cast<float>(dom.lo),
-            static_cast<float>(dom.hi), kSampleSeed);
         try {
             FunctionEvaluator ev =
                 FunctionEvaluator::create(base.function, base.spec);
-            double sumSq = 0.0;
-            for (float x : inputs) {
-                double ref = referenceValue(
-                    base.function, static_cast<double>(x));
-                double err =
-                    std::abs(ev.eval(x, nullptr) - ref);
-                if (base.relativeError)
-                    err /= std::max(1.0, std::abs(ref));
-                sumSq += err * err;
-            }
-            target = std::sqrt(sumSq / static_cast<double>(
-                                           inputs.size()));
+            target = sampleRmse(ev, tunerSample(base.function,
+                                                kSearchSamples),
+                                ErrorMetric::Auto);
         } catch (const std::exception&) {
             return;
         }

@@ -143,7 +143,7 @@ runBatchedThroughput(Function f, const MethodSpec& spec,
                         static_cast<uint64_t>(opts.requests)),
              obs::argKv("dpus", static_cast<uint64_t>(opts.dpus))}));
 
-    Domain dom = opts.domain ? *opts.domain : functionDomain(f);
+    Domain dom = functionDomain(f);
     const uint64_t total = static_cast<uint64_t>(opts.requests) *
                            opts.elementsPerRequest;
     std::vector<float> inputs =
@@ -152,14 +152,12 @@ runBatchedThroughput(Function f, const MethodSpec& spec,
 
     std::vector<float> outputs(total, 0.0f);
     sim::PimSystem sys(opts.dpus);
-    sys.setRetryPolicy(opts.policy);
     if (opts.simThreads)
         sys.setSimThreads(opts.simThreads);
     if (opts.plan)
         sys.armFaults(*opts.plan);
 
     EvaluatorCatalog catalog;
-    catalog.setChunkElements(opts.chunkElems);
     sim::serve::TableKey key = catalog.add(f, spec);
 
     sim::serve::BatchQueue queue;
@@ -178,7 +176,6 @@ runBatchedThroughput(Function f, const MethodSpec& spec,
     sim::serve::PipelineOptions popts;
     popts.numTasklets = opts.tasklets;
     popts.perDpuElements = opts.perDpuElements;
-    popts.maxRetryWaves = opts.maxRetryWaves;
     sim::serve::ServePipeline pipeline(sys, catalog.provider(), popts);
     try {
         res.report = pipeline.run(queue);

@@ -83,17 +83,9 @@ struct BatchedOptions
     uint32_t perDpuElements = 512;
     uint32_t requests = 5;
     uint32_t elementsPerRequest = 1u << 15;
-    /** Streaming-kernel chunk; keep perDpuElements / chunkElems >=
-     * tasklets so every tasklet gets work. */
-    uint32_t chunkElems = 32;
     uint64_t seed = 0x7ea9c0de;
-    /** Optional input domain override (defaults to functionDomain). */
-    std::optional<Domain> domain;
-    /** Retry/backoff/timeout knobs applied to the system. */
-    sim::RetryPolicy policy;
     /** Fault plan armed on the system before serving, when set. */
     std::optional<sim::fault::FaultPlan> plan;
-    uint32_t maxRetryWaves = 6;
     /** Simulation threads override (0 = global default). */
     uint32_t simThreads = 0;
 };

@@ -6,12 +6,12 @@
 #include "transpim/trace.h"
 
 #include <array>
-#include <cctype>
 #include <fstream>
 #include <sstream>
 #include <utility>
 
-#include "pimsim/cost_model.h"
+#include "common/rng.h"
+#include "pimsim/cli.h"
 #include "transpim/serve_glue.h"
 
 namespace tpl {
@@ -32,64 +32,13 @@ constexpr std::array<std::pair<std::string_view, Method>, 9> kMethods = {{
     {"poly", Method::Poly},
 }};
 
-/** std::stoull accepts a sign and leading whitespace (and wraps
- * "-1" to the maximum); an unsigned number starts with a digit. */
-bool
-startsWithDigit(const std::string& text)
-{
-    return !text.empty() &&
-           std::isdigit(static_cast<unsigned char>(text[0]));
-}
-
 } // namespace
-
-bool
-parseU32(const std::string& text, uint32_t& out)
-{
-    uint64_t v = 0;
-    if (!parseU64(text, v) || v > UINT32_MAX)
-        return false;
-    out = static_cast<uint32_t>(v);
-    return true;
-}
-
-bool
-parseU64(const std::string& text, uint64_t& out)
-{
-    if (!startsWithDigit(text))
-        return false;
-    try {
-        size_t pos = 0;
-        unsigned long long v = std::stoull(text, &pos, 0);
-        if (pos != text.size())
-            return false;
-        out = v;
-        return true;
-    } catch (...) {
-        return false;
-    }
-}
-
-bool
-parseTasklets(const std::string& text, uint32_t& out,
-              std::string& error)
-{
-    const uint32_t maxTasklets = sim::CostModel{}.maxTasklets;
-    uint32_t n = 0;
-    if (!parseU32(text, n) || n < 1 || n > maxTasklets) {
-        error = "bad --tasklets '" + text + "' (want 1.." +
-                std::to_string(maxTasklets) + ")";
-        return false;
-    }
-    out = n;
-    return true;
-}
 
 bool
 parseChunk(const std::string& text, uint32_t& out, std::string& error)
 {
     uint32_t n = 0;
-    if (!parseU32(text, n) || n < 1 || n > maxChunkElements) {
+    if (!cli::parseU32(text, n) || n < 1 || n > maxChunkElements) {
         error = "bad --chunk '" + text + "' (want 1.." +
                 std::to_string(maxChunkElements) + ")";
         return false;
@@ -117,7 +66,7 @@ parseTenantSlaArg(const std::string& text, TenantSlaArg& out,
     const std::string who = text.substr(0, colon);
     if (who != "*") {
         uint64_t tenant = 0;
-        if (!parseU64(who, tenant)) {
+        if (!cli::parseU64(who, tenant)) {
             error = "bad tenant id '" + who + "'";
             return false;
         }
@@ -157,6 +106,68 @@ parseMethod(std::string_view name)
 }
 
 bool
+applyRequestKey(std::string_view key, const std::string& value,
+                TraceRequest& req, std::string& error)
+{
+    uint32_t n = 0;
+    if (key == "function") {
+        std::optional<Function> f = parseFunction(value);
+        if (!f) {
+            error = "unknown function '" + value + "'";
+            return false;
+        }
+        req.function = *f;
+    } else if (key == "method") {
+        std::optional<Method> m = parseMethod(value);
+        if (!m) {
+            error = "unknown method '" + value + "'";
+            return false;
+        }
+        req.spec.method = *m;
+    } else if (key == "elements") {
+        if (!cli::parseU32(value, n) || n == 0) {
+            error = "bad elements '" + value + "'";
+            return false;
+        }
+        req.elements = n;
+    } else if (key == "log2-entries") {
+        if (!cli::parseU32(value, req.spec.log2Entries)) {
+            error = "bad log2-entries '" + value + "'";
+            return false;
+        }
+    } else if (key == "iterations") {
+        if (!cli::parseU32(value, req.spec.iterations)) {
+            error = "bad iterations '" + value + "'";
+            return false;
+        }
+    } else if (key == "interpolated") {
+        if (!cli::parseU32(value, n) || n > 1) {
+            error = "bad interpolated '" + value + "'";
+            return false;
+        }
+        req.spec.interpolated = n != 0;
+    } else if (key == "placement") {
+        if (value == "wram") {
+            req.spec.placement = Placement::Wram;
+        } else if (value == "mram") {
+            req.spec.placement = Placement::Mram;
+        } else {
+            error = "bad placement '" + value + "'";
+            return false;
+        }
+    } else if (key == "tenant") {
+        if (!cli::parseU64(value, req.tenant)) {
+            error = "bad tenant '" + value + "'";
+            return false;
+        }
+    } else {
+        error = "unknown key '" + std::string(key) + "'";
+        return false;
+    }
+    return true;
+}
+
+bool
 parseTraceLine(const std::string& line, TraceRequest& req,
                std::string& error)
 {
@@ -174,64 +185,10 @@ parseTraceLine(const std::string& line, TraceRequest& req,
             error = "expected key=value, got '" + word + "'";
             return false;
         }
-        std::string key = word.substr(0, eq);
-        std::string value = word.substr(eq + 1);
-        uint32_t n = 0;
-        if (key == "function") {
-            std::optional<Function> f = parseFunction(value);
-            if (!f) {
-                error = "unknown function '" + value + "'";
-                return false;
-            }
-            req.function = *f;
-            haveFunction = true;
-        } else if (key == "method") {
-            std::optional<Method> m = parseMethod(value);
-            if (!m) {
-                error = "unknown method '" + value + "'";
-                return false;
-            }
-            req.spec.method = *m;
-        } else if (key == "elements") {
-            if (!parseU32(value, n) || n == 0) {
-                error = "bad elements '" + value + "'";
-                return false;
-            }
-            req.elements = n;
-        } else if (key == "log2-entries") {
-            if (!parseU32(value, req.spec.log2Entries)) {
-                error = "bad log2-entries '" + value + "'";
-                return false;
-            }
-        } else if (key == "interpolated") {
-            if (!parseU32(value, n) || n > 1) {
-                error = "bad interpolated '" + value + "'";
-                return false;
-            }
-            req.spec.interpolated = n != 0;
-        } else if (key == "iterations") {
-            if (!parseU32(value, req.spec.iterations)) {
-                error = "bad iterations '" + value + "'";
-                return false;
-            }
-        } else if (key == "placement") {
-            if (value == "wram") {
-                req.spec.placement = Placement::Wram;
-            } else if (value == "mram") {
-                req.spec.placement = Placement::Mram;
-            } else {
-                error = "bad placement '" + value + "'";
-                return false;
-            }
-        } else if (key == "tenant") {
-            if (!parseU64(value, req.tenant)) {
-                error = "bad tenant '" + value + "'";
-                return false;
-            }
-        } else {
-            error = "unknown key '" + key + "'";
+        std::string_view key = std::string_view(word).substr(0, eq);
+        if (!applyRequestKey(key, word.substr(eq + 1), req, error))
             return false;
-        }
+        haveFunction = haveFunction || key == "function";
     }
     if (!haveFunction || req.elements == 0) {
         error = "request needs at least function= and elements=";
@@ -272,6 +229,66 @@ readTraceFile(const std::string& path, std::vector<TraceRequest>& out,
         return false;
     }
     return true;
+}
+
+bool
+readPlanFile(const std::string& path, sim::fault::FaultPlan& out,
+             std::string& error)
+{
+    std::ifstream in(path);
+    if (!in) {
+        error = "cannot read '" + path + "'";
+        return false;
+    }
+    std::ostringstream text;
+    text << in.rdbuf();
+    std::string parseError;
+    std::optional<sim::fault::FaultPlan> plan =
+        sim::fault::FaultPlan::parse(text.str(), &parseError);
+    if (!plan) {
+        error = path + ": " + parseError;
+        return false;
+    }
+    out = std::move(*plan);
+    return true;
+}
+
+std::vector<float>
+traceInputs(std::span<const TraceRequest> trace, uint32_t seed)
+{
+    uint64_t total = 0;
+    for (const TraceRequest& r : trace)
+        total += r.elements;
+    std::vector<float> inputs(total);
+    float* in = inputs.data();
+    uint32_t salt = 0;
+    for (const TraceRequest& r : trace) {
+        Domain dom = functionDomain(r.function);
+        const float lo = static_cast<float>(dom.lo);
+        const float hi = static_cast<float>(dom.hi);
+        SplitMix64 rng(seed + salt++);
+        for (uint32_t i = 0; i < r.elements; ++i)
+            *in++ = rng.nextFloat(lo, hi);
+    }
+    return inputs;
+}
+
+void
+enqueueTrace(std::span<const TraceRequest> trace,
+             EvaluatorCatalog& catalog, const float* inputs,
+             float* outputs, sim::serve::BatchQueue& queue)
+{
+    uint64_t off = 0;
+    for (const TraceRequest& r : trace) {
+        sim::serve::Request req;
+        req.table = catalog.add(r.function, r.spec);
+        req.input = inputs + off;
+        req.output = outputs + off;
+        req.elements = r.elements;
+        req.tenant = r.tenant;
+        queue.push(req);
+        off += r.elements;
+    }
 }
 
 } // namespace transpim

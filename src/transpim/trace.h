@@ -27,12 +27,16 @@
  *    exact floor x / 2^i (0 or -1), so they serve but add no accuracy.
  *
  * Function names are functionName()'s spellings; method names are
- * the CLI spellings of cliMethodName(). Numbers use C notation
- * (decimal, 0x hex, leading-0 octal) and must be unsigned: a sign
- * or leading whitespace is rejected. pimserve, pimtune, pimfault and
- * pimtrace all parse with these functions, so the tools accept the
- * same words and report the same errors. The shared options parsed
- * here are --tasklets N, --chunk N and --tenant-sla T:SPEC.
+ * the CLI spellings of cliMethodName(). Numbers follow pimsim/cli.h,
+ * which also holds the flag reader and --tasklets N every tool uses.
+ *
+ * A flag and its trace key are one word: applyRequestKey() applies
+ * both, so pimfault's --function, --method, --elements,
+ * --log2-entries and --iterations, and pimtrace's same five plus
+ * --placement, accept what a trace line accepts and report the same
+ * errors (pimtrace's --no-interp is its spelling of interpolated=0).
+ * The other shared options parsed here are --chunk N, --tenant-sla
+ * T:SPEC and --plan PATH (readPlanFile).
  */
 
 #ifndef TPL_TRANSPIM_TRACE_H
@@ -40,29 +44,21 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "pimsim/fault/fault.h"
 #include "pimsim/serve/auto_tuner.h"
+#include "pimsim/serve/batch_queue.h"
 #include "transpim/evaluator.h"
 #include "transpim/reference.h"
 
 namespace tpl {
 namespace transpim {
 
-/** Parse an unsigned 32-bit number; false on a sign, whitespace,
- * trailing text, or overflow. */
-bool parseU32(const std::string& text, uint32_t& out);
-
-/** Parse an unsigned 64-bit number; same rules as parseU32. */
-bool parseU64(const std::string& text, uint64_t& out);
-
-/** Parse a --tasklets value: a number in [1, CostModel::maxTasklets].
- * On bad input returns false and sets @p error (e.g. "bad --tasklets
- * '0' (want 1..24)"). */
-bool parseTasklets(const std::string& text, uint32_t& out,
-                   std::string& error);
+class EvaluatorCatalog;
 
 /** Parse a --chunk value: a number in [1, maxChunkElements], the
  * streaming kernel's evalBatch span. On bad input returns false and
@@ -107,8 +103,15 @@ struct TraceRequest
     uint64_t tenant = 0;
 };
 
-/** Parse `request key=value ...` into @p req; on bad input returns
- * false and sets @p error (e.g. "bad tenant '-1'"). */
+/** Apply one request key (see Keys above) with its @p value to
+ * @p req. On bad input returns false, leaves @p req as it was, and
+ * sets @p error (e.g. "unknown method 'x'", "bad elements '0'"). */
+bool applyRequestKey(std::string_view key, const std::string& value,
+                     TraceRequest& req, std::string& error);
+
+/** Parse `request key=value ...` into @p req, each pair through
+ * applyRequestKey; on bad input returns false and sets @p error
+ * (e.g. "bad tenant '-1'"). */
 bool parseTraceLine(const std::string& line, TraceRequest& req,
                     std::string& error);
 
@@ -119,6 +122,28 @@ bool parseTraceLine(const std::string& line, TraceRequest& req,
  */
 bool readTraceFile(const std::string& path,
                    std::vector<TraceRequest>& out, std::string& error);
+
+/** Read and parse the fault-plan file at @p path into @p out. On
+ * failure returns false and sets @p error to "cannot read 'PATH'" or
+ * "PATH: <FaultPlan::parse error>". */
+bool readPlanFile(const std::string& path, sim::fault::FaultPlan& out,
+                  std::string& error);
+
+/**
+ * The replay inputs of @p trace: request i draws its elements from
+ * SplitMix64(uint32_t(seed + i)) uniformly over its function's
+ * domain, and the requests' inputs lie back to back in trace order.
+ */
+std::vector<float> traceInputs(std::span<const TraceRequest> trace,
+                               uint32_t seed);
+
+/** Push one request per entry of @p trace into @p queue (left
+ * open): its table is @p catalog.add(function, spec), its input and
+ * output consecutive slices of @p inputs and @p outputs, laid out as
+ * traceInputs() lays them out. */
+void enqueueTrace(std::span<const TraceRequest> trace,
+                  EvaluatorCatalog& catalog, const float* inputs,
+                  float* outputs, sim::serve::BatchQueue& queue);
 
 } // namespace transpim
 } // namespace tpl

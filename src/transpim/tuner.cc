@@ -64,41 +64,8 @@ const std::vector<Method> kAllMethods{
     Method::DLut,    Method::DlLut,       Method::Poly,
 };
 
-/** Resolve the Auto metric: relative for large-output functions. */
-bool
-useRelative(Function f, ErrorMetric metric)
-{
-    if (metric != ErrorMetric::Auto)
-        return metric == ErrorMetric::Relative;
-    switch (f) {
-      case Function::Exp:
-      case Function::Exp2:
-      case Function::Sinh:
-      case Function::Cosh:
-        return true;
-      default:
-        return false;
-    }
-}
-
-/** RMSE under the chosen metric over sample inputs. */
-double
-measureRmse(const FunctionEvaluator& eval,
-            const std::vector<float>& inputs, bool relative)
-{
-    double sumSq = 0.0;
-    size_t n = 0;
-    for (float x : inputs) {
-        double ref =
-            referenceValue(eval.function(), static_cast<double>(x));
-        double err = std::abs(eval.eval(x, nullptr) - ref);
-        if (relative)
-            err /= std::max(1.0, std::abs(ref));
-        sumSq += err * err;
-        ++n;
-    }
-    return n ? std::sqrt(sumSq / static_cast<double>(n)) : 0.0;
-}
+/** Seed of the tuners' accuracy sample (tunerSample). */
+constexpr uint64_t kSampleSeed = 0x7a11e5;
 
 /**
  * The smallest knob of method @p m meeting @p targetRmse, scored:
@@ -135,8 +102,7 @@ searchMethod(Function f, Method m, double targetRmse,
             // configuration of this method fits either.
             return std::nullopt;
         }
-        bool relative = useRelative(f, constraints.metric);
-        double rmse = measureRmse(eval, inputs, relative);
+        double rmse = sampleRmse(eval, inputs, constraints.metric);
         if (rmse > targetRmse)
             continue; // not accurate enough yet; raise the knob
 
@@ -174,10 +140,8 @@ std::optional<TunerResult>
 recommendSpec(Function f, double targetRmse,
               const TunerConstraints& constraints)
 {
-    Domain dom = functionDomain(f);
-    auto inputs =
-        uniformFloats(constraints.sampleSize, static_cast<float>(dom.lo),
-                      static_cast<float>(dom.hi), 0x7a11e5);
+    const std::vector<float> inputs =
+        tunerSample(f, constraints.sampleSize);
 
     const std::vector<Method>& methods =
         constraints.methods.empty() ? kAllMethods : constraints.methods;
@@ -207,13 +171,48 @@ recommendSpec(Function f, double targetRmse,
     return result;
 }
 
+std::vector<float>
+tunerSample(Function f, uint32_t n)
+{
+    Domain dom = functionDomain(f);
+    return uniformFloats(n, static_cast<float>(dom.lo),
+                         static_cast<float>(dom.hi), kSampleSeed);
+}
+
+double
+sampleRmse(const FunctionEvaluator& eval, const std::vector<float>& inputs,
+           ErrorMetric metric)
+{
+    const bool relative =
+        resolveMetric(eval.function(), metric) == ErrorMetric::Relative;
+    double sumSq = 0.0;
+    for (float x : inputs) {
+        double ref =
+            referenceValue(eval.function(), static_cast<double>(x));
+        double err = std::abs(eval.eval(x, nullptr) - ref);
+        if (relative)
+            err /= std::max(1.0, std::abs(ref));
+        sumSq += err * err;
+    }
+    return inputs.empty()
+               ? 0.0
+               : std::sqrt(sumSq / static_cast<double>(inputs.size()));
+}
+
 ErrorMetric
 resolveMetric(Function f, ErrorMetric metric)
 {
     if (metric != ErrorMetric::Auto)
         return metric;
-    return useRelative(f, metric) ? ErrorMetric::Relative
-                                  : ErrorMetric::Absolute;
+    switch (f) {
+      case Function::Exp:
+      case Function::Exp2:
+      case Function::Sinh:
+      case Function::Cosh:
+        return ErrorMetric::Relative;
+      default:
+        return ErrorMetric::Absolute;
+    }
 }
 
 } // namespace transpim

@@ -100,6 +100,22 @@ std::optional<TunerResult> recommendSpec(
     const TunerConstraints& constraints = {});
 
 /**
+ * The accuracy sample both tuners measure on: @p n inputs uniform over
+ * functionDomain(@p f), drawn from one fixed seed, so recommendSpec
+ * and the online AutoTuner agree about a configuration's RMSE.
+ */
+std::vector<float> tunerSample(Function f, uint32_t n);
+
+/**
+ * RMSE of @p eval over @p inputs under @p metric (resolved for the
+ * evaluator's function by resolveMetric): the error is
+ * |approx - ref|, divided by max(1, |ref|) when relative, summed in
+ * input order. 0 for no inputs.
+ */
+double sampleRmse(const FunctionEvaluator& eval,
+                  const std::vector<float>& inputs, ErrorMetric metric);
+
+/**
  * Resolve ErrorMetric::Auto for @p f: Relative for the functions with
  * large output ranges (Exp, Exp2, Sinh, Cosh), Absolute otherwise.
  * Explicit metrics pass through unchanged. This is the classification

@@ -569,6 +569,24 @@ TEST(Certificate, UnboundedReasonSurvivesEscaping)
     EXPECT_FALSE(parseCertificate("{not a certificate}", back));
 }
 
+TEST(Certificate, EveryEscapedByteRoundTrips)
+{
+    // Every byte jsonEscape rewrites: the control bytes 0x01-0x1f
+    // (\n, \t, \r and the \u00XX forms), the quote and the backslash.
+    std::string text;
+    for (char c = 1; c < 0x20; ++c)
+        text += c;
+    text += "\"\\";
+    KernelCertificate cert;
+    cert.kernel = "k" + text;
+    cert.bound.bounded = false;
+    cert.bound.reason = text + "r";
+    KernelCertificate back;
+    ASSERT_TRUE(parseCertificate(serializeCertificate(cert), back));
+    EXPECT_EQ(cert.kernel, back.kernel);
+    EXPECT_EQ(cert.bound.reason, back.bound.reason);
+}
+
 TEST(Certificate, KeyLikeTextInsideStringValuesDoesNotMisparse)
 {
     // The reason ends with an escaped `"bcet`: in the raw JSON that

@@ -13,8 +13,10 @@
 #include <string>
 #include <vector>
 
+#include "pimsim/cli.h"
 #include "transpim/trace.h"
 
+using namespace tpl::cli;
 using namespace tpl::transpim;
 
 namespace {

@@ -37,12 +37,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <optional>
-#include <sstream>
 #include <string>
 
+#include "pimsim/cli.h"
 #include "pimsim/fault/fault.h"
 #include "pimsim/obs/metrics.h"
 #include "transpim/harness.h"
@@ -83,10 +81,9 @@ const char* kDemoPlan =
 int
 main(int argc, char** argv)
 {
-    Function function = Function::Sin;
-    MethodSpec spec;
-    spec.log2Entries = 10;
-    uint32_t elements = 4096;
+    TraceRequest req;
+    req.spec.log2Entries = 10;
+    req.elements = 4096;
     BatchedOptions opts;
     opts.dpus = 16;
     opts.tasklets = 8;
@@ -98,76 +95,35 @@ main(int argc, char** argv)
     bool seedOverride = false;
     uint32_t seedValue = 0;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                usage();
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        auto u32Arg = [&](uint32_t& out) {
-            if (!parseU32(value(), out)) {
-                usage();
-                std::exit(2);
-            }
-        };
+    cli::Flags flags("pimfault", argc, argv, usage);
+    while (flags.next()) {
+        const std::string& arg = flags.arg();
         if (arg == "--plan") {
-            planPath = value();
+            planPath = flags.value();
         } else if (arg == "--demo") {
             demo = true;
         } else if (arg == "--print") {
             printOnly = true;
         } else if (arg == "--seed") {
-            u32Arg(seedValue);
+            flags.u32(seedValue);
             seedOverride = true;
-        } else if (arg == "--function") {
-            std::string name = value();
-            std::optional<Function> f = parseFunction(name);
-            if (!f) {
-                std::cerr << "pimfault: unknown function '" << name
-                          << "'\n";
-                return 2;
-            }
-            function = *f;
-        } else if (arg == "--method") {
-            std::string name = value();
-            std::optional<Method> m = parseMethod(name);
-            if (!m) {
-                std::cerr << "pimfault: unknown method '" << name
-                          << "'\n";
-                return 2;
-            }
-            spec.method = *m;
-        } else if (arg == "--elements") {
-            u32Arg(elements);
-        } else if (arg == "--dpus") {
-            u32Arg(opts.dpus);
-            if (opts.dpus == 0) {
-                std::cerr << "pimfault: bad --dpus '0' (want at"
-                             " least 1)\n";
-                return 2;
-            }
-        } else if (arg == "--tasklets") {
+        } else if (arg == "--function" || arg == "--method" ||
+                   arg == "--elements" || arg == "--log2-entries" ||
+                   arg == "--iterations") {
             std::string error;
-            if (!parseTasklets(value(), opts.tasklets, error)) {
-                std::cerr << "pimfault: " << error << "\n";
-                return 2;
-            }
-        } else if (arg == "--log2-entries") {
-            u32Arg(spec.log2Entries);
-        } else if (arg == "--iterations") {
-            u32Arg(spec.iterations);
+            if (!applyRequestKey(std::string_view(arg).substr(2),
+                                 flags.value(), req, error))
+                flags.fail(error);
+        } else if (arg == "--dpus") {
+            flags.u32(opts.dpus);
+            if (opts.dpus == 0)
+                flags.fail("bad --dpus '0' (want at least 1)");
+        } else if (arg == "--tasklets") {
+            flags.parse(opts.tasklets, cli::parseTasklets);
         } else if (arg == "--metrics") {
-            metricsPath = value();
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
+            metricsPath = flags.value();
         } else {
-            std::cerr << "pimfault: unknown option '" << arg << "'\n";
-            usage();
-            return 2;
+            flags.unknown();
         }
     }
 
@@ -180,43 +136,36 @@ main(int argc, char** argv)
         return 2;
     }
 
-    std::ifstream in(planPath);
-    if (!in) {
-        std::cerr << "pimfault: cannot read '" << planPath << "'\n";
-        return 2;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
+    sim::fault::FaultPlan plan;
     std::string error;
-    std::optional<sim::fault::FaultPlan> plan =
-        sim::fault::FaultPlan::parse(text.str(), &error);
-    if (!plan) {
-        std::cerr << "pimfault: " << planPath << ": " << error << "\n";
+    if (!readPlanFile(planPath, plan, error)) {
+        std::cerr << "pimfault: " << error << "\n";
         return 2;
     }
     if (seedOverride)
-        plan->seed = seedValue;
+        plan.seed = seedValue;
 
     if (printOnly) {
-        std::cout << plan->toText();
+        std::cout << plan.toText();
         return 0;
     }
 
-    if (!FunctionEvaluator::supports(function, spec)) {
+    if (!FunctionEvaluator::supports(req.function, req.spec)) {
         std::cerr << "pimfault: unsupported combination "
-                  << functionName(function) << " / "
-                  << methodLabel(spec) << "\n";
+                  << functionName(req.function) << " / "
+                  << methodLabel(req.spec) << "\n";
         return 1;
     }
 
     obs::Registry& reg = obs::Registry::global();
     reg.setEnabled(true);
-    opts.plan = *plan;
-    opts.elementsPerRequest = elements;
+    opts.plan = plan;
+    opts.elementsPerRequest = req.elements;
     opts.perDpuElements = static_cast<uint32_t>(std::max<uint64_t>(
-        1, (static_cast<uint64_t>(elements) + opts.dpus - 1) /
+        1, (static_cast<uint64_t>(req.elements) + opts.dpus - 1) /
                opts.dpus));
-    BatchedResult res = runBatchedThroughput(function, spec, opts);
+    BatchedResult res =
+        runBatchedThroughput(req.function, req.spec, opts);
     if (!res.feasible) {
         std::cerr << "pimfault: configuration infeasible (tables or"
                      " the per-DPU slice do not fit the PIM core)\n";
@@ -224,12 +173,12 @@ main(int argc, char** argv)
     }
     const sim::serve::ServeReport& run = res.report;
 
-    std::cout << "== pimfault: " << functionName(function) << " / "
-              << methodLabel(spec) << "\n";
-    std::cout << "   plan " << planPath << " (seed " << plan->seed
-              << ", " << plan->faults.size() << " fault spec"
-              << (plan->faults.size() == 1 ? "" : "s") << "), "
-              << elements << " elements over " << opts.dpus
+    std::cout << "== pimfault: " << functionName(req.function) << " / "
+              << methodLabel(req.spec) << "\n";
+    std::cout << "   plan " << planPath << " (seed " << plan.seed
+              << ", " << plan.faults.size() << " fault spec"
+              << (plan.faults.size() == 1 ? "" : "s") << "), "
+              << req.elements << " elements over " << opts.dpus
               << " DPUs\n\n";
 
     std::cout << "-- blast radius\n";

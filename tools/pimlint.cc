@@ -16,20 +16,24 @@
  *   --wram BYTES      scratchpad size checked against (default 65536)
  *   --mram BYTES      MRAM bank size (default 67108864)
  *   --max-dma BYTES   per-transfer DMA cap (default 2048)
- *   --tasklets N      launch size for --cost / default for
- *                     --interleave (default 1)
+ *   --tasklets N      launch size for --cost, 1..24 (default 1)
  *   --cost            compute the static [BCET, WCET] cycle bound;
  *                     an unbounded kernel is an error
  *   --interleave N    explore all tasklet interleavings at N
- *                     tasklets; races and deadlocks are errors, an
- *                     inconclusive exploration is a warning
+ *                     tasklets, 1..24; races and deadlocks are
+ *                     errors, an inconclusive exploration is a
+ *                     warning
  *   --json            machine-readable output (schema in
  *                     docs/analysis.md); implies -q for text
  *   --werror          treat warnings as errors
  *   -q, --quiet       suppress diagnostics, exit status only
  *
+ * Numbers follow pimsim/cli.h: unsigned C notation (a 32-bit count
+ * for --wram and --max-dma, 64-bit for --mram).
+ *
  * Exit status: 0 clean (warnings allowed unless --werror), 1 when any
- * error diagnostic fired, 2 on usage / I/O / assembly errors.
+ * error diagnostic fired, 2 on usage / I/O / assembly errors (a
+ * signed, malformed or out-of-range number is a usage error).
  */
 
 #include <cstdint>
@@ -39,9 +43,11 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "pimsim/analysis/certificate.h"
 #include "pimsim/analysis/loops.h"
 #include "pimsim/analysis/verify.h"
+#include "pimsim/cli.h"
 #include "pimsim/isa.h"
 
 namespace {
@@ -53,21 +59,6 @@ usage()
         << "usage: pimlint [--wram BYTES] [--mram BYTES]"
            " [--max-dma BYTES] [--tasklets N] [--cost]"
            " [--interleave N] [--json] [--werror] [-q] <file.s ...|->\n";
-}
-
-bool
-parseBytes(const std::string& text, uint64_t& out)
-{
-    try {
-        size_t pos = 0;
-        unsigned long long v = std::stoull(text, &pos, 0);
-        if (pos != text.size())
-            return false;
-        out = v;
-        return true;
-    } catch (...) {
-        return false;
-    }
 }
 
 /** "path/to/llut.s" -> "llut": the certificate's kernel name. */
@@ -101,55 +92,29 @@ main(int argc, char** argv)
     uint32_t interleaveTasklets = 0; // 0 = interleaving not requested
     std::vector<std::string> files;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto bytesArg = [&](uint64_t& out) {
-            if (i + 1 >= argc || !parseBytes(argv[++i], out)) {
-                usage();
-                std::exit(2);
-            }
-        };
+    tpl::cli::Flags flags("pimlint", argc, argv, usage);
+    while (flags.next()) {
+        const std::string& arg = flags.arg();
         if (arg == "--wram") {
-            uint64_t v = 0;
-            bytesArg(v);
-            options.wramBytes = static_cast<uint32_t>(v);
+            flags.u32(options.wramBytes);
         } else if (arg == "--mram") {
-            bytesArg(options.mramBytes);
+            flags.u64(options.mramBytes);
         } else if (arg == "--max-dma") {
-            uint64_t v = 0;
-            bytesArg(v);
-            options.maxDmaBytes = static_cast<uint32_t>(v);
+            flags.u32(options.maxDmaBytes);
         } else if (arg == "--tasklets") {
-            uint64_t v = 0;
-            bytesArg(v);
-            if (v == 0) {
-                usage();
-                return 2;
-            }
-            tasklets = static_cast<uint32_t>(v);
+            flags.parse(tasklets, tpl::cli::parseTasklets);
         } else if (arg == "--cost") {
             wantCost = true;
         } else if (arg == "--interleave") {
-            uint64_t v = 0;
-            bytesArg(v);
-            if (v == 0) {
-                usage();
-                return 2;
-            }
-            interleaveTasklets = static_cast<uint32_t>(v);
+            flags.parse(interleaveTasklets, tpl::cli::parseTasklets);
         } else if (arg == "--json") {
             wantJson = true;
         } else if (arg == "--werror") {
             werror = true;
         } else if (arg == "-q" || arg == "--quiet") {
             quiet = true;
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
         } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
-            std::cerr << "pimlint: unknown option '" << arg << "'\n";
-            usage();
-            return 2;
+            flags.unknown();
         } else {
             files.push_back(arg);
         }
@@ -272,7 +237,7 @@ main(int argc, char** argv)
 
         if (wantJson) {
             std::string entry = "\n    {\n      \"file\": \"" +
-                                check::jsonEscape(file) + "\",\n";
+                                tpl::jsonEscape(file) + "\",\n";
             entry += "      \"diagnostics\": [";
             for (size_t d = 0; d < diags.size(); ++d) {
                 entry += std::string(d ? "," : "") +
@@ -283,7 +248,7 @@ main(int argc, char** argv)
                          "\", \"line\": " +
                          std::to_string(diags[d].line) +
                          ", \"message\": \"" +
-                         check::jsonEscape(diags[d].message) + "\"}";
+                         tpl::jsonEscape(diags[d].message) + "\"}";
             }
             entry += diags.empty() ? "],\n" : "\n      ],\n";
             if (wantCost || cert.interleaveChecked) {

@@ -85,11 +85,10 @@
 #include <map>
 #include <new>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
+#include "pimsim/cli.h"
 #include "pimsim/obs/journal.h"
 #include "pimsim/obs/metrics.h"
 #include "pimsim/serve/pipeline.h"
@@ -313,87 +312,55 @@ main(int argc, char** argv)
     std::optional<sim::serve::TenantSla> defaultSla;
     std::map<uint64_t, sim::serve::TenantSla> tenantSlas;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                usage();
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        auto u32Arg = [&](uint32_t& out) {
-            if (!parseU32(value(), out)) {
-                usage();
-                std::exit(2);
-            }
-        };
+    cli::Flags flags("pimserve", argc, argv, usage);
+    while (flags.next()) {
+        const std::string& arg = flags.arg();
         if (arg == "--trace") {
-            tracePath = value();
+            tracePath = flags.value();
         } else if (arg == "--demo-trace") {
             demoTrace = true;
         } else if (arg == "--demo-requests") {
-            u32Arg(demoRequests);
+            flags.u32(demoRequests);
         } else if (arg == "--topology") {
-            std::string spec = value();
+            std::string spec = flags.value();
             topology = sim::Topology::parse(spec);
-            if (!topology) {
-                std::cerr << "pimserve: bad --topology '" << spec
-                          << "' (want DIMMSxRANKSxDPUS, e.g."
-                             " 20x2x64)\n";
-                return 2;
-            }
+            if (!topology)
+                flags.fail("bad --topology '" + spec +
+                           "' (want DIMMSxRANKSxDPUS, e.g. 20x2x64)");
         } else if (arg == "--dpus") {
-            u32Arg(dpus);
+            flags.u32(dpus);
         } else if (arg == "--tasklets") {
-            std::string error;
-            if (!parseTasklets(value(), tasklets, error)) {
-                std::cerr << "pimserve: " << error << "\n";
-                return 2;
-            }
+            flags.parse(tasklets, cli::parseTasklets);
         } else if (arg == "--per-dpu-elements") {
-            u32Arg(perDpuElements);
+            flags.u32(perDpuElements);
         } else if (arg == "--chunk") {
-            std::string error;
-            if (!parseChunk(value(), chunk, error)) {
-                std::cerr << "pimserve: " << error << "\n";
-                return 2;
-            }
+            flags.parse(chunk, parseChunk);
         } else if (arg == "--plan") {
-            planPath = value();
+            planPath = flags.value();
         } else if (arg == "--seed") {
-            u32Arg(seed);
+            flags.u32(seed);
         } else if (arg == "--json") {
-            jsonPath = value();
+            jsonPath = flags.value();
         } else if (arg == "--metrics") {
-            metricsPath = value();
+            metricsPath = flags.value();
         } else if (arg == "--journal") {
-            journalPath = value();
+            journalPath = flags.value();
         } else if (arg == "--slo") {
-            sloText = value();
+            sloText = flags.value();
         } else if (arg == "--auto-tune") {
             autoTune = true;
         } else if (arg == "--tenant-sla") {
             TenantSlaArg parsed;
-            std::string error;
-            if (!parseTenantSlaArg(value(), parsed, error)) {
-                std::cerr << "pimserve: " << error << "\n";
-                return 2;
-            }
+            flags.parse(parsed, parseTenantSlaArg);
             autoTune = true;
             if (parsed.tenant)
                 tenantSlas[*parsed.tenant] = parsed.sla;
             else
                 defaultSla = parsed.sla;
         } else if (arg == "--explore") {
-            u32Arg(explore);
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
+            flags.u32(explore);
         } else {
-            std::cerr << "pimserve: unknown option '" << arg << "'\n";
-            usage();
-            return 2;
+            flags.unknown();
         }
     }
 
@@ -431,19 +398,9 @@ main(int argc, char** argv)
 
     std::optional<sim::fault::FaultPlan> plan;
     if (!planPath.empty()) {
-        std::ifstream planIn(planPath);
-        if (!planIn) {
-            std::cerr << "pimserve: cannot read '" << planPath
-                      << "'\n";
-            return 2;
-        }
-        std::ostringstream text;
-        text << planIn.rdbuf();
         std::string error;
-        plan = sim::fault::FaultPlan::parse(text.str(), &error);
-        if (!plan) {
-            std::cerr << "pimserve: " << planPath << ": " << error
-                      << "\n";
+        if (!readPlanFile(planPath, plan.emplace(), error)) {
+            std::cerr << "pimserve: " << error << "\n";
             return 2;
         }
     }
@@ -461,25 +418,9 @@ main(int argc, char** argv)
 
     obs::Registry::global().setEnabled(true);
 
-    // Generate per-request inputs over each function's domain, each
-    // request drawn from its own seed straight into place.
-    uint64_t total = 0;
-    for (const TraceRequest& r : trace)
-        total += r.elements;
-    std::vector<float> inputs(total);
-    std::vector<float> outputs(total, 0.0f);
-    {
-        float* in = inputs.data();
-        uint32_t salt = 0;
-        for (const TraceRequest& r : trace) {
-            Domain dom = functionDomain(r.function);
-            const float lo = static_cast<float>(dom.lo);
-            const float hi = static_cast<float>(dom.hi);
-            SplitMix64 rng(seed + salt++);
-            for (uint32_t i = 0; i < r.elements; ++i)
-                *in++ = rng.nextFloat(lo, hi);
-        }
-    }
+    std::vector<float> inputs = traceInputs(trace, seed);
+    std::vector<float> outputs(inputs.size(), 0.0f);
+    const uint64_t total = inputs.size();
 
     // One run of the whole trace on a fresh system.
     obs::Journal journal;
@@ -495,19 +436,7 @@ main(int argc, char** argv)
 
     sim::serve::BatchQueue queue;
     queue.setJournal(&journal);
-    {
-        uint64_t off = 0;
-        for (const TraceRequest& r : trace) {
-            sim::serve::Request req;
-            req.table = catalog.add(r.function, r.spec);
-            req.input = inputs.data() + off;
-            req.output = outputs.data() + off;
-            req.elements = r.elements;
-            req.tenant = r.tenant;
-            queue.push(req);
-            off += r.elements;
-        }
-    }
+    enqueueTrace(trace, catalog, inputs.data(), outputs.data(), queue);
     queue.close();
     // The queue holds every request now: free the trace.
     const size_t requests = trace.size();

@@ -38,10 +38,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "pimsim/cli.h"
 #include "pimsim/obs/metrics.h"
 #include "pimsim/obs/trace.h"
 #include "transpim/harness.h"
@@ -81,89 +81,43 @@ percent(uint64_t part, uint64_t whole)
 int
 main(int argc, char** argv)
 {
-    Function function = Function::Sin;
-    MethodSpec spec;
     MicrobenchOptions opts;
+    TraceRequest req;
+    req.elements = opts.elements;
     std::string tracePath = "pimtrace.trace.json";
     std::string metricsPath = "pimtrace.metrics.json";
     uint32_t topN = UINT32_MAX;
     bool quantiles = false;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                usage();
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        auto u32Arg = [&](uint32_t& out) {
-            if (!parseU32(value(), out)) {
-                usage();
-                std::exit(2);
-            }
-        };
-        if (arg == "--function") {
-            std::string name = value();
-            std::optional<Function> f = parseFunction(name);
-            if (!f) {
-                std::cerr << "pimtrace: unknown function '" << name
-                          << "'\n";
-                return 2;
-            }
-            function = *f;
-        } else if (arg == "--method") {
-            std::string name = value();
-            std::optional<Method> m = parseMethod(name);
-            if (!m) {
-                std::cerr << "pimtrace: unknown method '" << name
-                          << "'\n";
-                return 2;
-            }
-            spec.method = *m;
-        } else if (arg == "--elements") {
-            u32Arg(opts.elements);
-        } else if (arg == "--tasklets") {
+    cli::Flags flags("pimtrace", argc, argv, usage);
+    while (flags.next()) {
+        const std::string& arg = flags.arg();
+        if (arg == "--function" || arg == "--method" ||
+            arg == "--elements" || arg == "--log2-entries" ||
+            arg == "--iterations" || arg == "--placement") {
             std::string error;
-            if (!parseTasklets(value(), opts.tasklets, error)) {
-                std::cerr << "pimtrace: " << error << "\n";
-                return 2;
-            }
-        } else if (arg == "--log2-entries") {
-            u32Arg(spec.log2Entries);
-        } else if (arg == "--iterations") {
-            u32Arg(spec.iterations);
-        } else if (arg == "--placement") {
-            std::string p = value();
-            if (p == "wram") {
-                spec.placement = Placement::Wram;
-            } else if (p == "mram") {
-                spec.placement = Placement::Mram;
-            } else {
-                std::cerr << "pimtrace: unknown placement '" << p
-                          << "'\n";
-                return 2;
-            }
+            if (!applyRequestKey(std::string_view(arg).substr(2),
+                                 flags.value(), req, error))
+                flags.fail(error);
+        } else if (arg == "--tasklets") {
+            flags.parse(opts.tasklets, cli::parseTasklets);
         } else if (arg == "--no-interp") {
-            spec.interpolated = false;
+            req.spec.interpolated = false;
         } else if (arg == "--trace") {
-            tracePath = value();
+            tracePath = flags.value();
         } else if (arg == "--metrics") {
-            metricsPath = value();
+            metricsPath = flags.value();
         } else if (arg == "--top") {
-            u32Arg(topN);
+            flags.u32(topN);
         } else if (arg == "--quantiles") {
             quantiles = true;
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
         } else {
-            std::cerr << "pimtrace: unknown option '" << arg << "'\n";
-            usage();
-            return 2;
+            flags.unknown();
         }
     }
+    const Function function = req.function;
+    const MethodSpec& spec = req.spec;
+    opts.elements = req.elements;
 
     if (!FunctionEvaluator::supports(function, spec)) {
         std::cerr << "pimtrace: unsupported combination "

@@ -70,7 +70,7 @@
 #include <vector>
 
 #include "common/error_metrics.h"
-#include "common/rng.h"
+#include "pimsim/cli.h"
 #include "pimsim/obs/metrics.h"
 #include "pimsim/serve/pipeline.h"
 #include "transpim/auto_tuner.h"
@@ -204,74 +204,42 @@ main(int argc, char** argv)
     std::optional<sim::serve::TenantSla> defaultSla;
     bool anySlaArg = false;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                usage();
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        auto u32Arg = [&](uint32_t& out) {
-            if (!parseU32(value(), out)) {
-                usage();
-                std::exit(2);
-            }
-        };
+    cli::Flags flags("pimtune", argc, argv, usage);
+    while (flags.next()) {
+        const std::string& arg = flags.arg();
         if (arg == "--trace") {
-            tracePath = value();
+            tracePath = flags.value();
         } else if (arg == "--demo") {
             demo = true;
-            u32Arg(demoRequests);
+            flags.u32(demoRequests);
         } else if (arg == "--tenant-sla") {
             TenantSlaArg parsed;
-            std::string error;
-            if (!parseTenantSlaArg(value(), parsed, error)) {
-                std::cerr << "pimtune: " << error << "\n";
-                return 2;
-            }
+            flags.parse(parsed, parseTenantSlaArg);
             anySlaArg = true;
             if (parsed.tenant)
                 slas[*parsed.tenant] = parsed.sla;
             else
                 defaultSla = parsed.sla;
         } else if (arg == "--dpus") {
-            u32Arg(dpus);
+            flags.u32(dpus);
         } else if (arg == "--tasklets") {
-            std::string error;
-            if (!parseTasklets(value(), tasklets, error)) {
-                std::cerr << "pimtune: " << error << "\n";
-                return 2;
-            }
+            flags.parse(tasklets, cli::parseTasklets);
         } else if (arg == "--per-dpu-elements") {
-            u32Arg(perDpuElements);
+            flags.u32(perDpuElements);
         } else if (arg == "--chunk") {
-            std::string error;
-            if (!parseChunk(value(), chunk, error)) {
-                std::cerr << "pimtune: " << error << "\n";
-                return 2;
-            }
+            flags.parse(chunk, parseChunk);
         } else if (arg == "--explore") {
-            u32Arg(explore);
+            flags.u32(explore);
         } else if (arg == "--candidates") {
-            u32Arg(candidates);
+            flags.u32(candidates);
         } else if (arg == "--mram-budget") {
-            if (!parseU64(value(), mramBudget)) {
-                usage();
-                return 2;
-            }
+            flags.u64(mramBudget);
         } else if (arg == "--seed") {
-            u32Arg(seed);
+            flags.u32(seed);
         } else if (arg == "--json") {
-            jsonPath = value();
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
+            jsonPath = flags.value();
         } else {
-            std::cerr << "pimtune: unknown option '" << arg << "'\n";
-            usage();
-            return 2;
+            flags.unknown();
         }
     }
 
@@ -311,24 +279,9 @@ main(int argc, char** argv)
 
     obs::Registry::global().setEnabled(true);
 
-    uint64_t total = 0;
-    for (const TraceRequest& r : trace)
-        total += r.elements;
-    std::vector<float> inputs(total);
-    std::vector<float> outputs(total, 0.0f);
-    {
-        uint64_t off = 0;
-        uint32_t salt = 0;
-        for (const TraceRequest& r : trace) {
-            Domain dom = functionDomain(r.function);
-            std::vector<float> chunkIn = uniformFloats(
-                r.elements, static_cast<float>(dom.lo),
-                static_cast<float>(dom.hi), seed + salt++);
-            std::copy(chunkIn.begin(), chunkIn.end(),
-                      inputs.begin() + off);
-            off += r.elements;
-        }
-    }
+    const std::vector<float> inputs = traceInputs(trace, seed);
+    std::vector<float> outputs(inputs.size(), 0.0f);
+    const uint64_t total = inputs.size();
 
     // Static-best: per requested configuration, re-pick offline at
     // the strictest rmse clause among its tenants. A configuration
@@ -385,6 +338,12 @@ main(int argc, char** argv)
             ++retunedConfigs;
         }
     }
+    std::vector<TraceRequest> staticTrace = trace;
+    for (TraceRequest& r : staticTrace) {
+        auto it = staticPick.find(batchTableKey(r.function, r.spec).hash);
+        if (it != staticPick.end())
+            r.spec = it->second;
+    }
 
     enum class Mode
     {
@@ -415,24 +374,8 @@ main(int argc, char** argv)
         }
 
         sim::serve::BatchQueue queue;
-        uint64_t off = 0;
-        for (const TraceRequest& r : trace) {
-            sim::serve::Request req;
-            const MethodSpec* spec = &r.spec;
-            if (mode == Mode::StaticBest) {
-                auto it = staticPick.find(
-                    batchTableKey(r.function, r.spec).hash);
-                if (it != staticPick.end())
-                    spec = &it->second;
-            }
-            req.table = catalog.add(r.function, *spec);
-            req.tenant = r.tenant;
-            req.input = inputs.data() + off;
-            req.output = outputs.data() + off;
-            req.elements = r.elements;
-            queue.push(req);
-            off += r.elements;
-        }
+        enqueueTrace(mode == Mode::StaticBest ? staticTrace : trace,
+                     catalog, inputs.data(), outputs.data(), queue);
         queue.close();
 
         sim::serve::PipelineOptions popts;
