@@ -35,7 +35,9 @@ cleanup() {
 }
 trap cleanup EXIT
 
-cmake -B "$BUILD_DIR" -S "$SRC_DIR"
+# The main tree builds warning-free: -Wall -Wextra warnings are errors
+# here (sanitizer trees and perfbench keep their own flags).
+cmake -B "$BUILD_DIR" -S "$SRC_DIR" -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build "$BUILD_DIR" -j
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j
 
@@ -48,25 +50,6 @@ if [ "${TPL_TIER1_TSAN:-0}" = "1" ]; then
     TSAN_TESTS="$TSAN_TESTS|BatchQueue|Serve|Topology|RankTransfer|Fleet"
     TSAN_TESTS="$TSAN_TESTS|LabelPool|SharedRegion|LaunchContract|Tuner"
     ctest --test-dir "$TSAN_DIR" --output-on-failure -R "$TSAN_TESTS"
-fi
-
-# With TPL_TIER1_SIMD=1, build the softfloat tier with the SIMD lane
-# path disabled (TPL_SOFTFLOAT_SIMD=0, the scalar fallback) and enabled
-# (=1, the vectorized hot paths) and run the softfloat, batch-identity
-# and determinism suites under both trees: locks the two lane
-# implementations to the same bits and the same charges.
-if [ "${TPL_TIER1_SIMD:-0}" = "1" ]; then
-    for simd in 0 1; do
-        SIMD_DIR="${BUILD_DIR}-simd$simd"
-        cmake -B "$SIMD_DIR" -S "$SRC_DIR" -DTPL_SOFTFLOAT_SIMD=$simd
-        cmake --build "$SIMD_DIR" -j --target \
-            softfloat_test softfloat16_test softfloat64_test \
-            softfloat_hardening_test batch_test concurrency_test
-        # NB: -R must not follow a bare -j (ctest would parse -R as
-        # the optional job-count argument and run the whole suite).
-        ctest --test-dir "$SIMD_DIR" --output-on-failure \
-            -R 'Softfloat|Batch|Determinism' -j
-    done
 fi
 
 # With TPL_TIER1_ASAN=1, build the whole tree under AddressSanitizer +
@@ -215,7 +198,8 @@ fi
 # examples keep working, and check that each CLI mistake gets one
 # message in every tool: a malformed trace and a malformed --tenant-sla
 # in both replay tools, a bad method as a flag and as a trace key, and
-# an out-of-range --tasklets in all five tools that take it.
+# an out-of-range --tasklets in all five tools that take it, and a
+# --per-dpu-elements of 0 in both replay tools.
 if [ "${TPL_TIER1_DOCS:-0}" = "1" ]; then
     bash "$SRC_DIR/scripts/check_docs.sh"
     DOCS_TMP=$(mktemp -d)
@@ -300,11 +284,19 @@ PYEOF
     done
     grep -qxF "bad --tasklets '25' (want 1..24)" \
         "$DOCS_TMP/tasklets.pimserve.msg"
+    # One --per-dpu-elements rule (parsePerDpuElements).
+    for tool in pimserve pimtune; do
+        usage_msg slice "$tool" --per-dpu-elements 0
+    done
+    cmp "$DOCS_TMP/slice.pimserve.msg" "$DOCS_TMP/slice.pimtune.msg"
+    grep -qxF "bad --per-dpu-elements '0' (want >= 1)" \
+        "$DOCS_TMP/slice.pimserve.msg"
     echo "check_docs + pimserve/pimtune demo replay JSON round-trip OK"
     echo "pimserve/pimtune reject a malformed trace with one message"
     echo "pimserve/pimtune reject a malformed --tenant-sla with one message"
     echo "pimfault/pimtrace/pimserve/pimtune reject a bad method with one message"
     echo "all five tools reject --tasklets 25 with one message"
+    echo "pimserve/pimtune reject --per-dpu-elements 0 with one message"
 fi
 
 # With TPL_TIER1_OBS=1, exercise the serve observability tier end to

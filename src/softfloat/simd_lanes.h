@@ -13,11 +13,10 @@
  * the canonical quiet NaN 0x7fc00000 — is repaired by patching
  * NaN-result lanes after the vector op.
  *
- * Gate: the lane path is compiled only when the build defines
- * TPL_SOFTFLOAT_SIMD=1 (CMake option of the same name, default ON) on
- * a GCC/Clang compiler. The scalar fallback (the same inlined cores in
- * softfloat_core.h) is always available and bit-identical; the
- * TPL_TIER1_SIMD CI leg builds and tests both configurations.
+ * The library already requires GCC or Clang (`unsigned __int128`,
+ * `__builtin_ctzll`), so the lane path is always compiled; a target
+ * without vector units gets the extensions' scalar lowering. The
+ * scalar cores in softfloat_core.h still handle each batch's tail.
  */
 
 #ifndef TPL_SOFTFLOAT_SIMD_LANES_H
@@ -27,10 +26,6 @@
 
 namespace tpl {
 namespace sf {
-
-#if defined(TPL_SOFTFLOAT_SIMD) && TPL_SOFTFLOAT_SIMD &&                   \
-    (defined(__GNUC__) || defined(__clang__))
-#define TPL_SF_SIMD 1
 
 /** Lanes per vector: 8 with AVX/AVX2, else 4 (SSE2/NEON/generic). */
 #if defined(__AVX2__) || defined(__AVX__)
@@ -50,20 +45,6 @@ typedef uint32_t VBits
 /** One SIMD register of signed 32-bit lanes (arithmetic shifts). */
 typedef int32_t VInt
     __attribute__((vector_size(simdLanes * sizeof(int32_t))));
-
-#else
-#define TPL_SF_SIMD 0
-
-/** Lane width 1: every batched entry point runs the scalar cores. */
-inline constexpr int simdLanes = 1;
-
-#endif
-
-/** True when this build's batched softfloat uses the SIMD lane path. */
-bool simdEnabled();
-
-/** Lane width the batched entry points advance by (1 when scalar). */
-int simdLaneWidth();
 
 } // namespace sf
 } // namespace tpl

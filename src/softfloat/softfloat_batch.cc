@@ -22,21 +22,7 @@
 namespace tpl {
 namespace sf {
 
-bool
-simdEnabled()
-{
-    return TPL_SF_SIMD != 0;
-}
-
-int
-simdLaneWidth()
-{
-    return simdLanes;
-}
-
 namespace {
-
-#if TPL_SF_SIMD
 
 VFloat
 loadV(const float* p)
@@ -66,8 +52,6 @@ patchNan(VFloat v)
     return v;
 }
 
-#endif // TPL_SF_SIMD
-
 } // namespace
 
 void
@@ -81,10 +65,8 @@ addN(std::span<const float> a, std::span<const float> b,
         sink->noteN(OpClass::FloatAdd, n);
     }
     size_t i = 0;
-#if TPL_SF_SIMD
     for (; i + simdLanes <= n; i += simdLanes)
         storeV(&out[i], patchNan(loadV(&a[i]) + loadV(&b[i])));
-#endif
     NullSink none;
     for (; i < n; ++i)
         out[i] = addT(a[i], b[i], none);
@@ -102,10 +84,8 @@ subN(std::span<const float> a, std::span<const float> b,
         sink->noteN(OpClass::FloatAdd, n);
     }
     size_t i = 0;
-#if TPL_SF_SIMD
     for (; i + simdLanes <= n; i += simdLanes)
         storeV(&out[i], patchNan(loadV(&a[i]) - loadV(&b[i])));
-#endif
     NullSink none;
     for (; i < n; ++i)
         out[i] = subT(a[i], b[i], none);
@@ -128,10 +108,8 @@ mulN(std::span<const float> a, std::span<const float> b,
         sink->noteN(OpClass::FloatMul, n);
     }
     size_t i = 0;
-#if TPL_SF_SIMD
     for (; i + simdLanes <= n; i += simdLanes)
         storeV(&out[i], patchNan(loadV(&a[i]) * loadV(&b[i])));
-#endif
     NullSink none;
     for (; i < n; ++i)
         out[i] = mulT(a[i], b[i], none);
@@ -148,10 +126,8 @@ divN(std::span<const float> a, std::span<const float> b,
         sink->noteN(OpClass::FloatDiv, n);
     }
     size_t i = 0;
-#if TPL_SF_SIMD
     for (; i + simdLanes <= n; i += simdLanes)
         storeV(&out[i], patchNan(loadV(&a[i]) / loadV(&b[i])));
-#endif
     NullSink none;
     for (; i < n; ++i)
         out[i] = divT(a[i], b[i], none);

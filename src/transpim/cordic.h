@@ -281,8 +281,6 @@ iterateFixedT(CordicMode mode, const std::vector<uint32_t>& schedule,
     return {Fixed::fromRaw(x), Fixed::fromRaw(y), Fixed::fromRaw(z)};
 }
 
-#if TPL_SF_SIMD
-
 /** True when any lane of @p mask is non-zero. */
 inline bool
 anyLane(sf::VBits mask)
@@ -487,8 +485,6 @@ iterateFixedBlockT(CordicMode mode, const std::vector<uint32_t>& schedule,
     sink.noteWide(OpClass::TableRead, steps);
 }
 
-#endif // TPL_SF_SIMD
-
 } // namespace cordic_detail
 
 /**
@@ -574,7 +570,6 @@ class CordicEngine
         return table_.viewT(sink);
     }
 
-#if TPL_SF_SIMD
     /** The iterations of startT's vectors @p v, in the block lane
      * (cordic_detail::iterateBlockT) over @p view = angleViewT(). */
     template <bool Vectoring, int Vectors, class S>
@@ -584,7 +579,6 @@ class CordicEngine
         cordic_detail::iterateBlockT<Vectoring, Vectors>(mode_, schedule_,
                                                          view, v, sink);
     }
-#endif
 
     CordicMode mode() const { return mode_; }
 
@@ -684,7 +678,6 @@ class CordicFixedEngine
         return table_.viewT(sink);
     }
 
-#if TPL_SF_SIMD
     /** The iterations of startT's vectors @p v, in the block lane
      * (cordic_detail::iterateFixedBlockT). */
     template <bool Vectoring, int Vectors, class S>
@@ -694,7 +687,6 @@ class CordicFixedEngine
         cordic_detail::iterateFixedBlockT<Vectoring, Vectors>(
             mode_, schedule_, view, v, sink);
     }
-#endif
 
     uint32_t iterations() const { return iterations_; }
 

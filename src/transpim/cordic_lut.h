@@ -97,7 +97,6 @@ class CordicLutEngine
         return angleTable_.viewT(sink);
     }
 
-#if TPL_SF_SIMD
     /** The tail iterations of startT's vectors @p v, in the block
      * lane (cordic_detail::iterateBlockT). */
     template <bool Vectoring, int Vectors, class S>
@@ -108,7 +107,6 @@ class CordicLutEngine
         cordic_detail::iterateBlockT<false, Vectors>(mode_, tailSchedule_,
                                                      view, v, sink);
     }
-#endif
 
     /** Tail iterations actually executed. */
     uint32_t tailIterations() const

@@ -123,7 +123,6 @@ staged(std::shared_ptr<Engine> engine, Pre pre, Post post)
     return {std::move(engine), std::move(pre), std::move(post)};
 }
 
-#if TPL_SF_SIMD
 /**
  * One block of @p Vectors * simdLanes elements of a staged body in the
  * engine's block lane: every element's pre stage and engine prologue,
@@ -150,7 +149,6 @@ runBlock(const StagedBody<Engine, Pre, Post>& body, View view,
     for (int j = 0; j < n; ++j)
         out[j] = body.post(stages[j].carry, v[j], sink);
 }
-#endif
 
 /**
  * The batched loop over a staged body. With a host or WRAM angle
@@ -167,7 +165,6 @@ runBatch(const StagedBody<Engine, Pre, Post>& body,
          BatchSink& sink)
 {
     std::size_t i = 0;
-#if TPL_SF_SIMD
     constexpr std::size_t lanes = sf::simdLanes;
     constexpr int blockVectors = 4;
     if (in.size() >= lanes) {
@@ -180,7 +177,6 @@ runBatch(const StagedBody<Engine, Pre, Post>& body,
                 runBlock<1>(body, view, &in[i], &out[i], sink);
         }
     }
-#endif
     for (; i < in.size(); ++i)
         out[i] = body(in[i], sink);
 }
@@ -226,18 +222,23 @@ struct Built
     uint32_t memoryBytes = 0;
 };
 
+/**
+ * Bind @p tables (LUTs or CORDIC engines) to @p out: attach transfers
+ * each to a core, in argument order, and the evaluator's footprint is
+ * the sum of their bytes.
+ */
+template <class... Tables>
+void
+bindTables(Built& out, std::shared_ptr<Tables>... tables)
+{
+    out.attach = [tables...](sim::DpuCore& c) { (tables->attach(c), ...); };
+    out.memoryBytes = (tables->memoryBytes() + ...);
+}
+
 TableFn
 refFn(Function f)
 {
     return [f](double x) { return referenceValue(f, x); };
-}
-
-/** Negate with one sign-flip instruction. */
-template <class S>
-float
-negate(float v, S& sink)
-{
-    return sf::negT(v, sink);
 }
 
 /** Quadrant output selection for sine. */
@@ -249,8 +250,8 @@ selectSin(const CordicEngine::Result& r, int q, S& sink)
     switch (q & 3) {
       case 0: return r.y;
       case 1: return r.x;
-      case 2: return negate(r.y, sink);
-      default: return negate(r.x, sink);
+      case 2: return sf::negT(r.y, sink);
+      default: return sf::negT(r.x, sink);
     }
 }
 
@@ -262,10 +263,69 @@ selectCos(const CordicEngine::Result& r, int q, S& sink)
     sink.charge(2);
     switch (q & 3) {
       case 0: return r.x;
-      case 1: return negate(r.y, sink);
-      case 2: return negate(r.x, sink);
+      case 1: return sf::negT(r.y, sink);
+      case 2: return sf::negT(r.x, sink);
       default: return r.y;
     }
+}
+
+/** The square roots' zero guard: true for +0 and -0 (sqrt(+-0) = 0). */
+template <class S>
+bool
+isZero(float x, S& sink)
+{
+    sink.charge(2);
+    return floatBits(x) == 0 || floatBits(x) == 0x80000000u;
+}
+
+// ---------------------------------------------------------------------
+// Compositions shared by the CORDIC, CORDIC+LUT and Poly builders: each
+// identity once, generic over the e^x or log body it wraps.
+// ---------------------------------------------------------------------
+
+/**
+ * sinh, cosh or tanh over the e^x body @p exp:
+ * sinh/cosh x = (e^x -/+ 1/e^x) / 2, tanh x = 1 - 2 / (e^(2x) + 1).
+ */
+template <class Exp>
+auto
+hyperbolicFromExp(Exp exp, Function f)
+{
+    return [exp, f](float x, auto& sink) {
+        if (f == Function::Tanh) {
+            float e2 = exp(pimLdexpT(x, 1, sink), sink);
+            float d = sf::addT(e2, 1.0f, sink);
+            return sf::subT(1.0f, sf::divT(2.0f, d, sink), sink);
+        }
+        float e = exp(x, sink);
+        float ei = sf::divT(1.0f, e, sink);
+        float t = f == Function::Sinh ? sf::subT(e, ei, sink)
+                                      : sf::addT(e, ei, sink);
+        return pimLdexpT(t, -1, sink);
+    };
+}
+
+/** softplus x = ln(1 + e^x) over the bodies @p exp and @p log. */
+template <class Exp, class Log>
+auto
+softplusFrom(Exp exp, Log log)
+{
+    return [exp, log](float x, auto& sink) {
+        float e = exp(x, sink);
+        return log(sf::addT(1.0f, e, sink), sink);
+    };
+}
+
+/** atanh x = ln((1 + x) / (1 - x)) / 2 over the log body @p log. */
+template <class Log>
+auto
+atanhFromLog(Log log)
+{
+    return [log](float x, auto& sink) {
+        float u = sf::divT(sf::addT(1.0f, x, sink),
+                          sf::subT(1.0f, x, sink), sink);
+        return pimLdexpT(log(u, sink), -1, sink);
+    };
 }
 
 // ---------------------------------------------------------------------
@@ -293,7 +353,7 @@ struct AnyLut
     }
 
     uint32_t
-    bytes() const
+    memoryBytes() const
     {
         if (m) return m->memoryBytes();
         if (l) return l->memoryBytes();
@@ -424,44 +484,40 @@ dlutSpecFor(Function f, const MethodSpec& spec)
     return d;
 }
 
-/** True when the method family uses a direct (no-extension) table. */
-bool
-isDirectLut(Method m)
-{
-    return m == Method::DLut || m == Method::DlLut;
-}
-
 Built
 buildTableMethod(Function f, const MethodSpec& spec)
 {
     Built out;
     DLutSpec dspec = dlutSpecFor(f, spec);
-    Domain dom = functionDomain(f);
+    bool reduce = spec.reduceRange;
+    // D-LUT and DL-LUT extend no range: one direct table per function.
+    bool direct =
+        spec.method == Method::DLut || spec.method == Method::DlLut;
+    // The configured table of @p fn over [lo, hi], bound to out.
+    auto table = [&](const TableFn& fn, double lo, double hi) {
+        auto lut = std::make_shared<AnyLut>(makeLut(spec, fn, lo, hi,
+                                                    dspec));
+        bindTables(out, lut);
+        return lut;
+    };
 
     switch (f) {
       case Function::Sin:
       case Function::Cos: {
-        auto lut = std::make_shared<AnyLut>(
-            makeLut(spec, refFn(f), 0.0, dTwoPi, dspec));
-        bool reduce = spec.reduceRange;
+        auto lut = table(refFn(f), 0.0, dTwoPi);
         out.eval = [lut, reduce](float x, auto& sink) {
             if (reduce)
                 x = reduceTwoPiT(x, sink);
             return lut->evalT(x, sink);
         };
-        out.attach = [lut](sim::DpuCore& c) { lut->attach(c); };
-        out.memoryBytes = lut->bytes();
         return out;
       }
       case Function::Tan: {
-        if (spec.shareTrigTables && !isDirectLut(spec.method)) {
+        if (spec.shareTrigTables && !direct) {
             // One sine table over [0, 2pi + pi/2]; the cosine query
             // reuses it shifted by a quarter period.
             const double dHalfPi = 1.5707963267948966;
-            auto lut = std::make_shared<AnyLut>(
-                makeLut(spec, refFn(Function::Sin), 0.0,
-                        dTwoPi + dHalfPi, dspec));
-            bool reduce = spec.reduceRange;
+            auto lut = table(refFn(Function::Sin), 0.0, dTwoPi + dHalfPi);
             const float fHalfPi = 1.57079632679489661923f;
             out.eval = [lut, reduce, fHalfPi](float x,
                                               auto& sink) {
@@ -471,8 +527,6 @@ buildTableMethod(Function f, const MethodSpec& spec)
                 float c = lut->evalT(sf::addT(x, fHalfPi, sink), sink);
                 return sf::divT(s, c, sink);
             };
-            out.attach = [lut](sim::DpuCore& c) { lut->attach(c); };
-            out.memoryBytes = lut->bytes();
             return out;
         }
         // tan = sin/cos: two tables plus one float division, the
@@ -481,7 +535,7 @@ buildTableMethod(Function f, const MethodSpec& spec)
             spec, refFn(Function::Sin), 0.0, dTwoPi, dspec));
         auto cosL = std::make_shared<AnyLut>(makeLut(
             spec, refFn(Function::Cos), 0.0, dTwoPi, dspec));
-        bool reduce = spec.reduceRange;
+        bindTables(out, sinL, cosL);
         out.eval = [sinL, cosL, reduce](float x, auto& sink) {
             if (reduce)
                 x = reduceTwoPiT(x, sink);
@@ -489,195 +543,106 @@ buildTableMethod(Function f, const MethodSpec& spec)
             float c = cosL->evalT(x, sink);
             return sf::divT(s, c, sink);
         };
-        out.attach = [sinL, cosL](sim::DpuCore& c) {
-            sinL->attach(c);
-            cosL->attach(c);
-        };
-        out.memoryBytes = sinL->bytes() + cosL->bytes();
         return out;
       }
-      case Function::Sinh:
-      case Function::Cosh:
-      case Function::Tanh:
-      case Function::Gelu:
-      case Function::Sigmoid:
-      case Function::Cndf:
-      case Function::Atan:
-      case Function::Asin:
-      case Function::Acos:
-      case Function::Atanh:
-      case Function::Erf:
-      case Function::Silu:
-      case Function::Softplus: {
-        // Direct tables over the evaluation domain; these functions
-        // need no range extension (Key Takeaway 4 territory).
-        auto lut = std::make_shared<AnyLut>(
-            makeLut(spec, refFn(f), dom.lo, dom.hi, dspec));
-        out.eval = [lut](float x, auto& sink) {
-            return lut->evalT(x, sink);
-        };
-        out.attach = [lut](sim::DpuCore& c) { lut->attach(c); };
-        out.memoryBytes = lut->bytes();
-        return out;
-      }
-      case Function::Exp: {
-        if (isDirectLut(spec.method)) {
-            auto lut = std::make_shared<AnyLut>(
-                makeLut(spec, refFn(f), dom.lo, dom.hi, dspec));
-            out.eval = [lut](float x, auto& sink) {
-                return lut->evalT(x, sink);
-            };
-            out.attach = [lut](sim::DpuCore& c) { lut->attach(c); };
-            out.memoryBytes = lut->bytes();
-            return out;
-        }
-        // Range extension: e^x = 2^k * e^r, r in [0, ln2).
-        auto lut = std::make_shared<AnyLut>(
-            makeLut(spec, refFn(f), 0.0, dLn2, dspec));
-        out.eval = [lut](float x, auto& sink) {
-            ExpSplit s = splitExpT(x, sink);
-            float y = lut->evalT(s.r, sink);
-            return pimLdexpT(y, s.k, sink);
-        };
-        out.attach = [lut](sim::DpuCore& c) { lut->attach(c); };
-        out.memoryBytes = lut->bytes();
-        return out;
-      }
-      case Function::Log: {
-        if (isDirectLut(spec.method)) {
-            auto lut = std::make_shared<AnyLut>(
-                makeLut(spec, refFn(f), dom.lo, dom.hi, dspec));
-            out.eval = [lut](float x, auto& sink) {
-                return lut->evalT(x, sink);
-            };
-            out.attach = [lut](sim::DpuCore& c) { lut->attach(c); };
-            out.memoryBytes = lut->bytes();
-            return out;
-        }
-        // log x = k*ln2 + log m, m in [1, 2).
-        auto lut = std::make_shared<AnyLut>(
-            makeLut(spec, refFn(f), 1.0, 2.0, dspec));
-        out.eval = [lut](float x, auto& sink) {
-            LogSplit s = splitLogT(x, sink);
-            float y = lut->evalT(s.m, sink);
-            float kf = sf::fromI32T(s.k, sink);
-            return sf::addT(y, sf::mulT(kf, fLn2, sink), sink);
-        };
-        out.attach = [lut](sim::DpuCore& c) { lut->attach(c); };
-        out.memoryBytes = lut->bytes();
-        return out;
-      }
-      case Function::Sqrt: {
-        if (isDirectLut(spec.method)) {
-            auto lut = std::make_shared<AnyLut>(
-                makeLut(spec, refFn(f), dom.lo, dom.hi, dspec));
-            out.eval = [lut](float x, auto& sink) {
-                return lut->evalT(x, sink);
-            };
-            out.attach = [lut](sim::DpuCore& c) { lut->attach(c); };
-            out.memoryBytes = lut->bytes();
-            return out;
-        }
-        // sqrt x = 2^k * sqrt m, m in [0.5, 2).
-        auto lut = std::make_shared<AnyLut>(
-            makeLut(spec, refFn(f), 0.5, 2.0, dspec));
-        out.eval = [lut](float x, auto& sink) {
-            sink.charge(2); // zero guard
-            if (floatBits(x) == 0 || floatBits(x) == 0x80000000u)
-                return 0.0f;
-            SqrtSplit s = splitSqrtT(x, sink);
-            float y = lut->evalT(s.m, sink);
-            return pimLdexpT(y, s.k, sink);
-        };
-        out.attach = [lut](sim::DpuCore& c) { lut->attach(c); };
-        out.memoryBytes = lut->bytes();
-        return out;
-      }
-      case Function::Log2:
-      case Function::Log10: {
-        if (isDirectLut(spec.method)) {
-            auto lut = std::make_shared<AnyLut>(
-                makeLut(spec, refFn(f), dom.lo, dom.hi, dspec));
-            out.eval = [lut](float x, auto& sink) {
-                return lut->evalT(x, sink);
-            };
-            out.attach = [lut](sim::DpuCore& c) { lut->attach(c); };
-            out.memoryBytes = lut->bytes();
-            return out;
-        }
-        // log2 x = k + log2 m: the exponent contributes *exactly*, so
-        // this is even cheaper than natural log (no k*ln2 multiply).
-        auto lut = std::make_shared<AnyLut>(makeLut(
-            spec, [](double m) { return std::log2(m); }, 1.0, 2.0,
-            dspec));
-        bool base10 = f == Function::Log10;
-        const float log10of2 = 0.30102999566398119521f;
-        out.eval = [lut, base10, log10of2](float x, auto& sink) {
-            LogSplit s = splitLogT(x, sink);
-            float y = lut->evalT(s.m, sink);
-            float kf = sf::fromI32T(s.k, sink);
-            float l2 = sf::addT(y, kf, sink);
-            if (base10)
-                l2 = sf::mulT(l2, log10of2, sink);
-            return l2;
-        };
-        out.attach = [lut](sim::DpuCore& c) { lut->attach(c); };
-        out.memoryBytes = lut->bytes();
-        return out;
-      }
-      case Function::Exp2: {
-        if (isDirectLut(spec.method)) {
-            auto lut = std::make_shared<AnyLut>(
-                makeLut(spec, refFn(f), dom.lo, dom.hi, dspec));
-            out.eval = [lut](float x, auto& sink) {
-                return lut->evalT(x, sink);
-            };
-            out.attach = [lut](sim::DpuCore& c) { lut->attach(c); };
-            out.memoryBytes = lut->bytes();
-            return out;
-        }
-        // 2^x = 2^k * 2^r with k = floor(x): no ln2 multiplies at all,
-        // the cheapest range extension in the library.
-        auto lut = std::make_shared<AnyLut>(makeLut(
-            spec, [](double r) { return std::exp2(r); }, 0.0, 1.0,
-            dspec));
-        out.eval = [lut](float x, auto& sink) {
-            int32_t k = sf::toI32FloorT(x, sink);
-            float kf = sf::fromI32T(k, sink);
-            float r = sf::subT(x, kf, sink);
-            float y = lut->evalT(r, sink);
-            return pimLdexpT(y, k, sink);
-        };
-        out.attach = [lut](sim::DpuCore& c) { lut->attach(c); };
-        out.memoryBytes = lut->bytes();
-        return out;
-      }
-      case Function::Rsqrt: {
-        if (isDirectLut(spec.method)) {
-            auto lut = std::make_shared<AnyLut>(
-                makeLut(spec, refFn(f), dom.lo, dom.hi, dspec));
-            out.eval = [lut](float x, auto& sink) {
-                return lut->evalT(x, sink);
-            };
-            out.attach = [lut](sim::DpuCore& c) { lut->attach(c); };
-            out.memoryBytes = lut->bytes();
-            return out;
-        }
-        // 1/sqrt(m * 4^k) = 2^-k / sqrt(m), m in [0.5, 2).
-        auto lut = std::make_shared<AnyLut>(makeLut(
-            spec, [](double m) { return 1.0 / std::sqrt(m); }, 0.5,
-            2.0, dspec));
-        out.eval = [lut](float x, auto& sink) {
-            SqrtSplit s = splitSqrtT(x, sink);
-            float y = lut->evalT(s.m, sink);
-            return pimLdexpT(y, -s.k, sink);
-        };
-        out.attach = [lut](sim::DpuCore& c) { lut->attach(c); };
-        out.memoryBytes = lut->bytes();
-        return out;
-      }
+      default:
+        break;
     }
-    throw std::logic_error("buildTableMethod: unhandled function");
+
+    // The fuzzy LUTs range-extend seven functions: a table over the
+    // core interval, and the identity that reaches it from any x.
+    if (!direct) {
+        switch (f) {
+          case Function::Exp: {
+            // e^x = 2^k * e^r, r in [0, ln2).
+            auto lut = table(refFn(f), 0.0, dLn2);
+            out.eval = [lut](float x, auto& sink) {
+                ExpSplit s = splitExpT(x, sink);
+                float y = lut->evalT(s.r, sink);
+                return pimLdexpT(y, s.k, sink);
+            };
+            return out;
+          }
+          case Function::Log: {
+            // log x = k*ln2 + log m, m in [1, 2).
+            auto lut = table(refFn(f), 1.0, 2.0);
+            out.eval = [lut](float x, auto& sink) {
+                LogSplit s = splitLogT(x, sink);
+                float y = lut->evalT(s.m, sink);
+                float kf = sf::fromI32T(s.k, sink);
+                return sf::addT(y, sf::mulT(kf, fLn2, sink), sink);
+            };
+            return out;
+          }
+          case Function::Sqrt: {
+            // sqrt x = 2^k * sqrt m, m in [0.5, 2).
+            auto lut = table(refFn(f), 0.5, 2.0);
+            out.eval = [lut](float x, auto& sink) {
+                if (isZero(x, sink))
+                    return 0.0f;
+                SqrtSplit s = splitSqrtT(x, sink);
+                float y = lut->evalT(s.m, sink);
+                return pimLdexpT(y, s.k, sink);
+            };
+            return out;
+          }
+          case Function::Log2:
+          case Function::Log10: {
+            // log2 x = k + log2 m: the exponent contributes *exactly*,
+            // so this is even cheaper than natural log (no k*ln2
+            // multiply).
+            auto lut = table([](double m) { return std::log2(m); }, 1.0,
+                             2.0);
+            bool base10 = f == Function::Log10;
+            const float log10of2 = 0.30102999566398119521f;
+            out.eval = [lut, base10, log10of2](float x, auto& sink) {
+                LogSplit s = splitLogT(x, sink);
+                float y = lut->evalT(s.m, sink);
+                float kf = sf::fromI32T(s.k, sink);
+                float l2 = sf::addT(y, kf, sink);
+                if (base10)
+                    l2 = sf::mulT(l2, log10of2, sink);
+                return l2;
+            };
+            return out;
+          }
+          case Function::Exp2: {
+            // 2^x = 2^k * 2^r with k = floor(x): no ln2 multiplies at
+            // all, the cheapest range extension in the library.
+            auto lut = table([](double r) { return std::exp2(r); }, 0.0,
+                             1.0);
+            out.eval = [lut](float x, auto& sink) {
+                int32_t k = sf::toI32FloorT(x, sink);
+                float kf = sf::fromI32T(k, sink);
+                float r = sf::subT(x, kf, sink);
+                float y = lut->evalT(r, sink);
+                return pimLdexpT(y, k, sink);
+            };
+            return out;
+          }
+          case Function::Rsqrt: {
+            // 1/sqrt(m * 4^k) = 2^-k / sqrt(m), m in [0.5, 2).
+            auto lut = table(
+                [](double m) { return 1.0 / std::sqrt(m); }, 0.5, 2.0);
+            out.eval = [lut](float x, auto& sink) {
+                SqrtSplit s = splitSqrtT(x, sink);
+                float y = lut->evalT(s.m, sink);
+                return pimLdexpT(y, -s.k, sink);
+            };
+            return out;
+          }
+          default:
+            break;
+        }
+    }
+
+    // Everything else is one direct table over the evaluation domain:
+    // the direct LUTs cover every function this way, and the other
+    // functions need no range extension (Key Takeaway 4 territory).
+    Domain dom = functionDomain(f);
+    auto lut = table(refFn(f), dom.lo, dom.hi);
+    out.eval = [lut](float x, auto& sink) { return lut->evalT(x, sink); };
+    return out;
 }
 
 // ---------------------------------------------------------------------
@@ -833,6 +798,27 @@ magnitudeBelowOne(float x, S& sink)
     return (floatBits(x) & 0x7fffffffu) < floatBits(1.0f);
 }
 
+/**
+ * sinh, cosh or tanh on the hyperbolic engine @p eng: direct rotation
+ * for |x| < 1, where it converges, and the e^x identities on the
+ * engine's e^x body beyond.
+ */
+template <class Engine>
+auto
+cordicHyperbolic(std::shared_ptr<Engine> eng, Function f)
+{
+    auto far = hyperbolicFromExp(cordicExp(eng), f);
+    return [eng, far, f](float x, auto& sink) {
+        if (magnitudeBelowOne(x, sink)) {
+            CordicVector r = eng->rotateT(x, sink);
+            if (f == Function::Tanh)
+                return sf::divT(r.y, r.x, sink);
+            return f == Function::Sinh ? r.y : r.x;
+        }
+        return far(x, sink);
+    };
+}
+
 Built
 buildCordic(Function f, const MethodSpec& spec)
 {
@@ -844,8 +830,7 @@ buildCordic(Function f, const MethodSpec& spec)
             ? CordicMode::Circular
             : CordicMode::Hyperbolic,
         spec.iterations, spec.placement);
-    out.attach = [eng](sim::DpuCore& c) { eng->attach(c); };
-    out.memoryBytes = eng->memoryBytes();
+    bindTables(out, eng);
 
     switch (f) {
       case Function::Sin:
@@ -854,37 +839,10 @@ buildCordic(Function f, const MethodSpec& spec)
         out.eval = staged(eng, trigPre(reduce), trigPost(f));
         return out;
       case Function::Sinh:
-      case Function::Cosh: {
-        auto exp = cordicExp(eng);
-        out.eval = [eng, exp, f](float x, auto& sink) {
-            if (magnitudeBelowOne(x, sink)) {
-                CordicEngine::Result r = eng->rotateT(x, sink);
-                return f == Function::Sinh ? r.y : r.x;
-            }
-            // Outside the convergence range: exp identities.
-            float e = exp(x, sink);
-            float ei = sf::divT(1.0f, e, sink);
-            float t = f == Function::Sinh ? sf::subT(e, ei, sink)
-                                          : sf::addT(e, ei, sink);
-            return pimLdexpT(t, -1, sink);
-        };
+      case Function::Cosh:
+      case Function::Tanh:
+        out.eval = cordicHyperbolic(eng, f);
         return out;
-      }
-      case Function::Tanh: {
-        auto exp = cordicExp(eng);
-        out.eval = [eng, exp](float x, auto& sink) {
-            if (magnitudeBelowOne(x, sink)) {
-                CordicEngine::Result r = eng->rotateT(x, sink);
-                return sf::divT(r.y, r.x, sink);
-            }
-            // tanh x = 1 - 2 / (e^(2x) + 1).
-            float e2 = exp(pimLdexpT(x, 1, sink), sink);
-            float d = sf::addT(e2, 1.0f, sink);
-            float t = sf::divT(2.0f, d, sink);
-            return sf::subT(1.0f, t, sink);
-        };
-        return out;
-      }
       case Function::Exp:
         out.eval = cordicExp(eng);
         return out;
@@ -902,8 +860,7 @@ buildCordic(Function f, const MethodSpec& spec)
                 return pimLdexpT(v, k, sink);
             });
         out.eval = [root](float x, auto& sink) {
-            sink.charge(2); // zero guard
-            if (floatBits(x) == 0 || floatBits(x) == 0x80000000u)
+            if (isZero(x, sink))
                 return 0.0f;
             return root(x, sink);
         };
@@ -921,18 +878,14 @@ buildCordic(Function f, const MethodSpec& spec)
             [](NoCarry, const CordicVector& r, auto&) { return r.z; });
         return out;
       case Function::Atanh: {
-        auto log = cordicLog(eng);
-        out.eval = [eng, log](float x, auto& sink) {
-            // Direct vectoring converges for |x| <= tanh(1.118); use
-            // atanh x = ln((1+x)/(1-x))/2 via the log path beyond.
+        // Direct vectoring converges for |x| <= tanh(1.118); the log
+        // identity covers |x| >= 0.75.
+        auto far = atanhFromLog(cordicLog(eng));
+        out.eval = [eng, far](float x, auto& sink) {
             sink.charge(3);
-            if ((floatBits(x) & 0x7fffffffu) < floatBits(0.75f)) {
-                CordicEngine::Result r = eng->vectorT(1.0f, x, sink);
-                return r.z;
-            }
-            float u = sf::divT(sf::addT(1.0f, x, sink),
-                              sf::subT(1.0f, x, sink), sink);
-            return pimLdexpT(log(u, sink), -1, sink);
+            if ((floatBits(x) & 0x7fffffffu) < floatBits(0.75f))
+                return eng->vectorT(1.0f, x, sink).z;
+            return far(x, sink);
         };
         return out;
       }
@@ -969,16 +922,10 @@ buildCordic(Function f, const MethodSpec& spec)
             });
         return out;
       }
-      case Function::Softplus: {
-        // ln(1 + e^x): exp path, then log path on the same engine.
-        auto exp = cordicExp(eng);
-        auto log = cordicLog(eng);
-        out.eval = [exp, log](float x, auto& sink) {
-            float e = exp(x, sink);
-            return log(sf::addT(1.0f, e, sink), sink);
-        };
+      case Function::Softplus:
+        // The exp path, then the log path on the same engine.
+        out.eval = softplusFrom(cordicExp(eng), cordicLog(eng));
         return out;
-      }
       default:
         break;
     }
@@ -993,6 +940,7 @@ buildCordicFixed(Function f, const MethodSpec& spec)
     Built out;
     auto eng = std::make_shared<CordicFixedEngine>(
         CordicMode::Circular, spec.iterations, spec.placement);
+    bindTables(out, eng);
     bool reduce = spec.reduceRange;
     out.eval = staged(
         eng,
@@ -1032,8 +980,6 @@ buildCordicFixed(Function f, const MethodSpec& spec)
             float c = sf::fromFixedT(cosV, sink);
             return sf::divT(s, c, sink);
         });
-    out.attach = [eng](sim::DpuCore& c) { eng->attach(c); };
-    out.memoryBytes = eng->memoryBytes();
     return out;
 }
 
@@ -1041,72 +987,36 @@ Built
 buildCordicLut(Function f, const MethodSpec& spec)
 {
     Built out;
-    switch (f) {
-      case Function::Sin:
-      case Function::Cos:
-      case Function::Tan: {
+    if (f == Function::Sin || f == Function::Cos || f == Function::Tan) {
         auto eng = std::make_shared<CordicLutEngine>(
             CordicMode::Circular, spec.iterations, spec.gridBits, 0.0,
             1.5707963267948966, spec.placement);
+        bindTables(out, eng);
         out.eval = staged(eng, trigPre(spec.reduceRange), trigPost(f));
-        out.attach = [eng](sim::DpuCore& c) { eng->attach(c); };
-        out.memoryBytes = eng->memoryBytes();
         return out;
-      }
+    }
+    // One hyperbolic engine covering [-1.12, 1.12] serves both the
+    // direct rotations and the e^r (r in [0, ln2)) extension path.
+    auto eng = std::make_shared<CordicLutEngine>(
+        CordicMode::Hyperbolic, spec.iterations, spec.gridBits, -1.12,
+        1.12, spec.placement);
+    bindTables(out, eng);
+    switch (f) {
       case Function::Exp:
+        out.eval = cordicExp(eng);
+        return out;
       case Function::Exp2:
+        out.eval = cordicExp2(eng);
+        return out;
+      case Function::Sigmoid:
+      case Function::Silu:
+        out.eval = cordicSigmoid(cordicExp(eng), f == Function::Silu);
+        return out;
       case Function::Sinh:
       case Function::Cosh:
       case Function::Tanh:
-      case Function::Sigmoid:
-      case Function::Silu: {
-        // One hyperbolic engine covering [-1.12, 1.12] serves both the
-        // direct rotations and the e^r (r in [0, ln2)) extension path.
-        auto eng = std::make_shared<CordicLutEngine>(
-            CordicMode::Hyperbolic, spec.iterations, spec.gridBits,
-            -1.12, 1.12, spec.placement);
-        auto exp = cordicExp(eng);
-        switch (f) {
-          case Function::Exp:
-            out.eval = exp;
-            break;
-          case Function::Exp2:
-            out.eval = cordicExp2(eng);
-            break;
-          case Function::Sigmoid:
-          case Function::Silu:
-            out.eval = cordicSigmoid(exp, f == Function::Silu);
-            break;
-          case Function::Sinh:
-          case Function::Cosh:
-            out.eval = [eng, exp, f](float x, auto& sink) {
-                if (magnitudeBelowOne(x, sink)) {
-                    CordicEngine::Result r = eng->rotateT(x, sink);
-                    return f == Function::Sinh ? r.y : r.x;
-                }
-                float e = exp(x, sink);
-                float ei = sf::divT(1.0f, e, sink);
-                float t = f == Function::Sinh ? sf::subT(e, ei, sink)
-                                              : sf::addT(e, ei, sink);
-                return pimLdexpT(t, -1, sink);
-            };
-            break;
-          default: // Tanh
-            out.eval = [eng, exp](float x, auto& sink) {
-                if (magnitudeBelowOne(x, sink)) {
-                    CordicEngine::Result r = eng->rotateT(x, sink);
-                    return sf::divT(r.y, r.x, sink);
-                }
-                float e2 = exp(pimLdexpT(x, 1, sink), sink);
-                float d = sf::addT(e2, 1.0f, sink);
-                return sf::subT(1.0f, sf::divT(2.0f, d, sink), sink);
-            };
-            break;
-        }
-        out.attach = [eng](sim::DpuCore& c) { eng->attach(c); };
-        out.memoryBytes = eng->memoryBytes();
+        out.eval = cordicHyperbolic(eng, f);
         return out;
-      }
       default:
         break;
     }
@@ -1117,11 +1027,25 @@ buildCordicLut(Function f, const MethodSpec& spec)
 // Polynomial baseline builders
 // ---------------------------------------------------------------------
 
+/**
+ * Fold a split mantissa @p m into [2/3, 4/3), where the 1+u series
+ * converge fast: halve it when m >= 4/3. Returns whether it did.
+ */
+template <class S>
+bool
+foldMantissa(float& m, S& sink)
+{
+    sink.charge(3);
+    if (!sf::leT(4.0f / 3.0f, m, sink))
+        return false;
+    m = pimLdexpT(m, -1, sink);
+    return true;
+}
+
 Built
 buildPoly(Function f, const MethodSpec& spec)
 {
-    Built out;
-    out.attach = [](sim::DpuCore&) {}; // coefficients are immediates
+    Built out; // coefficients are immediates: nothing to attach
     uint32_t deg = spec.polyDegree;
     bool reduce = spec.reduceRange;
 
@@ -1136,13 +1060,8 @@ buildPoly(Function f, const MethodSpec& spec)
     auto logPoly = std::make_shared<Polynomial>(log1pTaylor(deg));
     auto logEval = [logPoly](float x, auto& sink) {
         LogSplit s = splitLogT(x, sink);
-        sink.charge(3);
         float m = s.m;
-        int k = s.k;
-        if (sf::leT(4.0f / 3.0f, m, sink)) {
-            m = pimLdexpT(m, -1, sink);
-            k += 1;
-        }
+        int k = s.k + foldMantissa(m, sink);
         float u = sf::subT(m, 1.0f, sink);
         float y = logPoly->evalT(u, sink);
         float kf = sf::fromI32T(k, sink);
@@ -1150,17 +1069,11 @@ buildPoly(Function f, const MethodSpec& spec)
     };
     auto sqrtPoly = std::make_shared<Polynomial>(sqrt1pSeries(deg));
     auto sqrtEval = [sqrtPoly](float x, auto& sink) {
-        sink.charge(2);
-        if (floatBits(x) == 0 || floatBits(x) == 0x80000000u)
+        if (isZero(x, sink))
             return 0.0f;
         SqrtSplit s = splitSqrtT(x, sink);
-        sink.charge(3);
         float m = s.m;
-        bool scaled = false;
-        if (sf::leT(4.0f / 3.0f, m, sink)) {
-            m = pimLdexpT(m, -1, sink);
-            scaled = true;
-        }
+        bool scaled = foldMantissa(m, sink);
         float u = sf::subT(m, 1.0f, sink);
         float y = sqrtPoly->evalT(u, sink);
         if (scaled)
@@ -1269,13 +1182,8 @@ buildPoly(Function f, const MethodSpec& spec)
         const float invSqrt2 = 0.70710678118654752440f;
         out.eval = [rsP, invSqrt2](float x, auto& sink) {
             SqrtSplit s = splitSqrtT(x, sink);
-            sink.charge(3);
             float m = s.m;
-            bool scaled = false;
-            if (sf::leT(4.0f / 3.0f, m, sink)) {
-                m = pimLdexpT(m, -1, sink);
-                scaled = true;
-            }
+            bool scaled = foldMantissa(m, sink);
             float u = sf::subT(m, 1.0f, sink);
             float y = rsP->evalT(u, sink);
             if (scaled)
@@ -1307,54 +1215,31 @@ buildPoly(Function f, const MethodSpec& spec)
         return out;
       }
       case Function::Atanh:
-        // atanh x = ln((1+x)/(1-x)) / 2.
-        out.eval = [logEval](float x, auto& sink) {
-            float u = sf::divT(sf::addT(1.0f, x, sink),
-                              sf::subT(1.0f, x, sink), sink);
-            return pimLdexpT(logEval(u, sink), -1, sink);
-        };
+        out.eval = atanhFromLog(logEval);
         out.memoryBytes = (deg + 1) * sizeof(float);
         return out;
       case Function::Softplus:
-        // ln(1 + e^x).
-        out.eval = [expEval, logEval](float x, auto& sink) {
-            float e = expEval(x, sink);
-            return logEval(sf::addT(1.0f, e, sink), sink);
-        };
+        out.eval = softplusFrom(expEval, logEval);
         out.memoryBytes = 2 * (deg + 1) * sizeof(float);
         return out;
-      case Function::Silu:
-        out.eval = [expEval](float x, auto& sink) {
+      case Function::Sigmoid:
+      case Function::Silu: {
+        // sigmoid x = 1 / (1 + e^-x); silu multiplies by x.
+        bool silu = f == Function::Silu;
+        out.eval = [expEval, silu](float x, auto& sink) {
             float e = expEval(sf::negT(x, sink), sink);
             float s = sf::divT(1.0f, sf::addT(1.0f, e, sink), sink);
-            return sf::mulT(x, s, sink);
+            if (silu)
+                s = sf::mulT(x, s, sink);
+            return s;
         };
         out.memoryBytes = (deg + 1) * sizeof(float);
         return out;
+      }
       case Function::Sinh:
       case Function::Cosh:
-        out.eval = [expEval, f](float x, auto& sink) {
-            float e = expEval(x, sink);
-            float ei = sf::divT(1.0f, e, sink);
-            float t = f == Function::Sinh ? sf::subT(e, ei, sink)
-                                          : sf::addT(e, ei, sink);
-            return pimLdexpT(t, -1, sink);
-        };
-        out.memoryBytes = (deg + 1) * sizeof(float);
-        return out;
       case Function::Tanh:
-        out.eval = [expEval](float x, auto& sink) {
-            float e2 = expEval(pimLdexpT(x, 1, sink), sink);
-            float d = sf::addT(e2, 1.0f, sink);
-            return sf::subT(1.0f, sf::divT(2.0f, d, sink), sink);
-        };
-        out.memoryBytes = (deg + 1) * sizeof(float);
-        return out;
-      case Function::Sigmoid:
-        out.eval = [expEval](float x, auto& sink) {
-            float e = expEval(sf::negT(x, sink), sink);
-            return sf::divT(1.0f, sf::addT(1.0f, e, sink), sink);
-        };
+        out.eval = hyperbolicFromExp(expEval, f);
         out.memoryBytes = (deg + 1) * sizeof(float);
         return out;
       case Function::Cndf:

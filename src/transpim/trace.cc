@@ -48,6 +48,19 @@ parseChunk(const std::string& text, uint32_t& out, std::string& error)
 }
 
 bool
+parsePerDpuElements(const std::string& text, uint32_t& out,
+                    std::string& error)
+{
+    uint32_t n = 0;
+    if (!cli::parseU32(text, n) || n < 1) {
+        error = "bad --per-dpu-elements '" + text + "' (want >= 1)";
+        return false;
+    }
+    out = n;
+    return true;
+}
+
+bool
 parseTenantSlaArg(const std::string& text, TenantSlaArg& out,
                   std::string& error)
 {

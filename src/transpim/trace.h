@@ -66,6 +66,13 @@ class EvaluatorCatalog;
 bool parseChunk(const std::string& text, uint32_t& out,
                 std::string& error);
 
+/** Parse a --per-dpu-elements value: a wave slice of at least one
+ * element. On bad input returns false and sets @p error ("bad
+ * --per-dpu-elements '0' (want >= 1)"). ServePipeline clamps 0 to 1
+ * for API callers; the tools refuse it. */
+bool parsePerDpuElements(const std::string& text, uint32_t& out,
+                         std::string& error);
+
 /** A parsed --tenant-sla argument. */
 struct TenantSlaArg
 {

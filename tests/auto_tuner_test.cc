@@ -370,11 +370,12 @@ TEST(OnlineTuner, TenantsGetSeparateStreamsAndWaves)
     // tenant 1's tuning).
     uint64_t offEl = 0;
     for (const Req& r : reqs) {
-        if (r.tenant == 2)
+        if (r.tenant == 2) {
             EXPECT_EQ(std::memcmp(on.out.data() + offEl,
                                   off.out.data() + offEl,
                                   r.elements * sizeof(float)),
                       0);
+        }
         offEl += r.elements;
     }
 }

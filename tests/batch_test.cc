@@ -17,11 +17,13 @@
 #include <array>
 #include <cctype>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -90,6 +92,7 @@ struct RunResult
 {
     std::vector<float> outputs;
     LaunchStats stats;
+    uint32_t memoryBytes = 0;
 };
 
 /**
@@ -117,6 +120,7 @@ runStreaming(Function f, const MethodSpec& spec,
         dpu.hostWriteMram(inAddr, inputs.data(), bytes);
 
     RunResult r;
+    r.memoryBytes = ev.memoryBytes();
     r.stats = dpu.launch(tasklets, [&](TaskletContext& ctx) {
         constexpr uint32_t chunkElems = 64;
         float buf[chunkElems];
@@ -193,7 +197,8 @@ expectOutputsBitIdentical(const std::vector<float>& a,
     }
 }
 
-void
+/** The batch run of expectBatchMatchesScalar. */
+RunResult
 expectBatchMatchesScalar(Function f, const MethodSpec& spec,
                          const std::vector<float>& inputs,
                          uint32_t tasklets)
@@ -203,7 +208,73 @@ expectBatchMatchesScalar(Function f, const MethodSpec& spec,
     RunResult batch = runStreaming(f, spec, inputs, tasklets, true);
     expectOutputsBitIdentical(scalar.outputs, batch.outputs, label);
     expectStatsIdentical(scalar.stats, batch.stats, label);
+    return batch;
 }
+
+/** FNV-1a over @p n raw bytes at @p data, continuing from @p h. */
+uint64_t
+fnv1a(uint64_t h, const void* data, size_t n)
+{
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i)
+        h = (h ^ p[i]) * 0x100000001b3ull;
+    return h;
+}
+
+/**
+ * One hash of everything a run shows: the output bits, the
+ * evaluator's memoryBytes() and every LaunchStats field (per-class
+ * and per-op counts, stalls, DMA engine cycles, energy, the
+ * per-tasklet breakdown). Fields are hashed one by one, so struct
+ * padding never enters.
+ */
+uint64_t
+resultHash(const RunResult& r)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](const auto& v) { h = fnv1a(h, &v, sizeof v); };
+    h = fnv1a(h, r.outputs.data(), r.outputs.size() * sizeof(float));
+    mix(r.memoryBytes);
+    const LaunchStats& s = r.stats;
+    mix(s.cycles);
+    mix(s.totalInstructions);
+    mix(s.maxTaskletWork);
+    mix(s.dmaEngineCycles);
+    mix(s.dmaBytes);
+    mix(s.tasklets);
+    mix(s.energyJoules);
+    mix(s.failed);
+    mix(s.faultEvents);
+    mix(s.classInstructions);
+    mix(s.stallCycles);
+    mix(s.opCounts);
+    for (const sim::TaskletStats& t : s.perTasklet) {
+        mix(t.instructions);
+        mix(t.dmaStallCycles);
+        mix(t.classInstructions);
+    }
+    return h;
+}
+
+/** A recorded resultHash of one (method, function, placement). */
+struct RecordedHash
+{
+    const char* combo; ///< "METHOD / FUNCTION / PLACEMENT"
+    uint64_t hash;
+};
+
+/**
+ * The whole-catalog hashes, recorded from a known-good build. They
+ * lock evaluator values and charges across commits, which the
+ * batch-vs-scalar comparisons (two paths of one build) cannot. Table
+ * generation reads the host libm (reference.cc), so the hashes belong
+ * to this toolchain's libm as well as to the code: a change that
+ * moves values or charges on purpose re-records the table (a mismatch
+ * prints the line to paste) and says so in CHANGES.md.
+ */
+constexpr RecordedHash kRecordedHashes[] = {
+#include "batch_hashes.inc"
+};
 
 // ---------------------------------------------------------------------
 // Full support matrix: every (function, method, placement).
@@ -215,6 +286,11 @@ class BatchIdentity : public ::testing::TestWithParam<Method>
 TEST_P(BatchIdentity, WholeCatalogBitIdenticalToScalar)
 {
     const Method m = GetParam();
+    const std::string methodPrefix = std::string(methodName(m)) + " / ";
+    size_t recorded = 0;
+    for (const RecordedHash& r : kRecordedHashes)
+        recorded += std::string_view(r.combo).starts_with(methodPrefix);
+    size_t checked = 0;
     for (Function f : kFunctions) {
         for (Placement p : {Placement::Wram, Placement::Mram}) {
             MethodSpec spec = smallSpec(m, p);
@@ -226,9 +302,30 @@ TEST_P(BatchIdentity, WholeCatalogBitIdenticalToScalar)
             std::vector<float> inputs = uniformFloats(
                 193, static_cast<float>(dom.lo),
                 static_cast<float>(dom.hi), 1234 + spec.log2Entries);
-            expectBatchMatchesScalar(f, spec, inputs, 3);
+            RunResult batch = expectBatchMatchesScalar(f, spec, inputs, 3);
+            const std::string combo = methodPrefix +
+                                      std::string(functionName(f)) +
+                                      " / " +
+                                      std::string(placementName(p));
+            const uint64_t hash = resultHash(batch);
+            const RecordedHash* want = std::find_if(
+                std::begin(kRecordedHashes), std::end(kRecordedHashes),
+                [&](const RecordedHash& r) { return r.combo == combo; });
+            char line[128];
+            std::snprintf(line, sizeof line, "{\"%s\", 0x%016llxull},",
+                          combo.c_str(),
+                          static_cast<unsigned long long>(hash));
+            if (want == std::end(kRecordedHashes)) {
+                ADD_FAILURE() << combo << ": no recorded hash\n" << line;
+            } else {
+                EXPECT_EQ(want->hash, hash)
+                    << combo << ": values or charges moved\n" << line;
+            }
+            ++checked;
         }
     }
+    EXPECT_EQ(checked, recorded)
+        << "recorded hashes for combinations the catalog no longer has";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -1083,8 +1180,7 @@ TEST(BatchFastLane, FixedEngineMatchesEmulatedLane)
  * What the batch path does with a staged body, at engine level: the
  * start vectors of @p in in blocks of four vectors, then of one
  * vector, through the engine's block lane when @p block is set, and
- * the rest per element (rotateT/vectorT). Builds without SIMD lanes
- * have no block lane and run every element per element.
+ * the rest per element (rotateT/vectorT).
  */
 template <class Engine, class In>
 void
@@ -1092,7 +1188,6 @@ runEngineBatch(const Engine& eng, std::span<const In> in, bool block,
                BatchSink& sink, std::vector<uint32_t>& bits)
 {
     size_t i = 0;
-#if TPL_SF_SIMD
     auto blocks = [&]<int Vectors>() {
         constexpr size_t n = Vectors * sf::simdLanes;
         for (; in.size() - i >= n; i += n) {
@@ -1109,9 +1204,6 @@ runEngineBatch(const Engine& eng, std::span<const In> in, bool block,
         blocks.template operator()<4>();
         blocks.template operator()<1>();
     }
-#else
-    (void)block;
-#endif
     for (; i < in.size(); ++i) {
         if constexpr (In::vectoring)
             pushBits(bits, eng.vectorT(in[i].x0, in[i].y0, sink));

@@ -120,8 +120,9 @@ TEST(Fig5Conformance, LutAccuracyImprovesWithEntries)
         double rmse =
             bench(Function::Sin, lutSpec(Method::LLut, true, log2n))
                 .error.rmse;
-        if (prev != 0.0)
+        if (prev != 0.0) {
             EXPECT_LT(rmse, prev) << "2^" << log2n;
+        }
         prev = rmse;
     }
 }

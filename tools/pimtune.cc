@@ -39,7 +39,8 @@
  *                        'rmse<1e-6;cycles:p99<600'.
  *   --dpus N             simulated DPUs (default 64)
  *   --tasklets N         tasklets per DPU, 1..24 (default 16)
- *   --per-dpu-elements N per-wave slice capacity per DPU (default 512)
+ *   --per-dpu-elements N per-wave slice capacity per DPU, >= 1
+ *                        (default 512)
  *   --chunk N            streaming-kernel chunk elements, 1..256
  *                        (default 32)
  *   --explore N          elements each candidate is explored for
@@ -225,7 +226,7 @@ main(int argc, char** argv)
         } else if (arg == "--tasklets") {
             flags.parse(tasklets, cli::parseTasklets);
         } else if (arg == "--per-dpu-elements") {
-            flags.u32(perDpuElements);
+            flags.parse(perDpuElements, parsePerDpuElements);
         } else if (arg == "--chunk") {
             flags.parse(chunk, parseChunk);
         } else if (arg == "--explore") {
