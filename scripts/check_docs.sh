@@ -13,10 +13,15 @@
 #      docs/API.md — new API surface ships documented or not at all.
 #   3. Every tool binary (tools/*.cc) must be named in README.md —
 #      the tools table keeps pace with the tools directory.
+#   4. Every backticked source name (`name.h`, `.cc`, `.cpp`, `.sh`,
+#      `.py`, `.inc`) in docs/*.md, README.md and DESIGN.md must name
+#      a tracked file: an exact path or a trailing part of one (a
+#      path relative to src/, a basename), so a deleted file leaves
+#      no doc naming it.
 #
 # Usage: scripts/check_docs.sh
 # Exit: 0 clean, 1 on any broken link, dead anchor, undocumented
-# symbol, or unlisted tool.
+# symbol, unlisted tool, or dead file name.
 set -u
 
 SRC_DIR="$(cd "$(dirname "$0")/.." && pwd)"
@@ -146,9 +151,41 @@ for tool_src in tools/*.cc; do
     fi
 done
 
+# --- 4. backticked file names vs tracked files -----------------------
+
+# The first input is `git ls-files`: a tracked path and each of its
+# trailing parts after a '/' resolve. The second is one "doc<TAB>name"
+# line per backticked name outside fenced blocks; unresolved ones
+# print.
+dead=$(for md in docs/*.md README.md DESIGN.md; do
+           awk '/^[[:space:]]*```/ { fence = !fence; next }
+                !fence' "$md" |
+               grep -oE '`[A-Za-z0-9_./-]+\.(h|cc|cpp|sh|py|inc)`' |
+               tr -d '`' | sed "s|^|$md	|"
+       done |
+    awk -F '\t' 'NR == FNR {
+                     ok[$0] = 1
+                     p = $0
+                     while ((i = index(p, "/")) > 0) {
+                         p = substr(p, i + 1)
+                         ok[p] = 1
+                     }
+                     next
+                 }
+                 !($2 in ok) { print $1 ": " $2 }' \
+        <(git ls-files) -)
+if [ -n "$dead" ]; then
+    while IFS= read -r line; do
+        echo "check_docs: $line names no tracked file" >&2
+        failures=$((failures + 1))
+    done <<EOF
+$dead
+EOF
+fi
+
 if [ "$failures" -ne 0 ]; then
     echo "check_docs: $failures problem(s)" >&2
     exit 1
 fi
-echo "check_docs: links and anchors valid, API surface and tools documented"
+echo "check_docs: links and anchors valid, API surface, tools and file names documented"
 exit 0

@@ -5,10 +5,9 @@
  * A certificate bundles what the static passes proved about one
  * kernel — its cycle-bound interval (bound.h) and, when the
  * interleaving explorer ran, its race/deadlock verdict (interleave.h)
- * — into a JSON document tools can emit (`pimlint --json`), CI can
- * archive, and the serving layer can consume for cost-aware wave
- * sizing (serve/cost_book.h). The schema is documented in
- * docs/analysis.md; `parseCertificate()` round-trips everything
+ * — into a JSON document tools can emit (`pimlint --json`) and CI can
+ * archive. The schema is documented in docs/analysis.md;
+ * `parseCertificate()` round-trips everything
  * `serializeCertificate()` emits (it is a reader for this one schema,
  * not a general JSON parser).
  */

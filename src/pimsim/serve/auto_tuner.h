@@ -130,9 +130,9 @@ struct WaveOutcome
  * ServePipeline calls it the same way on a flat system and on a
  * fleet: bindCache() once per run, route() on every generation-0 wave
  * popped from the queue (retries keep their routed table), and
- * observe() after every wave's gather. In pipelined mode wave N+1 is
- * routed before wave N is observed — a deliberate one-wave decision
- * lag that keeps the two-deep schedule intact (docs/autotuner.md).
+ * observe() after every wave's gather. Wave N+1 is routed before
+ * wave N is observed — a deliberate one-wave decision lag that keeps
+ * the two-deep schedule intact (docs/autotuner.md).
  */
 class AutoTuner
 {

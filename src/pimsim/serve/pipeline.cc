@@ -310,64 +310,6 @@ constexpr double kStragglerFactor = 4.0;
  * they are dropped and the run reports incomplete. */
 constexpr uint32_t kMaxRetryWaves = 6;
 
-/**
- * Predicted double-buffered makespan of one popped wave run as @p k
- * equal sub-waves over @p healthy cores of @p cap element slices: a
- * mirror of the reservation sequence the drive loop issues (scatter
- * 0; then compute i, scatter i+1, gather i), against the same serial
- * transfer model and per-slice compute envelope. Only the *ranking*
- * across k matters — common shifts (the table broadcast, lanes still
- * busy from earlier waves) move every candidate equally.
- */
-double
-predictSplitMakespan(uint64_t elems, uint32_t k, uint32_t healthy,
-                     uint32_t cap, const WaveCost& cost,
-                     const CostModel& model)
-{
-    const double freq = model.frequencyHz;
-    std::vector<uint64_t> part(k);
-    uint64_t base = elems / k, rem = elems % k;
-    for (uint32_t i = 0; i < k; ++i)
-        part[i] = base + (i < rem ? 1 : 0);
-
-    auto xferSeconds = [&](uint64_t e) {
-        return model.serialTransferSeconds(e * sizeof(float));
-    };
-    auto computeSeconds = [&](uint64_t e) {
-        uint64_t perSlice =
-            std::min<uint64_t>(cap, (e + healthy - 1) / healthy);
-        return freq > 0.0 ? static_cast<double>(
-                                cost.sliceCycles(perSlice)) /
-                                freq
-                          : 0.0;
-    };
-
-    double host = 0.0, dpuFree = 0.0;
-    double computeByParity[2] = {0.0, 0.0};
-    double gatherByParity[2] = {0.0, 0.0};
-    std::vector<double> scatterEnd(k, 0.0);
-    host = std::max(computeByParity[0], host) + xferSeconds(part[0]);
-    scatterEnd[0] = host;
-    double makespan = host;
-    for (uint32_t i = 0; i < k; ++i) {
-        uint32_t parity = i % 2;
-        double ready =
-            std::max(scatterEnd[i], gatherByParity[parity]);
-        dpuFree = std::max(ready, dpuFree) + computeSeconds(part[i]);
-        computeByParity[parity] = dpuFree;
-        if (i + 1 < k) {
-            double sStart =
-                std::max(computeByParity[(i + 1) % 2], host);
-            host = sStart + xferSeconds(part[i + 1]);
-            scatterEnd[i + 1] = host;
-        }
-        host = std::max(dpuFree, host) + xferSeconds(part[i]);
-        gatherByParity[parity] = host;
-        makespan = std::max(makespan, host);
-    }
-    return makespan;
-}
-
 } // namespace
 
 ServePipeline::ServePipeline(PimSystem& system, TableProvider provider,
@@ -559,8 +501,7 @@ ServePipeline::run(BatchQueue& queue)
             report.elements += w->elements();
 
             // Auto-tuner routing: only fresh generation-0 waves are
-            // routed — retries and cost-book split pieces keep the
-            // table they were issued with.
+            // routed — retries keep the table they were issued with.
             std::string tuneNote;
             if (opts_.autoTuner) {
                 AutoTuner::Routing r =
@@ -576,54 +517,6 @@ ServePipeline::run(BatchQueue& queue)
                     tuneNote = std::move(r.note);
             }
 
-            // Cost-aware wave sizing: with a certified compute
-            // envelope for this table, rank the candidate sub-wave
-            // splits on the predicted double-buffered makespan and
-            // issue the fastest shape. Splits land at the front of
-            // the retry deque (generation 0) so they pop in order.
-            if (opts_.costBook) {
-                const WaveCost* wc = opts_.costBook->find(w->table);
-                uint64_t waveElems = w->elements();
-                if (wc && waveElems > 1) {
-                    uint32_t bestK = 1;
-                    double best = predictSplitMakespan(
-                        waveElems, 1, healthy, cap, *wc, sys_.model());
-                    for (uint32_t k : {2u, 4u, 8u}) {
-                        if (waveElems / k < healthy)
-                            break; // sub-slices would degenerate
-                        double m = predictSplitMakespan(
-                            waveElems, k, healthy, cap, *wc,
-                            sys_.model());
-                        if (m < best * (1.0 - 1e-9)) {
-                            best = m;
-                            bestK = k;
-                        }
-                    }
-                    if (bestK > 1) {
-                        uint64_t base = waveElems / bestK;
-                        uint64_t rem = waveElems % bestK;
-                        Wave rest = std::move(*w);
-                        std::vector<Wave> pieces;
-                        for (uint32_t i = 0; i + 1 < bestK; ++i)
-                            pieces.push_back(takeWaveHead(
-                                rest, base + (i < rem ? 1 : 0)));
-                        pieces.push_back(std::move(rest));
-                        for (auto it = pieces.rbegin();
-                             it != pieces.rend(); ++it)
-                            retries.push_front(
-                                PendingWave{std::move(*it), 0, {}});
-                        // Retries was empty (we only reach the queue
-                        // pop then), so the first split piece is at
-                        // the front; the tune note rides on it.
-                        retries.front().tuneNote =
-                            std::move(tuneNote);
-                        if (reg.enabled())
-                            reg.counter("serve/cost/split_waves")
-                                .add(1);
-                        continue;
-                    }
-                }
-            }
             return PendingWave{std::move(*w), 0, std::move(tuneNote)};
         }
     };

@@ -50,7 +50,6 @@
 #include <vector>
 
 #include "pimsim/serve/batch_queue.h"
-#include "pimsim/serve/cost_book.h"
 #include "pimsim/serve/table_cache.h"
 #include "pimsim/system.h"
 #include "pimsim/topology.h"
@@ -74,21 +73,6 @@ struct PipelineOptions
      * throws std::bad_alloc when they do not fit in MRAM.
      */
     uint32_t perDpuElements = 512;
-
-    /**
-     * Cost certificates for cost-aware wave sizing (kill switch:
-     * nullptr, the default, reproduces the cost-oblivious schedule
-     * bit-for-bit). When set and a popped wave's table has a
-     * certified WaveCost, the pipeline predicts the double-buffered
-     * makespan of running the wave whole versus split into 2/4/8
-     * equal sub-waves — using the same transfer model and timeline
-     * rules the run itself is charged with — and issues the fastest
-     * shape. Splitting changes only the modeled schedule (outputs are
-     * computed per element either way); tables without an entry run
-     * unsplit. The caller keeps the book alive for the pipeline's
-     * lifetime.
-     */
-    const CostBook* costBook = nullptr;
 
     /**
      * Request journal (kill switch: nullptr, the default). When set,
@@ -121,9 +105,9 @@ struct PipelineOptions
     /**
      * Online per-tenant auto-tuner (kill switch: nullptr, the
      * default, keeps the untuned path bit-identical — including
-     * journal bytes — at any TPL_SIM_THREADS, like costBook and
-     * topology before it; locked by test). When set, the pipeline
-     * routes every generation-0 wave (flat or fleet) through
+     * journal bytes — at any TPL_SIM_THREADS, like topology before
+     * it; locked by test). When set, the pipeline routes every
+     * generation-0 wave (flat or fleet) through
      * AutoTuner::route() — which may rewrite the wave's table to a
      * cheaper configuration meeting the owning tenant's SLA — and
      * feeds AutoTuner::observe() each wave's exact gathered outputs

@@ -122,8 +122,8 @@ class TableCache
      * so every lane that runs it again pays the broadcast again. The
      * old binding object stays alive until the cache is destroyed —
      * an in-flight wave still holding its pointer (one-wave decision
-     * lag in pipelined mode) keeps a valid table. @return the evicted footprint in bytes (0 when
-     * the key was not cached).
+     * lag) keeps a valid table. @return the evicted footprint in bytes
+     * (0 when the key was not cached).
      */
     uint32_t evict(const TableKey& key);
 

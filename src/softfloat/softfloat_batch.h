@@ -8,13 +8,11 @@
  * scalar calls would have produced — flushed to the sink in bulk
  * (InstrSink::chargeClassN / noteN) instead of per element.
  *
- * The binary32 elementwise ops (addN/subN/mulN/divN) take the SIMD
- * lane path when the build enables it (simd_lanes.h): native vector
+ * Both ops take the SIMD lane path (simd_lanes.h): native vector
  * arithmetic with NaN-result lanes patched to the canonical quiet NaN,
- * bit-identical to the scalar cores. Everything else (conversions,
- * sqrt, the binary16/64 tiers) runs the inlined scalar cores in a
- * tight loop. All spans must have equal lengths (out may alias a or
- * b); empty spans are no-ops that charge nothing.
+ * bit-identical to the scalar cores. All spans must have equal
+ * lengths (out may alias a or b); empty spans are no-ops that charge
+ * nothing.
  */
 
 #ifndef TPL_SOFTFLOAT_SOFTFLOAT_BATCH_H
@@ -24,112 +22,17 @@
 #include <span>
 
 #include "common/instr_sink.h"
-#include "softfloat/simd_lanes.h"
-#include "softfloat/softfloat16.h"
 
 namespace tpl {
 namespace sf {
-
-/// @name Batched binary32 arithmetic (SIMD lane path when enabled)
-/// @{
 
 /** out[i] = add(a[i], b[i]). */
 void addN(std::span<const float> a, std::span<const float> b,
           std::span<float> out, InstrSink* sink = nullptr);
 
-/** out[i] = sub(a[i], b[i]). */
-void subN(std::span<const float> a, std::span<const float> b,
-          std::span<float> out, InstrSink* sink = nullptr);
-
 /** out[i] = mul(a[i], b[i]) (data-dependent IntMulDiv charges kept). */
 void mulN(std::span<const float> a, std::span<const float> b,
           std::span<float> out, InstrSink* sink = nullptr);
-
-/** out[i] = div(a[i], b[i]). */
-void divN(std::span<const float> a, std::span<const float> b,
-          std::span<float> out, InstrSink* sink = nullptr);
-
-/** out[i] = sqrt(a[i]). */
-void sqrtN(std::span<const float> a, std::span<float> out,
-           InstrSink* sink = nullptr);
-
-/// @}
-/// @name Batched binary32 conversions
-/// @{
-
-/** out[i] = toI32Trunc(a[i]). */
-void toI32TruncN(std::span<const float> a, std::span<int32_t> out,
-                 InstrSink* sink = nullptr);
-
-/** out[i] = toI32Floor(a[i]). */
-void toI32FloorN(std::span<const float> a, std::span<int32_t> out,
-                 InstrSink* sink = nullptr);
-
-/** out[i] = toI32Round(a[i]). */
-void toI32RoundN(std::span<const float> a, std::span<int32_t> out,
-                 InstrSink* sink = nullptr);
-
-/** out[i] = fromI32(a[i]). */
-void fromI32N(std::span<const int32_t> a, std::span<float> out,
-              InstrSink* sink = nullptr);
-
-/// @}
-/// @name Batched binary16 tier
-/// @{
-
-/** out[i] = add16(a[i], b[i]). */
-void add16N(std::span<const Half> a, std::span<const Half> b,
-            std::span<Half> out, InstrSink* sink = nullptr);
-
-/** out[i] = sub16(a[i], b[i]). */
-void sub16N(std::span<const Half> a, std::span<const Half> b,
-            std::span<Half> out, InstrSink* sink = nullptr);
-
-/** out[i] = mul16(a[i], b[i]). */
-void mul16N(std::span<const Half> a, std::span<const Half> b,
-            std::span<Half> out, InstrSink* sink = nullptr);
-
-/** out[i] = div16(a[i], b[i]). */
-void div16N(std::span<const Half> a, std::span<const Half> b,
-            std::span<Half> out, InstrSink* sink = nullptr);
-
-/** out[i] = toF16(a[i]) (binary32 -> binary16 conversion). */
-void toF16N(std::span<const float> a, std::span<Half> out,
-            InstrSink* sink = nullptr);
-
-/** out[i] = fromF16(a[i]) (binary16 -> binary32 conversion). */
-void fromF16N(std::span<const Half> a, std::span<float> out,
-              InstrSink* sink = nullptr);
-
-/// @}
-/// @name Batched binary64 tier
-/// @{
-
-/** out[i] = add64(a[i], b[i]). */
-void add64N(std::span<const double> a, std::span<const double> b,
-            std::span<double> out, InstrSink* sink = nullptr);
-
-/** out[i] = sub64(a[i], b[i]). */
-void sub64N(std::span<const double> a, std::span<const double> b,
-            std::span<double> out, InstrSink* sink = nullptr);
-
-/** out[i] = mul64(a[i], b[i]). */
-void mul64N(std::span<const double> a, std::span<const double> b,
-            std::span<double> out, InstrSink* sink = nullptr);
-
-/** out[i] = div64(a[i], b[i]). */
-void div64N(std::span<const double> a, std::span<const double> b,
-            std::span<double> out, InstrSink* sink = nullptr);
-
-/** out[i] = fromF32(a[i]) (binary32 -> binary64 conversion). */
-void fromF32N(std::span<const float> a, std::span<double> out,
-              InstrSink* sink = nullptr);
-
-/** out[i] = toF32(a[i]) (binary64 -> binary32 conversion). */
-void toF32N(std::span<const double> a, std::span<float> out,
-            InstrSink* sink = nullptr);
-
-/// @}
 
 } // namespace sf
 } // namespace tpl

@@ -61,7 +61,7 @@ runMicrobench(Function f, const MethodSpec& spec,
              obs::argKv("tasklets",
                         static_cast<uint64_t>(opts.tasklets))}));
 
-    Domain dom = opts.domain ? *opts.domain : functionDomain(f);
+    Domain dom = functionDomain(f);
     std::vector<float> inputs =
         uniformFloats(opts.elements, static_cast<float>(dom.lo),
                       static_cast<float>(dom.hi), opts.seed);

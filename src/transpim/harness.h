@@ -54,8 +54,6 @@ struct MicrobenchOptions
     uint32_t elements = 1u << 14; ///< paper uses 2^16
     uint32_t tasklets = 16;
     uint64_t seed = 0x7ea9c0de;
-    /** Optional input domain override (defaults to functionDomain). */
-    std::optional<Domain> domain;
 };
 
 /**

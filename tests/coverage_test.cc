@@ -111,21 +111,6 @@ TEST(Harness, InfeasibleConfigurationReported)
     EXPECT_GT(res.cyclesPerElement, 0.0);
 }
 
-TEST(Harness, DomainOverride)
-{
-    MethodSpec spec;
-    spec.method = Method::LLut;
-    spec.placement = Placement::Host;
-    MicrobenchOptions opts;
-    opts.elements = 512;
-    opts.domain = Domain{1.0, 2.0}; // narrow slice of [0, 2pi]
-    MicrobenchResult res = runMicrobench(Function::Sin, spec, opts);
-    EXPECT_TRUE(res.feasible);
-    // All inputs in [1, 2] -> errors should be tiny and count full.
-    EXPECT_EQ(512u, res.error.count);
-    EXPECT_LT(res.error.rmse, 1e-5);
-}
-
 TEST(Harness, TaskletCountAffectsCyclesNotValues)
 {
     MethodSpec spec;

@@ -986,7 +986,6 @@ struct Scenario
     bool tuner = false;
     uint64_t mramBudgetBytes = 0;
     std::map<uint64_t, serve::TenantSla> slas;
-    std::optional<serve::WaveCost> cost; ///< book entry for every table
     std::vector<MixRequest> requests;
 };
 
@@ -1032,15 +1031,12 @@ serveScenario(const Scenario& sc, uint32_t threads,
     obs::Journal journal;
     serve::BatchQueue queue;
     queue.setJournal(&journal);
-    serve::CostBook book;
     uint64_t off = 0;
     for (const MixRequest& r : sc.requests) {
         serve::Request q = makeRequest(catalog.add(r.fn, r.spec),
                                        in.data() + off,
                                        run.out.data() + off, r.elements);
         q.tenant = r.tenant;
-        if (sc.cost)
-            book.set(q.table, *sc.cost);
         queue.push(q);
         off += r.elements;
     }
@@ -1053,8 +1049,6 @@ serveScenario(const Scenario& sc, uint32_t threads,
     popts.journal = &journal;
     if (sc.topology)
         popts.topology = &*sc.topology;
-    if (sc.cost)
-        popts.costBook = &book;
     if (sc.tuner) {
         AutoTunerOptions topts;
         topts.exploreElements = 256;
@@ -1204,21 +1198,6 @@ TEST(ServeOverlap, TunerWithBudgetEvictionMatchesSerial)
     for (const serve::TuneDecision& d : run.decisions)
         evicted = evicted || d.reason == "evict";
     EXPECT_TRUE(evicted);
-}
-
-TEST(ServeOverlap, CostBookSplitsMatchSerial)
-{
-    Scenario sc;
-    sc.requests = llutMix();
-    const uint64_t unsplit = serveScenario(sc, 1).rep.waves;
-    serve::WaveCost cost;
-    cost.cyclesPerElement = 64.0;
-    cost.fixedCycles = 100.0;
-    cost.minElements = 1;
-    sc.cost = cost;
-    ScenarioRun run = expectOverlapMatchesSerial(sc);
-    EXPECT_TRUE(run.rep.complete);
-    EXPECT_GT(run.rep.waves, unsplit); // the book split waves
 }
 
 TEST(ServeOverlap, InfeasibleDropMatchesSerial)
