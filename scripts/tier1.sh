@@ -193,8 +193,9 @@ fi
 # docs/API.md, and every tool is listed in README.md. Additionally
 # smoke the pimserve CLI (demo trace → replay → JSON round-trip) and
 # the tuner CLIs (pimtune's three-way replay must show the online
-# tuner beating the best static configuration with every SLA met;
-# pimserve --auto-tune must emit its tuner section) so the documented
+# tuner beating the best static configuration with every SLA met and
+# print the same bytes at 1, 4 and 16 sim threads; pimserve
+# --auto-tune must emit its tuner section) so the documented
 # examples keep working, and check that each CLI mistake gets one
 # message in every tool: a malformed trace and a malformed --tenant-sla
 # in both replay tools, a bad method as a flag and as a trace key, and
@@ -210,9 +211,23 @@ if [ "${TPL_TIER1_DOCS:-0}" = "1" ]; then
     python3 -m json.tool "$DOCS_TMP/serve.json" > /dev/null
     python3 -m json.tool "$DOCS_TMP/serve.metrics.json" > /dev/null
     grep -q 'serve/' "$DOCS_TMP/serve.metrics.json"
-    "$BUILD_DIR/tools/pimtune" --demo 2000 --per-dpu-elements 8 \
-        --explore 512 --json "$DOCS_TMP/tune.json" > /dev/null
-    python3 - "$DOCS_TMP/tune.json" <<'PYEOF'
+    # The tuned small-wave path at 1, 4 and 16 simulation threads: the
+    # JSON and stdout (bar the path-bearing "wrote" line) must match
+    # byte for byte, whichever pool participant ran each DPU slice.
+    for threads in 1 4 16; do
+        TPL_SIM_THREADS=$threads "$BUILD_DIR/tools/pimtune" --demo 2000 \
+            --per-dpu-elements 8 --explore 512 \
+            --json "$DOCS_TMP/tune.$threads.json" \
+            > "$DOCS_TMP/tune.$threads.stdout"
+        grep -v '^wrote ' "$DOCS_TMP/tune.$threads.stdout" \
+            > "$DOCS_TMP/tune.$threads.out"
+    done
+    for threads in 4 16; do
+        cmp "$DOCS_TMP/tune.1.json" "$DOCS_TMP/tune.$threads.json"
+        cmp "$DOCS_TMP/tune.1.out" "$DOCS_TMP/tune.$threads.out"
+    done
+    echo "pimtune JSON + stdout byte-identical at 1/4/16 sim threads OK"
+    python3 - "$DOCS_TMP/tune.1.json" <<'PYEOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 assert doc["sla_met"] is True, doc

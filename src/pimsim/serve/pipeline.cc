@@ -468,6 +468,9 @@ ServePipeline::run(BatchQueue& queue)
     // read — see the drive loop below.
     LaunchHandle launch;
     LaneGroup* launchGroup = nullptr; ///< owner of the submitted wave
+    /** Scratch copy of a committed wave's per-slice cycles for its
+     * straggler median, reused across waves. */
+    std::vector<uint64_t> medianScratch;
 
     /** Next wave to execute: pending retries first, then the queue.
      * Waves are sized for one group — the placement step later
@@ -606,13 +609,16 @@ ServePipeline::run(BatchQueue& queue)
         // counts the sequential failure sweep recorded, so it is
         // deterministic at any thread count and costs nothing on the
         // modeled schedule.
-        std::vector<uint64_t> sliceCycles = launch.cycles();
+        const std::vector<uint64_t>& sliceCycles = launch.cycles();
         for (uint64_t c : sliceCycles)
             ex.stats.totalCycles += c;
-        std::sort(sliceCycles.begin(), sliceCycles.end());
-        if (!sliceCycles.empty())
-            ex.stats.medianCycles =
-                sliceCycles[sliceCycles.size() / 2];
+        if (!sliceCycles.empty()) {
+            medianScratch.assign(sliceCycles.begin(), sliceCycles.end());
+            auto mid = medianScratch.begin() + medianScratch.size() / 2;
+            std::nth_element(medianScratch.begin(), mid,
+                             medianScratch.end());
+            ex.stats.medianCycles = *mid;
+        }
         if (sliceCycles.size() >= 2 && ex.stats.medianCycles > 0) {
             const double limit =
                 kStragglerFactor *
@@ -633,9 +639,9 @@ ServePipeline::run(BatchQueue& queue)
                 if (journalEvents)
                     jev("anomaly", ex.computeEv.start,
                         ex.computeEv.seconds(), 0, ex.waveIndex,
-                        ex.stats.elements, sliceCycles.back(), g.rank,
+                        ex.stats.elements, ex.stats.maxCycles, g.rank,
                         ex.wave.table.label,
-                        "max " + std::to_string(sliceCycles.back()) +
+                        "max " + std::to_string(ex.stats.maxCycles) +
                             " cycles vs median " +
                             std::to_string(ex.stats.medianCycles) +
                             " across " +

@@ -16,13 +16,40 @@ namespace sim {
 
 struct ThreadPool::Job
 {
-    uint64_t count = 0;
+    /** One worker's home range of indices, [next, end), with its
+     * claim cursor on its own cache line. */
+    struct alignas(64) Block
+    {
+        std::atomic<uint64_t> next{0};
+        uint64_t end = 0;
+    };
+
     std::function<void(uint64_t)> fn;
-    std::atomic<uint64_t> next{0};
+    std::vector<Block> blocks;
     std::atomic<uint32_t> active{0};
     std::exception_ptr error; ///< guarded by the pool mutex
 
-    bool hasWork() const { return next.load() < count; }
+    /** Split [0, count) into @p n contiguous blocks in index order;
+     * the first count % n blocks hold one index more. */
+    void split(uint64_t count, uint32_t n)
+    {
+        blocks = std::vector<Block>(n);
+        const uint64_t size = count / n, extra = count % n;
+        uint64_t begin = 0;
+        for (uint32_t b = 0; b < n; ++b) {
+            blocks[b].next.store(begin);
+            begin += size + (b < extra ? 1 : 0);
+            blocks[b].end = begin;
+        }
+    }
+
+    bool hasWork() const
+    {
+        for (const Block& b : blocks)
+            if (b.next.load() < b.end)
+                return true;
+        return false;
+    }
 };
 
 namespace {
@@ -81,7 +108,7 @@ ThreadPool::ThreadPool(uint32_t threads)
         threads = defaultThreads();
     workers_.reserve(threads - 1);
     for (uint32_t t = 0; t + 1 < threads; ++t)
-        workers_.emplace_back([this] { workerLoop(); });
+        workers_.emplace_back([this, t] { workerLoop(t); });
 }
 
 ThreadPool::~ThreadPool()
@@ -97,7 +124,7 @@ ThreadPool::~ThreadPool()
 }
 
 void
-ThreadPool::workerLoop()
+ThreadPool::workerLoop(uint32_t home)
 {
     insideWorker = true;
     for (;;) {
@@ -128,29 +155,38 @@ ThreadPool::workerLoop()
                 --sleepingWorkers_;
             }
         }
-        runIndices(*job);
+        runIndices(*job, home);
     }
 }
 
 void
-ThreadPool::runIndices(Job& job)
+ThreadPool::runIndices(Job& job, uint32_t home)
 {
     // A participant registers before claiming, so a waiter that sees
-    // the range exhausted and no participant left knows every claimed
-    // index has finished.
+    // every block exhausted and no participant left knows every
+    // claimed index has finished.
     job.active.fetch_add(1);
-    for (;;) {
-        uint64_t i = job.next.fetch_add(1);
-        if (i >= job.count)
-            break;
-        try {
-            job.fn(i);
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (!job.error)
-                job.error = std::current_exception();
-            // Cancel remaining indices; claimed ones still drain.
-            job.next.store(job.count);
+    // Drain the home block, then steal from the others in turn. A
+    // block once exhausted stays so, so one pass that finds every
+    // block exhausted leaves nothing unclaimed.
+    const size_t n = job.blocks.size();
+    for (size_t k = 0; k < n; ++k) {
+        Job::Block& block = job.blocks[(home + k) % n];
+        for (;;) {
+            uint64_t i = block.next.fetch_add(1);
+            if (i >= block.end)
+                break;
+            try {
+                job.fn(i);
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(mutex_);
+                if (!job.error)
+                    job.error = std::current_exception();
+                // Cancel the unclaimed indices of every block;
+                // claimed ones still drain.
+                for (Job::Block& b : job.blocks)
+                    b.next.store(b.end);
+            }
         }
     }
     if (job.active.fetch_sub(1) == 1) {
@@ -165,12 +201,15 @@ std::shared_ptr<ThreadPool::Job>
 ThreadPool::start(uint64_t count, std::function<void(uint64_t)> fn)
 {
     auto job = std::make_shared<Job>();
-    job->count = count;
     job->fn = std::move(fn);
     // Without workers (or nested inside one) the job is not posted:
-    // wait() runs it inline on the caller.
-    if (workers_.empty() || count <= 1 || insideWorker)
+    // wait() runs it inline on the caller, in index order.
+    if (workers_.empty() || count <= 1 || insideWorker) {
+        job->split(count, 1);
         return job;
+    }
+    // One home block per worker; the waiter owns none.
+    job->split(count, static_cast<uint32_t>(workers_.size()));
     bool wake = false;
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -186,7 +225,9 @@ ThreadPool::start(uint64_t count, std::function<void(uint64_t)> fn)
 void
 ThreadPool::wait(const std::shared_ptr<Job>& job)
 {
-    runIndices(*job); // the waiter claims whatever is left
+    // The waiter owns no block: it steals whatever is left, starting
+    // from the first block.
+    runIndices(*job, 0);
     auto drained = [&] { return job->active.load() == 0; };
     pollFor(drained);
     std::unique_lock<std::mutex> lock(mutex_);

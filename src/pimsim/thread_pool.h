@@ -2,23 +2,26 @@
  * @file
  * Host-side parallel execution engine for the simulator.
  *
- * A deliberately simple, work-stealing-free thread pool: parallelFor
- * posts one job (an index range plus a callable) and every participant
- * — the calling thread included — claims indices from a shared atomic
- * counter until the range is exhausted. There are no per-worker deques
- * and no stealing; for the simulator's workloads (tens of DPUs, tens of
- * sweep points, each index worth many microseconds) a single shared
- * counter is contention-free in practice and much easier to reason
- * about.
+ * A deliberately simple thread pool: parallelFor posts one job (an
+ * index range plus a callable) and every participant — the calling
+ * thread included — claims indices until the range is exhausted. Each
+ * job splits its range into one contiguous home block per worker,
+ * each with its own claim cursor on its own cache line. A worker
+ * drains its home block first, then steals single indices from the
+ * other blocks; the waiter owns no block and only steals. Jobs of one
+ * shape therefore give index i the same home worker every time: a
+ * wave's slices are numbered in DPU order, so a simulated DPU's state
+ * (its stats, tasklets and MRAM) stays in one host core's cache from
+ * wave to wave, as the modeled DPUs share nothing.
  *
  * Determinism contract: the pool schedules *which thread* runs an
- * index, never *what* the index computes. Everything the simulator
- * models (cycles, instructions, DMA bytes, energy) is a pure function
- * of per-index state (one DPU, one sweep point), so results are
- * bit-identical for any thread count. The `TPL_SIM_THREADS` environment
- * variable (or ThreadPool::setDefaultThreads) forces a specific
- * parallelism — `TPL_SIM_THREADS=1` is the serial escape hatch for
- * debugging.
+ * index, never *what* the index computes; no result depends on which
+ * participant ran an index. Everything the simulator models (cycles,
+ * instructions, DMA bytes, energy) is a pure function of per-index
+ * state (one DPU, one sweep point), so results are bit-identical for
+ * any thread count. The `TPL_SIM_THREADS` environment variable forces
+ * a specific parallelism — `TPL_SIM_THREADS=1` is the serial escape
+ * hatch for debugging.
  *
  * Nested parallelFor calls from inside a worker run inline (serially on
  * the calling worker): the pool never deadlocks and inner loops simply
@@ -116,8 +119,10 @@ class ThreadPool
     static uint32_t defaultThreads();
 
   private:
-    void workerLoop();
-    void runIndices(Job& job);
+    void workerLoop(uint32_t home);
+    /** Claim and run indices of @p job: block @p home first, then
+     * the others in turn. */
+    void runIndices(Job& job, uint32_t home);
 
     mutable std::mutex mutex_;
     std::condition_variable wakeCv_; ///< workers: new job available

@@ -99,8 +99,15 @@ batchTableKey(Function f, const MethodSpec& spec)
 {
     sim::serve::TableKey key;
     key.hash = tableHash(f, spec);
-    key.label =
+    std::string label =
         std::string(functionName(f)) + "/" + methodLabel(spec);
+    // methodLabel names the placement of the LUT family and CORDIC+LUT
+    // only (the figure benches match its text as series names); CORDIC
+    // keeps its arctan tables at a placement too, so name it here.
+    if (spec.method == Method::Cordic ||
+        spec.method == Method::CordicFixed)
+        label += std::string(" (") + placementName(spec.placement) + ")";
+    key.label = label;
     return key;
 }
 

@@ -28,7 +28,8 @@ namespace transpim {
 /**
  * Stable identity of one (function, spec) configuration as a serve
  * TableKey: an FNV-1a hash over the function and every table-shaping
- * knob of the spec, labeled "sin/L-LUT interp. (WRAM, 2^12)"-style.
+ * knob of the spec, labeled "sin/L-LUT interp. (WRAM)"-style; every
+ * method but Poly names its placement.
  * Requests with equal keys share one cached table broadcast.
  */
 sim::serve::TableKey batchTableKey(Function f, const MethodSpec& spec);

@@ -1247,6 +1247,25 @@ TEST(BatchHostileSpec, WideFixedCordicScheduleServes)
         EXPECT_NEAR(out[i], std::sin(in[i]), 1e-6) << in[i];
 }
 
+TEST(BatchTableKey, CordicPlacementNamedInLabel)
+{
+    // CORDIC keeps its arctan tables at a placement, so two keys that
+    // differ only there must read apart in journals and reports.
+    for (Method m : {Method::Cordic, Method::CordicFixed}) {
+        MethodSpec wram, mram;
+        wram.method = mram.method = m;
+        wram.placement = Placement::Wram;
+        mram.placement = Placement::Mram;
+        const sim::serve::TableKey a = batchTableKey(Function::Tanh, wram);
+        const sim::serve::TableKey b = batchTableKey(Function::Tanh, mram);
+        EXPECT_NE(a.hash, b.hash);
+        EXPECT_NE(a.label, b.label);
+        const std::string name = "tanh/" + methodLabel(wram);
+        EXPECT_EQ(name + " (WRAM)", a.label.str());
+        EXPECT_EQ(name + " (MRAM)", b.label.str());
+    }
+}
+
 } // namespace
 } // namespace transpim
 } // namespace tpl

@@ -200,6 +200,91 @@ TEST(ThreadPool, ParallelForWhileJobOutstanding)
         EXPECT_EQ(1u, s.load());
 }
 
+namespace {
+
+/** Spin until @p ready() or a generous deadline; @return ready(). A
+ * pool that loses an index fails the test instead of hanging it. */
+template <typename Ready>
+bool
+spinUntil(Ready ready)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (!ready()) {
+        if (std::chrono::steady_clock::now() > deadline)
+            return false;
+        std::this_thread::yield();
+    }
+    return true;
+}
+
+} // namespace
+
+TEST(ThreadPool, BlockedHomeIndexIsStolenAround)
+{
+    // Index 0 opens worker 0's home block and holds its participant
+    // until every other index ran: the rest of that block can only
+    // run if the other participants steal it.
+    sim::ThreadPool pool(4);
+    constexpr uint64_t n = 64;
+    std::atomic<uint64_t> others{0};
+    bool sawAll = false;
+    pool.wait(pool.start(n, [&](uint64_t i) {
+        if (i == 0)
+            sawAll = spinUntil([&] { return others.load() == n - 1; });
+        else
+            ++others;
+    }));
+    EXPECT_TRUE(sawAll);
+    EXPECT_EQ(n - 1, others.load());
+}
+
+TEST(ThreadPool, EveryIndexOnceAroundTheWorkerCountWithTwoJobs)
+{
+    sim::ThreadPool pool(5); // four workers, four home blocks
+    for (uint64_t n : {uint64_t{3}, uint64_t{4}, uint64_t{10007}}) {
+        std::vector<std::atomic<uint32_t>> a(n), b(n);
+        auto first = pool.start(n, [&](uint64_t i) { ++a[i]; });
+        auto second = pool.start(n, [&](uint64_t i) { ++b[i]; });
+        pool.wait(second);
+        pool.wait(first);
+        for (uint64_t i = 0; i < n; ++i) {
+            ASSERT_EQ(1u, a[i].load()) << "n " << n << " index " << i;
+            ASSERT_EQ(1u, b[i].load()) << "n " << n << " index " << i;
+        }
+    }
+}
+
+TEST(ThreadPool, ThrowCancelsEveryBlock)
+{
+    // Index 0 throws once two other participants hold an index each;
+    // every index but 0 waits for the throw and then takes 10 ms, so
+    // until the job is cancelled each participant runs an index or
+    // two. If the throw cancelled only its own home block, the other
+    // blocks (two thirds of the range) would still run to the end.
+    sim::ThreadPool pool(4);
+    constexpr uint64_t n = 3000;
+    std::atomic<uint64_t> started{0}, ran{0};
+    std::atomic<bool> thrown{false};
+    auto job = pool.start(n, [&](uint64_t i) {
+        if (i == 0) {
+            spinUntil([&] { return started.load() >= 2; });
+            thrown = true;
+            throw std::runtime_error("boom");
+        }
+        ++started;
+        spinUntil([&] { return thrown.load(); });
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        ++ran;
+    });
+    EXPECT_THROW(pool.wait(job), std::runtime_error);
+    EXPECT_GE(ran.load(), 2u);
+    EXPECT_LT(ran.load(), n / 3);
+    std::atomic<uint64_t> sum{0};
+    pool.parallelFor(100, [&](uint64_t i) { sum += i; });
+    EXPECT_EQ(4950u, sum.load());
+}
+
 // ----------------------------------------------- launchAll determinism
 
 namespace {
