@@ -58,7 +58,9 @@ fi
 # build silently tolerates — among them a shared table read after its
 # catalog and pipeline are gone (SharedTable.TablesOutlive*), the
 # engine fast-value lanes (BatchFastLane.*), among them the SIMD block
-# lanes (BatchFastLane.*BlockLane*), the staged bodies' block shapes
+# lanes (BatchFastLane.*BlockLane*) and the polynomial CNDF body's
+# block lane, whose bit shifts and int/float conversions run in SIMD
+# lanes (BatchFastLane.PolyBlockLane*), the staged bodies' block shapes
 # and MRAM routing (BatchEdgeCases.*) and the hostile table specs
 # that once overflowed a table image, aborted pimserve or shifted an
 # int32 by 32 (BatchHostileSpec.*), each slice named again below so the
@@ -73,6 +75,8 @@ if [ "${TPL_TIER1_ASAN:-0}" = "1" ]; then
         'BatchFastLane\.' \
         'BatchFastLane.FloatBlockLaneMatchesPerElementLane' \
         'BatchFastLane.FixedBlockLaneMatchesPerElementLane' \
+        'BatchFastLane.PolyBlockLaneMatchesPerElementLane' \
+        'BatchFastLane.PolyBlockLaneTakesOrdinaryBlocksOnly' \
         'BatchEdgeCases.DegenerateSizesBitIdentical' \
         'BatchEdgeCases.NanAndInfLadenInputsBitIdentical' \
         'BatchEdgeCases.MramCordicKeepsPerElementDmaOrder' \

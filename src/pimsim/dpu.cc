@@ -383,18 +383,23 @@ DpuCore::launch(uint32_t numTasklets, const Kernel& kernel)
         } else {
             kernel(ctx);
         }
+        TaskletStats& ts = stats.perTasklet.emplace_back();
+        for (int o = 0; o < numOpClasses; ++o)
+            stats.opCounts[o] += ctx.opCounts()[o];
+        // An idle tasklet (a slice's spare tasklets, say) adds nothing
+        // to the instruction, class or work folds: only its zero
+        // TaskletStats and its notes.
+        if (ctx.instructions() == 0 && ctx.dmaStallCycles() == 0)
+            continue;
         stats.totalInstructions += ctx.instructions();
         uint64_t work = ctx.instructions() * model_.pipelineInterval +
                         ctx.dmaStallCycles();
         stats.maxTaskletWork = std::max(stats.maxTaskletWork, work);
-        TaskletStats& ts = stats.perTasklet.emplace_back();
         ts.instructions = ctx.instructions();
         ts.dmaStallCycles = ctx.dmaStallCycles();
         ts.classInstructions = ctx.classInstructions();
         for (int c = 0; c < numInstrClasses; ++c)
             stats.classInstructions[c] += ctx.classInstructions()[c];
-        for (int o = 0; o < numOpClasses; ++o)
-            stats.opCounts[o] += ctx.opCounts()[o];
     }
     stats.dmaEngineCycles = dmaEngineCycles_;
     stats.cycles = std::max({stats.totalInstructions,

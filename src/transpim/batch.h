@@ -31,6 +31,17 @@
  * BatchTally's totals are sums, and the block lane runs only over a
  * host or WRAM angle table, so no DMA happens in between. MRAM tables
  * and remainders shorter than one vector take the per-element lane.
+ *
+ * The polynomial body that Cndf, Gelu and Erf share (PolyCndf) has a
+ * block lane too: around per-element pre and post stages, a block
+ * runs every softfloat step of the cndf in SIMD lanes (the vector ops
+ * of softfloat_lanes.h), each lane with its scalar core's value. The
+ * block's constant charges and notes are added once, and each lane's
+ * multiply IntMulDiv charges are summed by mulIntCharge's closed form.
+ * A block where any lane leaves a fast path (a special or subnormal
+ * operand, ldexp underflow or overflow, a conversion outside its exact
+ * range) is discarded and runs per element, which charges what the
+ * emulated cores charge.
  */
 
 #ifndef TPL_TRANSPIM_BATCH_H

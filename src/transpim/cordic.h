@@ -37,7 +37,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "common/bitops.h"
@@ -45,6 +44,7 @@
 #include "common/instr_sink.h"
 #include "softfloat/simd_lanes.h"
 #include "softfloat/softfloat_core.h"
+#include "softfloat/softfloat_lanes.h"
 #include "transpim/ldexp.h"
 #include "transpim/placement.h"
 
@@ -281,26 +281,6 @@ iterateFixedT(CordicMode mode, const std::vector<uint32_t>& schedule,
     return {Fixed::fromRaw(x), Fixed::fromRaw(y), Fixed::fromRaw(z)};
 }
 
-/** True when any lane of @p mask is non-zero. */
-inline bool
-anyLane(sf::VBits mask)
-{
-    uint64_t words[sizeof(mask) / sizeof(uint64_t)];
-    std::memcpy(words, &mask, sizeof(mask));
-    uint64_t any = 0;
-    for (uint64_t w : words)
-        any |= w;
-    return any != 0;
-}
-
-/** canonical() in every lane of a host vector sum, as bits. */
-inline sf::VBits
-canonicalBits(sf::VFloat r)
-{
-    const sf::VBits nan = reinterpret_cast<sf::VBits>(r != r);
-    return (reinterpret_cast<sf::VBits>(r) & ~nan) | (nan & ieeeQuietNan);
-}
-
 /**
  * ldexpDownFast(., @p shift) in every lane of @p bits: the exponent-
  * field result where that path applies. Lanes where it does not
@@ -366,7 +346,7 @@ iterateBlockT(CordicMode mode, const std::vector<uint32_t>& schedule,
             ys[b] = shiftDownBits(y[b], i, ySlow[b]);
             anySlow |= xSlow[b] | ySlow[b];
         }
-        if (anyLane(anySlow)) {
+        if (sf::anyLane(anySlow)) {
             auto fix = [&](VBits& out, const VBits& in, const VBits& slow) {
                 for (int l = 0; l < lanes; ++l)
                     if (slow[l]) {
@@ -397,16 +377,16 @@ iterateBlockT(CordicMode mode, const std::vector<uint32_t>& schedule,
             const VFloat ny = sum(y[b], xs[b] ^ neg);
             const VFloat nz = sum(z[b], (neg ^ signBit) ^ ang);
             x[b] = reinterpret_cast<VBits>(nx);
-            y[b] = Vectoring ? canonicalBits(ny)
+            y[b] = Vectoring ? sf::canonicalBits(ny)
                              : reinterpret_cast<VBits>(ny);
             z[b] = Vectoring ? reinterpret_cast<VBits>(nz)
-                             : canonicalBits(nz);
+                             : sf::canonicalBits(nz);
         }
     }
     for (int b = 0; b < Vectors && n > 0; ++b) {
-        x[b] = canonicalBits(reinterpret_cast<VFloat>(x[b]));
+        x[b] = sf::canonicalBits(reinterpret_cast<VFloat>(x[b]));
         VBits& other = Vectoring ? z[b] : y[b];
-        other = canonicalBits(reinterpret_cast<VFloat>(other));
+        other = sf::canonicalBits(reinterpret_cast<VFloat>(other));
     }
     for (int b = 0; b < Vectors; ++b)
         for (int l = 0; l < lanes; ++l)

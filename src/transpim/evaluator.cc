@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <type_traits>
 
 #include "common/bitops.h"
 #include "pimsim/obs/trace.h"
@@ -32,7 +33,6 @@ namespace {
 constexpr double dTwoPi = 6.28318530717958647692;
 constexpr double dLn2 = 0.69314718055994530942;
 constexpr float fLn2 = 0.69314718055994530942f;
-constexpr float fInvSqrt2Pi = 0.39894228040143267794f;
 
 using Eval = std::function<float(float, InstrSink*)>;
 using BatchEval = std::function<void(std::span<const float>,
@@ -151,12 +151,31 @@ runBlock(const StagedBody<Engine, Pre, Post>& body, View view,
 }
 
 /**
+ * The block prefix of a batch of @p n elements: blocks of four
+ * vectors, then of one vector, each run as block(vectors, i) for the
+ * block at element i, with vectors a std::integral_constant. Returns
+ * where the per-element remainder starts.
+ */
+template <class Block>
+std::size_t
+runBlocks(std::size_t n, const Block& block)
+{
+    constexpr std::size_t lanes = sf::simdLanes;
+    std::size_t i = 0;
+    for (; n - i >= 4 * lanes; i += 4 * lanes)
+        block(std::integral_constant<int, 4>{}, i);
+    for (; n - i >= lanes; i += lanes)
+        block(std::integral_constant<int, 1>{}, i);
+    return i;
+}
+
+/**
  * The batched loop over a staged body. With a host or WRAM angle
- * table it runs blocks of four vectors, then single vectors, in the
- * block lane, and the remainder (and every element of an MRAM table,
- * whose reads must stay one DMA per step) per element. Reordering
- * work within a block changes no total: the batch's charges and notes
- * are sums, and a block does no DMA.
+ * table it runs runBlocks' blocks in the block lane, and the
+ * remainder (and every element of an MRAM table, whose reads must
+ * stay one DMA per step) per element. Reordering work within a block
+ * changes no total: the batch's charges and notes are sums, and a
+ * block does no DMA.
  */
 template <class Engine, class Pre, class Post>
 [[gnu::flatten]] void
@@ -165,18 +184,88 @@ runBatch(const StagedBody<Engine, Pre, Post>& body,
          BatchSink& sink)
 {
     std::size_t i = 0;
-    constexpr std::size_t lanes = sf::simdLanes;
-    constexpr int blockVectors = 4;
-    if (in.size() >= lanes) {
+    if (in.size() >= sf::simdLanes) {
         if (auto view = body.engine->angleViewT(sink)) {
-            for (; in.size() - i >= blockVectors * lanes;
-                 i += blockVectors * lanes)
-                runBlock<blockVectors>(body, view, &in[i], &out[i],
-                                       sink);
-            for (; in.size() - i >= lanes; i += lanes)
-                runBlock<1>(body, view, &in[i], &out[i], sink);
+            i = runBlocks(in.size(), [&](auto vectors, std::size_t at) {
+                runBlock<decltype(vectors)::value>(body, view, &in[at],
+                                                   &out[at], sink);
+            });
         }
     }
+    for (; i < in.size(); ++i)
+        out[i] = body(in[i], sink);
+}
+
+/**
+ * A body around one PolyCndf call, in stages like a StagedBody:
+ * pre(x, sink) returns the cndf input and post(x, c, sink) the output
+ * from x and the cndf value c. Calling it runs pre → cndf → post: the
+ * scalar path and the batch path's per-element lane. runBatch also
+ * runs blocks of it with the cndf in its block lane.
+ */
+template <class Pre, class Post>
+struct CndfBody
+{
+    PolyCndf cndf;
+    Pre pre;
+    Post post;
+
+    template <class S>
+    float
+    operator()(float x, S& sink) const
+    {
+        return post(x, cndf(pre(x, sink), sink), sink);
+    }
+};
+
+/** The CndfBody of @p pre and @p post around @p cndf. */
+template <class Pre, class Post>
+CndfBody<Pre, Post>
+cndfBody(PolyCndf cndf, Pre pre, Post post)
+{
+    return {std::move(cndf), std::move(pre), std::move(post)};
+}
+
+/**
+ * One block of @p Vectors * simdLanes elements of a CndfBody: every
+ * pre stage, the cndf of all of them in its block lane (per element
+ * when a lane leaves a fast path), then every post stage. All inputs
+ * are read before any output is written, so @p in may alias @p out.
+ */
+template <int Vectors, class Pre, class Post>
+void
+runBlock(const CndfBody<Pre, Post>& body, const float* in, float* out,
+         BatchSink& sink)
+{
+    constexpr int n = Vectors * sf::simdLanes;
+    float x[n], c[n];
+    for (int j = 0; j < n; ++j) {
+        x[j] = in[j];
+        c[j] = body.pre(x[j], sink);
+    }
+    if (!body.cndf.template block<Vectors>(c, c, sink))
+        for (float& v : c)
+            v = body.cndf(v, sink);
+    for (int j = 0; j < n; ++j)
+        out[j] = body.post(x[j], c[j], sink);
+}
+
+/**
+ * The batched loop over a CndfBody: runBlocks' blocks in the block
+ * lane, the remainder per element. As with a staged body, a block
+ * only reorders work between its elements, and the body reads no
+ * table.
+ */
+template <class Pre, class Post>
+[[gnu::flatten]] void
+runBatch(const CndfBody<Pre, Post>& body, std::span<const float> in,
+         std::span<float> out, BatchSink& sink)
+{
+    std::size_t i =
+        runBlocks(in.size(), [&](auto vectors, std::size_t at) {
+            runBlock<decltype(vectors)::value>(body, &in[at], &out[at],
+                                               sink);
+        });
     for (; i < in.size(); ++i)
         out[i] = body(in[i], sink);
 }
@@ -1050,11 +1139,7 @@ buildPoly(Function f, const MethodSpec& spec)
     bool reduce = spec.reduceRange;
 
     auto expPoly = std::make_shared<Polynomial>(expTaylor(deg));
-    auto expEval = [expPoly](float x, auto& sink) {
-        ExpSplit s = splitExpT(x, sink);
-        float y = expPoly->evalT(s.r, sink);
-        return pimLdexpT(y, s.k, sink);
-    };
+    const PolyExp expEval{expPoly};
 
     // Reusable sub-evaluators for the compositional functions.
     auto logPoly = std::make_shared<Polynomial>(log1pTaylor(deg));
@@ -1245,43 +1330,28 @@ buildPoly(Function f, const MethodSpec& spec)
       case Function::Cndf:
       case Function::Gelu:
       case Function::Erf: {
-        // Abramowitz-Stegun 26.2.17 CNDF, the formulation the original
-        // Blackscholes benchmark uses: one exp, one divide, degree-5
-        // polynomial in t = 1/(1 + 0.2316419|x|).
-        auto tailP = std::make_shared<Polynomial>(std::vector<float>{
-            0.0f, 0.319381530f, -0.356563782f, 1.781477937f,
-            -1.821255978f, 1.330274429f});
-        auto cndf = [tailP, expEval](float x, auto& sink) {
-            float ax = sf::absT(x, sink);
-            float t = sf::divT(
-                1.0f,
-                sf::addT(1.0f, sf::mulT(0.2316419f, ax, sink), sink),
-                sink);
-            // phi(x) = exp(-x^2/2) / sqrt(2*pi)
-            float x2 = sf::mulT(x, x, sink);
-            float e = expEval(sf::negT(pimLdexpT(x2, -1, sink), sink),
-                              sink);
-            float phi = sf::mulT(fInvSqrt2Pi, e, sink);
-            float tail = sf::mulT(phi, tailP->evalT(t, sink), sink);
-            float cnd = sf::subT(1.0f, tail, sink);
-            sink.charge(2);
-            if (floatBits(x) >> 31)
-                cnd = sf::subT(1.0f, cnd, sink);
-            return cnd;
-        };
+        const PolyCndf cndf{expEval,
+                            std::make_shared<Polynomial>(cndfTail())};
+        auto same = [](float x, auto&) { return x; };
         if (f == Function::Cndf) {
-            out.eval = cndf;
+            out.eval = cndfBody(cndf, same,
+                                [](float, float c, auto&) { return c; });
         } else if (f == Function::Gelu) {
-            out.eval = [cndf](float x, auto& sink) {
-                return sf::mulT(x, cndf(x, sink), sink);
-            };
+            out.eval = cndfBody(cndf, same,
+                                [](float x, float c, auto& sink) {
+                                    return sf::mulT(x, c, sink);
+                                });
         } else {
             // erf x = 2 * cndf(x * sqrt(2)) - 1.
             const float sqrt2 = 1.41421356237309504880f;
-            out.eval = [cndf, sqrt2](float x, auto& sink) {
-                float c = cndf(sf::mulT(x, sqrt2, sink), sink);
-                return sf::subT(pimLdexpT(c, 1, sink), 1.0f, sink);
-            };
+            out.eval = cndfBody(
+                cndf,
+                [sqrt2](float x, auto& sink) {
+                    return sf::mulT(x, sqrt2, sink);
+                },
+                [](float, float c, auto& sink) {
+                    return sf::subT(pimLdexpT(c, 1, sink), 1.0f, sink);
+                });
         }
         out.memoryBytes = (deg + 1 + 6) * sizeof(float);
         return out;

@@ -24,6 +24,7 @@
 
 #include "common/bitops.h"
 #include "common/instr_sink.h"
+#include "softfloat/softfloat_lanes.h"
 
 namespace tpl {
 namespace transpim {
@@ -115,6 +116,29 @@ ldexpDownFast(float arg, uint32_t shift, float& out)
         return false;
     out = bitsToFloat(bits - (shift << 23));
     return true;
+}
+
+/**
+ * pimLdexpT(arg, k)'s exponent-field path in every lane: where @p arg
+ * is normal and arg * 2^k stays normal, that path's value, with its
+ * charge (fastPathCost) and note counted in @p t. Lanes off that path
+ * (a zero, subnormal, inf or NaN input; underflow; overflow) are set
+ * in t.slow, and their values are garbage.
+ */
+inline sf::VFloat
+ldexpLanes(sf::VFloat arg, sf::VInt k, sf::LaneTally& t)
+{
+    using sf::VBits;
+    t.charge(InstrClass::IntAlu, ldexp_detail::fastPathCost);
+    t.note(OpClass::Ldexp);
+    const VBits bits = reinterpret_cast<VBits>(arg);
+    const VBits e = (bits >> 23) & 0xffu;
+    // e + k in unsigned lanes lands in [1, 254] exactly when the true
+    // sum does, for any int32 k: the wrap moves it out of that range.
+    const VBits shift = reinterpret_cast<VBits>(k);
+    t.slow |= reinterpret_cast<VBits>(e - 1u >= 0xfeu) |
+              reinterpret_cast<VBits>(e + shift - 1u >= 0xfeu);
+    return reinterpret_cast<sf::VFloat>(bits + (shift << 23));
 }
 
 /** Binary64 variant: arg * 2^exp with C99 ldexp semantics. */

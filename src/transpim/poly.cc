@@ -110,5 +110,12 @@ atanTaylor(uint32_t degree)
     return Polynomial(std::move(c));
 }
 
+Polynomial
+cndfTail()
+{
+    return Polynomial({0.0f, 0.319381530f, -0.356563782f, 1.781477937f,
+                       -1.821255978f, 1.330274429f});
+}
+
 } // namespace transpim
 } // namespace tpl

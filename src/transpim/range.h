@@ -23,6 +23,7 @@
 #include "common/fixed_point.h"
 #include "common/instr_sink.h"
 #include "softfloat/softfloat_core.h"
+#include "softfloat/softfloat_lanes.h"
 #include "transpim/ldexp.h"
 
 namespace tpl {
@@ -123,6 +124,29 @@ splitExpT(float x, S& sink)
     // though k*ln2 is not exactly representable.
     float r = sf::subT(x, sf::mulT(fk, kLn2Hi, sink), sink);
     out.r = sf::subT(r, sf::mulT(fk, kLn2Lo, sink), sink);
+    return out;
+}
+
+/** splitExpT's k and r in every lane. */
+struct ExpSplitLanes
+{
+    sf::VInt k;
+    sf::VFloat r;
+};
+
+/** splitExpT in every lane of @p x, counted in @p t. */
+inline ExpSplitLanes
+splitExpLanes(sf::VFloat x, sf::LaneTally& t)
+{
+    using namespace range_detail;
+    ExpSplitLanes out;
+    sf::VFloat scaled = sf::mulLanes(x, sf::splatLanes(kLog2e), t);
+    out.k = sf::toI32FloorLanes(scaled, t);
+    sf::VFloat fk = sf::fromI32Lanes(out.k, t);
+    sf::VFloat r = sf::subLanes(
+        x, sf::mulLanes(fk, sf::splatLanes(kLn2Hi), t), t);
+    out.r = sf::subLanes(
+        r, sf::mulLanes(fk, sf::splatLanes(kLn2Lo), t), t);
     return out;
 }
 

@@ -35,9 +35,11 @@
 #include "softfloat/simd_lanes.h"
 #include "softfloat/softfloat.h"
 #include "softfloat/softfloat_batch.h"
+#include "softfloat/softfloat_lanes.h"
 #include "transpim/batch.h"
 #include "transpim/cordic.h"
 #include "transpim/evaluator.h"
+#include "transpim/poly.h"
 #include "transpim/serve_glue.h"
 #include "transpim/trace.h"
 
@@ -1125,6 +1127,154 @@ TEST(BatchFastLane, FixedBlockLaneMatchesPerElementLane)
             }
 }
 
+// ---------------------------------------------------------------------
+// The polynomial CNDF body's block lane (Cndf, Gelu, Erf) against the
+// per-element lane.
+// ---------------------------------------------------------------------
+
+/**
+ * Inputs that take every exit of the CNDF block lane, after a run of
+ * ordinary ones (so the first blocks stay in the lane): +-0,
+ * subnormals, +-inf and NaN payloads, whose multiplies take
+ * mulIntCharge's unpack path; x so small that x^2 is subnormal, zero
+ * or halves through ldexp's underflow path; |x| where exp(-x^2/2)
+ * (or, for erf, exp(-x^2)) underflows through ldexp's subnormal path
+ * and then to zero, and, just below those, |x| where exp(-x^2/2) is
+ * normal but phi or the tail product is subnormal (a multiply
+ * operand on the unpack path); |x| whose floor(-x^2/2 * log2 e)
+ * leaves the exact conversion range, and whose square overflows.
+ * Signs alternate, so negative lanes take the sign fix-up.
+ */
+std::vector<float>
+cndfLaneFloats()
+{
+    std::vector<float> v;
+    SplitMix64 rng(27);
+    for (int i = 0; i < 40; ++i) {
+        float x = static_cast<float>(
+            -8.0 + 16.0 * static_cast<double>(rng.next() >> 11) * 0x1p-53);
+        v.push_back(x);
+    }
+    for (float x : {0.5f, -1.0f, 2.0f, -0.25f})
+        v.push_back(x); // all-zero low mantissa bytes
+    const uint32_t specials[] = {
+        0x00000000u, 0x80000000u, // +-0
+        0x00000001u, 0x80400000u, // subnormals
+        0x7f800000u, 0xff800000u, // +-inf
+        0x7fc00000u, 0xffc00001u, // quiet NaNs
+        0x7f800001u,              // signalling NaN
+    };
+    for (uint32_t b : specials) {
+        v.push_back(bitsToFloat(b));
+        v.push_back(-0.75f);
+    }
+    for (float x : {1e-30f, 1e-20f, 1.1e-19f, 9.5f, 10.0f, 10.5f, 13.5f,
+                    14.0f, 14.6f, 20.0f, 4e3f, 1e19f, 2e19f, 3e38f}) {
+        v.push_back(x);
+        v.push_back(-x);
+        v.push_back(1.5f);
+    }
+    // exp(-x^2/2) from 2^-121 down to 2^-126 (for erf, x/sqrt 2).
+    for (float lo : {12.95f, 12.95f / 1.41421356f})
+        for (int i = 0; i < 24; ++i) {
+            v.push_back((i % 2 ? -1.0f : 1.0f) * lo * (1.0f + 0.0009f * i));
+            v.push_back(0.3f);
+        }
+    return v;
+}
+
+TEST(BatchFastLane, PolyBlockLaneMatchesPerElementLane)
+{
+    const std::vector<float> in = cndfLaneFloats();
+    for (uint32_t degree : {7u, 11u})
+        for (Function f : {Function::Cndf, Function::Gelu, Function::Erf}) {
+            MethodSpec spec;
+            spec.method = Method::Poly;
+            spec.polyDegree = degree;
+            FunctionEvaluator ev = FunctionEvaluator::create(f, spec);
+            DpuCore core;
+            // Groups of fill elements, each one evalBatch call (block
+            // lane for a fill of one vector or more) or one call per
+            // element (always the per-element lane).
+            auto run = [&](size_t fill, bool block) {
+                LaneRun r;
+                r.stats = core.launch(1, [&](TaskletContext& ctx) {
+                    for (size_t g = 0; g < in.size(); g += fill) {
+                        const size_t m = std::min(fill, in.size() - g);
+                        std::span<const float> group =
+                            std::span<const float>(in).subspan(g, m);
+                        std::vector<float> out(m);
+                        if (block) {
+                            ev.evalBatch(group, out, &ctx);
+                        } else {
+                            for (size_t j = 0; j < m; ++j)
+                                ev.evalBatch(group.subspan(j, 1),
+                                             std::span(out).subspan(j, 1),
+                                             &ctx);
+                        }
+                        for (float y : out)
+                            r.bits.push_back(floatBits(y));
+                        r.classes.push_back(ctx.classInstructions());
+                        r.ops.push_back(ctx.opCounts());
+                    }
+                });
+                return r;
+            };
+            for (size_t fill = 1; fill <= kMaxBlockFill; ++fill) {
+                std::string label = std::string(functionName(f)) +
+                                    " degree " + std::to_string(degree) +
+                                    " fill " + std::to_string(fill);
+                LaneRun ref = run(fill, false);
+                LaneRun blk = run(fill, true);
+                EXPECT_EQ(ref.bits, blk.bits) << label;
+                EXPECT_EQ(ref.classes, blk.classes) << label;
+                EXPECT_EQ(ref.ops, blk.ops) << label;
+                expectStatsIdentical(ref.stats, blk.stats, label);
+            }
+        }
+}
+
+TEST(BatchFastLane, PolyBlockLaneTakesOrdinaryBlocksOnly)
+{
+    // The lock above holds as well when every block falls back; this
+    // one shows that a block of ordinary inputs stays in the lane, with
+    // the per-element lane's values and tally, and that one special
+    // lane sends its block back untouched.
+    const PolyCndf cndf{
+        PolyExp{std::make_shared<Polynomial>(expTaylor(11))},
+        std::make_shared<Polynomial>(cndfTail())};
+    constexpr int n = 4 * sf::simdLanes;
+    float in[n];
+    for (int j = 0; j < n; ++j)
+        in[j] = (j % 2 ? -1.0f : 1.0f) * (0.37f + 0.29f * j);
+    BatchSink ref(nullptr);
+    std::vector<uint32_t> want;
+    for (float x : in)
+        want.push_back(floatBits(cndf(x, ref)));
+    BatchSink lane(nullptr);
+    float out[n];
+    ASSERT_TRUE(cndf.block<4>(in, out, lane));
+    for (int j = 0; j < n; ++j)
+        EXPECT_EQ(want[j], floatBits(out[j])) << "element " << j;
+    EXPECT_EQ(ref.tally().classInstructions(),
+              lane.tally().classInstructions());
+    EXPECT_EQ(ref.tally().opCounts(), lane.tally().opCounts());
+
+    for (float special : {0.0f, -0.0f, 1e-30f, 20.0f,
+                          std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::quiet_NaN()}) {
+        float mixed[n];
+        std::copy(in, in + n, mixed);
+        mixed[n / 2 + 1] = special;
+        BatchSink untouched(nullptr);
+        float kept[n] = {};
+        EXPECT_FALSE(cndf.block<4>(mixed, kept, untouched)) << special;
+        EXPECT_EQ(0u, untouched.tally().totalInstructions()) << special;
+        for (float y : kept)
+            EXPECT_EQ(0u, floatBits(y)) << special;
+    }
+}
+
 /** emuMul32T's row count for one binary32 operand, through unpack(). */
 uint32_t
 unpackedRows(uint32_t bits)
@@ -1165,6 +1315,31 @@ TEST(BatchFastLane, MulIntChargeClosedFormMatchesUnpack)
             EXPECT_EQ(want, emulated.cls_[static_cast<int>(
                                 InstrClass::IntMulDiv)])
                 << std::hex << a << " * " << b;
+
+            // The lane form gives it in every lane with two normal
+            // operands and marks every other lane slow.
+            sf::VBits va = {};
+            sf::VBits vb = {};
+            for (int l = 0; l < sf::simdLanes; ++l) {
+                va[l] = l % 2 ? a : 0x3f800000u;
+                vb[l] = l % 2 ? b : 0x3fa5a5a5u;
+            }
+            sf::VBits slow = {};
+            const sf::VBits lane = sf::mulIntChargeLanes(va, vb, slow);
+            const bool normal = (a >> 23 & 0xffu) - 1u < 0xfeu &&
+                                (b >> 23 & 0xffu) - 1u < 0xfeu;
+            for (int l = 1; l < sf::simdLanes; l += 2) {
+                EXPECT_EQ(!normal, slow[l] != 0)
+                    << std::hex << a << " * " << b;
+                if (normal) {
+                    EXPECT_EQ(want, lane[l])
+                        << std::hex << a << " * " << b;
+                }
+            }
+            for (int l = 0; l < sf::simdLanes; l += 2) {
+                EXPECT_EQ(0u, slow[l]);
+                EXPECT_EQ(sf::core::mulIntCharge(va[l], vb[l]), lane[l]);
+            }
         }
     }
 }

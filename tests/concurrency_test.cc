@@ -15,6 +15,8 @@
  * once per unmasked slice, and each launch leaves fresh statistics.
  */
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -755,6 +757,102 @@ TEST(LaunchContract, FreshStatsAcrossTaskletCounts)
                       ref.perTasklet[t].dmaStallCycles);
             EXPECT_EQ(got.perTasklet[t].classInstructions,
                       ref.perTasklet[t].classInstructions);
+        }
+    }
+}
+
+TEST(LaunchContract, IdleTaskletsMatchAFoldOverEveryTasklet)
+{
+    // A launch skips the instruction and class folds of a tasklet that
+    // retired nothing and stalled on no DMA. Its LaunchStats must still
+    // be what folding every tasklet gives, field by field: with 1 to 15
+    // of 16 tasklets idle, at the end (a short slice's spare tasklets)
+    // or scattered, and with one idle tasklet that notes an op without
+    // charging for it.
+    struct Record
+    {
+        uint64_t instructions = 0;
+        uint64_t dmaStallCycles = 0;
+        std::array<uint64_t, numInstrClasses> classes{};
+        std::array<uint64_t, numOpClasses> ops{};
+    };
+    const uint32_t n = 16;
+    for (uint32_t idle = 1; idle < n; ++idle) {
+        for (bool scattered : {false, true}) {
+            SCOPED_TRACE("idle=" + std::to_string(idle) +
+                         (scattered ? " scattered" : " at the end"));
+            // Multiplying by 7 permutes 0..15, so the busy tasklets of
+            // the scattered layout are spread over the launch.
+            auto busy = [&](uint32_t t) {
+                return (scattered ? t * 7 % n : t) < n - idle;
+            };
+            std::vector<Record> records(n);
+            bool noted = false;
+            sim::DpuCore core;
+            core.mramAlloc(64);
+            const sim::LaunchStats& got =
+                core.launch(n, [&](sim::TaskletContext& ctx) {
+                    const uint32_t t = ctx.taskletId();
+                    if (busy(t)) {
+                        float buf[8];
+                        ctx.mramRead(0, buf, 8 * (1 + t % 4));
+                        ctx.charge(100 + 10 * t);
+                        ctx.chargeClass(InstrClass::WramAccess, t);
+                        ctx.noteN(OpClass::TableRead, t + 1);
+                    } else if (!noted) {
+                        ctx.noteN(OpClass::FloatCmp, 3);
+                        noted = true;
+                    }
+                    records[t] = {ctx.instructions(), ctx.dmaStallCycles(),
+                                  ctx.classInstructions(), ctx.opCounts()};
+                });
+
+            sim::LaunchStats want;
+            want.tasklets = n;
+            for (const Record& r : records) {
+                want.totalInstructions += r.instructions;
+                want.maxTaskletWork = std::max(
+                    want.maxTaskletWork,
+                    r.instructions * core.model().pipelineInterval +
+                        r.dmaStallCycles);
+                for (int c = 0; c < numInstrClasses; ++c)
+                    want.classInstructions[c] += r.classes[c];
+                for (int o = 0; o < numOpClasses; ++o)
+                    want.opCounts[o] += r.ops[o];
+            }
+            want.cycles = std::max({want.totalInstructions,
+                                    want.maxTaskletWork,
+                                    got.dmaEngineCycles});
+            want.stallCycles = want.cycles - want.totalInstructions;
+            want.energyJoules =
+                (static_cast<double>(want.totalInstructions) *
+                     core.model().instrEnergyPj +
+                 static_cast<double>(got.dmaBytes) *
+                     core.model().dmaEnergyPerBytePj) *
+                1e-12;
+
+            EXPECT_EQ(got.tasklets, want.tasklets);
+            EXPECT_EQ(got.cycles, want.cycles);
+            EXPECT_EQ(got.totalInstructions, want.totalInstructions);
+            EXPECT_EQ(got.maxTaskletWork, want.maxTaskletWork);
+            EXPECT_EQ(got.stallCycles, want.stallCycles);
+            EXPECT_EQ(got.classInstructions, want.classInstructions);
+            EXPECT_EQ(got.opCounts, want.opCounts);
+            EXPECT_EQ(got.opCounts[static_cast<int>(OpClass::FloatCmp)],
+                      3u);
+            EXPECT_EQ(0, std::memcmp(&got.energyJoules, &want.energyJoules,
+                                     sizeof(double)));
+            EXPECT_FALSE(got.failed);
+            ASSERT_EQ(got.perTasklet.size(), n);
+            for (uint32_t t = 0; t < n; ++t) {
+                EXPECT_EQ(got.perTasklet[t].instructions,
+                          records[t].instructions);
+                EXPECT_EQ(got.perTasklet[t].dmaStallCycles,
+                          records[t].dmaStallCycles);
+                EXPECT_EQ(got.perTasklet[t].classInstructions,
+                          records[t].classes);
+                EXPECT_EQ(records[t].instructions == 0, !busy(t)) << t;
+            }
         }
     }
 }
