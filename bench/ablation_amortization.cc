@@ -33,9 +33,9 @@ main()
         cfg.features = features;
         cfg.cpuSampleElements = 100'000;
 
-        auto poly = runLogistic(LogisticVariant::PimPoly, cfg);
-        auto llut = runLogistic(LogisticVariant::PimLLut, cfg);
-        auto dllut = runLogistic(LogisticVariant::PimDlLut, cfg);
+        auto poly = runLogistic(Variant::PimPoly, cfg);
+        auto llut = runLogistic(Variant::PimLLut, cfg);
+        auto dllut = runLogistic(Variant::PimDlLut, cfg);
         std::printf("%-10u %14.4f %14.4f %14.4f %11.2fx\n", features,
                     poly.pimKernelSeconds, llut.pimKernelSeconds,
                     dllut.pimKernelSeconds,

@@ -23,19 +23,6 @@ namespace {
 
 using namespace tpl::work;
 
-void
-printRows(const std::vector<WorkloadResult>& rows)
-{
-    std::printf("%-26s %12s %12s %12s %12s %12s\n", "variant",
-                "total_s", "kernel_s", "h2p_s", "p2h_s", "maxerr");
-    for (const auto& r : rows) {
-        std::printf("%-26s %12.4f %12.4f %12.4f %12.4f %12.3e\n",
-                    r.variant.c_str(), r.seconds, r.pimKernelSeconds,
-                    r.hostToPimSeconds, r.pimToHostSeconds,
-                    r.maxAbsError);
-    }
-}
-
 double
 variantSeconds(const std::vector<WorkloadResult>& rows,
                const std::string& name)
@@ -71,7 +58,7 @@ main()
 
     std::printf("--- Blackscholes (%llu options) ---\n",
                 (unsigned long long)cfg.totalElements);
-    auto bs = runBlackscholesAll(cfg);
+    auto bs = runAll(kBlackscholesRows, cfg, runBlackscholes);
     printRows(bs);
 
     double bsPoly = variantSeconds(bs, "PIM poly");
@@ -90,7 +77,7 @@ main()
 
     std::printf("--- Sigmoid (%llu elements) ---\n",
                 (unsigned long long)actCfg.totalElements);
-    auto sig = runSigmoidAll(actCfg);
+    auto sig = runAll(kActivationRows, actCfg, runSigmoid);
     printRows(sig);
     std::printf("\n# poly / L-LUT speedup: %.2fx (paper: 1.5-1.75x)\n\n",
                 variantSeconds(sig, "PIM poly") /
@@ -98,7 +85,7 @@ main()
 
     std::printf("--- Softmax (%llu elements) ---\n",
                 (unsigned long long)actCfg.totalElements);
-    auto soft = runSoftmaxAll(actCfg);
+    auto soft = runAll(kActivationRows, actCfg, runSoftmax);
     printRows(soft);
     std::printf("\n# poly / L-LUT speedup: %.2fx (paper: 1.5-1.75x)\n",
                 variantSeconds(soft, "PIM poly") /

@@ -14,23 +14,7 @@
 #include "workloads/logistic.h"
 #include "workloads/raytrace.h"
 
-namespace {
-
 using namespace tpl::work;
-
-void
-printRows(const std::vector<WorkloadResult>& rows)
-{
-    std::printf("%-26s %12s %12s %12s\n", "variant", "total_s",
-                "kernel_s", "maxerr");
-    for (const auto& r : rows) {
-        std::printf("%-26s %12.4f %12.4f %12.3e\n", r.variant.c_str(),
-                    r.seconds, r.pimKernelSeconds, r.maxAbsError);
-    }
-    std::printf("\n");
-}
-
-} // namespace
 
 int
 main()
@@ -48,7 +32,8 @@ main()
                 "---\n",
                 (unsigned long long)logCfg.totalElements,
                 logCfg.features);
-    printRows(runLogisticAll(logCfg));
+    printRows(runAll(kLogisticRows, logCfg, runLogistic));
+    std::printf("\n");
 
     WorkloadConfig rayCfg;
     rayCfg.totalElements = 10'000'000;
@@ -58,6 +43,7 @@ main()
     std::printf("--- Ray shading (%llu rays; rsqrt + sqrt + log2 + "
                 "exp2 per hit) ---\n",
                 (unsigned long long)rayCfg.totalElements);
-    printRows(runRaytraceAll(rayCfg));
+    printRows(runAll(kRaytraceRows, rayCfg, runRaytrace));
+    std::printf("\n");
     return 0;
 }

@@ -44,15 +44,10 @@ main()
     std::printf("\npricing %llu options on the modeled %u-DPU "
                 "system:\n",
                 (unsigned long long)cfg.totalElements, cfg.systemDpus);
-    std::printf("%-26s %12s %12s %12s\n", "variant", "total_s",
-                "kernel_s", "max_err_$");
-    for (BsVariant v :
-         {BsVariant::CpuSingle, BsVariant::PimPoly, BsVariant::PimMLut,
-          BsVariant::PimLLut, BsVariant::PimFixedLLut}) {
-        WorkloadResult r = runBlackscholes(v, cfg);
-        std::printf("%-26s %12.4f %12.4f %12.2e\n", r.variant.c_str(),
-                    r.seconds, r.pimKernelSeconds, r.maxAbsError);
-    }
+    constexpr Variant rows[] = {Variant::CpuSingle, Variant::PimPoly,
+                                Variant::PimMLut, Variant::PimLLut,
+                                Variant::PimFixedLLut};
+    printRows(runAll(rows, cfg, runBlackscholes));
 
     std::printf("\nTakeaway: the LUT-based TransPimLib versions cut "
                 "the PIM kernel time several-fold\nversus the "

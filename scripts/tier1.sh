@@ -200,7 +200,9 @@ fi
 # tuner beating the best static configuration with every SLA met and
 # print the same bytes at 1, 4 and 16 sim threads; pimserve
 # --auto-tune must emit its tuner section) so the documented
-# examples keep working, and check that each CLI mistake gets one
+# examples keep working, check that the workload figures' modeled PIM
+# rows repeat byte for byte across runs and sim thread counts, and
+# check that each CLI mistake gets one
 # message in every tool: a malformed trace and a malformed --tenant-sla
 # in both replay tools, a bad method as a flag and as a trace key, and
 # an out-of-range --tasklets in all five tools that take it, and a
@@ -231,6 +233,21 @@ if [ "${TPL_TIER1_DOCS:-0}" = "1" ]; then
         cmp "$DOCS_TMP/tune.1.out" "$DOCS_TMP/tune.$threads.out"
     done
     echo "pimtune JSON + stdout byte-identical at 1/4/16 sim threads OK"
+    # The workload figures' PIM rows are modeled: twice at 1 sim thread
+    # and once at 4 they must print the same bytes once the host
+    # wall-clock is dropped (the CPU rows, the CPU comparison line and
+    # each row's last column, host_setup_s).
+    for fig in fig9_workloads fig9b_extensions; do
+        for run in 1a 1b 4; do
+            TPL_SIM_THREADS=${run%[ab]} "$BUILD_DIR/bench/$fig" \
+                | grep -v 'CPU' \
+                | sed -E '/^(variant|PIM) /s/ +[^ ]+$//' \
+                > "$DOCS_TMP/$fig.$run.out"
+        done
+        cmp "$DOCS_TMP/$fig.1a.out" "$DOCS_TMP/$fig.1b.out"
+        cmp "$DOCS_TMP/$fig.1a.out" "$DOCS_TMP/$fig.4.out"
+    done
+    echo "fig9_workloads/fig9b_extensions PIM rows repeat at 1/1/4 sim threads OK"
     python3 - "$DOCS_TMP/tune.1.json" <<'PYEOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))

@@ -355,62 +355,6 @@ class NullSink
     InstrSink* raw() const { return nullptr; }
 };
 
-/**
- * InstrSink adapter over a BatchTally, for batching code paths that
- * still call InstrSink*-based routines (the binary16/64 softfloat
- * tiers, the generic evalBatch fallback): charges land in the tally's
- * plain arrays and are flushed to the real sink once per batch.
- */
-class TallySink final : public InstrSink
-{
-  public:
-    explicit TallySink(BatchTally& tally) : tally_(tally) {}
-
-    void charge(uint32_t instructions) override
-    {
-        tally_.charge(instructions);
-    }
-
-    void chargeClass(InstrClass cls, uint32_t instructions) override
-    {
-        tally_.chargeClass(cls, instructions);
-    }
-
-    void note(OpClass op) override { tally_.note(op); }
-
-    void chargeClassN(InstrClass cls, uint32_t perElem,
-                      uint64_t n) override
-    {
-        tally_.chargeClassWide(cls, static_cast<uint64_t>(perElem) * n);
-    }
-
-    void noteN(OpClass op, uint64_t n) override
-    {
-        tally_.noteWide(op, n);
-    }
-
-  private:
-    BatchTally& tally_;
-};
-
-/**
- * Resolve the InstrSink* a sink-templated body should hand to scalar
- * InstrSink*-based arithmetic routines (the binary16/64 softfloat
- * tiers). Batch sinks expose a bridge() adapter that tallies into their
- * batch accumulator; everything else passes its raw sink through. Only
- * valid for pure-arithmetic callees — table reads must stay on the
- * templated readT path so the DMA model resolves the real tasklet.
- */
-template <class S>
-inline InstrSink*
-sinkArith(S& sink)
-{
-    if constexpr (requires { sink.bridge(); })
-        return sink.bridge();
-    else
-        return sink.raw();
-}
-
 } // namespace tpl
 
 #endif // TPL_COMMON_INSTR_SINK_H

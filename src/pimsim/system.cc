@@ -94,15 +94,6 @@ PimSystem::armFaults(const fault::FaultPlan& plan)
     ++maskEpoch_;
 }
 
-void
-PimSystem::disarmFaults()
-{
-    for (auto& d : dpus_)
-        d->setFaultState(nullptr);
-    faults_.reset();
-    ++maskEpoch_;
-}
-
 const fault::FaultPlan*
 PimSystem::faultPlan() const
 {

@@ -495,14 +495,11 @@ class PimSystem
     /**
      * Arm @p plan on every core: the plan is copied, per-DPU fault
      * states are created, and all launches/transfers/memory writes
-     * consult it until disarmFaults(). Re-arming replaces the active
-     * plan and clears all masks. A plan whose specs never fire leaves
+     * consult it for the system's lifetime. Re-arming replaces the
+     * active plan and clears all masks. A plan whose specs never fire leaves
      * every modeled statistic bit-identical to no plan at all.
      */
     void armFaults(const fault::FaultPlan& plan);
-
-    /** Detach the armed plan (cores become permanently healthy). */
-    void disarmFaults();
 
     /** The armed plan, or nullptr. */
     const fault::FaultPlan* faultPlan() const;
@@ -518,8 +515,8 @@ class PimSystem
     uint32_t healthyDpus() const;
 
     /**
-     * Moves whenever a core is masked, and when armFaults or
-     * disarmFaults resets the masks: a caller caching healthy-core
+     * Moves whenever a core is masked, and when armFaults resets the
+     * masks: a caller caching healthy-core
      * counts recounts only when this changed.
      */
     uint64_t maskEpoch() const { return maskEpoch_.load(); }

@@ -136,16 +136,6 @@ class BatchSink
     /** Cached tasklet view of the wrapped sink (may be null). */
     sim::TaskletContext* tasklet() const { return ctx_; }
 
-    /**
-     * InstrSink adapter over this batch's tally, for scalar
-     * InstrSink*-based *arithmetic* routines on the body's path (the
-     * binary16/64 softfloat tiers). Their charges accumulate with the
-     * rest of the batch and flush together. Never hand this to a table
-     * read — it is not a TaskletContext, so the DMA model could not be
-     * resolved through it (readT's lutTasklet uses tasklet() instead).
-     */
-    InstrSink* bridge() { return &arith_; }
-
     /** Accumulated-but-unflushed charges. */
     const BatchTally& tally() const { return tally_; }
 
@@ -170,7 +160,6 @@ class BatchSink
 
   private:
     BatchTally tally_;
-    TallySink arith_{tally_};
     InstrSink* real_;
     sim::TaskletContext* ctx_;
 };

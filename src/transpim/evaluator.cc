@@ -43,8 +43,7 @@ using Attach = std::function<void(sim::DpuCore&)>;
 /**
  * The batched loop over one evaluation body. Flattened so the body,
  * its engines and the softfloat cores they call inline into the loop;
- * only out-of-line calls (MRAM DMA reads, the binary16/64 tiers)
- * remain calls.
+ * only out-of-line calls (MRAM DMA reads) remain calls.
  */
 template <class Body>
 [[gnu::flatten]] void

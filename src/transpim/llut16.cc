@@ -40,8 +40,33 @@ LLut16::LLut16(const TableFn& f, double lo, double hi,
 float
 LLut16::eval(float x, InstrSink* sink) const
 {
+    // Addressing in binary32 (indices must be exact integers); the
+    // interpolation arithmetic runs in the binary16 tier.
     SinkRef s(sink);
-    return evalT(x, s);
+    float t = x;
+    if (p_ != 0.0f)
+        t = sf::subT(x, p_, s);
+    t = pimLdexpT(t, e_, s);
+    int32_t limit = static_cast<int32_t>(table_.size()) -
+                    (interpolated_ ? 2 : 1);
+    if (!interpolated_) {
+        int32_t i = sf::toI32RoundT(t, s);
+        s.charge(2);
+        i = std::clamp(i, 0, limit);
+        sf::Half h{table_.readT(static_cast<uint32_t>(i), s)};
+        return sf::fromF16(h, sink);
+    }
+    int32_t i = sf::toI32FloorT(t, s);
+    s.charge(2);
+    i = std::clamp(i, 0, limit);
+    float fi = sf::fromI32T(i, s);
+    // Delta quantized to binary16, the PE's native operand format.
+    sf::Half delta = sf::toF16(sf::subT(t, fi, s), sink);
+    sf::Half l0{table_.readT(static_cast<uint32_t>(i), s)};
+    sf::Half l1{table_.readT(static_cast<uint32_t>(i) + 1, s)};
+    sf::Half d = sf::sub16(l1, l0, sink);
+    sf::Half y = sf::add16(l0, sf::mul16(d, delta, sink), sink);
+    return sf::fromF16(y, sink);
 }
 
 } // namespace transpim

@@ -30,44 +30,6 @@ class LLut16
     /** Approximate f(x); interpolation arithmetic in binary16. */
     float eval(float x, InstrSink* sink) const;
 
-    /**
-     * Sink-template body of eval() (batch path inlines it). The
-     * binary16 tier routines are scalar InstrSink* entry points; they
-     * are pure arithmetic, so they go through sinkArith() — a batch
-     * sink accumulates their charges with the rest of the batch.
-     */
-    template <class S>
-    float
-    evalT(float x, S& sink) const
-    {
-        InstrSink* arith = sinkArith(sink);
-        // Addressing in binary32 (indices must be exact integers).
-        float t = x;
-        if (p_ != 0.0f)
-            t = sf::subT(x, p_, sink);
-        t = pimLdexpT(t, e_, sink);
-        int32_t limit = static_cast<int32_t>(table_.size()) -
-                        (interpolated_ ? 2 : 1);
-        if (!interpolated_) {
-            int32_t i = sf::toI32RoundT(t, sink);
-            sink.charge(2);
-            i = std::clamp(i, 0, limit);
-            sf::Half h{table_.readT(static_cast<uint32_t>(i), sink)};
-            return sf::fromF16(h, arith);
-        }
-        int32_t i = sf::toI32FloorT(t, sink);
-        sink.charge(2);
-        i = std::clamp(i, 0, limit);
-        float fi = sf::fromI32T(i, sink);
-        // Delta quantized to binary16, the PE's native operand format.
-        sf::Half delta = sf::toF16(sf::subT(t, fi, sink), arith);
-        sf::Half l0{table_.readT(static_cast<uint32_t>(i), sink)};
-        sf::Half l1{table_.readT(static_cast<uint32_t>(i) + 1, sink)};
-        sf::Half d = sf::sub16(l1, l0, arith);
-        sf::Half y = sf::add16(l0, sf::mul16(d, delta, arith), arith);
-        return sf::fromF16(y, arith);
-    }
-
     uint32_t memoryBytes() const { return table_.bytes(); }
 
     void attach(sim::DpuCore& core) { table_.attach(core); }

@@ -37,7 +37,26 @@ double
 LLut64::eval(double x, InstrSink* sink) const
 {
     SinkRef s(sink);
-    return evalT(x, s);
+    double t = x;
+    if (p_ != 0.0)
+        t = sf::sub64(x, p_, sink);
+    t = pimLdexp64T(t, e_, s);
+    int32_t i = sf::f64ToI32Floor(t, sink);
+    s.charge(2); // clamp
+    int32_t limit = static_cast<int32_t>(table_.size()) -
+                    (interpolated_ ? 2 : 1);
+    if (i < 0)
+        i = 0;
+    if (i > limit)
+        i = limit;
+    if (!interpolated_)
+        return table_.readT(static_cast<uint32_t>(i), s);
+    double fi = sf::fromI32asF64(i, sink);
+    double delta = sf::sub64(t, fi, sink);
+    double l0 = table_.readT(static_cast<uint32_t>(i), s);
+    double l1 = table_.readT(static_cast<uint32_t>(i) + 1, s);
+    double d = sf::sub64(l1, l0, sink);
+    return sf::add64(l0, sf::mul64(d, delta, sink), sink);
 }
 
 } // namespace transpim

@@ -31,39 +31,6 @@ class LLut64
     /** Approximate f(x) in emulated binary64. */
     double eval(double x, InstrSink* sink) const;
 
-    /**
-     * Sink-template body of eval() (batch path inlines it). The
-     * binary64 tier routines are scalar InstrSink* entry points; they
-     * are pure arithmetic, so they go through sinkArith() — a batch
-     * sink accumulates their charges with the rest of the batch.
-     */
-    template <class S>
-    double
-    evalT(double x, S& sink) const
-    {
-        InstrSink* arith = sinkArith(sink);
-        double t = x;
-        if (p_ != 0.0)
-            t = sf::sub64(x, p_, arith);
-        t = pimLdexp64T(t, e_, sink);
-        int32_t i = sf::f64ToI32Floor(t, arith);
-        sink.charge(2); // clamp
-        int32_t limit = static_cast<int32_t>(table_.size()) -
-                        (interpolated_ ? 2 : 1);
-        if (i < 0)
-            i = 0;
-        if (i > limit)
-            i = limit;
-        if (!interpolated_)
-            return table_.readT(static_cast<uint32_t>(i), sink);
-        double fi = sf::fromI32asF64(i, arith);
-        double delta = sf::sub64(t, fi, arith);
-        double l0 = table_.readT(static_cast<uint32_t>(i), sink);
-        double l1 = table_.readT(static_cast<uint32_t>(i) + 1, sink);
-        double d = sf::sub64(l1, l0, arith);
-        return sf::add64(l0, sf::mul64(d, delta, arith), arith);
-    }
-
     uint32_t memoryBytes() const { return table_.bytes(); }
 
     void attach(sim::DpuCore& core) { table_.attach(core); }

@@ -22,27 +22,17 @@
 namespace tpl {
 namespace work {
 
-/** Variants shared by the Sigmoid and Softmax workloads. */
-enum class ActVariant
-{
-    CpuSingle,
-    CpuMulti,
-    PimPoly,
-    PimMLut,
-    PimLLut,
+/** The rows of the Sigmoid and Softmax groups of Figure 9. */
+inline constexpr Variant kActivationRows[] = {
+    Variant::CpuSingle, Variant::CpuMulti, Variant::PimPoly,
+    Variant::PimMLut,   Variant::PimLLut,
 };
 
 /** Run the Sigmoid workload in one variant. */
-WorkloadResult runSigmoid(ActVariant variant, const WorkloadConfig& cfg);
+WorkloadResult runSigmoid(Variant variant, const WorkloadConfig& cfg);
 
 /** Run the Softmax workload in one variant. */
-WorkloadResult runSoftmax(ActVariant variant, const WorkloadConfig& cfg);
-
-/** All variants of Sigmoid (one Figure 9 group). */
-std::vector<WorkloadResult> runSigmoidAll(const WorkloadConfig& cfg);
-
-/** All variants of Softmax (one Figure 9 group). */
-std::vector<WorkloadResult> runSoftmaxAll(const WorkloadConfig& cfg);
+WorkloadResult runSoftmax(Variant variant, const WorkloadConfig& cfg);
 
 } // namespace work
 } // namespace tpl

@@ -21,8 +21,6 @@ namespace work {
 
 using transpim::Function;
 using transpim::FunctionEvaluator;
-using transpim::Method;
-using transpim::MethodSpec;
 using transpim::Placement;
 
 OptionBatch
@@ -97,94 +95,41 @@ struct BsFunctions
     std::function<float(float, InstrSink*)> sqrt;
     std::function<float(float, InstrSink*)> exp;
     std::function<float(float, InstrSink*)> cndf;
-    std::function<void(sim::DpuCore&)> attach;
-    uint32_t memoryBytes = 0;
-    double setupSeconds = 0;
 };
 
-BsFunctions
-fromEvaluators(Method method, const WorkloadConfig& cfg)
+/**
+ * Domain-tuned Q3.28 tables: the generic log/sqrt domains do not fit
+ * fixed point, the Blackscholes parameter ranges do.
+ */
+struct FixedLLutTables
 {
-    MethodSpec spec;
-    spec.method = method;
-    spec.interpolated = true;
-    spec.placement = Placement::Wram;
-    spec.log2Entries = cfg.log2Entries;
-    spec.polyDegree = cfg.polyDegree;
+    transpim::LLutFixed log, sqrt, exp, cndf;
 
-    auto logE = std::make_shared<FunctionEvaluator>(
-        FunctionEvaluator::create(Function::Log, spec));
-    auto sqrtE = std::make_shared<FunctionEvaluator>(
-        FunctionEvaluator::create(Function::Sqrt, spec));
-    auto expE = std::make_shared<FunctionEvaluator>(
-        FunctionEvaluator::create(Function::Exp, spec));
-    auto cndfE = std::make_shared<FunctionEvaluator>(
-        FunctionEvaluator::create(Function::Cndf, spec));
+    explicit FixedLLutTables(uint32_t n)
+        : log([](double x) { return std::log(x); }, 0.70, 1.35, n, true,
+              Placement::Wram),
+          sqrt([](double x) { return std::sqrt(x); }, 0.05, 2.05, n, true,
+               Placement::Wram),
+          exp([](double x) { return std::exp(x); }, -0.15, 0.01, n, true,
+              Placement::Wram),
+          cndf([](double x) { return cndfDouble(x); }, -7.99, 7.99, n,
+               true, Placement::Wram)
+    {}
 
-    BsFunctions f;
-    f.log = [logE](float x, InstrSink* s) { return logE->eval(x, s); };
-    f.sqrt = [sqrtE](float x, InstrSink* s) { return sqrtE->eval(x, s); };
-    f.exp = [expE](float x, InstrSink* s) { return expE->eval(x, s); };
-    f.cndf = [cndfE](float x, InstrSink* s) { return cndfE->eval(x, s); };
-    f.attach = [logE, sqrtE, expE, cndfE](sim::DpuCore& c) {
-        logE->attach(c);
-        sqrtE->attach(c);
-        expE->attach(c);
-        cndfE->attach(c);
-    };
-    f.memoryBytes = logE->memoryBytes() + sqrtE->memoryBytes() +
-                    expE->memoryBytes() + cndfE->memoryBytes();
-    f.setupSeconds = logE->setupSeconds() + sqrtE->setupSeconds() +
-                     expE->setupSeconds() + cndfE->setupSeconds();
-    return f;
-}
-
-BsFunctions
-fixedLLutFunctions(const WorkloadConfig& cfg)
-{
-    // Domain-tuned Q3.28 tables: the generic log/sqrt domains do not
-    // fit fixed point, the Blackscholes parameter ranges do.
-    using transpim::LLutFixed;
-    auto start = std::chrono::steady_clock::now();
-    uint32_t n = 1u << cfg.log2Entries;
-    auto logT = std::make_shared<LLutFixed>(
-        [](double x) { return std::log(x); }, 0.70, 1.35, n, true,
-        Placement::Wram);
-    auto sqrtT = std::make_shared<LLutFixed>(
-        [](double x) { return std::sqrt(x); }, 0.05, 2.05, n, true,
-        Placement::Wram);
-    auto expT = std::make_shared<LLutFixed>(
-        [](double x) { return std::exp(x); }, -0.15, 0.01, n, true,
-        Placement::Wram);
-    auto cndfT = std::make_shared<LLutFixed>(
-        [](double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); },
-        -7.99, 7.99, n, true, Placement::Wram);
-    auto end = std::chrono::steady_clock::now();
-
-    BsFunctions f;
-    f.log = [logT](float x, InstrSink* s) { return logT->eval(x, s); };
-    f.sqrt = [sqrtT](float x, InstrSink* s) { return sqrtT->eval(x, s); };
-    f.exp = [expT](float x, InstrSink* s) { return expT->eval(x, s); };
-    f.cndf = [cndfT](float x, InstrSink* s) {
-        // Clamp into the table domain: CNDF saturates outside.
-        chargeInstr(s, 2);
-        if (x < -7.9f)
-            x = -7.9f;
-        if (x > 7.9f)
-            x = 7.9f;
-        return cndfT->eval(x, s);
-    };
-    f.attach = [logT, sqrtT, expT, cndfT](sim::DpuCore& c) {
-        logT->attach(c);
-        sqrtT->attach(c);
-        expT->attach(c);
-        cndfT->attach(c);
-    };
-    f.memoryBytes = logT->memoryBytes() + sqrtT->memoryBytes() +
-                    expT->memoryBytes() + cndfT->memoryBytes();
-    f.setupSeconds = std::chrono::duration<double>(end - start).count();
-    return f;
-}
+    BsFunctions
+    functions() const
+    {
+        return {
+            [this](float x, InstrSink* s) { return log.eval(x, s); },
+            [this](float x, InstrSink* s) { return sqrt.eval(x, s); },
+            [this](float x, InstrSink* s) { return exp.eval(x, s); },
+            [this](float x, InstrSink* s) {
+                // Clamp into the table domain: CNDF saturates outside.
+                chargeInstr(s, 2);
+                return cndf.eval(std::clamp(x, -7.9f, 7.9f), s);
+            }};
+    }
+};
 
 /** One option priced with instrumented PIM arithmetic. */
 void
@@ -213,7 +158,7 @@ priceOnePim(const BsFunctions& fn, float s, float k, float r, float v,
 }
 
 WorkloadResult
-runCpu(BsVariant variant, const WorkloadConfig& cfg)
+runCpu(Variant v, const WorkloadConfig& cfg)
 {
     uint64_t sample =
         std::min<uint64_t>(cfg.cpuSampleElements, cfg.totalElements);
@@ -221,141 +166,57 @@ runCpu(BsVariant variant, const WorkloadConfig& cfg)
     OptionPrices out;
     out.call.resize(sample);
     out.put.resize(sample);
-
-    uint32_t threads = variant == BsVariant::CpuSingle ? 1
-                                                       : cfg.cpuThreads;
-    WorkloadResult res;
-    res.workload = "Blackscholes";
-    res.variant = threads == 1 ? "CPU 1T"
-                               : "CPU " + std::to_string(threads) + "T";
-    res.elements = cfg.totalElements;
-    res.seconds = timeCpuBaseline(
-        cfg, threads, [&](uint64_t beg, uint64_t end) {
+    return cpuRow(
+        "Blackscholes", v, cfg,
+        [&](uint64_t beg, uint64_t end) {
             for (uint64_t i = beg; i < end; ++i)
                 priceOneCpu(batch, i, out.call[i], out.put[i]);
+        },
+        [&](ErrorAccumulator& acc) {
+            for (uint64_t i = 0; i < std::min<uint64_t>(sample, 10000);
+                 ++i) {
+                double c, p;
+                priceOneReference(batch, i, c, p);
+                acc.add(out.call[i], c);
+                acc.add(out.put[i], p);
+            }
         });
-
-    // Accuracy of the float CPU kernel vs the double oracle.
-    ErrorAccumulator acc;
-    for (uint64_t i = 0; i < std::min<uint64_t>(sample, 10000); ++i) {
-        double c, p;
-        priceOneReference(batch, i, c, p);
-        acc.add(out.call[i], c);
-        acc.add(out.put[i], p);
-    }
-    res.maxAbsError = acc.stats().maxAbs;
-    res.rmse = acc.stats().rmse;
-    return res;
 }
 
 WorkloadResult
-runPim(BsVariant variant, const WorkloadConfig& cfg)
+runPim(PimRun& run, const BsFunctions& fn, const WorkloadConfig& cfg)
 {
-    BsFunctions fn;
-    std::string label;
-    switch (variant) {
-      case BsVariant::PimPoly:
-        fn = fromEvaluators(Method::Poly, cfg);
-        label = "PIM poly";
-        break;
-      case BsVariant::PimMLut:
-        fn = fromEvaluators(Method::MLut, cfg);
-        label = "PIM M-LUT interp.";
-        break;
-      case BsVariant::PimLLut:
-        fn = fromEvaluators(Method::LLut, cfg);
-        label = "PIM L-LUT interp.";
-        break;
-      default:
-        fn = fixedLLutFunctions(cfg);
-        label = "PIM fixed L-LUT interp.";
-        break;
-    }
+    OptionBatch batch = generateOptions(run.simulatedElements(), cfg.seed);
+    Array in[] = {run.stream(1, batch.spot), run.stream(1, batch.strike),
+                  run.stream(1, batch.rate), run.stream(1, batch.vol),
+                  run.stream(1, batch.expiry)};
+    Array call = run.stream(1);
+    Array put = run.stream(1);
 
-    WorkloadResult res;
-    res.workload = "Blackscholes";
-    res.variant = label;
-    res.elements = cfg.totalElements;
-    res.setupSeconds = fn.setupSeconds;
+    run.pass({.chunk = 128,
+              .reads = {in[0], in[1], in[2], in[3], in[4]},
+              .writes = {call, put},
+              .element = [&](Tasklet& t, uint32_t i) {
+                  t.ctx.charge(6); // loop + WRAM traffic
+                  priceOnePim(fn, t.in[0][i], t.in[1][i], t.in[2][i],
+                              t.in[3][i], t.in[4][i], &t.ctx,
+                              t.out[0][i], t.out[1][i]);
+              }});
 
-    sim::PimSystem sys(cfg.simulatedDpus);
-    uint32_t perDpu = cfg.elementsPerSimDpu;
-    uint64_t simTotal = static_cast<uint64_t>(perDpu) * sys.numDpus();
-    OptionBatch batch = generateOptions(simTotal, cfg.seed);
-
-    // Place tables + input arrays on every simulated DPU.
-    std::vector<uint32_t> addr(7);
-    for (uint32_t d = 0; d < sys.numDpus(); ++d) {
-        sim::DpuCore& dpu = sys.dpu(d);
-        fn.attach(dpu);
-        uint32_t bytes = perDpu * sizeof(float);
-        for (int a = 0; a < 7; ++a)
-            addr[a] = dpu.mramAlloc(bytes); // 5 in + 2 out
-        uint64_t off = static_cast<uint64_t>(d) * perDpu;
-        dpu.hostWriteMram(addr[0], batch.spot.data() + off, bytes);
-        dpu.hostWriteMram(addr[1], batch.strike.data() + off, bytes);
-        dpu.hostWriteMram(addr[2], batch.rate.data() + off, bytes);
-        dpu.hostWriteMram(addr[3], batch.vol.data() + off, bytes);
-        dpu.hostWriteMram(addr[4], batch.expiry.data() + off, bytes);
-    }
-
-    constexpr uint32_t chunk = 128;
-    sys.launchAll(cfg.tasklets, [&](sim::TaskletContext& ctx) {
-        float s[chunk], k[chunk], r[chunk], v[chunk], t[chunk];
-        float call[chunk], put[chunk];
-        uint32_t chunks = (perDpu + chunk - 1) / chunk;
-        for (uint32_t c = ctx.taskletId(); c < chunks;
-             c += ctx.numTasklets()) {
-            uint32_t beg = c * chunk;
-            uint32_t cnt = std::min(chunk, perDpu - beg);
-            uint32_t bo = beg * sizeof(float);
-            uint32_t bb = cnt * sizeof(float);
-            ctx.mramRead(addr[0] + bo, s, bb);
-            ctx.mramRead(addr[1] + bo, k, bb);
-            ctx.mramRead(addr[2] + bo, r, bb);
-            ctx.mramRead(addr[3] + bo, v, bb);
-            ctx.mramRead(addr[4] + bo, t, bb);
-            for (uint32_t i = 0; i < cnt; ++i) {
-                ctx.charge(6); // loop + WRAM traffic
-                priceOnePim(fn, s[i], k[i], r[i], v[i], t[i], &ctx,
-                            call[i], put[i]);
-            }
-            ctx.mramWrite(addr[5] + bo, call, bb);
-            ctx.mramWrite(addr[6] + bo, put, bb);
-        }
-    });
-
-    // Project the slowest simulated DPU to the full machine.
-    res.pimKernelSeconds =
-        projectPimSeconds(cfg, sys.model(), sys.lastMaxCycles());
-    const sim::CostModel& model = sys.model();
-    const uint32_t ranks = model.ranksEngaged(cfg.systemDpus);
-    res.hostToPimSeconds = model.parallelTransferSeconds(
-        cfg.totalElements * 5 * sizeof(float), ranks);
-    res.pimToHostSeconds = model.parallelTransferSeconds(
-        cfg.totalElements * 2 * sizeof(float), ranks);
-    res.seconds = res.pimKernelSeconds + res.hostToPimSeconds +
-                  res.pimToHostSeconds + res.setupSeconds;
-
-    // Accuracy from a simulated DPU's actual outputs. All DPUs share
-    // the same MRAM layout, so addr[] (recorded on the last DPU) is
-    // valid on any of them; read back the last DPU's share.
+    // Accuracy from the last simulated DPU's actual outputs.
+    uint32_t last = run.numDpus() - 1;
+    std::vector<float> calls = run.read(call, last);
+    std::vector<float> puts = run.read(put, last);
+    uint64_t off = uint64_t{last} * run.perDpu();
     ErrorAccumulator acc;
-    std::vector<float> call(perDpu), put(perDpu);
-    sim::DpuCore& dpuL = sys.dpu(sys.numDpus() - 1);
-    dpuL.hostReadMram(addr[5], call.data(), perDpu * sizeof(float));
-    dpuL.hostReadMram(addr[6], put.data(), perDpu * sizeof(float));
-    uint64_t off =
-        static_cast<uint64_t>(sys.numDpus() - 1) * perDpu;
-    for (uint32_t i = 0; i < perDpu; ++i) {
+    for (uint32_t i = 0; i < run.perDpu(); ++i) {
         double c, p;
         priceOneReference(batch, off + i, c, p);
-        acc.add(call[i], c);
-        acc.add(put[i], p);
+        acc.add(calls[i], c);
+        acc.add(puts[i], p);
     }
-    res.maxAbsError = acc.stats().maxAbs;
-    res.rmse = acc.stats().rmse;
-    return res;
+    return run.row({cfg.totalElements * 5 * sizeof(float)},
+                   {cfg.totalElements * 2 * sizeof(float)}, acc);
 }
 
 } // namespace
@@ -376,24 +237,35 @@ priceReference(const OptionBatch& batch)
 }
 
 WorkloadResult
-runBlackscholes(BsVariant variant, const WorkloadConfig& cfg)
+runBlackscholes(Variant variant, const WorkloadConfig& cfg)
 {
-    if (variant == BsVariant::CpuSingle || variant == BsVariant::CpuMulti)
+    if (isCpu(variant))
         return runCpu(variant, cfg);
-    return runPim(variant, cfg);
-}
-
-std::vector<WorkloadResult>
-runBlackscholesAll(const WorkloadConfig& cfg)
-{
-    std::vector<WorkloadResult> rows;
-    for (BsVariant v :
-         {BsVariant::CpuSingle, BsVariant::CpuMulti, BsVariant::PimPoly,
-          BsVariant::PimMLut, BsVariant::PimLLut,
-          BsVariant::PimFixedLLut}) {
-        rows.push_back(runBlackscholes(v, cfg));
+    if (variant == Variant::PimFixedLLut) {
+        auto start = std::chrono::steady_clock::now();
+        FixedLLutTables tables(1u << cfg.log2Entries);
+        auto end = std::chrono::steady_clock::now();
+        PimRun run("Blackscholes", variant, cfg,
+                   std::chrono::duration<double>(end - start).count(),
+                   [&](sim::DpuCore& c) {
+                       tables.log.attach(c);
+                       tables.sqrt.attach(c);
+                       tables.exp.attach(c);
+                       tables.cndf.attach(c);
+                   });
+        return runPim(run, tables.functions(), cfg);
     }
-    return rows;
+    std::vector<FunctionEvaluator> evals = makeEvaluators(
+        variant, cfg,
+        {Function::Log, Function::Sqrt, Function::Exp, Function::Cndf});
+    PimRun run("Blackscholes", variant, cfg, evals);
+    auto eval = [](const FunctionEvaluator& e) {
+        return [&e](float x, InstrSink* s) { return e.eval(x, s); };
+    };
+    return runPim(run,
+                  {eval(evals[0]), eval(evals[1]), eval(evals[2]),
+                   eval(evals[3])},
+                  cfg);
 }
 
 } // namespace work

@@ -52,23 +52,14 @@ struct OptionPrices
 /** Double-precision reference pricing (accuracy oracle). */
 OptionPrices priceReference(const OptionBatch& batch);
 
-/** Blackscholes PIM variants. */
-enum class BsVariant
-{
-    CpuSingle,
-    CpuMulti,
-    PimPoly,
-    PimMLut,
-    PimLLut,
-    PimFixedLLut,
+/** The rows of the Blackscholes group of Figure 9. */
+inline constexpr Variant kBlackscholesRows[] = {
+    Variant::CpuSingle, Variant::CpuMulti, Variant::PimPoly,
+    Variant::PimMLut,   Variant::PimLLut,  Variant::PimFixedLLut,
 };
 
 /** Run one variant and report its Figure 9 row. */
-WorkloadResult runBlackscholes(BsVariant variant,
-                               const WorkloadConfig& cfg);
-
-/** Run all variants (one Figure 9 group). */
-std::vector<WorkloadResult> runBlackscholesAll(const WorkloadConfig& cfg);
+WorkloadResult runBlackscholes(Variant variant, const WorkloadConfig& cfg);
 
 } // namespace work
 } // namespace tpl

@@ -18,24 +18,8 @@ namespace work {
 
 using transpim::Function;
 using transpim::FunctionEvaluator;
-using transpim::Method;
-using transpim::MethodSpec;
-using transpim::Placement;
 
 namespace {
-
-std::string
-variantLabel(LogisticVariant v)
-{
-    switch (v) {
-      case LogisticVariant::CpuSingle: return "CPU 1T";
-      case LogisticVariant::CpuMulti: return "CPU 32T";
-      case LogisticVariant::PimPoly: return "PIM poly";
-      case LogisticVariant::PimLLut: return "PIM L-LUT interp.";
-      case LogisticVariant::PimDlLut: return "PIM DL-LUT interp.";
-    }
-    return "?";
-}
 
 /** Deterministic model weights in [-1, 1] plus bias. */
 std::vector<float>
@@ -70,40 +54,17 @@ referenceProbability(const float* row, const std::vector<float>& w,
     return 1.0 / (1.0 + std::exp(-acc));
 }
 
-std::shared_ptr<FunctionEvaluator>
-makeSigmoid(LogisticVariant v, const LogisticConfig& cfg)
-{
-    MethodSpec spec;
-    spec.interpolated = true;
-    spec.placement = Placement::Wram;
-    spec.log2Entries = cfg.log2Entries;
-    spec.polyDegree = cfg.polyDegree;
-    switch (v) {
-      case LogisticVariant::PimPoly: spec.method = Method::Poly; break;
-      case LogisticVariant::PimDlLut: spec.method = Method::DlLut; break;
-      default: spec.method = Method::LLut; break;
-    }
-    return std::make_shared<FunctionEvaluator>(
-        FunctionEvaluator::create(Function::Sigmoid, spec));
-}
-
 WorkloadResult
-runCpu(LogisticVariant v, const LogisticConfig& cfg)
+runCpu(Variant v, const LogisticConfig& cfg)
 {
     uint64_t sample =
         std::min<uint64_t>(cfg.cpuSampleElements, cfg.totalElements);
     auto w = generateWeights(cfg.features, cfg.seed);
     auto x = generateRows(sample, cfg.features, cfg.seed);
     std::vector<float> out(sample);
-
-    uint32_t threads =
-        v == LogisticVariant::CpuSingle ? 1 : cfg.cpuThreads;
-    WorkloadResult res;
-    res.workload = "Logistic";
-    res.variant = variantLabel(v);
-    res.elements = cfg.totalElements;
-    res.seconds = timeCpuBaseline(
-        cfg, threads, [&](uint64_t beg, uint64_t end) {
+    return cpuRow(
+        "Logistic", v, cfg,
+        [&](uint64_t beg, uint64_t end) {
             for (uint64_t i = beg; i < end; ++i) {
                 float acc = w[cfg.features];
                 const float* row = &x[i * cfg.features];
@@ -111,132 +72,66 @@ runCpu(LogisticVariant v, const LogisticConfig& cfg)
                     acc += row[j] * w[j];
                 out[i] = 1.0f / (1.0f + std::exp(-acc));
             }
+        },
+        [&](ErrorAccumulator& acc) {
+            for (uint64_t i = 0; i < std::min<uint64_t>(sample, 5000);
+                 ++i)
+                acc.add(out[i], referenceProbability(
+                                    &x[i * cfg.features], w, cfg.features));
         });
-
-    ErrorAccumulator acc;
-    for (uint64_t i = 0; i < std::min<uint64_t>(sample, 5000); ++i) {
-        acc.add(out[i], referenceProbability(&x[i * cfg.features], w,
-                                             cfg.features));
-    }
-    res.maxAbsError = acc.stats().maxAbs;
-    res.rmse = acc.stats().rmse;
-    return res;
 }
 
 WorkloadResult
-runPim(LogisticVariant v, const LogisticConfig& cfg)
+runPim(Variant v, const LogisticConfig& cfg)
 {
-    auto sigE = makeSigmoid(v, cfg);
-
-    WorkloadResult res;
-    res.workload = "Logistic";
-    res.variant = variantLabel(v);
-    res.elements = cfg.totalElements;
-    res.setupSeconds = sigE->setupSeconds();
-
-    sim::PimSystem sys(cfg.simulatedDpus);
-    uint32_t perDpu = cfg.elementsPerSimDpu;
-    uint32_t features = cfg.features;
-    uint64_t simRows = static_cast<uint64_t>(perDpu) * sys.numDpus();
+    std::vector<FunctionEvaluator> evals =
+        makeEvaluators(v, cfg, {Function::Sigmoid});
+    const FunctionEvaluator& sigE = evals[0];
+    PimRun run("Logistic", v, cfg, evals);
+    const uint32_t features = cfg.features;
     auto w = generateWeights(features, cfg.seed);
-    auto x = generateRows(simRows, features, cfg.seed);
+    auto x = generateRows(run.simulatedElements(), features, cfg.seed);
+    Array weights = run.fixed(features + 1, w);
+    Array rows = run.stream(features, x);
+    Array out = run.stream(1);
 
-    uint32_t wAddr = 0, xAddr = 0, outAddr = 0;
-    uint32_t rowBytes = features * sizeof(float);
-    for (uint32_t d = 0; d < sys.numDpus(); ++d) {
-        sim::DpuCore& dpu = sys.dpu(d);
-        sigE->attach(dpu);
-        wAddr = dpu.mramAlloc((features + 1) * sizeof(float));
-        xAddr = dpu.mramAlloc(perDpu * rowBytes);
-        outAddr = dpu.mramAlloc(perDpu * sizeof(float));
-        dpu.hostWriteMram(wAddr, w.data(),
-                          (features + 1) * sizeof(float));
-        dpu.hostWriteMram(
-            xAddr,
-            x.data() + static_cast<uint64_t>(d) * perDpu * features,
-            perDpu * rowBytes);
-    }
-
-    sys.launchAll(cfg.tasklets, [&](sim::TaskletContext& ctx) {
-        // Weights are pulled into the scratchpad once per tasklet.
-        std::vector<float> wl(features + 1);
-        ctx.mramRead(wAddr, wl.data(), (features + 1) * sizeof(float));
-        std::vector<float> row(features);
-        // Output is buffered per 64-row block to batch the write-back.
-        constexpr uint32_t block = 64;
-        float out[block];
-        uint32_t blocks = (perDpu + block - 1) / block;
-        for (uint32_t b = ctx.taskletId(); b < blocks;
-             b += ctx.numTasklets()) {
-            uint32_t beg = b * block;
-            uint32_t cnt = std::min(block, perDpu - beg);
-            for (uint32_t i = 0; i < cnt; ++i) {
-                ctx.mramRead(xAddr + (beg + i) * rowBytes, row.data(),
-                             rowBytes);
-                float acc = wl[features]; // bias
-                ctx.charge(2);
-                for (uint32_t j = 0; j < features; ++j) {
-                    ctx.charge(3); // loop + two WRAM loads
-                    acc = sf::add(acc, sf::mul(row[j], wl[j], &ctx),
-                                  &ctx);
-                }
-                out[i] = sigE->eval(acc, &ctx);
-            }
-            ctx.mramWrite(outAddr + beg * sizeof(float), out,
-                          cnt * sizeof(float));
-        }
-    });
-
-    res.pimKernelSeconds =
-        projectPimSeconds(cfg, sys.model(), sys.lastMaxCycles());
-    const sim::CostModel& model = sys.model();
-    const uint32_t ranks = model.ranksEngaged(cfg.systemDpus);
-    res.hostToPimSeconds = model.parallelTransferSeconds(
-        cfg.totalElements * rowBytes +
-            static_cast<uint64_t>(cfg.systemDpus) * (features + 1) *
-                sizeof(float),
-        ranks);
-    res.pimToHostSeconds = model.parallelTransferSeconds(
-        cfg.totalElements * sizeof(float), ranks);
-    res.seconds = res.pimKernelSeconds + res.hostToPimSeconds +
-                  res.pimToHostSeconds + res.setupSeconds;
+    // Weights are pulled into the scratchpad once per tasklet; each
+    // row is read just before its dot product, and the output is
+    // buffered per 64-row chunk to batch the write-back.
+    run.pass({.chunk = 64,
+              .reads = {rows},
+              .readPerElement = true,
+              .writes = {out},
+              .local = weights,
+              .element = [&](Tasklet& t, uint32_t i) {
+                  const float* row = &t.in[0][i * features];
+                  float acc = t.local[features]; // bias
+                  t.ctx.charge(2);
+                  for (uint32_t j = 0; j < features; ++j) {
+                      t.ctx.charge(3); // loop + two WRAM loads
+                      acc = sf::add(acc,
+                                    sf::mul(row[j], t.local[j], &t.ctx),
+                                    &t.ctx);
+                  }
+                  t.out[0][i] = sigE.eval(acc, &t.ctx);
+              }});
 
     ErrorAccumulator acc;
-    std::vector<float> out(perDpu);
-    sys.dpu(0).hostReadMram(outAddr, out.data(),
-                            perDpu * sizeof(float));
-    for (uint32_t i = 0; i < perDpu; ++i) {
-        acc.add(out[i], referenceProbability(&x[i * features], w,
-                                             features));
-    }
-    res.maxAbsError = acc.stats().maxAbs;
-    res.rmse = acc.stats().rmse;
-    return res;
+    std::vector<float> y = run.read(out, 0);
+    for (uint32_t i = 0; i < run.perDpu(); ++i)
+        acc.add(y[i], referenceProbability(&x[i * features], w, features));
+    return run.row({cfg.totalElements * features * sizeof(float) +
+                    uint64_t{cfg.systemDpus} * (features + 1) *
+                        sizeof(float)},
+                   {cfg.totalElements * sizeof(float)}, acc);
 }
 
 } // namespace
 
 WorkloadResult
-runLogistic(LogisticVariant variant, const LogisticConfig& cfg)
+runLogistic(Variant variant, const LogisticConfig& cfg)
 {
-    if (variant == LogisticVariant::CpuSingle ||
-        variant == LogisticVariant::CpuMulti) {
-        return runCpu(variant, cfg);
-    }
-    return runPim(variant, cfg);
-}
-
-std::vector<WorkloadResult>
-runLogisticAll(const LogisticConfig& cfg)
-{
-    std::vector<WorkloadResult> rows;
-    for (LogisticVariant v :
-         {LogisticVariant::CpuSingle, LogisticVariant::CpuMulti,
-          LogisticVariant::PimPoly, LogisticVariant::PimLLut,
-          LogisticVariant::PimDlLut}) {
-        rows.push_back(runLogistic(v, cfg));
-    }
-    return rows;
+    return isCpu(variant) ? runCpu(variant, cfg) : runPim(variant, cfg);
 }
 
 } // namespace work

@@ -29,14 +29,10 @@
 namespace tpl {
 namespace work {
 
-/** Logistic-regression variants. */
-enum class LogisticVariant
-{
-    CpuSingle,
-    CpuMulti,
-    PimPoly,
-    PimLLut,
-    PimDlLut,
+/** The rows of the logistic-regression table. */
+inline constexpr Variant kLogisticRows[] = {
+    Variant::CpuSingle, Variant::CpuMulti, Variant::PimPoly,
+    Variant::PimLLut,   Variant::PimDlLut,
 };
 
 /** Extra configuration: the model's feature dimension. */
@@ -46,11 +42,7 @@ struct LogisticConfig : WorkloadConfig
 };
 
 /** Run one variant; elements = rows classified. */
-WorkloadResult runLogistic(LogisticVariant variant,
-                           const LogisticConfig& cfg);
-
-/** Run all variants. */
-std::vector<WorkloadResult> runLogisticAll(const LogisticConfig& cfg);
+WorkloadResult runLogistic(Variant variant, const LogisticConfig& cfg);
 
 } // namespace work
 } // namespace tpl

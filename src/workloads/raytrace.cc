@@ -20,9 +20,6 @@ namespace work {
 
 using transpim::Function;
 using transpim::FunctionEvaluator;
-using transpim::Method;
-using transpim::MethodSpec;
-using transpim::Placement;
 
 namespace {
 
@@ -31,18 +28,6 @@ namespace {
 constexpr float kCamZ = 3.0f;
 constexpr float kLight = 0.57735026919f;
 constexpr int kShininess = 16; // power of two: the scale is an ldexp
-
-std::string
-variantLabel(RayVariant v)
-{
-    switch (v) {
-      case RayVariant::CpuSingle: return "CPU 1T";
-      case RayVariant::CpuMulti: return "CPU 32T";
-      case RayVariant::PimPoly: return "PIM poly";
-      case RayVariant::PimLLut: return "PIM L-LUT interp.";
-    }
-    return "?";
-}
 
 /** Ray directions (dx, dy) with dz = -1 implied; interleaved pairs. */
 std::vector<float>
@@ -95,54 +80,27 @@ shadeCpu(float dx, float dy)
     return diff + 0.5f * spec;
 }
 
-/** The four transcendental providers of a PIM variant. */
-struct RayFunctions
-{
-    std::shared_ptr<FunctionEvaluator> rsqrt;
-    std::shared_ptr<FunctionEvaluator> sqrt;
-    std::shared_ptr<FunctionEvaluator> log2;
-    std::shared_ptr<FunctionEvaluator> exp2;
-};
-
-RayFunctions
-makeFunctions(RayVariant v, const WorkloadConfig& cfg)
-{
-    MethodSpec spec;
-    spec.interpolated = true;
-    spec.placement = Placement::Wram;
-    spec.log2Entries = cfg.log2Entries;
-    spec.polyDegree = cfg.polyDegree;
-    spec.method =
-        v == RayVariant::PimPoly ? Method::Poly : Method::LLut;
-    RayFunctions f;
-    f.rsqrt = std::make_shared<FunctionEvaluator>(
-        FunctionEvaluator::create(Function::Rsqrt, spec));
-    f.sqrt = std::make_shared<FunctionEvaluator>(
-        FunctionEvaluator::create(Function::Sqrt, spec));
-    f.log2 = std::make_shared<FunctionEvaluator>(
-        FunctionEvaluator::create(Function::Log2, spec));
-    f.exp2 = std::make_shared<FunctionEvaluator>(
-        FunctionEvaluator::create(Function::Exp2, spec));
-    return f;
-}
-
-/** One ray shaded with instrumented PIM arithmetic. */
+/**
+ * One ray shaded with instrumented PIM arithmetic; @p fn holds the
+ * rsqrt, sqrt, log2 and exp2 evaluators, in that order.
+ */
 float
-shadePim(const RayFunctions& fn, float dx, float dy, InstrSink* sink)
+shadePim(std::span<const FunctionEvaluator> fn, float dx, float dy,
+         InstrSink* sink)
 {
     using namespace tpl::sf;
     using transpim::pimLdexp;
 
     float len2 = add(add(mul(dx, dx, sink), mul(dy, dy, sink), sink),
                      1.0f, sink);
-    float inv = fn.rsqrt->eval(len2, sink);
+    float inv = fn[0].eval(len2, sink);
     float nz = neg(inv, sink);
     float b = mul(kCamZ, nz, sink);
     float disc = sub(mul(b, b, sink), 8.0f, sink);
     chargeInstr(sink, 2); // sign test + branch
     if (floatBits(disc) >> 31)
         return 0.0f; // ray misses the sphere
-    float t = sub(neg(b, sink), fn.sqrt->eval(disc, sink), sink);
+    float t = sub(neg(b, sink), fn[1].eval(disc, sink), sink);
     float px = mul(t, mul(dx, inv, sink), sink);
     float py = mul(t, mul(dy, inv, sink), sink);
     float pz = add(kCamZ, mul(t, nz, sink), sink);
@@ -152,135 +110,66 @@ shadePim(const RayFunctions& fn, float dx, float dy, InstrSink* sink)
     if (le(diff, 1e-4f, sink))
         return 0.0f;
     // diff^16 = 2^(16 * log2 diff); the x16 is an exponent add.
-    float l2 = fn.log2->eval(diff, sink);
-    float spec = fn.exp2->eval(pimLdexp(l2, 4, sink), sink);
+    float l2 = fn[2].eval(diff, sink);
+    float spec = fn[3].eval(pimLdexp(l2, 4, sink), sink);
     return add(diff, pimLdexp(spec, -1, sink), sink);
 }
 
 WorkloadResult
-runCpu(RayVariant v, const WorkloadConfig& cfg)
+runCpu(Variant v, const WorkloadConfig& cfg)
 {
     uint64_t sample =
         std::min<uint64_t>(cfg.cpuSampleElements, cfg.totalElements);
     auto rays = generateRays(sample, cfg.seed);
     std::vector<float> out(sample);
-
-    uint32_t threads = v == RayVariant::CpuSingle ? 1 : cfg.cpuThreads;
-    WorkloadResult res;
-    res.workload = "Raytrace";
-    res.variant = variantLabel(v);
-    res.elements = cfg.totalElements;
-    res.seconds = timeCpuBaseline(
-        cfg, threads, [&](uint64_t beg, uint64_t end) {
+    return cpuRow(
+        "Raytrace", v, cfg,
+        [&](uint64_t beg, uint64_t end) {
             for (uint64_t i = beg; i < end; ++i)
                 out[i] = shadeCpu(rays[2 * i], rays[2 * i + 1]);
+        },
+        [&](ErrorAccumulator& acc) {
+            for (uint64_t i = 0; i < std::min<uint64_t>(sample, 5000);
+                 ++i)
+                acc.add(out[i],
+                        shadeReference(rays[2 * i], rays[2 * i + 1]));
         });
-
-    ErrorAccumulator acc;
-    for (uint64_t i = 0; i < std::min<uint64_t>(sample, 5000); ++i)
-        acc.add(out[i], shadeReference(rays[2 * i], rays[2 * i + 1]));
-    res.maxAbsError = acc.stats().maxAbs;
-    res.rmse = acc.stats().rmse;
-    return res;
 }
 
 WorkloadResult
-runPim(RayVariant v, const WorkloadConfig& cfg)
+runPim(Variant v, const WorkloadConfig& cfg)
 {
-    RayFunctions fn = makeFunctions(v, cfg);
+    std::vector<FunctionEvaluator> fn = makeEvaluators(
+        v, cfg,
+        {Function::Rsqrt, Function::Sqrt, Function::Log2, Function::Exp2});
+    PimRun run("Raytrace", v, cfg, fn);
+    auto rays = generateRays(run.simulatedElements(), cfg.seed);
+    Array in = run.stream(2, rays);
+    Array out = run.stream(1);
 
-    WorkloadResult res;
-    res.workload = "Raytrace";
-    res.variant = variantLabel(v);
-    res.elements = cfg.totalElements;
-    res.setupSeconds = fn.rsqrt->setupSeconds() +
-                       fn.sqrt->setupSeconds() +
-                       fn.log2->setupSeconds() +
-                       fn.exp2->setupSeconds();
-
-    sim::PimSystem sys(cfg.simulatedDpus);
-    uint32_t perDpu = cfg.elementsPerSimDpu;
-    uint64_t simRays = static_cast<uint64_t>(perDpu) * sys.numDpus();
-    auto rays = generateRays(simRays, cfg.seed);
-
-    uint32_t inAddr = 0, outAddr = 0;
-    for (uint32_t d = 0; d < sys.numDpus(); ++d) {
-        sim::DpuCore& dpu = sys.dpu(d);
-        fn.rsqrt->attach(dpu);
-        fn.sqrt->attach(dpu);
-        fn.log2->attach(dpu);
-        fn.exp2->attach(dpu);
-        inAddr = dpu.mramAlloc(perDpu * 2 * sizeof(float));
-        outAddr = dpu.mramAlloc(perDpu * sizeof(float));
-        dpu.hostWriteMram(
-            inAddr, rays.data() + static_cast<uint64_t>(d) * perDpu * 2,
-            perDpu * 2 * sizeof(float));
-    }
-
-    constexpr uint32_t chunk = 128;
-    sys.launchAll(cfg.tasklets, [&](sim::TaskletContext& ctx) {
-        float dirs[2 * chunk];
-        float out[chunk];
-        uint32_t chunks = (perDpu + chunk - 1) / chunk;
-        for (uint32_t c = ctx.taskletId(); c < chunks;
-             c += ctx.numTasklets()) {
-            uint32_t beg = c * chunk;
-            uint32_t cnt = std::min(chunk, perDpu - beg);
-            ctx.mramRead(inAddr + beg * 2 * sizeof(float), dirs,
-                         cnt * 2 * sizeof(float));
-            for (uint32_t i = 0; i < cnt; ++i) {
-                ctx.charge(5);
-                out[i] = shadePim(fn, dirs[2 * i], dirs[2 * i + 1],
-                                  &ctx);
-            }
-            ctx.mramWrite(outAddr + beg * sizeof(float), out,
-                          cnt * sizeof(float));
-        }
-    });
-
-    res.pimKernelSeconds =
-        projectPimSeconds(cfg, sys.model(), sys.lastMaxCycles());
-    const sim::CostModel& model = sys.model();
-    const uint32_t ranks = model.ranksEngaged(cfg.systemDpus);
-    res.hostToPimSeconds = model.parallelTransferSeconds(
-        cfg.totalElements * 2 * sizeof(float), ranks);
-    res.pimToHostSeconds = model.parallelTransferSeconds(
-        cfg.totalElements * sizeof(float), ranks);
-    res.seconds = res.pimKernelSeconds + res.hostToPimSeconds +
-                  res.pimToHostSeconds + res.setupSeconds;
+    run.pass({.chunk = 128,
+              .reads = {in},
+              .writes = {out},
+              .element = [&](Tasklet& t, uint32_t i) {
+                  t.ctx.charge(5);
+                  t.out[0][i] = shadePim(fn, t.in[0][2 * i],
+                                         t.in[0][2 * i + 1], &t.ctx);
+              }});
 
     ErrorAccumulator acc;
-    std::vector<float> out(perDpu);
-    sys.dpu(0).hostReadMram(outAddr, out.data(),
-                            perDpu * sizeof(float));
-    for (uint32_t i = 0; i < perDpu; ++i)
-        acc.add(out[i], shadeReference(rays[2 * i], rays[2 * i + 1]));
-    res.maxAbsError = acc.stats().maxAbs;
-    res.rmse = acc.stats().rmse;
-    return res;
+    std::vector<float> y = run.read(out, 0);
+    for (uint32_t i = 0; i < run.perDpu(); ++i)
+        acc.add(y[i], shadeReference(rays[2 * i], rays[2 * i + 1]));
+    return run.row({cfg.totalElements * 2 * sizeof(float)},
+                   {cfg.totalElements * sizeof(float)}, acc);
 }
 
 } // namespace
 
 WorkloadResult
-runRaytrace(RayVariant variant, const WorkloadConfig& cfg)
+runRaytrace(Variant variant, const WorkloadConfig& cfg)
 {
-    if (variant == RayVariant::CpuSingle ||
-        variant == RayVariant::CpuMulti) {
-        return runCpu(variant, cfg);
-    }
-    return runPim(variant, cfg);
-}
-
-std::vector<WorkloadResult>
-runRaytraceAll(const WorkloadConfig& cfg)
-{
-    std::vector<WorkloadResult> rows;
-    for (RayVariant v : {RayVariant::CpuSingle, RayVariant::CpuMulti,
-                         RayVariant::PimPoly, RayVariant::PimLLut}) {
-        rows.push_back(runRaytrace(v, cfg));
-    }
-    return rows;
+    return isCpu(variant) ? runCpu(variant, cfg) : runPim(variant, cfg);
 }
 
 } // namespace work

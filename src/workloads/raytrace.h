@@ -26,20 +26,14 @@
 namespace tpl {
 namespace work {
 
-/** Ray-shading variants. */
-enum class RayVariant
-{
-    CpuSingle,
-    CpuMulti,
-    PimPoly,
-    PimLLut,
+/** The rows of the ray-shading table. */
+inline constexpr Variant kRaytraceRows[] = {
+    Variant::CpuSingle, Variant::CpuMulti, Variant::PimPoly,
+    Variant::PimLLut,
 };
 
 /** Run one variant; elements = rays shaded. */
-WorkloadResult runRaytrace(RayVariant variant, const WorkloadConfig& cfg);
-
-/** Run all variants. */
-std::vector<WorkloadResult> runRaytraceAll(const WorkloadConfig& cfg);
+WorkloadResult runRaytrace(Variant variant, const WorkloadConfig& cfg);
 
 } // namespace work
 } // namespace tpl

@@ -63,7 +63,7 @@ TEST(BlackscholesReference, PutCallParity)
     }
 }
 
-class BsVariantTest : public ::testing::TestWithParam<BsVariant>
+class BsVariantTest : public ::testing::TestWithParam<Variant>
 {
 };
 
@@ -81,16 +81,14 @@ TEST_P(BsVariantTest, AccurateAgainstOracle)
 
 INSTANTIATE_TEST_SUITE_P(
     AllVariants, BsVariantTest,
-    ::testing::Values(BsVariant::CpuSingle, BsVariant::CpuMulti,
-                      BsVariant::PimPoly, BsVariant::PimMLut,
-                      BsVariant::PimLLut, BsVariant::PimFixedLLut),
-    [](const ::testing::TestParamInfo<BsVariant>& info) {
+    ::testing::ValuesIn(kBlackscholesRows),
+    [](const ::testing::TestParamInfo<Variant>& info) {
         switch (info.param) {
-          case BsVariant::CpuSingle: return "CpuSingle";
-          case BsVariant::CpuMulti: return "CpuMulti";
-          case BsVariant::PimPoly: return "PimPoly";
-          case BsVariant::PimMLut: return "PimMLut";
-          case BsVariant::PimLLut: return "PimLLut";
+          case Variant::CpuSingle: return "CpuSingle";
+          case Variant::CpuMulti: return "CpuMulti";
+          case Variant::PimPoly: return "PimPoly";
+          case Variant::PimMLut: return "PimMLut";
+          case Variant::PimLLut: return "PimLLut";
           default: return "PimFixedLLut";
         }
     });
@@ -101,10 +99,10 @@ TEST(BlackscholesOrdering, LutVariantsBeatPolyBaseline)
     // polynomial-approximation PIM baseline; the fixed-point L-LUT is
     // the fastest PIM variant.
     WorkloadConfig cfg = smallConfig();
-    auto poly = runBlackscholes(BsVariant::PimPoly, cfg);
-    auto mlut = runBlackscholes(BsVariant::PimMLut, cfg);
-    auto llut = runBlackscholes(BsVariant::PimLLut, cfg);
-    auto fixed = runBlackscholes(BsVariant::PimFixedLLut, cfg);
+    auto poly = runBlackscholes(Variant::PimPoly, cfg);
+    auto mlut = runBlackscholes(Variant::PimMLut, cfg);
+    auto llut = runBlackscholes(Variant::PimLLut, cfg);
+    auto fixed = runBlackscholes(Variant::PimFixedLLut, cfg);
     EXPECT_LT(mlut.pimKernelSeconds, poly.pimKernelSeconds);
     EXPECT_LT(llut.pimKernelSeconds, mlut.pimKernelSeconds);
     EXPECT_LT(fixed.pimKernelSeconds, llut.pimKernelSeconds);
@@ -115,8 +113,8 @@ TEST(BlackscholesOrdering, LutVariantsBeatPolyBaseline)
 TEST(Sigmoid, PimVariantsAccurate)
 {
     WorkloadConfig cfg = smallConfig();
-    for (ActVariant v : {ActVariant::PimPoly, ActVariant::PimMLut,
-                         ActVariant::PimLLut}) {
+    for (Variant v :
+         {Variant::PimPoly, Variant::PimMLut, Variant::PimLLut}) {
         WorkloadResult res = runSigmoid(v, cfg);
         EXPECT_LT(res.maxAbsError, 1e-3) << res.variant;
         EXPECT_GT(res.seconds, 0.0);
@@ -126,8 +124,8 @@ TEST(Sigmoid, PimVariantsAccurate)
 TEST(Sigmoid, CpuBaselines)
 {
     WorkloadConfig cfg = smallConfig();
-    auto one = runSigmoid(ActVariant::CpuSingle, cfg);
-    auto many = runSigmoid(ActVariant::CpuMulti, cfg);
+    auto one = runSigmoid(Variant::CpuSingle, cfg);
+    auto many = runSigmoid(Variant::CpuMulti, cfg);
     EXPECT_LT(one.maxAbsError, 1e-6);
     EXPECT_GT(one.seconds, 0.0);
     // The multithreaded baseline must be modeled/measured faster.
@@ -137,9 +135,9 @@ TEST(Sigmoid, CpuBaselines)
 TEST(Sigmoid, LutBeatsPoly)
 {
     WorkloadConfig cfg = smallConfig();
-    auto poly = runSigmoid(ActVariant::PimPoly, cfg);
-    auto llut = runSigmoid(ActVariant::PimLLut, cfg);
-    auto mlut = runSigmoid(ActVariant::PimMLut, cfg);
+    auto poly = runSigmoid(Variant::PimPoly, cfg);
+    auto llut = runSigmoid(Variant::PimLLut, cfg);
+    auto mlut = runSigmoid(Variant::PimMLut, cfg);
     EXPECT_LT(llut.pimKernelSeconds, poly.pimKernelSeconds);
     EXPECT_LT(mlut.pimKernelSeconds, poly.pimKernelSeconds);
     EXPECT_LT(llut.pimKernelSeconds, mlut.pimKernelSeconds);
@@ -148,7 +146,7 @@ TEST(Sigmoid, LutBeatsPoly)
 TEST(Softmax, OutputsSumToOne)
 {
     WorkloadConfig cfg = smallConfig();
-    WorkloadResult res = runSoftmax(ActVariant::PimLLut, cfg);
+    WorkloadResult res = runSoftmax(Variant::PimLLut, cfg);
     // The per-element error against the exact softmax of the simulated
     // subset must be small; outputs are ~1/N so compare against that
     // scale.
@@ -168,13 +166,13 @@ TEST(Softmax, StableVariantHandlesWideInputs)
     cfg.inputHi = 95.0f;
 
     cfg.stableSoftmax = true;
-    auto stable = runSoftmax(ActVariant::PimLLut, cfg);
+    auto stable = runSoftmax(Variant::PimLLut, cfg);
     double scale =
         1.0 / (cfg.elementsPerSimDpu * cfg.simulatedDpus);
     EXPECT_LT(stable.maxAbsError, 50 * scale);
 
     cfg.stableSoftmax = false;
-    auto naive = runSoftmax(ActVariant::PimLLut, cfg);
+    auto naive = runSoftmax(Variant::PimLLut, cfg);
     // The naive run degrades badly (inf/NaN propagate into errors).
     EXPECT_GT(naive.maxAbsError + (std::isnan(naive.maxAbsError) ? 1 : 0),
               stable.maxAbsError * 100);
@@ -184,9 +182,9 @@ TEST(Softmax, StableMatchesNaiveOnModestInputs)
 {
     WorkloadConfig cfg = smallConfig();
     cfg.stableSoftmax = true;
-    auto stable = runSoftmax(ActVariant::PimLLut, cfg);
+    auto stable = runSoftmax(Variant::PimLLut, cfg);
     cfg.stableSoftmax = false;
-    auto naive = runSoftmax(ActVariant::PimLLut, cfg);
+    auto naive = runSoftmax(Variant::PimLLut, cfg);
     double scale =
         1.0 / (cfg.elementsPerSimDpu * cfg.simulatedDpus);
     EXPECT_LT(stable.maxAbsError, 20 * scale);
@@ -198,7 +196,7 @@ TEST(Softmax, StableMatchesNaiveOnModestInputs)
 TEST(Softmax, AllVariantsRun)
 {
     WorkloadConfig cfg = smallConfig();
-    auto rows = runSoftmaxAll(cfg);
+    auto rows = runAll(kActivationRows, cfg, runSoftmax);
     EXPECT_EQ(5u, rows.size());
     for (const auto& r : rows) {
         EXPECT_GT(r.seconds, 0.0) << r.variant;
@@ -214,8 +212,8 @@ TEST(Softmax, ReductionAddsTransferTraffic)
     // while sigmoid pays a float divide) - the structural difference
     // is the communication.
     WorkloadConfig cfg = smallConfig();
-    auto sig = runSigmoid(ActVariant::PimLLut, cfg);
-    auto soft = runSoftmax(ActVariant::PimLLut, cfg);
+    auto sig = runSigmoid(Variant::PimLLut, cfg);
+    auto soft = runSoftmax(Variant::PimLLut, cfg);
     EXPECT_GT(soft.hostToPimSeconds + soft.pimToHostSeconds,
               sig.hostToPimSeconds + sig.pimToHostSeconds);
     EXPECT_GT(soft.pimKernelSeconds, 0.0);
@@ -236,9 +234,8 @@ smallLogistic()
 TEST(Logistic, PimVariantsMatchReference)
 {
     LogisticConfig cfg = smallLogistic();
-    for (LogisticVariant v :
-         {LogisticVariant::PimPoly, LogisticVariant::PimLLut,
-          LogisticVariant::PimDlLut}) {
+    for (Variant v :
+         {Variant::PimPoly, Variant::PimLLut, Variant::PimDlLut}) {
         WorkloadResult res = runLogistic(v, cfg);
         EXPECT_LT(res.maxAbsError, 5e-3) << res.variant;
         EXPECT_GT(res.seconds, 0.0);
@@ -249,7 +246,7 @@ TEST(Logistic, PimVariantsMatchReference)
 TEST(Logistic, CpuBaselineAccurate)
 {
     LogisticConfig cfg = smallLogistic();
-    auto res = runLogistic(LogisticVariant::CpuSingle, cfg);
+    auto res = runLogistic(Variant::CpuSingle, cfg);
     EXPECT_LT(res.maxAbsError, 1e-5);
 }
 
@@ -257,8 +254,8 @@ TEST(Logistic, LutBeatsPolyAtLowDimension)
 {
     LogisticConfig cfg = smallLogistic();
     cfg.features = 2;
-    auto poly = runLogistic(LogisticVariant::PimPoly, cfg);
-    auto llut = runLogistic(LogisticVariant::PimLLut, cfg);
+    auto poly = runLogistic(Variant::PimPoly, cfg);
+    auto llut = runLogistic(Variant::PimLLut, cfg);
     EXPECT_GT(poly.pimKernelSeconds, 1.5 * llut.pimKernelSeconds);
 }
 
@@ -271,25 +268,25 @@ TEST(Logistic, GapShrinksWithFeatureDimension)
     LogisticConfig hi = smallLogistic();
     hi.features = 64;
     double gapLo =
-        runLogistic(LogisticVariant::PimPoly, lo).pimKernelSeconds /
-        runLogistic(LogisticVariant::PimLLut, lo).pimKernelSeconds;
+        runLogistic(Variant::PimPoly, lo).pimKernelSeconds /
+        runLogistic(Variant::PimLLut, lo).pimKernelSeconds;
     double gapHi =
-        runLogistic(LogisticVariant::PimPoly, hi).pimKernelSeconds /
-        runLogistic(LogisticVariant::PimLLut, hi).pimKernelSeconds;
+        runLogistic(Variant::PimPoly, hi).pimKernelSeconds /
+        runLogistic(Variant::PimLLut, hi).pimKernelSeconds;
     EXPECT_GT(gapLo, gapHi);
     EXPECT_LT(gapHi, 1.6);
 }
 
 TEST(Logistic, AllVariantsRun)
 {
-    auto rows = runLogisticAll(smallLogistic());
+    auto rows = runAll(kLogisticRows, smallLogistic(), runLogistic);
     EXPECT_EQ(5u, rows.size());
 }
 
 TEST(Raytrace, PimVariantsMatchReference)
 {
     WorkloadConfig cfg = smallConfig();
-    for (RayVariant v : {RayVariant::PimPoly, RayVariant::PimLLut}) {
+    for (Variant v : {Variant::PimPoly, Variant::PimLLut}) {
         WorkloadResult res = runRaytrace(v, cfg);
         // Intensities are O(1); the specular pow amplifies method
         // error by the exponent (16), hence the looser bound.
@@ -302,21 +299,21 @@ TEST(Raytrace, PimVariantsMatchReference)
 TEST(Raytrace, CpuBaselineAccurate)
 {
     WorkloadConfig cfg = smallConfig();
-    auto res = runRaytrace(RayVariant::CpuSingle, cfg);
+    auto res = runRaytrace(Variant::CpuSingle, cfg);
     EXPECT_LT(res.maxAbsError, 1e-4);
 }
 
 TEST(Raytrace, LutBeatsPoly)
 {
     WorkloadConfig cfg = smallConfig();
-    auto poly = runRaytrace(RayVariant::PimPoly, cfg);
-    auto llut = runRaytrace(RayVariant::PimLLut, cfg);
+    auto poly = runRaytrace(Variant::PimPoly, cfg);
+    auto llut = runRaytrace(Variant::PimLLut, cfg);
     EXPECT_LT(llut.pimKernelSeconds, poly.pimKernelSeconds);
 }
 
 TEST(Raytrace, AllVariantsRun)
 {
-    auto rows = runRaytraceAll(smallConfig());
+    auto rows = runAll(kRaytraceRows, smallConfig(), runRaytrace);
     EXPECT_EQ(4u, rows.size());
     for (const auto& r : rows)
         EXPECT_EQ("Raytrace", r.workload);
@@ -366,6 +363,54 @@ TEST(WorkloadInfra, ProjectionScalesLinearly)
     // Twice the elements, twice the seconds.
     cfg.totalElements = 2 * 2545000;
     EXPECT_NEAR(2 * secs, projectPimSeconds(cfg, model, 1000), 1e-12);
+}
+
+TEST(WorkloadInfra, PimTotalIsModeledKernelPlusTransfers)
+{
+    // A PIM row's total is the modeled kernel + h2p + p2h: the host
+    // wall-clock of table generation is reported on its own and left
+    // out, so two runs of one row give the same total.
+    WorkloadConfig cfg = smallConfig();
+    LogisticConfig logCfg = smallLogistic();
+    auto rows = [&] {
+        return std::vector<WorkloadResult>{
+            runBlackscholes(Variant::PimLLut, cfg),
+            runBlackscholes(Variant::PimFixedLLut, cfg),
+            runSigmoid(Variant::PimLLut, cfg),
+            runSoftmax(Variant::PimLLut, cfg),
+            runLogistic(Variant::PimDlLut, logCfg),
+            runRaytrace(Variant::PimLLut, cfg)};
+    };
+    std::vector<WorkloadResult> first = rows();
+    std::vector<WorkloadResult> second = rows();
+    for (size_t i = 0; i < first.size(); ++i) {
+        const WorkloadResult& r = first[i];
+        EXPECT_GT(r.hostSetupSeconds, 0.0) << r.workload;
+        EXPECT_GT(r.pimKernelSeconds, 0.0) << r.workload;
+        EXPECT_EQ(r.pimKernelSeconds + r.hostToPimSeconds +
+                      r.pimToHostSeconds,
+                  r.seconds)
+            << r.workload;
+        EXPECT_EQ(r.seconds, second[i].seconds) << r.workload;
+    }
+}
+
+TEST(WorkloadInfra, VariantLabels)
+{
+    WorkloadConfig cfg;
+    cfg.cpuThreads = 8;
+    EXPECT_EQ("CPU 1T", variantLabel(Variant::CpuSingle, cfg));
+    EXPECT_EQ("CPU 8T", variantLabel(Variant::CpuMulti, cfg));
+    EXPECT_EQ("PIM fixed L-LUT interp.",
+              variantLabel(Variant::PimFixedLLut, cfg));
+    EXPECT_EQ("PIM DL-LUT interp.", variantLabel(Variant::PimDlLut, cfg));
+    EXPECT_EQ(transpim::Method::DlLut,
+              makeEvaluators(Variant::PimDlLut, cfg,
+                             {transpim::Function::Sigmoid})[0]
+                  .spec()
+                  .method);
+    EXPECT_TRUE(isCpu(Variant::CpuMulti));
+    EXPECT_FALSE(isCpu(Variant::PimPoly));
 }
 
 } // namespace
