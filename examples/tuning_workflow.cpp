@@ -80,7 +80,8 @@ main()
         sys.dpu(d).hostWriteMram(inAddr[d], inputs.data(), elems * 4);
     }
 
-    double secs = sys.launchAll(16, [&](sim::TaskletContext& ctx) {
+    const sim::LaunchReport launch =
+        sys.launchAll(16, [&](sim::TaskletContext& ctx) {
         float buf[256];
         for (uint32_t c = ctx.taskletId(); c < elems / 256;
              c += ctx.numTasklets()) {
@@ -108,6 +109,8 @@ main()
     });
     std::printf("kernel: %.3e s for %u elements/DPU; spot check "
                 "f(%.3f) = %.6f (ref %.6f)\n",
-                secs, elems, inputs[0], got, ref);
+                static_cast<double>(launch.maxCycles) /
+                    sys.model().frequencyHz,
+                elems, inputs[0], got, ref);
     return 0;
 }

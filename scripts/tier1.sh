@@ -199,14 +199,16 @@ fi
 # the tuner CLIs (pimtune's three-way replay must show the online
 # tuner beating the best static configuration with every SLA met and
 # print the same bytes at 1, 4 and 16 sim threads; pimserve
-# --auto-tune must emit its tuner section) so the documented
+# --tenant-sla must emit its tuner section and print the same bytes at
+# 1, 4 and 16 sim threads) so the documented
 # examples keep working, check that the workload figures' modeled PIM
 # rows repeat byte for byte across runs and sim thread counts, and
 # check that each CLI mistake gets one
 # message in every tool: a malformed trace and a malformed --tenant-sla
 # in both replay tools, a bad method as a flag and as a trace key, and
 # an out-of-range --tasklets in all five tools that take it, and a
-# --per-dpu-elements of 0 in both replay tools.
+# --per-dpu-elements of 0 and one whose wave buffers overflow MRAM in
+# both replay tools.
 if [ "${TPL_TIER1_DOCS:-0}" = "1" ]; then
     bash "$SRC_DIR/scripts/check_docs.sh"
     DOCS_TMP=$(mktemp -d)
@@ -258,12 +260,27 @@ for replay in ("as_requested", "static_best", "online"):
     assert doc[replay]["complete"], (replay, doc[replay])
 print("pimtune: online beats static-best with SLAs met OK")
 PYEOF
-    "$BUILD_DIR/tools/pimserve" --demo-trace --demo-requests 2000 \
-        --per-dpu-elements 8 --explore 512 \
-        --tenant-sla '*:rmse<1e-3' \
-        --json "$DOCS_TMP/serve.tune.json" > /dev/null
-    python3 -m json.tool "$DOCS_TMP/serve.tune.json" > /dev/null
-    grep -q '"tuner"' "$DOCS_TMP/serve.tune.json"
+    # pimserve's tuned path, like pimtune's: JSON and stdout (bar the
+    # "wrote" line) byte-identical at 1, 4 and 16 simulation threads.
+    for threads in 1 4 16; do
+        TPL_SIM_THREADS=$threads "$BUILD_DIR/tools/pimserve" \
+            --demo-trace --demo-requests 2000 \
+            --per-dpu-elements 8 --explore 512 \
+            --tenant-sla '*:rmse<1e-3' \
+            --json "$DOCS_TMP/serve.tune.$threads.json" \
+            > "$DOCS_TMP/serve.tune.$threads.stdout"
+        grep -v '^wrote ' "$DOCS_TMP/serve.tune.$threads.stdout" \
+            > "$DOCS_TMP/serve.tune.$threads.out"
+    done
+    for threads in 4 16; do
+        cmp "$DOCS_TMP/serve.tune.1.json" \
+            "$DOCS_TMP/serve.tune.$threads.json"
+        cmp "$DOCS_TMP/serve.tune.1.out" \
+            "$DOCS_TMP/serve.tune.$threads.out"
+    done
+    python3 -m json.tool "$DOCS_TMP/serve.tune.1.json" > /dev/null
+    grep -q '"tuner"' "$DOCS_TMP/serve.tune.1.json"
+    echo "pimserve --tenant-sla JSON + stdout byte-identical at 1/4/16 sim threads OK"
     # One CLI vocabulary: each mistake below must fail every tool it
     # reaches with exit 2 and the same text after the "TOOL: " prefix.
     # usage_msg NAME TOOL ARGS... runs TOOL, requires exit 2, and keeps
@@ -327,12 +344,21 @@ PYEOF
     cmp "$DOCS_TMP/slice.pimserve.msg" "$DOCS_TMP/slice.pimtune.msg"
     grep -qxF "bad --per-dpu-elements '0' (want >= 1)" \
         "$DOCS_TMP/slice.pimserve.msg"
+    # Wave buffers too large for MRAM: one message, exit 2, from the
+    # one replay driver (transpim::replayTrace) both tools serve by.
+    usage_msg oversize pimserve --trace "$DOCS_TMP/demo.trace" \
+        --per-dpu-elements 20000000
+    usage_msg oversize pimtune --demo 20 --per-dpu-elements 20000000
+    cmp "$DOCS_TMP/oversize.pimserve.msg" "$DOCS_TMP/oversize.pimtune.msg"
+    grep -qxF -e "--per-dpu-elements 20000000: the per-DPU wave buffers do not fit in MRAM" \
+        "$DOCS_TMP/oversize.pimserve.msg"
     echo "check_docs + pimserve/pimtune demo replay JSON round-trip OK"
     echo "pimserve/pimtune reject a malformed trace with one message"
     echo "pimserve/pimtune reject a malformed --tenant-sla with one message"
     echo "pimfault/pimtrace/pimserve/pimtune reject a bad method with one message"
     echo "all five tools reject --tasklets 25 with one message"
     echo "pimserve/pimtune reject --per-dpu-elements 0 with one message"
+    echo "pimserve/pimtune refuse oversized wave buffers with one message"
 fi
 
 # With TPL_TIER1_OBS=1, exercise the serve observability tier end to

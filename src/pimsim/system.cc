@@ -376,7 +376,7 @@ PimSystem::joinLaunch(LaunchHandle::State& wave)
         report.maxCycles = std::max(report.maxCycles, c);
 }
 
-double
+LaunchReport
 PimSystem::launchAll(uint32_t numTasklets, const Kernel& kernel)
 {
     uint32_t n = numDpus();
@@ -398,9 +398,8 @@ PimSystem::launchAll(uint32_t numTasklets, const Kernel& kernel)
         [&kernel](const ShardTask&) -> Kernel { return std::ref(kernel); };
     LaunchHandle wave = submitLaunch(all, numTasklets, shared);
     joinLaunch(*wave.state_);
-    lastReport_ = wave.state_->report;
-    lastMaxCycles_ = lastReport_.maxCycles;
-    const uint64_t maxCycles = lastMaxCycles_;
+    LaunchReport report = std::move(wave.state_->report);
+    const uint64_t maxCycles = report.maxCycles;
 
     obs::Registry& reg = obs::Registry::global();
     if (reg.enabled()) {
@@ -410,12 +409,10 @@ PimSystem::launchAll(uint32_t numTasklets, const Kernel& kernel)
             .observe(maxCycles);
     }
 
-    if (model_.frequencyHz <= 0.0)
-        return 0.0;
-    double seconds = static_cast<double>(maxCycles) / model_.frequencyHz;
-    if (reg.enabled())
-        reg.real("pimsim/system/modeled_seconds").add(seconds);
-    return seconds;
+    if (reg.enabled() && model_.frequencyHz > 0.0)
+        reg.real("pimsim/system/modeled_seconds")
+            .add(static_cast<double>(maxCycles) / model_.frequencyHz);
+    return report;
 }
 
 PipelineEvent

@@ -101,7 +101,7 @@ struct RetryPolicy
 };
 
 /**
- * What happened in the last launchAll: which cores ran, which were
+ * What happened in one launch: which cores ran, which were
  * skipped because an earlier fault masked them, and which failed this
  * launch (hard failure, or cycles beyond the policy's launch
  * timeout). Failure surfaces here and in the per-core
@@ -476,18 +476,12 @@ class PimSystem
      * @p kernel itself, not a copy, concurrently on the simulation
      * pool, so calling it must be thread-safe. With a fault plan
      * armed, masked (previously failed) cores are skipped and cores
-     * that fail during this launch are masked for subsequent work;
-     * see lastLaunchReport().
-     * @return seconds of the slowest healthy DPU (they run
-     * concurrently).
+     * that fail during this launch are masked for subsequent work.
+     * @return the launch's report: its maxCycles is the slowest
+     * healthy DPU's (they run concurrently), so the launch takes
+     * maxCycles / model().frequencyHz seconds.
      */
-    double launchAll(uint32_t numTasklets, const Kernel& kernel);
-
-    /** Cycles of the slowest DPU in the last launchAll. */
-    uint64_t lastMaxCycles() const { return lastMaxCycles_; }
-
-    /** Failure accounting of the last launchAll. */
-    const LaunchReport& lastLaunchReport() const { return lastReport_; }
+    LaunchReport launchAll(uint32_t numTasklets, const Kernel& kernel);
 
     /// @name Fault injection & resilience (pimsim/fault/fault.h).
     /// @{
@@ -585,12 +579,10 @@ class PimSystem
 
     CostModel model_;
     std::vector<std::unique_ptr<DpuCore>> dpus_;
-    uint64_t lastMaxCycles_ = 0;
     uint32_t simThreads_ = 0;
     ThreadPool* pool_ = nullptr; ///< nullptr = the global pool
     TransferStats transferStats_;
     RetryPolicy policy_;
-    LaunchReport lastReport_;
     std::unique_ptr<fault::SystemFaultState> faults_;
     std::atomic<uint64_t> maskEpoch_{0};
 };

@@ -12,7 +12,6 @@
 #include <cmath>
 #include <functional>
 
-#include "common/error_metrics.h"
 #include "pimsim/obs/metrics.h"
 #include "transpim/reference.h"
 
@@ -89,15 +88,6 @@ OnlineAutoTuner::Candidate::cyclesPerElement() const
     return elements > 0 ? static_cast<double>(totalCycles) /
                               static_cast<double>(elements)
                         : 0.0;
-}
-
-double
-OnlineAutoTuner::Candidate::rmse() const
-{
-    return errorSamples > 0
-               ? std::sqrt(sumSqError /
-                           static_cast<double>(errorSamples))
-               : 0.0;
 }
 
 OnlineAutoTuner::OnlineAutoTuner(EvaluatorCatalog& catalog,
@@ -276,11 +266,7 @@ OnlineAutoTuner::checkSla(Stream& s, Candidate& c)
     bool bad = false;
     const double rmseBound =
         s.sla.maxRmse > 0.0 ? s.sla.maxRmse : s.implicitRmse;
-    if (rmseBound > 0.0 && c.errorSamples > 0 &&
-        c.rmse() > rmseBound)
-        bad = true;
-    if (s.sla.maxUlp > 0.0 && c.errorSamples > 0 &&
-        c.maxUlp > s.sla.maxUlp)
+    if (!c.error.within(rmseBound, s.sla.maxUlp))
         bad = true;
     if (s.sla.maxCyclesPerElement > 0.0 && c.elements > 0 &&
         cyclesScore(s, c) > s.sla.maxCyclesPerElement)
@@ -469,19 +455,11 @@ OnlineAutoTuner::observe(const sim::serve::WaveOutcome& outcome)
                 if (idx % stride != 0 || taken >= kSampleCap)
                     continue;
                 ++taken;
-                const float in = sp.input[i];
-                const float outV = sp.output[i];
-                const double ref = referenceValue(
-                    c->function, static_cast<double>(in));
-                double err =
-                    std::abs(static_cast<double>(outV) - ref);
-                if (c->relativeError)
-                    err /= std::max(1.0, std::abs(ref));
-                c->sumSqError += err * err;
-                ++c->errorSamples;
-                c->maxUlp = std::max(
-                    c->maxUlp,
-                    ulpDistance(outV, static_cast<float>(ref)));
+                c->error.add(sp.output[i],
+                             referenceValue(c->function,
+                                            static_cast<double>(
+                                                sp.input[i])),
+                             c->relativeError);
             }
         }
     }
@@ -532,8 +510,8 @@ OnlineAutoTuner::streamReports() const
             r.sla = s.sla.toText();
             r.elements = c.elements;
             r.cyclesPerElement = c.cyclesPerElement();
-            r.rmse = c.rmse();
-            r.maxUlp = c.maxUlp;
+            r.rmse = c.error.rmse();
+            r.maxUlp = c.error.maxUlp;
             r.slaViolated = c.violated;
         } else {
             r.chosen = s.requested.label;

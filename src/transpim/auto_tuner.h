@@ -163,16 +163,13 @@ class OnlineAutoTuner final : public sim::serve::AutoTuner
         // Observed, cumulative over this stream's waves.
         uint64_t elements = 0;
         uint64_t totalCycles = 0;
-        double sumSqError = 0.0;
-        uint64_t errorSamples = 0;
-        double maxUlp = 0.0;
+        TunerError error; ///< stride-sampled, see observe()
         /** Per-wave cycles/element at the stream's cycles
          * percentile; fed only under a percentile cycles clause. */
         NearestRank waveCycles;
         bool violated = false; ///< failed an SLA clause; excluded
 
         double cyclesPerElement() const;
-        double rmse() const;
     };
 
     /** One (tenant, requested-table) stream. */

@@ -9,10 +9,12 @@
 #include <cstring>
 #include <new>
 #include <string>
+#include <utility>
 
 #include "common/rng.h"
 #include "pimsim/obs/trace.h"
 #include "transpim/error_model.h"
+#include "transpim/trace.h"
 
 namespace tpl {
 namespace transpim {
@@ -151,40 +153,22 @@ runBatchedThroughput(Function f, const MethodSpec& spec,
                       static_cast<float>(dom.hi), opts.seed);
 
     std::vector<float> outputs(total, 0.0f);
-    sim::PimSystem sys(opts.dpus);
-    if (opts.simThreads)
-        sys.setSimThreads(opts.simThreads);
-    if (opts.plan)
-        sys.armFaults(*opts.plan);
-
-    EvaluatorCatalog catalog;
-    sim::serve::TableKey key = catalog.add(f, spec);
-
-    sim::serve::BatchQueue queue;
-    for (uint32_t r = 0; r < opts.requests; ++r) {
-        const uint64_t off =
-            static_cast<uint64_t>(r) * opts.elementsPerRequest;
-        sim::serve::Request req;
-        req.table = key;
-        req.input = inputs.data() + off;
-        req.output = outputs.data() + off;
-        req.elements = opts.elementsPerRequest;
-        queue.push(req);
-    }
-    queue.close();
-
-    sim::serve::PipelineOptions popts;
-    popts.numTasklets = opts.tasklets;
-    popts.perDpuElements = opts.perDpuElements;
-    sim::serve::ServePipeline pipeline(sys, catalog.provider(), popts);
-    try {
-        res.report = pipeline.run(queue);
-    } catch (const std::bad_alloc&) {
-        // The per-DPU wave buffers do not fit in MRAM.
+    ReplayOptions ropts;
+    ropts.dpus = opts.dpus;
+    ropts.plan = opts.plan;
+    ropts.simThreads = opts.simThreads;
+    ropts.tasklets = opts.tasklets;
+    ropts.perDpuElements = opts.perDpuElements;
+    ReplayReport replay = replayTrace(
+        std::vector<TraceRequest>(
+            opts.requests, TraceRequest{f, spec, opts.elementsPerRequest}),
+        inputs, outputs, ropts);
+    if (!replay.error.empty()) {
         res.feasible = false;
         return res;
     }
-    res.healthyDpus = sys.healthyDpus();
+    res.report = std::move(replay.report);
+    res.healthyDpus = replay.healthyDpus;
     if (res.report.elements > 0)
         res.cyclesPerElement =
             static_cast<double>(res.report.computeCycles) /

@@ -7,6 +7,7 @@
 
 #include <array>
 #include <fstream>
+#include <new>
 #include <sstream>
 #include <utility>
 
@@ -286,22 +287,67 @@ traceInputs(std::span<const TraceRequest> trace, uint32_t seed)
     return inputs;
 }
 
-void
-enqueueTrace(std::span<const TraceRequest> trace,
-             EvaluatorCatalog& catalog, const float* inputs,
-             float* outputs, sim::serve::BatchQueue& queue)
+ReplayReport
+replayTrace(std::vector<TraceRequest> trace,
+            std::span<const float> inputs, std::span<float> outputs,
+            const ReplayOptions& opts)
 {
+    ReplayReport res;
+    sim::PimSystem sys(opts.dpus);
+    if (opts.simThreads)
+        sys.setSimThreads(opts.simThreads);
+    if (opts.plan)
+        sys.armFaults(*opts.plan);
+    EvaluatorCatalog catalog;
+    catalog.setChunkElements(opts.chunk);
+
+    sim::serve::BatchQueue queue;
+    queue.setJournal(opts.journal);
     uint64_t off = 0;
     for (const TraceRequest& r : trace) {
         sim::serve::Request req;
         req.table = catalog.add(r.function, r.spec);
-        req.input = inputs + off;
-        req.output = outputs + off;
+        req.input = inputs.data() + off;
+        req.output = outputs.data() + off;
         req.elements = r.elements;
         req.tenant = r.tenant;
         queue.push(req);
         off += r.elements;
     }
+    queue.close();
+    // The queue holds every request now: free the trace.
+    std::vector<TraceRequest>().swap(trace);
+
+    std::optional<OnlineAutoTuner> tuner;
+    if (opts.tuner) {
+        tuner.emplace(catalog, *opts.tuner);
+        for (const auto& [tenant, sla] : opts.tenantSlas)
+            tuner->setTenantSla(tenant, sla);
+    }
+
+    sim::serve::PipelineOptions popts;
+    popts.numTasklets = opts.tasklets;
+    popts.perDpuElements = opts.perDpuElements;
+    popts.journal = opts.journal;
+    if (tuner)
+        popts.autoTuner = &*tuner;
+    if (opts.topology)
+        popts.topology = &*opts.topology;
+    sim::serve::ServePipeline pipeline(sys, catalog.provider(), popts);
+    try {
+        res.report = pipeline.run(queue);
+    } catch (const std::bad_alloc&) {
+        res.error = "--per-dpu-elements " +
+                    std::to_string(opts.perDpuElements) +
+                    ": the per-DPU wave buffers do not fit in MRAM";
+        return res;
+    }
+    res.healthyDpus = sys.healthyDpus();
+    if (tuner) {
+        res.streams = tuner->streamReports();
+        res.decisions = tuner->decisions();
+    }
+    return res;
 }
 
 } // namespace transpim

@@ -37,12 +37,14 @@
  * errors (pimtrace's --no-interp is its spelling of interpolated=0).
  * The other shared options parsed here are --chunk N, --tenant-sla
  * T:SPEC and --plan PATH (readPlanFile).
+ * replayTrace() serves a parsed trace for every replay tool.
  */
 
 #ifndef TPL_TRANSPIM_TRACE_H
 #define TPL_TRANSPIM_TRACE_H
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <span>
 #include <string>
@@ -51,14 +53,14 @@
 
 #include "pimsim/fault/fault.h"
 #include "pimsim/serve/auto_tuner.h"
-#include "pimsim/serve/batch_queue.h"
+#include "pimsim/serve/pipeline.h"
+#include "pimsim/topology.h"
+#include "transpim/auto_tuner.h"
 #include "transpim/evaluator.h"
 #include "transpim/reference.h"
 
 namespace tpl {
 namespace transpim {
-
-class EvaluatorCatalog;
 
 /** Parse a --chunk value: a number in [1, maxChunkElements], the
  * streaming kernel's evalBatch span. On bad input returns false and
@@ -144,13 +146,52 @@ bool readPlanFile(const std::string& path, sim::fault::FaultPlan& out,
 std::vector<float> traceInputs(std::span<const TraceRequest> trace,
                                uint32_t seed);
 
-/** Push one request per entry of @p trace into @p queue (left
- * open): its table is @p catalog.add(function, spec), its input and
- * output consecutive slices of @p inputs and @p outputs, laid out as
- * traceInputs() lays them out. */
-void enqueueTrace(std::span<const TraceRequest> trace,
-                  EvaluatorCatalog& catalog, const float* inputs,
-                  float* outputs, sim::serve::BatchQueue& queue);
+/** What replayTrace() serves a trace on: the values the replay
+ * tools take as flags. */
+struct ReplayOptions
+{
+    uint32_t dpus = 64;
+    /** Fleet topology of the dpus DPUs (per-rank scheduling). */
+    std::optional<sim::Topology> topology;
+    std::optional<sim::fault::FaultPlan> plan; ///< armed before serving
+    uint32_t simThreads = 0; ///< 0 = the global default
+    uint32_t tasklets = 16;
+    uint32_t perDpuElements = 512; ///< per-DPU wave slice capacity
+    uint32_t chunk = 32;           ///< serve-kernel chunk elements
+    /** Journal the queue and pipeline stamp; kept alive by the caller. */
+    obs::Journal* journal = nullptr;
+    /** Route waves through an OnlineAutoTuner, when set, with
+     * tenantSlas overriding its defaultSla. */
+    std::optional<AutoTunerOptions> tuner;
+    std::map<uint64_t, sim::serve::TenantSla> tenantSlas;
+};
+
+/** Outcome of one replayTrace(). */
+struct ReplayReport
+{
+    /** Empty when the trace ran; else nothing was served and this
+     * says why ("--per-dpu-elements N: the per-DPU wave buffers do
+     * not fit in MRAM"). */
+    std::string error;
+    sim::serve::ServeReport report;
+    uint32_t healthyDpus = 0; ///< cores not masked after the run
+    std::vector<StreamReport> streams; ///< the tuner's, if any
+    std::vector<sim::serve::TuneDecision> decisions;
+};
+
+/**
+ * Serve @p trace once on a fresh system: build the PimSystem, the
+ * EvaluatorCatalog, the OnlineAutoTuner (when opts.tuner is set), the
+ * BatchQueue and the ServePipeline, push one request per entry (its
+ * table catalog.add(function, spec), its input and output consecutive
+ * slices of @p inputs and @p outputs as traceInputs() lays them out),
+ * free @p trace, and run the pipeline. The one host sequence behind
+ * pimserve, pimtune's three replays and runBatchedThroughput.
+ */
+ReplayReport replayTrace(std::vector<TraceRequest> trace,
+                         std::span<const float> inputs,
+                         std::span<float> outputs,
+                         const ReplayOptions& opts);
 
 } // namespace transpim
 } // namespace tpl

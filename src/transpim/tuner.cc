@@ -185,18 +185,13 @@ sampleRmse(const FunctionEvaluator& eval, const std::vector<float>& inputs,
 {
     const bool relative =
         resolveMetric(eval.function(), metric) == ErrorMetric::Relative;
-    double sumSq = 0.0;
-    for (float x : inputs) {
-        double ref =
-            referenceValue(eval.function(), static_cast<double>(x));
-        double err = std::abs(eval.eval(x, nullptr) - ref);
-        if (relative)
-            err /= std::max(1.0, std::abs(ref));
-        sumSq += err * err;
-    }
-    return inputs.empty()
-               ? 0.0
-               : std::sqrt(sumSq / static_cast<double>(inputs.size()));
+    TunerError error;
+    for (float x : inputs)
+        error.addSquared(eval.eval(x, nullptr),
+                         referenceValue(eval.function(),
+                                        static_cast<double>(x)),
+                         relative);
+    return error.rmse();
 }
 
 ErrorMetric

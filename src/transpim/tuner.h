@@ -21,9 +21,13 @@
 #ifndef TPL_TRANSPIM_TUNER_H
 #define TPL_TRANSPIM_TUNER_H
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
+#include "common/error_metrics.h"
 #include "transpim/evaluator.h"
 
 namespace tpl {
@@ -107,10 +111,60 @@ std::optional<TunerResult> recommendSpec(
 std::vector<float> tunerSample(Function f, uint32_t n);
 
 /**
+ * The differential error both tuners and pimtune score outputs by:
+ * addSquared() takes |out - ref| against the double reference,
+ * divides it by max(1, |ref|) when relative, and sums its square in
+ * call order; add() also tracks maxUlp, the largest ULP distance from
+ * the reference rounded to float.
+ */
+struct TunerError
+{
+    double sumSq = 0.0;
+    uint64_t samples = 0;
+    double maxUlp = 0.0;
+
+    /** The RMSE half of add(): maxUlp is left as it is. */
+    void
+    addSquared(float out, double ref, bool relative)
+    {
+        double err = std::abs(static_cast<double>(out) - ref);
+        if (relative)
+            err /= std::max(1.0, std::abs(ref));
+        sumSq += err * err;
+        ++samples;
+    }
+
+    void
+    add(float out, double ref, bool relative)
+    {
+        addSquared(out, ref, relative);
+        maxUlp = std::max(maxUlp, ulpDistance(out, static_cast<float>(ref)));
+    }
+
+    /** sqrt(sumSq / samples); 0 for no samples. */
+    double
+    rmse() const
+    {
+        return samples > 0
+                   ? std::sqrt(sumSq / static_cast<double>(samples))
+                   : 0.0;
+    }
+
+    /** The SLA accuracy verdict: false when rmse() exceeds @p
+     * maxRmseBound or maxUlp exceeds @p maxUlpBound, a bound of 0
+     * being absent. */
+    bool
+    within(double maxRmseBound, double maxUlpBound) const
+    {
+        return !(maxRmseBound > 0.0 && rmse() > maxRmseBound) &&
+               !(maxUlpBound > 0.0 && maxUlp > maxUlpBound);
+    }
+};
+
+/**
  * RMSE of @p eval over @p inputs under @p metric (resolved for the
- * evaluator's function by resolveMetric): the error is
- * |approx - ref|, divided by max(1, |ref|) when relative, summed in
- * input order. 0 for no inputs.
+ * evaluator's function by resolveMetric), accumulated by
+ * TunerError::addSquared in input order. 0 for no inputs.
  */
 double sampleRmse(const FunctionEvaluator& eval,
                   const std::vector<float>& inputs, ErrorMetric metric);

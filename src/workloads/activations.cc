@@ -141,8 +141,10 @@ pimSoftmax(Variant v, const WorkloadConfig& cfg)
     Array inv = run.fixed(1);
 
     // Optional pass 0 (stable softmax): global max through the host,
-    // so the exponentials cannot overflow for wide input ranges.
-    float globalMax = 0.0f;
+    // so the exponentials cannot overflow for wide input ranges. The
+    // host reads every tasklet's maximum back and broadcasts the
+    // global one, which pass 1 reads from MRAM as pass 2 reads 1/sum.
+    std::optional<Array> maxSlot;
     if (cfg.stableSoftmax) {
         run.pass({.chunk = 256,
                   .reads = {in},
@@ -153,22 +155,24 @@ pimSoftmax(Variant v, const WorkloadConfig& cfg)
                       if (sf::lt(t.acc, t.in[0][i], &t.ctx))
                           t.acc = t.in[0][i];
                   }});
-        globalMax = -3.4e38f;
+        float globalMax = -3.4e38f;
         for (uint32_t d = 0; d < run.numDpus(); ++d)
             for (float m : run.read(partials, d))
                 globalMax = std::max(globalMax, m);
+        maxSlot = run.fixed(1, {&globalMax, 1});
     }
 
     // Pass 1: e^(x - max) and per-tasklet partial sums.
     run.pass({.chunk = 256,
               .reads = {in},
               .writes = {exps},
+              .local = maxSlot,
               .accOut = partials,
               .element = [&](Tasklet& t, uint32_t i) {
                   t.ctx.charge(4);
                   float x = t.in[0][i];
-                  if (cfg.stableSoftmax)
-                      x = sf::sub(x, globalMax, &t.ctx);
+                  if (maxSlot)
+                      x = sf::sub(x, t.local[0], &t.ctx);
                   t.out[0][i] = expE.eval(x, &t.ctx);
                   t.acc = sf::add(t.acc, t.out[0][i], &t.ctx);
               }});
@@ -201,12 +205,15 @@ pimSoftmax(Variant v, const WorkloadConfig& cfg)
     for (uint32_t i = 0; i < run.perDpu(); ++i)
         acc.add(y[i], std::exp((double)input[i]) / refSum);
     // Every pass scales with elements/DPU; the reduction adds tiny
-    // transfers (partial sums out, 1/sum back).
+    // transfers (partial sums out, 1/sum back), and the stable form
+    // the same again for the max (tasklet maxima out, max back).
     const uint64_t bytes = cfg.totalElements * sizeof(float);
-    return run.row(
-        {bytes, cfg.systemDpus * sizeof(float)},
-        {bytes, uint64_t{cfg.systemDpus} * cfg.tasklets * sizeof(float)},
-        acc);
+    const uint64_t toDpus = cfg.systemDpus * sizeof(float);
+    const uint64_t fromTasklets =
+        uint64_t{cfg.systemDpus} * cfg.tasklets * sizeof(float);
+    return run.row({bytes, toDpus, maxSlot ? toDpus : 0},
+                   {bytes, fromTasklets, maxSlot ? fromTasklets : 0},
+                   acc);
 }
 
 } // namespace

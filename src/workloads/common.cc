@@ -221,7 +221,8 @@ uint64_t
 PimRun::pass(const Pass& p)
 {
     const uint32_t share = perDpu();
-    sys_.launchAll(cfg_.tasklets, [&](sim::TaskletContext& ctx) {
+    const sim::LaunchReport report =
+        sys_.launchAll(cfg_.tasklets, [&](sim::TaskletContext& ctx) {
         Tasklet t{ctx};
         t.acc = p.acc;
         if (p.local) {
@@ -267,8 +268,8 @@ PimRun::pass(const Pass& p)
             ctx.mramWrite(p.accOut->addr + ctx.taskletId() * sizeof(float),
                           &t.acc, sizeof(float));
     });
-    passCycles_.push_back(sys_.lastMaxCycles());
-    return passCycles_.back();
+    passCycles_.push_back(report.maxCycles);
+    return report.maxCycles;
 }
 
 std::vector<float>

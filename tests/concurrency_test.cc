@@ -294,10 +294,12 @@ namespace {
 /**
  * Run the same multi-DPU streaming workload (scattered per-DPU inputs,
  * evaluator-driven kernel, gathered outputs) on @p sys and return the
- * gathered bytes. Per-DPU stats are left in each core's lastLaunch().
+ * gathered bytes, with the launch's report in @p launch. Per-DPU stats
+ * are left in each core's lastLaunch().
  */
 std::vector<float>
-runDeterminismWorkload(sim::PimSystem& sys, uint32_t perDpu)
+runDeterminismWorkload(sim::PimSystem& sys, uint32_t perDpu,
+                       sim::LaunchReport& launch)
 {
     MethodSpec spec;
     spec.method = Method::LLut;
@@ -324,7 +326,7 @@ runDeterminismWorkload(sim::PimSystem& sys, uint32_t perDpu)
                          sys, inAddr, inputs.data(),
                          perDpu * sizeof(float)));
 
-    sys.launchAll(8, [&](sim::TaskletContext& ctx) {
+    launch = sys.launchAll(8, [&](sim::TaskletContext& ctx) {
         constexpr uint32_t chunk = 64;
         float buf[chunk];
         uint32_t chunks = (perDpu + chunk - 1) / chunk;
@@ -360,7 +362,9 @@ TEST(Determinism, ParallelLaunchMatchesSerialBitForBit)
 
     sim::PimSystem serial(numDpus);
     serial.setSimThreads(1); // the serial reference path
-    std::vector<float> serialOut = runDeterminismWorkload(serial, perDpu);
+    sim::LaunchReport serialLaunch;
+    std::vector<float> serialOut =
+        runDeterminismWorkload(serial, perDpu, serialLaunch);
 
     // A dedicated 4-lane pool guarantees genuinely threaded execution
     // even on single-core hosts / under TPL_SIM_THREADS=1.
@@ -368,14 +372,15 @@ TEST(Determinism, ParallelLaunchMatchesSerialBitForBit)
     sim::PimSystem parallel(numDpus);
     parallel.setSimThreads(4);
     parallel.setThreadPool(&fourLanes);
+    sim::LaunchReport parallelLaunch;
     std::vector<float> parallelOut =
-        runDeterminismWorkload(parallel, perDpu);
+        runDeterminismWorkload(parallel, perDpu, parallelLaunch);
 
     ASSERT_EQ(serialOut.size(), parallelOut.size());
     EXPECT_EQ(0, std::memcmp(serialOut.data(), parallelOut.data(),
                              serialOut.size() * sizeof(float)));
 
-    EXPECT_EQ(serial.lastMaxCycles(), parallel.lastMaxCycles());
+    EXPECT_EQ(serialLaunch.maxCycles, parallelLaunch.maxCycles);
     for (uint32_t d = 0; d < numDpus; ++d) {
         const sim::LaunchStats& a = serial.dpu(d).lastLaunch();
         const sim::LaunchStats& b = parallel.dpu(d).lastLaunch();
@@ -418,7 +423,9 @@ TEST(Determinism, ObservabilityDoesNotPerturbModeledStats)
     sim::PimSystem plain(numDpus);
     plain.setSimThreads(4);
     plain.setThreadPool(&fourLanes);
-    std::vector<float> plainOut = runDeterminismWorkload(plain, perDpu);
+    sim::LaunchReport plainLaunch;
+    std::vector<float> plainOut =
+        runDeterminismWorkload(plain, perDpu, plainLaunch);
 
     // Same workload with metrics AND tracing armed: instrumentation
     // is purely observational, so every modeled statistic — including
@@ -428,8 +435,9 @@ TEST(Determinism, ObservabilityDoesNotPerturbModeledStats)
     sim::PimSystem observed(numDpus);
     observed.setSimThreads(4);
     observed.setThreadPool(&fourLanes);
+    sim::LaunchReport observedLaunch;
     std::vector<float> observedOut =
-        runDeterminismWorkload(observed, perDpu);
+        runDeterminismWorkload(observed, perDpu, observedLaunch);
     EXPECT_GT(obs::Tracer::global().eventCount(), 0u);
     if (!trcWasEnabled)
         obs::Tracer::global().clear();
@@ -441,7 +449,7 @@ TEST(Determinism, ObservabilityDoesNotPerturbModeledStats)
     ASSERT_EQ(plainOut.size(), observedOut.size());
     EXPECT_EQ(0, std::memcmp(plainOut.data(), observedOut.data(),
                              plainOut.size() * sizeof(float)));
-    EXPECT_EQ(plain.lastMaxCycles(), observed.lastMaxCycles());
+    EXPECT_EQ(plainLaunch.maxCycles, observedLaunch.maxCycles);
     for (uint32_t d = 0; d < numDpus; ++d) {
         const sim::LaunchStats& a = plain.dpu(d).lastLaunch();
         const sim::LaunchStats& b = observed.dpu(d).lastLaunch();
@@ -553,8 +561,9 @@ TEST(Determinism, FaultPlanIsThreadCountIndependent)
     sim::PimSystem serial(numDpus);
     serial.setSimThreads(1);
     serial.armFaults(plan);
+    sim::LaunchReport serialLaunch;
     std::vector<float> serialOut =
-        runDeterminismWorkload(serial, perDpu);
+        runDeterminismWorkload(serial, perDpu, serialLaunch);
     std::vector<uint64_t> serialCounters = snapshotFaultCounters();
 
     obs::Registry::global().reset();
@@ -563,8 +572,9 @@ TEST(Determinism, FaultPlanIsThreadCountIndependent)
     parallel.setSimThreads(4);
     parallel.setThreadPool(&fourLanes);
     parallel.armFaults(plan);
+    sim::LaunchReport parallelLaunch;
     std::vector<float> parallelOut =
-        runDeterminismWorkload(parallel, perDpu);
+        runDeterminismWorkload(parallel, perDpu, parallelLaunch);
     std::vector<uint64_t> parallelCounters = snapshotFaultCounters();
 
     if (!regWasEnabled)
@@ -587,7 +597,7 @@ TEST(Determinism, FaultPlanIsThreadCountIndependent)
     ASSERT_EQ(serialOut.size(), parallelOut.size());
     EXPECT_EQ(0, std::memcmp(serialOut.data(), parallelOut.data(),
                              serialOut.size() * sizeof(float)));
-    EXPECT_EQ(serial.lastMaxCycles(), parallel.lastMaxCycles());
+    EXPECT_EQ(serialLaunch.maxCycles, parallelLaunch.maxCycles);
     for (uint32_t d = 0; d < numDpus; ++d) {
         const sim::LaunchStats& a = serial.dpu(d).lastLaunch();
         const sim::LaunchStats& b = parallel.dpu(d).lastLaunch();
@@ -608,8 +618,8 @@ TEST(Determinism, FaultPlanIsThreadCountIndependent)
     }
 
     // The launch report — degraded-mode bookkeeping — matches too.
-    const sim::LaunchReport& ra = serial.lastLaunchReport();
-    const sim::LaunchReport& rb = parallel.lastLaunchReport();
+    const sim::LaunchReport& ra = serialLaunch;
+    const sim::LaunchReport& rb = parallelLaunch;
     EXPECT_EQ(ra.attempted, rb.attempted);
     EXPECT_EQ(ra.masked, rb.masked);
     EXPECT_EQ(ra.failedDpus, rb.failedDpus);

@@ -30,9 +30,28 @@ TEST(CostModelSweep, FrequencyScalesTimeNotCycles)
 
     PimSystem sysSlow(1, slow);
     PimSystem sysFast(1, fast);
-    double tSlow = sysSlow.launchAll(16, computeKernel(10000));
-    double tFast = sysFast.launchAll(16, computeKernel(10000));
-    EXPECT_EQ(sysSlow.lastMaxCycles(), sysFast.lastMaxCycles());
+    uint64_t cSlow = sysSlow.launchAll(16, computeKernel(10000)).maxCycles;
+    uint64_t cFast = sysFast.launchAll(16, computeKernel(10000)).maxCycles;
+    EXPECT_EQ(cSlow, cFast);
+
+    // The simulator turns the same cycles into modeled seconds at each
+    // model's clock: the committed wave's event lasts twice as long on
+    // the slow system.
+    const ShardTask slices[] = {ShardTask{}};
+    const ShardKernelFactory factory = [](const ShardTask&) {
+        return computeKernel(10000);
+    };
+    auto waveSeconds = [&](PimSystem& sys) {
+        PipelineTimeline timeline(sys.numDpus(), sys.model());
+        LaunchHandle launch = sys.submitLaunch(slices, 16, factory);
+        return sys.commitLaunch(launch, timeline, 0.0).seconds();
+    };
+    double tSlow = waveSeconds(sysSlow);
+    double tFast = waveSeconds(sysFast);
+    EXPECT_NEAR(static_cast<double>(cSlow) / slow.frequencyHz, tSlow,
+                1e-12);
+    EXPECT_NEAR(static_cast<double>(cFast) / fast.frequencyHz, tFast,
+                1e-12);
     EXPECT_NEAR(2.0, tSlow / tFast, 1e-9);
 }
 

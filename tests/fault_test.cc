@@ -37,6 +37,7 @@ struct WorkloadResult
     std::vector<LaunchStats> stats; ///< per-DPU, post-launch
     std::vector<float> outputs;
     double seconds = 0.0; ///< scatter + launch + gather, modeled
+    LaunchReport launch;  ///< the kernel launch's report
 };
 
 constexpr uint32_t kChunk = 64;
@@ -61,7 +62,7 @@ runWorkload(PimSystem& sys, uint32_t perDpu = 512)
                                  testxfer::equalScatter(
                                      sys, inAddr, inputs.data(), bytes))
                     .seconds();
-    r.seconds += sys.launchAll(4, [&](TaskletContext& ctx) {
+    r.launch = sys.launchAll(4, [&](TaskletContext& ctx) {
         float buf[kChunk];
         uint32_t chunks = perDpu / kChunk;
         for (uint32_t c = ctx.taskletId(); c < chunks;
@@ -76,6 +77,8 @@ runWorkload(PimSystem& sys, uint32_t perDpu = 512)
                           kChunk * sizeof(float));
         }
     });
+    r.seconds += static_cast<double>(r.launch.maxCycles) /
+                 sys.model().frequencyHz;
     r.outputs.assign(perDpu * n, 0.0f);
     r.seconds += sys.gatherAsync(tl, 0, 0.0,
                                  testxfer::equalGather(
@@ -237,8 +240,8 @@ TEST(FaultZeroPerturbation, ArmedZeroProbabilityPlanIsBitIdentical)
     for (uint32_t i = 0; i < 4; ++i)
         expectStatsEqual(base.stats[i], faulted.stats[i],
                          "dpu " + std::to_string(i));
-    EXPECT_EQ(armed.lastLaunchReport().attempted, 4u);
-    EXPECT_TRUE(armed.lastLaunchReport().failedDpus.empty());
+    EXPECT_EQ(faulted.launch.attempted, 4u);
+    EXPECT_TRUE(faulted.launch.failedDpus.empty());
 }
 
 TEST(FaultZeroPerturbation, EmptyPlanIsBitIdentical)
@@ -284,8 +287,7 @@ TEST(FaultZeroPerturbation, ReplaySameSeedIsBitIdentical)
     for (uint32_t i = 0; i < 8; ++i)
         expectStatsEqual(ra.stats[i], rb.stats[i],
                          "dpu " + std::to_string(i));
-    EXPECT_EQ(a.lastLaunchReport().failedDpus,
-              b.lastLaunchReport().failedDpus);
+    EXPECT_EQ(ra.launch.failedDpus, rb.launch.failedDpus);
 }
 
 // ---------------------------------------------------------------------
@@ -449,7 +451,7 @@ TEST(FaultCore, HardFailMasksCoreAndReports)
 
     EXPECT_TRUE(r.stats[1].failed);
     EXPECT_EQ(r.stats[1].cycles, 0u);
-    const LaunchReport& rep = sys.lastLaunchReport();
+    const LaunchReport& rep = r.launch;
     ASSERT_EQ(rep.failedDpus.size(), 1u);
     EXPECT_EQ(rep.failedDpus[0], 1u);
     EXPECT_EQ(rep.attempted, 4u);
@@ -457,10 +459,11 @@ TEST(FaultCore, HardFailMasksCoreAndReports)
     EXPECT_EQ(sys.healthyDpus(), 3u);
 
     // Next launch skips the dead core.
-    sys.launchAll(2, [](TaskletContext& ctx) { ctx.charge(10); });
-    EXPECT_EQ(sys.lastLaunchReport().masked, 1u);
-    EXPECT_EQ(sys.lastLaunchReport().attempted, 3u);
-    EXPECT_TRUE(sys.lastLaunchReport().failedDpus.empty());
+    const LaunchReport next =
+        sys.launchAll(2, [](TaskletContext& ctx) { ctx.charge(10); });
+    EXPECT_EQ(next.masked, 1u);
+    EXPECT_EQ(next.attempted, 3u);
+    EXPECT_TRUE(next.failedDpus.empty());
 }
 
 TEST(FaultCore, StragglerMultipliesCycles)
@@ -504,9 +507,7 @@ TEST(FaultCore, LaunchTimeoutFencesStraggler)
     RetryPolicy policy;
     policy.launchTimeoutCycles = healthyCycles * 2;
     sys.setRetryPolicy(policy);
-    runWorkload(sys);
-
-    const LaunchReport& rep = sys.lastLaunchReport();
+    const LaunchReport rep = runWorkload(sys).launch;
     ASSERT_EQ(rep.failedDpus.size(), 1u);
     EXPECT_EQ(rep.failedDpus[0], 0u);
     EXPECT_TRUE(sys.isMasked(0));

@@ -327,7 +327,7 @@ TEST(PimSystem, LaunchAllRunsEveryDpuAndTakesMax)
         uint32_t work = (i + 1) * 1000;
         sys.dpu(i).hostWriteMram(0, &work, 4);
     }
-    double secs = sys.launchAll(1, [](TaskletContext& ctx) {
+    LaunchReport rep = sys.launchAll(1, [](TaskletContext& ctx) {
         uint32_t work = 0;
         ctx.core().hostReadMram(0, &work, 4);
         ctx.charge(work);
@@ -335,9 +335,8 @@ TEST(PimSystem, LaunchAllRunsEveryDpuAndTakesMax)
     // Max work = 3000 instr, 1 tasklet -> 33000 cycles at 350 MHz.
     uint64_t expectCycles =
         3000ull * sys.model().pipelineInterval;
-    EXPECT_EQ(expectCycles, sys.lastMaxCycles());
-    EXPECT_NEAR(static_cast<double>(expectCycles) / sys.model().frequencyHz,
-                secs, 1e-12);
+    EXPECT_EQ(expectCycles, rep.maxCycles);
+    EXPECT_EQ(3u, rep.attempted);
 }
 
 TEST(DpuEnergy, InstructionAndDmaComponents)

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "pimsim/cost_model.h"
 #include "workloads/activations.h"
 #include "workloads/blackscholes.h"
 #include "workloads/logistic.h"
@@ -191,6 +192,28 @@ TEST(Softmax, StableMatchesNaiveOnModestInputs)
     EXPECT_LT(naive.maxAbsError, 20 * scale);
     // The stability pass costs an extra streaming pass.
     EXPECT_GT(stable.pimKernelSeconds, naive.pimKernelSeconds);
+}
+
+TEST(Softmax, StableListsTheMaxRoundTrip)
+{
+    // The stable form reads every tasklet's maximum back from every
+    // DPU and broadcasts the global max to every DPU: its transfers
+    // exceed the naive form's by exactly those bytes' modeled seconds.
+    WorkloadConfig cfg = smallConfig();
+    cfg.stableSoftmax = true;
+    auto stable = runSoftmax(Variant::PimLLut, cfg);
+    cfg.stableSoftmax = false;
+    auto naive = runSoftmax(Variant::PimLLut, cfg);
+    const sim::CostModel model;
+    const uint32_t ranks = model.ranksEngaged(cfg.systemDpus);
+    const uint64_t maxBytes = uint64_t{cfg.systemDpus} * sizeof(float);
+    EXPECT_EQ(stable.hostToPimSeconds,
+              naive.hostToPimSeconds +
+                  model.parallelTransferSeconds(maxBytes, ranks));
+    EXPECT_EQ(stable.pimToHostSeconds,
+              naive.pimToHostSeconds +
+                  model.parallelTransferSeconds(maxBytes * cfg.tasklets,
+                                                ranks));
 }
 
 TEST(Softmax, AllVariantsRun)

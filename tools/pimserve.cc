@@ -9,19 +9,11 @@
  *   pimserve --trace requests.trace          # replay it
  *   pimserve --trace requests.trace --json - # machine-readable
  *
- * A trace is one request per line:
- *
- *   request function=sin method=llut elements=32768
- *   request function=exp method=llut elements=16384 log2-entries=12
- *   request function=sin method=cordic elements=4096 tenant=2
- *
- * Recognized request keys: function, method, elements, log2-entries,
- * interpolated (0|1), iterations, placement (wram|mram), tenant.
- * Blank lines and '#' comments are skipped (grammar:
- * transpim/trace.h, shared with pimtune). Requests with the same
- * configuration coalesce into shared waves and hit the table cache
- * after the first broadcast; requests from different tenants never
- * share a wave.
+ * A trace is one request per line, in the grammar of
+ * transpim/trace.h (shared with pimtune), and is served through
+ * transpim::replayTrace. Requests with the same configuration
+ * coalesce into shared waves and hit the table cache after the first
+ * broadcast; requests from different tenants never share a wave.
  *
  * Options:
  *   --trace PATH           request trace to replay
@@ -82,20 +74,15 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <map>
-#include <new>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pimsim/cli.h"
 #include "pimsim/obs/journal.h"
 #include "pimsim/obs/metrics.h"
-#include "pimsim/serve/pipeline.h"
 #include "pimsim/topology.h"
-#include "transpim/auto_tuner.h"
-#include "transpim/harness.h"
-#include "transpim/serve_glue.h"
 #include "transpim/trace.h"
 
 namespace {
@@ -171,13 +158,13 @@ demoReplayTrace(uint32_t requests)
     return trace;
 }
 
+/** The JSON summary; the tuner section only when @p tuned. */
 void
-writeJson(std::ostream& out, const sim::serve::ServeReport& rep,
+writeJson(std::ostream& out, const ReplayReport& replay,
           const obs::LatencySummary& lat, const obs::SloTracker* slo,
-          const sim::Topology* topo,
-          const std::vector<StreamReport>* tunerStreams,
-          const std::vector<sim::serve::TuneDecision>* tunerDecisions)
+          const sim::Topology* topo, bool tuned)
 {
+    const sim::serve::ServeReport& rep = replay.report;
     out << "{\n"
         << "  \"requests\": " << rep.requests << ",\n"
         << "  \"elements\": " << rep.elements << ",\n"
@@ -257,16 +244,15 @@ writeJson(std::ostream& out, const sim::serve::ServeReport& rep,
             << ",\n    \"met\": " << (total.met ? "true" : "false")
             << "\n  }";
     }
-    if (tunerStreams) {
+    if (tuned) {
         uint64_t switches = 0;
-        for (const StreamReport& s : *tunerStreams)
+        for (const StreamReport& s : replay.streams)
             switches += s.switches;
         out << ",\n  \"tuner\": {\n    \"route_switches\": "
             << switches << ",\n    \"decisions\": "
-            << (tunerDecisions ? tunerDecisions->size() : 0)
-            << ",\n    \"streams\": [";
+            << replay.decisions.size() << ",\n    \"streams\": [";
         bool first = true;
-        for (const StreamReport& s : *tunerStreams) {
+        for (const StreamReport& s : replay.streams) {
             out << (first ? "" : ",") << "\n      {\"tenant\": "
                 << s.tenant << ", \"requested\": \"" << s.requested
                 << "\", \"chosen\": \"" << s.chosen
@@ -301,16 +287,11 @@ main(int argc, char** argv)
     std::string sloText;
     bool demoTrace = false;
     bool autoTune = false;
-    std::optional<sim::Topology> topology;
     uint32_t demoRequests = 0;
-    uint32_t dpus = 64;
-    uint32_t tasklets = 16;
-    uint32_t perDpuElements = 512;
-    uint32_t chunk = 32;
     uint32_t explore = 2048;
     uint32_t seed = 0x7ea9c0de;
-    std::optional<sim::serve::TenantSla> defaultSla;
-    std::map<uint64_t, sim::serve::TenantSla> tenantSlas;
+    ReplayOptions ropts;
+    AutoTunerOptions topts;
 
     cli::Flags flags("pimserve", argc, argv, usage);
     while (flags.next()) {
@@ -323,18 +304,18 @@ main(int argc, char** argv)
             flags.u32(demoRequests);
         } else if (arg == "--topology") {
             std::string spec = flags.value();
-            topology = sim::Topology::parse(spec);
-            if (!topology)
+            ropts.topology = sim::Topology::parse(spec);
+            if (!ropts.topology)
                 flags.fail("bad --topology '" + spec +
                            "' (want DIMMSxRANKSxDPUS, e.g. 20x2x64)");
         } else if (arg == "--dpus") {
-            flags.u32(dpus);
+            flags.u32(ropts.dpus);
         } else if (arg == "--tasklets") {
-            flags.parse(tasklets, cli::parseTasklets);
+            flags.parse(ropts.tasklets, cli::parseTasklets);
         } else if (arg == "--per-dpu-elements") {
-            flags.parse(perDpuElements, parsePerDpuElements);
+            flags.parse(ropts.perDpuElements, parsePerDpuElements);
         } else if (arg == "--chunk") {
-            flags.parse(chunk, parseChunk);
+            flags.parse(ropts.chunk, parseChunk);
         } else if (arg == "--plan") {
             planPath = flags.value();
         } else if (arg == "--seed") {
@@ -354,9 +335,9 @@ main(int argc, char** argv)
             flags.parse(parsed, parseTenantSlaArg);
             autoTune = true;
             if (parsed.tenant)
-                tenantSlas[*parsed.tenant] = parsed.sla;
+                ropts.tenantSlas[*parsed.tenant] = parsed.sla;
             else
-                defaultSla = parsed.sla;
+                topts.defaultSla = parsed.sla;
         } else if (arg == "--explore") {
             flags.u32(explore);
         } else {
@@ -369,7 +350,7 @@ main(int argc, char** argv)
     // synthetic in-memory trace instead.
     bool replayDemo =
         demoTrace && tracePath.empty() &&
-        (topology || demoRequests > 0 || autoTune ||
+        (ropts.topology || demoRequests > 0 || autoTune ||
          !jsonPath.empty() || !journalPath.empty() ||
          !metricsPath.empty() || !sloText.empty() ||
          !planPath.empty());
@@ -377,9 +358,9 @@ main(int argc, char** argv)
         std::cout << kDemoTrace;
         return 0;
     }
-    if (topology)
-        dpus = topology->numDpus();
-    if ((tracePath.empty() && !replayDemo) || dpus == 0) {
+    if (ropts.topology)
+        ropts.dpus = ropts.topology->numDpus();
+    if ((tracePath.empty() && !replayDemo) || ropts.dpus == 0) {
         usage();
         return 2;
     }
@@ -396,10 +377,9 @@ main(int argc, char** argv)
         }
     }
 
-    std::optional<sim::fault::FaultPlan> plan;
     if (!planPath.empty()) {
         std::string error;
-        if (!readPlanFile(planPath, plan.emplace(), error)) {
+        if (!readPlanFile(planPath, ropts.plan.emplace(), error)) {
             std::cerr << "pimserve: " << error << "\n";
             return 2;
         }
@@ -421,6 +401,7 @@ main(int argc, char** argv)
     std::vector<float> inputs = traceInputs(trace, seed);
     std::vector<float> outputs(inputs.size(), 0.0f);
     const uint64_t total = inputs.size();
+    const size_t requests = trace.size();
 
     // One run of the whole trace on a fresh system.
     obs::Journal journal;
@@ -428,54 +409,18 @@ main(int argc, char** argv)
     // is only worth its memory when it will be written somewhere.
     if (journalPath.empty())
         journal.setEventsEnabled(false);
-    sim::PimSystem sys(dpus);
-    if (plan)
-        sys.armFaults(*plan);
-    EvaluatorCatalog catalog;
-    catalog.setChunkElements(chunk);
-
-    sim::serve::BatchQueue queue;
-    queue.setJournal(&journal);
-    enqueueTrace(trace, catalog, inputs.data(), outputs.data(), queue);
-    queue.close();
-    // The queue holds every request now: free the trace.
-    const size_t requests = trace.size();
-    std::vector<TraceRequest>().swap(trace);
-
-    std::optional<OnlineAutoTuner> tuner;
+    ropts.journal = &journal;
     if (autoTune) {
-        AutoTunerOptions topts;
         topts.exploreElements = explore;
-        if (defaultSla)
-            topts.defaultSla = *defaultSla;
-        tuner.emplace(catalog, topts);
-        for (const auto& [tenant, sla] : tenantSlas)
-            tuner->setTenantSla(tenant, sla);
+        ropts.tuner = topts;
     }
-
-    sim::serve::PipelineOptions popts;
-    popts.numTasklets = tasklets;
-    popts.perDpuElements = perDpuElements;
-    popts.journal = &journal;
-    if (tuner)
-        popts.autoTuner = &*tuner;
-    if (topology)
-        popts.topology = &*topology;
-    sim::serve::ServePipeline pipeline(sys, catalog.provider(), popts);
-    sim::serve::ServeReport rep;
-    try {
-        rep = pipeline.run(queue);
-    } catch (const std::bad_alloc&) {
-        std::cerr << "pimserve: --per-dpu-elements " << perDpuElements
-                  << ": the per-DPU wave buffers do not fit in MRAM\n";
+    ReplayReport replay =
+        replayTrace(std::move(trace), inputs, outputs, ropts);
+    if (!replay.error.empty()) {
+        std::cerr << "pimserve: " << replay.error << "\n";
         return 2;
     }
-    std::vector<StreamReport> tunerStreams;
-    std::vector<sim::serve::TuneDecision> tunerDecisions;
-    if (tuner) {
-        tunerStreams = tuner->streamReports();
-        tunerDecisions = tuner->decisions();
-    }
+    const sim::serve::ServeReport& rep = replay.report;
 
     obs::LatencySummary latency =
         journal.summarize(rep.modeledSeconds);
@@ -490,11 +435,11 @@ main(int argc, char** argv)
     std::cout << "== pimserve: " << requests << " request"
               << (requests == 1 ? "" : "s") << ", " << total
               << " elements over ";
-    if (topology)
-        std::cout << topology->toText() << " fleet (" << dpus
-                  << " DPUs)";
+    if (ropts.topology)
+        std::cout << ropts.topology->toText() << " fleet ("
+                  << ropts.dpus << " DPUs)";
     else
-        std::cout << dpus << " DPUs";
+        std::cout << ropts.dpus << " DPUs";
     std::cout << " (double-buffered schedule)\n\n";
 
     std::cout << "-- pipeline\n";
@@ -504,14 +449,14 @@ main(int argc, char** argv)
                 static_cast<unsigned long long>(rep.cacheHits),
                 static_cast<unsigned long long>(rep.cacheMisses));
     std::printf("   failed DPUs         %10zu of %u\n",
-                rep.failedDpus.size(), dpus);
+                rep.failedDpus.size(), ropts.dpus);
     std::printf("   resharded elements  %10llu\n",
                 static_cast<unsigned long long>(
                     rep.reshardedElements));
     std::printf("   dropped elements    %10llu\n",
                 static_cast<unsigned long long>(rep.droppedElements));
 
-    if (topology && !rep.rankStats.empty()) {
+    if (ropts.topology && !rep.rankStats.empty()) {
         double minSpan = rep.rankStats.front().makespanSeconds;
         double maxSpan = minSpan;
         double sumSpan = 0.0;
@@ -524,7 +469,7 @@ main(int argc, char** argv)
             broadcasts += r.broadcasts;
             resident += r.residentTables;
         }
-        std::cout << "\n-- fleet " << topology->toText() << "\n";
+        std::cout << "\n-- fleet " << ropts.topology->toText() << "\n";
         std::printf("   ranks               %10zu\n",
                     rep.rankStats.size());
         std::printf("   rank makespan       %13.6f s min, %.6f s"
@@ -595,13 +540,13 @@ main(int argc, char** argv)
 
     if (autoTune) {
         uint64_t switches = 0;
-        for (const StreamReport& s : tunerStreams)
+        for (const StreamReport& s : replay.streams)
             switches += s.switches;
-        std::cout << "\n-- tuner (" << tunerStreams.size()
-                  << " stream" << (tunerStreams.size() == 1 ? "" : "s")
+        std::cout << "\n-- tuner (" << replay.streams.size()
+                  << " stream" << (replay.streams.size() == 1 ? "" : "s")
                   << ", " << switches << " wave route switch"
                   << (switches == 1 ? "" : "es") << ")\n";
-        for (const StreamReport& s : tunerStreams)
+        for (const StreamReport& s : replay.streams)
             std::printf("   tenant %-4llu %-34s -> %-34s %s"
                         " %9.1f cyc/el  rmse %.3e%s\n",
                         static_cast<unsigned long long>(s.tenant),
@@ -612,7 +557,7 @@ main(int argc, char** argv)
                             : "untunable",
                         s.cyclesPerElement, s.rmse,
                         s.slaViolated ? "  SLA VIOLATED" : "");
-        for (const sim::serve::TuneDecision& d : tunerDecisions)
+        for (const sim::serve::TuneDecision& d : replay.decisions)
             std::printf("   #%-3llu tenant %-4llu %-10s %s -> %s\n",
                         static_cast<unsigned long long>(d.sequence),
                         static_cast<unsigned long long>(d.tenant),
@@ -623,14 +568,10 @@ main(int argc, char** argv)
     if (!jsonPath.empty()) {
         const obs::SloTracker* sloPtr = slo ? &*slo : nullptr;
         const sim::Topology* topoPtr =
-            topology ? &*topology : nullptr;
-        const std::vector<StreamReport>* streamsPtr =
-            autoTune ? &tunerStreams : nullptr;
-        const std::vector<sim::serve::TuneDecision>* decPtr =
-            autoTune ? &tunerDecisions : nullptr;
+            ropts.topology ? &*ropts.topology : nullptr;
         if (jsonPath == "-") {
-            writeJson(std::cout, rep, latency, sloPtr, topoPtr,
-                      streamsPtr, decPtr);
+            writeJson(std::cout, replay, latency, sloPtr, topoPtr,
+                      autoTune);
         } else {
             std::ofstream jsonOut(jsonPath);
             if (!jsonOut) {
@@ -638,8 +579,8 @@ main(int argc, char** argv)
                           << "'\n";
                 return 2;
             }
-            writeJson(jsonOut, rep, latency, sloPtr, topoPtr,
-                      streamsPtr, decPtr);
+            writeJson(jsonOut, replay, latency, sloPtr, topoPtr,
+                      autoTune);
             std::cout << "\nwrote " << jsonPath << "\n";
         }
     }
@@ -666,7 +607,7 @@ main(int argc, char** argv)
         return 1;
     if (slo && !slo->total().met)
         return 1;
-    for (const StreamReport& s : tunerStreams)
+    for (const StreamReport& s : replay.streams)
         if (s.slaViolated)
             return 1;
     return 0;

@@ -52,16 +52,18 @@
  *   --seed N             input-generation seed
  *   --json PATH          machine-readable summary ('-' for stdout)
  *
+ * Each replay serves the trace through transpim::replayTrace, the
+ * serve sequence pimserve runs.
+ *
  * Exit status: 0 when all three replays completed and every
  * SLA-constrained tenant's online ground-truth error meets its
- * accuracy clauses, 1 otherwise, 2 on usage/parse errors.
+ * accuracy clauses, 1 otherwise, 2 on usage/parse errors, or when
+ * the per-DPU buffers of --per-dpu-elements do not fit in MRAM.
  */
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -70,11 +72,8 @@
 #include <string>
 #include <vector>
 
-#include "common/error_metrics.h"
 #include "pimsim/cli.h"
 #include "pimsim/obs/metrics.h"
-#include "pimsim/serve/pipeline.h"
-#include "transpim/auto_tuner.h"
 #include "transpim/reference.h"
 #include "transpim/serve_glue.h"
 #include "transpim/trace.h"
@@ -131,54 +130,32 @@ demoTrace(uint32_t requests)
     return trace;
 }
 
-/** Ground-truth accuracy of one replay, per tenant, measured
- * host-side over every output element. */
-struct TenantError
-{
-    double sumSq = 0.0;
-    uint64_t samples = 0;
-    double maxUlp = 0.0;
-
-    double
-    rmse() const
-    {
-        return samples ? std::sqrt(sumSq / samples) : 0.0;
-    }
-};
-
 /** One replay's outcome. */
-struct ReplayResult
+struct ModeResult
 {
-    sim::serve::ServeReport report;
+    ReplayReport replay;
     uint64_t totalCycles = 0; ///< sum of per-wave summed DPU cycles
-    std::map<uint64_t, TenantError> tenantError;
-    std::vector<sim::serve::TuneDecision> decisions;
-    std::vector<StreamReport> streams;
+    /** Ground-truth accuracy per tenant, measured host-side over
+     * every output element. */
+    std::map<uint64_t, TunerError> tenantError;
 };
 
-std::map<uint64_t, TenantError>
+std::map<uint64_t, TunerError>
 measureError(const std::vector<TraceRequest>& trace,
              const std::vector<float>& inputs,
              const std::vector<float>& outputs)
 {
-    std::map<uint64_t, TenantError> result;
+    std::map<uint64_t, TunerError> result;
     uint64_t off = 0;
     for (const TraceRequest& r : trace) {
         bool relative = resolveMetric(r.function) ==
                         ErrorMetric::Relative;
-        TenantError& te = result[r.tenant];
-        for (uint32_t i = 0; i < r.elements; ++i) {
-            double ref = referenceValue(
-                r.function, static_cast<double>(inputs[off + i]));
-            double err = static_cast<double>(outputs[off + i]) - ref;
-            if (relative)
-                err /= std::max(1.0, std::fabs(ref));
-            te.sumSq += err * err;
-            ++te.samples;
-            te.maxUlp = std::max(
-                te.maxUlp, ulpDistance(outputs[off + i],
-                                       static_cast<float>(ref)));
-        }
+        TunerError& te = result[r.tenant];
+        for (uint32_t i = 0; i < r.elements; ++i)
+            te.add(outputs[off + i],
+                   referenceValue(r.function,
+                                  static_cast<double>(inputs[off + i])),
+                   relative);
         off += r.elements;
     }
     return result;
@@ -193,17 +170,11 @@ main(int argc, char** argv)
     std::string jsonPath;
     uint32_t demoRequests = 0;
     bool demo = false;
-    uint32_t dpus = 64;
-    uint32_t tasklets = 16;
-    uint32_t perDpuElements = 512;
-    uint32_t chunk = 32;
     uint32_t explore = 512;
-    uint32_t candidates = 3;
-    uint64_t mramBudget = 0;
     uint32_t seed = 0x7ea9c0de;
-    std::map<uint64_t, sim::serve::TenantSla> slas;
-    std::optional<sim::serve::TenantSla> defaultSla;
     bool anySlaArg = false;
+    ReplayOptions ropts;
+    AutoTunerOptions topts;
 
     cli::Flags flags("pimtune", argc, argv, usage);
     while (flags.next()) {
@@ -218,23 +189,23 @@ main(int argc, char** argv)
             flags.parse(parsed, parseTenantSlaArg);
             anySlaArg = true;
             if (parsed.tenant)
-                slas[*parsed.tenant] = parsed.sla;
+                ropts.tenantSlas[*parsed.tenant] = parsed.sla;
             else
-                defaultSla = parsed.sla;
+                topts.defaultSla = parsed.sla;
         } else if (arg == "--dpus") {
-            flags.u32(dpus);
+            flags.u32(ropts.dpus);
         } else if (arg == "--tasklets") {
-            flags.parse(tasklets, cli::parseTasklets);
+            flags.parse(ropts.tasklets, cli::parseTasklets);
         } else if (arg == "--per-dpu-elements") {
-            flags.parse(perDpuElements, parsePerDpuElements);
+            flags.parse(ropts.perDpuElements, parsePerDpuElements);
         } else if (arg == "--chunk") {
-            flags.parse(chunk, parseChunk);
+            flags.parse(ropts.chunk, parseChunk);
         } else if (arg == "--explore") {
             flags.u32(explore);
         } else if (arg == "--candidates") {
-            flags.u32(candidates);
+            flags.u32(topts.maxCandidates);
         } else if (arg == "--mram-budget") {
-            flags.u64(mramBudget);
+            flags.u64(topts.mramBudgetBytes);
         } else if (arg == "--seed") {
             flags.u32(seed);
         } else if (arg == "--json") {
@@ -245,7 +216,7 @@ main(int argc, char** argv)
     }
 
     if (tracePath.empty() == !demo || (demo && demoRequests == 0) ||
-        dpus == 0 || candidates == 0) {
+        ropts.dpus == 0 || topts.maxCandidates == 0) {
         usage();
         return 2;
     }
@@ -256,10 +227,10 @@ main(int argc, char** argv)
         if (!anySlaArg) {
             sim::serve::TenantSla sla;
             sim::serve::TenantSla::parse("rmse<8e-8", sla);
-            slas[1] = sla;
+            ropts.tenantSlas[1] = sla;
             sim::serve::TenantSla::parse("rmse<1e-3", sla);
-            slas[2] = sla;
-            slas[3] = sla;
+            ropts.tenantSlas[2] = sla;
+            ropts.tenantSlas[3] = sla;
         }
     } else {
         std::string error;
@@ -269,13 +240,10 @@ main(int argc, char** argv)
         }
     }
 
-    auto slaFor = [&](uint64_t tenant) -> sim::serve::TenantSla {
-        auto it = slas.find(tenant);
-        if (it != slas.end())
-            return it->second;
-        if (defaultSla)
-            return *defaultSla;
-        return {};
+    auto slaFor = [&](uint64_t tenant) {
+        auto it = ropts.tenantSlas.find(tenant);
+        return it != ropts.tenantSlas.end() ? it->second
+                                            : topts.defaultSla;
     };
 
     obs::Registry::global().setEnabled(true);
@@ -346,76 +314,36 @@ main(int argc, char** argv)
             r.spec = it->second;
     }
 
-    enum class Mode
-    {
-        AsRequested,
-        StaticBest,
-        Online,
-    };
-
-    ReplayResult results[3];
-    for (Mode mode :
-         {Mode::AsRequested, Mode::StaticBest, Mode::Online}) {
+    // As requested, static-best, online.
+    ModeResult results[3];
+    for (int mode = 0; mode < 3; ++mode) {
         std::fill(outputs.begin(), outputs.end(), 0.0f);
-        sim::PimSystem sys(dpus);
-        EvaluatorCatalog catalog;
-        catalog.setChunkElements(chunk);
-
-        std::optional<OnlineAutoTuner> tuner;
-        if (mode == Mode::Online) {
-            AutoTunerOptions topts;
+        if (mode == 2) {
             topts.exploreElements = explore;
-            topts.maxCandidates = candidates;
-            topts.mramBudgetBytes = mramBudget;
-            if (defaultSla)
-                topts.defaultSla = *defaultSla;
-            tuner.emplace(catalog, topts);
-            for (const auto& [tenant, sla] : slas)
-                tuner->setTenantSla(tenant, sla);
+            ropts.tuner = topts;
         }
-
-        sim::serve::BatchQueue queue;
-        enqueueTrace(mode == Mode::StaticBest ? staticTrace : trace,
-                     catalog, inputs.data(), outputs.data(), queue);
-        queue.close();
-
-        sim::serve::PipelineOptions popts;
-        popts.numTasklets = tasklets;
-        popts.perDpuElements = perDpuElements;
-        if (tuner)
-            popts.autoTuner = &*tuner;
-        sim::serve::ServePipeline pipeline(sys, catalog.provider(),
-                                           popts);
-        ReplayResult& rr = results[static_cast<int>(mode)];
-        rr.report = pipeline.run(queue);
-        for (const sim::serve::WaveStats& w : rr.report.waveStats)
+        ModeResult& rr = results[mode];
+        rr.replay = replayTrace(mode == 1 ? staticTrace : trace, inputs,
+                                outputs, ropts);
+        if (!rr.replay.error.empty()) {
+            std::cerr << "pimtune: " << rr.replay.error << "\n";
+            return 2;
+        }
+        for (const sim::serve::WaveStats& w : rr.replay.report.waveStats)
             rr.totalCycles += w.totalCycles;
         rr.tenantError = measureError(trace, inputs, outputs);
-        if (tuner) {
-            rr.decisions = tuner->decisions();
-            rr.streams = tuner->streamReports();
-        }
     }
 
-    const ReplayResult& asReq = results[0];
-    const ReplayResult& staticBest = results[1];
-    const ReplayResult& online = results[2];
+    const ModeResult& asReq = results[0];
+    const ModeResult& staticBest = results[1];
+    const ModeResult& online = results[2];
 
-    // Online ground truth against each tenant's accuracy clauses.
-    bool slaMet = true;
-    for (const auto& [tenant, te] : online.tenantError) {
-        sim::serve::TenantSla sla = slaFor(tenant);
-        if (sla.maxRmse > 0.0 && te.rmse() > sla.maxRmse)
-            slaMet = false;
-        if (sla.maxUlp > 0.0 && te.maxUlp > sla.maxUlp)
-            slaMet = false;
-    }
-    bool complete = asReq.report.complete &&
-                    staticBest.report.complete &&
-                    online.report.complete;
+    bool complete = asReq.replay.report.complete &&
+                    staticBest.replay.report.complete &&
+                    online.replay.report.complete;
 
     uint64_t switches = 0;
-    for (const StreamReport& s : online.streams)
+    for (const StreamReport& s : online.replay.streams)
         switches += s.switches;
 
     std::cout << "== pimtune: " << trace.size() << " request"
@@ -423,17 +351,18 @@ main(int argc, char** argv)
               << " elements, " << online.tenantError.size()
               << " tenant"
               << (online.tenantError.size() == 1 ? "" : "s")
-              << " over " << dpus << " DPUs\n\n";
+              << " over " << ropts.dpus << " DPUs\n\n";
 
     std::cout << "-- replays (modeled DPU cycles, summed over"
                  " participating cores)\n";
-    auto replayLine = [&](const char* name, const ReplayResult& rr) {
+    auto replayLine = [&](const char* name, const ModeResult& rr) {
         std::printf("   %-14s %14llu cycles  %12.6f s makespan"
                     "  %s\n",
                     name,
                     static_cast<unsigned long long>(rr.totalCycles),
-                    rr.report.modeledSeconds,
-                    rr.report.complete ? "complete" : "INCOMPLETE");
+                    rr.replay.report.modeledSeconds,
+                    rr.replay.report.complete ? "complete"
+                                              : "INCOMPLETE");
     };
     replayLine("as-requested", asReq);
     replayLine("static-best", staticBest);
@@ -451,6 +380,8 @@ main(int argc, char** argv)
                     retunedConfigs == 1 ? "" : "s");
     }
 
+    // Online ground truth against each tenant's accuracy clauses.
+    bool slaMet = true;
     std::cout << "\n-- tenants (ground-truth error over full output"
                  " buffers)\n";
     for (const auto& [tenant, te] : online.tenantError) {
@@ -461,11 +392,8 @@ main(int argc, char** argv)
         double reqRmse = reqIt != asReq.tenantError.end()
                              ? reqIt->second.rmse()
                              : 0.0;
-        bool met = true;
-        if (sla.maxRmse > 0.0 && te.rmse() > sla.maxRmse)
-            met = false;
-        if (sla.maxUlp > 0.0 && te.maxUlp > sla.maxUlp)
-            met = false;
+        bool met = te.within(sla.maxRmse, sla.maxUlp);
+        slaMet = slaMet && met;
         std::printf("   tenant %-4llu sla %-24s rmse %.3e ->"
                     " %.3e online (max %.0f ulp) %s\n",
                     static_cast<unsigned long long>(tenant),
@@ -474,9 +402,9 @@ main(int argc, char** argv)
                                       : "untuned");
     }
 
-    if (!online.streams.empty()) {
+    if (!online.replay.streams.empty()) {
         std::cout << "\n-- streams (online)\n";
-        for (const StreamReport& s : online.streams) {
+        for (const StreamReport& s : online.replay.streams) {
             std::printf("   tenant %-4llu %-34s -> %-34s %s"
                         " %9.1f cyc/el  rmse %.3e\n",
                         static_cast<unsigned long long>(s.tenant),
@@ -489,11 +417,12 @@ main(int argc, char** argv)
         }
     }
 
-    if (!online.decisions.empty()) {
+    if (!online.replay.decisions.empty()) {
         std::cout << "\n-- decisions (online, " << switches
                   << " wave route switch"
                   << (switches == 1 ? "" : "es") << ")\n";
-        for (const sim::serve::TuneDecision& d : online.decisions)
+        for (const sim::serve::TuneDecision& d :
+             online.replay.decisions)
             std::printf("   #%-3llu tenant %-4llu %-10s %s -> %s\n",
                         static_cast<unsigned long long>(d.sequence),
                         static_cast<unsigned long long>(d.tenant),
@@ -508,23 +437,21 @@ main(int argc, char** argv)
             std::snprintf(buf, sizeof(buf), "%.9e", v);
             return buf;
         };
-        auto replayJson = [&](const char* name,
-                              const ReplayResult& rr) {
+        auto replayJson = [&](const char* name, const ModeResult& rr) {
+            const sim::serve::ServeReport& rep = rr.replay.report;
             json << "  \"" << name << "\": {\n"
                  << "    \"total_cycles\": " << rr.totalCycles
-                 << ",\n    \"compute_cycles\": "
-                 << rr.report.computeCycles
-                 << ",\n    \"waves\": " << rr.report.waves
+                 << ",\n    \"compute_cycles\": " << rep.computeCycles
+                 << ",\n    \"waves\": " << rep.waves
                  << ",\n    \"modeled_seconds\": "
-                 << secs(rr.report.modeledSeconds)
-                 << ",\n    \"complete\": "
-                 << (rr.report.complete ? "true" : "false")
+                 << secs(rep.modeledSeconds) << ",\n    \"complete\": "
+                 << (rep.complete ? "true" : "false")
                  << "\n  }";
         };
         json << "{\n  \"requests\": " << trace.size()
              << ",\n  \"elements\": " << total
              << ",\n  \"tenants\": " << online.tenantError.size()
-             << ",\n  \"dpus\": " << dpus << ",\n";
+             << ",\n  \"dpus\": " << ropts.dpus << ",\n";
         replayJson("as_requested", asReq);
         json << ",\n";
         replayJson("static_best", staticBest);
@@ -539,7 +466,7 @@ main(int argc, char** argv)
         json << ",\n  \"static_retuned_configs\": " << retunedConfigs
              << ",\n  \"online_switches\": " << switches
              << ",\n  \"online_decisions\": "
-             << online.decisions.size()
+             << online.replay.decisions.size()
              << ",\n  \"cycles_saved_vs_static\": "
              << (static_cast<long long>(staticBest.totalCycles) -
                  static_cast<long long>(online.totalCycles))
