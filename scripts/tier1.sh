@@ -63,8 +63,11 @@ fi
 # lanes (BatchFastLane.PolyBlockLane*), the staged bodies' block shapes
 # and MRAM routing (BatchEdgeCases.*) and the hostile table specs
 # that once overflowed a table image, aborted pimserve or shifted an
-# int32 by 32 (BatchHostileSpec.*), each slice named again below so the
-# leg fails loudly if it ever goes missing.
+# int32 by 32 (BatchHostileSpec.*), and the mini-ISA's one opcode
+# step, whose shifts and 64-bit products the interpreter
+# (Interpreter.*), the interleaving explorer (Interleave.*) and
+# constant folding (OpcodeTable.*) all run, each slice named again
+# below so the leg fails loudly if it ever goes missing.
 if [ "${TPL_TIER1_ASAN:-0}" = "1" ]; then
     ASAN_DIR="${BUILD_DIR}-asan"
     cmake -B "$ASAN_DIR" -S "$SRC_DIR" \
@@ -82,7 +85,8 @@ if [ "${TPL_TIER1_ASAN:-0}" = "1" ]; then
         'BatchEdgeCases.MramCordicKeepsPerElementDmaOrder' \
         'BatchHostileSpec.TableBeyondAddressSpaceDrops' \
         'BatchHostileSpec.EmptyTableSpecDrops' \
-        'BatchHostileSpec.WideFixedCordicScheduleServes'; do
+        'BatchHostileSpec.WideFixedCordicScheduleServes' \
+        'OpcodeTable\.' 'Interleave\.' 'Interpreter\.'; do
         ctest --test-dir "$ASAN_DIR" --output-on-failure \
             --no-tests=error -R "$tests"
     done
@@ -208,7 +212,8 @@ fi
 # in both replay tools, a bad method as a flag and as a trace key, and
 # an out-of-range --tasklets in all five tools that take it, and a
 # --per-dpu-elements of 0 and one whose wave buffers overflow MRAM in
-# both replay tools.
+# both replay tools (and in pimserve's --demo-trace replay, which
+# refuses --trace).
 if [ "${TPL_TIER1_DOCS:-0}" = "1" ]; then
     bash "$SRC_DIR/scripts/check_docs.sh"
     DOCS_TMP=$(mktemp -d)
@@ -352,6 +357,17 @@ PYEOF
     cmp "$DOCS_TMP/oversize.pimserve.msg" "$DOCS_TMP/oversize.pimtune.msg"
     grep -qxF -e "--per-dpu-elements 20000000: the per-DPU wave buffers do not fit in MRAM" \
         "$DOCS_TMP/oversize.pimserve.msg"
+    # --demo-trace with any other option replays the synthetic demo
+    # trace, so the oversized buffers are refused there too; with
+    # --trace it is a usage error.
+    usage_msg demo-oversize pimserve --demo-trace \
+        --per-dpu-elements 20000000
+    cmp "$DOCS_TMP/oversize.pimserve.msg" \
+        "$DOCS_TMP/demo-oversize.pimserve.msg"
+    usage_msg demo-trace pimserve --demo-trace \
+        --trace "$DOCS_TMP/demo.trace"
+    grep -qxF -e "--demo-trace and --trace cannot be combined" \
+        "$DOCS_TMP/demo-trace.pimserve.msg"
     echo "check_docs + pimserve/pimtune demo replay JSON round-trip OK"
     echo "pimserve/pimtune reject a malformed trace with one message"
     echo "pimserve/pimtune reject a malformed --tenant-sla with one message"
@@ -359,6 +375,7 @@ PYEOF
     echo "all five tools reject --tasklets 25 with one message"
     echo "pimserve/pimtune reject --per-dpu-elements 0 with one message"
     echo "pimserve/pimtune refuse oversized wave buffers with one message"
+    echo "pimserve --demo-trace replays with any option, refuses --trace"
 fi
 
 # With TPL_TIER1_OBS=1, exercise the serve observability tier end to

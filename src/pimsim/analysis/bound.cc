@@ -216,14 +216,6 @@ instrCost(const Instruction& ins, uint32_t line, const ConstState& st,
     }
 }
 
-uint32_t
-lineOf(const Program& program, uint32_t i)
-{
-    if (i < program.lines.size())
-        return program.lines[i];
-    return i + 1;
-}
-
 /** Result of evaluating a region (loop body or whole program). */
 struct RegionValue
 {
@@ -391,7 +383,7 @@ computeBound(const Program& program, const BoundOptions& options)
         ConstState st = fp.in[b];
         const BasicBlock& bb = cfg.blocks[b];
         for (uint32_t i = bb.first; i <= bb.last; ++i) {
-            if (!instrCost(program.code[i], lineOf(program, i), st,
+            if (!instrCost(program.code[i], program.lineOf(i), st,
                            options.model, blockCost[b],
                            bound.reason))
                 return bound;
@@ -408,8 +400,8 @@ computeBound(const Program& program, const BoundOptions& options)
         if (!loop.tripKnown && !loop.tripUpperKnown) {
             bound.reason =
                 "line " +
-                std::to_string(lineOf(
-                    program, cfg.blocks[loop.header].last)) +
+                std::to_string(
+                    program.lineOf(cfg.blocks[loop.header].last)) +
                 ": loop trip count is not statically known "
                 "(data-dependent bound; annotate with # @trip(N))";
             return bound;
@@ -422,8 +414,8 @@ computeBound(const Program& program, const BoundOptions& options)
         if (!rv.hasExit) {
             bound.reason =
                 "line " +
-                std::to_string(lineOf(
-                    program, cfg.blocks[loop.header].first)) +
+                std::to_string(
+                    program.lineOf(cfg.blocks[loop.header].first)) +
                 ": loop has no exit edge (never terminates)";
             return bound;
         }

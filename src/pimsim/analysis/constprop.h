@@ -48,96 +48,19 @@ meetStates(const ConstState& a, const ConstState& b)
     return out;
 }
 
-/** Fold one instruction; returns the new value of rd if computable. */
+/**
+ * Fold one instruction: the new value of rd when it is an ALU opcode
+ * and every register OpTraits says it reads is known, computed by the
+ * interpreter's own aluResult().
+ */
 inline ConstVal
 foldValue(const Instruction& ins, const ConstState& st)
 {
-    auto ua = [&]() -> std::optional<uint32_t> {
-        if (st[ins.ra])
-            return static_cast<uint32_t>(*st[ins.ra]);
+    const OpTraits& tr = opTraits(ins.op);
+    if (!isAlu(ins.op) || (tr.readsRa && !st[ins.ra]) ||
+        (tr.readsRb && !st[ins.rb]))
         return std::nullopt;
-    }();
-    auto ub = [&]() -> std::optional<uint32_t> {
-        if (st[ins.rb])
-            return static_cast<uint32_t>(*st[ins.rb]);
-        return std::nullopt;
-    }();
-    uint32_t uimm = static_cast<uint32_t>(ins.imm);
-    auto wrap = [](uint32_t v) {
-        return ConstVal(static_cast<int32_t>(v));
-    };
-
-    switch (ins.op) {
-      case Opcode::Movi:
-        return ins.imm;
-      case Opcode::Add:
-        if (ua && ub) return wrap(*ua + *ub);
-        break;
-      case Opcode::Addi:
-        if (ua) return wrap(*ua + uimm);
-        break;
-      case Opcode::Sub:
-        if (ua && ub) return wrap(*ua - *ub);
-        break;
-      case Opcode::Subi:
-        if (ua) return wrap(*ua - uimm);
-        break;
-      case Opcode::And:
-        if (ua && ub) return wrap(*ua & *ub);
-        break;
-      case Opcode::Andi:
-        if (ua) return wrap(*ua & uimm);
-        break;
-      case Opcode::Or:
-        if (ua && ub) return wrap(*ua | *ub);
-        break;
-      case Opcode::Ori:
-        if (ua) return wrap(*ua | uimm);
-        break;
-      case Opcode::Xor:
-        if (ua && ub) return wrap(*ua ^ *ub);
-        break;
-      case Opcode::Xori:
-        if (ua) return wrap(*ua ^ uimm);
-        break;
-      case Opcode::Sll:
-        if (ua && ub) return wrap(*ua << (*ub & 31));
-        break;
-      case Opcode::Slli:
-        if (ua) return wrap(*ua << (ins.imm & 31));
-        break;
-      case Opcode::Srl:
-        if (ua && ub) return wrap(*ua >> (*ub & 31));
-        break;
-      case Opcode::Srli:
-        if (ua) return wrap(*ua >> (ins.imm & 31));
-        break;
-      case Opcode::Sra:
-        if (st[ins.ra] && ub)
-            return ConstVal(*st[ins.ra] >> (*ub & 31));
-        break;
-      case Opcode::Srai:
-        if (st[ins.ra])
-            return ConstVal(*st[ins.ra] >> (ins.imm & 31));
-        break;
-      case Opcode::Mul:
-        if (st[ins.ra] && st[ins.rb]) {
-            int64_t prod = static_cast<int64_t>(*st[ins.ra]) *
-                           static_cast<int64_t>(*st[ins.rb]);
-            return ConstVal(static_cast<int32_t>(prod));
-        }
-        break;
-      case Opcode::Mulh:
-        if (st[ins.ra] && st[ins.rb]) {
-            int64_t prod = static_cast<int64_t>(*st[ins.ra]) *
-                           static_cast<int64_t>(*st[ins.rb]);
-            return ConstVal(static_cast<int32_t>(prod >> 32));
-        }
-        break;
-      default:
-        break;
-    }
-    return std::nullopt;
+    return aluResult(ins, st[ins.ra].value_or(0), st[ins.rb].value_or(0));
 }
 
 /** Apply one instruction's effect to the state (kill or fold rd). */

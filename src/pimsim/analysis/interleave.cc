@@ -89,19 +89,91 @@ enum class SegEnd
 /** Persistent per-tasklet machine state (registers survive phases). */
 struct TaskletState
 {
-    std::array<int32_t, 24> regs{};
+    Registers regs{};
     uint32_t pc = 0;
     bool halted = false;
 };
 
-/** Line of instruction @p i (fallback: index + 1). */
-uint32_t
-lineOf(const Program& program, uint32_t i)
+/**
+ * step()'s machine for one phase segment: memory is the tasklet's
+ * private images, every access lands in its footprint log, charges
+ * are free, and an access outside the images stops the segment with
+ * a line-tagged error.
+ */
+struct SegmentMachine
 {
-    if (i < program.lines.size())
-        return program.lines[i];
-    return i + 1;
-}
+    uint32_t taskletId;
+    uint32_t tasklets;
+    std::vector<uint8_t>& wram;
+    std::vector<uint8_t>& mram;
+    SegmentLog& log;
+    std::string& error;
+
+    void charge() {}
+    void mul(int32_t, int32_t) {}
+    uint32_t tid() const { return taskletId; }
+    uint32_t ntask() const { return tasklets; }
+
+    bool ldw(uint32_t addr, int32_t& value, uint32_t line)
+    {
+        if (!inWram(addr, 4, line, "WRAM load out of the explorer image"))
+            return false;
+        log.markWram(addr, 4, line, false);
+        std::memcpy(&value, wram.data() + addr, 4);
+        return true;
+    }
+
+    bool stw(uint32_t addr, int32_t value, uint32_t line)
+    {
+        if (!inWram(addr, 4, line, "WRAM store out of the explorer image"))
+            return false;
+        log.markWram(addr, 4, line, true);
+        std::memcpy(wram.data() + addr, &value, 4);
+        return true;
+    }
+
+    bool ldma(uint32_t wramAddr, uint32_t mramAddr, uint32_t size,
+              uint32_t line)
+    {
+        return dma(wramAddr, mramAddr, size, line, true);
+    }
+
+    bool sdma(uint32_t wramAddr, uint32_t mramAddr, uint32_t size,
+              uint32_t line)
+    {
+        return dma(wramAddr, mramAddr, size, line, false);
+    }
+
+    void barrier(uint32_t line) { log.barrierLine = line; }
+
+  private:
+    bool inWram(uint32_t addr, uint32_t size, uint32_t line,
+                const char* what)
+    {
+        if (static_cast<uint64_t>(addr) + size <= wram.size())
+            return true;
+        error = "line " + std::to_string(line) + ": " + what;
+        return false;
+    }
+
+    bool dma(uint32_t wa, uint32_t ma, uint32_t size, uint32_t line,
+             bool toWram)
+    {
+        if (static_cast<uint64_t>(wa) + size > wram.size() ||
+            static_cast<uint64_t>(ma) + size > mram.size()) {
+            error = "line " + std::to_string(line) +
+                    ": DMA range out of the explorer images";
+            return false;
+        }
+        log.markWram(wa, size, line, toWram);
+        log.markMram(ma, size, line, !toWram);
+        if (toWram)
+            std::memcpy(wram.data() + wa, mram.data() + ma, size);
+        else
+            std::memcpy(mram.data() + ma, wram.data() + wa, size);
+        return true;
+    }
+};
 
 /**
  * Run one tasklet's segment — from its saved pc to the next barrier
@@ -113,172 +185,22 @@ runSegment(const Program& program, const InterleaveOptions& opt,
            std::vector<uint8_t>& mram, SegmentLog& log,
            std::string& error)
 {
-    auto& r = ts.regs;
-    const size_t n = program.code.size();
+    SegmentMachine machine{tid, opt.tasklets, wram, mram, log, error};
     uint64_t executed = 0;
-    while (ts.pc < n) {
+    while (ts.pc < program.code.size()) {
         if (executed >= opt.maxSegmentInstructions)
             return SegEnd::Fuel;
-        const Instruction& ins = program.code[ts.pc];
-        const uint32_t line = lineOf(program, ts.pc);
         ++executed;
-        ++ts.pc;
-        uint32_t ua = static_cast<uint32_t>(r[ins.ra]);
-        uint32_t ub = static_cast<uint32_t>(r[ins.rb]);
-        switch (ins.op) {
-          case Opcode::Add:
-            r[ins.rd] = static_cast<int32_t>(ua + ub);
+        switch (step(program, ts.pc, ts.regs, machine)) {
+          case StepEnd::Next:
             break;
-          case Opcode::Addi:
-            r[ins.rd] = static_cast<int32_t>(
-                ua + static_cast<uint32_t>(ins.imm));
-            break;
-          case Opcode::Sub:
-            r[ins.rd] = static_cast<int32_t>(ua - ub);
-            break;
-          case Opcode::Subi:
-            r[ins.rd] = static_cast<int32_t>(
-                ua - static_cast<uint32_t>(ins.imm));
-            break;
-          case Opcode::And:
-            r[ins.rd] = static_cast<int32_t>(ua & ub);
-            break;
-          case Opcode::Andi:
-            r[ins.rd] = static_cast<int32_t>(
-                ua & static_cast<uint32_t>(ins.imm));
-            break;
-          case Opcode::Or:
-            r[ins.rd] = static_cast<int32_t>(ua | ub);
-            break;
-          case Opcode::Ori:
-            r[ins.rd] = static_cast<int32_t>(
-                ua | static_cast<uint32_t>(ins.imm));
-            break;
-          case Opcode::Xor:
-            r[ins.rd] = static_cast<int32_t>(ua ^ ub);
-            break;
-          case Opcode::Xori:
-            r[ins.rd] = static_cast<int32_t>(
-                ua ^ static_cast<uint32_t>(ins.imm));
-            break;
-          case Opcode::Sll:
-            r[ins.rd] = static_cast<int32_t>(ua << (ub & 31));
-            break;
-          case Opcode::Slli:
-            r[ins.rd] = static_cast<int32_t>(ua << (ins.imm & 31));
-            break;
-          case Opcode::Srl:
-            r[ins.rd] = static_cast<int32_t>(ua >> (ub & 31));
-            break;
-          case Opcode::Srli:
-            r[ins.rd] = static_cast<int32_t>(ua >> (ins.imm & 31));
-            break;
-          case Opcode::Sra:
-            r[ins.rd] = r[ins.ra] >> (ub & 31);
-            break;
-          case Opcode::Srai:
-            r[ins.rd] = r[ins.ra] >> (ins.imm & 31);
-            break;
-          case Opcode::Mul: {
-            int64_t prod = static_cast<int64_t>(r[ins.ra]) *
-                           static_cast<int64_t>(r[ins.rb]);
-            r[ins.rd] = static_cast<int32_t>(prod);
-            break;
-          }
-          case Opcode::Mulh: {
-            int64_t prod = static_cast<int64_t>(r[ins.ra]) *
-                           static_cast<int64_t>(r[ins.rb]);
-            r[ins.rd] = static_cast<int32_t>(prod >> 32);
-            break;
-          }
-          case Opcode::Movi:
-            r[ins.rd] = ins.imm;
-            break;
-          case Opcode::Tid:
-            r[ins.rd] = static_cast<int32_t>(tid);
-            break;
-          case Opcode::Ntask:
-            r[ins.rd] = static_cast<int32_t>(opt.tasklets);
-            break;
-          case Opcode::Ldw: {
-            uint32_t addr = ua + static_cast<uint32_t>(ins.imm);
-            if (static_cast<uint64_t>(addr) + 4 > wram.size()) {
-                error = "line " + std::to_string(line) +
-                        ": WRAM load out of the explorer image";
-                return SegEnd::Error;
-            }
-            log.markWram(addr, 4, line, false);
-            int32_t v;
-            std::memcpy(&v, wram.data() + addr, 4);
-            r[ins.rd] = v;
-            break;
-          }
-          case Opcode::Stw: {
-            uint32_t addr = ua + static_cast<uint32_t>(ins.imm);
-            if (static_cast<uint64_t>(addr) + 4 > wram.size()) {
-                error = "line " + std::to_string(line) +
-                        ": WRAM store out of the explorer image";
-                return SegEnd::Error;
-            }
-            log.markWram(addr, 4, line, true);
-            std::memcpy(wram.data() + addr, &r[ins.rd], 4);
-            break;
-          }
-          case Opcode::Ldma:
-          case Opcode::Sdma: {
-            uint32_t wa = static_cast<uint32_t>(r[ins.rd]);
-            uint32_t ma = ua;
-            uint32_t size = ub;
-            if (static_cast<uint64_t>(wa) + size > wram.size() ||
-                static_cast<uint64_t>(ma) + size > mram.size()) {
-                error = "line " + std::to_string(line) +
-                        ": DMA range out of the explorer images";
-                return SegEnd::Error;
-            }
-            bool toWram = ins.op == Opcode::Ldma;
-            log.markWram(wa, size, line, toWram);
-            log.markMram(ma, size, line, !toWram);
-            if (toWram)
-                std::memcpy(wram.data() + wa, mram.data() + ma,
-                            size);
-            else
-                std::memcpy(mram.data() + ma, wram.data() + wa,
-                            size);
-            break;
-          }
-          case Opcode::Beq:
-            if (r[ins.ra] == r[ins.rb])
-                ts.pc = static_cast<uint32_t>(ins.imm);
-            break;
-          case Opcode::Bne:
-            if (r[ins.ra] != r[ins.rb])
-                ts.pc = static_cast<uint32_t>(ins.imm);
-            break;
-          case Opcode::Blt:
-            if (r[ins.ra] < r[ins.rb])
-                ts.pc = static_cast<uint32_t>(ins.imm);
-            break;
-          case Opcode::Bge:
-            if (r[ins.ra] >= r[ins.rb])
-                ts.pc = static_cast<uint32_t>(ins.imm);
-            break;
-          case Opcode::Bltu:
-            if (ua < ub)
-                ts.pc = static_cast<uint32_t>(ins.imm);
-            break;
-          case Opcode::Bgeu:
-            if (ua >= ub)
-                ts.pc = static_cast<uint32_t>(ins.imm);
-            break;
-          case Opcode::Jmp:
-            ts.pc = static_cast<uint32_t>(ins.imm);
-            break;
-          case Opcode::Barrier:
-            log.barrierLine = line;
+          case StepEnd::Barrier:
             return SegEnd::Barrier;
-          case Opcode::Halt:
+          case StepEnd::Halt:
             ts.halted = true;
             return SegEnd::Halted;
+          case StepEnd::Fault:
+            return SegEnd::Error;
         }
     }
     ts.halted = true;

@@ -37,23 +37,6 @@ dominates(const std::vector<uint32_t>& idom, uint32_t a, uint32_t b)
     }
 }
 
-/** Evaluate a conditional branch's predicate. */
-bool
-evalCond(Opcode op, int32_t a, int32_t b)
-{
-    uint32_t ua = static_cast<uint32_t>(a);
-    uint32_t ub = static_cast<uint32_t>(b);
-    switch (op) {
-      case Opcode::Beq: return a == b;
-      case Opcode::Bne: return a != b;
-      case Opcode::Blt: return a < b;
-      case Opcode::Bge: return a >= b;
-      case Opcode::Bltu: return ua < ub;
-      case Opcode::Bgeu: return ua >= ub;
-      default: return false;
-    }
-}
-
 /** Const state at the *exit* of block @p b (replays the block). */
 ConstState
 outState(const Program& program, const Cfg& cfg,
@@ -189,7 +172,7 @@ inferTrip(const Program& program, const Cfg& cfg,
         int32_t sv = static_cast<int32_t>(val);
         int32_t a = (br.ra == var) ? sv : boundVal;
         int32_t b = (br.rb == var) ? sv : boundVal;
-        bool continues = evalCond(br.op, a, b) ? takenIn : fallIn;
+        bool continues = branchTaken(br.op, a, b) ? takenIn : fallIn;
         if (!continues) {
             // Exact only when the header test is the loop's sole
             // exit; a secondary (break) edge in the body can leave

@@ -23,16 +23,6 @@ namespace {
 constexpr uint32_t kNumRegs = 24;
 constexpr uint32_t kAllRegs = (1u << kNumRegs) - 1;
 
-/** Source line of instruction @p i (hand-built programs may omit
- * the line table; fall back to the instruction index). */
-uint32_t
-lineOf(const Program& program, uint32_t i)
-{
-    if (i < program.lines.size())
-        return program.lines[i];
-    return i + 1;
-}
-
 std::string
 regName(uint32_t reg)
 {
@@ -57,7 +47,7 @@ checkBranchTargets(const Program& program, std::vector<Diagnostic>& diags)
         // trailing "done:" label): a legal exit.
         if (ins.imm < 0 || ins.imm > n) {
             diags.push_back({CheckKind::InvalidBranchTarget,
-                             Severity::Error, lineOf(program, i),
+                             Severity::Error, program.lineOf(i),
                              "branch target " + std::to_string(ins.imm) +
                                  " outside program of " +
                                  std::to_string(n) + " instructions"});
@@ -81,7 +71,7 @@ checkUnreachable(const Program& program, const Cfg& cfg,
             continue;
         const BasicBlock& bb = cfg.blocks[b];
         diags.push_back({CheckKind::UnreachableCode, Severity::Warning,
-                         lineOf(program, bb.first),
+                         program.lineOf(bb.first),
                          "unreachable code (" +
                              std::to_string(bb.last - bb.first + 1) +
                              " instruction(s) no path reaches)"});
@@ -136,7 +126,7 @@ checkDefBeforeUse(const Program& program, const Cfg& cfg,
                 if (undef & (1u << reg)) {
                     diags.push_back(
                         {CheckKind::UninitRegister, Severity::Error,
-                         lineOf(program, i),
+                         program.lineOf(i),
                          "register " + regName(reg) +
                              " may be read before initialization"});
                 }
@@ -155,7 +145,7 @@ checkAccess(const Program& program, uint32_t i, const ConstState& st,
             const VerifyOptions& opt, std::vector<Diagnostic>& diags)
 {
     const Instruction& ins = program.code[i];
-    uint32_t line = lineOf(program, i);
+    uint32_t line = program.lineOf(i);
     auto report = [&](CheckKind kind, const std::string& msg) {
         diags.push_back({kind, Severity::Error, line, msg});
     };
@@ -460,7 +450,7 @@ checkBarrierBalance(const Program& program, const Cfg& cfg,
             const BasicBlock& bb = cfg.blocks[b];
             for (uint32_t i = bb.first; i <= bb.last; ++i) {
                 if (program.code[i].op == Opcode::Barrier)
-                    return lineOf(program, i);
+                    return program.lineOf(i);
             }
         }
         return 0u;
@@ -498,7 +488,7 @@ checkBarrierBalance(const Program& program, const Cfg& cfg,
             evalBarrierRegion(program, cfg, reachable, rpo, forest,
                               blockBarriers, loopSummary, id);
         uint32_t headerLine =
-            lineOf(program, cfg.blocks[loop.header].first);
+            program.lineOf(cfg.blocks[loop.header].first);
         if (rv.conflictInside || rv.latch == kConflict ||
             rv.exit == kConflict) {
             diags.push_back(
@@ -547,7 +537,7 @@ checkBarrierBalance(const Program& program, const Cfg& cfg,
     if (top.conflictInside) {
         diags.push_back(
             {CheckKind::BarrierImbalance, Severity::Error,
-             lineOf(program, cfg.blocks[top.conflictBlock].first),
+             program.lineOf(cfg.blocks[top.conflictBlock].first),
              "paths reach this point having executed differing "
              "numbers of barriers (tasklets would deadlock at the "
              "rendezvous)"});
@@ -562,7 +552,7 @@ checkBarrierBalance(const Program& program, const Cfg& cfg,
         } else if (kv.second != exitCount) {
             diags.push_back(
                 {CheckKind::BarrierImbalance, Severity::Error,
-                 lineOf(program, cfg.blocks[kv.first].last),
+                 program.lineOf(cfg.blocks[kv.first].last),
                  "program exits with " + std::to_string(kv.second) +
                      " barrier(s) on this path but " +
                      std::to_string(exitCount) +

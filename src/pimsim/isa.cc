@@ -229,217 +229,101 @@ assemble(const std::string& source)
     return prog;
 }
 
+namespace {
+
+/**
+ * step()'s machine for execute(): a tasklet of a DpuCore. Charges go
+ * to the tasklet, the multiply through the emulated-multiplier model
+ * of the high-level tier, WRAM accesses through the sanitizer and
+ * stuck-at fault hooks, DMA through the DMA model. A bad access
+ * throws.
+ */
+class TaskletMachine
+{
+  public:
+    explicit TaskletMachine(TaskletContext& ctx)
+        : ctx_(ctx), core_(ctx.core()), wram_(core_.wramData()),
+          wramBytes_(core_.model().wramBytes), san_(core_.sanitizer())
+    {
+    }
+
+    void charge() { ctx_.charge(1); }
+    void mul(int32_t a, int32_t b) { emuMulS32(a, b, &ctx_); }
+    uint32_t tid() const { return ctx_.taskletId(); }
+    uint32_t ntask() const { return ctx_.numTasklets(); }
+
+    bool ldw(uint32_t addr, int32_t& value, uint32_t line)
+    {
+        if (san_)
+            san_->onWramLoad(ctx_.taskletId(), addr, 4, line);
+        std::memcpy(&value, wram(addr, 4), 4);
+        return true;
+    }
+
+    bool stw(uint32_t addr, int32_t value, uint32_t line)
+    {
+        if (san_)
+            san_->onWramStore(ctx_.taskletId(), addr, 4, line);
+        std::memcpy(wram(addr, 4), &value, 4);
+        // Stuck-at WRAM cells win over every store, including the
+        // interpreter's (DMA faults flow in via mramRead/WriteAt).
+        if (fault::DpuFaultState* faults = core_.faultState())
+            faults->onWramWritten(addr, 4);
+        return true;
+    }
+
+    bool ldma(uint32_t wramAddr, uint32_t mramAddr, uint32_t size,
+              uint32_t line)
+    {
+        ctx_.mramReadAt(mramAddr, wram(wramAddr, size), size, line);
+        return true;
+    }
+
+    bool sdma(uint32_t wramAddr, uint32_t mramAddr, uint32_t size,
+              uint32_t line)
+    {
+        ctx_.mramWriteAt(mramAddr, wram(wramAddr, size), size, line);
+        return true;
+    }
+
+    // charge(1) + sanitizer epoch advance happen inside.
+    void barrier(uint32_t) { ctx_.barrier(); }
+
+  private:
+    /** The scratchpad at @p addr; throws unless [addr, addr + size)
+     * lies inside it. */
+    uint8_t* wram(uint32_t addr, uint32_t size)
+    {
+        if (static_cast<uint64_t>(addr) + size > wramBytes_) {
+            throw std::runtime_error(
+                "isa: WRAM access out of range at address " +
+                std::to_string(addr));
+        }
+        return wram_ + addr;
+    }
+
+    TaskletContext& ctx_;
+    DpuCore& core_;
+    uint8_t* wram_; ///< taken once: wramData() privatizes all regions
+    uint32_t wramBytes_;
+    check::Sanitizer* san_;
+};
+
+} // namespace
+
 ExecResult
 execute(const Program& program, TaskletContext& ctx,
         uint64_t maxInstructions)
 {
     ExecResult res;
-    auto& r = res.registers;
-    r.fill(0);
-    DpuCore& core = ctx.core();
-    uint8_t* wram = core.wramData();
-    uint32_t wramSize = core.model().wramBytes;
-    check::Sanitizer* san = core.sanitizer();
-    // Source line of the current instruction, for sanitizer
-    // diagnostics (pc already advanced when hooks run).
-    auto srcLine = [&](size_t pcNext) -> uint32_t {
-        size_t i = pcNext - 1;
-        return i < program.lines.size() ? program.lines[i] : 0;
-    };
-
-    auto wramCheck = [&](uint32_t addr, uint32_t size) {
-        if (static_cast<uint64_t>(addr) + size > wramSize) {
-            throw std::runtime_error(
-                "isa: WRAM access out of range at address " +
-                std::to_string(addr));
-        }
-    };
-
-    size_t pc = 0;
+    TaskletMachine machine(ctx);
+    uint32_t pc = 0;
     while (pc < program.code.size()) {
         if (res.instructionsExecuted >= maxInstructions)
             throw std::runtime_error("isa: instruction budget exceeded");
-        const Instruction& ins = program.code[pc];
         ++res.instructionsExecuted;
-        ++pc;
-        uint32_t ua = static_cast<uint32_t>(r[ins.ra]);
-        uint32_t ub = static_cast<uint32_t>(r[ins.rb]);
-        switch (ins.op) {
-          case Opcode::Add:
-            ctx.charge(1);
-            r[ins.rd] = static_cast<int32_t>(ua + ub);
+        if (step(program, pc, res.registers, machine) == StepEnd::Halt)
             break;
-          case Opcode::Addi:
-            ctx.charge(1);
-            r[ins.rd] = static_cast<int32_t>(
-                ua + static_cast<uint32_t>(ins.imm));
-            break;
-          case Opcode::Sub:
-            ctx.charge(1);
-            r[ins.rd] = static_cast<int32_t>(ua - ub);
-            break;
-          case Opcode::Subi:
-            ctx.charge(1);
-            r[ins.rd] = static_cast<int32_t>(
-                ua - static_cast<uint32_t>(ins.imm));
-            break;
-          case Opcode::And:
-            ctx.charge(1);
-            r[ins.rd] = static_cast<int32_t>(ua & ub);
-            break;
-          case Opcode::Andi:
-            ctx.charge(1);
-            r[ins.rd] = static_cast<int32_t>(
-                ua & static_cast<uint32_t>(ins.imm));
-            break;
-          case Opcode::Or:
-            ctx.charge(1);
-            r[ins.rd] = static_cast<int32_t>(ua | ub);
-            break;
-          case Opcode::Ori:
-            ctx.charge(1);
-            r[ins.rd] = static_cast<int32_t>(
-                ua | static_cast<uint32_t>(ins.imm));
-            break;
-          case Opcode::Xor:
-            ctx.charge(1);
-            r[ins.rd] = static_cast<int32_t>(ua ^ ub);
-            break;
-          case Opcode::Xori:
-            ctx.charge(1);
-            r[ins.rd] = static_cast<int32_t>(
-                ua ^ static_cast<uint32_t>(ins.imm));
-            break;
-          case Opcode::Sll:
-            ctx.charge(1);
-            r[ins.rd] = static_cast<int32_t>(ua << (ub & 31));
-            break;
-          case Opcode::Slli:
-            ctx.charge(1);
-            r[ins.rd] = static_cast<int32_t>(ua << (ins.imm & 31));
-            break;
-          case Opcode::Srl:
-            ctx.charge(1);
-            r[ins.rd] = static_cast<int32_t>(ua >> (ub & 31));
-            break;
-          case Opcode::Srli:
-            ctx.charge(1);
-            r[ins.rd] = static_cast<int32_t>(ua >> (ins.imm & 31));
-            break;
-          case Opcode::Sra:
-            ctx.charge(1);
-            r[ins.rd] = r[ins.ra] >> (ub & 31);
-            break;
-          case Opcode::Srai:
-            ctx.charge(1);
-            r[ins.rd] = r[ins.ra] >> (ins.imm & 31);
-            break;
-          case Opcode::Mul: {
-            // Runtime multiply expansion: value now, cost via the
-            // same emulated-multiplier model as the high-level tier.
-            int64_t prod = emuMulS32(r[ins.ra], r[ins.rb], &ctx);
-            r[ins.rd] = static_cast<int32_t>(prod);
-            break;
-          }
-          case Opcode::Mulh: {
-            int64_t prod = emuMulS32(r[ins.ra], r[ins.rb], &ctx);
-            r[ins.rd] = static_cast<int32_t>(prod >> 32);
-            break;
-          }
-          case Opcode::Movi:
-            ctx.charge(1);
-            r[ins.rd] = ins.imm;
-            break;
-          case Opcode::Tid:
-            ctx.charge(1);
-            r[ins.rd] = static_cast<int32_t>(ctx.taskletId());
-            break;
-          case Opcode::Ntask:
-            ctx.charge(1);
-            r[ins.rd] = static_cast<int32_t>(ctx.numTasklets());
-            break;
-          case Opcode::Ldw: {
-            ctx.charge(1);
-            uint32_t addr = ua + static_cast<uint32_t>(ins.imm);
-            if (san)
-                san->onWramLoad(ctx.taskletId(), addr, 4, srcLine(pc));
-            wramCheck(addr, 4);
-            int32_t v;
-            std::memcpy(&v, wram + addr, 4);
-            r[ins.rd] = v;
-            break;
-          }
-          case Opcode::Stw: {
-            ctx.charge(1);
-            uint32_t addr = ua + static_cast<uint32_t>(ins.imm);
-            if (san)
-                san->onWramStore(ctx.taskletId(), addr, 4, srcLine(pc));
-            wramCheck(addr, 4);
-            std::memcpy(wram + addr, &r[ins.rd], 4);
-            // Stuck-at WRAM cells win over every store, including the
-            // interpreter's (DMA faults flow in via mramRead/WriteAt).
-            if (fault::DpuFaultState* faults = core.faultState())
-                faults->onWramWritten(addr, 4);
-            break;
-          }
-          case Opcode::Ldma: {
-            uint32_t wa = static_cast<uint32_t>(r[ins.rd]);
-            uint32_t ma = ua;
-            uint32_t size = ub;
-            wramCheck(wa, size);
-            ctx.mramReadAt(ma, wram + wa, size, srcLine(pc));
-            break;
-          }
-          case Opcode::Sdma: {
-            uint32_t wa = static_cast<uint32_t>(r[ins.rd]);
-            uint32_t ma = ua;
-            uint32_t size = ub;
-            wramCheck(wa, size);
-            ctx.mramWriteAt(ma, wram + wa, size, srcLine(pc));
-            break;
-          }
-          case Opcode::Beq:
-            ctx.charge(1);
-            if (r[ins.ra] == r[ins.rb])
-                pc = static_cast<size_t>(ins.imm);
-            break;
-          case Opcode::Bne:
-            ctx.charge(1);
-            if (r[ins.ra] != r[ins.rb])
-                pc = static_cast<size_t>(ins.imm);
-            break;
-          case Opcode::Blt:
-            ctx.charge(1);
-            if (r[ins.ra] < r[ins.rb])
-                pc = static_cast<size_t>(ins.imm);
-            break;
-          case Opcode::Bge:
-            ctx.charge(1);
-            if (r[ins.ra] >= r[ins.rb])
-                pc = static_cast<size_t>(ins.imm);
-            break;
-          case Opcode::Bltu:
-            ctx.charge(1);
-            if (ua < ub)
-                pc = static_cast<size_t>(ins.imm);
-            break;
-          case Opcode::Bgeu:
-            ctx.charge(1);
-            if (ua >= ub)
-                pc = static_cast<size_t>(ins.imm);
-            break;
-          case Opcode::Jmp:
-            ctx.charge(1);
-            pc = static_cast<size_t>(ins.imm);
-            break;
-          case Opcode::Barrier:
-            // charge(1) + sanitizer epoch advance happen inside.
-            ctx.barrier();
-            break;
-          case Opcode::Halt:
-            ctx.charge(1);
-            return res;
-        }
     }
     return res;
 }

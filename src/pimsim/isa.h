@@ -17,6 +17,14 @@
  * L-LUT and fixed-point CORDIC kernels (pure integer code, like real
  * TransPimLib DPU kernels in their hot loops).
  *
+ * What each opcode does is written once, here: aluResult() and
+ * branchTaken() are the pure register semantics, and step() runs one
+ * instruction against a machine that supplies charges and memory.
+ * The interpreter (execute), the interleaving explorer and constant
+ * propagation (pimsim/analysis/) all evaluate instructions through
+ * them, so what the static passes prove holds for what the
+ * interpreter runs.
+ *
  * Registers: r0..r23 general purpose (r0 is NOT hardwired to zero),
  * plus the tasklet id readable via TID.
  *
@@ -63,7 +71,8 @@
 namespace tpl {
 namespace sim {
 
-/** Opcodes of the miniature ISA. */
+/** Opcodes of the miniature ISA. The ALU opcodes Add … Movi come
+ * first (isAlu() is a range test). */
 enum class Opcode
 {
     Add, Addi, Sub, Subi, And, Andi, Or, Ori, Xor, Xori,
@@ -132,7 +141,203 @@ struct Program
     std::vector<Instruction> code;
     /** Source line for each instruction (diagnostics). */
     std::vector<uint32_t> lines;
+
+    /** Source line of instruction @p i. Hand-built programs may omit
+     * the line table; the fallback is then the index + 1. */
+    uint32_t lineOf(uint32_t i) const
+    {
+        return i < lines.size() ? lines[i] : i + 1;
+    }
 };
+
+/** A tasklet's general-purpose registers r0..r23. */
+using Registers = std::array<int32_t, 24>;
+
+/**
+ * True for the register-writing ALU opcodes (Add … Srai, Mul, Mulh,
+ * Movi), whose rd value aluResult() computes from the instruction and
+ * its source registers alone. They lead the Opcode enumeration.
+ */
+constexpr bool
+isAlu(Opcode op)
+{
+    return op <= Opcode::Movi;
+}
+
+/**
+ * The value ALU instruction @p ins writes to rd, given @p a = r[ra]
+ * and @p b = r[rb] (ignored where the opcode does not read them).
+ * Arithmetic wraps at 32 bits, shifts use the low five bits of their
+ * amount, Sra/Srai shift arithmetically, and Mul/Mulh are the low and
+ * high words of the signed 64-bit product.
+ *
+ * @throws std::invalid_argument unless isAlu(ins.op).
+ */
+inline int32_t
+aluResult(const Instruction& ins, int32_t a, int32_t b)
+{
+    const uint32_t ua = static_cast<uint32_t>(a);
+    const uint32_t ub = static_cast<uint32_t>(b);
+    const uint32_t ui = static_cast<uint32_t>(ins.imm);
+    const int64_t product = static_cast<int64_t>(a) * b;
+    switch (ins.op) {
+      case Opcode::Add: return static_cast<int32_t>(ua + ub);
+      case Opcode::Addi: return static_cast<int32_t>(ua + ui);
+      case Opcode::Sub: return static_cast<int32_t>(ua - ub);
+      case Opcode::Subi: return static_cast<int32_t>(ua - ui);
+      case Opcode::And: return static_cast<int32_t>(ua & ub);
+      case Opcode::Andi: return static_cast<int32_t>(ua & ui);
+      case Opcode::Or: return static_cast<int32_t>(ua | ub);
+      case Opcode::Ori: return static_cast<int32_t>(ua | ui);
+      case Opcode::Xor: return static_cast<int32_t>(ua ^ ub);
+      case Opcode::Xori: return static_cast<int32_t>(ua ^ ui);
+      case Opcode::Sll: return static_cast<int32_t>(ua << (ub & 31));
+      case Opcode::Slli: return static_cast<int32_t>(ua << (ui & 31));
+      case Opcode::Srl: return static_cast<int32_t>(ua >> (ub & 31));
+      case Opcode::Srli: return static_cast<int32_t>(ua >> (ui & 31));
+      case Opcode::Sra: return a >> (ub & 31);
+      case Opcode::Srai: return a >> (ui & 31);
+      case Opcode::Mul: return static_cast<int32_t>(product);
+      case Opcode::Mulh: return static_cast<int32_t>(product >> 32);
+      case Opcode::Movi: return ins.imm;
+      default:
+        throw std::invalid_argument("aluResult: not an ALU opcode");
+    }
+}
+
+/**
+ * Whether conditional branch @p op is taken on @p a = r[ra] and
+ * @p b = r[rb]: beq/bne/blt/bge compare signed, bltu/bgeu unsigned.
+ * False for every other opcode.
+ */
+constexpr bool
+branchTaken(Opcode op, int32_t a, int32_t b)
+{
+    const uint32_t ua = static_cast<uint32_t>(a);
+    const uint32_t ub = static_cast<uint32_t>(b);
+    switch (op) {
+      case Opcode::Beq: return a == b;
+      case Opcode::Bne: return a != b;
+      case Opcode::Blt: return a < b;
+      case Opcode::Bge: return a >= b;
+      case Opcode::Bltu: return ua < ub;
+      case Opcode::Bgeu: return ua >= ub;
+      default: return false;
+    }
+}
+
+/** How step() left a tasklet. */
+enum class StepEnd
+{
+    Next,    ///< continue at the updated pc
+    Barrier, ///< reached a barrier (pc is past it)
+    Halt,    ///< executed halt
+    Fault,   ///< a machine memory hook refused the access
+};
+
+/**
+ * Execute the instruction at @p pc against machine @p m: the one
+ * definition of what each opcode does, shared by execute() and the
+ * interleaving explorer (analysis/interleave.cc). Advances @p pc (to
+ * the branch target when one is taken) and writes rd in @p r.
+ *
+ * The machine supplies everything that is not a register effect:
+ *
+ *   void charge();              one issue slot, charged by every
+ *                               opcode but mul/mulh, ldma/sdma and
+ *                               barrier, before its memory access
+ *   void mul(int32_t a, int32_t b);     the runtime multiply's charge
+ *   uint32_t tid(); uint32_t ntask();
+ *   bool ldw(uint32_t addr, int32_t& value, uint32_t line);
+ *   bool stw(uint32_t addr, int32_t value, uint32_t line);
+ *   bool ldma(uint32_t wramAddr, uint32_t mramAddr, uint32_t size,
+ *             uint32_t line);
+ *   bool sdma(uint32_t wramAddr, uint32_t mramAddr, uint32_t size,
+ *             uint32_t line);
+ *   void barrier(uint32_t line);
+ *
+ * `line` is the executing instruction's Program::lineOf. A memory
+ * hook returns false to stop the tasklet with StepEnd::Fault (or
+ * throws). Halt charges its slot and returns StepEnd::Halt.
+ *
+ * @pre pc < program.code.size().
+ */
+template <class Machine>
+StepEnd
+step(const Program& program, uint32_t& pc, Registers& r, Machine& m)
+{
+    const uint32_t at = pc++;
+    const Instruction& ins = program.code[at];
+    const int32_t a = r[ins.ra];
+    const int32_t b = r[ins.rb];
+    const uint32_t ua = static_cast<uint32_t>(a);
+    const uint32_t wramAddr = static_cast<uint32_t>(r[ins.rd]);
+    switch (ins.op) {
+      case Opcode::Mul:
+      case Opcode::Mulh:
+        m.mul(a, b);
+        r[ins.rd] = aluResult(ins, a, b);
+        break;
+      case Opcode::Tid:
+        m.charge();
+        r[ins.rd] = static_cast<int32_t>(m.tid());
+        break;
+      case Opcode::Ntask:
+        m.charge();
+        r[ins.rd] = static_cast<int32_t>(m.ntask());
+        break;
+      case Opcode::Ldw: {
+        m.charge();
+        int32_t value;
+        if (!m.ldw(ua + static_cast<uint32_t>(ins.imm), value,
+                   program.lineOf(at)))
+            return StepEnd::Fault;
+        r[ins.rd] = value;
+        break;
+      }
+      case Opcode::Stw:
+        m.charge();
+        if (!m.stw(ua + static_cast<uint32_t>(ins.imm), r[ins.rd],
+                   program.lineOf(at)))
+            return StepEnd::Fault;
+        break;
+      case Opcode::Ldma:
+        if (!m.ldma(wramAddr, ua, static_cast<uint32_t>(b),
+                    program.lineOf(at)))
+            return StepEnd::Fault;
+        break;
+      case Opcode::Sdma:
+        if (!m.sdma(wramAddr, ua, static_cast<uint32_t>(b),
+                    program.lineOf(at)))
+            return StepEnd::Fault;
+        break;
+      case Opcode::Beq:
+      case Opcode::Bne:
+      case Opcode::Blt:
+      case Opcode::Bge:
+      case Opcode::Bltu:
+      case Opcode::Bgeu:
+        m.charge();
+        if (branchTaken(ins.op, a, b))
+            pc = static_cast<uint32_t>(ins.imm);
+        break;
+      case Opcode::Jmp:
+        m.charge();
+        pc = static_cast<uint32_t>(ins.imm);
+        break;
+      case Opcode::Barrier:
+        m.barrier(program.lineOf(at));
+        return StepEnd::Barrier;
+      case Opcode::Halt:
+        m.charge();
+        return StepEnd::Halt;
+      default: // Add … Srai, Movi
+        m.charge();
+        r[ins.rd] = aluResult(ins, a, b);
+        break;
+    }
+    return StepEnd::Next;
+}
 
 /** Thrown on assembly errors, with a line number in the message. */
 class AsmError : public std::runtime_error
@@ -148,15 +353,15 @@ Program assemble(const std::string& source);
 struct ExecResult
 {
     uint64_t instructionsExecuted = 0;
-    std::array<int32_t, 24> registers{};
+    Registers registers{};
 };
 
 /**
- * Execute @p program on a tasklet. Each retired instruction charges
- * one native instruction (the Mul/Mulh pseudo-instructions charge
- * their runtime-expansion cost; DMA instructions additionally go
- * through the DMA model). WRAM accesses address the core's scratchpad
- * directly.
+ * Execute @p program on a tasklet through step(). Each retired
+ * instruction charges one native instruction (the Mul/Mulh
+ * pseudo-instructions charge their runtime-expansion cost; DMA
+ * instructions go through the DMA model instead). WRAM accesses
+ * address the core's scratchpad directly.
  *
  * @param maxInstructions runaway guard.
  * @throws std::runtime_error on invalid memory access or fuel

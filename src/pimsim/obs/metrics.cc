@@ -125,33 +125,6 @@ Histogram::quantile(double q) const
     return maxValue();
 }
 
-bool
-Histogram::mergeFrom(const Histogram& other)
-{
-    if (other.subBits_ != subBits_)
-        return false;
-    for (uint32_t i = 0; i < numBuckets(); ++i) {
-        const uint64_t v = other.bucket(i);
-        if (v)
-            buckets_[i].fetch_add(v, std::memory_order_relaxed);
-    }
-    count_.fetch_add(other.count(), std::memory_order_relaxed);
-    sum_.fetch_add(other.sum(), std::memory_order_relaxed);
-    const uint64_t omin = other.minValue();
-    uint64_t cur = min_.load(std::memory_order_relaxed);
-    while (omin < cur &&
-           !min_.compare_exchange_weak(cur, omin,
-                                       std::memory_order_relaxed))
-    {}
-    const uint64_t omax = other.maxValue();
-    cur = max_.load(std::memory_order_relaxed);
-    while (omax > cur &&
-           !max_.compare_exchange_weak(cur, omax,
-                                       std::memory_order_relaxed))
-    {}
-    return true;
-}
-
 void
 Histogram::reset()
 {
@@ -218,35 +191,6 @@ Registry::findHistogram(const std::string& name) const
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = histograms_.find(sanitizeName(name));
     return it == histograms_.end() ? nullptr : it->second.get();
-}
-
-size_t
-Registry::mergeFrom(const Registry& other)
-{
-    if (&other == this)
-        return 0;
-    std::scoped_lock lock(mutex_, other.mutex_);
-    for (const auto& [name, c] : other.counters_) {
-        auto& slot = counters_[name];
-        if (!slot)
-            slot = std::make_unique<Counter>();
-        slot->mergeFrom(*c);
-    }
-    for (const auto& [name, r] : other.reals_) {
-        auto& slot = reals_[name];
-        if (!slot)
-            slot = std::make_unique<RealAccum>();
-        slot->mergeFrom(*r);
-    }
-    size_t skipped = 0;
-    for (const auto& [name, h] : other.histograms_) {
-        auto& slot = histograms_[name];
-        if (!slot)
-            slot = std::make_unique<Histogram>(h->subBucketBits());
-        if (!slot->mergeFrom(*h))
-            ++skipped;
-    }
-    return skipped;
 }
 
 void

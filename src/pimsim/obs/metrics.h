@@ -51,9 +51,6 @@ class Counter
     uint64_t value() const { return value_.load(std::memory_order_relaxed); }
     void reset() { value_.store(0, std::memory_order_relaxed); }
 
-    /** Fold @p other's value into this counter. */
-    void mergeFrom(const Counter& other) { add(other.value()); }
-
   private:
     std::atomic<uint64_t> value_{0};
 };
@@ -72,9 +69,6 @@ class RealAccum
 
     double value() const { return value_.load(std::memory_order_relaxed); }
     void reset() { value_.store(0.0, std::memory_order_relaxed); }
-
-    /** Fold @p other's value into this accumulator. */
-    void mergeFrom(const RealAccum& other) { add(other.value()); }
 
   private:
     std::atomic<double> value_{0.0};
@@ -131,13 +125,6 @@ class Histogram
      */
     uint64_t quantile(double q) const;
 
-    /**
-     * Fold @p other's samples into this histogram. Returns false
-     * (and merges nothing) when the sub-bucket resolutions differ —
-     * bucket arrays of different shapes cannot be added losslessly.
-     */
-    bool mergeFrom(const Histogram& other);
-
     void reset();
 
   private:
@@ -152,7 +139,7 @@ class Histogram
 /**
  * The registry: named metric families, create-on-first-use. One
  * global instance serves the whole process; independent instances
- * exist for tests and per-shard aggregation (see mergeFrom).
+ * exist for tests.
  */
 class Registry
 {
@@ -194,15 +181,6 @@ class Registry
     /** The histogram named @p name, or nullptr if never registered
      * (never creates — safe for read-only consumers). */
     const Histogram* findHistogram(const std::string& name) const;
-
-    /**
-     * Fold every metric of @p other into this registry (missing
-     * families are created), so per-shard/per-test registries can be
-     * aggregated without double-counting — call once per source
-     * registry. Histograms whose sub-bucket resolutions disagree with
-     * an existing family are skipped; @return how many were.
-     */
-    size_t mergeFrom(const Registry& other);
 
     /** Zero every registered metric (registrations stay). */
     void reset();

@@ -71,7 +71,6 @@ TableCache::evict(const TableKey& key)
     // the pipeline holds the raw binding pointer).
     retired_.push_back(std::move(it->second.binding));
     entries_.erase(it);
-    ++evictions_;
     obs::Registry& reg = obs::Registry::global();
     if (reg.enabled())
         reg.counter("serve/lut_cache/evictions").add(1);

@@ -127,9 +127,6 @@ class TableCache
      */
     uint32_t evict(const TableKey& key);
 
-    /** Evictions performed so far. */
-    uint64_t evictions() const { return evictions_; }
-
     /** Whether @p key's table is resident on @p lane. */
     bool resident(const TableKey& key, uint32_t lane) const;
 
@@ -162,7 +159,6 @@ class TableCache
     uint64_t laneBroadcasts_ = 0;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
-    uint64_t evictions_ = 0;
 };
 
 } // namespace serve

@@ -22,15 +22,15 @@
  * through chargeClassWide/noteWide. MRAM angle tables are still read
  * one readT per iteration.
  *
- * In SIMD builds the batch path goes one step further for the CORDIC
- * bodies that make exactly one unconditional engine call: each is a
- * staged body (pre stage, engine, post stage), and a block of
- * elements runs every pre stage, then its iterations together in the
- * engine's block lane (one element per SIMD lane), then every post
- * stage. Only the order of work across a block's elements changes:
- * BatchTally's totals are sums, and the block lane runs only over a
- * host or WRAM angle table, so no DMA happens in between. MRAM tables
- * and remainders shorter than one vector take the per-element lane.
+ * The batch path goes one step further for the CORDIC bodies that
+ * make exactly one unconditional engine call: each is a staged body
+ * (pre stage, engine, post stage), and a block of elements runs every
+ * pre stage, then its iterations together in the engine's block lane
+ * (one element per SIMD lane), then every post stage. Only the order
+ * of work across a block's elements changes: BatchTally's totals are
+ * sums, and the block lane runs only over a host or WRAM angle table,
+ * so no DMA happens in between. MRAM tables and remainders shorter
+ * than one vector take the per-element lane.
  *
  * The polynomial body that Cndf, Gelu and Erf share (PolyCndf) has a
  * block lane too: around per-element pre and post stages, a block

@@ -25,11 +25,11 @@
  * arithmetic in one of two lanes, with the emulated loop's values,
  * charges and notes: the per-element lane (iterateT, iterateFixedT)
  * steps one start vector through the schedule, and the block lane
- * (iterateBlockT, iterateFixedBlockT; SIMD builds only) steps a block
- * of independent start vectors through each iteration together, one
- * element per SIMD lane. An engine call splits into startT (the
- * prologue, per element) and the iterations, so a batch can gather a
- * block's start vectors, run the block lane, and finish each element.
+ * (iterateBlockT, iterateFixedBlockT) steps a block of independent
+ * start vectors through each iteration together, one element per
+ * SIMD lane. An engine call splits into startT (the prologue, per
+ * element) and the iterations, so a batch can gather a block's start
+ * vectors, run the block lane, and finish each element.
  */
 
 #ifndef TPL_TRANSPIM_CORDIC_H

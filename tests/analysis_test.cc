@@ -10,10 +10,12 @@
 
 #include <cmath>
 #include <cstring>
+#include <random>
 
 #include <gtest/gtest.h>
 
 #include "pimsim/analysis/cfg.h"
+#include "pimsim/analysis/constprop.h"
 #include "pimsim/analysis/loops.h"
 #include "pimsim/analysis/sanitizer.h"
 #include "pimsim/analysis/verify.h"
@@ -642,6 +644,62 @@ TEST(OpcodeTable, TraitsMatchInterpreterBehavior)
                       3))
             << tr.mnemonic << ": rd role disagrees with execute()";
     }
+}
+
+TEST(OpcodeTable, FoldsAndBranchesMatchInterpreter)
+{
+    // Constant propagation (foldValue) and trip-count inference
+    // (branchTaken) reason about a program without running it; what
+    // they conclude must be what execute() does. On the probe values,
+    // their perturbations and seeded random operands (every fourth
+    // pair equal, so the compares see ties): each folded constant
+    // equals the register execute() wrote, and each conditional
+    // branch is taken by execute() exactly when branchTaken says so.
+    std::mt19937 rng(0x15a5eed);
+    uint32_t foldedOps = 0;
+    for (uint32_t c = 0; c < kNumOpcodes; ++c) {
+        Opcode op = static_cast<Opcode>(c);
+        const OpTraits& tr = opTraits(op);
+        probe::Values v = probe::valuesFor(op);
+        std::vector<std::array<int32_t, 3>> operands = {
+            {v.va, v.vb, v.imm},
+            {v.pva, v.vb, v.imm},
+            {v.va, v.pvb, v.imm},
+        };
+        for (int k = 0; k < 64; ++k) {
+            int32_t a = static_cast<int32_t>(rng());
+            int32_t b = k % 4 == 0 ? a : static_cast<int32_t>(rng());
+            operands.push_back({a, b, static_cast<int32_t>(rng())});
+        }
+        bool folds = false;
+        for (auto [a, b, imm] : operands) {
+            if (tr.condBranch || tr.jump)
+                imm = v.imm; // the halt past the marker
+            check::ConstState st;
+            st[1] = a;
+            st[2] = b;
+            st[3] = v.vd;
+            check::ConstVal folded =
+                check::foldValue({op, 3, 1, 2, imm}, st);
+            if (!folded && !tr.condBranch)
+                continue;
+            probe::Observed obs = probe::run(op, a, b, v.vd, imm);
+            ASSERT_FALSE(obs.trapped) << tr.mnemonic;
+            if (folded) {
+                folds = true;
+                EXPECT_EQ(*folded, obs.regs[3])
+                    << tr.mnemonic << " a=" << a << " b=" << b
+                    << " imm=" << imm;
+            }
+            if (tr.condBranch) {
+                EXPECT_EQ(branchTaken(op, a, b), obs.regs[20] == 0)
+                    << tr.mnemonic << " a=" << a << " b=" << b;
+            }
+        }
+        foldedOps += folds;
+    }
+    // Add … Srai, Mul, Mulh and Movi fold; nothing else does.
+    EXPECT_EQ(19u, foldedOps);
 }
 
 // ---------------------------------------------------------------------

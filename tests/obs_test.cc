@@ -556,74 +556,23 @@ TEST(Metrics, HistogramQuantileRelativeErrorBound)
     }
 }
 
-TEST(Metrics, HistogramMergeFrom)
+TEST(Metrics, HistogramNamesAndFindHistogram)
 {
-    obs::Histogram a, b, whole;
-    for (uint64_t s : {uint64_t{1}, uint64_t{5}, uint64_t{100},
-                       uint64_t{1} << 30}) {
-        a.observe(s);
-        whole.observe(s);
-    }
-    for (uint64_t s : {uint64_t{0}, uint64_t{7}, uint64_t{9000},
-                       UINT64_MAX}) {
-        b.observe(s);
-        whole.observe(s);
-    }
-    ASSERT_TRUE(a.mergeFrom(b));
-    EXPECT_EQ(whole.count(), a.count());
-    EXPECT_EQ(whole.sum(), a.sum());
-    EXPECT_EQ(whole.minValue(), a.minValue());
-    EXPECT_EQ(whole.maxValue(), a.maxValue());
-    for (uint32_t i = 0; i < whole.numBuckets(); ++i)
-        ASSERT_EQ(whole.bucket(i), a.bucket(i)) << "bucket " << i;
-    for (double q : {0.25, 0.5, 0.99})
-        EXPECT_EQ(whole.quantile(q), a.quantile(q));
-
-    // Mismatched resolutions refuse to merge (and change nothing).
-    obs::Histogram coarse(2);
-    const uint64_t before = a.count();
-    EXPECT_FALSE(a.mergeFrom(coarse));
-    EXPECT_FALSE(coarse.mergeFrom(a));
-    EXPECT_EQ(before, a.count());
-    EXPECT_EQ(0u, coarse.count());
-}
-
-TEST(Metrics, RegistryMergeFromAggregatesWithoutDoubleCounting)
-{
-    obs::Registry shardA, shardB, total;
-    shardA.counter("serve/waves").add(3);
-    shardA.real("serve/seconds").add(0.5);
-    shardA.histogram("serve/latency").observe(100);
-    shardB.counter("serve/waves").add(4);
-    shardB.counter("serve/only_b").add(1);
-    shardB.real("serve/seconds").add(0.25);
-    shardB.histogram("serve/latency").observe(900);
-
-    EXPECT_EQ(0u, total.mergeFrom(shardA));
-    EXPECT_EQ(0u, total.mergeFrom(shardB));
-    EXPECT_EQ(7u, total.counter("serve/waves").value());
-    EXPECT_EQ(1u, total.counter("serve/only_b").value());
-    EXPECT_DOUBLE_EQ(0.75, total.real("serve/seconds").value());
-    EXPECT_EQ(2u, total.histogram("serve/latency").count());
-    EXPECT_EQ(100u, total.histogram("serve/latency").minValue());
-    EXPECT_EQ(900u, total.histogram("serve/latency").maxValue());
-
-    // Self-merge is a no-op, not a double count.
-    EXPECT_EQ(0u, total.mergeFrom(total));
-    EXPECT_EQ(7u, total.counter("serve/waves").value());
-
-    // Resolution conflicts are skipped and counted, not merged.
-    obs::Registry coarse;
-    coarse.histogram("serve/latency", 2).observe(5);
-    EXPECT_EQ(1u, total.mergeFrom(coarse));
-    EXPECT_EQ(2u, total.histogram("serve/latency").count());
+    obs::Registry reg;
+    reg.counter("serve/waves").add(3);
+    reg.histogram("serve/latency").observe(100);
+    reg.histogram("fault/stall").observe(7);
 
     // histogramNames covers every registered family, sorted.
-    const std::vector<std::string> names = total.histogramNames();
-    ASSERT_EQ(1u, names.size());
-    EXPECT_EQ("serve/latency", names[0]);
-    EXPECT_NE(nullptr, total.findHistogram("serve/latency"));
-    EXPECT_EQ(nullptr, total.findHistogram("no/such/family"));
+    const std::vector<std::string> names = reg.histogramNames();
+    ASSERT_EQ(2u, names.size());
+    EXPECT_EQ("fault/stall", names[0]);
+    EXPECT_EQ("serve/latency", names[1]);
+    const obs::Histogram* h = reg.findHistogram("serve/latency");
+    ASSERT_NE(nullptr, h);
+    EXPECT_EQ(1u, h->count());
+    EXPECT_EQ(nullptr, reg.findHistogram("no/such/family"));
+    EXPECT_EQ(nullptr, reg.findHistogram("serve/waves"));
 }
 
 TEST(Metrics, ResetUnderConcurrentObserveIsSafe)

@@ -17,15 +17,12 @@
  *
  * Options:
  *   --trace PATH           request trace to replay
- *   --demo-trace           print a built-in demo trace and exit.
- *                          Combined with a replay option (--topology,
- *                          --demo-requests, --json, --journal,
- *                          --metrics, --slo, --plan, --auto-tune,
- *                          --tenant-sla) and no --trace, the demo
- *                          trace is *replayed* instead: a synthetic
- *                          mixed-config trace of --demo-requests
- *                          requests (default 1000000) built in
- *                          memory.
+ *   --demo-trace           alone: print a built-in demo trace and
+ *                          exit. With any other option (but not
+ *                          --trace) the demo trace is *replayed*
+ *                          instead: a synthetic mixed-config trace of
+ *                          --demo-requests requests (default
+ *                          1000000) built in memory.
  *   --demo-requests N      size of the synthetic demo replay
  *   --topology DxRxP       fleet topology (e.g. 20x2x64: 20 DIMMs x
  *                          2 ranks x 64 DPUs); implies
@@ -104,10 +101,11 @@ usage()
            "                [--auto-tune] [--tenant-sla T:SPEC]..."
            " [--explore N]\n"
            "       pimserve --demo-trace   # print the demo trace\n"
-           "       pimserve --demo-trace --topology 20x2x64"
-           " [--demo-requests N] ...\n"
+           "       pimserve --demo-trace [--demo-requests N] OPTION...\n"
            "                               # replay a synthetic demo"
-           " trace\n";
+           " trace\n"
+           "                               # with any option but"
+           " --trace\n";
 }
 
 /** A mixed inference-style burst: repeated configs hit the table
@@ -345,28 +343,23 @@ main(int argc, char** argv)
         }
     }
 
-    // `--demo-trace` alone prints the demo trace file. Combined with
-    // a replay-shaping option (and no --trace) it replays a
-    // synthetic in-memory trace instead.
-    bool replayDemo =
-        demoTrace && tracePath.empty() &&
-        (ropts.topology || demoRequests > 0 || autoTune ||
-         !jsonPath.empty() || !journalPath.empty() ||
-         !metricsPath.empty() || !sloText.empty() ||
-         !planPath.empty());
-    if (demoTrace && !replayDemo) {
+    // `--demo-trace` alone prints the demo trace file; with any other
+    // option it replays a synthetic in-memory trace instead.
+    if (demoTrace && argc == 2) {
         std::cout << kDemoTrace;
         return 0;
     }
+    if (demoTrace && !tracePath.empty())
+        flags.fail("--demo-trace and --trace cannot be combined");
     if (ropts.topology)
         ropts.dpus = ropts.topology->numDpus();
-    if ((tracePath.empty() && !replayDemo) || ropts.dpus == 0) {
+    if ((tracePath.empty() && !demoTrace) || ropts.dpus == 0) {
         usage();
         return 2;
     }
 
     std::vector<TraceRequest> trace;
-    if (replayDemo) {
+    if (demoTrace) {
         trace =
             demoReplayTrace(demoRequests ? demoRequests : 1000000u);
     } else {
