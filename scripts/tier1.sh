@@ -41,6 +41,24 @@ cmake -B "$BUILD_DIR" -S "$SRC_DIR" -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build "$BUILD_DIR" -j
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j
 
+# The 8-lane width: simd_lanes.h packs 8 lanes per vector under AVX/AVX2
+# and 4 otherwise, so the tree above compiles only one width. Where the
+# host has AVX2, build batch_test again with -mavx2 (warnings as
+# errors) and run the lane locks at 8 lanes, each slice by name.
+if grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
+    AVX2_DIR="${BUILD_DIR}-avx2"
+    cmake -B "$AVX2_DIR" -S "$SRC_DIR" -DCMAKE_CXX_FLAGS=-mavx2 \
+        -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
+    cmake --build "$AVX2_DIR" -j --target batch_test
+    for tests in 'BatchFastLane\.' 'BatchIdentity\.' 'SoftfloatBatch\.' \
+        'LaneOps\.'; do
+        ctest --test-dir "$AVX2_DIR" --output-on-failure \
+            --no-tests=error -R "$tests"
+    done
+else
+    echo "8-lane (AVX2) batch check skipped: /proc/cpuinfo lists no avx2"
+fi
+
 if [ "${TPL_TIER1_TSAN:-0}" = "1" ]; then
     TSAN_DIR="${BUILD_DIR}-tsan"
     cmake -B "$TSAN_DIR" -S "$SRC_DIR" -DTPL_SANITIZE=thread
@@ -60,7 +78,8 @@ fi
 # engine fast-value lanes (BatchFastLane.*), among them the SIMD block
 # lanes (BatchFastLane.*BlockLane*) and the polynomial CNDF body's
 # block lane, whose bit shifts and int/float conversions run in SIMD
-# lanes (BatchFastLane.PolyBlockLane*), the staged bodies' block shapes
+# lanes (BatchFastLane.PolyBlockLane*) and each vector-lane op on its
+# own (LaneOps.*), the staged bodies' block shapes
 # and MRAM routing (BatchEdgeCases.*) and the hostile table specs
 # that once overflowed a table image, aborted pimserve or shifted an
 # int32 by 32 (BatchHostileSpec.*), and the mini-ISA's one opcode
@@ -80,6 +99,7 @@ if [ "${TPL_TIER1_ASAN:-0}" = "1" ]; then
         'BatchFastLane.FixedBlockLaneMatchesPerElementLane' \
         'BatchFastLane.PolyBlockLaneMatchesPerElementLane' \
         'BatchFastLane.PolyBlockLaneTakesOrdinaryBlocksOnly' \
+        'LaneOps\.' \
         'BatchEdgeCases.DegenerateSizesBitIdentical' \
         'BatchEdgeCases.NanAndInfLadenInputsBitIdentical' \
         'BatchEdgeCases.MramCordicKeepsPerElementDmaOrder' \

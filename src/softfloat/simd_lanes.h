@@ -4,14 +4,17 @@
  *
  * The vector kernels are written against GCC/Clang vector extensions
  * (`__attribute__((vector_size)))`) instead of per-ISA intrinsics: one
- * template-free kernel compiles to SSE2, AVX2 or NEON depending on the
- * target flags, and to scalar lowering everywhere else. The lane path
+ * kernel compiles to SSE2, AVX2 or NEON depending on the target flags,
+ * and to scalar lowering everywhere else. A register is never wider
+ * than simdLanes: passing or returning a wider vector by value changes
+ * the calling convention (GCC's -Wpsabi), so a block of more lanes
+ * holds several registers. The lane path
  * is valid because the binary32 softfloat tier is bit-identical to
  * host IEEE-754 arithmetic under round-to-nearest-even for every
  * non-NaN result (verified exhaustively by the softfloat test tier);
  * the only divergence — NaN payloads, where softfloat always returns
  * the canonical quiet NaN 0x7fc00000 — is repaired by patching
- * NaN-result lanes after the vector op.
+ * NaN-result lanes after the vector op (softfloat_lanes.h).
  *
  * The library already requires GCC or Clang (`unsigned __int128`,
  * `__builtin_ctzll`), so the lane path is always compiled; a target
@@ -34,17 +37,20 @@ inline constexpr int simdLanes = 8;
 inline constexpr int simdLanes = 4;
 #endif
 
-/** One SIMD register of binary32 lanes. */
-typedef float VFloat
-    __attribute__((vector_size(simdLanes * sizeof(float))));
+/** The register types of @p W lanes: binary32, 32-bit bit patterns and
+ * signed 32-bit lanes. Width 1 compiles to scalar code. */
+template <int W>
+struct SimdRegs
+{
+    typedef float Float __attribute__((vector_size(W * 4)));
+    typedef uint32_t Bits __attribute__((vector_size(W * 4)));
+    typedef int32_t Int __attribute__((vector_size(W * 4)));
+};
 
-/** One SIMD register of 32-bit integer lanes (bit manipulation). */
-typedef uint32_t VBits
-    __attribute__((vector_size(simdLanes * sizeof(uint32_t))));
-
-/** One SIMD register of signed 32-bit lanes (arithmetic shifts). */
-typedef int32_t VInt
-    __attribute__((vector_size(simdLanes * sizeof(int32_t))));
+/** One SIMD register of binary32, bit-pattern and signed lanes. */
+using VFloat = SimdRegs<simdLanes>::Float;
+using VBits = SimdRegs<simdLanes>::Bits;
+using VInt = SimdRegs<simdLanes>::Int;
 
 } // namespace sf
 } // namespace tpl

@@ -9,50 +9,22 @@
  * (emuMul32T's non-zero-byte row count on the non-special path) and
  * flushed as one 64-bit total. Charges are computed *before* results
  * are stored so `out` may alias an input span.
+ *
+ * The values of whole vectors come from the vector lane's ops
+ * (softfloat_lanes.h), which patch NaN results to the canonical quiet
+ * NaN as the scalar cores return it; its counts are not used, since
+ * the charges above are exact for every operand, specials included.
  */
 
 #include "softfloat/softfloat_batch.h"
 
 #include <cassert>
-#include <cstring>
 
-#include "softfloat/simd_lanes.h"
 #include "softfloat/softfloat_core.h"
+#include "softfloat/softfloat_lanes.h"
 
 namespace tpl {
 namespace sf {
-
-namespace {
-
-VFloat
-loadV(const float* p)
-{
-    VFloat v;
-    std::memcpy(&v, p, sizeof v);
-    return v;
-}
-
-void
-storeV(float* p, VFloat v)
-{
-    std::memcpy(p, &v, sizeof v);
-}
-
-/**
- * Replace NaN lanes with the canonical quiet NaN (0x7fc00000): the
- * single place host IEEE results and the softfloat cores differ.
- */
-VFloat
-patchNan(VFloat v)
-{
-    for (int l = 0; l < simdLanes; ++l) {
-        if (v[l] != v[l])
-            v[l] = bitsToFloat(ieeeQuietNan);
-    }
-    return v;
-}
-
-} // namespace
 
 void
 addN(std::span<const float> a, std::span<const float> b,
@@ -65,8 +37,8 @@ addN(std::span<const float> a, std::span<const float> b,
         sink->noteN(OpClass::FloatAdd, n);
     }
     size_t i = 0;
-    for (; i + simdLanes <= n; i += simdLanes)
-        storeV(&out[i], patchNan(loadV(&a[i]) + loadV(&b[i])));
+    for (VecLane<simdLanes> lane; i + simdLanes <= n; i += simdLanes)
+        lane.store(&out[i], lane.add(lane.load(&a[i]), lane.load(&b[i])));
     NullSink none;
     for (; i < n; ++i)
         out[i] = addT(a[i], b[i], none);
@@ -89,8 +61,8 @@ mulN(std::span<const float> a, std::span<const float> b,
         sink->noteN(OpClass::FloatMul, n);
     }
     size_t i = 0;
-    for (; i + simdLanes <= n; i += simdLanes)
-        storeV(&out[i], patchNan(loadV(&a[i]) * loadV(&b[i])));
+    for (VecLane<simdLanes> lane; i + simdLanes <= n; i += simdLanes)
+        lane.store(&out[i], lane.mul(lane.load(&a[i]), lane.load(&b[i])));
     NullSink none;
     for (; i < n; ++i)
         out[i] = mulT(a[i], b[i], none);

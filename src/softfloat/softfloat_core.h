@@ -323,17 +323,20 @@ mulIntCharge(uint32_t bitsA, uint32_t bitsB)
  * sinks opt in; SinkRef does not, so the public scalar API always runs
  * the emulated cores.
  *
- * The lane extends to whole evaluator engines (the CORDIC loops in
- * transpim/cordic.h): an engine may run one host-arithmetic loop per
- * call that produces the emulated loop's values, charges and notes.
- * Such a loop may hoist two things out of its iterations: the host or
- * WRAM table view (LutStore::viewT, resolved once per call) and its
- * per-call charge and note totals, which it adds once through the
- * sink's 64-bit chargeClassWide/noteWide (BatchTally's adds; a
- * fast-value sink provides both). It may not hoist or batch MRAM
- * table reads: those stay one readT per entry, in the emulated
- * order, so the DMA model, DMA-data faults and stall cycles see the
- * same event sequence.
+ * The lane extends to whole method bodies, each written once over a
+ * lane (softfloat_lanes.h) that runs these cores per element or their
+ * fast values on a block in SIMD lanes. The CORDIC engines
+ * (transpim/cordic.h) write their iterations once over the register
+ * width: one host-arithmetic loop per call, on one start vector or a
+ * block, with the emulated loop's values, charges and notes. It may
+ * hoist two things out of its iterations: the host or WRAM table view
+ * (LutStore::viewT, resolved once per call) and its per-call charge
+ * and note totals, which it adds once through the sink's 64-bit
+ * chargeClassWide/noteWide (BatchTally's adds; a fast-value sink
+ * provides both). It may not hoist or batch MRAM table reads: those
+ * stay one readT per entry, in the emulated order, so the DMA model,
+ * DMA-data faults and stall cycles see the same event sequence. The
+ * emulated cores stay every lane's oracle.
  */
 template <class S>
 inline constexpr bool sinkFastValues = [] {

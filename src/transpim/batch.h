@@ -14,34 +14,35 @@
  * occupancy are unchanged); BatchSink caches the TaskletContext*
  * lookup once per batch instead of one dynamic_cast per read.
  *
- * The CORDIC engines extend the fast-value lane to their whole
- * iteration loop (softfloat_core.h states the contract): per call they
- * resolve a host or WRAM angle table once (LutStore::viewT), run the
- * iterations in host arithmetic with sign-bit flips in place of the
- * add/sub branches, and add the call's charge and note totals once
- * through chargeClassWide/noteWide. MRAM angle tables are still read
- * one readT per iteration.
+ * Each body with a block lane is written once, over a lane
+ * (softfloat_lanes.h; softfloat_core.h states the fast-value
+ * contract): its per-element lane and its block lane are two
+ * instantiations. The CORDIC iterations are one body over the register
+ * width W (cordic_detail::iterateLanesT, iterateFixedT): per call they
+ * resolve a host or WRAM angle table once (LutStore::viewT), run in
+ * host arithmetic with sign-bit flips in place of the add/sub
+ * branches, and add the call's charge and note totals once through
+ * chargeClassWide/noteWide. At W = 1, the per-element lane, an MRAM
+ * angle table is still read one readT per iteration.
  *
- * The batch path goes one step further for the CORDIC bodies that
- * make exactly one unconditional engine call: each is a staged body
- * (pre stage, engine, post stage), and a block of elements runs every
- * pre stage, then its iterations together in the engine's block lane
- * (one element per SIMD lane), then every post stage. Only the order
- * of work across a block's elements changes: BatchTally's totals are
+ * runBatch (evaluator.cc) runs every body; one with a block lane runs
+ * blocks of four vectors, then of one, and the remainder per element.
+ * A CORDIC body that makes exactly one unconditional engine call is a
+ * staged body (pre stage, engine, post stage): a block runs every pre
+ * stage, then its iterations together at W = Vectors * simdLanes (one
+ * element per SIMD lane), then every post stage. Only the order of
+ * work across a block's elements changes: BatchTally's totals are
  * sums, and the block lane runs only over a host or WRAM angle table,
- * so no DMA happens in between. MRAM tables and remainders shorter
- * than one vector take the per-element lane.
+ * so no DMA happens in between. MRAM tables take the per-element lane.
  *
- * The polynomial body that Cndf, Gelu and Erf share (PolyCndf) has a
- * block lane too: around per-element pre and post stages, a block
- * runs every softfloat step of the cndf in SIMD lanes (the vector ops
- * of softfloat_lanes.h), each lane with its scalar core's value. The
- * block's constant charges and notes are added once, and each lane's
- * multiply IntMulDiv charges are summed by mulIntCharge's closed form.
- * A block where any lane leaves a fast path (a special or subnormal
- * operand, ldexp underflow or overflow, a conversion outside its exact
- * range) is discarded and runs per element, which charges what the
- * emulated cores charge.
+ * The polynomial body that Cndf, Gelu and Erf share (PolyCndf) runs,
+ * between per-element pre and post stages, every softfloat step of a
+ * block's cndf in the vector lane, each lane with its scalar core's
+ * value; the block's charges and notes are added once. A block where
+ * any lane leaves a fast path (a special or subnormal operand, ldexp
+ * underflow or overflow, a conversion outside its exact range) is
+ * discarded and runs per element, which charges what the emulated
+ * cores charge.
  */
 
 #ifndef TPL_TRANSPIM_BATCH_H

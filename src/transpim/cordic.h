@@ -22,14 +22,18 @@
  *    2^-28 resolution).
  *
  * A fast-value sink (the batch path) runs the iterations in host
- * arithmetic in one of two lanes, with the emulated loop's values,
- * charges and notes: the per-element lane (iterateT, iterateFixedT)
- * steps one start vector through the schedule, and the block lane
- * (iterateBlockT, iterateFixedBlockT) steps a block of independent
- * start vectors through each iteration together, one element per
- * SIMD lane. An engine call splits into startT (the prologue, per
- * element) and the iterations, so a batch can gather a block's start
- * vectors, run the block lane, and finish each element.
+ * arithmetic, with the emulated loop's values, charges and notes.
+ * Each engine's iterations are one body written over the register
+ * width W (cordic_detail::iterateLanesT for float, iterateFixedT for
+ * Q3.28), which steps W independent start vectors through each
+ * iteration together, one per register lane. W = 1 is the per-element
+ * lane (rotateT, vectorT), which also serves MRAM angle tables with one
+ * readT per step; a block of Vectors * simdLanes start vectors is the
+ * block lane (iterateBlockT). An engine call splits into startT (the
+ * prologue, per element) and the iterations, so a batch can gather a
+ * block's start vectors, run the block lane, and finish each element.
+ * The emulated loop of iterateT stays separate: it is the oracle both
+ * lanes are tested against.
  */
 
 #ifndef TPL_TRANSPIM_CORDIC_H
@@ -118,74 +122,164 @@ positiveStep(float y, float z)
 }
 
 /**
- * The fast-value lane of iterateT (softfloat_core.h states the
- * contract): the emulated loop's values, charges and notes, computed
- * in host arithmetic.
- *  - The angle table is resolved once per call; an MRAM table keeps
- *    one readT per iteration.
+ * pimLdexpT(., -@p shift)'s exponent-field path in every lane of
+ * @p bits, where that path applies. Lanes where it does not (zero,
+ * subnormal, inf/NaN, exponent <= @p shift) are set in @p slow; their
+ * returned bits are garbage (a shift of 256 or more wraps the field)
+ * until the caller's pimLdexpT fix-up replaces them. @p shift is below
+ * 2^30 (LutStore::checkSize bounds a schedule), so the exponent
+ * compares fit signed lanes.
+ */
+template <class B>
+inline B
+shiftDownBits(B bits, uint32_t shift, B& slow)
+{
+    using I = typename sf::SimdRegs<sizeof(B) / sizeof(uint32_t)>::Int;
+    const I e = reinterpret_cast<I>((bits >> 23) & 0xffu);
+    const int32_t s = static_cast<int32_t>(shift);
+    slow = reinterpret_cast<B>((e <= s) | (e == 0xff));
+    return bits - (shift << 23);
+}
+
+/**
+ * Angle @p k of a W-lane iteration: one readT for an emulated sink or
+ * without a @p view (MRAM), else the view's entry. A block (W > 1)
+ * always has a view, so its loop holds no DMA call.
+ */
+template <int W, class T, class S>
+inline T
+angleAt(const LutStore<T>& angles, LutView<T> view, uint32_t k, S& sink)
+{
+    if constexpr (!sf::sinkFastValues<S>)
+        return angles.readT(k, sink);
+    else if constexpr (W > 1)
+        return view[k];
+    else
+        return view ? view[k] : angles.readT(k, sink);
+}
+
+/**
+ * The fast-value lane of the float CORDIC iterations (softfloat_core.h
+ * states the contract): the @p W start vectors @p v, one per register
+ * lane, stepped through each iteration together and overwritten with
+ * their results, each with the emulated loop's values, charges and
+ * notes, computed in host arithmetic. W = 1 is the per-element lane
+ * (iterateT with a fast-value sink); a block of Vectors * simdLanes
+ * start vectors is the block lane (the engines' iterateBlockT).
+ *  - Each angle comes from @p view, the table's host or WRAM view,
+ *    resolved once per call. Without one (an MRAM table, W = 1 only)
+ *    each step makes one readT, in the emulated order.
  *  - subT(a, b) is addT(a, -b) plus one SoftFloat instruction, so each
  *    add/sub branch becomes a sign-bit flip of the added term, and the
  *    loop counts the subtractions.
- *  - The shifts take pimLdexpT's exponent-field path inline and fall
- *    back to pimLdexpT for the other inputs.
- *  - Everything else is summed per call and added to the sink once.
+ *  - The shifts take pimLdexpT's exponent-field path in-register, with
+ *    a per-lane pimLdexpT fix-up for the lanes it does not cover.
+ *  - Everything else is summed and added to the sink once.
  */
-template <bool Vectoring, class S>
-inline CordicVector
-iterateFastT(CordicMode mode, const std::vector<uint32_t>& schedule,
-             const LutStore<float>& angles, CordicVector v, S& sink)
+template <bool Vectoring, int W, class S>
+inline void
+iterateLanesT(CordicMode mode, const std::vector<uint32_t>& schedule,
+              const LutStore<float>& angles, LutView<float> view,
+              CordicVector* v, S& sink)
 {
+    // Width-1 registers for one element, else native ones.
+    constexpr int lanes = W == 1 ? 1 : sf::simdLanes;
+    constexpr int regs = W / lanes;
+    using Bits = typename sf::SimdRegs<lanes>::Bits;
+    using Float = typename sf::SimdRegs<lanes>::Float;
     constexpr uint32_t signBit = 0x80000000u;
-    auto flip = [](float a, uint32_t mask) {
-        return bitsToFloat(floatBits(a) ^ mask);
-    };
-    auto shift = [&sink](float a, uint32_t i, uint64_t& inlined) {
-        float r;
-        if (ldexpDownFast(a, i, r)) {
-            ++inlined;
-            return r;
-        }
-        return pimLdexpT(a, -static_cast<int>(i), sink);
-    };
-    const LutView<float> view = angles.viewT(sink);
     // On a positive step circular rotation subtracts the shifted y
     // term from x, hyperbolic rotation adds it.
     const uint32_t xFlip =
         mode == CordicMode::Hyperbolic ? 0u : signBit;
+    Bits x[regs], y[regs], z[regs];
+    for (int b = 0; b < regs; ++b)
+        for (int l = 0; l < lanes; ++l) {
+            x[b][l] = floatBits(v[b * lanes + l].x);
+            y[b][l] = floatBits(v[b * lanes + l].y);
+            z[b][l] = floatBits(v[b * lanes + l].z);
+        }
+    auto sum = [](Bits a, Bits b) {
+        return reinterpret_cast<Float>(a) + reinterpret_cast<Float>(b);
+    };
+    // Per lane at most regs * n subtractions: below 2^32, since a
+    // schedule has fewer than 2^30 steps (LutStore::checkSize).
+    Bits xSubs = {};
+    uint64_t slowShifts = 0;
     const uint64_t n = schedule.size();
-    uint64_t inlinedShifts = 0;
-    uint64_t xSubs = 0;
-    float x = v.x;
-    float y = v.y;
-    float z = v.z;
     for (uint32_t k = 0; k < n; ++k) {
-        uint32_t i = schedule[k];
-        float xs = shift(x, i, inlinedShifts);
-        float ys = shift(y, i, inlinedShifts);
-        float ang = view ? view[k] : angles.readT(k, sink);
-        // 0 on a positive step, the sign bit on a negative one.
-        uint32_t neg = positiveStep<Vectoring>(y, z) ? 0u : signBit;
-        xSubs += (neg ^ xFlip) >> 31;
-        float nx = sf::core::canonical(x + flip(ys, neg ^ xFlip));
-        float ny = sf::core::canonical(y + flip(xs, neg));
-        float nz = sf::core::canonical(z + flip(ang, neg ^ signBit));
-        x = nx;
-        y = ny;
-        z = nz;
+        const uint32_t i = schedule[k];
+        const uint32_t ang = floatBits(angleAt<W>(angles, view, k, sink));
+        Bits xs[regs], ys[regs], xSlow[regs], ySlow[regs];
+        Bits anySlow = {};
+        for (int b = 0; b < regs; ++b) {
+            xs[b] = shiftDownBits(x[b], i, xSlow[b]);
+            ys[b] = shiftDownBits(y[b], i, ySlow[b]);
+            anySlow |= xSlow[b] | ySlow[b];
+        }
+        if (sf::anyLane(anySlow)) {
+            auto fix = [&](Bits& out, const Bits& in, const Bits& slow) {
+                for (int l = 0; l < lanes; ++l)
+                    if (slow[l]) {
+                        out[l] = floatBits(pimLdexpT(
+                            bitsToFloat(in[l]), -static_cast<int>(i),
+                            sink));
+                        ++slowShifts;
+                    }
+            };
+            for (int b = 0; b < regs; ++b) {
+                fix(xs[b], x[b], xSlow[b]);
+                fix(ys[b], y[b], ySlow[b]);
+            }
+        }
+        // Only the component whose sign picks the step (z in rotation,
+        // y in vectoring) needs canonical() after every step. A NaN in
+        // the other two reaches nothing but its own final value: its
+        // shift takes pimLdexpT's pass-through, with the same charge
+        // for any payload, and every sum with it is a NaN. So they take
+        // canonical() once, after the last step (a schedule of no steps
+        // returns the start vector untouched).
+        for (int b = 0; b < regs; ++b) {
+            // 0 on a positive step, the sign bit on a negative one.
+            const Bits neg = Vectoring ? ~y[b] & signBit : z[b] & signBit;
+            const Bits xNeg = neg ^ xFlip;
+            xSubs += xNeg >> 31;
+            const Float nx = sum(x[b], ys[b] ^ xNeg);
+            const Float ny = sum(y[b], xs[b] ^ neg);
+            const Float nz = sum(z[b], (neg ^ signBit) ^ ang);
+            x[b] = reinterpret_cast<Bits>(nx);
+            y[b] = Vectoring ? sf::canonicalBits(ny)
+                             : reinterpret_cast<Bits>(ny);
+            z[b] = Vectoring ? reinterpret_cast<Bits>(nz)
+                             : sf::canonicalBits(nz);
+        }
     }
+    for (int b = 0; b < regs && n > 0; ++b) {
+        x[b] = sf::canonicalBits(reinterpret_cast<Float>(x[b]));
+        Bits& other = Vectoring ? z[b] : y[b];
+        other = sf::canonicalBits(reinterpret_cast<Float>(other));
+    }
+    for (int b = 0; b < regs; ++b)
+        for (int l = 0; l < lanes; ++l)
+            v[b * lanes + l] = {bitsToFloat(x[b][l]), bitsToFloat(y[b][l]),
+                                bitsToFloat(z[b][l])};
+    uint64_t subs = 0;
+    for (int l = 0; l < lanes; ++l)
+        subs += xSubs[l];
     // Per step: one of the y and z updates subtracts, and x's does
     // when xSubs counted it.
-    const uint64_t reads = view ? n : 0;
+    const uint64_t steps = n * W;
+    const uint64_t reads = view ? steps : 0;
+    const uint64_t inlinedShifts = 2 * steps - slowShifts;
     sink.chargeClassWide(InstrClass::IntAlu,
-                         n * iterControlCost + reads * lutReadCost +
+                         steps * iterControlCost + reads * lutReadCost +
                              inlinedShifts *
                                  ldexp_detail::fastPathCost);
     sink.chargeClassWide(InstrClass::SoftFloat,
-                         n * (3 * sf::core::addCharge + 1) + xSubs);
-    sink.noteWide(OpClass::FloatAdd, 3 * n);
+                         steps * (3 * sf::core::addCharge + 1) + subs);
+    sink.noteWide(OpClass::FloatAdd, 3 * steps);
     sink.noteWide(OpClass::Ldexp, inlinedShifts);
     sink.noteWide(OpClass::TableRead, reads);
-    return {x, y, z};
 }
 
 /**
@@ -193,7 +287,7 @@ iterateFastT(CordicMode mode, const std::vector<uint32_t>& schedule,
  * one angle per step from @p angles: rotation (Vectoring = false)
  * drives z to zero, vectoring drives y to zero. Every float engine
  * (CordicEngine, the tail of CordicLutEngine) runs this one loop; a
- * fast-value sink takes iterateFastT.
+ * fast-value sink takes iterateLanesT's per-element lane.
  */
 template <bool Vectoring, class S>
 inline CordicVector
@@ -201,7 +295,9 @@ iterateT(CordicMode mode, const std::vector<uint32_t>& schedule,
          const LutStore<float>& angles, CordicVector v, S& sink)
 {
     if constexpr (sf::sinkFastValues<S>) {
-        return iterateFastT<Vectoring>(mode, schedule, angles, v, sink);
+        iterateLanesT<Vectoring, 1>(mode, schedule, angles,
+                                    angles.viewT(sink), &v, sink);
+        return v;
     } else {
         float x = v.x;
         float y = v.y;
@@ -225,244 +321,80 @@ iterateT(CordicMode mode, const std::vector<uint32_t>& schedule,
     }
 }
 
-/** @p a + @p b when @p mask is 0, @p a - @p b when it is all ones
- * (two's-complement wrap, so no signed overflow). */
-inline int32_t
-addOrSub(int32_t a, int32_t b, uint32_t mask)
-{
-    uint32_t term = (static_cast<uint32_t>(b) ^ mask) - mask;
-    return static_cast<int32_t>(static_cast<uint32_t>(a) + term);
-}
-
 /**
- * The Q3.28 counterpart of iterateT, one loop for both lanes: values
- * are native integer arithmetic, with each add/sub chosen by a sign
- * mask instead of a branch. A fast-value sink resolves the angle table
- * once per call (MRAM keeps one readT per step) and gets the call's
- * charges and notes added once.
+ * The Q3.28 CORDIC iterations of the @p W start vectors @p v, one per
+ * register lane, overwritten with their results: native shifts and
+ * sign-masked adds, the same expressions at every width. W = 1 serves
+ * rotateT and vectorT with any sink; a block of Vectors * simdLanes
+ * start vectors is the block lane (the engine's iterateBlockT). An
+ * emulated sink charges each step as it runs and reads each angle
+ * through readT. A fast-value sink reads @p view where there is one
+ * (an MRAM table keeps one readT per step) and gets the call's charges
+ * and notes added once.
  */
-template <bool Vectoring, class S>
-inline CordicFixedVector
+template <bool Vectoring, int W, class S>
+inline void
 iterateFixedT(CordicMode mode, const std::vector<uint32_t>& schedule,
-              const LutStore<int32_t>& angles, int32_t x, int32_t y,
-              int32_t z, S& sink)
+              const LutStore<int32_t>& angles, LutView<int32_t> view,
+              CordicFixedVector* v, S& sink)
 {
     constexpr bool fast = sf::sinkFastValues<S>;
-    LutView<int32_t> view(nullptr);
-    if constexpr (fast)
-        view = angles.viewT(sink);
+    constexpr int lanes = W == 1 ? 1 : sf::simdLanes;
+    constexpr int regs = W / lanes;
+    using Bits = typename sf::SimdRegs<lanes>::Bits;
+    using Int = typename sf::SimdRegs<lanes>::Int;
     // Circular rotation: x -= s*ys; hyperbolic: x += s*ys.
     const uint32_t xFlip = mode == CordicMode::Hyperbolic ? 0u : ~0u;
-    for (uint32_t k = 0; k < schedule.size(); ++k) {
-        // The exact floor shift: an int32 shifted right by 31 or more
-        // places is 0 or -1 (and a shift by 32 or more is undefined).
-        int i = static_cast<int>(std::min(schedule[k], 31u));
-        int32_t xs = x >> i;
-        int32_t ys = y >> i;
-        int32_t ang = view ? view[k] : angles.readT(k, sink);
-        if constexpr (!fast)
-            sink.charge(fixedStepCost);
-        // All ones on a negative step: rotation steps by sign(z),
-        // vectoring by -sign(y).
-        uint32_t neg = Vectoring ? ~static_cast<uint32_t>(y >> 31)
-                                 : static_cast<uint32_t>(z >> 31);
-        int32_t nx = addOrSub(x, ys, neg ^ xFlip);
-        y = addOrSub(y, xs, neg);
-        z = addOrSub(z, ang, ~neg);
-        x = nx;
-    }
-    if constexpr (fast) {
-        const uint64_t n = schedule.size();
-        const uint64_t reads = view ? n : 0;
-        sink.chargeClassWide(InstrClass::IntAlu,
-                             n * fixedStepCost + reads * lutReadCost);
-        sink.noteWide(OpClass::TableRead, reads);
-    }
-    return {Fixed::fromRaw(x), Fixed::fromRaw(y), Fixed::fromRaw(z)};
-}
-
-/**
- * ldexpDownFast(., @p shift) in every lane of @p bits: the exponent-
- * field result where that path applies. Lanes where it does not
- * (zero, subnormal, inf/NaN, exponent <= @p shift) are set in
- * @p slow; their returned bits are garbage (a shift of 256 or more
- * wraps the field) until the caller's pimLdexpT fix-up replaces them.
- * @p shift is below 2^30 (LutStore::checkSize bounds a schedule), so
- * the exponent compares fit signed lanes.
- */
-inline sf::VBits
-shiftDownBits(sf::VBits bits, uint32_t shift, sf::VBits& slow)
-{
-    const sf::VInt e = reinterpret_cast<sf::VInt>((bits >> 23) & 0xffu);
-    const int32_t s = static_cast<int32_t>(shift);
-    slow = reinterpret_cast<sf::VBits>((e <= s) | (e == 0xff));
-    return bits - (shift << 23);
-}
-
-/**
- * The block lane of iterateT: @p Vectors * simdLanes independent start
- * vectors @p v, one per SIMD lane, stepped through each iteration
- * together and overwritten with their results. Each lane computes what
- * iterateFastT computes for its element: the same host additions, the
- * same sign-bit flips, the exponent-field shift in-vector with a
- * scalar pimLdexpT fix-up for the lanes it does not cover. @p view is
- * the angle table's host or WRAM view (an MRAM table has none and
- * never reaches this lane). The block's charge and note totals are
- * added once, as iterateFastT adds its per-call totals.
- */
-template <bool Vectoring, int Vectors, class S>
-inline void
-iterateBlockT(CordicMode mode, const std::vector<uint32_t>& schedule,
-              LutView<float> view, CordicVector* v, S& sink)
-{
-    using sf::VBits;
-    using sf::VFloat;
-    constexpr int lanes = sf::simdLanes;
-    constexpr uint32_t signBit = 0x80000000u;
-    const uint32_t xFlip =
-        mode == CordicMode::Hyperbolic ? 0u : signBit;
-    VBits x[Vectors], y[Vectors], z[Vectors];
-    for (int b = 0; b < Vectors; ++b)
-        for (int l = 0; l < lanes; ++l) {
-            x[b][l] = floatBits(v[b * lanes + l].x);
-            y[b][l] = floatBits(v[b * lanes + l].y);
-            z[b][l] = floatBits(v[b * lanes + l].z);
-        }
-    auto sum = [](VBits a, VBits b) {
-        return reinterpret_cast<VFloat>(a) + reinterpret_cast<VFloat>(b);
-    };
-    // Per lane at most Vectors * n subtractions: below 2^32, since a
-    // schedule has fewer than 2^30 steps (LutStore::checkSize).
-    VBits xSubs = {};
-    uint64_t slowShifts = 0;
-    const uint64_t n = schedule.size();
-    for (uint32_t k = 0; k < n; ++k) {
-        const uint32_t i = schedule[k];
-        const uint32_t ang = floatBits(view[k]);
-        VBits xs[Vectors], ys[Vectors], xSlow[Vectors], ySlow[Vectors];
-        VBits anySlow = {};
-        for (int b = 0; b < Vectors; ++b) {
-            xs[b] = shiftDownBits(x[b], i, xSlow[b]);
-            ys[b] = shiftDownBits(y[b], i, ySlow[b]);
-            anySlow |= xSlow[b] | ySlow[b];
-        }
-        if (sf::anyLane(anySlow)) {
-            auto fix = [&](VBits& out, const VBits& in, const VBits& slow) {
-                for (int l = 0; l < lanes; ++l)
-                    if (slow[l]) {
-                        out[l] = floatBits(pimLdexpT(
-                            bitsToFloat(in[l]), -static_cast<int>(i),
-                            sink));
-                        ++slowShifts;
-                    }
-            };
-            for (int b = 0; b < Vectors; ++b) {
-                fix(xs[b], x[b], xSlow[b]);
-                fix(ys[b], y[b], ySlow[b]);
-            }
-        }
-        // Only the component whose sign picks the step (z in rotation,
-        // y in vectoring) needs canonical() after every step. A NaN in
-        // the other two reaches nothing but its own final value: its
-        // shift takes pimLdexpT's pass-through, with the same charge
-        // for any payload, and every sum with it is a NaN. So they take
-        // canonical() once, after the last step (a schedule of no steps
-        // returns the start vector untouched, as iterateFastT does).
-        for (int b = 0; b < Vectors; ++b) {
-            // 0 on a positive step, the sign bit on a negative one.
-            const VBits neg = Vectoring ? ~y[b] & signBit : z[b] & signBit;
-            const VBits xNeg = neg ^ xFlip;
-            xSubs += xNeg >> 31;
-            const VFloat nx = sum(x[b], ys[b] ^ xNeg);
-            const VFloat ny = sum(y[b], xs[b] ^ neg);
-            const VFloat nz = sum(z[b], (neg ^ signBit) ^ ang);
-            x[b] = reinterpret_cast<VBits>(nx);
-            y[b] = Vectoring ? sf::canonicalBits(ny)
-                             : reinterpret_cast<VBits>(ny);
-            z[b] = Vectoring ? reinterpret_cast<VBits>(nz)
-                             : sf::canonicalBits(nz);
-        }
-    }
-    for (int b = 0; b < Vectors && n > 0; ++b) {
-        x[b] = sf::canonicalBits(reinterpret_cast<VFloat>(x[b]));
-        VBits& other = Vectoring ? z[b] : y[b];
-        other = sf::canonicalBits(reinterpret_cast<VFloat>(other));
-    }
-    for (int b = 0; b < Vectors; ++b)
-        for (int l = 0; l < lanes; ++l)
-            v[b * lanes + l] = {bitsToFloat(x[b][l]), bitsToFloat(y[b][l]),
-                                bitsToFloat(z[b][l])};
-    uint64_t subs = 0;
-    for (int l = 0; l < lanes; ++l)
-        subs += xSubs[l];
-    const uint64_t steps = n * Vectors * lanes;
-    const uint64_t inlinedShifts = 2 * steps - slowShifts;
-    sink.chargeClassWide(InstrClass::IntAlu,
-                         steps * (iterControlCost + lutReadCost) +
-                             inlinedShifts *
-                                 ldexp_detail::fastPathCost);
-    sink.chargeClassWide(InstrClass::SoftFloat,
-                         steps * (3 * sf::core::addCharge + 1) + subs);
-    sink.noteWide(OpClass::FloatAdd, 3 * steps);
-    sink.noteWide(OpClass::Ldexp, inlinedShifts);
-    sink.noteWide(OpClass::TableRead, steps);
-}
-
-/**
- * The block lane of iterateFixedT: @p Vectors * simdLanes independent
- * Q3.28 start vectors @p v stepped through each iteration together,
- * with iterateFixedT's shifts and sign-masked adds in every lane and
- * the block's charge and note totals added once.
- */
-template <bool Vectoring, int Vectors, class S>
-inline void
-iterateFixedBlockT(CordicMode mode, const std::vector<uint32_t>& schedule,
-                   LutView<int32_t> view, CordicFixedVector* v, S& sink)
-{
-    using sf::VBits;
-    using sf::VInt;
-    constexpr int lanes = sf::simdLanes;
-    const uint32_t xFlip = mode == CordicMode::Hyperbolic ? 0u : ~0u;
-    VBits x[Vectors], y[Vectors], z[Vectors];
-    for (int b = 0; b < Vectors; ++b)
+    Bits x[regs], y[regs], z[regs];
+    for (int b = 0; b < regs; ++b)
         for (int l = 0; l < lanes; ++l) {
             x[b][l] = static_cast<uint32_t>(v[b * lanes + l].x.raw());
             y[b][l] = static_cast<uint32_t>(v[b * lanes + l].y.raw());
             z[b][l] = static_cast<uint32_t>(v[b * lanes + l].z.raw());
         }
-    // addOrSub in every lane, in unsigned (wrapping) arithmetic.
-    auto addOrSubV = [](VBits a, VBits b, VBits mask) {
+    // a + b where mask is 0, a - b where it is all ones, in unsigned
+    // (wrapping) arithmetic, so no signed overflow.
+    auto addOrSub = [](Bits a, Bits b, Bits mask) {
         return a + ((b ^ mask) - mask);
     };
-    auto floorShift = [](VBits a, int i) {
-        return reinterpret_cast<VBits>(reinterpret_cast<VInt>(a) >> i);
+    auto floorShift = [](Bits a, int i) {
+        return reinterpret_cast<Bits>(reinterpret_cast<Int>(a) >> i);
     };
     const uint64_t n = schedule.size();
     for (uint32_t k = 0; k < n; ++k) {
+        // The exact floor shift: an int32 shifted right by 31 or more
+        // places is 0 or -1 (and a shift by 32 or more is undefined).
         const int i = static_cast<int>(std::min(schedule[k], 31u));
-        const VBits ang = VBits{} + static_cast<uint32_t>(view[k]);
-        for (int b = 0; b < Vectors; ++b) {
-            const VBits xs = floorShift(x[b], i);
-            const VBits ys = floorShift(y[b], i);
-            // All ones on a negative step.
-            const VBits neg = Vectoring ? ~floorShift(y[b], 31)
-                                        : floorShift(z[b], 31);
-            const VBits nx = addOrSubV(x[b], ys, neg ^ xFlip);
-            y[b] = addOrSubV(y[b], xs, neg);
-            z[b] = addOrSubV(z[b], ang, ~neg);
+        const Bits ang = Bits{} + static_cast<uint32_t>(
+                                      angleAt<W>(angles, view, k, sink));
+        if constexpr (!fast)
+            sink.charge(fixedStepCost);
+        for (int b = 0; b < regs; ++b) {
+            const Bits xs = floorShift(x[b], i);
+            const Bits ys = floorShift(y[b], i);
+            // All ones on a negative step: rotation steps by sign(z),
+            // vectoring by -sign(y).
+            const Bits neg = Vectoring ? ~floorShift(y[b], 31)
+                                       : floorShift(z[b], 31);
+            const Bits nx = addOrSub(x[b], ys, neg ^ xFlip);
+            y[b] = addOrSub(y[b], xs, neg);
+            z[b] = addOrSub(z[b], ang, ~neg);
             x[b] = nx;
         }
     }
-    for (int b = 0; b < Vectors; ++b)
+    for (int b = 0; b < regs; ++b)
         for (int l = 0; l < lanes; ++l)
             v[b * lanes + l] = {
                 Fixed::fromRaw(static_cast<int32_t>(x[b][l])),
                 Fixed::fromRaw(static_cast<int32_t>(y[b][l])),
                 Fixed::fromRaw(static_cast<int32_t>(z[b][l]))};
-    const uint64_t steps = n * Vectors * lanes;
-    sink.chargeClassWide(InstrClass::IntAlu,
-                         steps * (fixedStepCost + lutReadCost));
-    sink.noteWide(OpClass::TableRead, steps);
+    if constexpr (fast) {
+        const uint64_t steps = n * W;
+        const uint64_t reads = view ? steps : 0;
+        sink.chargeClassWide(InstrClass::IntAlu,
+                             steps * fixedStepCost + reads * lutReadCost);
+        sink.noteWide(OpClass::TableRead, reads);
+    }
 }
 
 } // namespace cordic_detail
@@ -550,14 +482,15 @@ class CordicEngine
         return table_.viewT(sink);
     }
 
-    /** The iterations of startT's vectors @p v, in the block lane
-     * (cordic_detail::iterateBlockT) over @p view = angleViewT(). */
+    /** The iterations of the @p Vectors * simdLanes start vectors
+     * @p v, in the block lane (cordic_detail::iterateLanesT) over
+     * @p view = angleViewT(). */
     template <bool Vectoring, int Vectors, class S>
     void
     iterateBlockT(LutView<float> view, CordicVector* v, S& sink) const
     {
-        cordic_detail::iterateBlockT<Vectoring, Vectors>(mode_, schedule_,
-                                                         view, v, sink);
+        cordic_detail::iterateLanesT<Vectoring, Vectors * sf::simdLanes>(
+            mode_, schedule_, table_, view, v, sink);
     }
 
     CordicMode mode() const { return mode_; }
@@ -616,9 +549,9 @@ class CordicFixedEngine
     rotateT(Fixed z0, S& sink) const
     {
         Result v = startT(CordicRotation<Fixed>{z0}, sink);
-        return cordic_detail::iterateFixedT<false>(
-            mode_, schedule_, table_, v.x.raw(), v.y.raw(), v.z.raw(),
-            sink);
+        cordic_detail::iterateFixedT<false, 1>(
+            mode_, schedule_, table_, angleViewT(sink), &v, sink);
+        return v;
     }
 
     /** Sink-template body of vector() (batch path inlines it). */
@@ -627,9 +560,9 @@ class CordicFixedEngine
     vectorT(Fixed x0, Fixed y0, S& sink) const
     {
         Result v = startT(CordicVectoring<Fixed>{x0, y0}, sink);
-        return cordic_detail::iterateFixedT<true>(
-            mode_, schedule_, table_, v.x.raw(), v.y.raw(), v.z.raw(),
-            sink);
+        cordic_detail::iterateFixedT<true, 1>(
+            mode_, schedule_, table_, angleViewT(sink), &v, sink);
+        return v;
     }
 
     /** rotateT's prologue: its start vector (invGain, 0, z0). */
@@ -658,14 +591,14 @@ class CordicFixedEngine
         return table_.viewT(sink);
     }
 
-    /** The iterations of startT's vectors @p v, in the block lane
-     * (cordic_detail::iterateFixedBlockT). */
+    /** The iterations of the @p Vectors * simdLanes start vectors
+     * @p v, in the block lane (cordic_detail::iterateFixedT). */
     template <bool Vectoring, int Vectors, class S>
     void
     iterateBlockT(LutView<int32_t> view, Result* v, S& sink) const
     {
-        cordic_detail::iterateFixedBlockT<Vectoring, Vectors>(
-            mode_, schedule_, view, v, sink);
+        cordic_detail::iterateFixedT<Vectoring, Vectors * sf::simdLanes>(
+            mode_, schedule_, table_, view, v, sink);
     }
 
     uint32_t iterations() const { return iterations_; }

@@ -97,15 +97,15 @@ class CordicLutEngine
         return angleTable_.viewT(sink);
     }
 
-    /** The tail iterations of startT's vectors @p v, in the block
-     * lane (cordic_detail::iterateBlockT). */
+    /** The tail iterations of the @p Vectors * simdLanes start vectors
+     * @p v, in the block lane (cordic_detail::iterateLanesT). */
     template <bool Vectoring, int Vectors, class S>
     void
     iterateBlockT(LutView<float> view, CordicVector* v, S& sink) const
     {
         static_assert(!Vectoring, "CordicLutEngine only rotates");
-        cordic_detail::iterateBlockT<false, Vectors>(mode_, tailSchedule_,
-                                                     view, v, sink);
+        cordic_detail::iterateLanesT<false, Vectors * sf::simdLanes>(
+            mode_, tailSchedule_, angleTable_, view, v, sink);
     }
 
     /** Tail iterations actually executed. */

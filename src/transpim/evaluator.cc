@@ -40,20 +40,6 @@ using BatchEval = std::function<void(std::span<const float>,
                                      BatchStats*)>;
 using Attach = std::function<void(sim::DpuCore&)>;
 
-/**
- * The batched loop over one evaluation body. Flattened so the body,
- * its engines and the softfloat cores they call inline into the loop;
- * only out-of-line calls (MRAM DMA reads) remain calls.
- */
-template <class Body>
-[[gnu::flatten]] void
-runBatch(const Body& body, std::span<const float> in,
-         std::span<float> out, BatchSink& sink)
-{
-    for (std::size_t i = 0; i < in.size(); ++i)
-        out[i] = body(in[i], sink);
-}
-
 /** The carry of a staged body whose post stage needs nothing from its
  * pre stage. */
 struct NoCarry
@@ -92,7 +78,7 @@ vectoring(T x0, T y0, Carry carry = {})
  * stages: pre(x, sink) returns a Staged, the engine runs, and
  * post(carry, result, sink) returns the output. Calling it runs
  * pre → rotateT/vectorT → post: the scalar path and the batch path's
- * per-element lane. runBatch also runs whole blocks of it through the
+ * per-element lane. Its block lane runs whole blocks of it through the
  * engine's block lane; this one definition serves both.
  */
 template <class Engine, class Pre, class Post>
@@ -112,6 +98,39 @@ struct StagedBody
         else
             return post(carry, engine->rotateT(in.z0, sink), sink);
     }
+
+    /** What the block lane needs: the angle table's host or WRAM view.
+     * An MRAM table has none, so its reads stay one DMA per step. */
+    auto
+    blockView(BatchSink& sink) const
+    {
+        return engine->angleViewT(sink);
+    }
+
+    /**
+     * One block of @p Vectors * simdLanes elements in the engine's
+     * block lane: every element's pre stage and engine prologue, then
+     * the iterations of all of them together, then every post stage.
+     * All inputs are read before any output is written, so @p in may
+     * alias @p out.
+     */
+    template <int Vectors, class View>
+    void
+    block(View view, const float* in, float* out, BatchSink& sink) const
+    {
+        constexpr int n = Vectors * sf::simdLanes;
+        using Stage = decltype(pre(0.0f, sink));
+        Stage stages[n]{};
+        typename Engine::Result v[n]{};
+        for (int j = 0; j < n; ++j) {
+            stages[j] = pre(in[j], sink);
+            v[j] = engine->startT(stages[j].in, sink);
+        }
+        constexpr bool vectoring = decltype(Stage::in)::vectoring;
+        engine->template iterateBlockT<vectoring, Vectors>(view, v, sink);
+        for (int j = 0; j < n; ++j)
+            out[j] = post(stages[j].carry, v[j], sink);
+    }
 };
 
 /** The StagedBody of @p pre and @p post around @p engine. */
@@ -123,84 +142,11 @@ staged(std::shared_ptr<Engine> engine, Pre pre, Post post)
 }
 
 /**
- * One block of @p Vectors * simdLanes elements of a staged body in the
- * engine's block lane: every element's pre stage and engine prologue,
- * then the iterations of all of them together, then every post stage.
- * All inputs are read before any output is written, so @p in may
- * alias @p out.
- */
-template <int Vectors, class Engine, class Pre, class Post, class View>
-void
-runBlock(const StagedBody<Engine, Pre, Post>& body, View view,
-         const float* in, float* out, BatchSink& sink)
-{
-    constexpr int n = Vectors * sf::simdLanes;
-    using Stage = decltype(body.pre(0.0f, sink));
-    Stage stages[n]{};
-    typename Engine::Result v[n]{};
-    for (int j = 0; j < n; ++j) {
-        stages[j] = body.pre(in[j], sink);
-        v[j] = body.engine->startT(stages[j].in, sink);
-    }
-    constexpr bool vectoring = decltype(Stage::in)::vectoring;
-    body.engine->template iterateBlockT<vectoring, Vectors>(view, v,
-                                                             sink);
-    for (int j = 0; j < n; ++j)
-        out[j] = body.post(stages[j].carry, v[j], sink);
-}
-
-/**
- * The block prefix of a batch of @p n elements: blocks of four
- * vectors, then of one vector, each run as block(vectors, i) for the
- * block at element i, with vectors a std::integral_constant. Returns
- * where the per-element remainder starts.
- */
-template <class Block>
-std::size_t
-runBlocks(std::size_t n, const Block& block)
-{
-    constexpr std::size_t lanes = sf::simdLanes;
-    std::size_t i = 0;
-    for (; n - i >= 4 * lanes; i += 4 * lanes)
-        block(std::integral_constant<int, 4>{}, i);
-    for (; n - i >= lanes; i += lanes)
-        block(std::integral_constant<int, 1>{}, i);
-    return i;
-}
-
-/**
- * The batched loop over a staged body. With a host or WRAM angle
- * table it runs runBlocks' blocks in the block lane, and the
- * remainder (and every element of an MRAM table, whose reads must
- * stay one DMA per step) per element. Reordering work within a block
- * changes no total: the batch's charges and notes are sums, and a
- * block does no DMA.
- */
-template <class Engine, class Pre, class Post>
-[[gnu::flatten]] void
-runBatch(const StagedBody<Engine, Pre, Post>& body,
-         std::span<const float> in, std::span<float> out,
-         BatchSink& sink)
-{
-    std::size_t i = 0;
-    if (in.size() >= sf::simdLanes) {
-        if (auto view = body.engine->angleViewT(sink)) {
-            i = runBlocks(in.size(), [&](auto vectors, std::size_t at) {
-                runBlock<decltype(vectors)::value>(body, view, &in[at],
-                                                   &out[at], sink);
-            });
-        }
-    }
-    for (; i < in.size(); ++i)
-        out[i] = body(in[i], sink);
-}
-
-/**
  * A body around one PolyCndf call, in stages like a StagedBody:
  * pre(x, sink) returns the cndf input and post(x, c, sink) the output
  * from x and the cndf value c. Calling it runs pre → cndf → post: the
- * scalar path and the batch path's per-element lane. runBatch also
- * runs blocks of it with the cndf in its block lane.
+ * scalar path and the batch path's per-element lane. Its block lane
+ * runs blocks of it with the cndf in the vector lane.
  */
 template <class Pre, class Post>
 struct CndfBody
@@ -215,6 +161,33 @@ struct CndfBody
     {
         return post(x, cndf(pre(x, sink), sink), sink);
     }
+
+    /** The cndf reads no table: its block lane is always open. */
+    std::true_type blockView(BatchSink&) const { return {}; }
+
+    /**
+     * One block of @p Vectors * simdLanes elements: every pre stage,
+     * the cndf of all of them in the vector lane (per element when a
+     * lane leaves a fast path), then every post stage. All inputs are
+     * read before any output is written, so @p in may alias @p out.
+     */
+    template <int Vectors>
+    void
+    block(std::true_type, const float* in, float* out,
+          BatchSink& sink) const
+    {
+        constexpr int n = Vectors * sf::simdLanes;
+        float x[n], c[n];
+        for (int j = 0; j < n; ++j) {
+            x[j] = in[j];
+            c[j] = pre(x[j], sink);
+        }
+        if (!cndf.template block<Vectors>(c, c, sink))
+            for (float& v : c)
+                v = cndf(v, sink);
+        for (int j = 0; j < n; ++j)
+            out[j] = post(x[j], c[j], sink);
+    }
 };
 
 /** The CndfBody of @p pre and @p post around @p cndf. */
@@ -226,45 +199,33 @@ cndfBody(PolyCndf cndf, Pre pre, Post post)
 }
 
 /**
- * One block of @p Vectors * simdLanes elements of a CndfBody: every
- * pre stage, the cndf of all of them in its block lane (per element
- * when a lane leaves a fast path), then every post stage. All inputs
- * are read before any output is written, so @p in may alias @p out.
+ * The batched loop over one evaluation body. A body with a block lane
+ * (blockView and block: StagedBody, CndfBody) runs blocks of four
+ * vectors, then of one vector, through it whenever blockView(sink)
+ * opens it, and the remainder per element; any other body runs per
+ * element. Reordering work within a block changes no total: the
+ * batch's charges and notes are sums, and a block does no DMA.
+ * Flattened so the body, its engines and the softfloat cores they
+ * call inline into the loop; only out-of-line calls (MRAM DMA reads)
+ * remain calls.
  */
-template <int Vectors, class Pre, class Post>
-void
-runBlock(const CndfBody<Pre, Post>& body, const float* in, float* out,
-         BatchSink& sink)
-{
-    constexpr int n = Vectors * sf::simdLanes;
-    float x[n], c[n];
-    for (int j = 0; j < n; ++j) {
-        x[j] = in[j];
-        c[j] = body.pre(x[j], sink);
-    }
-    if (!body.cndf.template block<Vectors>(c, c, sink))
-        for (float& v : c)
-            v = body.cndf(v, sink);
-    for (int j = 0; j < n; ++j)
-        out[j] = body.post(x[j], c[j], sink);
-}
-
-/**
- * The batched loop over a CndfBody: runBlocks' blocks in the block
- * lane, the remainder per element. As with a staged body, a block
- * only reorders work between its elements, and the body reads no
- * table.
- */
-template <class Pre, class Post>
+template <class Body>
 [[gnu::flatten]] void
-runBatch(const CndfBody<Pre, Post>& body, std::span<const float> in,
+runBatch(const Body& body, std::span<const float> in,
          std::span<float> out, BatchSink& sink)
 {
-    std::size_t i =
-        runBlocks(in.size(), [&](auto vectors, std::size_t at) {
-            runBlock<decltype(vectors)::value>(body, &in[at], &out[at],
-                                               sink);
-        });
+    std::size_t i = 0;
+    if constexpr (requires { body.blockView(sink); }) {
+        constexpr std::size_t lanes = sf::simdLanes;
+        if (in.size() >= lanes) {
+            if (auto view = body.blockView(sink)) {
+                for (; in.size() - i >= 4 * lanes; i += 4 * lanes)
+                    body.template block<4>(view, &in[i], &out[i], sink);
+                for (; in.size() - i >= lanes; i += lanes)
+                    body.template block<1>(view, &in[i], &out[i], sink);
+            }
+        }
+    }
     for (; i < in.size(); ++i)
         out[i] = body(in[i], sink);
 }

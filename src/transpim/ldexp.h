@@ -14,7 +14,10 @@
  * or signed zero, and subnormal inputs scale exactly.
  *
  * The bodies are sink-templates (inlined by the batch execution path);
- * the InstrSink* entry points instantiate them with SinkRef.
+ * the InstrSink* entry points instantiate them with SinkRef. This
+ * header also defines the ldexp op of both lanes (softfloat_lanes.h):
+ * the element lane's is pimLdexpT, the vector lane's its exponent-field
+ * path in every lane, with the lanes off that path marked slow.
  */
 
 #ifndef TPL_TRANSPIM_LDEXP_H
@@ -100,47 +103,6 @@ pimLdexpT(float arg, int exp, S& sink)
     return bitsToFloat(sign | keep);
 }
 
-/**
- * The exponent-field path of pimLdexpT(arg, -shift) alone: when @p arg
- * is normal and the result stays normal, store it in @p out and return
- * true (the caller charges fastPathCost and notes one Ldexp, as
- * pimLdexpT would). Zero, subnormal, inf/NaN and underflowing inputs
- * return false; the caller then runs pimLdexpT itself.
- */
-inline bool
-ldexpDownFast(float arg, uint32_t shift, float& out)
-{
-    uint32_t bits = floatBits(arg);
-    uint32_t e = ieeeExponent(bits);
-    if (e - 1u >= 0xfeu || e <= shift)
-        return false;
-    out = bitsToFloat(bits - (shift << 23));
-    return true;
-}
-
-/**
- * pimLdexpT(arg, k)'s exponent-field path in every lane: where @p arg
- * is normal and arg * 2^k stays normal, that path's value, with its
- * charge (fastPathCost) and note counted in @p t. Lanes off that path
- * (a zero, subnormal, inf or NaN input; underflow; overflow) are set
- * in t.slow, and their values are garbage.
- */
-inline sf::VFloat
-ldexpLanes(sf::VFloat arg, sf::VInt k, sf::LaneTally& t)
-{
-    using sf::VBits;
-    t.charge(InstrClass::IntAlu, ldexp_detail::fastPathCost);
-    t.note(OpClass::Ldexp);
-    const VBits bits = reinterpret_cast<VBits>(arg);
-    const VBits e = (bits >> 23) & 0xffu;
-    // e + k in unsigned lanes lands in [1, 254] exactly when the true
-    // sum does, for any int32 k: the wrap moves it out of that range.
-    const VBits shift = reinterpret_cast<VBits>(k);
-    t.slow |= reinterpret_cast<VBits>(e - 1u >= 0xfeu) |
-              reinterpret_cast<VBits>(e + shift - 1u >= 0xfeu);
-    return reinterpret_cast<sf::VFloat>(bits + (shift << 23));
-}
-
 /** Binary64 variant: arg * 2^exp with C99 ldexp semantics. */
 template <class S>
 inline double
@@ -202,6 +164,46 @@ float pimLdexp(float arg, int exp, InstrSink* sink = nullptr);
 double pimLdexp64(double arg, int exp, InstrSink* sink = nullptr);
 
 } // namespace transpim
+
+namespace sf {
+
+/** The element lane's ldexp: pimLdexpT. */
+template <class S>
+inline float
+ElemLane<S>::ldexp(float a, int32_t k)
+{
+    return transpim::pimLdexpT(a, k, sink_);
+}
+
+/**
+ * The vector lane's ldexp: pimLdexpT(a, k)'s exponent-field path in
+ * every lane. Where @p a is normal and a * 2^k stays normal, that
+ * path's value, with its charge (fastPathCost) and note. Lanes off
+ * that path (a zero, subnormal, inf or NaN input; underflow; overflow)
+ * are set in slow, and their values are garbage.
+ */
+template <int W>
+inline typename VecLane<W>::Float
+VecLane<W>::ldexp(const Float& a, const Int& k)
+{
+    charge(transpim::ldexp_detail::fastPathCost);
+    note(OpClass::Ldexp);
+    Float out;
+    forRegs([&](int i) {
+        const VBits bits = reinterpret_cast<VBits>(a.r[i]);
+        const VBits e = (bits >> 23) & 0xffu;
+        // e + k in unsigned lanes lands in [1, 254] exactly when the
+        // true sum does, for any int32 k: the wrap moves it out of that
+        // range.
+        const VBits shift = reinterpret_cast<VBits>(k.r[i]);
+        slow.r[i] |= reinterpret_cast<VBits>(e - 1u >= 0xfeu) |
+                     reinterpret_cast<VBits>(e + shift - 1u >= 0xfeu);
+        out.r[i] = reinterpret_cast<VFloat>(bits + (shift << 23));
+    });
+    return out;
+}
+
+} // namespace sf
 } // namespace tpl
 
 #endif // TPL_TRANSPIM_LDEXP_H

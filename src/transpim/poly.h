@@ -8,22 +8,22 @@
  * one float multiplication per bit of precision - which is exactly the
  * disadvantage TransPimLib's LUT methods remove (Section 4.2.1).
  *
- * PolyExp and PolyCndf are polynomial bodies with a block lane: next
- * to the per-element body (operator(), the one definition of values
- * and charges) they run the same steps on a block of elements in SIMD
- * lanes (softfloat_lanes.h), for the batch path.
+ * Horner's rule, PolyExp and PolyCndf are each written once, as a
+ * template over a lane type (softfloat_lanes.h). The element lane is
+ * the per-element body, the one definition of values and charges: with
+ * SinkRef it runs the emulated cores, with the batch path's BatchSink
+ * their fast values. The vector lane runs the same body on a block of
+ * elements in SIMD lanes (PolyCndf::block), for the batch path.
  */
 
 #ifndef TPL_TRANSPIM_POLY_H
 #define TPL_TRANSPIM_POLY_H
 
-#include <cstring>
 #include <memory>
+#include <span>
 #include <vector>
 
-#include "common/bitops.h"
 #include "common/instr_sink.h"
-#include "softfloat/simd_lanes.h"
 #include "softfloat/softfloat_core.h"
 #include "softfloat/softfloat_lanes.h"
 #include "transpim/ldexp.h"
@@ -31,6 +31,25 @@
 
 namespace tpl {
 namespace transpim {
+
+/**
+ * Horner's rule in lane L (softfloat_lanes.h) on @p coeffs (ascending,
+ * c0 first) at @p x: per coefficient below the leading one, a
+ * coefficient load and loop control (IntAlu 2), a multiply and an add.
+ */
+template <class L>
+inline typename L::Float
+horner(L& lane, std::span<const float> coeffs, typename L::Float x)
+{
+    if (coeffs.empty())
+        return lane.splat(0.0f);
+    auto acc = lane.splat(coeffs.back());
+    for (std::size_t i = coeffs.size() - 1; i-- > 0;) {
+        lane.charge(2);
+        acc = lane.add(lane.mul(acc, x), lane.splat(coeffs[i]));
+    }
+    return acc;
+}
 
 /**
  * Dense polynomial evaluated with Horner's rule in emulated binary32.
@@ -46,19 +65,14 @@ class Polynomial
     /** Evaluate at @p x; degree() multiplies and adds. */
     float eval(float x, InstrSink* sink) const;
 
-    /** Sink-template body of eval() (batch path inlines it). */
+    /** Sink-template body of eval(): horner() in the element lane
+     * (batch path inlines it). */
     template <class S>
     float
     evalT(float x, S& sink) const
     {
-        if (coeffs_.empty())
-            return 0.0f;
-        float acc = coeffs_.back();
-        for (std::size_t i = coeffs_.size() - 1; i-- > 0;) {
-            sink.charge(2); // coefficient load + loop control
-            acc = sf::addT(sf::mulT(acc, x, sink), coeffs_[i], sink);
-        }
-        return acc;
+        sf::ElemLane<S> lane(sink);
+        return horner(lane, coeffs_, x);
     }
 
     uint32_t degree() const
@@ -75,39 +89,29 @@ class Polynomial
 };
 
 /**
- * e^x by the polynomial method: splitExpT's x = k*ln2 + r, the Taylor
- * polynomial @p poly at r, then pimLdexpT by k.
+ * e^x by the polynomial method: splitExp's x = k*ln2 + r, the Taylor
+ * polynomial @p poly at r, then ldexp by k.
  */
 struct PolyExp
 {
     std::shared_ptr<const Polynomial> poly;
 
-    /** The per-element body. */
+    /** The body, in lane L. */
+    template <class L>
+    typename L::Float
+    eval(L& lane, typename L::Float x) const
+    {
+        const auto s = splitExp(lane, x);
+        return lane.ldexp(horner(lane, poly->coeffs(), s.r), s.k);
+    }
+
+    /** The body in the element lane with sink @p sink. */
     template <class S>
     float
     operator()(float x, S& sink) const
     {
-        ExpSplit s = splitExpT(x, sink);
-        float y = poly->evalT(s.r, sink);
-        return pimLdexpT(y, s.k, sink);
-    }
-
-    /** operator() in every lane of @p x, into @p y, counted in @p t. */
-    template <int Vectors>
-    void
-    lanes(const sf::VFloat (&x)[Vectors], sf::VFloat (&y)[Vectors],
-          sf::LaneTally& t) const
-    {
-        sf::VInt k[Vectors];
-        sf::VFloat r[Vectors];
-        for (int b = 0; b < Vectors; ++b) {
-            ExpSplitLanes s = splitExpLanes(x[b], t);
-            k[b] = s.k;
-            r[b] = s.r;
-        }
-        sf::hornerLanes(poly->coeffs(), r, y, t);
-        for (int b = 0; b < Vectors; ++b)
-            y[b] = ldexpLanes(y[b], k[b], t);
+        sf::ElemLane<S> lane(sink);
+        return eval(lane, x);
     }
 };
 
@@ -121,75 +125,54 @@ struct PolyCndf
     PolyExp exp;
     std::shared_ptr<const Polynomial> tail;
 
-    /** The per-element body. */
+    /** The body, in lane L. */
+    template <class L>
+    typename L::Float
+    eval(L& lane, typename L::Float x) const
+    {
+        const auto one = lane.splat(1.0f);
+        const auto ax = lane.abs(x);
+        const auto t = lane.div(
+            one, lane.add(one, lane.mul(lane.splat(kTailScale), ax)));
+        // phi(x) = exp(-x^2/2) / sqrt(2*pi)
+        const auto x2 = lane.mul(x, x);
+        const auto e = exp.eval(lane, lane.neg(lane.ldexp(x2, -1)));
+        const auto phi = lane.mul(lane.splat(kInvSqrt2Pi), e);
+        const auto tl = lane.mul(phi, horner(lane, tail->coeffs(), t));
+        const auto cnd = lane.sub(one, tl);
+        lane.charge(2);
+        return lane.whereNegative(x, cnd, [](auto& l, const auto& c) {
+            return l.sub(l.splat(1.0f), c);
+        });
+    }
+
+    /** The body in the element lane with sink @p sink. */
     template <class S>
     float
     operator()(float x, S& sink) const
     {
-        float ax = sf::absT(x, sink);
-        float t = sf::divT(
-            1.0f, sf::addT(1.0f, sf::mulT(kTailScale, ax, sink), sink),
-            sink);
-        // phi(x) = exp(-x^2/2) / sqrt(2*pi)
-        float x2 = sf::mulT(x, x, sink);
-        float e = exp(sf::negT(pimLdexpT(x2, -1, sink), sink), sink);
-        float phi = sf::mulT(kInvSqrt2Pi, e, sink);
-        float tl = sf::mulT(phi, tail->evalT(t, sink), sink);
-        float cnd = sf::subT(1.0f, tl, sink);
-        sink.charge(2);
-        if (floatBits(x) >> 31)
-            cnd = sf::subT(1.0f, cnd, sink);
-        return cnd;
+        sf::ElemLane<S> lane(sink);
+        return eval(lane, x);
     }
 
     /**
-     * operator() on the @p Vectors * simdLanes elements at @p in, one
-     * per SIMD lane, into @p out, adding the block's charges and notes
+     * The body on the @p Vectors * simdLanes elements at @p in in the
+     * vector lane, into @p out, adding the block's charges and notes
      * to the fast-value sink @p sink once. Returns false, touching
      * neither @p out nor @p sink, when any lane leaves a fast path
-     * (softfloat_lanes.h, ldexpLanes): the caller then runs the block
-     * per element. @p in may alias @p out.
+     * (softfloat_lanes.h): the caller then runs the block per element.
+     * @p in may alias @p out.
      */
     template <int Vectors, class S>
     bool
     block(const float* in, float* out, S& sink) const
     {
-        using sf::VFloat;
-        constexpr int lanes = sf::simdLanes;
-        sf::LaneTally t;
-        const VFloat one = sf::splatLanes(1.0f);
-        VFloat x[Vectors], tv[Vectors], nh[Vectors], e[Vectors];
-        VFloat p[Vectors], cnd[Vectors];
-        for (int b = 0; b < Vectors; ++b) {
-            std::memcpy(&x[b], in + b * lanes, sizeof(VFloat));
-            VFloat ax = sf::absLanes(x[b], t);
-            VFloat den = sf::addLanes(
-                one, sf::mulLanes(sf::splatLanes(kTailScale), ax, t), t);
-            tv[b] = sf::divLanes(one, den, t);
-            VFloat x2 = sf::mulLanes(x[b], x[b], t);
-            nh[b] = sf::negLanes(ldexpLanes(x2, sf::VInt{} - 1, t), t);
-        }
-        exp.lanes(nh, e, t);
-        sf::hornerLanes(tail->coeffs(), tv, p, t);
-        for (int b = 0; b < Vectors; ++b) {
-            VFloat phi = sf::mulLanes(sf::splatLanes(kInvSqrt2Pi), e[b], t);
-            VFloat c = sf::subLanes(one, sf::mulLanes(phi, p[b], t), t);
-            t.charge(InstrClass::IntAlu, 2);
-            // The sign fix-up, counted in the negative lanes only.
-            const sf::VBits neg = reinterpret_cast<sf::VBits>(
-                reinterpret_cast<sf::VInt>(x[b]) < 0);
-            sf::LaneTally fix;
-            VFloat flipped = sf::subLanes(one, c, fix);
-            t.addWhere(neg, fix);
-            cnd[b] = reinterpret_cast<VFloat>(
-                sf::selectLanes(neg, reinterpret_cast<sf::VBits>(flipped),
-                                reinterpret_cast<sf::VBits>(c)));
-        }
-        if (sf::anyLane(t.slow))
+        sf::VecLane<Vectors * sf::simdLanes> lane;
+        const auto cnd = eval(lane, lane.load(in));
+        if (lane.anySlow())
             return false;
-        for (int b = 0; b < Vectors; ++b)
-            std::memcpy(out + b * lanes, &cnd[b], sizeof(VFloat));
-        t.addTo(sink);
+        lane.store(out, cnd);
+        lane.addTo(sink);
         return true;
     }
 

@@ -13,7 +13,9 @@
  *
  * The bodies are sink-templates over the non-virtual Sink shape so the
  * batch execution path inlines them; the InstrSink* entry points are
- * the same templates instantiated with SinkRef.
+ * the same templates instantiated with SinkRef. The exp split, which
+ * the polynomial exp runs in SIMD lanes too, is written once over a
+ * lane type (softfloat_lanes.h); splitExpT is its element lane.
  */
 
 #ifndef TPL_TRANSPIM_RANGE_H
@@ -51,12 +53,16 @@ struct QuadrantReduced
     int q;   ///< quadrant 0..3
 };
 
-/** Result of the exponential split x = k*ln2 + r. */
-struct ExpSplit
+/** Result of the exponential split x = k*ln2 + r, in a lane's values. */
+template <class Int, class Float>
+struct ExpSplitOf
 {
-    int k;   ///< power-of-two exponent
-    float r; ///< residual in [0, ln2)
+    Int k;   ///< power-of-two exponent
+    Float r; ///< residual in [0, ln2)
 };
+
+/** Result of the exponential split x = k*ln2 + r. */
+using ExpSplit = ExpSplitOf<int, float>;
 
 /** Result of the logarithm split x = m * 2^k, m in [1, 2). */
 struct LogSplit
@@ -110,44 +116,27 @@ reduceQuadrantT(float x, S& sink)
     return out;
 }
 
+/** Split for exp in lane L (softfloat_lanes.h): e^x = 2^k * e^r. */
+template <class L>
+inline ExpSplitOf<typename L::Int, typename L::Float>
+splitExp(L& lane, typename L::Float x)
+{
+    using namespace range_detail;
+    const auto k = lane.toI32Floor(lane.mul(x, lane.splat(kLog2e)));
+    const auto fk = lane.fromI32(k);
+    // Cody-Waite: r = (x - k*ln2Hi) - k*ln2Lo keeps r accurate even
+    // though k*ln2 is not exactly representable.
+    const auto r = lane.sub(x, lane.mul(fk, lane.splat(kLn2Hi)));
+    return {k, lane.sub(r, lane.mul(fk, lane.splat(kLn2Lo)))};
+}
+
 /** Split for exp: e^x = 2^k * e^r. */
 template <class S>
 inline ExpSplit
 splitExpT(float x, S& sink)
 {
-    using namespace range_detail;
-    ExpSplit out;
-    float t = sf::mulT(x, kLog2e, sink);
-    out.k = sf::toI32FloorT(t, sink);
-    float fk = sf::fromI32T(out.k, sink);
-    // Cody-Waite: r = (x - k*ln2Hi) - k*ln2Lo keeps r accurate even
-    // though k*ln2 is not exactly representable.
-    float r = sf::subT(x, sf::mulT(fk, kLn2Hi, sink), sink);
-    out.r = sf::subT(r, sf::mulT(fk, kLn2Lo, sink), sink);
-    return out;
-}
-
-/** splitExpT's k and r in every lane. */
-struct ExpSplitLanes
-{
-    sf::VInt k;
-    sf::VFloat r;
-};
-
-/** splitExpT in every lane of @p x, counted in @p t. */
-inline ExpSplitLanes
-splitExpLanes(sf::VFloat x, sf::LaneTally& t)
-{
-    using namespace range_detail;
-    ExpSplitLanes out;
-    sf::VFloat scaled = sf::mulLanes(x, sf::splatLanes(kLog2e), t);
-    out.k = sf::toI32FloorLanes(scaled, t);
-    sf::VFloat fk = sf::fromI32Lanes(out.k, t);
-    sf::VFloat r = sf::subLanes(
-        x, sf::mulLanes(fk, sf::splatLanes(kLn2Hi), t), t);
-    out.r = sf::subLanes(
-        r, sf::mulLanes(fk, sf::splatLanes(kLn2Lo), t), t);
-    return out;
+    sf::ElemLane<S> lane(sink);
+    return splitExp(lane, x);
 }
 
 /**

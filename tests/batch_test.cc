@@ -1345,6 +1345,220 @@ TEST(BatchFastLane, MulIntChargeClosedFormMatchesUnpack)
 }
 
 // ---------------------------------------------------------------------
+// The vector lane's ops one at a time against the emulated scalar
+// cores, so each op is locked on its own and not only through the
+// bodies built on it.
+// ---------------------------------------------------------------------
+
+/** The vector lane the op checks run in. */
+using OpLane = sf::VecLane<sf::simdLanes>;
+
+/** @p bits, sf::simdLanes of them, as one lane value of type T. */
+template <class T>
+T
+laneValue(const uint32_t* bits)
+{
+    static_assert(sizeof(T) == sf::simdLanes * sizeof(uint32_t));
+    T v;
+    std::memcpy(&v, bits, sizeof v);
+    return v;
+}
+
+/** The sf::simdLanes lanes of @p v, as bits, into @p out. */
+template <class T>
+void
+laneBits(const T& v, uint32_t* out)
+{
+    static_assert(sizeof(T) == sf::simdLanes * sizeof(uint32_t));
+    std::memcpy(out, &v, sizeof v);
+}
+
+/**
+ * One vector-lane op and its emulated scalar core, both on operand
+ * bits: a float op reads its operands as binary32, the conversion
+ * from int32 and ldexp's exponent read theirs as int32.
+ */
+struct LaneOpCase
+{
+    const char* name;
+    void (*lane)(const uint32_t* a, const uint32_t* b, uint32_t* out,
+                 OpLane& t);
+    uint32_t (*emulated)(uint32_t a, uint32_t b, SinkRef& sink);
+};
+
+float
+asFloat(uint32_t bits)
+{
+    return bitsToFloat(bits);
+}
+
+int32_t
+asInt(uint32_t bits)
+{
+    return static_cast<int32_t>(bits);
+}
+
+const LaneOpCase kLaneOps[] = {
+    {"mul",
+     [](const uint32_t* a, const uint32_t* b, uint32_t* out, OpLane& t) {
+         laneBits(t.mul(laneValue<OpLane::Float>(a),
+                        laneValue<OpLane::Float>(b)),
+                  out);
+     },
+     [](uint32_t a, uint32_t b, SinkRef& s) {
+         return floatBits(sf::mulT(asFloat(a), asFloat(b), s));
+     }},
+    {"add",
+     [](const uint32_t* a, const uint32_t* b, uint32_t* out, OpLane& t) {
+         laneBits(t.add(laneValue<OpLane::Float>(a),
+                        laneValue<OpLane::Float>(b)),
+                  out);
+     },
+     [](uint32_t a, uint32_t b, SinkRef& s) {
+         return floatBits(sf::addT(asFloat(a), asFloat(b), s));
+     }},
+    {"sub",
+     [](const uint32_t* a, const uint32_t* b, uint32_t* out, OpLane& t) {
+         laneBits(t.sub(laneValue<OpLane::Float>(a),
+                        laneValue<OpLane::Float>(b)),
+                  out);
+     },
+     [](uint32_t a, uint32_t b, SinkRef& s) {
+         return floatBits(sf::subT(asFloat(a), asFloat(b), s));
+     }},
+    {"div",
+     [](const uint32_t* a, const uint32_t* b, uint32_t* out, OpLane& t) {
+         laneBits(t.div(laneValue<OpLane::Float>(a),
+                        laneValue<OpLane::Float>(b)),
+                  out);
+     },
+     [](uint32_t a, uint32_t b, SinkRef& s) {
+         return floatBits(sf::divT(asFloat(a), asFloat(b), s));
+     }},
+    {"neg",
+     [](const uint32_t* a, const uint32_t*, uint32_t* out, OpLane& t) {
+         laneBits(t.neg(laneValue<OpLane::Float>(a)), out);
+     },
+     [](uint32_t a, uint32_t, SinkRef& s) {
+         return floatBits(sf::negT(asFloat(a), s));
+     }},
+    {"abs",
+     [](const uint32_t* a, const uint32_t*, uint32_t* out, OpLane& t) {
+         laneBits(t.abs(laneValue<OpLane::Float>(a)), out);
+     },
+     [](uint32_t a, uint32_t, SinkRef& s) {
+         return floatBits(sf::absT(asFloat(a), s));
+     }},
+    {"toI32Floor",
+     [](const uint32_t* a, const uint32_t*, uint32_t* out, OpLane& t) {
+         laneBits(t.toI32Floor(laneValue<OpLane::Float>(a)), out);
+     },
+     [](uint32_t a, uint32_t, SinkRef& s) {
+         return static_cast<uint32_t>(sf::toI32FloorT(asFloat(a), s));
+     }},
+    {"fromI32",
+     [](const uint32_t* a, const uint32_t*, uint32_t* out, OpLane& t) {
+         laneBits(t.fromI32(laneValue<OpLane::Int>(a)), out);
+     },
+     [](uint32_t a, uint32_t, SinkRef& s) {
+         return floatBits(sf::fromI32T(asInt(a), s));
+     }},
+    {"ldexp",
+     [](const uint32_t* a, const uint32_t* b, uint32_t* out, OpLane& t) {
+         laneBits(t.ldexp(laneValue<OpLane::Float>(a),
+                          laneValue<OpLane::Int>(b)),
+                  out);
+     },
+     [](uint32_t a, uint32_t b, SinkRef& s) {
+         return floatBits(pimLdexpT(asFloat(a), asInt(b), s));
+     }},
+};
+
+/**
+ * Operand bits for the op checks, from bitPatterns32 (@p seed): the
+ * raw patterns, specials first, when @p ordinary is unset. Otherwise
+ * the same patterns made ordinary for @p op: normal binary32
+ * magnitudes in [2^-20, 2^24) for the float ops (so toI32Floor's too);
+ * int32 values in [-2^24, 2^24] for fromI32; exponents in [-100, 100]
+ * for ldexp's second operand, so no result leaves the normal range.
+ */
+std::vector<uint32_t>
+laneOperands(const std::string& op, int operand, bool ordinary,
+             uint32_t seed)
+{
+    std::vector<uint32_t> v = bitPatterns32(1031, seed);
+    for (uint32_t& p : v) {
+        const bool intOperand =
+            op == "fromI32" || (op == "ldexp" && operand == 1);
+        if (!ordinary) {
+            // ldexp's raw exponents: up to +-512, past either end of
+            // the normal range.
+            if (op == "ldexp" && operand == 1)
+                p = static_cast<uint32_t>(static_cast<int32_t>(p) >> 22);
+            continue;
+        }
+        if (op == "ldexp" && operand == 1)
+            p = static_cast<uint32_t>(static_cast<int32_t>(p % 201) - 100);
+        else if (intOperand)
+            p = static_cast<uint32_t>(static_cast<int32_t>(p % (1u << 25)) -
+                                      (1 << 24) + 1);
+        else
+            p = (p & 0x807fffffu) | (127u - 20u + p % 44u) << 23;
+    }
+    return v;
+}
+
+TEST(LaneOps, EveryVectorOpMatchesEmulatedCore)
+{
+    constexpr size_t lanes = sf::simdLanes;
+    for (const LaneOpCase& op : kLaneOps)
+        for (bool ordinary : {false, true}) {
+            const std::string label =
+                std::string(op.name) + (ordinary ? " ordinary" : " raw");
+            const std::vector<uint32_t> a =
+                laneOperands(op.name, 0, ordinary, 17);
+            const std::vector<uint32_t> b =
+                laneOperands(op.name, 1, ordinary, 29);
+            size_t fastVectors = 0;
+            for (size_t i = 0; i + lanes <= a.size(); i += lanes) {
+                OpLane t;
+                uint32_t got[lanes];
+                op.lane(&a[i], &b[i], got, t);
+                uint32_t slow[lanes];
+                laneBits(t.slow, slow);
+                ClassSink want;
+                SinkRef ref(&want);
+                bool anySlow = false;
+                for (size_t l = 0; l < lanes; ++l) {
+                    const uint32_t bits = op.emulated(a[i + l], b[i + l], ref);
+                    anySlow |= slow[l] != 0;
+                    if (!slow[l]) {
+                        EXPECT_EQ(bits, got[l])
+                            << label << std::hex << " lane " << a[i + l]
+                            << ", " << b[i + l];
+                    }
+                }
+                // Ordinary operands never leave the lane.
+                if (ordinary) {
+                    EXPECT_FALSE(anySlow) << label << " vector " << i;
+                }
+                if (anySlow)
+                    continue;
+                ++fastVectors;
+                ClassSink counted;
+                BatchSink bs(&counted);
+                t.addTo(bs);
+                bs.flush();
+                expectSinksEqual(want, counted,
+                                 label + " vector " + std::to_string(i));
+            }
+            if (ordinary) {
+                EXPECT_EQ(a.size() / lanes, fastVectors) << label;
+            }
+        }
+}
+
+// ---------------------------------------------------------------------
 // Hostile trace specs through the serve path: a spec that cannot bind
 // drops its request instead of aborting, and a valid one serves.
 // ---------------------------------------------------------------------
